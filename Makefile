@@ -1,7 +1,7 @@
 # VisualPrint build/verify targets.
 
-.PHONY: build test verify chaos bench bench-short bench-check bench-cores \
-	bench-track bench-track-short bench-oracle clean
+.PHONY: build test verify chaos fuzz-short bench bench-short bench-check \
+	bench-cores bench-track bench-track-short bench-oracle clean
 
 build:
 	go build ./...
@@ -11,9 +11,17 @@ test:
 	go build ./... && go test ./...
 
 # Full gate: vet + build + the whole suite under the race detector,
-# including the chaos/fault-injection lifecycle tests.
+# including the chaos/fault-injection lifecycle tests, the short fuzz pass
+# and the out-of-module benchmark's own build and tests.
 verify:
 	sh scripts/verify.sh
+
+# Ten seconds of coverage-guided fuzzing on the request-header decoder, the
+# first bytes of every request the server parses. New inputs go to the Go
+# build cache; a crasher is written under internal/server/testdata/fuzz and
+# should be committed with its fix.
+fuzz-short:
+	go test ./internal/server -run '^$$' -fuzz '^FuzzRequestHeader$$' -fuzztime=10s
 
 # The request-lifecycle and replication chaos suites alone, full-length,
 # under -race: fault-injection proxy (latency, partitions — symmetric and

@@ -114,7 +114,7 @@ func BenchmarkTakeaways(b *testing.B) {
 }
 
 // BenchmarkConcurrentQueryThroughput measures multi-client localization
-// throughput over the multiplexed v2 protocol, scaling the client count up
+// throughput over the multiplexed protocol, scaling the client count up
 // to GOMAXPROCS (see EXPERIMENTS.md for recorded scaling results).
 func BenchmarkConcurrentQueryThroughput(b *testing.B) {
 	sc := benchScale()

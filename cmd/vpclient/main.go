@@ -73,13 +73,14 @@ func main() {
 	}
 
 	ctx, cancel := reqCtx()
-	oracle, blobSize, err := client.FetchOracle(ctx)
+	osync := client.OracleSync()
+	oracle, err := osync.Sync(ctx)
 	cancel()
 	if err != nil {
 		log.Fatal(err)
 	}
 	log.Printf("oracle downloaded: %.1f MB compressed, %.1f MB in RAM",
-		float64(blobSize)/1e6, float64(oracle.MemoryBytes())/1e6)
+		float64(osync.TransferBytes())/1e6, float64(oracle.MemoryBytes())/1e6)
 
 	sc := visualprint.DefaultSiftConfig()
 	sc.ContrastThreshold = 0.02
@@ -120,7 +121,7 @@ func printMetrics(client *visualprint.Client, reqCtx func() (context.Context, co
 	rep, err := client.Metrics(ctx)
 	if err != nil {
 		if errors.Is(err, visualprint.ErrMetricsUnsupported) {
-			log.Fatalf("server does not support the metrics RPC (old binary, or observability disabled): %v", err)
+			log.Fatalf("server runs with observability disabled: %v", err)
 		}
 		log.Fatal(err)
 	}
@@ -262,7 +263,6 @@ func printStats(client *visualprint.Client, reqCtx func() (context.Context, cont
 	log.Printf("mappings:               %d", s.Mappings)
 	log.Printf("database size:          %.1f MB", float64(s.DatabaseBytes)/1e6)
 	log.Printf("oracle inserts:         %d", s.OracleInserts)
-	log.Printf("oracle snapshot bytes:  %.1f MB", float64(s.OracleSnapshotBytes)/1e6)
 	if !s.Persistent {
 		log.Printf("persistence:            in-memory")
 		return

@@ -2,10 +2,10 @@ package bench
 
 // Oracle distribution benchmark: the downlink cost of keeping a device
 // fleet's uniqueness oracle current. A live server ingests wardrive update
-// batches while two clients track it over TCP — one through the versioned
-// OracleSync handle (delta chains within the server's epoch window), one
-// re-downloading the full blob after every update, which is what every
-// client did before versioned epochs. The measurement is
+// batches while two consumers track it over TCP — one keeping its OracleSync
+// handle (delta chains within the server's epoch window), one syncing a
+// fresh handle after every update, which downloads the full blob as a
+// client without a held version must. The measurement is
 // bytes-per-client-per-update for each update size, and the headline is
 // the reduction factor for small batches (a handful of mappings from an
 // incremental wardrive pass), where re-sending megabytes of counting-Bloom
@@ -71,8 +71,8 @@ type OracleUpdatePoint struct {
 	// DeltaBytesPerUpdate is the versioned client's mean response payload
 	// bytes per update (delta chains, or full blobs past the window).
 	DeltaBytesPerUpdate float64 `json:"delta_bytes_per_update"`
-	// FullBytesPerUpdate is the pre-epoch client's cost: one full blob
-	// re-download per update.
+	// FullBytesPerUpdate is the versionless client's cost: one full blob
+	// (plus its 8-byte epoch stamp) re-downloaded per update.
 	FullBytesPerUpdate float64 `json:"full_bytes_per_update"`
 	// ReductionX is FullBytesPerUpdate / DeltaBytesPerUpdate — the
 	// downlink saving factor of versioned sync at this update size.
@@ -84,8 +84,8 @@ type OracleUpdatePoint struct {
 type OracleBenchResult struct {
 	Workload OracleWorkloadConfig `json:"workload"`
 	// FullBlobBytes is the gzip full-oracle wire size after the base
-	// corpus — what every pre-epoch client paid per update regardless of
-	// update size.
+	// corpus — what a client without a held version pays per update
+	// regardless of update size.
 	FullBlobBytes int64               `json:"full_blob_bytes"`
 	Points        []OracleUpdatePoint `json:"points"`
 	Recorded      string              `json:"recorded"`
@@ -138,11 +138,13 @@ func RunOracleBenchmark(cfg OracleWorkloadConfig) (*OracleBenchResult, error) {
 		return nil, err
 	}
 	defer versioned.Close()
-	legacy, err := server.Dial(srv.Addr().String(), server.WithLogger(nil))
-	if err != nil {
-		return nil, err
+	// fullFetch syncs a fresh handle: with no version to cite, the server
+	// answers with the full blob.
+	fullFetch := func() (int64, error) {
+		fresh := versioned.OracleSync()
+		_, err := fresh.Sync(ctx)
+		return fresh.TransferBytes(), err
 	}
-	defer legacy.Close()
 
 	if _, err := writer.Ingest(ctx, batch(cfg.BaseMappings)); err != nil {
 		return nil, err
@@ -151,7 +153,7 @@ func RunOracleBenchmark(cfg OracleWorkloadConfig) (*OracleBenchResult, error) {
 	if _, err := h.Sync(ctx); err != nil {
 		return nil, err
 	}
-	_, fullBlob, err := legacy.FetchOracle(ctx)
+	fullBlob, err := fullFetch()
 	if err != nil {
 		return nil, err
 	}
@@ -174,10 +176,7 @@ func RunOracleBenchmark(cfg OracleWorkloadConfig) (*OracleBenchResult, error) {
 				return nil, err
 			}
 			deltaBytes += h.TransferBytes() - before
-			// The pre-epoch client has no change detection worth the name
-			// (insert-count equality is unsound across histories), so after
-			// every update it re-downloads the blob.
-			_, n, err := legacy.FetchOracle(ctx)
+			n, err := fullFetch()
 			if err != nil {
 				return nil, err
 			}

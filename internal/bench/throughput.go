@@ -1,6 +1,6 @@
 package bench
 
-// Multi-client query throughput over the multiplexed v2 wire protocol —
+// Multi-client query throughput over the multiplexed wire protocol —
 // not a paper figure, but the scaling experiment behind the ROADMAP's
 // production-service goal: with per-request dispatch on the server and
 // request-ID demultiplexing in the client, localization throughput should

@@ -391,60 +391,6 @@ func (f *Filter) MergeFrom(other *Filter) error {
 	return nil
 }
 
-// DiffWords returns the XOR of this filter's packed counters against an
-// older snapshot of the same filter (same n, bits, k, seed). Counting
-// filters only ever increment, so the XOR is sparse — mostly zero words —
-// and compresses extremely well, enabling the incremental oracle updates
-// the paper proposes ("a compressed bitmask representing the diff between
-// versions").
-func (c *Counting) DiffWords(old *Counting) ([]uint64, error) {
-	if old.n != c.n || old.bits != c.bits || old.k != c.k || old.seed != c.seed {
-		return nil, errors.New("bloom: diff between incompatible counting filters")
-	}
-	out := make([]uint64, len(c.data))
-	for i := range out {
-		out[i] = c.data[i] ^ old.data[i]
-	}
-	return out, nil
-}
-
-// ApplyDiffWords XORs a DiffWords mask into the filter, advancing an old
-// snapshot to the newer version. inserts is the new total insert count.
-func (c *Counting) ApplyDiffWords(diff []uint64, inserts uint64) error {
-	if len(diff) != len(c.data) {
-		return errors.New("bloom: diff length mismatch")
-	}
-	for i := range diff {
-		c.data[i] ^= diff[i]
-	}
-	c.inserts = inserts
-	return nil
-}
-
-// DiffWords returns the XOR of this binary filter's bits against an older
-// snapshot (same m, k, seed).
-func (f *Filter) DiffWords(old *Filter) ([]uint64, error) {
-	if old.m != f.m || old.k != f.k || old.seed != f.seed {
-		return nil, errors.New("bloom: diff between incompatible filters")
-	}
-	out := make([]uint64, len(f.data))
-	for i := range out {
-		out[i] = f.data[i] ^ old.data[i]
-	}
-	return out, nil
-}
-
-// ApplyDiffWords XORs a DiffWords mask into the filter.
-func (f *Filter) ApplyDiffWords(diff []uint64) error {
-	if len(diff) != len(f.data) {
-		return errors.New("bloom: diff length mismatch")
-	}
-	for i := range diff {
-		f.data[i] ^= diff[i]
-	}
-	return nil
-}
-
 // Counter returns the value of counter i — the cell-level read used by the
 // odelta sparse encoder.
 func (c *Counting) Counter(i uint64) uint32 { return c.counterAt(i) }

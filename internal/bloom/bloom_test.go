@@ -349,51 +349,3 @@ func TestFilterWriteToByteCount(t *testing.T) {
 		t.Errorf("WriteTo reported %d bytes, wrote %d", n, buf.Len())
 	}
 }
-
-func TestDiffWordsIncompatible(t *testing.T) {
-	a, _ := NewCounting(1000, 10, 4, 1)
-	b, _ := NewCounting(2000, 10, 4, 1)
-	if _, err := a.DiffWords(b); err == nil {
-		t.Error("diff across sizes accepted")
-	}
-	fa, _ := NewFilter(1000, 4, 1)
-	fb, _ := NewFilter(1000, 5, 1)
-	if _, err := fa.DiffWords(fb); err == nil {
-		t.Error("filter diff across k accepted")
-	}
-	if err := a.ApplyDiffWords(make([]uint64, 3), 0); err == nil {
-		t.Error("wrong-length counting diff accepted")
-	}
-	if err := fa.ApplyDiffWords(make([]uint64, 3)); err == nil {
-		t.Error("wrong-length filter diff accepted")
-	}
-}
-
-func TestDiffRoundTripAdvancesFilter(t *testing.T) {
-	old, _ := NewCounting(4096, 10, 4, 9)
-	cur, _ := NewCounting(4096, 10, 4, 9)
-	for i := 0; i < 50; i++ {
-		item := []byte(fmt.Sprintf("v1-%d", i))
-		old.Add(item)
-		cur.Add(item)
-	}
-	for i := 0; i < 20; i++ {
-		cur.Add([]byte(fmt.Sprintf("v2-%d", i)))
-	}
-	diff, err := cur.DiffWords(old)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := old.ApplyDiffWords(diff, cur.Inserts()); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 20; i++ {
-		item := []byte(fmt.Sprintf("v2-%d", i))
-		if old.Count(item) != cur.Count(item) {
-			t.Fatalf("patched filter disagrees on %q", item)
-		}
-	}
-	if old.Inserts() != cur.Inserts() {
-		t.Error("insert count not advanced")
-	}
-}

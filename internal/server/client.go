@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"encoding/binary"
 	"encoding/json"
@@ -9,13 +8,11 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"visualprint/internal/codec"
-	"visualprint/internal/core"
 	"visualprint/internal/obs"
 	"visualprint/internal/pose"
 	"visualprint/internal/sift"
@@ -116,8 +113,8 @@ func WithVenue(name string) DialOption {
 	return func(c *dialConfig) { c.venue = name }
 }
 
-// WithReadFromReplica routes read RPCs (query, oracle download/refresh,
-// stats) to the replica at addr, falling back to the primary whenever the
+// WithReadFromReplica routes read RPCs (query, oracle sync, stats) to the
+// replica at addr, falling back to the primary whenever the
 // replica fails or redirects (dead, mid-full-sync, past its staleness
 // bound). Writes always go to the primary. The replica connection's bytes
 // are not included in the client's BytesSent/BytesReceived accounting.
@@ -128,21 +125,16 @@ func WithReadFromReplica(addr string) DialOption {
 
 // Client is a VisualPrint protocol client. It is safe for concurrent use:
 // requests are multiplexed over the single connection with uint32 request
-// IDs (wire protocol v2), so concurrent calls overlap on the wire and on
-// the server instead of queueing behind a lock. A demux goroutine routes
-// each response frame to the caller whose request it answers.
+// IDs, so concurrent calls overlap on the wire and on the server instead of
+// queueing behind a lock. A demux goroutine routes each response frame to
+// the caller whose request it answers.
 //
 // Every method takes a context, and the context is honored end to end: a
-// deadline travels to the server inside a msgRequestEx envelope (the
-// server abandons the pipeline when it expires), and cancellation both
-// abandons the local wait and sends a msgCancel frame so the server stops
-// working on the request. Against a server predating the envelope the
-// client transparently falls back to plain requests and enforces the
-// deadline locally. The byte counters feed the Figure 14 bandwidth
-// accounting.
+// deadline travels to the server in the request header (the server abandons
+// the pipeline when it expires), and cancellation both abandons the local
+// wait and sends a msgCancel frame so the server stops working on the
+// request. The byte counters feed the Figure 14 bandwidth accounting.
 type Client struct {
-	v1 bool // legacy ID-less framing; responses route in FIFO order
-
 	// dialFn redials the server after a lost connection; nil (NewClient
 	// over an existing conn) disables automatic reconnection.
 	dialFn func(context.Context) (net.Conn, error)
@@ -165,44 +157,16 @@ type Client struct {
 	// (WithReadFromReplica); failures fall back to the primary.
 	replica *Client
 
-	// deadlineOK tracks whether the server accepts msgRequestEx deadline
-	// envelopes; cleared on the first "unknown message type" rejection so
-	// a session against an old server pays the round trip once.
-	deadlineOK atomic.Bool
-	// venueNo tracks a server rejecting msgVenueEx as an unknown type
-	// (sticky, like deadlineOK but inverted so the zero value — venue
-	// support assumed — works for NewClientV1's bare construction). Unlike
-	// the deadline fallback there is no transparent resend: a plain request
-	// would silently address the default venue, so venue-pinned calls fail
-	// with the typed ErrVenueUnsupported instead.
-	venueNo atomic.Bool
-	// sessNo tracks a server rejecting msgSessionEx (sticky). Unlike the
-	// venue envelope, the session envelope is a pure optimization — a
-	// warm-start hint — so the fallback is a silent resend without it: the
-	// answer from a session-less solve is equally correct, just costs the
-	// server more generations.
-	sessNo atomic.Bool
-	// Capability probe record (see capability): per-connection-generation
-	// outcome bits for optional oracle-distribution requests, replacing the
-	// per-feature sticky booleans those requests used to carry. Guarded by
-	// mu; capGen names the generation the bits were probed on, so a
-	// reconnect (which may land on a different server binary) re-probes.
-	capGen   int
-	capKnown uint32
-	capHave  uint32
-
-	// writeMu serializes frame writes; for v1 it also pins FIFO
-	// registration to wire order. Reconnection swaps the conn under
+	// writeMu serializes frame writes. Reconnection swaps the conn under
 	// writeMu+mu, so a write under writeMu never races the swap.
 	writeMu sync.Mutex
-	lastID  uint32 // v2 request ID source, guarded by writeMu
+	lastID  uint32 // request ID source, guarded by writeMu; IDs start at 1
 
 	mu      sync.Mutex
 	conn    net.Conn
 	gen     int                       // bumped per reconnect; stale demux loops exit
 	closed  bool                      // Close called; no further reconnects
-	pending map[uint32]chan rpcResult // v2 in-flight requests by ID
-	fifo    []chan rpcResult          // v1 in-flight requests in send order
+	pending map[uint32]chan rpcResult // in-flight requests by ID
 	// subs routes server-initiated event frames (oracle subscriptions) by
 	// request ID. Unlike pending entries, a sub survives across frames and
 	// its channel is a latest-wins mailbox: epoch events are cumulative, so
@@ -239,7 +203,7 @@ func deliverLatest(ch chan rpcResult, r rpcResult) {
 }
 
 // NewClient wraps an established connection (TCP or net.Pipe), announcing
-// protocol v2 and starting the response demux loop. Options configure
+// the protocol version and starting the response demux loop. Options configure
 // retries and logging; without a dialer (use Dial for that) a lost
 // connection is not reconnectable.
 func NewClient(conn net.Conn, opts ...DialOption) *Client {
@@ -252,7 +216,6 @@ func NewClient(conn net.Conn, opts ...DialOption) *Client {
 		subs:  make(map[uint32]chan rpcResult),
 		retry: cfg.retry, log: cfg.log, venue: cfg.venue,
 	}
-	c.deadlineOK.Store(true)
 	if err := writePreamble(conn); err != nil {
 		// Surface the broken transport through the demux path so every
 		// call fails with it rather than hanging.
@@ -260,17 +223,6 @@ func NewClient(conn net.Conn, opts ...DialOption) *Client {
 		return c
 	}
 	c.sent.Add(preambleSize)
-	go c.demux(conn, 0)
-	return c
-}
-
-// NewClientV1 wraps a connection speaking the legacy v1 (ID-less) framing,
-// as an old client binary would. The server handles a v1 connection
-// sequentially, so responses arrive in request order and are routed FIFO;
-// calls pipeline on the wire but cannot overlap server-side. v1 carries no
-// deadline envelope and no cancel frames: contexts are enforced locally.
-func NewClientV1(conn net.Conn) *Client {
-	c := &Client{conn: conn, v1: true, pending: make(map[uint32]chan rpcResult), log: obs.Default()}
 	go c.demux(conn, 0)
 	return c
 }
@@ -356,39 +308,23 @@ func (c *Client) BytesSent() int64 { return c.sent.Load() }
 // BytesReceived returns the total payload bytes downloaded.
 func (c *Client) BytesReceived() int64 { return c.received.Load() }
 
-func (c *Client) frameOverhead() int64 {
-	if c.v1 {
-		return frameOverheadV1
-	}
-	return frameOverheadV2
-}
-
 func (c *Client) logf(format string, args ...any) {
 	c.log.Warnf(format, args...)
 }
 
 // demux reads response frames from conn and routes each to its waiting
-// caller — by request ID on v2, in FIFO order on v1. A read error is
-// terminal for this connection generation: it fails every in-flight call
-// and, absent a reconnect, every future one.
+// caller by request ID. A read error is terminal for this connection
+// generation: it fails every in-flight call and, absent a reconnect, every
+// future one — as does an id-0 msgError, the one frame a server sends
+// unprompted (it refused the preamble; see Server.ServeConn).
 func (c *Client) demux(conn net.Conn, gen int) {
 	for {
-		var (
-			id      uint32
-			typ     byte
-			payload []byte
-			err     error
-		)
-		if c.v1 {
-			typ, payload, err = readFrame(conn)
-		} else {
-			id, typ, payload, err = readFrameV2(conn)
-		}
+		id, typ, payload, err := readFrame(conn)
 		if err != nil {
 			c.failGen(err, gen)
 			return
 		}
-		c.received.Add(int64(len(payload)) + c.frameOverhead())
+		c.received.Add(int64(len(payload)) + frameOverhead)
 		c.mu.Lock()
 		if c.gen != gen {
 			// The connection was replaced while this read was in flight;
@@ -396,28 +332,21 @@ func (c *Client) demux(conn net.Conn, gen int) {
 			c.mu.Unlock()
 			return
 		}
-		var ch chan rpcResult
-		sub := false
-		if c.v1 {
-			if len(c.fifo) > 0 {
-				ch = c.fifo[0]
-				c.fifo = c.fifo[1:]
-			}
+		ch, sub := c.pending[id], false
+		if ch != nil {
+			delete(c.pending, id)
 		} else {
-			ch = c.pending[id]
-			if ch != nil {
-				delete(c.pending, id)
-			} else if sch, ok := c.subs[id]; ok {
-				ch, sub = sch, true
-			}
+			ch, sub = c.subs[id]
 		}
 		c.mu.Unlock()
 		switch {
-		case ch == nil:
 		case sub:
 			deliverLatest(ch, rpcResult{typ: typ, payload: payload})
-		default:
+		case ch != nil:
 			ch <- rpcResult{typ: typ, payload: payload} // buffered; never blocks
+		case id == 0 && typ == msgError:
+			c.failGen(decodeErrorPayload(payload), gen)
+			return
 		}
 	}
 }
@@ -433,7 +362,8 @@ var ErrConnectionLost = errors.New("visualprint client: connection lost")
 func (c *Client) failGen(err error, gen int) {
 	// EOF and friends are transport deaths, not server answers; tag them
 	// so callers can distinguish "server said no" from "server went away".
-	if err != nil && !errors.Is(err, ErrConnectionLost) {
+	// A refused preamble is an answer: redialing would be refused again.
+	if err != nil && !errors.Is(err, ErrConnectionLost) && !errors.Is(err, ErrProtocolVersion) {
 		err = fmt.Errorf("%w: %w", ErrConnectionLost, err)
 	}
 	c.mu.Lock()
@@ -446,10 +376,6 @@ func (c *Client) failGen(err error, gen int) {
 		delete(c.pending, id)
 		ch <- rpcResult{err: err}
 	}
-	for _, ch := range c.fifo {
-		ch <- rpcResult{err: err}
-	}
-	c.fifo = nil
 	for id, ch := range c.subs {
 		delete(c.subs, id)
 		deliverLatest(ch, rpcResult{err: err})
@@ -524,8 +450,8 @@ func (c *Client) retryable(err error, idempotent bool) bool {
 
 // invoke is call plus the retry loop: jittered exponential backoff on
 // retryable errors, reconnecting first when the transport died.
-func (c *Client) invoke(ctx context.Context, venue string, typ byte, payload []byte, idempotent bool) (byte, []byte, error) {
-	rt, resp, err := c.callRedirect(ctx, venue, typ, payload)
+func (c *Client) invoke(ctx context.Context, h reqHeader, typ byte, payload []byte, idempotent bool) (byte, []byte, error) {
+	rt, resp, err := c.callRedirect(ctx, h, typ, payload)
 	for attempt := 1; err != nil && attempt < c.retry.MaxAttempts && c.retryable(err, idempotent); attempt++ {
 		select {
 		case <-time.After(c.retry.delay(attempt)):
@@ -537,7 +463,7 @@ func (c *Client) invoke(ctx context.Context, venue string, typ byte, payload []b
 				return 0, nil, rerr
 			}
 		}
-		rt, resp, err = c.callRedirect(ctx, venue, typ, payload)
+		rt, resp, err = c.callRedirect(ctx, h, typ, payload)
 	}
 	return rt, resp, err
 }
@@ -551,15 +477,15 @@ const maxRedirectHops = 4
 // naming a primary moves the connection there and resends. Safe for
 // non-idempotent requests — the rejecting server did no work. Redirects
 // don't consume retry-policy attempts.
-func (c *Client) callRedirect(ctx context.Context, venue string, typ byte, payload []byte) (byte, []byte, error) {
-	rt, resp, err := c.call(ctx, venue, typ, payload)
+func (c *Client) callRedirect(ctx context.Context, h reqHeader, typ byte, payload []byte) (byte, []byte, error) {
+	rt, resp, err := c.call(ctx, h, typ, payload)
 	for hops := 0; hops < maxRedirectHops; hops++ {
 		var npe *NotPrimaryError
 		if err == nil || !errors.As(err, &npe) || npe.Primary == "" || !c.retarget(ctx, npe.Primary) {
 			return rt, resp, err
 		}
 		c.logf("visualprint client: redirected to primary %s", npe.Primary)
-		rt, resp, err = c.call(ctx, venue, typ, payload)
+		rt, resp, err = c.call(ctx, h, typ, payload)
 	}
 	return rt, resp, err
 }
@@ -608,10 +534,6 @@ func (c *Client) retarget(ctx context.Context, addr string) bool {
 		delete(c.pending, id)
 		ch <- rpcResult{err: redirErr}
 	}
-	for _, ch := range c.fifo {
-		ch <- rpcResult{err: redirErr}
-	}
-	c.fifo = nil
 	for id, ch := range c.subs {
 		delete(c.subs, id)
 		deliverLatest(ch, rpcResult{err: redirErr})
@@ -640,116 +562,17 @@ func deadlineMillis(d time.Time) uint32 {
 	return uint32(ms)
 }
 
-// isUnknownTypeErr detects an old server rejecting specifically message
-// type typ — the generic-code "unknown message type N" error its dispatcher
-// returns. The check is type-specific on purpose: a nested envelope can
-// produce the same rejection for a different type (an old server rejecting
-// the venue envelope must not be mistaken for one rejecting the deadline
-// envelope, and vice versa). Used to fall back from the msgRequestEx and
-// msgVenueEx envelopes.
-func isUnknownTypeErr(err error, typ byte) bool {
-	var r errRemote
-	return errors.As(err, &r) && r.code == errCodeGeneric &&
-		strings.HasSuffix(r.msg, fmt.Sprintf("unknown message type %d", typ))
-}
-
-// ErrVenueUnsupported marks a venue-pinned call against a server predating
-// the venue envelope. There is no transparent fallback — a plain resend
-// would silently address the default venue — so the caller must decide.
-// Match with errors.Is.
-var ErrVenueUnsupported = errors.New("visualprint client: server does not support venue routing")
-
-// Capability bits probed against the connected server, one probe per bit
-// per connection generation. These fold the oracle-distribution fallback
-// ladder (msgGetOracle → msgGetDiff → msgGetDiff2 → msgOracleSync) into
-// one record: the first request of each kind doubles as the probe, its
-// unknown-type rejection (or success) is recorded, and later requests on
-// the same connection skip the dead round trip. A reconnect re-probes —
-// the redial may reach a different server binary mid-upgrade.
-const (
-	// capDiff2 — the msgGetDiff2 not-modified refresh fast path.
-	capDiff2 uint32 = 1 << iota
-	// capOracleSync — versioned oracle syncs and epoch subscriptions.
-	capOracleSync
-)
-
-// capability reports the probe outcome for one capability bit on the
-// current connection generation; known is false until the bit has been
-// probed on this generation (callers then try the optimistic request).
-func (c *Client) capability(bit uint32) (supported, known bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.capGen != c.gen {
-		return false, false
-	}
-	return c.capHave&bit != 0, c.capKnown&bit != 0
-}
-
-// recordCapability stores a probe outcome for the current connection
-// generation, invalidating outcomes probed on earlier generations.
-func (c *Client) recordCapability(bit uint32, supported bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.capGen != c.gen {
-		c.capGen, c.capKnown, c.capHave = c.gen, 0, 0
-	}
-	c.capKnown |= bit
-	if supported {
-		c.capHave |= bit
-	} else {
-		c.capHave &^= bit
-	}
-}
-
-// call sends one request and waits for its routed response. A non-empty
-// venue wraps the request in the msgVenueEx envelope; a context deadline
-// (v2 only) additionally wraps it in msgRequestEx, always outermost —
-// mirroring the server, which unwraps the deadline before dispatch and the
-// venue at dispatch. If the server predates the deadline envelope (it
-// rejects the unknown type), the client falls back to a plain resend and
-// remembers, enforcing deadlines locally from then on; if it predates the
-// venue envelope, the call fails with ErrVenueUnsupported (sticky).
-func (c *Client) call(ctx context.Context, venue string, typ byte, payload []byte) (byte, []byte, error) {
+// send registers a waiter under a fresh request ID — in subs for a stream,
+// whose ID keeps receiving pushed frames until unsubscribe, in pending for a
+// one-response call — and writes the request frame, header included. The
+// context deadline bounds only the blocking write here.
+func (c *Client) send(ctx context.Context, stream bool, h reqHeader, typ byte, payload []byte) (uint32, chan rpcResult, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, nil, err
 	}
-	if venue != "" {
-		if c.venueNo.Load() {
-			return 0, nil, ErrVenueUnsupported
-		}
-		if !validVenueName(venue) {
-			return 0, nil, fmt.Errorf("visualprint client: invalid venue name %q", venue)
-		}
-		typ, payload = msgVenueEx, wrapVenue(venue, typ, payload)
+	if h.venue != "" && !validVenueName(h.venue) {
+		return 0, nil, fmt.Errorf("visualprint client: invalid venue name %q", h.venue)
 	}
-	rt, resp, err := c.exchangeDeadline(ctx, typ, payload)
-	if err != nil && typ == msgVenueEx && isUnknownTypeErr(err, msgVenueEx) {
-		c.venueNo.Store(true)
-		c.logf("visualprint client: server predates venue routing")
-		return 0, nil, fmt.Errorf("%w: %w", ErrVenueUnsupported, err)
-	}
-	return rt, resp, err
-}
-
-// exchangeDeadline is exchange plus the deadline-envelope layer (see call).
-func (c *Client) exchangeDeadline(ctx context.Context, typ byte, payload []byte) (byte, []byte, error) {
-	if !c.v1 && c.deadlineOK.Load() {
-		if d, ok := ctx.Deadline(); ok {
-			rt, resp, err := c.exchange(ctx, msgRequestEx, wrapRequestEx(deadlineMillis(d), typ, payload))
-			if err != nil && isUnknownTypeErr(err, msgRequestEx) {
-				c.deadlineOK.Store(false)
-				c.logf("visualprint client: server predates deadline envelopes; enforcing deadlines locally")
-				return c.exchange(ctx, typ, payload)
-			}
-			return rt, resp, err
-		}
-	}
-	return c.exchange(ctx, typ, payload)
-}
-
-// exchange performs one wire round trip: register, write, await the demuxed
-// response (msgError is already converted to error).
-func (c *Client) exchange(ctx context.Context, typ byte, payload []byte) (byte, []byte, error) {
 	ch := make(chan rpcResult, 1)
 	c.writeMu.Lock()
 	c.mu.Lock()
@@ -760,41 +583,48 @@ func (c *Client) exchange(ctx context.Context, typ byte, payload []byte) (byte, 
 		return 0, nil, err
 	}
 	conn := c.conn
-	var id uint32
-	if c.v1 {
-		c.fifo = append(c.fifo, ch)
-	} else {
-		c.lastID++
-		id = c.lastID
-		c.pending[id] = ch
+	table := c.pending
+	if stream {
+		table = c.subs
 	}
+	c.lastID++
+	id := c.lastID
+	table[id] = ch
 	c.mu.Unlock()
-	// The context deadline bounds the blocking write; the read side is
-	// enforced by the ctx.Done select below (the demux read itself is
-	// shared across requests and cannot carry a per-request deadline).
 	if d, ok := ctx.Deadline(); ok {
 		conn.SetWriteDeadline(d)
 	} else {
 		conn.SetWriteDeadline(time.Time{})
 	}
-	var err error
-	if c.v1 {
-		err = writeFrame(conn, typ, payload)
-	} else {
-		err = writeFrameV2(conn, id, typ, payload)
-	}
-	if err == nil {
-		c.sent.Add(int64(len(payload)) + c.frameOverhead())
-	}
+	n, err := writeFrame(conn, id, typ, h, payload)
+	c.sent.Add(int64(n))
 	c.writeMu.Unlock()
 	if err != nil {
-		c.forget(id, ch)
+		c.mu.Lock()
+		delete(table, id)
+		c.mu.Unlock()
 		// A failed write is a dead transport — unless the context expired
 		// mid-write (the write deadline mirrors it), which is an answer.
 		if cerr := ctx.Err(); cerr != nil {
 			return 0, nil, cerr
 		}
 		return 0, nil, fmt.Errorf("%w: %w", ErrConnectionLost, err)
+	}
+	return id, ch, nil
+}
+
+// call performs one wire round trip: send the request — a context deadline
+// rides the header so the server enforces it too — and await the demuxed
+// response (msgError is converted to error). The read side of the deadline
+// is the ctx.Done select: the demux read is shared across requests and
+// cannot carry a per-request deadline.
+func (c *Client) call(ctx context.Context, h reqHeader, typ byte, payload []byte) (byte, []byte, error) {
+	if d, ok := ctx.Deadline(); ok {
+		h.deadline = deadlineMillis(d)
+	}
+	id, ch, err := c.send(ctx, false, h, typ, payload)
+	if err != nil {
+		return 0, nil, err
 	}
 	select {
 	case r := <-ch:
@@ -806,36 +636,19 @@ func (c *Client) exchange(ctx context.Context, typ byte, payload []byte) (byte, 
 		}
 		return r.typ, r.payload, nil
 	case <-ctx.Done():
-		c.forget(id, ch)
+		// Drop the route (a late response is discarded by the demux loop)
+		// and tell the server to stop working on the request.
+		c.mu.Lock()
+		delete(c.pending, id)
+		c.mu.Unlock()
 		c.sendCancel(id)
 		return 0, nil, ctx.Err()
 	}
 }
 
-// forget abandons an in-flight request after cancellation or a write
-// failure. A v2 entry is removed from the pending map (its late response,
-// if any, is dropped by the demux loop). A v1 entry must stay in the FIFO —
-// removing it would misroute every later response — so its response drains
-// into the abandoned buffered channel instead.
-func (c *Client) forget(id uint32, ch chan rpcResult) {
-	if c.v1 {
-		return
-	}
-	c.mu.Lock()
-	if c.pending[id] == ch {
-		delete(c.pending, id)
-	}
-	c.mu.Unlock()
-}
-
 // sendCancel tells the server to stop working on request id. Best-effort
-// and fire-and-forget: the server never answers a cancel, and an old
-// server's unknown-type error response is discarded by the demux loop
-// because the ID is already forgotten.
+// and fire-and-forget: the server never answers a cancel.
 func (c *Client) sendCancel(id uint32) {
-	if c.v1 {
-		return
-	}
 	c.writeMu.Lock()
 	defer c.writeMu.Unlock()
 	c.mu.Lock()
@@ -846,18 +659,17 @@ func (c *Client) sendCancel(id uint32) {
 		return
 	}
 	conn.SetWriteDeadline(time.Now().Add(time.Second))
-	if writeFrameV2(conn, id, msgCancel, nil) == nil {
-		c.sent.Add(frameOverheadV2)
-	}
+	n, _ := writeFrame(conn, id, msgCancel, reqHeader{}, nil)
+	c.sent.Add(int64(n))
 }
 
 // roundTrip is invoke plus a response-type check, for idempotent requests.
-func (c *Client) roundTrip(ctx context.Context, venue string, typ byte, payload []byte, wantType byte) ([]byte, error) {
-	return c.roundTripIdem(ctx, venue, typ, payload, wantType, true)
+func (c *Client) roundTrip(ctx context.Context, h reqHeader, typ byte, payload []byte, wantType byte) ([]byte, error) {
+	return c.roundTripIdem(ctx, h, typ, payload, wantType, true)
 }
 
-func (c *Client) roundTripIdem(ctx context.Context, venue string, typ byte, payload []byte, wantType byte, idempotent bool) ([]byte, error) {
-	rt, resp, err := c.invoke(ctx, venue, typ, payload, idempotent)
+func (c *Client) roundTripIdem(ctx context.Context, h reqHeader, typ byte, payload []byte, wantType byte, idempotent bool) ([]byte, error) {
+	rt, resp, err := c.invoke(ctx, h, typ, payload, idempotent)
 	if err != nil {
 		return nil, err
 	}
@@ -871,9 +683,9 @@ func (c *Client) roundTripIdem(ctx context.Context, venue string, typ byte, payl
 // replica first, falling back to the primary on any replica failure — a
 // dead replica, one mid-full-sync, or one past its staleness bound (the
 // redirect it answers is the fallback trigger, not followed).
-func (c *Client) readInvoke(ctx context.Context, venue string, typ byte, payload []byte) (byte, []byte, error) {
+func (c *Client) readInvoke(ctx context.Context, h reqHeader, typ byte, payload []byte) (byte, []byte, error) {
 	if r := c.replica; r != nil {
-		rt, resp, err := r.invoke(ctx, venue, typ, payload, true)
+		rt, resp, err := r.invoke(ctx, h, typ, payload, true)
 		if err == nil {
 			return rt, resp, nil
 		}
@@ -882,12 +694,12 @@ func (c *Client) readInvoke(ctx context.Context, venue string, typ byte, payload
 		}
 		c.logf("visualprint client: read replica failed (%v); falling back to primary", err)
 	}
-	return c.invoke(ctx, venue, typ, payload, true)
+	return c.invoke(ctx, h, typ, payload, true)
 }
 
 // readRoundTrip is readInvoke plus the response-type check.
-func (c *Client) readRoundTrip(ctx context.Context, venue string, typ byte, payload []byte, wantType byte) ([]byte, error) {
-	rt, resp, err := c.readInvoke(ctx, venue, typ, payload)
+func (c *Client) readRoundTrip(ctx context.Context, h reqHeader, typ byte, payload []byte, wantType byte) ([]byte, error) {
+	rt, resp, err := c.readInvoke(ctx, h, typ, payload)
 	if err != nil {
 		return nil, err
 	}
@@ -907,29 +719,11 @@ type Venue struct {
 	name string
 }
 
-// Venue returns a handle whose requests address the named venue. Against a
-// server predating venue routing, the handle's calls fail with the typed
-// ErrVenueUnsupported (detected once, then sticky for the client).
+// Venue returns a handle whose requests address the named venue.
 func (c *Client) Venue(name string) Venue { return Venue{c: c, name: name} }
 
 // Name returns the venue name the handle addresses.
 func (v Venue) Name() string { return v.name }
-
-// FetchOracle downloads the venue's uniqueness oracle (see
-// Client.FetchOracle).
-//
-// Deprecated: use OracleSync (see Client.FetchOracle).
-func (v Venue) FetchOracle(ctx context.Context) (*core.Oracle, int64, error) {
-	return v.c.fetchOracle(ctx, v.name)
-}
-
-// RefreshOracle updates a previously downloaded venue oracle (see
-// Client.RefreshOracle).
-//
-// Deprecated: use OracleSync (see Client.RefreshOracle).
-func (v Venue) RefreshOracle(ctx context.Context, o *core.Oracle) (*core.Oracle, int64, bool, error) {
-	return v.c.refreshOracle(ctx, v.name, o)
-}
 
 // OracleSync returns the venue's oracle-distribution handle (see
 // Client.OracleSync).
@@ -972,10 +766,9 @@ func (v Venue) Session() Session { return Session{c: v.c, venue: v.name, id: new
 // handle is a cheap value sharing the client's connection; sessions are
 // independent, so one client may run many concurrently.
 //
-// Sessions are soft state. The server evicts them by TTL and capacity, a
-// failover or restart loses them silently, and an old server rejects the
-// envelope entirely — in every case the query is answered by the ordinary
-// cold solve, bit-identical to a session-less request, and the stream
+// Sessions are soft state. The server evicts them by TTL and capacity, and
+// a failover or restart loses them silently — in every case the query is
+// answered by the ordinary cold solve, bit-identical to a session-less request, and the stream
 // continues. There is no teardown RPC: stop querying and the server's TTL
 // sweep reclaims the slot.
 type Session struct {
@@ -1019,104 +812,6 @@ func newSessionID() uint64 {
 	}
 }
 
-// FetchOracle downloads the current uniqueness oracle. blobSize is the
-// compressed transfer size in bytes (the paper's ~10 MB download).
-//
-// Deprecated: use OracleSync, whose Sync both fetches and refreshes —
-// versioned, delta-compressed, and push-invalidated where the server
-// supports it. FetchOracle remains for callers that need the original
-// one-shot download; its wire behavior is unchanged against every server.
-func (c *Client) FetchOracle(ctx context.Context) (o *core.Oracle, blobSize int64, err error) {
-	return c.fetchOracle(ctx, c.venue)
-}
-
-func (c *Client) fetchOracle(ctx context.Context, venue string) (o *core.Oracle, blobSize int64, err error) {
-	resp, err := c.readRoundTrip(ctx, venue, msgGetOracle, nil, msgOracleBlob)
-	if err != nil {
-		return nil, 0, err
-	}
-	raw, err := codec.Gunzip(resp)
-	if err != nil {
-		return nil, 0, err
-	}
-	o, err = core.Read(bytes.NewReader(raw))
-	if err != nil {
-		return nil, 0, err
-	}
-	return o, int64(len(resp)), nil
-}
-
-// RefreshOracle brings a previously downloaded oracle up to date. When the
-// server still retains the client's version it ships a compressed diff
-// (typically a small fraction of the full blob); otherwise the oracle is
-// replaced wholesale. The returned oracle is o itself after an incremental
-// patch, or a fresh instance after a full refresh.
-//
-// Deprecated: use OracleSync. RefreshOracle identifies the held version by
-// insert count alone, which collides across compaction or re-ingest
-// histories — a server holding a different oracle with an equal count
-// answers "unchanged" and strands the client on stale state. OracleSync
-// compares (epoch, inserts) version identities instead, which cannot
-// collide. RefreshOracle remains for old callers; its wire behavior is
-// unchanged against every server.
-func (c *Client) RefreshOracle(ctx context.Context, o *core.Oracle) (updated *core.Oracle, transferBytes int64, incremental bool, err error) {
-	return c.refreshOracle(ctx, c.venue, o)
-}
-
-func (c *Client) refreshOracle(ctx context.Context, venue string, o *core.Oracle) (updated *core.Oracle, transferBytes int64, incremental bool, err error) {
-	req := make([]byte, 8)
-	binary.LittleEndian.PutUint64(req, o.Inserts())
-	// Prefer msgGetDiff2, whose not-modified fast path answers an
-	// up-to-date oracle with an 8-byte ack instead of building (and
-	// shipping) an empty diff. An old server rejects the type; fall back
-	// to msgGetDiff and record the probe outcome for this connection —
-	// same bytes either way, no fast path on the fallback.
-	typ := byte(msgGetDiff2)
-	if ok, known := c.capability(capDiff2); known && !ok {
-		typ = msgGetDiff
-	}
-	rt, resp, err := c.readInvoke(ctx, venue, typ, req)
-	if typ == msgGetDiff2 {
-		switch {
-		case err != nil && isUnknownTypeErr(err, msgGetDiff2):
-			c.recordCapability(capDiff2, false)
-			c.logf("visualprint client: server predates the not-modified oracle refresh")
-			rt, resp, err = c.readInvoke(ctx, venue, msgGetDiff, req)
-		case err == nil:
-			c.recordCapability(capDiff2, true)
-		}
-	}
-	if err != nil {
-		return nil, 0, false, err
-	}
-	switch rt {
-	case msgDiffUnchanged:
-		// The server's insert count equals ours: the oracle cannot have
-		// changed (inserts are monotonic), so o is already current.
-		if len(resp) != 8 || binary.LittleEndian.Uint64(resp) != o.Inserts() {
-			return nil, 0, false, errRemote{msg: "bad unchanged ack"}
-		}
-		return o, int64(len(resp)), true, nil
-	case msgDiffBlob:
-		if err := core.ApplyDiff(o, resp); err != nil {
-			return nil, 0, false, err
-		}
-		return o, int64(len(resp)), true, nil
-	case msgOracleBlob:
-		raw, err := codec.Gunzip(resp)
-		if err != nil {
-			return nil, 0, false, err
-		}
-		fresh, err := core.Read(bytes.NewReader(raw))
-		if err != nil {
-			return nil, 0, false, err
-		}
-		return fresh, int64(len(resp)), false, nil
-	default:
-		return nil, 0, false, errRemote{msg: "unexpected response type"}
-	}
-}
-
 // Ingest uploads wardriven keypoint-to-3D mappings; it returns the server's
 // total mapping count after the batch. Ingest is not idempotent (a batch
 // applied twice doubles its mappings), so the retry policy applies only to
@@ -1126,7 +821,7 @@ func (c *Client) Ingest(ctx context.Context, ms []Mapping) (total int, err error
 }
 
 func (c *Client) ingest(ctx context.Context, venue string, ms []Mapping) (total int, err error) {
-	resp, err := c.roundTripIdem(ctx, venue, msgIngest, encodeMappings(ms), msgIngestAck, false)
+	resp, err := c.roundTripIdem(ctx, reqHeader{venue: venue}, msgIngest, encodeMappings(ms), msgIngestAck, false)
 	if err != nil {
 		return 0, err
 	}
@@ -1146,71 +841,43 @@ func (c *Client) query(ctx context.Context, venue string, kps []sift.Keypoint, i
 	return c.querySession(ctx, venue, 0, kps, intr)
 }
 
-// querySession is query plus the optional msgSessionEx envelope. The
-// envelope nests inside the venue envelope (the server unwraps venue,
-// then session, then dispatches the plain query). Against a server
-// predating sessions the call silently resends without the envelope and
-// remembers (sticky): the session is an optimization, and a cold answer
-// is still the right answer — unlike the venue envelope, where a silent
-// downgrade would address the wrong data.
+// querySession is query plus the optional session ID (0 = none), which
+// lets the server warm-start the solve; the answer is equally correct
+// without it.
 func (c *Client) querySession(ctx context.Context, venue string, sid uint64, kps []sift.Keypoint, intr pose.Intrinsics) (LocateResult, error) {
 	payload := encodeQuery(intr, codec.MarshalKeypoints(kps))
-	typ, pl := byte(msgQuery), payload
-	if sid != 0 && !c.v1 && !c.sessNo.Load() {
-		typ, pl = msgSessionEx, wrapSession(sid, msgQuery, payload)
-	}
-	resp, err := c.readRoundTrip(ctx, venue, typ, pl, msgQueryResult)
-	if err != nil && typ == msgSessionEx && isUnknownTypeErr(err, msgSessionEx) {
-		c.sessNo.Store(true)
-		c.logf("visualprint client: server predates localization sessions; continuing with cold queries")
-		resp, err = c.readRoundTrip(ctx, venue, msgQuery, payload, msgQueryResult)
-	}
+	resp, err := c.readRoundTrip(ctx, reqHeader{venue: venue, sid: sid}, msgQuery, payload, msgQueryResult)
 	if err != nil {
 		return LocateResult{}, err
 	}
 	return decodeLocateResult(resp)
 }
 
-// Stats returns the server's mapping count. It uses the original
-// count-only RPC, so it works against every server version.
+// Stats returns the server's mapping count.
 func (c *Client) Stats(ctx context.Context) (mappings uint64, err error) {
 	return c.stats(ctx, c.venue)
 }
 
 func (c *Client) stats(ctx context.Context, venue string) (mappings uint64, err error) {
-	resp, err := c.readRoundTrip(ctx, venue, msgStats, nil, msgStatsResult)
-	if err != nil {
-		return 0, err
-	}
-	// Every server answers msgStats with the legacy 8-byte count;
-	// decodeDBStats additionally tolerates an extended payload.
-	s, err := decodeDBStats(resp)
-	if err != nil {
-		return 0, errRemote{msg: err.Error()}
-	}
-	return s.Mappings, nil
+	s, err := decodeStats(c.readRoundTrip(ctx, reqHeader{venue: venue}, msgStats, nil, msgStatsResult))
+	return s.Mappings, err
 }
 
 // StatsFull returns the server's full state report: database size, oracle
 // insert count and persistence state (snapshot coverage, WAL size, last
-// compaction). Legacy servers without the extended RPC yield a DBStats
-// with just Mappings set.
+// compaction).
 func (c *Client) StatsFull(ctx context.Context) (DBStats, error) {
 	return c.statsFull(ctx, c.venue)
 }
 
 func (c *Client) statsFull(ctx context.Context, venue string) (DBStats, error) {
-	resp, err := c.roundTrip(ctx, venue, msgStatsFull, nil, msgStatsResult)
+	return decodeStats(c.roundTrip(ctx, reqHeader{venue: venue}, msgStats, nil, msgStatsResult))
+}
+
+// decodeStats finishes a msgStats round trip.
+func decodeStats(resp []byte, err error) (DBStats, error) {
 	if err != nil {
-		if !IsRemote(err) || errors.Is(err, ErrVenueUnsupported) {
-			return DBStats{}, err
-		}
-		// A server predating msgStatsFull rejects the unknown message
-		// type; fall back to the count-only RPC it does speak.
-		resp, err = c.roundTrip(ctx, venue, msgStats, nil, msgStatsResult)
-		if err != nil {
-			return DBStats{}, err
-		}
+		return DBStats{}, err
 	}
 	s, err := decodeDBStats(resp)
 	if err != nil {
@@ -1219,24 +886,20 @@ func (c *Client) statsFull(ctx context.Context, venue string) (DBStats, error) {
 	return s, nil
 }
 
-// ErrMetricsUnsupported marks a Metrics call against a server that cannot
-// answer it — a binary predating the metrics RPC, or one running with
+// ErrMetricsUnsupported marks a Metrics call against a server running with
 // observability disabled. It wraps the server's rejection; match with
 // errors.Is.
 var ErrMetricsUnsupported = errors.New("visualprint client: server does not support the metrics RPC")
 
 // Metrics fetches the server's observability report: request counters,
 // latency histograms with quantile summaries (locate and its pipeline
-// stages, WAL fsync, snapshots), gauges, and the slow-request log. Calls
-// against servers without the RPC return ErrMetricsUnsupported.
+// stages, WAL fsync, snapshots), gauges, and the slow-request log. A server
+// running without a registry answers ErrMetricsUnsupported.
 func (c *Client) Metrics(ctx context.Context) (obs.Report, error) {
 	// Metrics are server-wide, never venue-scoped: always send bare.
-	resp, err := c.roundTrip(ctx, "", msgGetMetrics, nil, msgMetricsResult)
+	resp, err := c.roundTrip(ctx, reqHeader{}, msgGetMetrics, nil, msgMetricsResult)
 	if err != nil {
 		if IsRemote(err) {
-			// An old server rejects the unknown message type (and a
-			// metrics-disabled one rejects the request): either way the
-			// RPC is unavailable, reported as the typed sentinel.
 			return obs.Report{}, fmt.Errorf("%w: %w", ErrMetricsUnsupported, err)
 		}
 		return obs.Report{}, err
@@ -1248,9 +911,9 @@ func (c *Client) Metrics(ctx context.Context) (obs.Report, error) {
 	return rep, nil
 }
 
-// QueryUploadBytes returns the v2 wire size of a query with the given
+// QueryUploadBytes returns the wire size of a query with the given
 // number of keypoints — the per-query upload the paper reports as 51.2 KB
 // for VisualPrint-ish fingerprints versus 523 KB whole frames.
 func QueryUploadBytes(nKeypoints int) int64 {
-	return frameOverheadV2 + queryHeaderSize + 10 + int64(nKeypoints)*codec.KeypointWireSize
+	return frameOverhead + queryHeaderSize + 10 + int64(nKeypoints)*codec.KeypointWireSize
 }

@@ -1,9 +1,9 @@
 package server
 
-// Tests for the concurrent query path: the multiplexed v2 protocol
+// Tests for the concurrent query path: the multiplexed protocol
 // (per-request routing under pipelining), the parallel Locate fan-out
-// (bit-identical to the serial path), legacy v1 interop against a v2
-// server, and context cancellation. All must stay -race clean.
+// (bit-identical to the serial path), and context cancellation. All must
+// stay -race clean.
 
 import (
 	"context"
@@ -135,7 +135,7 @@ func TestSmallQueryStaysDeterministic(t *testing.T) {
 	}
 }
 
-// TestPipelinedResponseRouting: concurrent v2 requests on shared
+// TestPipelinedResponseRouting: concurrent requests on shared
 // connections must each receive the response to their own request. Three
 // distinct queries with distinct precomputed answers are fired interleaved
 // from many goroutines; any routing mixup surfaces as a wrong result.
@@ -264,84 +264,6 @@ func TestConcurrentMixedWorkload(t *testing.T) {
 	}
 	if got := int64(db.Len()); got != int64(base)+ingested {
 		t.Errorf("db has %d mappings, want %d", got, int64(base)+ingested)
-	}
-}
-
-// TestV1ClientAgainstV2Server: the legacy ID-less framing must still
-// round-trip every message type against the concurrent server.
-func TestV1ClientAgainstV2Server(t *testing.T) {
-	db, ms := syntheticDB(t, 5, 0, 48, 10)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := Serve(ln, db)
-	s.Log = nil
-	defer s.Close()
-	conn, err := net.Dial("tcp", s.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := NewClientV1(conn)
-	defer c.Close()
-	ctx := context.Background()
-
-	// msgIngest
-	extra := make([]Mapping, 5)
-	for i := range extra {
-		extra[i].Desc[5] = byte(i + 1)
-	}
-	total, err := c.Ingest(ctx, extra)
-	if err != nil {
-		t.Fatalf("v1 ingest: %v", err)
-	}
-	if total != db.Len() {
-		t.Errorf("v1 ingest ack %d, db %d", total, db.Len())
-	}
-	// msgStats
-	n, err := c.Stats(ctx)
-	if err != nil || n != uint64(db.Len()) {
-		t.Fatalf("v1 stats = %d, err = %v", n, err)
-	}
-	// msgGetOracle
-	oracle, size, err := c.FetchOracle(ctx)
-	if err != nil || size <= 0 {
-		t.Fatalf("v1 fetch oracle: size %d, err %v", size, err)
-	}
-	// msgGetDiff (incremental refresh after more inserts)
-	more := make([]Mapping, 4)
-	for i := range more {
-		more[i].Desc[9] = byte(i + 1)
-	}
-	if _, err := c.Ingest(ctx, more); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, incremental, err := c.RefreshOracle(ctx, oracle); err != nil || !incremental {
-		t.Fatalf("v1 refresh: incremental=%v err=%v", incremental, err)
-	}
-	// msgQuery, success and typed-error paths
-	if _, err := c.Query(ctx, queryFromMappings(ms, 0, 40), testIntrinsics()); err != nil && !IsRemote(err) {
-		t.Fatalf("v1 query transport error: %v", err)
-	}
-	if _, err := c.Query(ctx, queryFromMappings(ms, 0, 2), testIntrinsics()); !errors.Is(err, ErrTooFewMatches) {
-		t.Fatalf("v1 typed error lost: %v", err)
-	}
-	// v1 pipelining: concurrent calls on the FIFO-routed client.
-	var wg sync.WaitGroup
-	errc := make(chan error, 8)
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if _, err := c.Stats(context.Background()); err != nil {
-				errc <- err
-			}
-		}()
-	}
-	wg.Wait()
-	close(errc)
-	for err := range errc {
-		t.Error(err)
 	}
 }
 

@@ -55,13 +55,6 @@ type DatabaseConfig struct {
 	// means more frequent but shorter stalls. Locates are unaffected —
 	// they read pinned RCU snapshots and take no lock (see rcu.go).
 	WALCompactBytes int64
-	// OracleSnapshotBudgetBytes caps the memory the database is expected
-	// to spend on retained oracle download versions (the diff-serving
-	// clones). Exceeding it is not fatal — old versions still age out of
-	// the window — but it is logged, since each clone is a full filter
-	// copy (~190 MB at the paper's 2.5M-descriptor sizing). 0 means
-	// defaultOracleSnapshotBudget.
-	OracleSnapshotBudgetBytes int64
 	// OracleDeltaWindow bounds the per-epoch delta ring serving versioned
 	// OracleSync requests: how many recent ingest batches stay answerable
 	// as compressed cell deltas before a client must full-sync. 0 means
@@ -77,11 +70,6 @@ type DatabaseConfig struct {
 // a few hundred thousand mapping records, well past the point where
 // replaying the log dominates cold-start time.
 const defaultWALCompactBytes = 64 << 20
-
-// defaultOracleSnapshotBudget bounds retained oracle clones at 1 GB, which
-// accommodates the full maxOracleSnapshots window at paper scale with
-// headroom; simulated-scale databases never approach it.
-const defaultOracleSnapshotBudget = 1 << 30
 
 // DefaultDatabaseConfig returns a configuration scaled for the simulated
 // venues (TestParams-sized oracle; swap in core.DefaultParams for the
@@ -116,11 +104,10 @@ type Database struct {
 	shadow *dbView
 
 	// mu guards the write path (ingest ordering, recovery, the oracle
-	// snapshot window) and the store fields. The query-side state moved
+	// delta ring) and the store fields. The query-side state moved
 	// into cur; no read RPC takes this lock anymore.
 	mu sync.RWMutex
-	// log receives persistence and resource warnings (WAL truncation,
-	// oracle-snapshot budget overruns); set via SetLogger, defaulting to
+	// log receives persistence warnings (WAL truncation); set via SetLogger, defaulting to
 	// the process logger (obs.Default). Serve wires it to the server's
 	// logger when still unset. Every logf call site already holds mu, so
 	// SetLogger taking the write lock keeps late wiring race-free.
@@ -133,15 +120,6 @@ type Database struct {
 	// query reproduce a single database's candidate ranking exactly (see
 	// CandidateSets). Immutable after construction.
 	seqMode bool
-	// snapshots retains clones of the oracle at versions clients have
-	// downloaded (keyed by insert count), so later refreshes can be served
-	// as compressed diffs instead of full blobs. Bounded to the most
-	// recent few versions and accounted against
-	// OracleSnapshotBudgetBytes.
-	snapshots  map[uint64]*core.Oracle
-	snapOrder  []uint64
-	snapBytes  int64
-	snapWarned bool
 	// deltaRing retains the per-epoch odelta records (consecutive epochs,
 	// oldest first) serving versioned OracleSync requests; deltaBytes
 	// accounts their payload total against OracleDeltaBudgetBytes. Guarded
@@ -210,12 +188,6 @@ func (db *Database) logf(format string, args ...any) {
 	}
 }
 
-// maxOracleSnapshots bounds retained download versions. Each snapshot is a
-// full filter clone (megabytes at simulated scale, ~190 MB at the paper's
-// 2.5M-descriptor sizing), so the window stays small; clients older than
-// the window transparently fall back to a full download.
-const maxOracleSnapshots = 4
-
 // NewDatabase creates an empty database.
 func NewDatabase(cfg DatabaseConfig) (*Database, error) {
 	if cfg.NeighborsPerKeypoint <= 0 {
@@ -224,18 +196,11 @@ func NewDatabase(cfg DatabaseConfig) (*Database, error) {
 	if cfg.WALCompactBytes <= 0 {
 		cfg.WALCompactBytes = defaultWALCompactBytes
 	}
-	if cfg.OracleSnapshotBudgetBytes <= 0 {
-		cfg.OracleSnapshotBudgetBytes = defaultOracleSnapshotBudget
-	}
 	v, err := newEmptyView(cfg)
 	if err != nil {
 		return nil, err
 	}
-	db := &Database{
-		cfg:       cfg,
-		snapshots: map[uint64]*core.Oracle{},
-		epochCh:   make(chan struct{}),
-	}
+	db := &Database{cfg: cfg, epochCh: make(chan struct{})}
 	db.cur.Store(v)
 	return db, nil
 }
@@ -438,84 +403,11 @@ func (db *Database) OracleClone() (*core.Oracle, error) {
 
 // OracleBlob serializes the current uniqueness oracle, gzip-compressed —
 // the payload a client downloads on first start ("approximately 10MB" in
-// the paper's testing). The served version is snapshotted so subsequent
-// refreshes from this client can be answered with OracleDiff.
+// the paper's testing) — from a pinned read snapshot.
 func (db *Database) OracleBlob() ([]byte, error) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if err := db.snapshotLocked(); err != nil {
-		return nil, err
-	}
-	// mu.Lock holders see a stable cur (only mu.Lock holders publish), and
-	// the published oracle is immutable, so serializing it here races with
-	// nothing — concurrent lock-free readers only read it too.
-	return bloom.GzipBytes(db.cur.Load().oracle)
-}
-
-// snapshotLocked records a clone of the oracle at its current version,
-// keeping the retained-clone byte total accounted against the configured
-// budget: crossing it logs a warning (each clone is a full filter copy, so
-// silent growth here is how a server quietly doubles its RAM).
-func (db *Database) snapshotLocked() error {
-	oracle := db.cur.Load().oracle
-	v := oracle.Inserts()
-	if _, ok := db.snapshots[v]; ok {
-		return nil
-	}
-	clone, err := oracle.Clone()
-	if err != nil {
-		return err
-	}
-	db.snapshots[v] = clone
-	db.snapOrder = append(db.snapOrder, v)
-	db.snapBytes += clone.MemoryBytes()
-	for len(db.snapOrder) > maxOracleSnapshots {
-		evict := db.snapOrder[0]
-		db.snapBytes -= db.snapshots[evict].MemoryBytes()
-		delete(db.snapshots, evict)
-		db.snapOrder = db.snapOrder[1:]
-	}
-	if budget := db.cfg.OracleSnapshotBudgetBytes; db.snapBytes > budget {
-		if !db.snapWarned {
-			db.snapWarned = true
-			db.logf("server: %d retained oracle snapshots hold %.1f MB, over the %.1f MB budget — consider lowering the snapshot window or raising OracleSnapshotBudgetBytes",
-				len(db.snapOrder), float64(db.snapBytes)/1e6, float64(budget)/1e6)
-		}
-	} else {
-		db.snapWarned = false
-	}
-	return nil
-}
-
-// OracleDiff returns a compressed delta from the client's version
-// (identified by its insert count) to the current oracle — the incremental
-// refresh the paper proposes instead of re-downloading the filters. ok is
-// false when the server no longer retains that version; the caller should
-// fall back to OracleBlob.
-func (db *Database) OracleDiff(sinceInserts uint64) (diff []byte, ok bool, err error) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	old, found := db.snapshots[sinceInserts]
-	if !found {
-		return nil, false, nil
-	}
-	d, err := core.Diff(old, db.cur.Load().oracle)
-	if err != nil {
-		return nil, false, err
-	}
-	if err := db.snapshotLocked(); err != nil { // the patched version is now live
-		return nil, false, err
-	}
-	return d, true, nil
-}
-
-// OracleInserts returns the live oracle's insert counter from a pinned
-// read snapshot — the version a client cites in refresh requests, and the
-// equality test behind the msgGetDiff2 not-modified fast path.
-func (db *Database) OracleInserts() uint64 {
 	v, t := db.pinView()
 	defer db.unpin(v, t)
-	return v.oracle.Inserts()
+	return bloom.GzipBytes(v.oracle)
 }
 
 // Oracle exposes the live oracle for in-process use (the public API's
@@ -564,15 +456,10 @@ type DBStats struct {
 	// Mappings is the ingested record count.
 	Mappings uint64
 	// DatabaseBytes estimates the in-memory footprint of the lookup
-	// table, the positions and the live oracle (retained download clones
-	// excluded — see OracleSnapshotBytes).
+	// table, the positions and the live oracle.
 	DatabaseBytes uint64
-	// OracleInserts is the live oracle's insert counter — the version
-	// clients cite when requesting incremental refreshes.
+	// OracleInserts is the live oracle's insert counter.
 	OracleInserts uint64
-	// OracleSnapshotBytes is the memory held by retained oracle download
-	// versions (the diff-serving clones).
-	OracleSnapshotBytes uint64
 	// Persistent reports whether a data directory is attached.
 	Persistent bool
 	// SnapshotSeq is the ingest-batch coverage of the newest durable
@@ -591,15 +478,19 @@ type DBStats struct {
 // on mu would deadlock against a publishing ingest; see rcu.go).
 func (db *Database) Stats() DBStats {
 	v, t := db.pinView()
+	mem := v.footprint.Load()
+	if mem == 0 {
+		mem = v.index.MemoryBytes() + v.oracle.MemoryBytes() + int64(len(v.positions))*24
+		v.footprint.Store(mem)
+	}
 	s := DBStats{
 		Mappings:      uint64(len(v.positions)),
-		DatabaseBytes: uint64(v.index.MemoryBytes() + v.oracle.MemoryBytes() + int64(len(v.positions))*24),
+		DatabaseBytes: uint64(mem),
 		OracleInserts: v.oracle.Inserts(),
 	}
 	db.unpin(v, t)
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	s.OracleSnapshotBytes = uint64(db.snapBytes)
 	if db.store != nil {
 		s.Persistent = true
 		s.SnapshotSeq = db.store.SnapshotSeq()

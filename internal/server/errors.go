@@ -48,6 +48,11 @@ var (
 	// field, when non-empty, is the address to redirect to; the client
 	// follows it automatically.
 	ErrNotPrimary = errors.New("server: not the primary")
+	// ErrProtocolVersion: the server refused the connection preamble — the
+	// peer speaks another wire-protocol version (or none). It is the one
+	// error a server sends unprompted, as an id-0 frame before closing, and
+	// it fails every call on that connection.
+	ErrProtocolVersion = errors.New("server: unsupported protocol version")
 )
 
 // NotPrimaryError is the concrete redirect error behind ErrNotPrimary. It
@@ -107,6 +112,7 @@ const (
 	errCodeShuttingDown     byte = 6
 	errCodeCanceled         byte = 7
 	errCodeNotPrimary       byte = 8
+	errCodeProtocolVersion  byte = 9
 )
 
 // errorCode maps a server-side error to its wire code. Raw context errors
@@ -130,6 +136,8 @@ func errorCode(err error) byte {
 		return errCodeCanceled
 	case errors.Is(err, ErrNotPrimary):
 		return errCodeNotPrimary
+	case errors.Is(err, ErrProtocolVersion):
+		return errCodeProtocolVersion
 	default:
 		return errCodeGeneric
 	}
@@ -155,6 +163,8 @@ func sentinelFor(code byte) error {
 		return ErrCanceled
 	case errCodeNotPrimary:
 		return ErrNotPrimary
+	case errCodeProtocolVersion:
+		return ErrProtocolVersion
 	default:
 		return nil
 	}

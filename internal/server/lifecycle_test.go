@@ -3,10 +3,8 @@ package server
 import (
 	"context"
 	"errors"
-	"io"
 	"net"
 	"sort"
-	"sync"
 	"testing"
 	"time"
 
@@ -129,7 +127,7 @@ func TestCancelFreesServerSlot(t *testing.T) {
 }
 
 // TestDeadlineEnforcedServerSide drives the wire protocol directly: a
-// msgRequestEx envelope with a 50 ms deadline around a query whose solve
+// request header with a 50 ms deadline on a query whose solve
 // would take minutes. The server must answer — typed — shortly after the
 // deadline, proving enforcement happens server-side (the test's own
 // context never expires).
@@ -153,11 +151,11 @@ func TestDeadlineEnforcedServerSide(t *testing.T) {
 		t.Fatal(err)
 	}
 	payload := encodeQuery(testIntrinsics(), codec.MarshalKeypoints(queryFromMappings(ms, 0, 48)))
-	if err := writeFrameV2(conn, 7, msgRequestEx, wrapRequestEx(50, msgQuery, payload)); err != nil {
+	if _, err := writeFrame(conn, 7, msgQuery, reqHeader{deadline: 50}, payload); err != nil {
 		t.Fatal(err)
 	}
 	conn.SetReadDeadline(time.Now().Add(30 * time.Second))
-	id, typ, resp, err := readFrameV2(conn)
+	id, typ, resp, err := readFrame(conn)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -419,62 +417,5 @@ func TestDrainTimeoutOption(t *testing.T) {
 	}
 	if err := <-errc; !errors.Is(err, ErrCanceled) {
 		t.Fatalf("in-flight query returned %v, want ErrCanceled", err)
-	}
-}
-
-// TestDeadlineEnvelopeFallback: against a server predating msgRequestEx
-// (simulated by a stub speaking the old wire behavior), a deadline-bearing
-// client call transparently falls back to a plain request — once — and
-// subsequent calls skip the envelope entirely.
-func TestDeadlineEnvelopeFallback(t *testing.T) {
-	clientEnd, serverEnd := net.Pipe()
-	defer clientEnd.Close()
-	defer serverEnd.Close()
-
-	var mu sync.Mutex
-	typesSeen := []byte{}
-	go func() {
-		hdr := make([]byte, preambleSize)
-		if _, err := io.ReadFull(serverEnd, hdr); err != nil {
-			return
-		}
-		for {
-			id, typ, _, err := readFrameV2(serverEnd)
-			if err != nil {
-				return
-			}
-			mu.Lock()
-			typesSeen = append(typesSeen, typ)
-			mu.Unlock()
-			if typ == msgRequestEx {
-				// Old dispatcher: unknown message type, generic code.
-				writeFrameV2(serverEnd, id, msgError, encodeErrorPayload(errors.New("unknown message type 14")))
-				continue
-			}
-			ack := make([]byte, 8)
-			writeFrameV2(serverEnd, id, msgStatsResult, ack)
-		}
-	}()
-
-	c := NewClient(clientEnd, WithLogger(nil))
-	defer c.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if _, err := c.Stats(ctx); err != nil {
-		t.Fatalf("Stats against old server: %v", err)
-	}
-	if _, err := c.Stats(ctx); err != nil {
-		t.Fatalf("second Stats: %v", err)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	want := []byte{msgRequestEx, msgStats, msgStats}
-	if len(typesSeen) != len(want) {
-		t.Fatalf("server saw frames %v, want %v", typesSeen, want)
-	}
-	for i := range want {
-		if typesSeen[i] != want[i] {
-			t.Fatalf("server saw frames %v, want %v (fallback not sticky?)", typesSeen, want)
-		}
 	}
 }

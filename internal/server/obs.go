@@ -112,14 +112,16 @@ type srvMetrics struct {
 
 	// Indexed by wire error code; codes past the known range count as
 	// generic.
-	errCodes [9]*obs.Counter
+	errCodes [len(errCodeNames)]*obs.Counter
 
-	// Request-lifecycle events: requests shed by admission control,
-	// requests aborted by a client cancel frame, and the current depth of
-	// the dispatch queue.
-	shed       *obs.Counter
-	canceled   *obs.Counter
-	queueDepth *obs.Gauge
+	// Request-lifecycle events: requests refused for a malformed header
+	// (before they have a type to be counted under), requests shed by
+	// admission control, requests aborted by a client cancel frame, and the
+	// current depth of the dispatch queue.
+	headerRejected *obs.Counter
+	shed           *obs.Counter
+	canceled       *obs.Counter
+	queueDepth     *obs.Gauge
 
 	// Oracle distribution: how each versioned sync was answered and the
 	// payload bytes it cost, plus the live subscriber count and the epoch
@@ -136,12 +138,9 @@ type srvMetrics struct {
 // requestTypeNames maps request message types to metric name suffixes.
 // Response types never reach dispatch, so they are absent.
 var requestTypeNames = map[byte]string{
-	msgGetOracle:  "get_oracle",
 	msgIngest:     "ingest",
 	msgQuery:      "query",
 	msgStats:      "stats",
-	msgGetDiff:    "get_diff",
-	msgStatsFull:  "stats_full",
 	msgGetMetrics: "metrics",
 
 	msgReplState:    "repl_state",
@@ -151,17 +150,15 @@ var requestTypeNames = map[byte]string{
 	msgReplPromote:  "repl_promote",
 	msgPing:         "ping",
 
-	msgGetDiff2: "get_diff2",
-
 	msgOracleSync:      "oracle_sync",
 	msgSubscribeOracle: "subscribe_oracle",
 }
 
 // errCodeNames maps wire error codes to metric name suffixes.
-var errCodeNames = [9]string{
+var errCodeNames = [10]string{
 	"generic", "empty_database", "too_few_matches", "no_consensus",
 	"overloaded", "deadline_exceeded", "shutting_down", "canceled",
-	"not_primary",
+	"not_primary", "protocol_version",
 }
 
 func newSrvMetrics(r *obs.Registry) *srvMetrics {
@@ -172,9 +169,10 @@ func newSrvMetrics(r *obs.Registry) *srvMetrics {
 
 		reqUnknown: r.Counter("requests_unknown"),
 
-		shed:       r.Counter("requests_shed"),
-		canceled:   r.Counter("requests_canceled"),
-		queueDepth: r.Gauge("queue_depth"),
+		headerRejected: r.Counter("requests_header_rejected"),
+		shed:           r.Counter("requests_shed"),
+		canceled:       r.Counter("requests_canceled"),
+		queueDepth:     r.Gauge("queue_depth"),
 
 		syncUnchanged: r.Counter("oracle_syncs_unchanged"),
 		syncDelta:     r.Counter("oracle_syncs_delta"),

@@ -141,75 +141,15 @@ func TestMetricsFeedsStageHistograms(t *testing.T) {
 	}
 }
 
-// fakeLegacyServer speaks v2 framing but predates the metrics RPC: every
-// request gets the "unknown message type" rejection an old binary's
-// dispatch default arm produces.
-func fakeLegacyServer(t *testing.T) net.Addr {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ln.Close() })
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go func() {
-				defer conn.Close()
-				var pre [preambleSize]byte
-				if _, err := io.ReadFull(conn, pre[:]); err != nil {
-					return
-				}
-				for {
-					id, typ, _, err := readFrameV2(conn)
-					if err != nil {
-						return
-					}
-					rt, resp := errorResponse(fmt.Errorf("unknown message type %d", typ))
-					if err := writeFrameV2(conn, id, rt, resp); err != nil {
-						return
-					}
-				}
-			}()
-		}
-	}()
-	return ln.Addr()
-}
-
-// TestMetricsAgainstOldServerFallsBackTyped pins the compatibility
-// contract: a Metrics call against a server predating the RPC fails with
-// ErrMetricsUnsupported, not an opaque remote error.
-func TestMetricsAgainstOldServerFallsBackTyped(t *testing.T) {
-	testutil.CheckGoroutines(t)
-	addr := fakeLegacyServer(t)
-	c, err := Dial(addr.String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	_, err = c.Metrics(context.Background())
-	if !errors.Is(err, ErrMetricsUnsupported) {
-		t.Fatalf("want ErrMetricsUnsupported, got %v", err)
-	}
-	// The connection stays usable for RPCs that do not exist either — the
-	// point is only that the error is typed, not sticky.
-	if _, err := c.Metrics(context.Background()); !errors.Is(err, ErrMetricsUnsupported) {
-		t.Fatalf("second call: %v", err)
-	}
-}
-
-// TestMetricsDisabledServerReportsUnsupported covers the other unavailable
-// case: a current server constructed without Serve (no registry).
+// TestMetricsDisabledServerReportsUnsupported covers the one unavailable
+// case: a server constructed without Serve (no registry).
 func TestMetricsDisabledServerReportsUnsupported(t *testing.T) {
 	testutil.CheckGoroutines(t)
 	db, err := NewDatabase(DefaultDatabaseConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := &Server{db: db}
+	s := &Server{db: db, router: NewRouter(db, db.cfg)}
 	cliConn, srvConn := net.Pipe()
 	done := make(chan struct{})
 	go func() { defer close(done); s.ServeConn(srvConn) }()
@@ -239,8 +179,8 @@ func TestServerCloseMidRequestFailsTyped(t *testing.T) {
 		}
 		var pre [preambleSize]byte
 		io.ReadFull(conn, pre[:])
-		readFrameV2(conn) // swallow the request, answer nothing
-		conn.Close()      // ... and die with it in flight
+		readFrame(conn) // swallow the request, answer nothing
+		conn.Close()    // ... and die with it in flight
 		accepted <- conn
 	}()
 	c, err := Dial(ln.Addr().String())

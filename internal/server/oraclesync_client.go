@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"sync"
 	"time"
 
@@ -15,26 +14,17 @@ import (
 )
 
 // Client side of versioned oracle distribution: the OracleSync handle is
-// the one API for keeping a device's uniqueness oracle current. It
-// replaces the FetchOracle/RefreshOracle pair (now deprecated wrappers):
-// one Sync call fetches or refreshes as needed — answered by the server
-// with nothing, a compressed cell-delta chain, or a full blob, whichever
-// is cheapest for the version the handle holds — and Watch turns the same
+// the one API for keeping a device's uniqueness oracle current. One Sync
+// call fetches or refreshes as needed — answered by the server with
+// nothing, a compressed cell-delta chain, or a full blob, whichever is
+// cheapest for the version the handle holds — and Watch turns the same
 // handle push-driven, resyncing on the server's epoch-bump notifications
-// instead of polling. Against servers predating the versioned protocol
-// every path falls back to the legacy wire requests, probed once per
-// connection generation (see capability).
+// instead of polling.
 
 // noVersion is the impossible version identity a handle without an oracle
 // cites: it matches no server epoch and no delta-ring entry, so the server
 // always answers with a full blob.
 const noVersion = ^uint64(0)
-
-// ErrWatchUnsupported marks a Watch call that cannot be served: the server
-// predates oracle subscriptions, or the connection speaks protocol v1
-// (whose ID-less framing cannot route server-initiated events). Sync still
-// works against such servers — poll it instead. Match with errors.Is.
-var ErrWatchUnsupported = errors.New("visualprint client: server does not support oracle subscriptions")
 
 // OracleSync is the oracle-distribution handle: it owns one downloaded
 // uniqueness oracle plus its version identity (epoch, inserts) and keeps
@@ -51,11 +41,7 @@ type OracleSync struct {
 	oracle  *core.Oracle
 	epoch   uint64
 	inserts uint64
-	// versioned marks the held version identity trustworthy: the last sync
-	// was answered by a version-stamping server. Cleared by the legacy
-	// fallback, whose responses carry no epoch.
-	versioned bool
-	bytes     int64
+	bytes   int64
 }
 
 // OracleSync returns the oracle-distribution handle for the client's
@@ -74,13 +60,12 @@ func (h *OracleSync) Oracle() *core.Oracle {
 	return h.oracle
 }
 
-// Version returns the held oracle's version identity. ok is false until a
-// versioned sync has completed — before the first Sync, and against legacy
-// servers whose responses carry no epoch.
+// Version returns the held oracle's version identity. ok is false before
+// the first successful Sync.
 func (h *OracleSync) Version() (epoch, inserts uint64, ok bool) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return h.epoch, h.inserts, h.versioned
+	return h.epoch, h.inserts, h.oracle != nil
 }
 
 // TransferBytes returns the cumulative response payload bytes this handle
@@ -96,9 +81,7 @@ func (h *OracleSync) TransferBytes() int64 {
 // it. The first call downloads the full oracle; later calls cite the held
 // version and receive the cheapest sufficient transfer — an unchanged ack,
 // a compressed cell-delta chain, or (past the server's delta window) a
-// fresh full blob. Against a server predating versioned syncs the call
-// transparently uses the legacy fetch/refresh requests, probed once per
-// connection generation.
+// fresh full blob.
 func (h *OracleSync) Sync(ctx context.Context) (*core.Oracle, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -106,23 +89,14 @@ func (h *OracleSync) Sync(ctx context.Context) (*core.Oracle, error) {
 }
 
 func (h *OracleSync) syncLocked(ctx context.Context, retried bool) (*core.Oracle, error) {
-	if ok, known := h.c.capability(capOracleSync); h.c.v1 || (known && !ok) {
-		return h.legacySyncLocked(ctx)
-	}
 	haveEpoch, haveInserts := noVersion, noVersion
-	if h.oracle != nil && h.versioned {
+	if h.oracle != nil {
 		haveEpoch, haveInserts = h.epoch, h.inserts
 	}
-	rt, resp, err := h.c.readInvoke(ctx, h.venue, msgOracleSync, encodeOracleVersion(haveEpoch, haveInserts))
+	rt, resp, err := h.c.readInvoke(ctx, reqHeader{venue: h.venue}, msgOracleSync, encodeOracleVersion(haveEpoch, haveInserts))
 	if err != nil {
-		if isUnknownTypeErr(err, msgOracleSync) {
-			h.c.recordCapability(capOracleSync, false)
-			h.c.logf("visualprint client: server predates versioned oracle sync")
-			return h.legacySyncLocked(ctx)
-		}
 		return nil, err
 	}
-	h.c.recordCapability(capOracleSync, true)
 	h.bytes += int64(len(resp))
 	switch rt {
 	case msgOracleSyncNone:
@@ -147,11 +121,11 @@ func (h *OracleSync) syncLocked(ctx context.Context, retried bool) (*core.Oracle
 			if retried {
 				return nil, err
 			}
-			h.oracle, h.versioned = nil, false
+			h.oracle = nil
 			return h.syncLocked(ctx, true)
 		}
 		last := recs[len(recs)-1]
-		h.oracle, h.epoch, h.inserts, h.versioned = o, last.ToEpoch, last.ToInserts, true
+		h.oracle, h.epoch, h.inserts = o, last.ToEpoch, last.ToInserts
 		return o, nil
 	case msgOracleSyncFull:
 		epoch, blob, err := decodeOracleSyncFull(resp)
@@ -166,34 +140,11 @@ func (h *OracleSync) syncLocked(ctx context.Context, retried bool) (*core.Oracle
 		if err != nil {
 			return nil, err
 		}
-		h.oracle, h.epoch, h.inserts, h.versioned = o, epoch, o.Inserts(), true
+		h.oracle, h.epoch, h.inserts = o, epoch, o.Inserts()
 		return o, nil
 	default:
 		return nil, errRemote{msg: "unexpected response type"}
 	}
-}
-
-// legacySyncLocked serves Sync against a server predating the versioned
-// protocol: a full fetch when the handle is empty, the diff-or-blob
-// refresh ladder otherwise — byte-for-byte the requests an old client
-// binary sends. Legacy responses carry no epoch, so the handle's version
-// identity goes untracked until a versioned server answers again.
-func (h *OracleSync) legacySyncLocked(ctx context.Context) (*core.Oracle, error) {
-	h.versioned = false
-	if h.oracle == nil {
-		o, n, err := h.c.fetchOracle(ctx, h.venue)
-		if err != nil {
-			return nil, err
-		}
-		h.oracle, h.bytes = o, h.bytes+n
-		return o, nil
-	}
-	o, n, _, err := h.c.refreshOracle(ctx, h.venue, h.oracle)
-	if err != nil {
-		return nil, err
-	}
-	h.oracle, h.bytes = o, h.bytes+n
-	return o, nil
 }
 
 // OracleUpdate is one push-driven refresh delivered by Watch: the handle's
@@ -215,25 +166,16 @@ type OracleUpdate struct {
 // every intermediate one. The subscription survives connection loss by
 // resubscribing after reconnect; it ends when ctx is canceled (the channel
 // closes) or on a terminal failure (delivered as OracleUpdate.Err, then
-// closed). Requires protocol v2 and a subscription-capable server: callers
-// against older deployments get the typed ErrWatchUnsupported here and
-// should poll Sync instead.
+// closed).
 func (h *OracleSync) Watch(ctx context.Context) (<-chan OracleUpdate, error) {
-	if h.c.v1 {
-		return nil, ErrWatchUnsupported
-	}
-	if ok, known := h.c.capability(capOracleSync); known && !ok {
-		return nil, ErrWatchUnsupported
-	}
 	epoch, _, _ := h.Version()
 	id, ch, err := h.c.subscribe(ctx, h.venue, epoch)
 	if err != nil {
 		return nil, err
 	}
 	// The server acks a subscription by pushing the current version
-	// immediately, and an old server rejects the unknown type just as
-	// fast — wait for that first frame here so unsupported servers fail
-	// synchronously with a typed error instead of inside the stream.
+	// immediately — wait for that first frame here so a refused
+	// subscription fails synchronously instead of inside the stream.
 	var first rpcResult
 	select {
 	case <-ctx.Done():
@@ -248,20 +190,11 @@ func (h *OracleSync) Watch(ctx context.Context) (<-chan OracleUpdate, error) {
 		return nil, first.err
 	case first.typ == msgError:
 		h.c.unsubscribe(id)
-		err := decodeErrorPayload(first.payload)
-		if isUnknownTypeErr(err, msgSubscribeOracle) {
-			h.c.recordCapability(capOracleSync, false)
-			return nil, fmt.Errorf("%w: %w", ErrWatchUnsupported, err)
-		}
-		if isUnknownTypeErr(err, msgVenueEx) {
-			return nil, fmt.Errorf("%w: %w", ErrVenueUnsupported, err)
-		}
-		return nil, err
+		return nil, decodeErrorPayload(first.payload)
 	case first.typ != msgOracleEpoch:
 		h.c.unsubscribe(id)
 		return nil, errRemote{msg: "unexpected response type"}
 	}
-	h.c.recordCapability(capOracleSync, true)
 	out := make(chan OracleUpdate, 1)
 	go h.watchLoop(ctx, id, ch, first, out)
 	return out, nil
@@ -347,8 +280,7 @@ func (h *OracleSync) watchLoop(ctx context.Context, id uint32, ch chan rpcResult
 // resubscribe re-establishes a watch stream after connection loss:
 // reconnect, subscribe, jittered-free exponential backoff between
 // attempts. Transport errors retry (the server may be restarting); any
-// other failure — including a resubscription answered by a server binary
-// without subscription support — is terminal for the watch.
+// other failure is terminal for the watch.
 func (h *OracleSync) resubscribe(ctx context.Context) (uint32, chan rpcResult, error) {
 	delay := 50 * time.Millisecond
 	for {
@@ -381,64 +313,16 @@ func (h *OracleSync) resubscribe(ctx context.Context) (uint32, chan rpcResult, e
 	}
 }
 
-// subscribe registers an oracle-epoch subscription stream on the v2
-// connection: one msgSubscribeOracle frame (venue-wrapped when pinned)
-// whose request ID stays live in subs — not pending — so every pushed
-// msgOracleEpoch event keeps routing to the returned mailbox until
-// unsubscribe. The mailbox is latest-wins (see deliverLatest).
+// subscribe opens an oracle-epoch subscription stream: one
+// msgSubscribeOracle frame whose request ID stays live in subs — not
+// pending — so every pushed msgOracleEpoch event keeps routing to the
+// returned mailbox until unsubscribe. The mailbox is latest-wins (see
+// deliverLatest). Only the frame write is deadline-bounded; the stream
+// itself is long-lived and carries no header deadline.
 func (c *Client) subscribe(ctx context.Context, venue string, haveEpoch uint64) (uint32, chan rpcResult, error) {
-	if c.v1 {
-		return 0, nil, ErrWatchUnsupported
-	}
-	if err := ctx.Err(); err != nil {
-		return 0, nil, err
-	}
 	payload := make([]byte, 8)
 	binary.LittleEndian.PutUint64(payload, haveEpoch)
-	typ := byte(msgSubscribeOracle)
-	if venue != "" {
-		if c.venueNo.Load() {
-			return 0, nil, ErrVenueUnsupported
-		}
-		if !validVenueName(venue) {
-			return 0, nil, fmt.Errorf("visualprint client: invalid venue name %q", venue)
-		}
-		typ, payload = msgVenueEx, wrapVenue(venue, msgSubscribeOracle, payload)
-	}
-	ch := make(chan rpcResult, 1)
-	c.writeMu.Lock()
-	c.mu.Lock()
-	if c.readErr != nil {
-		err := c.readErr
-		c.mu.Unlock()
-		c.writeMu.Unlock()
-		return 0, nil, err
-	}
-	conn := c.conn
-	c.lastID++
-	id := c.lastID
-	c.subs[id] = ch
-	c.mu.Unlock()
-	// Only the frame write is deadline-bounded; the stream itself is
-	// long-lived and carries no deadline envelope.
-	if d, ok := ctx.Deadline(); ok {
-		conn.SetWriteDeadline(d)
-	} else {
-		conn.SetWriteDeadline(time.Time{})
-	}
-	err := writeFrameV2(conn, id, typ, payload)
-	if err == nil {
-		c.sent.Add(int64(len(payload)) + frameOverheadV2)
-	}
-	c.writeMu.Unlock()
-	if err != nil {
-		c.unsubscribe(id)
-		if cerr := ctx.Err(); cerr != nil {
-			return 0, nil, cerr
-		}
-		return 0, nil, fmt.Errorf("%w: %w", ErrConnectionLost, err)
-	}
-	return id, ch, nil
+	return c.send(ctx, true, reqHeader{venue: venue}, msgSubscribeOracle, payload)
 }
 
 // unsubscribe retires a subscription stream's demux route; late frames for

@@ -3,13 +3,8 @@ package server
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
-	"errors"
 	"fmt"
-	"io"
 	"math/rand"
-	"net"
-	"sync"
 	"testing"
 	"time"
 
@@ -26,6 +21,19 @@ func oracleBytes(t testing.TB, o *core.Oracle) []byte {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
+}
+
+// fullFetch downloads the server's oracle with a fresh handle — whose first
+// Sync is always answered by a full blob — and returns it with the transfer
+// size.
+func fullFetch(t testing.TB, c *Client) (*core.Oracle, int64) {
+	t.Helper()
+	h := c.OracleSync()
+	o, err := h.Sync(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return o, h.TransferBytes()
 }
 
 // randomBatch builds n random mappings from rng (no geometric structure —
@@ -102,10 +110,7 @@ func TestOracleSyncLifecycleOverWire(t *testing.T) {
 		t.Fatalf("delta sync: %v", err)
 	}
 	deltaCost := h.TransferBytes() - before
-	fresh, blobSize, err := c.FetchOracle(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fresh, blobSize := fullFetch(t, c)
 	if !bytes.Equal(oracleBytes(t, o3), oracleBytes(t, fresh)) {
 		t.Fatal("delta sync diverged from a full fetch")
 	}
@@ -144,10 +149,7 @@ func TestOracleSyncByteEqualEveryEpoch(t *testing.T) {
 				if _, err := c.Ingest(ctx, randomBatch(rng, 1+rng.Intn(6))); err != nil {
 					t.Fatal(err)
 				}
-				fresh, _, err := c.FetchOracle(ctx)
-				if err != nil {
-					t.Fatal(err)
-				}
+				fresh, _ := fullFetch(t, c)
 				want := oracleBytes(t, fresh)
 				for cadence, h := range cadences {
 					if e%cadence != 0 {
@@ -166,13 +168,12 @@ func TestOracleSyncByteEqualEveryEpoch(t *testing.T) {
 	}
 }
 
-// TestOracleSyncCountCollisionRegression is the regression for the
-// RefreshOracle unsoundness: its not-modified check compares insert counts
-// alone, so a client whose oracle comes from a divergent history — here a
-// failover onto a server rebuilt with different data but an identical
-// insert count — is told "unchanged" while holding wrong cells. The
-// versioned sync compares (epoch, inserts) identities and must detect the
-// divergence and converge byte-equal.
+// TestOracleSyncCountCollisionRegression pins why the version identity is
+// (epoch, inserts) and not the insert count alone: a client whose oracle
+// comes from a divergent history — here a failover onto a server rebuilt
+// with different data but an identical insert count — would be told
+// "unchanged" by a count comparison while holding wrong cells. The sync
+// must detect the divergence and converge byte-equal.
 func TestOracleSyncCountCollisionRegression(t *testing.T) {
 	ctx := context.Background()
 	// History A: one batch. History B: the same mapping count as two
@@ -201,14 +202,8 @@ func TestOracleSyncCountCollisionRegression(t *testing.T) {
 		}
 	}
 
-	held, _, err := cA.FetchOracle(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	truth, _, err := cB.FetchOracle(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
+	held, _ := fullFetch(t, cA)
+	truth, _ := fullFetch(t, cB)
 	if held.Inserts() != truth.Inserts() {
 		t.Fatalf("test premise broken: insert counts differ (%d vs %d)", held.Inserts(), truth.Inserts())
 	}
@@ -216,182 +211,15 @@ func TestOracleSyncCountCollisionRegression(t *testing.T) {
 		t.Fatal("test premise broken: different histories produced identical oracles")
 	}
 
-	// The deprecated refresh path is fooled by the collision: it keeps the
-	// stale oracle (this is the documented wire behavior old clients rely
-	// on, preserved byte-identically — and exactly why it is deprecated).
-	refreshed, _, _, err := cB.RefreshOracle(ctx, held)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(oracleBytes(t, refreshed), oracleBytes(t, held)) {
-		t.Fatal("RefreshOracle no longer reports the count collision as unchanged; update this regression test and the OracleSync docs")
-	}
-
-	// The versioned sync must not be fooled: a handle holding history A's
-	// version identity against server B resolves the divergence.
-	h := &OracleSync{c: cB, oracle: held, epoch: 1, inserts: held.Inserts(), versioned: true}
+	// A handle holding history A's version identity against server B
+	// resolves the divergence.
+	h := &OracleSync{c: cB, oracle: held, epoch: 1, inserts: held.Inserts()}
 	o, err := h.Sync(ctx)
 	if err != nil {
 		t.Fatalf("versioned sync across histories: %v", err)
 	}
 	if !bytes.Equal(oracleBytes(t, o), oracleBytes(t, truth)) {
 		t.Fatal("versioned sync kept a stale oracle across an insert-count collision")
-	}
-}
-
-// preEpochServerStub speaks the pre-epoch wire behavior over the server
-// end of a pipe: it rejects the versioned-sync and subscription types as
-// unknown (exactly as the old dispatch switch does) and answers the legacy
-// oracle ladder from a real database. It records the frame types it saw.
-func preEpochServerStub(t testing.TB, serverEnd net.Conn, db *Database) func() []byte {
-	t.Helper()
-	var mu sync.Mutex
-	var typesSeen []byte
-	go func() {
-		hdr := make([]byte, preambleSize)
-		if _, err := io.ReadFull(serverEnd, hdr); err != nil {
-			return
-		}
-		for {
-			id, typ, _, err := readFrameV2(serverEnd)
-			if err != nil {
-				return
-			}
-			mu.Lock()
-			typesSeen = append(typesSeen, typ)
-			mu.Unlock()
-			switch typ {
-			case msgOracleSync:
-				writeFrameV2(serverEnd, id, msgError, encodeErrorPayload(errors.New("unknown message type 31")))
-			case msgSubscribeOracle:
-				writeFrameV2(serverEnd, id, msgError, encodeErrorPayload(errors.New("unknown message type 35")))
-			case msgGetOracle:
-				blob, err := db.OracleBlob()
-				if err != nil {
-					writeFrameV2(serverEnd, id, msgError, encodeErrorPayload(err))
-					continue
-				}
-				writeFrameV2(serverEnd, id, msgOracleBlob, blob)
-			case msgGetDiff2:
-				ack := make([]byte, 8)
-				binary.LittleEndian.PutUint64(ack, db.OracleInserts())
-				writeFrameV2(serverEnd, id, msgDiffUnchanged, ack)
-			default:
-				writeFrameV2(serverEnd, id, msgStatsResult, make([]byte, 8))
-			}
-		}
-	}()
-	return func() []byte {
-		mu.Lock()
-		defer mu.Unlock()
-		return append([]byte(nil), typesSeen...)
-	}
-}
-
-// TestOracleSyncOldServerFallback: OracleSync.Sync against a server
-// predating versioned epochs falls back to the legacy fetch/refresh wire
-// requests — and the capability probe is sticky, so the unknown type is
-// tried exactly once per connection.
-func TestOracleSyncOldServerFallback(t *testing.T) {
-	db := newTestDB(t, routerTestConfig())
-	if err := db.Ingest(context.Background(), randomBatch(rand.New(rand.NewSource(5)), 20)); err != nil {
-		t.Fatal(err)
-	}
-	clientEnd, serverEnd := net.Pipe()
-	defer clientEnd.Close()
-	defer serverEnd.Close()
-	seen := preEpochServerStub(t, serverEnd, db)
-	c := NewClient(clientEnd, WithLogger(nil))
-	defer c.Close()
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-
-	h := c.OracleSync()
-	o, err := h.Sync(ctx)
-	if err != nil {
-		t.Fatalf("sync against pre-epoch server: %v", err)
-	}
-	if !bytes.Equal(oracleBytes(t, o), oracleBytes(t, db.Oracle())) {
-		t.Fatal("fallback full fetch diverged from the server oracle")
-	}
-	if _, _, ok := h.Version(); ok {
-		t.Fatal("legacy fallback claims a version identity (legacy responses carry no epoch)")
-	}
-	// Second sync: the probe outcome is recorded for the connection, so
-	// no second msgOracleSync hits the wire — the handle goes straight to
-	// the legacy refresh, which acks unchanged.
-	if _, err := h.Sync(ctx); err != nil {
-		t.Fatalf("second sync: %v", err)
-	}
-	frames := seen()
-	if n := countType(frames, msgOracleSync); n != 1 {
-		t.Fatalf("msgOracleSync sent %d times across two syncs: capability probe not sticky", n)
-	}
-	if countType(frames, msgGetOracle) != 1 || countType(frames, msgGetDiff2) != 1 {
-		t.Fatalf("fallback frames = %v, want one legacy fetch then one legacy refresh", frames)
-	}
-}
-
-// TestOracleWatchOldServerUnsupported: Watch against a server predating
-// subscriptions fails with the typed ErrWatchUnsupported — and the
-// rejection is sticky, so a second Watch fails locally without touching
-// the wire.
-func TestOracleWatchOldServerUnsupported(t *testing.T) {
-	db := newTestDB(t, routerTestConfig())
-	clientEnd, serverEnd := net.Pipe()
-	defer clientEnd.Close()
-	defer serverEnd.Close()
-	seen := preEpochServerStub(t, serverEnd, db)
-	c := NewClient(clientEnd, WithLogger(nil))
-	defer c.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-
-	h := c.OracleSync()
-	if _, err := h.Watch(ctx); !errors.Is(err, ErrWatchUnsupported) {
-		t.Fatalf("watch against old server: got %v, want ErrWatchUnsupported", err)
-	}
-	wire := len(seen())
-	if _, err := h.Watch(ctx); !errors.Is(err, ErrWatchUnsupported) {
-		t.Fatalf("second watch: got %v, want ErrWatchUnsupported", err)
-	}
-	if n := len(seen()); n != wire {
-		t.Fatalf("second watch hit the wire (%d frames, was %d): rejection not sticky", n, wire)
-	}
-}
-
-// TestOracleSyncV1Client: the v1 sequential protocol cannot carry
-// subscriptions (no request IDs to route pushes), so Watch fails typed and
-// locally; Sync still works through the legacy ladder, so v1 deployments
-// keep their full oracle workflow.
-func TestOracleSyncV1Client(t *testing.T) {
-	db := newTestDB(t, routerTestConfig())
-	if err := db.Ingest(context.Background(), randomBatch(rand.New(rand.NewSource(6)), 20)); err != nil {
-		t.Fatal(err)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := Serve(ln, db)
-	s.Log = nil
-	t.Cleanup(func() { s.Close() })
-	clientEnd, serverEnd := net.Pipe()
-	go s.ServeConn(serverEnd)
-	c := NewClientV1(clientEnd)
-	defer c.Close()
-	ctx := context.Background()
-
-	h := c.OracleSync()
-	if _, err := h.Watch(ctx); !errors.Is(err, ErrWatchUnsupported) {
-		t.Fatalf("v1 watch: got %v, want ErrWatchUnsupported", err)
-	}
-	o, err := h.Sync(ctx)
-	if err != nil {
-		t.Fatalf("v1 sync: %v", err)
-	}
-	if !bytes.Equal(oracleBytes(t, o), oracleBytes(t, db.Oracle())) {
-		t.Fatal("v1 sync diverged from the server oracle")
 	}
 }
 
@@ -437,10 +265,7 @@ func TestOracleWatchDeliversEpochBumps(t *testing.T) {
 	var last OracleUpdate
 	deadline := time.After(20 * time.Second)
 	for {
-		fresh, _, err := c.FetchOracle(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
+		fresh, _ := fullFetch(t, c)
 		wantEpoch, _ := s.db.OracleEpoch()
 		if last.Oracle != nil && last.Epoch == wantEpoch {
 			if !bytes.Equal(oracleBytes(t, last.Oracle), oracleBytes(t, fresh)) {

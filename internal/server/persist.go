@@ -115,12 +115,8 @@ func (db *Database) open(dir string, install func(*store.Store) error) error {
 	db.publishLocked(rv)
 	db.shadow = nil
 	db.bumpEpochLocked()
-	// The diff window and delta ring restart empty: refreshes against
-	// pre-crash versions fall back to a full download.
-	db.snapshots = map[uint64]*core.Oracle{}
-	db.snapOrder = nil
-	db.snapBytes = 0
-	db.snapWarned = false
+	// The delta ring restarts empty: syncs citing pre-crash versions fall
+	// back to a full download.
 	db.deltaRing, db.deltaBytes = nil, 0
 	db.recoverDur = time.Since(recoverStart)
 	db.store = st
@@ -202,8 +198,6 @@ func (db *Database) resetLocked() error {
 	db.publishLocked(v)
 	db.shadow = nil
 	db.bumpEpochLocked()
-	db.snapshots, db.snapOrder, db.snapBytes = map[uint64]*core.Oracle{}, nil, 0
-	db.snapWarned = false
 	db.deltaRing, db.deltaBytes = nil, 0
 	db.metrics().mappings.Set(0)
 	return nil
@@ -232,14 +226,14 @@ func (db *Database) Compact() error {
 	// Holding the read lock excludes Ingest (whose WAL reservation needs
 	// the write lock) for the duration, so cur is stable and the serialized
 	// state is exactly the state at the log head.
-	return db.snapshotLockedR(db.store)
+	return db.compactLockedR(db.store)
 }
 
-// snapshotLockedR folds the published view into a durable snapshot with
+// compactLockedR folds the published view into a durable snapshot with
 // tracing: a compaction slower than the tracer's threshold lands in the
 // slow-request ring with its duration attributed to the snapshot stage.
 // Callers hold db.mu (read side), which pins cur without a reader pin.
-func (db *Database) snapshotLockedR(st *store.Store) error {
+func (db *Database) compactLockedR(st *store.Store) error {
 	m := db.metrics()
 	tr := m.trace.Begin("compact")
 	t0 := time.Now()
@@ -263,7 +257,7 @@ func (db *Database) snapshotter() {
 			st := db.store
 			var err error
 			if st != nil {
-				err = db.snapshotLockedR(st)
+				err = db.compactLockedR(st)
 			}
 			if err != nil {
 				db.logf("server: background wal compaction: %v", err)

@@ -381,46 +381,3 @@ func TestStatsRPCExtendedFields(t *testing.T) {
 		t.Errorf("Stats = %d, %v", n, err)
 	}
 }
-
-// TestOracleSnapshotBudgetWarning checks the satellite: retained oracle
-// clones over the byte budget log exactly one warning until usage drops.
-func TestOracleSnapshotBudgetWarning(t *testing.T) {
-	cfg := persistTestConfig()
-	cfg.OracleSnapshotBudgetBytes = 1 // any clone exceeds it
-	db, err := NewDatabase(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var mu sync.Mutex
-	var warnings []string
-	db.SetLogger(obs.FuncLogger(func(format string, args ...any) {
-		mu.Lock()
-		warnings = append(warnings, fmt.Sprintf(format, args...))
-		mu.Unlock()
-	}))
-
-	if err := db.Ingest(context.Background(), []Mapping{{}}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := db.OracleBlob(); err != nil { // snapshots a clone
-		t.Fatal(err)
-	}
-	if _, err := db.OracleBlob(); err != nil { // same version: no new clone
-		t.Fatal(err)
-	}
-
-	mu.Lock()
-	defer mu.Unlock()
-	count := 0
-	for _, w := range warnings {
-		if strings.Contains(w, "oracle snapshot") {
-			count++
-		}
-	}
-	if count != 1 {
-		t.Fatalf("budget warning logged %d times, want 1: %v", count, warnings)
-	}
-	if db.Stats().OracleSnapshotBytes == 0 {
-		t.Fatal("OracleSnapshotBytes not accounted")
-	}
-}

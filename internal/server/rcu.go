@@ -47,8 +47,8 @@ import (
 // pin, read, unpin — then take the mutex separately.
 
 // dbView is one immutable generation of the query-side state. All fields
-// except pins are frozen from publish until retire; pins is the only field
-// readers write.
+// except pins and footprint are frozen from publish until retire; those two
+// are the only fields readers write.
 type dbView struct {
 	index     *lsh.Index
 	positions []mathx.Vec3
@@ -63,6 +63,10 @@ type dbView struct {
 	// and replays identically on replicas — the version identity clients
 	// cite in OracleSync requests.
 	epoch uint64
+	// footprint caches the view's in-memory size estimate for Stats (0 =
+	// not computed; the index walk behind it is O(mappings)). apply resets
+	// it, so the stats RPC pays the walk once per generation.
+	footprint atomic.Int64
 
 	pins pinSet
 }
@@ -195,6 +199,7 @@ func (v *dbView) clone() (*dbView, error) {
 // generation), WAL replay and replica catch-up. seqs is nil on a plain
 // database and parallel to ms on a shard engine.
 func (v *dbView) apply(ms []Mapping, seqs []uint64) error {
+	v.footprint.Store(0)
 	for i := range ms {
 		desc := make([]byte, sift.DescriptorSize)
 		copy(desc, ms[i].Desc[:])

@@ -26,7 +26,7 @@ import (
 
 // Router fans requests out across venues and, within a venue, across spatial
 // shards. It is the multi-tenant layer in front of the shard engines: every
-// wire request optionally carries a venue name (msgVenueEx), the default
+// wire request optionally carries a venue name (in its header), the default
 // venue (the empty name) maps to the plain Database the server was built
 // with, and each named venue owns an isolated set of shard engines — its own
 // LSH indexes, oracles, and WAL/snapshot directories. Venues are lazily
@@ -628,41 +628,6 @@ func (r *Router) OracleBlob(venueName string) ([]byte, error) {
 	return bloom.GzipBytes(merged)
 }
 
-// OracleDiff serves an incremental oracle refresh for a venue. Single-shard
-// venues keep the full diff machinery; multi-shard venues report the version
-// unavailable (ok=false), and the dispatch layer falls back to a full
-// OracleBlob — the assembled oracle has no per-version snapshot window to
-// diff against. Venues that do not exist report ok=false the same way.
-func (r *Router) OracleDiff(venueName string, sinceInserts uint64) (diff []byte, ok bool, err error) {
-	if venueName == "" {
-		return r.def.OracleDiff(sinceInserts)
-	}
-	v := r.lookup(venueName)
-	if v == nil || len(v.shards) > 1 {
-		return nil, false, nil
-	}
-	return v.shards[0].OracleDiff(sinceInserts)
-}
-
-// OracleInserts returns a venue's oracle insert count: the per-shard sum,
-// which equals the merged oracle's counter (core.Merge adds the counts the
-// same way). A venue that does not exist reports 0 — consistent with the
-// empty oracle a client would have downloaded.
-func (r *Router) OracleInserts(venueName string) uint64 {
-	if venueName == "" {
-		return r.def.OracleInserts()
-	}
-	v := r.lookup(venueName)
-	if v == nil {
-		return 0
-	}
-	var n uint64
-	for _, sh := range v.shards {
-		n += sh.OracleInserts()
-	}
-	return n
-}
-
 // oracleEpoch sums the shard version identities. Both coordinates are
 // monotonic per shard, so the sums are monotonic venue-wide — the property
 // the unchanged check needs. The sum can be torn across shards under a
@@ -763,7 +728,6 @@ func (r *Router) Stats(venueName string) DBStats {
 		agg.Mappings += s.Mappings
 		agg.DatabaseBytes += s.DatabaseBytes
 		agg.OracleInserts += s.OracleInserts
-		agg.OracleSnapshotBytes += s.OracleSnapshotBytes
 		agg.WALBytes += s.WALBytes
 		if s.Persistent {
 			agg.Persistent = true

@@ -307,9 +307,7 @@ func TestVenuePersistenceRoundTrip(t *testing.T) {
 }
 
 // TestVenueConfigRules pins the topology lifecycle: invalid names are
-// rejected, live venues cannot be re-configured, and multi-shard venues
-// have no incremental oracle diff (the dispatch layer falls back to a full
-// blob).
+// rejected and live venues cannot be re-configured.
 func TestVenueConfigRules(t *testing.T) {
 	cfg := routerTestConfig()
 	def := newTestDB(t, cfg)
@@ -328,8 +326,5 @@ func TestVenueConfigRules(t *testing.T) {
 	}
 	if err := r.ConfigureVenue("live", VenueConfig{Shards: 4}); err == nil {
 		t.Error("re-configuring a live venue must fail (no live resharding)")
-	}
-	if _, ok, err := r.OracleDiff("live", 1); err != nil || ok {
-		t.Errorf("multi-shard OracleDiff: ok=%v err=%v, want unavailable", ok, err)
 	}
 }

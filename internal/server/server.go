@@ -18,13 +18,10 @@ import (
 
 // Server accepts VisualPrint protocol connections and serves a Database.
 //
-// Connections negotiate a protocol version at open (see wire.go). On a v2
-// connection every request carries a uint32 ID and is dispatched on its own
-// goroutine while a single writer goroutine serializes the responses, so
-// one slow localization query does not stall the pipelined requests behind
-// it. Legacy v1 connections keep the original sequential
-// read-dispatch-write loop, which preserves their implicit response
-// ordering.
+// A connection announces its protocol version at open (see wire.go). Every
+// request carries a uint32 ID and is dispatched on its own goroutine while
+// a single writer goroutine serializes the responses, so one slow
+// localization query does not stall the pipelined requests behind it.
 //
 // Every request is a first-class cancellable object: it runs under a
 // context derived from its connection (severed connection → context
@@ -39,10 +36,9 @@ import (
 // deadline, are canceled).
 type Server struct {
 	db *Database
-	// router fans venue-scoped requests (msgVenueEx) across named venues;
-	// Serve always installs one (WithRouter overrides it with a
-	// preconfigured instance). Nil only on a bare Server built without
-	// Serve, where venue requests answer a typed routing error.
+	// router resolves every request's venue — the empty name is db itself —
+	// and fans named venues across their shards. Serve always installs one
+	// (WithRouter overrides it with a preconfigured instance).
 	router *Router
 	ln     net.Listener
 
@@ -436,58 +432,33 @@ func (s *Server) release() {
 
 // ServeConn handles one protocol connection until EOF or error. It is
 // exported so tests and single-process deployments can drive the protocol
-// over net.Pipe. The first four bytes of the connection select the framing:
-// the v2 magic, or a v1 frame length from a legacy client.
+// over net.Pipe. The preamble is the whole handshake: a connection that does
+// not open with the magic and this server's protocol version is refused
+// with one id-0 ErrProtocolVersion frame, which the peer's demux reports as
+// the reason every call on the connection failed.
 func (s *Server) ServeConn(conn net.Conn) {
 	defer conn.Close()
-	var hdr [4]byte
-	if _, err := io.ReadFull(conn, hdr[:]); err != nil {
+	var pre [preambleSize]byte
+	if _, err := io.ReadFull(conn, pre[:4]); err != nil {
 		return
 	}
-	if binary.LittleEndian.Uint32(hdr[:]) != protoMagic {
-		s.serveV1(conn, binary.LittleEndian.Uint32(hdr[:]))
+	var refusal error
+	if binary.LittleEndian.Uint32(pre[:4]) != protoMagic {
+		refusal = fmt.Errorf("%w: no preamble, want version %d", ErrProtocolVersion, protoVersion)
+	} else if _, err := io.ReadFull(conn, pre[4:]); err != nil {
+		return
+	} else if pre[4] != protoVersion {
+		refusal = fmt.Errorf("%w: got version %d, want %d", ErrProtocolVersion, pre[4], protoVersion)
+	}
+	if refusal != nil {
+		writeFrame(conn, 0, msgError, reqHeader{}, encodeErrorPayload(refusal)) //nolint:errcheck // closing either way
 		return
 	}
-	var ver [1]byte
-	if _, err := io.ReadFull(conn, ver[:]); err != nil {
-		return
-	}
-	if ver[0] != protoVersion2 {
-		writeFrame(conn, msgError, encodeErrorPayload(
-			fmt.Errorf("unsupported protocol version %d", ver[0])))
-		return
-	}
-	s.serveV2(conn)
+	s.serve(conn)
 }
 
-// serveV1 is the legacy sequential loop: one request, one response, in
-// order. firstLen is the already-consumed length prefix of the first frame.
-// Requests run under the connection's context (v1 carries no per-request
-// deadline or cancel) and pass through the same admission control as v2.
-func (s *Server) serveV1(conn net.Conn, firstLen uint32) {
-	ctx, cancel := context.WithCancel(s.base())
-	defer cancel()
-	n := firstLen
-	for {
-		typ, payload, err := readFrameBody(conn, n)
-		if err != nil {
-			return // EOF or broken connection
-		}
-		rt, resp := s.serveRequest(ctx, typ, payload, nil)
-		if err := writeFrame(conn, rt, resp); err != nil {
-			s.logf("visualprint server: %v", err)
-			return
-		}
-		var hdr [4]byte
-		if _, err := io.ReadFull(conn, hdr[:]); err != nil {
-			return
-		}
-		n = binary.LittleEndian.Uint32(hdr[:])
-	}
-}
-
-// v2Response is one response queued for the connection's writer goroutine.
-type v2Response struct {
+// response is one response queued for the connection's writer goroutine.
+type response struct {
 	id      uint32
 	typ     byte
 	payload []byte
@@ -530,20 +501,22 @@ func (r *reqCancels) remove(id uint32) {
 	}
 }
 
-// serveV2 is the multiplexed loop: requests are dispatched concurrently
-// and responses are serialized through a single writer goroutine, tagged
-// with the ID of the request they answer. Response order is therefore
-// completion order, not request order.
+// serve is the multiplexed connection loop: requests are dispatched
+// concurrently and responses are serialized through a single writer
+// goroutine, tagged with the ID of the request they answer. Response order
+// is therefore completion order, not request order.
 //
 // The read loop never blocks on admission — every request gets a goroutine
 // immediately and admission control decides inside it — so cancel frames
 // and new requests are seen promptly even when the server is saturated.
 // Each request's context descends from the connection's: a dead connection
-// cancels everything it had in flight.
-func (s *Server) serveV2(conn net.Conn) {
+// cancels everything it had in flight. The request header is decoded here,
+// once, so the request context carries the wire deadline and everything
+// downstream — instrumentation included — sees the bare request.
+func (s *Server) serve(conn net.Conn) {
 	connCtx, cancelConn := context.WithCancel(s.base())
 	defer cancelConn()
-	out := make(chan v2Response, 32)
+	out := make(chan response, 32)
 	writerDone := make(chan struct{})
 	go func() {
 		defer close(writerDone)
@@ -552,7 +525,7 @@ func (s *Server) serveV2(conn net.Conn) {
 			if failed {
 				continue // drain so handlers never block on a dead writer
 			}
-			if err := writeFrameV2(conn, r.id, r.typ, r.payload); err != nil {
+			if _, err := writeFrame(conn, r.id, r.typ, reqHeader{}, r.payload); err != nil {
 				s.logf("visualprint server: %v", err)
 				failed = true
 				conn.Close() // unblocks the read loop below
@@ -562,7 +535,7 @@ func (s *Server) serveV2(conn net.Conn) {
 	inflight := &reqCancels{m: make(map[uint32]context.CancelFunc)}
 	var handlers sync.WaitGroup
 	for {
-		id, typ, payload, err := readFrameV2(conn)
+		id, typ, payload, err := readFrame(conn)
 		if err != nil {
 			break // EOF or broken connection
 		}
@@ -574,22 +547,23 @@ func (s *Server) serveV2(conn net.Conn) {
 			}
 			continue // fire-and-forget: no response
 		}
-		// Unwrap the deadline envelope before dispatch so the request
-		// context — and the instrumentation — see the inner request.
-		var deadline time.Duration
-		if typ == msgRequestEx {
-			dl, ityp, ipayload, uerr := unwrapRequestEx(payload)
-			if uerr != nil {
-				out <- v2Response{id: id, typ: msgError, payload: encodeErrorPayload(uerr)}
+		var h reqHeader
+		if typ&headerFlag != 0 {
+			typ &^= headerFlag
+			if h, payload, err = decodeReqHeader(payload); err != nil {
+				if m := s.met; m != nil {
+					m.headerRejected.Inc()
+				}
+				out <- response{id: id, typ: msgError, payload: encodeErrorPayload(err)}
 				continue
 			}
-			deadline = time.Duration(dl) * time.Millisecond
-			typ, payload = ityp, ipayload
 		}
-		reqCtx, cancel := context.WithCancel(connCtx)
-		if deadline > 0 {
-			cancel()
-			reqCtx, cancel = context.WithTimeout(connCtx, deadline)
+		var reqCtx context.Context
+		var cancel context.CancelFunc
+		if h.deadline > 0 {
+			reqCtx, cancel = context.WithTimeout(connCtx, time.Duration(h.deadline)*time.Millisecond)
+		} else {
+			reqCtx, cancel = context.WithCancel(connCtx)
 		}
 		inflight.add(id, cancel)
 		handlers.Add(1)
@@ -604,14 +578,14 @@ func (s *Server) serveV2(conn net.Conn) {
 			// a write error and ctx is canceled when the read loop exits.
 			push := func(t byte, p []byte) bool {
 				select {
-				case out <- v2Response{id: id, typ: t, payload: p}:
+				case out <- response{id: id, typ: t, payload: p}:
 					return true
 				case <-ctx.Done():
 					return false
 				}
 			}
-			rt, resp := s.serveRequest(ctx, typ, payload, push)
-			out <- v2Response{id: id, typ: rt, payload: resp}
+			rt, resp := s.serveRequest(ctx, h, typ, payload, push)
+			out <- response{id: id, typ: rt, payload: resp}
 		}(reqCtx, id, typ, payload)
 	}
 	cancelConn() // the connection is gone: abort work queued on its behalf
@@ -620,38 +594,19 @@ func (s *Server) serveV2(conn net.Conn) {
 	<-writerDone
 }
 
-// serveRequest runs one request end to end: venue/session unwrap, drain
-// gate, instrumentation, admission, dispatch. Framing and request IDs
-// belong to the caller; serveRequest never fails — request errors become
-// msgError responses. The envelopes are unwrapped before instrumentation
-// so the per-type metrics count the inner request, not the envelope.
-// Nesting order on the wire is deadline (outermost, unwrapped in serveV2)
-// → venue → session → plain request. push, non-nil only on v2, delivers
-// server-initiated event frames for the streaming requests (oracle
-// subscriptions); the returned pair is still the terminal response.
-func (s *Server) serveRequest(ctx context.Context, typ byte, payload []byte, push func(byte, []byte) bool) (byte, []byte) {
-	venue := ""
-	if typ == msgVenueEx {
-		v, ityp, ipayload, err := unwrapVenue(payload)
-		if err != nil {
-			return errorResponse(err)
-		}
-		venue, typ, payload = v, ityp, ipayload
-	}
+// serveRequest runs one request end to end: drain gate, instrumentation,
+// admission, dispatch. Framing, request IDs and the header belong to the
+// caller; serveRequest never fails — request errors become msgError
+// responses. push delivers server-initiated event frames for the streaming
+// requests (oracle subscriptions); the returned pair is still the terminal
+// response.
+func (s *Server) serveRequest(ctx context.Context, h reqHeader, typ byte, payload []byte, push func(byte, []byte) bool) (byte, []byte) {
 	if typ == msgSubscribeOracle {
 		// Long-lived stream: it skips admission (it holds no execution slot
 		// while parked on the epoch signal) and the drain barrier (Shutdown
 		// would otherwise wait forever on it; instead it ends when the
 		// connection contexts cancel).
-		return s.serveSubscription(ctx, venue, payload, push)
-	}
-	sid := uint64(0)
-	if typ == msgSessionEx {
-		id, ityp, ipayload, err := unwrapSession(payload)
-		if err != nil {
-			return errorResponse(err)
-		}
-		sid, typ, payload = id, ityp, ipayload
+		return s.serveSubscription(ctx, h.venue, payload, push)
 	}
 	if !s.beginRequest() {
 		rt, resp := errorResponse(ErrShuttingDown)
@@ -661,7 +616,7 @@ func (s *Server) serveRequest(ctx context.Context, typ byte, payload []byte, pus
 		return rt, resp
 	}
 	defer s.endRequest()
-	return s.handle(ctx, venue, sid, typ, payload)
+	return s.handle(ctx, h, typ, payload)
 }
 
 // serveSubscription runs one oracle subscription stream until the request
@@ -672,14 +627,8 @@ func (s *Server) serveRequest(ctx context.Context, typ byte, payload []byte, pus
 // a single event carrying the newest epoch. The return value is the
 // stream's terminal response.
 func (s *Server) serveSubscription(ctx context.Context, venue string, payload []byte, push func(byte, []byte) bool) (byte, []byte) {
-	if push == nil {
-		return errorResponse(errors.New("oracle subscriptions require protocol v2"))
-	}
 	if len(payload) != 8 {
 		return errorResponse(errors.New("bad subscribe request"))
-	}
-	if venue != "" && s.router == nil {
-		return errorResponse(errors.New("venue routing not enabled on this server"))
 	}
 	s.mu.Lock()
 	draining := s.draining
@@ -691,17 +640,10 @@ func (s *Server) serveSubscription(ctx context.Context, venue string, payload []
 		m.subscribers.Add(1)
 		defer m.subscribers.Add(-1)
 	}
-	signal := func() (uint64, uint64, <-chan struct{}, error) {
-		if venue == "" {
-			e, i, ch := s.db.EpochSignal()
-			return e, i, ch, nil
-		}
-		return s.router.VenueEpochSignal(venue, ctx.Done())
-	}
 	last := uint64(0)
 	first := true
 	for {
-		epoch, inserts, ch, err := signal()
+		epoch, inserts, ch, err := s.router.VenueEpochSignal(venue, ctx.Done())
 		if err != nil {
 			return errorResponse(err)
 		}
@@ -727,22 +669,22 @@ func (s *Server) serveSubscription(ctx context.Context, venue string, payload []
 // handle wraps dispatch with the wire-level instrumentation: request
 // counts and latency per message type, payload bytes in each direction,
 // the in-flight gauge and error-code counters.
-func (s *Server) handle(ctx context.Context, venue string, sid uint64, typ byte, payload []byte) (byte, []byte) {
+func (s *Server) handle(ctx context.Context, h reqHeader, typ byte, payload []byte) (byte, []byte) {
 	m := s.met
 	if m == nil {
-		return s.admitAndDispatch(ctx, venue, sid, typ, payload)
+		return s.admitAndDispatch(ctx, h, typ, payload)
 	}
 	m.inflight.Add(1)
 	m.bytesIn.Add(uint64(len(payload)))
 	start := time.Now()
-	rt, resp := s.admitAndDispatch(ctx, venue, sid, typ, payload)
+	rt, resp := s.admitAndDispatch(ctx, h, typ, payload)
 	m.record(typ, start, rt, resp)
 	m.inflight.Add(-1)
 	return rt, resp
 }
 
 // admitAndDispatch applies admission control, then routes the request.
-func (s *Server) admitAndDispatch(ctx context.Context, venue string, sid uint64, typ byte, payload []byte) (byte, []byte) {
+func (s *Server) admitAndDispatch(ctx context.Context, h reqHeader, typ byte, payload []byte) (byte, []byte) {
 	if err := s.admit(ctx); err != nil {
 		if m := s.met; m != nil && errors.Is(err, ErrOverloaded) {
 			m.shed.Inc()
@@ -750,16 +692,12 @@ func (s *Server) admitAndDispatch(ctx context.Context, venue string, sid uint64,
 		return errorResponse(err)
 	}
 	defer s.release()
-	return s.dispatch(ctx, venue, sid, typ, payload)
+	return s.dispatch(ctx, h.venue, h.sid, typ, payload)
 }
 
-// dispatch routes one request to its venue's engine(s). The empty venue is
-// the default database, served directly (the pre-venue fast path every
-// legacy client takes); named venues go through the router.
+// dispatch routes one request to its venue's engine(s) through the router,
+// which maps the empty venue to the default database.
 func (s *Server) dispatch(ctx context.Context, venue string, sid uint64, typ byte, payload []byte) (byte, []byte) {
-	if venue != "" && s.router == nil {
-		return errorResponse(errors.New("venue routing not enabled on this server"))
-	}
 	switch typ {
 	case msgPing:
 		// Liveness answers unconditionally, replication configured or not.
@@ -785,47 +723,23 @@ func (s *Server) dispatch(ctx context.Context, venue string, sid uint64, typ byt
 		if err := s.rs.gateWrite(); err != nil {
 			return errorResponse(err)
 		}
+		ms, err := decodeMappings(payload)
+		if err != nil {
+			return errorResponse(err)
+		}
+		total, err := s.router.Ingest(ctx, venue, ms)
+		if err != nil {
+			return errorResponse(err)
+		}
+		ack := make([]byte, 8)
+		binary.LittleEndian.PutUint64(ack, uint64(total))
+		return msgIngestAck, ack
 	case msgQuery:
 		// Replica-served reads carry a staleness bound; past it (or mid
 		// full-sync) the client is redirected to the primary.
 		if err := s.rs.gateRead(); err != nil {
 			return errorResponse(err)
 		}
-	}
-	switch typ {
-	case msgGetOracle:
-		var blob []byte
-		var err error
-		if venue == "" {
-			blob, err = s.db.OracleBlob()
-		} else {
-			blob, err = s.router.OracleBlob(venue)
-		}
-		if err != nil {
-			return errorResponse(err)
-		}
-		return msgOracleBlob, blob
-	case msgIngest:
-		ms, err := decodeMappings(payload)
-		if err != nil {
-			return errorResponse(err)
-		}
-		var total int
-		if venue == "" {
-			if err := s.db.Ingest(ctx, ms); err != nil {
-				return errorResponse(err)
-			}
-			total = s.db.Len()
-		} else {
-			total, err = s.router.Ingest(ctx, venue, ms)
-			if err != nil {
-				return errorResponse(err)
-			}
-		}
-		ack := make([]byte, 8)
-		binary.LittleEndian.PutUint64(ack, uint64(total))
-		return msgIngestAck, ack
-	case msgQuery:
 		intr, kpData, err := decodeQueryHeader(payload)
 		if err != nil {
 			return errorResponse(err)
@@ -835,81 +749,21 @@ func (s *Server) dispatch(ctx context.Context, venue string, sid uint64, typ byt
 			return errorResponse(err)
 		}
 		var res LocateResult
-		switch {
-		case sid != 0 && s.router != nil:
-			// The session path covers the default venue too (venue == "");
-			// a bare Server without a router serves the query cold below —
-			// the envelope is an optimization, never a correctness gate.
+		if sid != 0 {
 			res, err = s.router.LocateSession(ctx, venue, sid, kps, intr)
-		case venue == "":
-			res, err = s.db.Locate(ctx, kps, intr)
-		default:
+		} else {
 			res, err = s.router.Locate(ctx, venue, kps, intr)
 		}
 		if err != nil {
 			return errorResponse(err)
 		}
 		return msgQueryResult, encodeLocateResult(res)
-	case msgGetDiff, msgGetDiff2:
-		if len(payload) != 8 {
-			return errorResponse(errors.New("bad diff request"))
-		}
-		since := binary.LittleEndian.Uint64(payload)
-		if typ == msgGetDiff2 {
-			// Not-modified fast path: oracle insert counts are monotonic,
-			// so a client whose count equals the live oracle's holds an
-			// identical oracle — ack with 8 bytes instead of a diff blob.
-			// Only msgGetDiff2 may answer this way; old clients asking via
-			// msgGetDiff get the original diff-or-blob behavior unchanged.
-			var cur uint64
-			if venue == "" {
-				cur = s.db.OracleInserts()
-			} else {
-				cur = s.router.OracleInserts(venue)
-			}
-			if since == cur {
-				ack := make([]byte, 8)
-				binary.LittleEndian.PutUint64(ack, cur)
-				return msgDiffUnchanged, ack
-			}
-		}
-		var diff []byte
-		var ok bool
-		var err error
-		if venue == "" {
-			diff, ok, err = s.db.OracleDiff(since)
-		} else {
-			diff, ok, err = s.router.OracleDiff(venue, since)
-		}
-		if err != nil {
-			return errorResponse(err)
-		}
-		if ok {
-			return msgDiffBlob, diff
-		}
-		// Version no longer retained (or a multi-shard venue, whose
-		// assembled oracle has no diff window): fall back to the full blob.
-		var blob []byte
-		if venue == "" {
-			blob, err = s.db.OracleBlob()
-		} else {
-			blob, err = s.router.OracleBlob(venue)
-		}
-		if err != nil {
-			return errorResponse(err)
-		}
-		return msgOracleBlob, blob
 	case msgOracleSync:
 		haveEpoch, haveInserts, err := decodeOracleVersion(payload)
 		if err != nil {
 			return errorResponse(err)
 		}
-		var res OracleSyncResult
-		if venue == "" {
-			res, err = s.db.OracleSyncSince(haveEpoch, haveInserts)
-		} else {
-			res, err = s.router.OracleSyncSince(venue, haveEpoch, haveInserts)
-		}
+		res, err := s.router.OracleSyncSince(venue, haveEpoch, haveInserts)
 		if err != nil {
 			return errorResponse(err)
 		}
@@ -934,21 +788,6 @@ func (s *Server) dispatch(ctx context.Context, venue string, sid uint64, typ byt
 			return msgOracleSyncFull, encodeOracleSyncFull(res.Epoch, res.Blob)
 		}
 	case msgStats:
-		// Legacy count-only response: deployed clients require exactly 8
-		// bytes here. The extended report lives under msgStatsFull.
-		total := 0
-		if venue == "" {
-			total = s.db.Len()
-		} else {
-			total = s.router.Len(venue)
-		}
-		ack := make([]byte, 8)
-		binary.LittleEndian.PutUint64(ack, uint64(total))
-		return msgStatsResult, ack
-	case msgStatsFull:
-		if venue == "" {
-			return msgStatsResult, encodeDBStats(s.db.Stats())
-		}
 		return msgStatsResult, encodeDBStats(s.router.Stats(venue))
 	case msgGetMetrics:
 		if s.reg == nil {

@@ -2,14 +2,11 @@ package server
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
-	"io"
 	"net"
 	"strings"
 	"testing"
 
-	"visualprint/internal/core"
 	"visualprint/internal/mathx"
 	"visualprint/internal/pose"
 	"visualprint/internal/scene"
@@ -118,11 +115,12 @@ func TestOracleDownloadAgrees(t *testing.T) {
 	if _, err := c.Ingest(context.Background(), ms); err != nil {
 		t.Fatal(err)
 	}
-	oracle, size, err := c.FetchOracle(context.Background())
+	h := c.OracleSync()
+	oracle, err := h.Sync(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if size <= 0 {
+	if h.TransferBytes() <= 0 {
 		t.Error("blob size not reported")
 	}
 	// The downloaded oracle must agree with the server's on every inserted
@@ -157,7 +155,7 @@ func TestEndToEndLocalization(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	oracle, _, err := c.FetchOracle(context.Background())
+	oracle, err := c.OracleSync().Sync(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +227,7 @@ func TestServeConnOverPipe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := &Server{db: db, conns: map[net.Conn]struct{}{}}
+	s := &Server{db: db, router: NewRouter(db, db.cfg), conns: map[net.Conn]struct{}{}}
 	clientEnd, serverEnd := net.Pipe()
 	go s.ServeConn(serverEnd)
 	c := NewClient(clientEnd)
@@ -293,7 +291,7 @@ func TestFrameRejectsOversized(t *testing.T) {
 		// Handcrafted frame with an absurd length prefix.
 		clientEnd.Write([]byte{0xff, 0xff, 0xff, 0xff})
 	}()
-	if _, _, err := readFrame(serverEnd); err == nil {
+	if _, _, _, err := readFrame(serverEnd); err == nil {
 		t.Fatal("oversized frame accepted")
 	}
 }
@@ -351,87 +349,9 @@ func TestQueryUploadBytesMatchesWire(t *testing.T) {
 	}
 }
 
-func TestRefreshOracleIncremental(t *testing.T) {
-	s, _ := startServer(t)
-	c := dialClient(t, s)
-	mk := func(n, base int) []Mapping {
-		ms := make([]Mapping, n)
-		for i := range ms {
-			for j := range ms[i].Desc {
-				ms[i].Desc[j] = byte((base + i*7 + j*13) % 256)
-			}
-		}
-		return ms
-	}
-	if _, err := c.Ingest(context.Background(), mk(200, 0)); err != nil {
-		t.Fatal(err)
-	}
-	oracle, fullSize, err := c.FetchOracle(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Server ingests more; client refreshes incrementally.
-	extra := mk(30, 9999)
-	if _, err := c.Ingest(context.Background(), extra); err != nil {
-		t.Fatal(err)
-	}
-	updated, diffSize, incremental, err := c.RefreshOracle(context.Background(), oracle)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !incremental {
-		t.Fatal("expected an incremental refresh")
-	}
-	if diffSize >= fullSize {
-		t.Errorf("diff %d B not below full blob %d B", diffSize, fullSize)
-	}
-	// The patched oracle must see the new descriptors.
-	hits := 0
-	for i := range extra {
-		u, err := updated.Uniqueness(extra[i].Desc[:])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if u > 0 {
-			hits++
-		}
-	}
-	if hits < len(extra)*8/10 {
-		t.Errorf("patched oracle sees only %d/%d new descriptors", hits, len(extra))
-	}
-}
-
-func TestRefreshOracleFallsBackToFull(t *testing.T) {
-	s, _ := startServer(t)
-	c := dialClient(t, s)
-	ms := make([]Mapping, 50)
-	for i := range ms {
-		ms[i].Desc[0] = byte(i)
-	}
-	if _, err := c.Ingest(context.Background(), ms); err != nil {
-		t.Fatal(err)
-	}
-	// A client whose version the server never snapshotted gets a full blob.
-	stale, err := core.New(core.TestParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	stale.Insert(make([]byte, 128))
-	updated, _, incremental, err := c.RefreshOracle(context.Background(), stale)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if incremental {
-		t.Error("expected a full refresh for an unknown version")
-	}
-	if updated.Inserts() != 50 {
-		t.Errorf("refreshed oracle has %d inserts, want 50", updated.Inserts())
-	}
-}
-
-// TestStatsWireCompat pins the stats wire contract: msgStats keeps its
-// original 8-byte count-only response (deployed clients reject anything
-// else), while the extended report travels under msgStatsFull.
+// TestStatsWireCompat pins the stats wire contract: the one msgStats RPC
+// answers the full DBStats payload, which both Client.Stats and
+// Client.StatsFull decode.
 func TestStatsWireCompat(t *testing.T) {
 	s, db := startServer(t)
 	ms := make([]Mapping, 7)
@@ -442,66 +362,27 @@ func TestStatsWireCompat(t *testing.T) {
 	if err := db.Ingest(context.Background(), ms); err != nil {
 		t.Fatal(err)
 	}
-	rt, resp := s.serveRequest(context.Background(), msgStats, nil, nil)
+	rt, resp := s.serveRequest(context.Background(), reqHeader{}, msgStats, nil, nil)
 	if rt != msgStatsResult {
 		t.Fatalf("msgStats response type = %d", rt)
 	}
-	if len(resp) != 8 {
-		t.Fatalf("msgStats payload is %d bytes, legacy clients require exactly 8", len(resp))
-	}
-	if got := binary.LittleEndian.Uint64(resp); got != 7 {
-		t.Fatalf("msgStats count = %d, want 7", got)
-	}
-	rt, resp = s.serveRequest(context.Background(), msgStatsFull, nil, nil)
-	if rt != msgStatsResult {
-		t.Fatalf("msgStatsFull response type = %d", rt)
+	if len(resp) != dbStatsWireSize {
+		t.Fatalf("msgStats payload is %d bytes, want %d", len(resp), dbStatsWireSize)
 	}
 	full, err := decodeDBStats(resp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if full.Mappings != 7 || full.DatabaseBytes == 0 {
-		t.Fatalf("msgStatsFull decoded %+v", full)
+	if full.Mappings != 7 || full.DatabaseBytes == 0 || full.OracleInserts != 7 {
+		t.Fatalf("msgStats decoded %+v", full)
 	}
-}
-
-// TestStatsFullLegacyServerFallback drives StatsFull against a simulated
-// old server that rejects msgStatsFull as an unknown message type: the
-// client must fall back to the count-only RPC instead of failing.
-func TestStatsFullLegacyServerFallback(t *testing.T) {
-	cc, sc := net.Pipe()
-	defer sc.Close()
-	go func() {
-		var pre [preambleSize]byte
-		if _, err := io.ReadFull(sc, pre[:]); err != nil {
-			return
-		}
-		for {
-			id, typ, _, err := readFrameV2(sc)
-			if err != nil {
-				return
-			}
-			switch typ {
-			case msgStats:
-				ack := make([]byte, 8)
-				binary.LittleEndian.PutUint64(ack, 42)
-				writeFrameV2(sc, id, msgStatsResult, ack)
-			default: // an old server knows no other stats message
-				writeFrameV2(sc, id, msgError, encodeErrorPayload(
-					errors.New("unknown message type")))
-			}
-		}
-	}()
-	c := NewClient(cc)
-	defer c.Close()
-	st, err := c.StatsFull(context.Background())
-	if err != nil {
-		t.Fatalf("StatsFull against legacy server: %v", err)
+	c := dialClient(t, s)
+	n, err := c.Stats(context.Background())
+	if err != nil || n != 7 {
+		t.Fatalf("Stats = %d, %v", n, err)
 	}
-	if st.Mappings != 42 {
-		t.Fatalf("Mappings = %d, want 42", st.Mappings)
-	}
-	if st.Persistent || st.WALBytes != 0 {
-		t.Fatalf("legacy fallback invented persistence state: %+v", st)
+	got, err := c.StatsFull(context.Background())
+	if err != nil || got != full {
+		t.Fatalf("StatsFull = %+v, %v; want %+v", got, err, full)
 	}
 }

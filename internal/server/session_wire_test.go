@@ -2,70 +2,8 @@ package server
 
 import (
 	"context"
-	"errors"
-	"io"
-	"net"
-	"sync"
 	"testing"
-	"time"
 )
-
-// sessionServerStub speaks the pre-session wire behavior over the server
-// end of a pipe: it rejects msgSessionEx and msgGetDiff2 as unknown types
-// (exactly as the old dispatch switch does) and answers msgQuery with a
-// canned result. It records the frame types it saw so tests can assert
-// the fallback's wire traffic.
-func sessionServerStub(t testing.TB, serverEnd net.Conn) func() []byte {
-	t.Helper()
-	var mu sync.Mutex
-	var typesSeen []byte
-	canned := encodeLocateResult(LocateResult{Matched: 42})
-	go func() {
-		hdr := make([]byte, preambleSize)
-		if _, err := io.ReadFull(serverEnd, hdr); err != nil {
-			return
-		}
-		for {
-			id, typ, _, err := readFrameV2(serverEnd)
-			if err != nil {
-				return
-			}
-			mu.Lock()
-			typesSeen = append(typesSeen, typ)
-			mu.Unlock()
-			switch typ {
-			case msgRequestEx:
-				writeFrameV2(serverEnd, id, msgError, encodeErrorPayload(errors.New("unknown message type 14")))
-			case msgSessionEx:
-				writeFrameV2(serverEnd, id, msgError, encodeErrorPayload(errors.New("unknown message type 28")))
-			case msgGetDiff2:
-				writeFrameV2(serverEnd, id, msgError, encodeErrorPayload(errors.New("unknown message type 29")))
-			case msgQuery:
-				writeFrameV2(serverEnd, id, msgQueryResult, canned)
-			case msgGetDiff:
-				writeFrameV2(serverEnd, id, msgError, encodeErrorPayload(ErrEmptyDatabase))
-			default:
-				writeFrameV2(serverEnd, id, msgStatsResult, make([]byte, 8))
-			}
-		}
-	}()
-	return func() []byte {
-		mu.Lock()
-		defer mu.Unlock()
-		return append([]byte(nil), typesSeen...)
-	}
-}
-
-// countType counts occurrences of typ in frames.
-func countType(frames []byte, typ byte) int {
-	n := 0
-	for _, f := range frames {
-		if f == typ {
-			n++
-		}
-	}
-	return n
-}
 
 // TestSessionQueryOverWire runs a continuous localization session through
 // the full network stack: the first query solves cold and seeds the
@@ -114,7 +52,7 @@ func TestSessionQueryOverWire(t *testing.T) {
 }
 
 // TestSessionVenueScopedOverWire: a session created from a venue handle
-// carries both envelopes (venue wrapping session) and lands its warm
+// carries both header options (venue and session ID) and lands its warm
 // state on that venue's keyed session, isolated from the default venue.
 func TestSessionVenueScopedOverWire(t *testing.T) {
 	s := startVenueServer(t)
@@ -142,131 +80,5 @@ func TestSessionVenueScopedOverWire(t *testing.T) {
 	st := s.router.trackState()
 	if got := st.tm.warm.Value(); got != 1 {
 		t.Fatalf("track_warm = %d, want 1", got)
-	}
-}
-
-// TestSessionOldServerFallback: against a server predating msgSessionEx
-// the session query silently resends without the envelope — the answer is
-// a correct cold solve, not an error — and the rejection is sticky: the
-// next query goes straight to the plain form, paying the double round
-// trip exactly once.
-func TestSessionOldServerFallback(t *testing.T) {
-	clientEnd, serverEnd := net.Pipe()
-	defer clientEnd.Close()
-	defer serverEnd.Close()
-	seen := sessionServerStub(t, serverEnd)
-	c := NewClient(clientEnd, WithLogger(nil))
-	defer c.Close()
-	_, kps, intr := syntheticCorpus(5, 8, 8, 8)
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-
-	sess := c.Session()
-	res, err := sess.Query(ctx, kps, intr)
-	if err != nil {
-		t.Fatalf("session query against old server: %v, want silent cold fallback", err)
-	}
-	if res.Matched != 42 {
-		t.Fatalf("fallback answer Matched = %d, want the stub's 42", res.Matched)
-	}
-	frames := seen()
-	if countType(frames, msgSessionEx) != 1 || countType(frames, msgQuery) != 1 {
-		t.Fatalf("first query frames = %v, want one msgSessionEx then one msgQuery", frames)
-	}
-	// Note: the deadline envelope is rejected too ("unknown message type
-	// 28" is type-specific, so it cannot be confused with type 14), hence
-	// a context without a deadline above would hide nothing; keep the
-	// deadline off the sticky assertion by counting session frames only.
-	if _, err := sess.Query(ctx, kps, intr); err != nil {
-		t.Fatalf("second session query: %v", err)
-	}
-	if n := countType(seen(), msgSessionEx); n != 1 {
-		t.Fatalf("msgSessionEx sent %d times across two queries: fallback not sticky", n)
-	}
-}
-
-// TestRefreshOracleUnchangedOverWire: an up-to-date oracle refresh over
-// msgGetDiff2 is answered by the 8-byte not-modified ack — no diff is
-// built or shipped — while a stale one still gets the incremental diff.
-func TestRefreshOracleUnchangedOverWire(t *testing.T) {
-	s := startVenueServer(t)
-	c, err := Dial(s.Addr().String(), WithLogger(nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	ms, _, _ := syntheticCorpus(7, 160, 1200, 200)
-	ctx := context.Background()
-	if _, err := c.Ingest(ctx, ms[:len(ms)/2]); err != nil {
-		t.Fatal(err)
-	}
-	o, _, err := c.FetchOracle(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	upd, n, incr, err := c.RefreshOracle(ctx, o)
-	if err != nil {
-		t.Fatalf("unchanged refresh: %v", err)
-	}
-	if upd != o || !incr {
-		t.Fatalf("unchanged refresh replaced the oracle (incremental=%v)", incr)
-	}
-	if n != 8 {
-		t.Fatalf("unchanged refresh transferred %d bytes, want the 8-byte ack", n)
-	}
-
-	// Stale now: the second half of the corpus lands new inserts.
-	if _, err := c.Ingest(ctx, ms[len(ms)/2:]); err != nil {
-		t.Fatal(err)
-	}
-	before := o.Inserts()
-	upd, n, incr, err = c.RefreshOracle(ctx, o)
-	if err != nil {
-		t.Fatalf("stale refresh: %v", err)
-	}
-	if !incr || n <= 8 {
-		t.Fatalf("stale refresh: incremental=%v transfer=%d, want a real diff", incr, n)
-	}
-	if upd.Inserts() <= before {
-		t.Fatalf("refreshed oracle inserts %d, want > %d", upd.Inserts(), before)
-	}
-}
-
-// TestRefreshOracleOldServerFallback: a server predating msgGetDiff2
-// rejects it; the client falls back to msgGetDiff (sticky) and surfaces
-// that request's answer.
-func TestRefreshOracleOldServerFallback(t *testing.T) {
-	clientEnd, serverEnd := net.Pipe()
-	defer clientEnd.Close()
-	defer serverEnd.Close()
-	seen := sessionServerStub(t, serverEnd)
-	c := NewClient(clientEnd, WithLogger(nil))
-	defer c.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-
-	ms, _, _ := syntheticCorpus(5, 8, 8, 8)
-	db := newTestDB(t, routerTestConfig())
-	if err := db.Ingest(ctx, ms); err != nil {
-		t.Fatal(err)
-	}
-	o := db.Oracle()
-
-	// The stub answers msgGetDiff with ErrEmptyDatabase — distinguishable
-	// from the unknown-type rejection, proving the fallback resend ran.
-	_, _, _, err := c.RefreshOracle(ctx, o)
-	if !errors.Is(err, ErrEmptyDatabase) {
-		t.Fatalf("refresh against old server: %v, want the msgGetDiff answer (ErrEmptyDatabase)", err)
-	}
-	frames := seen()
-	if countType(frames, msgGetDiff2) != 1 || countType(frames, msgGetDiff) != 1 {
-		t.Fatalf("refresh frames = %v, want one msgGetDiff2 then one msgGetDiff", frames)
-	}
-	if _, _, _, err := c.RefreshOracle(ctx, o); !errors.Is(err, ErrEmptyDatabase) {
-		t.Fatalf("second refresh: %v", err)
-	}
-	if n := countType(seen(), msgGetDiff2); n != 1 {
-		t.Fatalf("msgGetDiff2 sent %d times across two refreshes: fallback not sticky", n)
 	}
 }

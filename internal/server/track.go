@@ -4,7 +4,7 @@ package server
 // turns repeat Locates from one device into warm solves.
 //
 // A client that localizes continuously (an AR session walking a venue)
-// attaches a random non-zero session ID to its queries (msgSessionEx). The
+// attaches a random non-zero session ID to its queries (request header). The
 // Router keeps a bounded, TTL-evicted table of recent fixes per session
 // (internal/track) and, when a new query arrives for a known session,
 // predicts the camera position with a constant-velocity model and hands

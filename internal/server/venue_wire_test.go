@@ -3,9 +3,7 @@ package server
 import (
 	"context"
 	"errors"
-	"io"
 	"net"
-	"sync"
 	"testing"
 	"time"
 )
@@ -25,175 +23,10 @@ func startVenueServer(t testing.TB) *Server {
 	return s
 }
 
-// oldServerStub speaks the pre-venue wire behavior over the server end of a
-// pipe: it rejects msgRequestEx and msgVenueEx as unknown types (exactly as
-// the old dispatch switch did) and answers anything else with a canned
-// success. It records the frame types it saw.
-func oldServerStub(t testing.TB, serverEnd net.Conn) func() []byte {
-	t.Helper()
-	var mu sync.Mutex
-	var typesSeen []byte
-	go func() {
-		hdr := make([]byte, preambleSize)
-		if _, err := io.ReadFull(serverEnd, hdr); err != nil {
-			return
-		}
-		for {
-			id, typ, _, err := readFrameV2(serverEnd)
-			if err != nil {
-				return
-			}
-			mu.Lock()
-			typesSeen = append(typesSeen, typ)
-			mu.Unlock()
-			switch typ {
-			case msgRequestEx:
-				writeFrameV2(serverEnd, id, msgError, encodeErrorPayload(errors.New("unknown message type 14")))
-			case msgVenueEx:
-				writeFrameV2(serverEnd, id, msgError, encodeErrorPayload(errors.New("unknown message type 16")))
-			default:
-				ack := make([]byte, 8)
-				writeFrameV2(serverEnd, id, msgStatsResult, ack)
-			}
-		}
-	}()
-	return func() []byte {
-		mu.Lock()
-		defer mu.Unlock()
-		return append([]byte(nil), typesSeen...)
-	}
-}
-
-// TestVenueUnsupportedOldServerMatrix: every venue-scoped request type
-// against a server predating msgVenueEx fails with the typed
-// ErrVenueUnsupported — no silent fallback onto the default venue — and the
-// rejection is sticky (later calls fail locally, without a round trip).
-func TestVenueUnsupportedOldServerMatrix(t *testing.T) {
-	ms, kps, intr := syntheticCorpus(5, 8, 8, 8)
-	calls := map[string]func(ctx context.Context, c *Client) error{
-		"Query": func(ctx context.Context, c *Client) error {
-			_, err := c.Query(ctx, kps, intr)
-			return err
-		},
-		"Ingest": func(ctx context.Context, c *Client) error {
-			_, err := c.Ingest(ctx, ms)
-			return err
-		},
-		"Stats": func(ctx context.Context, c *Client) error {
-			_, err := c.Stats(ctx)
-			return err
-		},
-		"FetchOracle": func(ctx context.Context, c *Client) error {
-			_, _, err := c.FetchOracle(ctx)
-			return err
-		},
-	}
-	for name, call := range calls {
-		t.Run(name, func(t *testing.T) {
-			clientEnd, serverEnd := net.Pipe()
-			defer clientEnd.Close()
-			defer serverEnd.Close()
-			seen := oldServerStub(t, serverEnd)
-			c := NewClient(clientEnd, WithLogger(nil), WithVenue("airport-t2"))
-			defer c.Close()
-			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-			defer cancel()
-
-			err := call(ctx, c)
-			if !errors.Is(err, ErrVenueUnsupported) {
-				t.Fatalf("%s against old server: got %v, want ErrVenueUnsupported", name, err)
-			}
-			wireCalls := len(seen())
-			// Sticky: the second call must fail without touching the wire.
-			err = call(ctx, c)
-			if !errors.Is(err, ErrVenueUnsupported) {
-				t.Fatalf("second %s: got %v, want ErrVenueUnsupported", name, err)
-			}
-			if n := len(seen()); n != wireCalls {
-				t.Fatalf("second %s hit the wire (%d frames, was %d): venue rejection not sticky", name, n, wireCalls)
-			}
-		})
-	}
-}
-
-// TestDeadlineFallbackDoesNotDisableVenues: the two envelope fallbacks are
-// independent. A server that rejects the deadline envelope (msgRequestEx)
-// but understands venues must not trip the venue-unsupported latch — the
-// unknown-type detection is per message type.
-func TestDeadlineFallbackDoesNotDisableVenues(t *testing.T) {
-	s := startVenueServer(t)
-	c, err := Dial(s.Addr().String(), WithVenue("venue-a"), WithLogger(nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	ms, kps, intr := syntheticCorpus(7, 160, 500, 200)
-	// Deadline-bearing context: requests travel msgRequestEx(msgVenueEx(...)).
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if _, err := c.Ingest(ctx, ms); err != nil {
-		t.Fatalf("venue ingest under deadline: %v", err)
-	}
-	if _, err := c.Query(ctx, kps, intr); err != nil {
-		t.Fatalf("venue query under deadline: %v", err)
-	}
-}
-
-// TestOldClientCompatMatrix: clients predating venues — the v1 sequential
-// protocol and a plain v2 client — keep working against the venue-aware
-// server, transparently addressing the default venue.
-func TestOldClientCompatMatrix(t *testing.T) {
-	ms, kps, intr := syntheticCorpus(7, 160, 500, 200)
-
-	clients := map[string]func(t *testing.T, s *Server) *Client{
-		"v1": func(t *testing.T, s *Server) *Client {
-			clientEnd, serverEnd := net.Pipe()
-			go s.ServeConn(serverEnd)
-			c := NewClientV1(clientEnd)
-			t.Cleanup(func() { c.Close() })
-			return c
-		},
-		"v2": func(t *testing.T, s *Server) *Client {
-			c, err := Dial(s.Addr().String(), WithLogger(nil))
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { c.Close() })
-			return c
-		},
-	}
-	for name, mk := range clients {
-		t.Run(name, func(t *testing.T) {
-			s := startVenueServer(t)
-			c := mk(t, s)
-			ctx := context.Background()
-			total, err := c.Ingest(ctx, ms)
-			if err != nil {
-				t.Fatalf("Ingest: %v", err)
-			}
-			if total != len(ms) {
-				t.Fatalf("Ingest total = %d, want %d", total, len(ms))
-			}
-			if n, err := c.Stats(ctx); err != nil || int(n) != len(ms) {
-				t.Fatalf("Stats = %d, %v", n, err)
-			}
-			if res, err := c.Query(ctx, kps, intr); err != nil || res.Matched == 0 {
-				t.Fatalf("Query: matched=%d err=%v", res.Matched, err)
-			}
-			if o, _, err := c.FetchOracle(ctx); err != nil || o.Inserts() == 0 {
-				t.Fatalf("FetchOracle: %v", err)
-			}
-			// The pre-venue ingests all landed on the default venue.
-			if n := s.db.Len(); n == 0 {
-				t.Fatal("default venue empty after legacy ingest")
-			}
-		})
-	}
-}
-
 // TestVenueIsolationOverWire: the cross-venue isolation guarantee holds
 // through the full network stack — a venue handle only sees its own data,
-// and the typed ErrEmptyDatabase crosses the wire for foreign venues.
+// and the typed ErrEmptyDatabase crosses the wire for foreign venues. The
+// context carries a deadline, so every request's header holds both options.
 func TestVenueIsolationOverWire(t *testing.T) {
 	s := startVenueServer(t)
 	c, err := Dial(s.Addr().String(), WithLogger(nil))
@@ -202,7 +35,8 @@ func TestVenueIsolationOverWire(t *testing.T) {
 	}
 	defer c.Close()
 	ms, kps, intr := syntheticCorpus(7, 160, 500, 200)
-	ctx := context.Background()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
 
 	va := c.Venue("venue-a")
 	vb := c.Venue("venue-b")
@@ -232,7 +66,7 @@ func TestVenueIsolationOverWire(t *testing.T) {
 	if err != nil || st.Mappings != uint64(len(ms)) {
 		t.Fatalf("venue-a StatsFull = %+v, %v", st, err)
 	}
-	if o, _, err := va.FetchOracle(ctx); err != nil || o.Inserts() == 0 {
-		t.Fatalf("venue-a FetchOracle: %v", err)
+	if o, err := va.OracleSync().Sync(ctx); err != nil || o.Inserts() == 0 {
+		t.Fatalf("venue-a oracle sync: %v", err)
 	}
 }

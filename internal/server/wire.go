@@ -12,33 +12,25 @@ import (
 	"visualprint/internal/sift"
 )
 
-// Message types of the VisualPrint wire protocol. A v1 frame is
-// [uint32 length][uint8 type][payload]; a v2 frame is
-// [uint32 length][uint32 requestID][uint8 type][payload]. The length always
-// covers everything after itself. Request IDs let a single v2 connection
-// carry many in-flight requests; responses carry the ID of the request they
-// answer.
+// Message types of the VisualPrint wire protocol (version 3, see DESIGN.md
+// "Wire protocol"). A frame is [uint32 length][uint32 requestID][uint8
+// type][payload]; the length covers everything after itself. Request IDs
+// let one connection carry many in-flight requests; responses carry the ID
+// of the request they answer. Numbers are stable: retired types leave gaps.
 const (
-	msgGetOracle     byte = 1 // -> gzip oracle blob
-	msgIngest        byte = 2 // mappings -> uint32 total count
+	msgIngest        byte = 2 // mappings -> uint64 total count
 	msgQuery         byte = 3 // intrinsics + keypoints -> locate result
-	msgStats         byte = 4 // -> uint64 mapping count
-	msgOracleBlob    byte = 5
+	msgStats         byte = 4 // -> DBStats payload
 	msgIngestAck     byte = 6
 	msgQueryResult   byte = 7
 	msgStatsResult   byte = 8
-	msgGetDiff       byte = 9  // client's oracle version -> diff or full blob
-	msgDiffBlob      byte = 10 // incremental oracle update
-	msgStatsFull     byte = 11 // -> extended DBStats payload
 	msgGetMetrics    byte = 12 // -> JSON obs.Report (metrics, quantiles, slow log)
 	msgMetricsResult byte = 13
-	msgRequestEx     byte = 14 // [uint32 deadline ms][inner type][inner payload]
 	msgCancel        byte = 15 // frame ID names the request to cancel; no payload, no response
-	msgVenueEx       byte = 16 // [uint8 name len][venue name][inner type][inner payload]
 
-	// Replication & fleet control (protocol v2, additive). All payloads are
-	// little-endian fixed-width fields; addresses are length-unframed UTF-8
-	// tails. See DESIGN.md "Replication & failover".
+	// Replication & fleet control. All payloads are little-endian
+	// fixed-width fields; addresses are length-unframed UTF-8 tails. See
+	// DESIGN.md "Replication & failover".
 	msgReplState          byte = 17 // -> role/epoch/applied offset/primary addr
 	msgReplStateResult    byte = 18 // [u8 role][u64 epoch][u64 applied][u64 staleness ms][addr]
 	msgReplSnapshot       byte = 19 // -> full-sync snapshot for a fresh replica
@@ -51,13 +43,7 @@ const (
 	msgPing               byte = 26 // liveness probe, no payload
 	msgPong               byte = 27
 
-	// Continuous localization & incremental refresh (protocol v2, additive).
-	msgSessionEx     byte = 28 // [u64 session id][inner type][inner payload]
-	msgGetDiff2      byte = 29 // like msgGetDiff, but the server may answer msgDiffUnchanged
-	msgDiffUnchanged byte = 30 // [u64 inserts] — client's oracle is already current
-
-	// Versioned oracle distribution (protocol v2, additive). See DESIGN.md
-	// "Oracle distribution".
+	// Versioned oracle distribution. See DESIGN.md "Oracle distribution".
 	msgOracleSync      byte = 31 // [u64 haveEpoch][u64 haveInserts] -> one of the three below
 	msgOracleSyncFull  byte = 32 // [u64 epoch][gzip oracle blob]
 	msgOracleSyncDelta byte = 33 // odelta.EncodeChain payload (self-describing epochs)
@@ -68,71 +54,123 @@ const (
 	msgError byte = 0x7f
 )
 
-// Request lifecycle extensions (protocol v2, additive).
+// Request header. Every message type is <= msgError (0x7f), so bit 7 of a
+// request's type byte is free: when set, the payload begins with one flags
+// byte followed, in flag-bit order, by the options the flags name. A request
+// without options is a bare frame, byte-identical to a headerless protocol.
 //
-// Deadline: a client with a context deadline wraps its request in
-// msgRequestEx — a four-byte relative deadline in milliseconds followed by
-// the inner request. The server unwraps before dispatch and answers with
-// the inner request's normal response type, so the response path is
-// unchanged. A server predating the extension rejects msgRequestEx as an
-// unknown message type; the client detects that one generic error, marks
-// the connection deadline-incapable, and transparently resends the plain
-// request (see Client.call). The deadline is relative, not absolute, so
-// client/server clock skew never expires a request in flight.
+//	bit 0  u32 relative deadline in milliseconds. Relative, not absolute,
+//	       so client/server clock skew never expires a request in flight.
+//	bit 1  u8 n + n venue-name bytes (validVenueName). Requests without it
+//	       address the default venue.
+//	bit 2  u64 session id, never 0 (0 is "no session").
+//	bit 3  reserved for the request trace id.
 //
-// Cancel: msgCancel reuses the v2 frame's request-ID field to name the
-// request being canceled and carries no payload. It is fire-and-forget:
-// the server cancels the named request's context if it is still in flight
-// and never responds. (An old server answers with msgError for the unknown
-// type; the client has already forgotten the ID, so the demux loop drops
-// that response on the floor.)
+// Unknown bits, truncation, an invalid name or a zero session id are typed
+// errors answered to the request's own ID.
+const (
+	headerFlag byte = 0x80
+
+	hdrDeadline byte = 1 << 0
+	hdrVenue    byte = 1 << 1
+	hdrSession  byte = 1 << 2
+	hdrKnown         = hdrDeadline | hdrVenue | hdrSession
+)
+
+// reqHeader is the decoded request header; zero fields are absent options.
+type reqHeader struct {
+	deadline uint32 // relative, milliseconds
+	venue    string
+	sid      uint64
+}
+
+// size returns the header's encoded length: 0 for the empty header.
+func (h reqHeader) size() int {
+	if h == (reqHeader{}) {
+		return 0
+	}
+	n := 1
+	if h.deadline != 0 {
+		n += 4
+	}
+	if h.venue != "" {
+		n += 1 + len(h.venue)
+	}
+	if h.sid != 0 {
+		n += 8
+	}
+	return n
+}
+
+// put encodes a non-empty header into buf[:h.size()].
+func (h reqHeader) put(buf []byte) {
+	off := 1
+	if h.deadline != 0 {
+		buf[0] |= hdrDeadline
+		binary.LittleEndian.PutUint32(buf[off:], h.deadline)
+		off += 4
+	}
+	if h.venue != "" {
+		buf[0] |= hdrVenue
+		buf[off] = byte(len(h.venue))
+		off += 1 + copy(buf[off+1:], h.venue)
+	}
+	if h.sid != 0 {
+		buf[0] |= hdrSession
+		binary.LittleEndian.PutUint64(buf[off:], h.sid)
+	}
+}
+
+// decodeReqHeader parses the header leading a flagged request's payload and
+// returns the request payload behind it (aliasing p).
+func decodeReqHeader(p []byte) (h reqHeader, rest []byte, err error) {
+	if len(p) < 1 {
+		return reqHeader{}, nil, errors.New("server: short request header")
+	}
+	flags, p := p[0], p[1:]
+	if flags&^hdrKnown != 0 {
+		return reqHeader{}, nil, fmt.Errorf("server: unknown request header flags %#02x", flags&^hdrKnown)
+	}
+	if flags&hdrDeadline != 0 {
+		if len(p) < 4 {
+			return reqHeader{}, nil, errors.New("server: truncated request header deadline")
+		}
+		h.deadline, p = binary.LittleEndian.Uint32(p), p[4:]
+	}
+	if flags&hdrVenue != 0 {
+		if len(p) < 1 || len(p) < 1+int(p[0]) {
+			return reqHeader{}, nil, errors.New("server: truncated request header venue")
+		}
+		h.venue, p = string(p[1:1+int(p[0])]), p[1+int(p[0]):]
+		if !validVenueName(h.venue) {
+			return reqHeader{}, nil, fmt.Errorf("server: invalid venue name %q", h.venue)
+		}
+	}
+	if flags&hdrSession != 0 {
+		if len(p) < 8 {
+			return reqHeader{}, nil, errors.New("server: truncated request header session")
+		}
+		h.sid, p = binary.LittleEndian.Uint64(p), p[8:]
+		if h.sid == 0 {
+			return reqHeader{}, nil, errors.New("server: session id 0 is reserved")
+		}
+	}
+	return h, p, nil
+}
 
 // deadlineWireMax caps the encodable relative deadline (~49.7 days); longer
 // deadlines are clamped, which is indistinguishable from no deadline at
 // request timescales.
 const deadlineWireMax = ^uint32(0)
 
-// wrapRequestEx builds a msgRequestEx payload around an inner request.
-func wrapRequestEx(deadlineMillis uint32, typ byte, payload []byte) []byte {
-	buf := make([]byte, 5+len(payload))
-	binary.LittleEndian.PutUint32(buf, deadlineMillis)
-	buf[4] = typ
-	copy(buf[5:], payload)
-	return buf
-}
-
-// unwrapRequestEx parses a msgRequestEx payload.
-func unwrapRequestEx(payload []byte) (deadlineMillis uint32, typ byte, inner []byte, err error) {
-	if len(payload) < 5 {
-		return 0, 0, nil, errors.New("server: short requestEx payload")
-	}
-	return binary.LittleEndian.Uint32(payload), payload[4], payload[5:], nil
-}
-
-// Venue envelope (protocol v2, additive).
-//
-// A client pinned to a venue wraps each request in msgVenueEx — a one-byte
-// name length, the venue name, then the inner request — and the server
-// dispatches the inner request against that venue's shard set. Nesting order
-// is fixed: the deadline envelope (msgRequestEx) is always OUTER and the
-// venue envelope INNER, because the server unwraps the deadline before
-// dispatch and the venue at dispatch. A server predating the extension
-// rejects msgVenueEx as an unknown message type; the client detects that,
-// marks the connection venue-incapable (sticky, like the deadline fallback)
-// and fails the request with the typed ErrVenueUnsupported — it deliberately
-// does NOT resend the plain request, which would silently land on the
-// default venue. Requests without the envelope always address the default
-// venue, which is how pre-venue clients keep working against a venue-aware
-// server.
-
-// maxVenueName caps the wire-encodable venue name (the envelope's length
+// maxVenueName caps the wire-encodable venue name (the header's length
 // field is one byte).
 const maxVenueName = 255
 
-// validVenueName reports whether name can ride the wire envelope and double
+// validVenueName reports whether name can ride the request header and double
 // as a directory name: non-empty, at most maxVenueName bytes, lowercase
 // letters, digits, '-', '_' and '.' only, not starting with '.'. The empty
-// string names the default venue and never appears inside an envelope.
+// string names the default venue and never appears on the wire.
 func validVenueName(name string) bool {
 	if name == "" || len(name) > maxVenueName || name[0] == '.' {
 		return false
@@ -150,92 +188,22 @@ func validVenueName(name string) bool {
 	return true
 }
 
-// wrapVenue builds a msgVenueEx payload around an inner request.
-func wrapVenue(venue string, typ byte, payload []byte) []byte {
-	buf := make([]byte, 2+len(venue)+len(payload))
-	buf[0] = byte(len(venue))
-	copy(buf[1:], venue)
-	buf[1+len(venue)] = typ
-	copy(buf[2+len(venue):], payload)
-	return buf
-}
-
-// unwrapVenue parses a msgVenueEx payload.
-func unwrapVenue(payload []byte) (venue string, typ byte, inner []byte, err error) {
-	if len(payload) < 2 {
-		return "", 0, nil, errors.New("server: short venue envelope")
-	}
-	n := int(payload[0])
-	if len(payload) < 2+n {
-		return "", 0, nil, errors.New("server: truncated venue envelope")
-	}
-	venue = string(payload[1 : 1+n])
-	if !validVenueName(venue) {
-		return "", 0, nil, fmt.Errorf("server: invalid venue name %q", venue)
-	}
-	return venue, payload[1+n], payload[2+n:], nil
-}
-
-// Session envelope (protocol v2, additive).
-//
-// A client localizing continuously wraps its queries in msgSessionEx — an
-// eight-byte session ID followed by the inner request — and the server
-// threads the ID to the tracking subsystem (internal/track) so repeat
-// solves warm-start from the session's motion-model prior. Nesting order
-// extends the existing chain: deadline (msgRequestEx, outermost) → venue
-// (msgVenueEx) → session (msgSessionEx) → plain request. The envelope is a
-// pure optimization: a server predating it rejects the unknown type, the
-// client marks the connection session-incapable (sticky) and silently
-// resends without the envelope — unlike the venue envelope, dropping it
-// never changes which data answers the query, only how fast. Session ID 0
-// is reserved as "no session" and never encoded.
-//
-// Oracle refresh fast path: msgGetDiff2 carries the same payload as
-// msgGetDiff (the client's oracle insert count), but a server that sees
-// the count already matches its live oracle answers with a tiny
-// msgDiffUnchanged ack instead of a diff blob — insert counts are
-// monotonic, so equal counts mean an unchanged oracle. Against an old
-// server the client falls back (sticky) to plain msgGetDiff.
-
-// wrapSession builds a msgSessionEx payload around an inner request.
-func wrapSession(sid uint64, typ byte, payload []byte) []byte {
-	buf := make([]byte, 9+len(payload))
-	binary.LittleEndian.PutUint64(buf, sid)
-	buf[8] = typ
-	copy(buf[9:], payload)
-	return buf
-}
-
-// unwrapSession parses a msgSessionEx payload.
-func unwrapSession(payload []byte) (sid uint64, typ byte, inner []byte, err error) {
-	if len(payload) < 9 {
-		return 0, 0, nil, errors.New("server: short session envelope")
-	}
-	sid = binary.LittleEndian.Uint64(payload)
-	if sid == 0 {
-		return 0, 0, nil, errors.New("server: session id 0 is reserved")
-	}
-	return sid, payload[8], payload[9:], nil
-}
-
-// Versioned oracle sync (protocol v2, additive).
+// Versioned oracle sync.
 //
 // msgOracleSync carries the version the client holds — the epoch stamped by
-// the engine on every ingest batch plus the oracle insert count, both zero
-// for "nothing yet" — and the server answers with the cheapest transfer
-// that makes the client current: msgOracleSyncNone (already current, both
-// coordinates matched), msgOracleSyncDelta (an odelta chain from the
-// retained per-epoch ring), or msgOracleSyncFull (full blob, for clients
-// outside the delta window). msgSubscribeOracle opens a long-lived
-// subscription on the multiplexed v2 connection: the server pushes a
+// the engine on every ingest batch plus the oracle insert count, both
+// all-ones for "nothing yet" — and the server answers with the cheapest
+// transfer that makes the client current: msgOracleSyncNone (already
+// current, both coordinates matched), msgOracleSyncDelta (an odelta chain
+// from the retained per-epoch ring), or msgOracleSyncFull (full blob, for
+// clients outside the delta window). msgSubscribeOracle opens a long-lived
+// subscription on the multiplexed connection: the server pushes a
 // msgOracleEpoch event under the subscription's request ID on every epoch
 // bump (coalescing intermediate epochs — events are cumulative version
 // announcements, not increments), starting with an immediate event that
 // doubles as the subscription ack. The subscription ends with a terminal
-// msgError when the connection drains or the client cancels it
-// (msgCancel on the subscription ID). Old servers reject all four request
-// types as unknown; the client's capability probe records that per
-// connection generation and falls back to the legacy fetch/refresh ladder.
+// msgError when the connection drains or the client cancels it (msgCancel
+// on the subscription ID).
 
 // encodeOracleVersion packs a (epoch, inserts) version identity — the
 // msgOracleSync request and msgOracleSyncNone / msgOracleEpoch payloads.
@@ -274,105 +242,80 @@ func decodeOracleSyncFull(data []byte) (epoch uint64, blob []byte, err error) {
 // maxFrameSize bounds a single protocol frame (oracle blobs dominate).
 const maxFrameSize = 1 << 30
 
-// Protocol version negotiation. A v2 client opens its connection with a
-// five-byte preamble: protoMagic (little-endian) followed by a version
-// byte. The magic is deliberately larger than maxFrameSize, so the first
-// four bytes of a connection are unambiguous: they either decode to the
-// magic (a versioned client) or to a valid v1 frame length (a legacy
-// client, which the server keeps serving with ID-less framing).
+// The preamble is the whole handshake: a client opens its connection with
+// protoMagic (little-endian) followed by the version byte, and a server
+// serves exactly protoVersion — anything else is refused with one id-0
+// ErrProtocolVersion frame and a close. A wire change bumps the byte.
 const (
-	protoMagic    uint32 = 0xfe325056 // "VP2\xfe" when read little-endian
-	protoVersion2 byte   = 2
+	protoMagic   uint32 = 0xfe325056 // "VP2\xfe" when read little-endian
+	protoVersion byte   = 3
 )
 
-// preambleSize is the on-wire size of the v2 connection preamble.
+// preambleSize is the on-wire size of the connection preamble.
 const preambleSize = 5
 
-// writePreamble announces protocol v2 on a fresh connection.
+// writePreamble announces the protocol version on a fresh connection.
 func writePreamble(w io.Writer) error {
 	var buf [preambleSize]byte
 	binary.LittleEndian.PutUint32(buf[:4], protoMagic)
-	buf[4] = protoVersion2
+	buf[4] = protoVersion
 	_, err := w.Write(buf[:])
 	return err
 }
 
-// Per-frame byte overhead of each framing version (length prefix + header),
-// used by the client byte counters and the upload-size model.
-const (
-	frameOverheadV1 = 5
-	frameOverheadV2 = 9
-)
+// frameOverhead is the per-frame byte overhead (length prefix, request ID,
+// type), used by the client byte counters and the upload-size model.
+const frameOverhead = 9
 
-// writeFrame writes one protocol frame as a single Write call: header and
-// payload combined. A single write avoids interleaving hazards and,
-// critically, never issues a zero-length Write — net.Pipe (used by the
-// in-process transport) treats a 0-byte write as a rendezvous that blocks
-// until a reader arrives, which would deadlock empty-payload requests.
-func writeFrame(w io.Writer, typ byte, payload []byte) error {
-	if len(payload)+1 > maxFrameSize {
-		return errors.New("server: frame too large")
+// writeFrame writes one frame — [uint32 length][uint32 id][uint8 type]
+// [header][payload] — and returns the bytes written. Header and payload are
+// encoded straight into the one buffer the frame occupies and leave in a
+// single Write: that avoids interleaving hazards and, critically, never
+// issues a zero-length Write — net.Pipe (the in-process transport) treats a
+// 0-byte write as a rendezvous that blocks until a reader arrives, which
+// would deadlock empty-payload requests. Responses pass the empty header.
+func writeFrame(w io.Writer, id uint32, typ byte, h reqHeader, payload []byte) (int, error) {
+	hn := h.size()
+	if hn+len(payload)+5 > maxFrameSize {
+		return 0, errors.New("server: frame too large")
 	}
-	buf := make([]byte, 5+len(payload))
-	binary.LittleEndian.PutUint32(buf[:4], uint32(len(payload)+1))
-	buf[4] = typ
-	copy(buf[5:], payload)
-	_, err := w.Write(buf)
-	return err
-}
-
-// readFrame reads one v1 protocol frame.
-func readFrame(r io.Reader) (typ byte, payload []byte, err error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return 0, nil, err
-	}
-	return readFrameBody(r, binary.LittleEndian.Uint32(hdr[:]))
-}
-
-// readFrameBody finishes reading a v1 frame whose length prefix has already
-// been consumed (the server's version sniffer reads it while deciding which
-// framing a connection speaks).
-func readFrameBody(r io.Reader, n uint32) (typ byte, payload []byte, err error) {
-	if n == 0 || n > maxFrameSize {
-		return 0, nil, fmt.Errorf("server: bad frame length %d", n)
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return 0, nil, err
-	}
-	return buf[0], buf[1:], nil
-}
-
-// writeFrameV2 writes one v2 frame — [uint32 length][uint32 id][uint8
-// type][payload] — as a single Write, for the same interleaving and
-// zero-length-write reasons as writeFrame.
-func writeFrameV2(w io.Writer, id uint32, typ byte, payload []byte) error {
-	if len(payload)+5 > maxFrameSize {
-		return errors.New("server: frame too large")
-	}
-	buf := make([]byte, frameOverheadV2+len(payload))
-	binary.LittleEndian.PutUint32(buf[:4], uint32(len(payload)+5))
+	buf := make([]byte, frameOverhead+hn+len(payload))
+	binary.LittleEndian.PutUint32(buf[:4], uint32(hn+len(payload)+5))
 	binary.LittleEndian.PutUint32(buf[4:8], id)
 	buf[8] = typ
-	copy(buf[9:], payload)
-	_, err := w.Write(buf)
-	return err
+	if hn > 0 {
+		buf[8] |= headerFlag
+		h.put(buf[frameOverhead:])
+	}
+	copy(buf[frameOverhead+hn:], payload)
+	return w.Write(buf)
 }
 
-// readFrameV2 reads one v2 protocol frame.
-func readFrameV2(r io.Reader) (id uint32, typ byte, payload []byte, err error) {
+// frameReadChunk is the most readFrame allocates ahead of the bytes it has
+// actually received, so a hostile length prefix cannot reserve memory the
+// peer never sends. Frames up to this size (every query) are one allocation.
+const frameReadChunk = 64 << 10
+
+// readFrame reads one protocol frame. The type byte is returned as sent,
+// headerFlag included.
+func readFrame(r io.Reader) (id uint32, typ byte, payload []byte, err error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return 0, 0, nil, err
 	}
-	n := binary.LittleEndian.Uint32(hdr[:])
+	n := int(binary.LittleEndian.Uint32(hdr[:]))
 	if n < 5 || n > maxFrameSize {
 		return 0, 0, nil, fmt.Errorf("server: bad frame length %d", n)
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return 0, 0, nil, err
+	buf := make([]byte, min(n, frameReadChunk))
+	for got := 0; ; {
+		if _, err := io.ReadFull(r, buf[got:]); err != nil {
+			return 0, 0, nil, err
+		}
+		if got = len(buf); got == n {
+			break
+		}
+		buf = append(buf, make([]byte, min(n-got, got))...)
 	}
 	return binary.LittleEndian.Uint32(buf[:4]), buf[4], buf[5:], nil
 }
@@ -497,11 +440,9 @@ func decodeQueryHeader(data []byte) (pose.Intrinsics, []byte, error) {
 	return intr, data[queryHeaderSize:], nil
 }
 
-// dbStatsWireSize is the extended stats payload served for msgStatsFull:
-// seven uint64/int64 fields plus the persistence flag. msgStats keeps its
-// original 8-byte count-only response — deployed clients require exactly
-// that length — and decodeDBStats accepts both forms.
-const dbStatsWireSize = 7*8 + 1
+// dbStatsWireSize is the msgStats response: six uint64/int64 fields plus
+// the persistence flag.
+const dbStatsWireSize = 6*8 + 1
 
 // encodeDBStats serializes a stats response.
 func encodeDBStats(s DBStats) []byte {
@@ -509,36 +450,29 @@ func encodeDBStats(s DBStats) []byte {
 	binary.LittleEndian.PutUint64(buf[0:], s.Mappings)
 	binary.LittleEndian.PutUint64(buf[8:], s.DatabaseBytes)
 	binary.LittleEndian.PutUint64(buf[16:], s.OracleInserts)
-	binary.LittleEndian.PutUint64(buf[24:], s.OracleSnapshotBytes)
-	binary.LittleEndian.PutUint64(buf[32:], s.SnapshotSeq)
-	binary.LittleEndian.PutUint64(buf[40:], s.WALBytes)
-	binary.LittleEndian.PutUint64(buf[48:], uint64(s.LastCompactionUnix))
+	binary.LittleEndian.PutUint64(buf[24:], s.SnapshotSeq)
+	binary.LittleEndian.PutUint64(buf[32:], s.WALBytes)
+	binary.LittleEndian.PutUint64(buf[40:], uint64(s.LastCompactionUnix))
 	if s.Persistent {
-		buf[56] = 1
+		buf[48] = 1
 	}
 	return buf
 }
 
-// decodeDBStats parses a stats response, tolerating the legacy 8-byte
-// count-only payload.
+// decodeDBStats parses a stats response.
 func decodeDBStats(data []byte) (DBStats, error) {
-	switch len(data) {
-	case 8:
-		return DBStats{Mappings: binary.LittleEndian.Uint64(data)}, nil
-	case dbStatsWireSize:
-		return DBStats{
-			Mappings:            binary.LittleEndian.Uint64(data[0:]),
-			DatabaseBytes:       binary.LittleEndian.Uint64(data[8:]),
-			OracleInserts:       binary.LittleEndian.Uint64(data[16:]),
-			OracleSnapshotBytes: binary.LittleEndian.Uint64(data[24:]),
-			SnapshotSeq:         binary.LittleEndian.Uint64(data[32:]),
-			WALBytes:            binary.LittleEndian.Uint64(data[40:]),
-			LastCompactionUnix:  int64(binary.LittleEndian.Uint64(data[48:])),
-			Persistent:          data[56] == 1,
-		}, nil
-	default:
+	if len(data) != dbStatsWireSize {
 		return DBStats{}, fmt.Errorf("server: bad stats payload size %d", len(data))
 	}
+	return DBStats{
+		Mappings:           binary.LittleEndian.Uint64(data[0:]),
+		DatabaseBytes:      binary.LittleEndian.Uint64(data[8:]),
+		OracleInserts:      binary.LittleEndian.Uint64(data[16:]),
+		SnapshotSeq:        binary.LittleEndian.Uint64(data[24:]),
+		WALBytes:           binary.LittleEndian.Uint64(data[32:]),
+		LastCompactionUnix: int64(binary.LittleEndian.Uint64(data[40:])),
+		Persistent:         data[48] == 1,
+	}, nil
 }
 
 // encodeLocateResult serializes a query response.

@@ -11,7 +11,7 @@ import (
 
 // leakPrefixes identify goroutines this repo owns: anything parked in the
 // server, store or obs packages after a test finishes is a leak (client
-// demux loops, v2 connection writers, accept loops, WAL committers,
+// demux loops, connection writers, accept loops, WAL committers,
 // background snapshotters).
 var leakPrefixes = []string{
 	"visualprint/internal/server.",

@@ -7,7 +7,7 @@
 // MobileARLoc (PAPERS.md) is the production shape being reproduced:
 // absolute localization fused with an on-device pose prior. Here the prior
 // lives server-side, keyed by an opaque client-chosen session ID carried
-// in the wire envelope (see internal/server msgSessionEx), so the client
+// in the request header (see internal/server reqHeader), so the client
 // protocol stays a plain fingerprint upload.
 //
 // The table is lock-sharded: Locate's RCU read path holds no database

@@ -159,7 +159,7 @@ func TestPipelineOracleWatch(t *testing.T) {
 
 // TestOracleSyncOverPublicAPI: the README quick-start shape — Connect,
 // OracleSync, Watch — works end to end through the exported surface, and
-// the deprecated FetchOracle wrapper still agrees with it.
+// the pushed oracle agrees with the server's own.
 func TestOracleSyncOverPublicAPI(t *testing.T) {
 	srv, err := NewServer(DefaultServerConfig())
 	if err != nil {
@@ -195,11 +195,11 @@ func TestOracleSyncOverPublicAPI(t *testing.T) {
 	if got.Err != nil || got.Oracle == nil {
 		t.Fatalf("initial update = %+v", got)
 	}
-	legacy, _, err := c.FetchOracle(ctx)
+	want, err := srv.VenueOracle("")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(oracleWireBytes(t, got.Oracle), oracleWireBytes(t, legacy)) {
-		t.Fatal("OracleSync and the deprecated FetchOracle disagree")
+	if !bytes.Equal(oracleWireBytes(t, got.Oracle), oracleWireBytes(t, want)) {
+		t.Fatal("watched oracle disagrees with the server's")
 	}
 }

@@ -27,4 +27,10 @@ echo "== chaos / fault-injection (race) =="
 go test -race -count=1 -short -run \
 	'TestChaos|TestShutdown|TestShedUnderBurst|TestCancelFreesServerSlot|TestDeadlineEnforcedServerSide|TestProxy' \
 	./internal/server/ ./internal/netsim/ ./internal/repl/ ./internal/track/
+echo "== fuzz (short) =="
+make fuzz-short
+echo "== benchmark module =="
+# benchmark/ is its own module, so the root ./... patterns above never
+# compile it: a root-API change that breaks it would go unnoticed here.
+(cd benchmark && go vet . && go test -short .)
 echo "verify: OK"

@@ -65,9 +65,6 @@ type ServerConfig struct {
 	// background snapshotter folds the log into a fresh snapshot (0 =
 	// engine default). Only meaningful for a durable server (OpenData).
 	WALCompactBytes int64
-	// OracleSnapshotBudgetBytes caps memory spent on retained oracle
-	// download versions used for diff refreshes (0 = engine default).
-	OracleSnapshotBudgetBytes int64
 	// OracleDeltaWindow bounds how many recent oracle epochs keep
 	// compressed cell-delta records for versioned OracleSync requests:
 	// clients within the window refresh by delta chain, older clients
@@ -503,7 +500,7 @@ type SessionHandle = server.Session
 
 // VenueOracle returns a venue's uniqueness oracle for in-process keypoint
 // filtering. The default venue ("") shares the live oracle object (the
-// in-process equivalent of FetchOracle); a named venue's oracle is
+// in-process equivalent of an OracleSync); a named venue's oracle is
 // assembled from its shards — a point-in-time copy, re-fetch after further
 // ingests.
 func (s *Server) VenueOracle(venue string) (*Oracle, error) {
@@ -561,9 +558,8 @@ type VenueHandle = server.Venue
 // transfer for the version the handle holds (an unchanged ack, a
 // compressed cell-delta chain, or a full blob); Watch subscribes to the
 // server's epoch-bump pushes and resyncs on each, replacing polling. Build
-// one with Client.OracleSync or VenueHandle.OracleSync; it deprecates the
-// FetchOracle/RefreshOracle pair. Pipeline.OracleSync mirrors the surface
-// in-process.
+// one with Client.OracleSync or VenueHandle.OracleSync; Pipeline.OracleSync
+// mirrors the surface in-process.
 type OracleSync = server.OracleSync
 
 // OracleUpdate is one push-driven oracle refresh delivered by
@@ -592,12 +588,11 @@ func WithDialTimeout(d time.Duration) DialOption { return server.WithDialTimeout
 func WithRetryPolicy(p RetryPolicy) DialOption { return server.WithRetryPolicy(p) }
 
 // WithVenue scopes every request the client makes to the named venue, as if
-// each call went through Client.Venue(name). Against a server predating
-// venue routing, requests fail with the typed ErrVenueUnsupported.
+// each call went through Client.Venue(name).
 func WithVenue(name string) DialOption { return server.WithVenue(name) }
 
 // WithClientLogger routes the client's connection-lifecycle messages
-// (redials, envelope fallback) to l; nil silences them.
+// (redials, redirects) to l; nil silences them.
 func WithClientLogger(l *Logger) DialOption { return server.WithLogger(l) }
 
 // Logger is the level-tagged logger used across the library; build one
@@ -621,16 +616,6 @@ func NewLogger(w io.Writer, level string) (*Logger, error) {
 // drops between requests.
 func Connect(addr string, opts ...DialOption) (*Client, error) {
 	return server.Dial(addr, opts...)
-}
-
-// DialContext dials a VisualPrint server, honoring the context's deadline
-// and cancellation during connection establishment.
-//
-// Deprecated: Connect is the canonical constructor; bound the dial with
-// WithDialTimeout instead. DialContext remains for callers that must plumb
-// an existing context's cancellation into connection establishment.
-func DialContext(ctx context.Context, addr string, opts ...DialOption) (*Client, error) {
-	return server.DialContext(ctx, addr, opts...)
 }
 
 // Typed localization failures, re-exported so callers can errors.Is on a
@@ -664,9 +649,10 @@ var (
 	// ErrCanceled: the request was canceled — client-side cancel,
 	// connection death, or server drain cutoff — mid-pipeline.
 	ErrCanceled = server.ErrCanceled
-	// ErrVenueUnsupported: a venue-scoped request reached a server
-	// predating venue routing; detected once per connection, then sticky.
-	ErrVenueUnsupported = server.ErrVenueUnsupported
+	// ErrProtocolVersion: the server refused the connection because the
+	// client speaks another wire-protocol version; every call on the
+	// connection fails with it.
+	ErrProtocolVersion = server.ErrProtocolVersion
 )
 
 // IsRemoteError reports whether err was diagnosed by the server (as opposed
@@ -681,14 +667,11 @@ type MetricsReport = obs.Report
 
 // Observability error sentinels, re-exported for errors.Is.
 var (
-	// ErrMetricsUnsupported: the dialed server predates the metrics RPC
-	// or runs with observability disabled.
+	// ErrMetricsUnsupported: the dialed server runs with observability
+	// disabled.
 	ErrMetricsUnsupported = server.ErrMetricsUnsupported
 	// ErrConnectionLost: the transport died with requests in flight.
 	ErrConnectionLost = server.ErrConnectionLost
-	// ErrWatchUnsupported: OracleSync.Watch reached a server predating
-	// oracle subscriptions, or a protocol-v1 connection; poll Sync instead.
-	ErrWatchUnsupported = server.ErrWatchUnsupported
 )
 
 // Replication surface, re-exported for fleet-aware callers.
@@ -721,8 +704,8 @@ var (
 	ErrReplSyncTimeout = server.ErrReplSyncTimeout
 )
 
-// WithReadFromReplica routes the client's read RPCs (Query, FetchOracle,
-// RefreshOracle, Stats) to a replica, falling back to the primary when the
+// WithReadFromReplica routes the client's read RPCs (Query, OracleSync,
+// Stats) to a replica, falling back to the primary when the
 // replica is unreachable or too stale. Writes always go to the primary.
 func WithReadFromReplica(addr string) DialOption { return server.WithReadFromReplica(addr) }
 
@@ -840,7 +823,7 @@ func (p *Pipeline) Wardrive(cfg WardriveConfig, correctDrift bool) (int, error) 
 	}
 	// In-process deployments get the oracle directly (shared for the
 	// default venue, assembled from the shards for a named one); a
-	// networked client would FetchOracle instead.
+	// networked client would OracleSync().Sync instead.
 	o, err := p.Server.VenueOracle(p.Venue)
 	if err != nil {
 		return 0, err

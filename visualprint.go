@@ -123,12 +123,6 @@ func BlurScore(img *Image) float64 { return imaging.BlurScore(img) }
 // tests and handheld-capture simulations.
 func MotionBlur(img *Image, length int) *Image { return imaging.MotionBlur(img, length) }
 
-// OracleDiff computes a compressed incremental update from an old oracle
-// snapshot to a newer one; ApplyOracleDiff patches a client copy in place.
-// This implements the refresh path the paper leaves as future work.
-func OracleDiff(old, cur *Oracle) ([]byte, error)  { return core.Diff(old, cur) }
-func ApplyOracleDiff(o *Oracle, diff []byte) error { return core.ApplyDiff(o, diff) }
-
 // NewOracle creates an empty uniqueness oracle. Use DefaultOracleParams for
 // the paper's 2.5M-descriptor sizing or ScaledOracleParams for simulated
 // venues.

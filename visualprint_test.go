@@ -198,35 +198,6 @@ func TestRunSessionPublicAPI(t *testing.T) {
 	}
 }
 
-func TestOracleDiffPublicAPI(t *testing.T) {
-	o, err := NewOracle(ScaledOracleParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := make([]byte, 128)
-	d[3] = 200
-	o.Insert(d)
-	old, err := o.Clone()
-	if err != nil {
-		t.Fatal(err)
-	}
-	d2 := make([]byte, 128)
-	d2[7] = 180
-	o.Insert(d2)
-	diff, err := OracleDiff(old, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ApplyOracleDiff(old, diff); err != nil {
-		t.Fatal(err)
-	}
-	u1, _ := o.Uniqueness(d2)
-	u2, _ := old.Uniqueness(d2)
-	if u1 != u2 {
-		t.Errorf("patched oracle disagrees: %d vs %d", u2, u1)
-	}
-}
-
 func TestServerListenAndConnect(t *testing.T) {
 	srv, err := NewServer(DefaultServerConfig())
 	if err != nil {
