@@ -55,12 +55,18 @@ bench-short:
 # (left as a build artifact, never committed) and fail if ns/op regressed
 # more than 2x against the checked-in BENCH_locate_short.json baseline,
 # or if 2-core QPS falls below 1.5x 1-core (the gate auto-skips on hosts
-# with a single CPU, where scaling is unmeasurable).
+# with a single CPU, where scaling is unmeasurable). The second pass runs
+# the same workload against a 4-shard venue under the same 2x gate: the
+# other workloads all use the one-shard default venue, so this is the only
+# number CI has for the scatter-gather route.
 bench-check:
 	go run ./cmd/vpbench -exp locate -scale quick \
 		-locate-json bench_current.json \
 		-baseline BENCH_locate_short.json -max-regress 2.0 \
 		-cores 1,2 -cores-gate 1.5
+	go run ./cmd/vpbench -exp locate -scale quick -locate-shards 4 \
+		-locate-json bench_sharded_current.json \
+		-baseline BENCH_locate_sharded_short.json -max-regress 2.0
 	go run ./cmd/vpbench -exp oracle -scale quick \
 		-oracle-json bench_oracle_current.json -oracle-gate 5
 

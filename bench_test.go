@@ -9,6 +9,7 @@
 package visualprint_test
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"sync"
@@ -259,7 +260,7 @@ func benchIngest(b *testing.B, durable bool) {
 		}
 		b.StartTimer()
 		for k := 0; k < 8; k++ {
-			if err := srv.Ingest(ms); err != nil {
+			if _, err := srv.Ingest(context.Background(), "", ms); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -291,19 +292,19 @@ func benchColdRecovery(b *testing.B, compacted bool) {
 	}
 	ms := persistenceMappings(500)
 	for k := 0; k < 8; k++ {
-		if err := srv.Ingest(ms); err != nil {
+		if _, err := srv.Ingest(context.Background(), "", ms); err != nil {
 			b.Fatal(err)
 		}
 	}
 	if compacted {
-		if err := srv.Database().Compact(); err != nil {
+		if err := srv.Compact(); err != nil {
 			b.Fatal(err)
 		}
 	}
+	want := srv.Stats("").Mappings
 	if err := srv.Close(); err != nil {
 		b.Fatal(err)
 	}
-	want := srv.Database().Len()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -314,8 +315,8 @@ func benchColdRecovery(b *testing.B, compacted bool) {
 		if err := srv2.OpenData(dir); err != nil {
 			b.Fatal(err)
 		}
-		if srv2.Database().Len() != want {
-			b.Fatalf("recovered %d mappings, want %d", srv2.Database().Len(), want)
+		if got := srv2.Stats("").Mappings; got != want {
+			b.Fatalf("recovered %d mappings, want %d", got, want)
 		}
 		b.StopTimer()
 		if err := srv2.Close(); err != nil {

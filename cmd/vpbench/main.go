@@ -39,7 +39,7 @@ func main() {
 	oracleJSON := flag.String("oracle-json", "", "file to write the oracle distribution benchmark result as JSON (BENCH_oracle.json)")
 	oracleGate := flag.Float64("oracle-gate", 0, "with -exp oracle: fail (exit 1) if the smallest-batch bytes-per-update reduction of versioned sync vs full refetch falls below this factor")
 	obsOn := flag.Bool("obs", false, "enable observability instrumentation on the benchmark database (measures tracer overhead)")
-	locateShards := flag.Int("locate-shards", 0, "run the locate benchmark against a venue sharded this many ways (0/1: direct single database; >1 measures scatter-gather routing overhead)")
+	locateShards := flag.Int("locate-shards", 0, "run the locate benchmark against a venue sharded this many ways (0/1: the default one-shard venue; >1 measures the scatter-gather route)")
 	baseline := flag.String("baseline", "", "baseline locate JSON (e.g. BENCH_locate_short.json) to compare ns/op against")
 	maxRegress := flag.Float64("max-regress", 2.0, "with -baseline: fail (exit 1) if ns/op exceeds baseline by this factor")
 	coresList := flag.String("cores", "", "comma-separated core counts (e.g. 1,2,4): rerun the locate QPS measurement with GOMAXPROCS pinned per entry and emit the QPS-vs-cores curve")
@@ -151,7 +151,9 @@ func main() {
 			cfg, iters, perClient = bench.DefaultLocateWorkload(), 10, 4
 		}
 		cfg.EnableObs = *obsOn
-		cfg.Shards = *locateShards
+		if *locateShards > 1 {
+			cfg.Shards = *locateShards
+		}
 		cores, err := parseCores(*coresList)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "cores: %v\n", err)

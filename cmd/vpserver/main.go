@@ -104,9 +104,9 @@ func main() {
 		if err := srv.OpenData(*data); err != nil {
 			log.Fatalf("opening data dir %s: %v", *data, err)
 		}
-		log.Printf("data dir %s: recovered %d mappings (default venue)", *data, srv.Stats().Mappings)
+		log.Printf("data dir %s: recovered %d mappings (default venue)", *data, srv.Stats("").Mappings)
 		for _, v := range srv.Venues() {
-			log.Printf("  venue %s: %d mappings", v, srv.VenueStats(v).Mappings)
+			log.Printf("  venue %s: %d mappings", v, srv.Stats(v).Mappings)
 		}
 	}
 	addr, err := srv.Listen(*listen)
@@ -129,7 +129,7 @@ func main() {
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
-	log.Printf("draining (%d mappings served); second signal forces exit", srv.Stats().Mappings)
+	log.Printf("draining (%d mappings served); second signal forces exit", srv.Stats("").Mappings)
 	// A second signal skips the drain: cut everything off immediately.
 	go func() {
 		<-sig

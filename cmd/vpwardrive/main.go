@@ -99,7 +99,7 @@ func ingestLocal(dir, venueID string, venueShards int, ms []visualprint.Mapping,
 	if err := srv.OpenData(dir); err != nil {
 		log.Fatalf("opening data dir %s: %v", dir, err)
 	}
-	if n := srv.VenueStats(venueID).Mappings; n > 0 {
+	if n := srv.Stats(venueID).Mappings; n > 0 {
 		log.Printf("data dir %s: extending existing map of %d mappings", dir, n)
 	}
 	total := 0
@@ -108,7 +108,7 @@ func ingestLocal(dir, venueID string, venueShards int, ms []visualprint.Mapping,
 		if end > len(ms) {
 			end = len(ms)
 		}
-		total, err = srv.IngestVenue(context.Background(), venueID, ms[i:end])
+		total, err = srv.Ingest(context.Background(), venueID, ms[i:end])
 		if err != nil {
 			log.Fatal(err)
 		}

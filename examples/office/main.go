@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -45,10 +46,12 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := pipeline.Server.Ingest(visualprint.MappingsFrom(snaps)); err != nil {
+	if _, err := pipeline.Server.Ingest(context.Background(), "", visualprint.MappingsFrom(snaps)); err != nil {
 		log.Fatal(err)
 	}
-	pipeline.Oracle = pipeline.Server.Database().Oracle()
+	if pipeline.Oracle, err = pipeline.Server.VenueOracle(""); err != nil {
+		log.Fatal(err)
+	}
 
 	pois := world.POIsOfKind(visualprint.POIUnique)
 	trials, sum := 0, 0.0

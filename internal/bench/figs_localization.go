@@ -6,6 +6,7 @@ import (
 	"math"
 	"sync"
 
+	"visualprint/internal/core"
 	"visualprint/internal/icp"
 	"visualprint/internal/mathx"
 	"visualprint/internal/pose"
@@ -15,11 +16,13 @@ import (
 	"visualprint/internal/wardrive"
 )
 
-// venueRun is a wardriven venue with its server database, cached per scale.
+// venueRun is a wardriven venue ingested into an engine's default venue,
+// with the oracle a client would have synced, cached per scale.
 type venueRun struct {
-	world *scene.World
-	db    *server.Database
-	snaps []wardrive.Snapshot
+	world  *scene.World
+	router *server.Router
+	oracle *core.Oracle
+	snaps  []wardrive.Snapshot
 }
 
 var (
@@ -40,7 +43,7 @@ func wardriveConfig(sc Scale) wardrive.Config {
 }
 
 // getVenueRuns wardrives the three venues (with drift), corrects drift via
-// ICP, and ingests into fresh databases.
+// ICP, and ingests into fresh engines.
 func getVenueRuns(sc Scale) ([]*venueRun, error) {
 	venueMu.Lock()
 	defer venueMu.Unlock()
@@ -58,7 +61,7 @@ func getVenueRuns(sc Scale) ([]*venueRun, error) {
 		if err := correctSnaps(snaps); err != nil {
 			return nil, err
 		}
-		db, err := server.NewDatabase(server.DefaultDatabaseConfig())
+		router, err := server.NewRouter(server.DefaultDatabaseConfig())
 		if err != nil {
 			return nil, err
 		}
@@ -68,10 +71,14 @@ func getVenueRuns(sc Scale) ([]*venueRun, error) {
 			copy(m.Desc[:], o.Keypoint.Desc[:])
 			ms = append(ms, m)
 		}
-		if err := db.Ingest(context.Background(), ms); err != nil {
+		if _, err := router.Ingest(context.Background(), "", ms); err != nil {
 			return nil, err
 		}
-		runs = append(runs, &venueRun{world: w, db: db, snaps: snaps})
+		oracle, err := router.Oracle("")
+		if err != nil {
+			return nil, err
+		}
+		runs = append(runs, &venueRun{world: w, router: router, oracle: oracle, snaps: snaps})
 	}
 	venueCache[sc.Name] = runs
 	return runs, nil
@@ -115,12 +122,12 @@ func localizationErrors(run *venueRun, sc Scale) (errs []float64, axis [3][]floa
 			continue
 		}
 		// Client-side oracle selection, as deployed.
-		sel, serr := run.db.SelectUnique(kps, 200)
+		sel, serr := run.oracle.SelectUnique(kps, 200)
 		if serr != nil {
 			return nil, axis, serr
 		}
 		intr := pose.Intrinsics{W: cam.W, H: cam.H, FovX: cam.FovX, FovY: cam.FovY()}
-		res, qerr := run.db.Locate(context.Background(), sel, intr)
+		res, qerr := run.router.Locate(context.Background(), "", sel, intr)
 		if qerr != nil {
 			continue // no consensus: the paper's failure cases
 		}

@@ -176,18 +176,18 @@ type LocateWorkloadConfig struct {
 	MaxIterations int
 	// Seed fixes the synthetic corpus and the solver.
 	Seed int64
-	// EnableObs turns on the database's observability instrumentation
+	// EnableObs turns on the engine's observability instrumentation
 	// (counters, stage tracer) for the measured loop, so the tracer's
 	// overhead can be quantified against an uninstrumented run. A config
 	// with EnableObs set is not comparable against the recorded baseline,
 	// so no baseline is attached to its result.
 	EnableObs bool `json:"enable_obs,omitempty"`
-	// Shards > 1 ingests the corpus into a sharded venue behind a Router
-	// and measures the scatter-gather Locate path instead of the direct
-	// single-database one. Results are bit-identical to unsharded (the
-	// merge reproduces the single-database candidate ranking), so the
-	// delta against a Shards=0 run is pure routing overhead. Not
-	// comparable against the recorded baseline.
+	// Shards > 1 ingests the corpus into a sharded venue and measures the
+	// scatter-gather Locate route; 0 or 1 measures the default one-shard
+	// venue. Results are bit-identical either way (the merge reproduces the
+	// one-shard candidate ranking), so the delta between the two is pure
+	// scatter-gather overhead. A sharded run is not comparable against the
+	// recorded baseline.
 	Shards int `json:"shards,omitempty"`
 }
 
@@ -216,20 +216,20 @@ func ShortLocateWorkload() LocateWorkloadConfig {
 	return c
 }
 
-// LocateWorkload is a prepared synthetic Locate benchmark: database plus a
-// query whose answer passes clustering and reaches the pose solver.
+// LocateWorkload is a prepared synthetic Locate benchmark: an engine holding
+// the corpus in one venue plus a query whose answer passes clustering and
+// reaches the pose solver.
 type LocateWorkload struct {
-	DB   *server.Database
-	KPs  []sift.Keypoint
-	Intr pose.Intrinsics
-	Cfg  LocateWorkloadConfig
+	Router *server.Router
+	// VenueName is the venue the corpus lives in: the default one-shard
+	// venue, or a sharded one when Cfg.Shards > 1.
+	VenueName string
+	KPs       []sift.Keypoint
+	Intr      pose.Intrinsics
+	Cfg       LocateWorkloadConfig
 	// TrueCam is the camera position the cluster keypoints were projected
 	// from; the solved position must land near it.
 	TrueCam mathx.Vec3
-	// Router and VenueName are set for a sharded workload (Cfg.Shards > 1):
-	// Run and QPS then go through the scatter-gather path.
-	Router    *server.Router
-	VenueName string
 }
 
 // NewLocateWorkload builds the synthetic database and query. The cluster
@@ -253,7 +253,7 @@ func NewLocateWorkload(cfg LocateWorkloadConfig) (*LocateWorkload, error) {
 	dbCfg := server.DefaultDatabaseConfig()
 	dbCfg.Pose.Deadline = 0 // compute-bound and deterministic
 	dbCfg.Pose.MaxIterations = cfg.MaxIterations
-	db, err := server.NewDatabase(dbCfg)
+	router, err := server.NewRouter(dbCfg)
 	if err != nil {
 		return nil, err
 	}
@@ -290,20 +290,16 @@ func NewLocateWorkload(cfg LocateWorkloadConfig) (*LocateWorkload, error) {
 		ms = append(ms, m)
 	}
 	if cfg.EnableObs {
-		db.EnableObs()
+		router.EnableObs()
 	}
-	var router *server.Router
 	venueName := ""
 	if cfg.Shards > 1 {
-		router = server.NewRouter(db, dbCfg)
 		venueName = "bench"
 		if err := router.ConfigureVenue(venueName, server.VenueConfig{Shards: cfg.Shards}); err != nil {
 			return nil, err
 		}
-		if _, err := router.Ingest(context.Background(), venueName, ms); err != nil {
-			return nil, err
-		}
-	} else if err := db.Ingest(context.Background(), ms); err != nil {
+	}
+	if _, err := router.Ingest(context.Background(), venueName, ms); err != nil {
 		return nil, err
 	}
 	intr := pose.Intrinsics{W: 200, H: 150, FovX: 1.1, FovY: 0.85}
@@ -326,8 +322,7 @@ func NewLocateWorkload(cfg LocateWorkloadConfig) (*LocateWorkload, error) {
 			kps[i].Y = float64(8 + (i/16)*10)
 		}
 	}
-	w := &LocateWorkload{DB: db, KPs: kps, Intr: intr, Cfg: cfg, TrueCam: cam,
-		Router: router, VenueName: venueName}
+	w := &LocateWorkload{Router: router, VenueName: venueName, KPs: kps, Intr: intr, Cfg: cfg, TrueCam: cam}
 	// Fail construction, not measurement, if the query cannot localize —
 	// and, at full solver budget, if it does not localize close to the
 	// true camera (the workload must measure a converging solve).
@@ -350,28 +345,20 @@ func (w *LocateWorkload) Run() error {
 	return err
 }
 
-// locate issues the workload query through whichever engine the config
-// built: the direct database, or the router's scatter-gather path.
+// locate issues the workload query against the workload's venue.
 func (w *LocateWorkload) locate(ctx context.Context) (server.LocateResult, error) {
-	if w.Router != nil {
-		return w.Router.Locate(ctx, w.VenueName, w.KPs, w.Intr)
-	}
-	return w.DB.Locate(ctx, w.KPs, w.Intr)
+	return w.Router.Locate(ctx, w.VenueName, w.KPs, w.Intr)
 }
 
 // QPS measures end-to-end localization queries/s against a live TCP server
-// backed by this workload's database, with the given number of concurrent
+// backed by this workload's engine, with the given number of concurrent
 // clients each issuing perClient pipelined requests.
 func (w *LocateWorkload) QPS(clients, perClient int) (float64, error) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return 0, err
 	}
-	var opts []server.Option
-	if w.Router != nil {
-		opts = append(opts, server.WithRouter(w.Router))
-	}
-	srv := server.Serve(ln, w.DB, opts...)
+	srv := server.Serve(ln, w.Router)
 	srv.Log = nil
 	defer srv.Close()
 	return measureLocateQPS(srv.Addr().String(), w, clients, perClient)

@@ -98,8 +98,7 @@ func RunOracleBenchmark(cfg OracleWorkloadConfig) (*OracleBenchResult, error) {
 	if cfg.UpdatesPerSize <= 0 || len(cfg.BatchSizes) == 0 {
 		return nil, fmt.Errorf("bench: oracle workload needs batch sizes and updates per size")
 	}
-	dbCfg := server.DefaultDatabaseConfig()
-	db, err := server.NewDatabase(dbCfg)
+	router, err := server.NewRouter(server.DefaultDatabaseConfig())
 	if err != nil {
 		return nil, err
 	}
@@ -107,7 +106,7 @@ func RunOracleBenchmark(cfg OracleWorkloadConfig) (*OracleBenchResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	srv := server.Serve(ln, db)
+	srv := server.Serve(ln, router)
 	srv.Log = nil
 	defer srv.Close()
 

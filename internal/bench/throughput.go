@@ -47,7 +47,7 @@ func prepareQueries(run *venueRun, sc Scale, n int) ([]throughputQuery, error) {
 		if len(kps) < 15 {
 			continue
 		}
-		sel, err := run.db.SelectUnique(kps, 200)
+		sel, err := run.oracle.SelectUnique(kps, 200)
 		if err != nil {
 			return nil, err
 		}
@@ -91,7 +91,7 @@ func QueryThroughput(sc Scale, maxClients, queriesPerClient int) (*Experiment, e
 	if err != nil {
 		return nil, err
 	}
-	srv := server.Serve(ln, run.db)
+	srv := server.Serve(ln, run.router)
 	srv.Log = nil
 	defer srv.Close()
 
@@ -103,7 +103,7 @@ func QueryThroughput(sc Scale, maxClients, queriesPerClient int) (*Experiment, e
 		e.Points = append(e.Points, Point{Series: "v2-multiplexed", X: float64(clients), Y: qps})
 	}
 	e.Notef("venue %s, %d mappings, GOMAXPROCS=%d, %d queries/client",
-		run.world.Name, run.db.Len(), runtime.GOMAXPROCS(0), queriesPerClient)
+		run.world.Name, run.router.Len(""), runtime.GOMAXPROCS(0), queriesPerClient)
 	return e, nil
 }
 

@@ -114,10 +114,11 @@ func NewTrackWorkload(cfg TrackWorkloadConfig) (*TrackWorkload, error) {
 	dbCfg := server.DefaultDatabaseConfig()
 	dbCfg.Pose.Deadline = 0
 	dbCfg.Pose.MaxIterations = cfg.MaxIterations
-	db, err := server.NewDatabase(dbCfg)
+	router, err := server.NewRouter(dbCfg)
 	if err != nil {
 		return nil, err
 	}
+	router.EnableObs()
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	center := mathx.Vec3{X: 4, Y: 1.5, Z: 7.5}
 	ms := make([]server.Mapping, 0, cfg.ClusterMappings+cfg.ScatterMappings)
@@ -145,11 +146,9 @@ func NewTrackWorkload(cfg TrackWorkloadConfig) (*TrackWorkload, error) {
 		}
 		ms = append(ms, m)
 	}
-	if err := db.Ingest(context.Background(), ms); err != nil {
+	if _, err := router.Ingest(context.Background(), "", ms); err != nil {
 		return nil, err
 	}
-	router := server.NewRouter(db, dbCfg)
-	router.EnableTrackingObs()
 
 	intr := pose.Intrinsics{W: 200, H: 150, FovX: 1.1, FovY: 0.85}
 	cx, cy := float64(intr.W)/2, float64(intr.H)/2

@@ -104,13 +104,14 @@ type member struct {
 // members mid-test, so each test owns the teardown via m.kill.
 func startMember(t *testing.T, advertise, primary string, minSync int, ln net.Listener) *member {
 	t.Helper()
-	db, err := server.NewShardDatabase(testConfig())
+	router, err := server.NewRouter(testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Open(t.TempDir()); err != nil {
+	if err := router.OpenVenues(t.TempDir()); err != nil {
 		t.Fatal(err)
 	}
+	db := router.Default()
 	rs := server.NewReplState(db, server.ReplConfig{
 		Self:            advertise,
 		Primary:         primary,
@@ -119,7 +120,7 @@ func startMember(t *testing.T, advertise, primary string, minSync int, ln net.Li
 		MaxStaleness:    time.Minute, // replicas answer in-test reads even while partitioned
 	})
 	db.SetLogger(obs.Discard)
-	srv := server.Serve(ln, db, server.WithReplState(rs))
+	srv := server.Serve(ln, router, server.WithReplState(rs))
 	srv.Log = nil
 	rs.SetLogger(obs.Discard) // after Serve, which wires the server's logger
 	node, err := StartNode(NodeConfig{
@@ -302,7 +303,7 @@ func TestChaosFailoverPreservesAckedIngests(t *testing.T) {
 	// history (plus the redirected batch) must answer Locate bit-identically
 	// to the promoted primary — same position, same matches, same
 	// everything. The unacknowledged batch must have left no trace.
-	golden, err := server.NewShardDatabase(testConfig())
+	golden, err := server.NewDatabase(testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -167,7 +167,11 @@ func TestChaosOracleWatchSurvivesPrimaryKill(t *testing.T) {
 	if err != nil {
 		t.Fatalf("post-failover ingest: %v", err)
 	}
-	want := oracleBytes(t, newP.db.Oracle())
+	live, err := newP.db.OracleClone()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := oracleBytes(t, live)
 	waitFor(t, 30*time.Second, "watch to converge on the post-failover oracle", func() bool {
 		u := snap()
 		if u.Err != nil {

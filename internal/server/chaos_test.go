@@ -38,7 +38,7 @@ func TestChaosClientsSurviveFaultInjection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := Serve(ln, db)
+	s := Serve(ln, routerFor(t, db))
 	s.Log = nil
 	t.Cleanup(func() { s.Close() })
 

@@ -145,7 +145,7 @@ func TestPipelinedResponseRouting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := Serve(ln, db)
+	s := Serve(ln, routerFor(t, db))
 	s.Log = nil
 	defer s.Close()
 
@@ -200,7 +200,7 @@ func TestConcurrentMixedWorkload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := Serve(ln, db)
+	s := Serve(ln, routerFor(t, db))
 	s.Log = nil
 	defer s.Close()
 
@@ -330,7 +330,7 @@ func TestConcurrentOracleFilteringAndIngest(t *testing.T) {
 	}
 	// Every reader and the writer ran to completion; the oracle now reflects
 	// all inserts.
-	if got := db.Oracle().Inserts(); got != uint64(db.Len()) {
+	if _, got := db.OracleEpoch(); got != uint64(db.Len()) {
 		t.Errorf("oracle inserts %d != mappings %d", got, db.Len())
 	}
 }

@@ -15,7 +15,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"visualprint/internal/bloom"
 	"visualprint/internal/cluster"
 	"visualprint/internal/core"
 	"visualprint/internal/lsh"
@@ -113,13 +112,6 @@ type Database struct {
 	// SetLogger taking the write lock keeps late wiring race-free.
 	log    *obs.Logger
 	logSet bool
-	// seqMode marks a shard engine (NewShardDatabase): every mapping
-	// carries a venue-global sequence number assigned by the Router, kept
-	// in the view's seqs parallel to positions. The sequence is the
-	// venue-wide insertion order — the tie-break that lets a scatter-gather
-	// query reproduce a single database's candidate ranking exactly (see
-	// CandidateSets). Immutable after construction.
-	seqMode bool
 	// deltaRing retains the per-epoch odelta records (consecutive epochs,
 	// oldest first) serving versioned OracleSync requests; deltaBytes
 	// accounts their payload total against OracleDeltaBudgetBytes. Guarded
@@ -148,7 +140,7 @@ type Database struct {
 	// NewReplState before the database serves traffic; read without mu.
 	repl *ReplState
 
-	// Observability (nil until EnableObs; see obs.go). Installed once,
+	// Observability (nil until Router.EnableObs; see obs.go). Installed once,
 	// never swapped, loaded atomically so lock-free readers can record.
 	met        atomic.Pointer[dbMetrics]
 	recoverDur time.Duration
@@ -188,7 +180,8 @@ func (db *Database) logf(format string, args ...any) {
 	}
 }
 
-// NewDatabase creates an empty database.
+// NewDatabase creates an empty shard engine. The Router composes one or more
+// of these into a venue; a lone Database is a complete one-shard venue.
 func NewDatabase(cfg DatabaseConfig) (*Database, error) {
 	if cfg.NeighborsPerKeypoint <= 0 {
 		cfg.NeighborsPerKeypoint = 2
@@ -205,19 +198,6 @@ func NewDatabase(cfg DatabaseConfig) (*Database, error) {
 	return db, nil
 }
 
-// NewShardDatabase creates an empty shard engine: a Database whose mappings
-// are tagged with router-assigned venue-global sequence numbers (IngestSeq
-// replaces Ingest). Everything else — WAL, snapshots, oracle, Locate —
-// behaves identically; the Router composes several of these into one venue.
-func NewShardDatabase(cfg DatabaseConfig) (*Database, error) {
-	db, err := NewDatabase(cfg)
-	if err != nil {
-		return nil, err
-	}
-	db.seqMode = true
-	return db, nil
-}
-
 // Mapping is one wardriven keypoint-to-3D-position record.
 type Mapping struct {
 	Desc [sift.DescriptorSize]byte
@@ -226,7 +206,7 @@ type Mapping struct {
 
 // Ingest incorporates wardriven mappings: each descriptor is added to the
 // lookup table and the uniqueness oracle — "in constant time and memory"
-// per record.
+// per record — tagged with the next run of sequence numbers (MaxSeq+1…).
 //
 // On a durable database (Open), the batch is write-ahead logged before it
 // is applied, and Ingest returns only once the record has reached stable
@@ -243,129 +223,113 @@ type Mapping struct {
 // aborting between the WAL append and the ack would leave the caller
 // unable to tell whether the batch survives a crash.
 func (db *Database) Ingest(ctx context.Context, ms []Mapping) error {
-	if err := ctx.Err(); err != nil {
-		return ctxError(err)
-	}
-	start := time.Now()
-	m, err := db.ingest(ms, nil)
-	m.ingests.Inc()
-	m.ingestNs.ObserveSince(start)
-	if err != nil {
-		m.ingestErrors.Inc()
-	}
-	return err
+	return db.IngestSeq(ctx, ms, nil)
 }
 
-// IngestSeq is Ingest for a shard engine (NewShardDatabase): each mapping
-// carries its router-assigned venue-global sequence number. seqs must be
-// parallel to ms and strictly increasing, and every seq must exceed the
-// shard's current MaxSeq — the Router assigns monotonically, so replayed or
-// reordered batches are caller bugs, rejected before the WAL reservation.
+// IngestSeq is Ingest with caller-assigned sequence numbers (replication
+// replaying a primary's records; nil seqs self-assigns like Ingest). seqs
+// must be parallel to ms and strictly increasing, and every seq must exceed
+// the shard's current MaxSeq — replayed or reordered batches are caller
+// bugs, rejected before the WAL reservation.
 func (db *Database) IngestSeq(ctx context.Context, ms []Mapping, seqs []uint64) error {
 	if err := ctx.Err(); err != nil {
 		return ctxError(err)
 	}
 	start := time.Now()
-	m, err := db.ingest(ms, seqs)
-	m.ingests.Inc()
-	m.ingestNs.ObserveSince(start)
-	if err != nil {
-		m.ingestErrors.Inc()
+	p, err := db.reserve(ms, seqs)
+	if err == nil {
+		err = p.wait()
 	}
+	db.metrics().endIngest(start, err)
 	return err
 }
 
-// ingest is the body of Ingest/IngestSeq (seqs nil for the former). It
-// returns the instrument set it resolved under the lock so the wrapper can
-// book the outcome after unlocking.
-func (db *Database) ingest(ms []Mapping, seqs []uint64) (*dbMetrics, error) {
+// pendingIngest is a batch that has been logged and applied but not yet
+// acknowledged: what reserve hands to wait.
+type pendingIngest struct {
+	db *Database
+	// commit is the batch's WAL reservation (nil on an in-memory database);
+	// st and kick are the store it was made on and its compaction trigger.
+	commit *store.Commit
+	st     *store.Store
+	kick   chan struct{}
+	// replTarget is the store sequence after the reservation — this batch's
+	// replication offset: a replica acknowledging it has the batch.
+	replTarget uint64
+}
+
+// reserve is the locked half of an ingest: validate, reserve the WAL record
+// and apply the batch, all under db.mu. Nothing in it blocks on the disk or
+// on a replica, so a caller serializing several shards (Router.Ingest) may
+// hold its own lock across it; the returned pendingIngest owes a wait.
+func (db *Database) reserve(ms []Mapping, seqs []uint64) (pendingIngest, error) {
 	db.mu.Lock()
-	m := db.metrics()
+	defer db.mu.Unlock()
 	// Reject malformed batches before the WAL reservation: applyLocked
 	// must not be able to fail after the record is logged, or replay would
 	// diverge from the live state.
 	if db.cfg.LSH.Dim != sift.DescriptorSize || db.cfg.Oracle.LSH.Dim != sift.DescriptorSize {
-		db.mu.Unlock()
-		return m, errRemote{msg: "database descriptor dimension mismatch"}
+		return pendingIngest{}, errRemote{msg: "database descriptor dimension mismatch"}
 	}
 	// cur is stable while mu is held: only mu.Lock holders publish.
-	cv := db.cur.Load()
-	if db.seqMode && seqs == nil {
-		// A plain Ingest on a shard engine self-assigns the next sequence
-		// run. Single-shard deployments (a replicated fleet's default venue)
-		// take this path; in a router-fanned venue the Router assigns
-		// venue-global sequences through IngestSeq instead, and its
-		// monotonic allocation never interleaves with direct Ingest calls.
+	last := db.cur.Load().maxSeq
+	if seqs == nil {
 		seqs = make([]uint64, len(ms))
 		for i := range seqs {
-			seqs[i] = cv.maxSeq + uint64(i) + 1
+			seqs[i] = last + uint64(i) + 1
 		}
 	}
-	if !db.seqMode && seqs != nil {
-		db.mu.Unlock()
-		return m, errRemote{msg: "IngestSeq requires a shard engine (NewShardDatabase)"}
+	if len(seqs) != len(ms) {
+		return pendingIngest{}, errRemote{msg: "seq batch length mismatch"}
 	}
-	if seqs != nil {
-		if len(seqs) != len(ms) {
-			db.mu.Unlock()
-			return m, errRemote{msg: "seq batch length mismatch"}
+	for _, s := range seqs {
+		if s <= last {
+			return pendingIngest{}, errRemote{msg: "non-monotonic shard sequence"}
 		}
-		last := cv.maxSeq
-		for _, s := range seqs {
-			if s <= last {
-				db.mu.Unlock()
-				return m, errRemote{msg: "non-monotonic shard sequence"}
-			}
-			last = s
-		}
+		last = s
 	}
-	var commit *store.Commit
-	var st *store.Store
-	var kick chan struct{}
-	var replTarget uint64
+	p := pendingIngest{db: db}
 	if db.store != nil {
-		st, kick = db.store, db.snapKick
-		if db.seqMode {
-			commit = st.Append(encodeSeqMappings(ms, seqs))
-		} else {
-			commit = st.Append(encodeMappings(ms))
-		}
-		// The store seq after the reservation is this batch's replication
-		// offset target: a replica acknowledging it has the batch.
-		replTarget = st.Seq()
+		p.st, p.kick = db.store, db.snapKick
+		p.commit = p.st.Append(encodeSeqMappings(ms, seqs))
+		p.replTarget = p.st.Seq()
 	}
-	err := db.applyPublishLocked(ms, seqs)
-	if err == nil {
-		m.mappings.Set(int64(len(db.cur.Load().positions)))
+	if err := db.applyPublishLocked(ms, seqs); err != nil {
+		return pendingIngest{}, err
 	}
-	db.mu.Unlock()
-	if err != nil {
-		return m, err
-	}
-	if commit == nil {
-		return m, nil
+	db.metrics().mappings.Set(int64(len(db.cur.Load().positions)))
+	return p, nil
+}
+
+// wait is the unlocked half of an ingest: block until the batch is durable
+// (sharing the fsync with every batch reserved meanwhile), then until the
+// fleet's semi-sync quorum has it, and kick a compaction when the log has
+// outgrown its threshold.
+func (p pendingIngest) wait() error {
+	if p.commit == nil {
+		return nil
 	}
 	tWait := time.Now()
-	err = commit.Wait()
-	m.trace.ObserveStage(obs.StageWALAppend, time.Since(tWait))
+	err := p.commit.Wait()
+	p.db.metrics().trace.ObserveStage(obs.StageWALAppend, time.Since(tWait))
 	if err != nil {
-		return m, err
+		return err
 	}
-	if rs := db.repl; rs != nil {
+	if rs := p.db.repl; rs != nil {
 		// Durable locally: wake replica long-polls, then (on a semi-sync
 		// primary) hold the ack until enough of them have the batch.
 		rs.noteDurable()
-		if err := rs.waitSynced(replTarget); err != nil {
-			return m, err
+		if err := rs.waitSynced(p.replTarget); err != nil {
+			return err
 		}
 	}
-	if st.WALBytes() >= db.cfg.WALCompactBytes {
+	if p.st.WALBytes() >= p.db.cfg.WALCompactBytes {
 		select {
-		case kick <- struct{}{}:
+		case p.kick <- struct{}{}:
 		default: // a compaction is already queued
 		}
 	}
-	return m, nil
+	return nil
 }
 
 // Len returns the number of ingested mappings.
@@ -382,9 +346,9 @@ func (db *Database) Bounds() (lo, hi mathx.Vec3, ok bool) {
 	return v.lo, v.hi, v.hasBounds
 }
 
-// MaxSeq returns the highest venue-global sequence number applied to a shard
-// engine (0 when empty or not in shard mode). The Router seeds its sequence
-// counter from max over shards after recovery.
+// MaxSeq returns the highest sequence number applied to this shard (0 when
+// empty). The Router stamps each venue batch from the maximum over the
+// venue's shards.
 func (db *Database) MaxSeq() uint64 {
 	v, t := db.pinView()
 	defer db.unpin(v, t)
@@ -401,36 +365,9 @@ func (db *Database) OracleClone() (*core.Oracle, error) {
 	return v.oracle.Clone()
 }
 
-// OracleBlob serializes the current uniqueness oracle, gzip-compressed —
-// the payload a client downloads on first start ("approximately 10MB" in
-// the paper's testing) — from a pinned read snapshot.
-func (db *Database) OracleBlob() ([]byte, error) {
-	v, t := db.pinView()
-	defer db.unpin(v, t)
-	return bloom.GzipBytes(v.oracle)
-}
-
-// Oracle exposes the live oracle for in-process use (the public API's
-// single-process mode).
-//
-// Contract: the pointer is read from the currently published snapshot, and
-// that snapshot stays valid only until the next Ingest retires it — after
-// which the write path mutates the very filter words the oracle's query
-// path reads, which is a data race. Only hold the pointer where no Ingest
-// can run concurrently (e.g. the single-threaded wardrive pipeline), or use
-// the gated wrappers below — SelectUnique and Uniqueness — which run the
-// oracle read entirely inside a pinned snapshot and are what the in-process
-// benchmarks use.
-func (db *Database) Oracle() *core.Oracle {
-	v, t := db.pinView()
-	defer db.unpin(v, t)
-	return v.oracle
-}
-
 // SelectUnique runs the oracle's keypoint filtering (the client-side
 // fingerprint selection) against a pinned read snapshot, so it is safe
-// against concurrent Ingest — unlike calling Oracle().SelectUnique
-// directly — and takes no lock.
+// against concurrent Ingest, and takes no lock.
 func (db *Database) SelectUnique(kps []sift.Keypoint, n int) ([]sift.Keypoint, error) {
 	v, t := db.pinView()
 	defer db.unpin(v, t)
@@ -653,58 +590,55 @@ func (db *Database) gatherCandidates(ctx context.Context, v *dbView, kps []sift.
 // ErrDeadlineExceeded (which also match context.Canceled and
 // context.DeadlineExceeded under errors.Is).
 func (db *Database) Locate(ctx context.Context, kps []sift.Keypoint, intr pose.Intrinsics) (LocateResult, error) {
+	res, _, err := db.locate(ctx, kps, intr, nil)
+	return res, err
+}
+
+// locate is the one-shard route: pin the published view, gather the
+// candidates through the capped, worker-pooled LSH query, and run the shared
+// solve tail — warm-started when ws carries a session prior (the bool reports
+// warm acceptance; see solve).
+func (db *Database) locate(ctx context.Context, kps []sift.Keypoint, intr pose.Intrinsics, ws *warmSolve) (res LocateResult, warm bool, err error) {
 	v, t := db.pinView()
 	defer db.unpin(v, t)
 	m := db.metrics()
 	tr := m.trace.Begin("locate")
-	res, err := db.locateView(ctx, v, kps, intr, tr)
-	m.locateNs.Observe(m.trace.End(tr))
-	m.locates.Inc()
-	if err != nil {
-		m.locateErrors.Inc()
-	}
-	return res, err
-}
-
-// locateView is the pipeline body; tr (nil when observability is off)
-// receives the per-stage breakdown. Callers hold a pin on v.
-func (db *Database) locateView(ctx context.Context, v *dbView, kps []sift.Keypoint, intr pose.Intrinsics, tr *obs.Trace) (LocateResult, error) {
+	defer func() { m.endLocate(tr, err) }()
 	if len(v.positions) == 0 {
-		return LocateResult{}, ErrEmptyDatabase
+		return LocateResult{}, false, ErrEmptyDatabase
 	}
 	if err := ctx.Err(); err != nil {
-		return LocateResult{}, ctxError(err)
+		return LocateResult{}, false, ctxError(err)
 	}
 	t0 := time.Now()
 	cands, err := db.gatherCandidates(ctx, v, kps)
 	tr.StageSince(obs.StageLSHQuery, t0)
 	if err != nil {
-		return LocateResult{}, ctxError(err)
+		return LocateResult{}, false, ctxError(err)
 	}
-	return solveCandidates(ctx, db.cfg, cands, v.lo, v.hi, intr, tr)
+	return solve(ctx, db.cfg, cands, v.lo, v.hi, intr, tr, ws)
 }
 
-// solveCandidates runs the back half of the Locate pipeline — clustering,
+// solve runs the back half of the Locate pipeline — clustering,
 // largest-cluster filtering and the pose optimization — over an
-// already-gathered candidate list. Shared verbatim between the single-
-// database path (locateLocked) and the Router's scatter-gather path, which
-// is what makes the two bit-identical once their candidate lists match: the
-// merged venue bounds feed the same search box arithmetic (per-axis min/max
-// commute across shards), and clustering order is fixed by the list order.
-func solveCandidates(ctx context.Context, cfg DatabaseConfig, cands []locateCand, lo, hi mathx.Vec3, intr pose.Intrinsics, tr *obs.Trace) (LocateResult, error) {
-	return solveCandidatesOpt(ctx, cfg, cands, lo, hi, intr, tr, cfg.Pose)
-}
-
-// solveCandidatesOpt is solveCandidates with the pose options made explicit:
-// the tracking path substitutes warm-start options (prior pose, shrunk
-// bounds, early convergence stop — see track.go) while every cold caller
-// passes cfg.Pose verbatim, keeping that path bit-identical.
-func solveCandidatesOpt(ctx context.Context, cfg DatabaseConfig, cands []locateCand, lo, hi mathx.Vec3, intr pose.Intrinsics, tr *obs.Trace, popt pose.Options) (LocateResult, error) {
+// already-gathered candidate list. Shared verbatim between the one-shard
+// route (Database.locate) and the Router's scatter-gather route, which is what
+// makes the two bit-identical once their candidate lists match: the merged
+// venue bounds feed the same search box arithmetic (per-axis min/max commute
+// across shards), and clustering order is fixed by the list order.
+//
+// A nil ws solves cold with cfg.Pose verbatim. A non-nil ws solves warm first
+// (prior pose, shrunk bounds, early convergence stop — see track.go) and
+// reports true when the result passes the residual gate; a rejected prior is
+// re-solved cold over the same correspondences, so the answer is
+// bit-identical to a session-less Locate. Warm-solve errors are returned
+// without a cold retry: nothing that can fail depends on the prior.
+func solve(ctx context.Context, cfg DatabaseConfig, cands []locateCand, lo, hi mathx.Vec3, intr pose.Intrinsics, tr *obs.Trace, ws *warmSolve) (LocateResult, bool, error) {
 	if len(cands) < 3 {
-		return LocateResult{}, ErrTooFewMatches
+		return LocateResult{}, false, ErrTooFewMatches
 	}
 	if err := ctx.Err(); err != nil {
-		return LocateResult{}, ctxError(err)
+		return LocateResult{}, false, ctxError(err)
 	}
 	// Largest spatial cluster filters out scattered false matches.
 	pts := make([]mathx.Vec3, len(cands))
@@ -715,13 +649,13 @@ func solveCandidatesOpt(ctx context.Context, cfg DatabaseConfig, cands []locateC
 	largest, ok, err := cluster.Largest(pts, cfg.Cluster)
 	tr.StageSince(obs.StageCluster, t0)
 	if err != nil {
-		return LocateResult{}, err
+		return LocateResult{}, false, err
 	}
 	if !ok || len(largest.Indices) < 3 {
-		return LocateResult{}, ErrNoConsensus
+		return LocateResult{}, false, ErrNoConsensus
 	}
 	if err := ctx.Err(); err != nil {
-		return LocateResult{}, ctxError(err)
+		return LocateResult{}, false, ctxError(err)
 	}
 	corr := make([]pose.Correspondence, 0, len(largest.Indices))
 	for _, i := range largest.Indices {
@@ -732,25 +666,35 @@ func solveCandidatesOpt(ctx context.Context, cfg DatabaseConfig, cands []locateC
 	// camera position through the wall plane, which a box clipped to the
 	// venue interior excludes.
 	pad := mathx.Vec3{X: 0.3, Y: 0.3, Z: 0.3}
-	t0 = time.Now()
-	res, err := pose.LocalizeContext(ctx, corr, intr, lo.Sub(pad), hi.Add(pad), popt)
-	tr.StageSince(obs.StagePoseSolve, t0)
-	if err != nil {
-		return LocateResult{}, ctxError(err)
+	localize := func(popt pose.Options) (LocateResult, error) {
+		t0 := time.Now()
+		res, err := pose.LocalizeContext(ctx, corr, intr, lo.Sub(pad), hi.Add(pad), popt)
+		tr.StageSince(obs.StagePoseSolve, t0)
+		if err != nil {
+			return LocateResult{}, ctxError(err)
+		}
+		// Evals = effective-PopSize × (init + generations); the solver clamps
+		// PopSize to a floor of 8, so mirror that clamp here.
+		ps := popt.PopSize
+		if ps < 8 {
+			ps = 8
+		}
+		return LocateResult{
+			Position:    res.Position,
+			Yaw:         res.Yaw,
+			Residual:    res.Residual,
+			Matched:     len(largest.Indices),
+			Generations: res.Evals / ps,
+		}, nil
 	}
-	// Evals = effective-PopSize × (init + generations); the solver clamps
-	// PopSize to a floor of 8, so mirror that clamp here.
-	ps := popt.PopSize
-	if ps < 8 {
-		ps = 8
+	if ws != nil {
+		res, err := localize(ws.opt)
+		if err != nil || ws.accept <= 0 || res.Residual <= ws.accept {
+			return res, err == nil, err
+		}
 	}
-	return LocateResult{
-		Position:    res.Position,
-		Yaw:         res.Yaw,
-		Residual:    res.Residual,
-		Matched:     len(largest.Indices),
-		Generations: res.Evals / ps,
-	}, nil
+	res, err := localize(cfg.Pose)
+	return res, false, err
 }
 
 // MergeCand is one shard-local LSH candidate annotated with everything the
@@ -788,13 +732,10 @@ func compareMergeCands(a, b MergeCand) int {
 // without losing any candidate a single database would have kept. Distance
 // gating (MaxMatchDistSq) is deliberately NOT applied here: the single-
 // database path gates after truncation, so the Router gates after the merged
-// truncation to match. Only meaningful on shard engines (seq mode).
+// truncation to match.
 func (db *Database) CandidateSets(ctx context.Context, kps []sift.Keypoint) ([][]MergeCand, error) {
 	v, t := db.pinView()
 	defer db.unpin(v, t)
-	if !db.seqMode {
-		return nil, errRemote{msg: "CandidateSets requires a shard engine"}
-	}
 	n := db.cfg.NeighborsPerKeypoint
 	out := make([][]MergeCand, len(kps))
 	var scratch []lsh.Candidate

@@ -262,7 +262,7 @@ func TestHostileLengthPrefixBoundedAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := &Server{db: db, router: NewRouter(db, db.cfg)}
+	s := &Server{router: routerFor(t, db)}
 	clientEnd, serverEnd := net.Pipe()
 	done := make(chan struct{})
 	var before, after runtime.MemStats

@@ -84,7 +84,7 @@ func TestCancelFreesServerSlot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := Serve(ln, db, WithMaxInFlight(1))
+	s := Serve(ln, routerFor(t, db), WithMaxInFlight(1))
 	s.Log = nil
 	t.Cleanup(func() { s.Close() })
 	c := dialClient(t, s)
@@ -138,7 +138,7 @@ func TestDeadlineEnforcedServerSide(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := Serve(ln, db)
+	s := Serve(ln, routerFor(t, db))
 	s.Log = nil
 	t.Cleanup(func() { s.Close() })
 
@@ -182,7 +182,7 @@ func TestShedUnderBurst(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := Serve(ln, db, WithMaxInFlight(1), WithQueueDepth(0))
+	s := Serve(ln, routerFor(t, db), WithMaxInFlight(1), WithQueueDepth(0))
 	s.Log = nil
 	t.Cleanup(func() { s.Close() })
 	c := dialClient(t, s)
@@ -219,7 +219,7 @@ func TestRetryRecoversFromOverload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := Serve(ln, db, WithMaxInFlight(1), WithQueueDepth(0))
+	s := Serve(ln, routerFor(t, db), WithMaxInFlight(1), WithQueueDepth(0))
 	s.Log = nil
 	t.Cleanup(func() { s.Close() })
 
@@ -276,7 +276,7 @@ func TestShutdownDrains(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := Serve(ln, db)
+	s := Serve(ln, routerFor(t, db))
 	s.Log = nil
 	t.Cleanup(func() { s.Close() })
 	c := dialClient(t, s)
@@ -345,7 +345,7 @@ func TestShutdownForcedCancelsInFlight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := Serve(ln, db)
+	s := Serve(ln, routerFor(t, db))
 	s.Log = nil
 	t.Cleanup(func() { s.Close() })
 	c := dialClient(t, s)
@@ -390,7 +390,7 @@ func TestDrainTimeoutOption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := Serve(ln, db, WithDrainTimeout(200*time.Millisecond))
+	s := Serve(ln, routerFor(t, db), WithDrainTimeout(200*time.Millisecond))
 	s.Log = nil
 	t.Cleanup(func() { s.Close() })
 	c := dialClient(t, s)

@@ -7,13 +7,13 @@ import (
 	"visualprint/internal/store"
 )
 
-// Observability wiring. The database and server are instrumented
+// Observability wiring. The engines and the server are instrumented
 // unconditionally — every hot path records through internal/obs handles —
-// but pay nothing until EnableObs installs real instruments: a nil
+// but pay nothing until Router.EnableObs installs real instruments: a nil
 // *dbMetrics resolves to the shared zero instance below, whose nil
 // instrument pointers make every record call a no-op. Serve enables
 // observability automatically, so any networked server answers the
-// metrics RPC; a Database used directly as a library (wardrive pipeline,
+// metrics RPC; a Router used directly as a library (wardrive pipeline,
 // micro-benchmarks) stays uninstrumented unless the owner opts in.
 
 // slowRequestThreshold is the tracer's cutoff for the slow-request ring:
@@ -23,7 +23,9 @@ import (
 // stalls (compaction pauses, lock convoys).
 const slowRequestThreshold = 100 * time.Millisecond
 
-// dbMetrics is the database's instrument set.
+// dbMetrics is the engine instrument set. Router.EnableObs creates one and
+// hands it to every shard of every venue, so a Locate or an Ingest records
+// into the same instruments whichever venue and topology served it.
 type dbMetrics struct {
 	reg   *obs.Registry
 	trace *obs.Tracer
@@ -34,34 +36,20 @@ type dbMetrics struct {
 	locateErrors *obs.Counter
 	ingests      *obs.Counter
 	ingestErrors *obs.Counter
-	mappings     *obs.Gauge
+
+	// Gauges describe one engine, so only the default venue's shard carries
+	// them; every other shard gets the withoutGauges copy.
+	mappings *obs.Gauge
+	recovery *obs.Gauge
+	store    store.Metrics
 }
 
 // noDBMetrics is the disabled instrument set: all-nil instruments, every
 // record call a no-op. Shared, immutable.
 var noDBMetrics = &dbMetrics{}
 
-// metrics returns the active instrument set. Lock-free: the pointer is
-// loaded atomically, so the RCU read paths (Locate, oracle scoring) record
-// without touching db.mu. EnableObs installs it once and never swaps it.
-func (db *Database) metrics() *dbMetrics {
-	if m := db.met.Load(); m != nil {
-		return m
-	}
-	return noDBMetrics
-}
-
-// EnableObs turns on metrics and tracing for this database, returning its
-// registry. Idempotent: subsequent calls return the same registry. Serve
-// calls it for every networked server; library users opt in explicitly.
-func (db *Database) EnableObs() *obs.Registry {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if m := db.met.Load(); m != nil {
-		return m.reg
-	}
-	r := obs.NewRegistry()
-	m := &dbMetrics{
+func newDBMetrics(r *obs.Registry) *dbMetrics {
+	return &dbMetrics{
 		reg:          r,
 		trace:        obs.NewTracer(r, slowRequestThreshold),
 		locateNs:     r.Histogram("locate_ns"),
@@ -71,28 +59,66 @@ func (db *Database) EnableObs() *obs.Registry {
 		ingests:      r.Counter("ingests"),
 		ingestErrors: r.Counter("ingest_errors"),
 		mappings:     r.Gauge("mappings"),
+		recovery:     r.Gauge("recovery_ns"),
+		store: store.Metrics{
+			FsyncNs:       r.Histogram("wal_fsync_ns"),
+			BatchRecords:  r.Histogram("wal_batch_records"),
+			SnapshotNs:    r.Histogram("snapshot_write_ns"),
+			SnapshotBytes: r.Gauge("snapshot_bytes"),
+			Snapshots:     r.Counter("snapshots_written"),
+			WALBytes:      r.Gauge("wal_bytes"),
+		},
 	}
-	m.mappings.Set(int64(len(db.cur.Load().positions)))
-	if db.recoverDur > 0 {
-		r.Gauge("recovery_ns").Set(int64(db.recoverDur))
-	}
-	db.met.Store(m)
-	if db.store != nil {
-		db.store.SetMetrics(storeMetrics(r))
-	}
-	return r
 }
 
-// storeMetrics builds the store's instrument set on r. Split out so Open
-// can wire a store attached after EnableObs and vice versa.
-func storeMetrics(r *obs.Registry) store.Metrics {
-	return store.Metrics{
-		FsyncNs:       r.Histogram("wal_fsync_ns"),
-		BatchRecords:  r.Histogram("wal_batch_records"),
-		SnapshotNs:    r.Histogram("snapshot_write_ns"),
-		SnapshotBytes: r.Gauge("snapshot_bytes"),
-		Snapshots:     r.Counter("snapshots_written"),
-		WALBytes:      r.Gauge("wal_bytes"),
+// withoutGauges returns the set a named venue's shards record into: the
+// shared counters, histograms and tracer, no per-engine gauges.
+func (m *dbMetrics) withoutGauges() *dbMetrics {
+	c := *m
+	c.mappings, c.recovery = nil, nil
+	c.store.SnapshotBytes, c.store.WALBytes = nil, nil
+	return &c
+}
+
+// endLocate books one venue-level Locate: its trace, latency and outcome.
+func (m *dbMetrics) endLocate(tr *obs.Trace, err error) {
+	m.locateNs.Observe(m.trace.End(tr))
+	m.locates.Inc()
+	if err != nil {
+		m.locateErrors.Inc()
+	}
+}
+
+// endIngest books one venue-level Ingest.
+func (m *dbMetrics) endIngest(start time.Time, err error) {
+	m.ingests.Inc()
+	m.ingestNs.ObserveSince(start)
+	if err != nil {
+		m.ingestErrors.Inc()
+	}
+}
+
+// metrics returns the active instrument set. Lock-free: the pointer is
+// loaded atomically, so the RCU read paths (Locate, oracle scoring) record
+// without touching db.mu.
+func (db *Database) metrics() *dbMetrics {
+	if m := db.met.Load(); m != nil {
+		return m
+	}
+	return noDBMetrics
+}
+
+// setMetrics installs the router's instrument set on this shard, publishing
+// the state it already has (mapping count, recovery cost, an attached
+// store).
+func (db *Database) setMetrics(m *dbMetrics) {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	db.met.Store(m)
+	m.mappings.Set(int64(len(db.cur.Load().positions)))
+	m.recovery.Set(int64(db.recoverDur))
+	if db.store != nil {
+		db.store.SetMetrics(m.store)
 	}
 }
 

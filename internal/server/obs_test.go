@@ -149,7 +149,7 @@ func TestMetricsDisabledServerReportsUnsupported(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := &Server{db: db, router: NewRouter(db, db.cfg)}
+	s := &Server{router: routerFor(t, db)}
 	cliConn, srvConn := net.Pipe()
 	done := make(chan struct{})
 	go func() { defer close(done); s.ServeConn(srvConn) }()

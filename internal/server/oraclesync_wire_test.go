@@ -266,7 +266,7 @@ func TestOracleWatchDeliversEpochBumps(t *testing.T) {
 	deadline := time.After(20 * time.Second)
 	for {
 		fresh, _ := fullFetch(t, c)
-		wantEpoch, _ := s.db.OracleEpoch()
+		wantEpoch, _ := s.router.Default().OracleEpoch()
 		if last.Oracle != nil && last.Epoch == wantEpoch {
 			if !bytes.Equal(oracleBytes(t, last.Oracle), oracleBytes(t, fresh)) {
 				t.Fatal("watched oracle differs from a full fetch at the same epoch")
@@ -330,7 +330,7 @@ func TestOracleSyncDenseChainNeverBeatsBlob(t *testing.T) {
 		t.Fatal(err)
 	}
 	haveEpoch, haveInserts := db.OracleEpoch()
-	held, err := db.Oracle().Clone()
+	held, err := db.OracleClone()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,7 +339,7 @@ func TestOracleSyncDenseChainNeverBeatsBlob(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	blob, err := db.OracleBlob()
+	blob, err := routerFor(t, db).OracleBlob("")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -374,7 +374,11 @@ func TestOracleSyncDenseChainNeverBeatsBlob(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if !bytes.Equal(oracleBytes(t, o), oracleBytes(t, db.Oracle())) {
+	live, err := db.OracleClone()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(oracleBytes(t, o), oracleBytes(t, live)) {
 		t.Fatal("sync answer diverges from the live oracle")
 	}
 }

@@ -25,21 +25,19 @@ import (
 //
 // Snapshot payload layout (inside the store's checksummed container):
 //
-//	[8-byte magic][lsh index][uint64 n][n Vec3 positions]
+//	[8-byte magic][lsh index][uint64 n][n Vec3 positions][n uint64 seqs]
 //	[bounds: uint8 has, lo Vec3, hi Vec3][oracle]
 //
-// The retained oracle download clones are deliberately not persisted: after
-// a restart the diff window starts empty and clients refreshing against a
-// pre-crash version transparently fall back to a full oracle download.
+// The oracle delta ring is deliberately not persisted: after a restart it
+// starts empty and clients syncing against a pre-crash version transparently
+// fall back to a full oracle download.
 
-// dbSnapMagic versions the database snapshot payload. Shard engines (seq
-// mode) write dbSnapMagicSeq, which appends the parallel sequence array
-// after the positions; plain databases keep writing the v1 layout so their
-// directories stay readable by older builds.
-const (
-	dbSnapMagic    = "VPDB1\x00\x00\x00"
-	dbSnapMagicSeq = "VPDB2\x00\x00\x00"
-)
+// dbSnapMagicSeq versions the database snapshot payload. It is the only
+// layout: the untagged predecessor format (no sequence array, 152-byte WAL
+// entries) written by non-replicated servers before the engines were unified
+// is refused at Open, never reinterpreted (DESIGN.md "Multi-venue &
+// sharding").
+const dbSnapMagicSeq = "VPDB2\x00\x00\x00"
 
 // Open attaches dir as the database's durable backing store, recovering
 // any previously persisted state into the (required to be empty) in-memory
@@ -90,18 +88,11 @@ func (db *Database) open(dir string, install func(*store.Store) error) error {
 			return nil
 		},
 		func(payload []byte) error {
-			if db.seqMode {
-				ms, seqs, err := decodeSeqMappings(payload)
-				if err != nil {
-					return err
-				}
-				return rv.apply(ms, seqs)
-			}
-			ms, err := decodeMappings(payload)
+			ms, seqs, err := decodeSeqMappings(payload)
 			if err != nil {
 				return err
 			}
-			return rv.apply(ms, nil)
+			return rv.apply(ms, seqs)
 		},
 	)
 	if err != nil {
@@ -124,13 +115,12 @@ func (db *Database) open(dir string, install func(*store.Store) error) error {
 	db.snapKick = make(chan struct{}, 1)
 	db.quit = make(chan struct{})
 	db.snapDone = make(chan struct{})
-	if m := db.met.Load(); m != nil {
-		// Observability was enabled before the directory was attached:
-		// wire the store's instruments and publish the recovery cost now.
-		st.SetMetrics(storeMetrics(m.reg))
-		m.reg.Gauge("recovery_ns").Set(int64(db.recoverDur))
-		m.mappings.Set(int64(len(rv.positions)))
-	}
+	// No-ops unless observability was enabled before the directory was
+	// attached (setMetrics covers the other order).
+	m := db.metrics()
+	st.SetMetrics(m.store)
+	m.recovery.Set(int64(db.recoverDur))
+	m.mappings.Set(int64(len(rv.positions)))
 	go db.snapshotter()
 	return nil
 }
@@ -209,6 +199,7 @@ func (db *Database) resetLocked() error {
 // a bulk upload; tests; benchmarks). Concurrent Compact and snapshotter
 // runs are safe: the store serializes snapshot writers internally, and
 // whichever runs second observes an already-current snapshot and no-ops.
+// An in-memory database has nothing to fold and returns nil.
 //
 // Ingest stalls for the duration: serialization and fsync happen under the
 // read lock Ingest's WAL reservation needs for writing. At the default
@@ -221,7 +212,7 @@ func (db *Database) Compact() error {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	if db.store == nil {
-		return errors.New("server: in-memory database has nothing to compact")
+		return nil
 	}
 	// Holding the read lock excludes Ingest (whose WAL reservation needs
 	// the write lock) for the duration, so cur is stable and the serialized
@@ -271,11 +262,7 @@ func (db *Database) snapshotter() {
 // duration: either the published view read while holding db.mu (any side —
 // publishing requires the write lock) or a pinned view.
 func (db *Database) writeState(v *dbView, w io.Writer) error {
-	magic := dbSnapMagic
-	if db.seqMode {
-		magic = dbSnapMagicSeq
-	}
-	if _, err := io.WriteString(w, magic); err != nil {
+	if _, err := io.WriteString(w, dbSnapMagicSeq); err != nil {
 		return err
 	}
 	if _, err := v.index.WriteTo(w); err != nil {
@@ -287,10 +274,8 @@ func (db *Database) writeState(v *dbView, w io.Writer) error {
 	if err := binary.Write(w, binary.LittleEndian, v.positions); err != nil {
 		return err
 	}
-	if db.seqMode {
-		if err := binary.Write(w, binary.LittleEndian, v.seqs); err != nil {
-			return err
-		}
+	if err := binary.Write(w, binary.LittleEndian, v.seqs); err != nil {
+		return err
 	}
 	var has byte
 	if v.hasBounds {
@@ -314,16 +299,12 @@ func (db *Database) writeState(v *dbView, w io.Writer) error {
 // otherwise silently mis-hash every query). The caller (open's recovery
 // path) publishes the view once the WAL tail has been replayed into it.
 func (db *Database) loadState(r io.Reader) (*dbView, error) {
-	magic := make([]byte, len(dbSnapMagic))
+	magic := make([]byte, len(dbSnapMagicSeq))
 	if _, err := io.ReadFull(r, magic); err != nil {
 		return nil, err
 	}
-	wantMagic := dbSnapMagic
-	if db.seqMode {
-		wantMagic = dbSnapMagicSeq
-	}
-	if string(magic) != wantMagic {
-		return nil, fmt.Errorf("server: bad database snapshot magic %q (want %q)", magic, wantMagic)
+	if string(magic) != dbSnapMagicSeq {
+		return nil, fmt.Errorf("server: bad database snapshot magic %q (want %q)", magic, dbSnapMagicSeq)
 	}
 	ix, err := lsh.ReadIndex(r)
 	if err != nil {
@@ -343,17 +324,14 @@ func (db *Database) loadState(r io.Reader) (*dbView, error) {
 	if err := binary.Read(r, binary.LittleEndian, positions); err != nil {
 		return nil, err
 	}
-	var seqs []uint64
+	seqs := make([]uint64, n)
+	if err := binary.Read(r, binary.LittleEndian, seqs); err != nil {
+		return nil, err
+	}
 	var maxSeq uint64
-	if db.seqMode {
-		seqs = make([]uint64, n)
-		if err := binary.Read(r, binary.LittleEndian, seqs); err != nil {
-			return nil, err
-		}
-		for _, s := range seqs {
-			if s > maxSeq {
-				maxSeq = s
-			}
+	for _, s := range seqs {
+		if s > maxSeq {
+			maxSeq = s
 		}
 	}
 	var has byte

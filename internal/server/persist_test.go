@@ -40,6 +40,29 @@ func newTestDB(t testing.TB, cfg DatabaseConfig) *Database {
 	return db
 }
 
+// newTestRouter builds an engine whose default venue logs through t.
+func newTestRouter(t testing.TB, cfg DatabaseConfig) *Router {
+	t.Helper()
+	r, err := NewRouter(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Default().SetLogger(obs.FuncLogger(t.Logf))
+	return r
+}
+
+// routerFor wraps a standalone engine as the default venue of a fresh
+// router, so a test can serve the very Database it drives directly.
+func routerFor(t testing.TB, db *Database) *Router {
+	t.Helper()
+	r, err := NewRouter(db.cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.venues[""].shards[0] = db
+	return r
+}
+
 // queryKeypoints renders one viewpoint of the venue and extracts keypoints
 // for Locate.
 func queryKeypoints(t testing.TB, w *scene.World) ([]sift.Keypoint, pose.Intrinsics) {
@@ -126,18 +149,18 @@ func TestKillAndRestartRecoversIdenticalMap(t *testing.T) {
 	if ok1 != ok2 || lo1 != lo2 || hi1 != hi2 {
 		t.Fatalf("bounds diverge: %v %v vs %v %v", lo1, hi1, lo2, hi2)
 	}
-	if i1, i2 := db1.Oracle().Inserts(), db2.Oracle().Inserts(); i1 != i2 {
+	if i1, i2 := db1.Stats().OracleInserts, db2.Stats().OracleInserts; i1 != i2 {
 		t.Fatalf("oracle inserts diverge: %d vs %d", i1, i2)
 	}
 	requireIdenticalLocate(t, db1, db2, kps, intr)
 
 	// The uniqueness oracle must rank identically too (it drives client
 	// keypoint selection).
-	sel1, err := db1.Oracle().SelectUnique(kps, 50)
+	sel1, err := db1.SelectUnique(kps, 50)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sel2, err := db2.Oracle().SelectUnique(kps, 50)
+	sel2, err := db2.SelectUnique(kps, 50)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,7 +362,7 @@ func TestStatsRPCExtendedFields(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := Serve(ln, db)
+	s := Serve(ln, routerFor(t, db))
 	s.Log = nil
 	defer s.Close()
 	c, err := Dial(s.Addr().String())

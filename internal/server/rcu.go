@@ -55,8 +55,12 @@ type dbView struct {
 	oracle    *core.Oracle
 	lo, hi    mathx.Vec3
 	hasBounds bool
-	seqs      []uint64
-	maxSeq    uint64
+	// seqs, parallel to positions, tags every mapping with its venue-global
+	// sequence number: the venue-wide insertion order, i.e. the tie-break that
+	// lets a scatter-gather query reproduce one database's candidate ranking
+	// exactly (see CandidateSets). maxSeq is the highest tag applied.
+	seqs   []uint64
+	maxSeq uint64
 	// epoch is the oracle version: the count of ingest batches ever applied
 	// to this database. On a durable database it is anchored to the store's
 	// record sequence (one WAL record per batch), so it survives restarts
@@ -196,8 +200,7 @@ func (v *dbView) clone() (*dbView, error) {
 
 // apply incorporates mappings into this (unpublished) view. It is the
 // single mutation path, shared by live ingest (which runs it once on each
-// generation), WAL replay and replica catch-up. seqs is nil on a plain
-// database and parallel to ms on a shard engine.
+// generation), WAL replay and replica catch-up. seqs is parallel to ms.
 func (v *dbView) apply(ms []Mapping, seqs []uint64) error {
 	v.footprint.Store(0)
 	for i := range ms {
@@ -210,11 +213,9 @@ func (v *dbView) apply(ms []Mapping, seqs []uint64) error {
 			return err
 		}
 		v.positions = append(v.positions, ms[i].Pos)
-		if seqs != nil {
-			v.seqs = append(v.seqs, seqs[i])
-			if seqs[i] > v.maxSeq {
-				v.maxSeq = seqs[i]
-			}
+		v.seqs = append(v.seqs, seqs[i])
+		if seqs[i] > v.maxSeq {
+			v.maxSeq = seqs[i]
 		}
 		p := ms[i].Pos
 		if !v.hasBounds {

@@ -151,9 +151,9 @@ type ReplState struct {
 }
 
 // NewReplState builds the control block and binds it to db (whose ingest
-// path then advances and gates on it). The database must be a durable shard
-// engine by the time the node serves traffic; that is validated by the
-// fleet runner, not here.
+// path then advances and gates on it). The database must be durable by the
+// time the node serves traffic; that is validated by the fleet runner, not
+// here.
 func NewReplState(db *Database, cfg ReplConfig) *ReplState {
 	rs := &ReplState{
 		db:           db,
@@ -755,9 +755,6 @@ func (db *Database) SnapshotBlob() (seq uint64, blob []byte, err error) {
 // appends the byte-identical record to the replica's own WAL — so logs,
 // sequence tags, and therefore Locate results match the primary exactly.
 func (db *Database) ApplyReplRecords(ctx context.Context, records [][]byte) error {
-	if !db.seqMode {
-		return errors.New("server: replication requires a shard (seq-mode) database")
-	}
 	for _, rec := range records {
 		ms, seqs, err := decodeSeqMappings(rec)
 		if err != nil {

@@ -24,41 +24,48 @@ import (
 	"visualprint/internal/track"
 )
 
-// Router fans requests out across venues and, within a venue, across spatial
-// shards. It is the multi-tenant layer in front of the shard engines: every
-// wire request optionally carries a venue name (in its header), the default
-// venue (the empty name) maps to the plain Database the server was built
-// with, and each named venue owns an isolated set of shard engines — its own
-// LSH indexes, oracles, and WAL/snapshot directories. Venues are lazily
-// created on first ingest (and on oracle fetch); querying a venue that was
-// never ingested returns ErrEmptyDatabase, which is the cross-venue
-// isolation guarantee the tests pin.
+// Router is the engine: every operation resolves a venue by name and runs on
+// that venue's shard engines. The default venue (the empty name) is an
+// ordinary one-shard venue that always exists; each named venue owns an
+// isolated set of shards — its own LSH indexes, oracles, and WAL/snapshot
+// directories — created by its first ingest. Only Ingest creates a venue:
+// reads of a venue that was never ingested answer empty (Locate returns
+// ErrEmptyDatabase, which is the cross-venue isolation guarantee the tests
+// pin; an oracle sync answers the configuration's empty oracle at version
+// (0, 0); a subscription parks until the first ingest).
 //
-// Locate on a multi-shard venue is scatter-gather: every shard retrieves its
-// per-keypoint candidate sets in parallel (CandidateSets), the router merges
-// them under the venue-wide total order (DistSq, probe ordinal, ingest
-// sequence) and runs the shared clustering/pose tail (solveCandidates). The
-// merged candidate list is bit-identical to what one unsharded database
-// holding the same mappings in the same ingest order would have produced —
-// see MergeCand for the ordering argument and TestRouterLocateBitIdentical
-// for the pinned proof. The one semantic difference is freshness, not
-// ranking: a Locate racing an Ingest may observe a prefix of the batch
-// (per-shard reads are not a venue-wide atomic snapshot); quiesced, the
-// results are exact.
+// Locate has one route: venue → shards → solve. A one-shard venue gathers
+// candidates from the shard's pinned view (Database.locate); a multi-shard
+// venue scatters — every shard retrieves its per-keypoint candidate sets in
+// parallel (CandidateSets) and the router merges them under the venue-wide
+// total order (DistSq, probe ordinal, ingest sequence) — and both end in the
+// shared clustering/pose tail (solve). The merged candidate list is
+// bit-identical to what one shard holding the same mappings in the same
+// ingest order would have produced — see MergeCand for the ordering argument
+// and TestRouterLocateBitIdentical for the pinned proof. The one semantic
+// difference is freshness, not ranking: a Locate racing an Ingest may observe
+// a prefix of the batch (per-shard reads are not a venue-wide atomic
+// snapshot); quiesced, the results are exact.
 type Router struct {
 	cfg DatabaseConfig
-	def *Database // default venue ("")
 
-	mu     sync.RWMutex
+	mu sync.RWMutex
+	// venues holds every live venue, the default one under the empty name.
 	venues map[string]*venue
-	dir    string // venues root directory; "" while in-memory
+	dir    string // data directory; "" while in-memory
 	// pre maps venue names to configurations fixed before first ingest
 	// (shard count, cell size); venues absent from the map get defaults.
 	pre map[string]VenueConfig
+	// created is closed and replaced whenever a venue is created — the wakeup
+	// for oracle subscriptions parked on a venue that does not exist yet.
+	created chan struct{}
 
-	// Observability (nil until instrument): per-venue request counters are
-	// created on this registry as venues appear.
-	reg       *obs.Registry
+	// Observability (nil until EnableObs): met is the engine instrument set
+	// the default venue's shard records into, shardMet its gauge-less copy
+	// for every other shard; per-venue request counters are created on
+	// met's registry as venues appear.
+	met       atomic.Pointer[dbMetrics]
+	shardMet  *dbMetrics
 	venueGage *obs.Gauge
 
 	// trk is the continuous-localization session state (table + metrics;
@@ -100,35 +107,41 @@ func (vc VenueConfig) withDefaults() VenueConfig {
 	return vc
 }
 
-// venue is one named tenant: its shard engines plus the sequence counter
-// that stamps venue-wide ingest order onto every mapping.
+// venue is one tenant: its shard engines plus the lock under which
+// venue-wide ingest order is stamped onto every mapping.
 type venue struct {
 	name   string
 	cfg    VenueConfig
 	shards []*Database
 
-	// ingestMu serializes ingests venue-wide: sequence assignment and the
-	// per-shard applies happen under it, so every shard observes a strictly
-	// increasing subsequence of the venue sequence (IngestSeq's contract).
+	// ingestMu serializes the stamping and applying of batches venue-wide,
+	// so every shard observes a strictly increasing subsequence of the venue
+	// sequence (IngestSeq's contract). It is not held across the durability
+	// wait.
 	ingestMu sync.Mutex
-	nextSeq  uint64
 
-	// Per-venue counters (nil without observability).
-	locates *obs.Counter
-	ingests *obs.Counter
+	// Per-venue request counters (nil until EnableObs, which may run while
+	// the venue serves).
+	locates atomic.Pointer[obs.Counter]
+	ingests atomic.Pointer[obs.Counter]
 }
 
-// NewRouter builds a router over def as the default venue. Named venues are
-// created lazily with def's configuration.
-func NewRouter(def *Database, cfg DatabaseConfig) *Router {
+// NewRouter builds the engine with its empty default venue. Named venues are
+// created lazily with the same configuration.
+func NewRouter(cfg DatabaseConfig) (*Router, error) {
 	r := &Router{
-		cfg:    cfg,
-		def:    def,
-		venues: make(map[string]*venue),
-		pre:    make(map[string]VenueConfig),
+		cfg:     cfg,
+		venues:  make(map[string]*venue),
+		pre:     make(map[string]VenueConfig),
+		created: make(chan struct{}),
 	}
 	r.trk.Store(&trackState{tb: track.New(track.DefaultConfig())})
-	return r
+	def, err := r.buildVenueLocked("", VenueConfig{}.withDefaults())
+	if err != nil {
+		return nil, err
+	}
+	r.venues[""] = def
+	return r, nil
 }
 
 // SetLogger routes venue lifecycle messages through l (nil silences).
@@ -139,15 +152,6 @@ func (r *Router) SetLogger(l *obs.Logger) {
 	r.mu.Lock()
 	r.log = l
 	r.mu.Unlock()
-}
-
-func (r *Router) logf(format string, args ...any) {
-	r.mu.RLock()
-	l := r.log
-	r.mu.RUnlock()
-	if l != nil {
-		l.Infof(format, args...)
-	}
 }
 
 // ConfigureVenue fixes the shard topology a venue will be created with. It
@@ -167,8 +171,9 @@ func (r *Router) ConfigureVenue(name string, cfg VenueConfig) error {
 	return nil
 }
 
-// Default returns the default venue's database.
-func (r *Router) Default() *Database { return r.def }
+// Default returns the default venue's single shard — what the replication
+// control block and the fleet runner bind to.
+func (r *Router) Default() *Database { return r.lookup("").shards[0] }
 
 // Venues returns the sorted names of all live named venues.
 func (r *Router) Venues() []string {
@@ -179,64 +184,115 @@ func (r *Router) Venues() []string {
 	}
 	r.mu.RUnlock()
 	sort.Strings(names)
-	return names
+	return names[1:] // the default venue always exists and its empty name sorts first
 }
 
-// instrument attaches the server registry; venues created afterwards get
-// per-venue request counters (venue_<name>_locates / _ingests), and the
-// venues gauge tracks the live venue count.
-func (r *Router) instrument(reg *obs.Registry) {
+// EnableObs turns on metrics and tracing for the whole engine and returns
+// the registry. Idempotent. One instrument set serves every shard of every
+// venue, present and future, so all venues record into the same locates /
+// locate_ns / ingest_ns / stage_* instruments; the per-engine gauges
+// (mappings, recovery_ns, wal_bytes, snapshot_bytes) report the default venue.
+// Venues additionally get a request-counter pair (venue_<name>_locates /
+// _ingests), and the venues gauge tracks the live named-venue count. Serve
+// calls it for every networked server; library users opt in explicitly.
+func (r *Router) EnableObs() *obs.Registry {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.reg != nil || reg == nil {
-		return
+	if m := r.met.Load(); m != nil {
+		return m.reg
 	}
-	r.reg = reg
-	r.venueGage = reg.Gauge("venues")
+	reg := obs.NewRegistry()
+	m := newDBMetrics(reg)
+	r.met.Store(m)
+	r.shardMet = m.withoutGauges()
 	for _, v := range r.venues {
-		v.locates = reg.Counter("venue_" + v.name + "_locates")
-		v.ingests = reg.Counter("venue_" + v.name + "_ingests")
+		r.instrumentLocked(v)
 	}
-	r.venueGage.Set(int64(len(r.venues)))
+	r.venues[""].shards[0].setMetrics(m)
+	r.venueGage = reg.Gauge("venues")
+	r.venueGage.Set(int64(len(r.venues) - 1))
 	// Re-publish the tracking state with instruments attached (the table's
 	// session gauge starts at the current — normally zero — count).
-	if st := r.trk.Load(); st != nil {
-		ns := &trackState{tb: st.tb, tm: newTrackMetrics(reg)}
-		ns.tb.Instrument(reg)
-		r.trk.Store(ns)
+	st := r.trk.Load()
+	st.tb.Instrument(reg)
+	r.trk.Store(&trackState{tb: st.tb, tm: newTrackMetrics(reg)})
+	return reg
+}
+
+// instrumentLocked attaches the shared instrument set and the per-venue
+// counters to v. No-op before EnableObs. Callers hold r.mu.
+func (r *Router) instrumentLocked(v *venue) {
+	if r.shardMet == nil {
+		return
 	}
+	for _, sh := range v.shards {
+		sh.setMetrics(r.shardMet)
+	}
+	v.locates.Store(r.shardMet.reg.Counter("venue_" + v.name + "_locates"))
+	v.ingests.Store(r.shardMet.reg.Counter("venue_" + v.name + "_ingests"))
+}
+
+// metrics returns the engine instrument set (the no-op set before
+// EnableObs). Lock-free, like Database.metrics.
+func (r *Router) metrics() *dbMetrics {
+	if m := r.met.Load(); m != nil {
+		return m
+	}
+	return noDBMetrics
 }
 
 // venueMetaFile is the per-venue topology record inside the venue directory.
 const venueMetaFile = "meta.json"
 
-// venuesSubdir is the directory under the server data dir holding one
-// subdirectory per named venue. The default venue keeps the legacy layout at
-// the data dir root, so pre-venue data directories open unchanged.
+// venuesSubdir is the directory under the data dir holding one subdirectory
+// per named venue.
 const venuesSubdir = "venues"
 
 // shardDirName names shard i's store directory inside a venue directory.
 func shardDirName(i int) string { return fmt.Sprintf("shard-%03d", i) }
 
-// OpenVenues attaches dir as the venues root: every venue recorded under
-// dir/venues is recovered (topology from meta.json, each shard from its own
-// store directory, the venue sequence counter from the shards' high-water
-// marks), and venues created later are durable under the same root. The
-// default venue's own directory is managed separately by Database.Open.
+// shardDir maps a venue's shard to its store directory — the one place the
+// default venue's name matters to the engine: its single shard lives at the
+// data-dir root (where replicated and pre-venue deployments have always kept
+// it), named venues under venues/<name>/shard-NNN.
+func (r *Router) shardDir(venueName string, i int) string {
+	if venueName == "" {
+		return r.dir
+	}
+	return filepath.Join(r.dir, venuesSubdir, venueName, shardDirName(i))
+}
+
+// OpenVenues attaches dir as the data directory: the default venue's shard is
+// recovered from the root, every venue recorded under dir/venues from its own
+// directory (topology from meta.json, each shard from its store), and venues
+// created later are durable under the same root. It must run before any
+// ingest. A failed open leaves the router closed and in-memory.
 func (r *Router) OpenVenues(dir string) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.dir != "" {
-		return errors.New("server: router already has a venues directory")
+		return errors.New("server: router already has a data directory")
 	}
-	if len(r.venues) != 0 {
-		return errors.New("server: OpenVenues requires no live venues")
+	if len(r.venues) != 1 {
+		return errors.New("server: OpenVenues requires no live named venues")
 	}
-	root := filepath.Join(dir, venuesSubdir)
+	r.dir = dir
+	if err := r.openLocked(); err != nil {
+		r.closeLocked()
+		return err
+	}
+	r.venueGage.Set(int64(len(r.venues) - 1))
+	return nil
+}
+
+func (r *Router) openLocked() error {
+	if err := r.venues[""].shards[0].Open(r.shardDir("", 0)); err != nil {
+		return err
+	}
+	root := filepath.Join(r.dir, venuesSubdir)
 	entries, err := os.ReadDir(root)
 	if err != nil {
 		if os.IsNotExist(err) {
-			r.dir = dir
 			return nil
 		}
 		return err
@@ -254,50 +310,34 @@ func (r *Router) OpenVenues(dir string) error {
 		if err := json.Unmarshal(meta, &vc); err != nil {
 			return fmt.Errorf("server: venue %q meta: %w", name, err)
 		}
-		v, err := r.buildVenueLocked(name, vc.withDefaults(), filepath.Join(root, name))
+		v, err := r.buildVenueLocked(name, vc.withDefaults())
 		if err != nil {
 			return err
 		}
 		r.venues[name] = v
 	}
-	r.dir = dir
-	if r.venueGage != nil {
-		r.venueGage.Set(int64(len(r.venues)))
-	}
 	return nil
 }
 
 // buildVenueLocked constructs a venue's shard engines, attaching durable
-// stores when venueDir is non-empty. Callers hold r.mu.
-func (r *Router) buildVenueLocked(name string, vc VenueConfig, venueDir string) (*venue, error) {
+// stores when the router has a data directory. Callers hold r.mu (or own the
+// router exclusively).
+func (r *Router) buildVenueLocked(name string, vc VenueConfig) (*venue, error) {
 	v := &venue{name: name, cfg: vc}
 	for i := 0; i < vc.Shards; i++ {
-		sh, err := NewShardDatabase(r.cfg)
-		if err != nil {
-			return nil, err
+		sh, err := NewDatabase(r.cfg)
+		if err == nil && r.dir != "" {
+			err = sh.Open(r.shardDir(name, i))
 		}
-		if venueDir != "" {
-			if err := sh.Open(filepath.Join(venueDir, shardDirName(i))); err != nil {
-				for _, prev := range v.shards {
-					prev.Close()
-				}
-				return nil, fmt.Errorf("server: venue %q shard %d: %w", name, i, err)
+		if err != nil {
+			for _, prev := range v.shards {
+				prev.Close()
 			}
+			return nil, fmt.Errorf("server: venue %q shard %d: %w", name, i, err)
 		}
 		v.shards = append(v.shards, sh)
 	}
-	for _, sh := range v.shards {
-		if s := sh.MaxSeq(); s >= v.nextSeq {
-			v.nextSeq = s + 1
-		}
-	}
-	if v.nextSeq == 0 {
-		v.nextSeq = 1
-	}
-	if r.reg != nil {
-		v.locates = r.reg.Counter("venue_" + name + "_locates")
-		v.ingests = r.reg.Counter("venue_" + name + "_ingests")
-	}
+	r.instrumentLocked(v)
 	return v, nil
 }
 
@@ -310,7 +350,8 @@ func (r *Router) lookup(name string) *venue {
 }
 
 // getOrCreate returns the named venue, creating it (with its preconfigured
-// or default topology, durable when a venues root is attached) on first use.
+// or default topology, durable when a data directory is attached) on first
+// use. Only Ingest calls it.
 func (r *Router) getOrCreate(name string) (*venue, error) {
 	if v := r.lookup(name); v != nil {
 		return v, nil
@@ -327,9 +368,8 @@ func (r *Router) getOrCreate(name string) (*venue, error) {
 	if !ok {
 		vc = VenueConfig{}.withDefaults()
 	}
-	venueDir := ""
 	if r.dir != "" {
-		venueDir = filepath.Join(r.dir, venuesSubdir, name)
+		venueDir := filepath.Join(r.dir, venuesSubdir, name)
 		if err := os.MkdirAll(venueDir, 0o755); err != nil {
 			return nil, err
 		}
@@ -341,31 +381,33 @@ func (r *Router) getOrCreate(name string) (*venue, error) {
 			return nil, err
 		}
 	}
-	v, err := r.buildVenueLocked(name, vc, venueDir)
+	v, err := r.buildVenueLocked(name, vc)
 	if err != nil {
 		return nil, err
 	}
 	r.venues[name] = v
-	if r.venueGage != nil {
-		r.venueGage.Set(int64(len(r.venues)))
-	}
-	// r.mu is held: read r.log directly instead of via logf.
+	close(r.created)
+	r.created = make(chan struct{})
+	r.venueGage.Set(int64(len(r.venues) - 1))
 	if r.log != nil {
 		r.log.Infof("server: venue %q created (%d shard(s))", name, vc.Shards)
 	}
 	return v, nil
 }
 
-// Close releases every named venue's durable resources. The default venue's
-// database is owned by the caller and left untouched.
+// Close releases every venue's durable resources: pending WAL commits are
+// flushed, background snapshotters stop, file handles close. The venues stay
+// usable in memory. Idempotent.
 func (r *Router) Close() error {
 	r.mu.Lock()
-	venues := r.venues
-	r.venues = make(map[string]*venue)
+	defer r.mu.Unlock()
+	return r.closeLocked()
+}
+
+func (r *Router) closeLocked() error {
 	r.dir = ""
-	r.mu.Unlock()
 	var first error
-	for _, v := range venues {
+	for _, v := range r.venues {
 		for _, sh := range v.shards {
 			if err := sh.Close(); err != nil && first == nil {
 				first = err
@@ -375,9 +417,8 @@ func (r *Router) Close() error {
 	return first
 }
 
-// Compact folds every named venue's shards into fresh durable snapshots
-// (in-memory shards are skipped). The default venue is compacted by its
-// owner.
+// Compact folds every venue's shards into fresh durable snapshots. A no-op
+// on an in-memory router.
 func (r *Router) Compact() error {
 	r.mu.RLock()
 	var shards []*Database
@@ -386,12 +427,6 @@ func (r *Router) Compact() error {
 	}
 	r.mu.RUnlock()
 	for _, sh := range shards {
-		sh.mu.RLock()
-		st := sh.store
-		sh.mu.RUnlock()
-		if st == nil {
-			continue
-		}
 		if err := sh.Compact(); err != nil {
 			return err
 		}
@@ -414,9 +449,6 @@ func (v *venue) shardFor(p mathx.Vec3) int {
 
 // Len returns a venue's total mapping count (0 for a venue never created).
 func (r *Router) Len(venueName string) int {
-	if venueName == "" {
-		return r.def.Len()
-	}
 	v := r.lookup(venueName)
 	if v == nil {
 		return 0
@@ -433,86 +465,91 @@ func (v *venue) len() int {
 }
 
 // Ingest routes a batch to a venue, creating it on first use, and returns
-// the venue's total mapping count after the batch. Within a named venue,
-// every mapping is stamped with the next venue-global sequence number and
-// routed to the shard owning its spatial cell; the whole batch is applied
-// under the venue's ingest lock so each shard sees sequence numbers in
-// order. The shard applies fan out in parallel — each shard fsyncs its own
-// WAL — and the call returns once every shard has acknowledged.
+// the venue's total mapping count after the batch. Every mapping is stamped
+// with the next venue-global sequence number and routed to the shard owning
+// its spatial cell. The stamping and the per-shard reserve-and-apply happen
+// under the venue's ingest lock, so each shard sees sequence numbers in
+// order; the lock is released before the durability wait (each shard's WAL
+// fsync, the semi-sync replica quorum), so concurrent ingests into one venue
+// share group commits instead of serializing on the disk or the replica
+// round trip. The call returns once every shard has acknowledged.
+//
+// The context gates admission only (see Database.Ingest).
 func (r *Router) Ingest(ctx context.Context, venueName string, ms []Mapping) (total int, err error) {
-	if venueName == "" {
-		if err := r.def.Ingest(ctx, ms); err != nil {
-			return 0, err
-		}
-		return r.def.Len(), nil
+	if err := ctx.Err(); err != nil {
+		return 0, ctxError(err)
 	}
 	v, err := r.getOrCreate(venueName)
 	if err != nil {
 		return 0, err
 	}
-	if v.ingests != nil {
-		v.ingests.Inc()
+	v.ingests.Load().Inc()
+	start := time.Now()
+	err = v.ingest(ms)
+	r.metrics().endIngest(start, err)
+	if err != nil {
+		return 0, err
 	}
+	return v.len(), nil
+}
+
+func (v *venue) ingest(ms []Mapping) error {
 	v.ingestMu.Lock()
-	defer v.ingestMu.Unlock()
+	// Stamp from the shards' own high-water marks rather than a cached
+	// counter: the default venue's shard is also written by replication
+	// (ApplyReplRecords) while this node is a replica.
+	var next uint64
+	for _, sh := range v.shards {
+		next = max(next, sh.MaxSeq())
+	}
 	perMs := make([][]Mapping, len(v.shards))
 	perSeq := make([][]uint64, len(v.shards))
 	for i := range ms {
 		si := v.shardFor(ms[i].Pos)
+		next++
 		perMs[si] = append(perMs[si], ms[i])
-		perSeq[si] = append(perSeq[si], v.nextSeq)
-		v.nextSeq++
+		perSeq[si] = append(perSeq[si], next)
 	}
-	var wg sync.WaitGroup
+	// One goroutine per touched shard runs both halves of its ingest; the
+	// venue lock is released between them, once every shard has applied.
+	var applied, done sync.WaitGroup
 	errs := make([]error, len(v.shards))
 	for si := range v.shards {
 		if len(perMs[si]) == 0 {
 			continue
 		}
-		wg.Add(1)
+		applied.Add(1)
+		done.Add(1)
 		go func(si int) {
-			defer wg.Done()
-			errs[si] = v.shards[si].IngestSeq(ctx, perMs[si], perSeq[si])
+			defer done.Done()
+			p, err := v.shards[si].reserve(perMs[si], perSeq[si])
+			applied.Done()
+			if err == nil {
+				err = p.wait()
+			}
+			errs[si] = err
 		}(si)
 	}
-	wg.Wait()
-	for _, e := range errs {
-		if e != nil {
-			return 0, e
+	applied.Wait()
+	v.ingestMu.Unlock()
+	done.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
 		}
 	}
-	return v.len(), nil
+	return nil
 }
 
-// Locate answers a localization query against a venue. A venue that was
-// never ingested (or the empty default database) returns ErrEmptyDatabase.
-// Single-shard venues delegate to the shard's own Locate; multi-shard venues
-// run the scatter-gather merge documented on Router.
-func (r *Router) Locate(ctx context.Context, venueName string, kps []sift.Keypoint, intr pose.Intrinsics) (LocateResult, error) {
-	if venueName == "" {
-		return r.def.Locate(ctx, kps, intr)
-	}
-	v := r.lookup(venueName)
-	if v == nil {
-		return LocateResult{}, ErrEmptyDatabase
-	}
-	if v.locates != nil {
-		v.locates.Inc()
-	}
-	if len(v.shards) == 1 {
-		return v.shards[0].Locate(ctx, kps, intr)
-	}
-	res, _, err := r.locateSharded(ctx, v, kps, intr, nil)
-	return res, err
-}
-
-// locateSharded is the scatter-gather Locate: per-shard candidate retrieval
+// locateSharded is the scatter-gather route: per-shard candidate retrieval
 // in parallel, merge under the venue total order, shared solve tail. A
-// non-nil ws threads a session prior into the tail (warm solve with cold
-// fallback — "router affinity": the prior applies after the shard fan-out
-// merge, so any shard topology reuses it); the bool reports warm
-// acceptance and is always false when ws is nil.
-func (r *Router) locateSharded(ctx context.Context, v *venue, kps []sift.Keypoint, intr pose.Intrinsics, ws *warmSolve) (LocateResult, bool, error) {
+// non-nil ws threads a session prior into the tail ("router affinity": the
+// prior applies after the shard fan-out merge, so any shard topology reuses
+// it); the bool reports warm acceptance (see solve).
+func (r *Router) locateSharded(ctx context.Context, v *venue, kps []sift.Keypoint, intr pose.Intrinsics, ws *warmSolve) (res LocateResult, warm bool, err error) {
+	m := r.metrics()
+	tr := m.trace.Begin("locate")
+	defer func() { m.endLocate(tr, err) }()
 	if v.len() == 0 {
 		return LocateResult{}, false, ErrEmptyDatabase
 	}
@@ -575,42 +612,20 @@ func (r *Router) locateSharded(ctx context.Context, v *venue, kps []sift.Keypoin
 		lo.X, lo.Y, lo.Z = math.Min(lo.X, slo.X), math.Min(lo.Y, slo.Y), math.Min(lo.Z, slo.Z)
 		hi.X, hi.Y, hi.Z = math.Max(hi.X, shi.X), math.Max(hi.Y, shi.Y), math.Max(hi.Z, shi.Z)
 	}
-	m := r.def.metrics()
-	tr := m.trace.Begin("locate")
 	tr.StageSince(obs.StageLSHQuery, t0)
-	var res LocateResult
-	var warm bool
-	var err error
-	if ws != nil {
-		res, warm, err = solveWarmThenCold(ctx, r.cfg, cands, lo, hi, intr, tr, *ws)
-	} else {
-		res, err = solveCandidates(ctx, r.cfg, cands, lo, hi, intr, tr)
-	}
-	m.locateNs.Observe(m.trace.End(tr))
-	m.locates.Inc()
-	if err != nil {
-		m.locateErrors.Inc()
-	}
-	return res, warm, err
+	return solve(ctx, r.cfg, cands, lo, hi, intr, tr, ws)
 }
 
-// OracleBlob serializes a venue's uniqueness oracle, gzip-compressed. A
+// Oracle returns a point-in-time copy of a venue's uniqueness oracle. A
 // multi-shard venue's oracle is assembled by merging per-shard oracle clones
-// (core.Merge) — bitwise identical to an unsharded oracle over the same
+// (core.Merge) — bitwise identical to a one-shard oracle over the same
 // inserts, because counting filters add with saturation and the verification
-// filter ORs. Fetching the oracle of a venue that does not exist yet creates
-// it, so a wardriver can download-before-first-upload like on the default
-// venue.
-func (r *Router) OracleBlob(venueName string) ([]byte, error) {
-	if venueName == "" {
-		return r.def.OracleBlob()
-	}
-	v, err := r.getOrCreate(venueName)
-	if err != nil {
-		return nil, err
-	}
-	if len(v.shards) == 1 {
-		return v.shards[0].OracleBlob()
+// filter ORs. A venue that does not exist yet answers the configuration's
+// empty oracle, so a wardriver can download before its first upload.
+func (r *Router) Oracle(venueName string) (*core.Oracle, error) {
+	v := r.lookup(venueName)
+	if v == nil {
+		return core.New(r.cfg.Oracle)
 	}
 	merged, err := v.shards[0].OracleClone()
 	if err != nil {
@@ -625,7 +640,18 @@ func (r *Router) OracleBlob(venueName string) ([]byte, error) {
 			return nil, err
 		}
 	}
-	return bloom.GzipBytes(merged)
+	return merged, nil
+}
+
+// OracleBlob serializes a venue's uniqueness oracle (see Oracle),
+// gzip-compressed — the payload a client downloads on first start
+// ("approximately 10MB" in the paper's testing).
+func (r *Router) OracleBlob(venueName string) ([]byte, error) {
+	o, err := r.Oracle(venueName)
+	if err != nil {
+		return nil, err
+	}
+	return bloom.GzipBytes(o)
 }
 
 // oracleEpoch sums the shard version identities. Both coordinates are
@@ -642,29 +668,26 @@ func (v *venue) oracleEpoch() (epoch, inserts uint64) {
 	return epoch, inserts
 }
 
-// OracleSyncSince answers a versioned oracle sync for a venue. Single-shard
-// venues delegate to the shard engine's delta ring; a multi-shard venue has
+// OracleSyncSince answers a versioned oracle sync for a venue. A one-shard
+// venue is served from the shard engine's delta ring; a multi-shard venue has
 // no single delta history (its oracle is assembled per request), so it is
-// versioned by the shard sums and served unchanged-or-full. Like
-// OracleBlob, syncing a venue that does not exist yet creates it.
+// versioned by the shard sums and served unchanged-or-full — as is a venue
+// that does not exist yet, at version (0, 0), which is exactly where a
+// one-shard venue's delta chain will start.
 func (r *Router) OracleSyncSince(venueName string, haveEpoch, haveInserts uint64) (OracleSyncResult, error) {
-	if venueName == "" {
-		return r.def.OracleSyncSince(haveEpoch, haveInserts)
+	v := r.lookup(venueName)
+	var res OracleSyncResult
+	if v != nil {
+		if len(v.shards) == 1 {
+			return v.shards[0].OracleSyncSince(haveEpoch, haveInserts)
+		}
+		// Read the version before assembling the blob: an ingest racing the
+		// clones can only make the blob newer than the stamped version, which
+		// a later sync repairs — stamping newer than the blob would instead
+		// let the unchanged check strand a stale client.
+		res.Epoch, res.Inserts = v.oracleEpoch()
 	}
-	v, err := r.getOrCreate(venueName)
-	if err != nil {
-		return OracleSyncResult{}, err
-	}
-	if len(v.shards) == 1 {
-		return v.shards[0].OracleSyncSince(haveEpoch, haveInserts)
-	}
-	// Read the version before assembling the blob: an ingest racing the
-	// clones can only make the blob newer than the stamped version, which a
-	// later sync repairs — stamping newer than the blob would instead let
-	// the unchanged check strand a stale client.
-	epoch, inserts := v.oracleEpoch()
-	res := OracleSyncResult{Epoch: epoch, Inserts: inserts}
-	if haveEpoch == epoch && haveInserts == inserts {
+	if haveEpoch == res.Epoch && haveInserts == res.Inserts {
 		res.Unchanged = true
 		return res, nil
 	}
@@ -678,21 +701,21 @@ func (r *Router) OracleSyncSince(venueName string, haveEpoch, haveInserts uint64
 
 // VenueEpochSignal returns a venue's version identity plus a channel closed
 // by the next epoch bump after it (see Database.EpochSignal for the
-// no-missed-wakeup argument). A multi-shard venue merges the per-shard
-// signals through funnel goroutines; stop bounds their lifetime — pass the
-// subscriber's cancellation so an idle venue doesn't accumulate them.
-func (r *Router) VenueEpochSignal(venueName string, stop <-chan struct{}) (epoch, inserts uint64, ch <-chan struct{}, err error) {
-	if venueName == "" {
-		e, i, c := r.def.EpochSignal()
-		return e, i, c, nil
-	}
-	v, err := r.getOrCreate(venueName)
-	if err != nil {
-		return 0, 0, nil, err
+// no-missed-wakeup argument). A venue that does not exist yet reports
+// version (0, 0) and a channel closed by the next venue creation, so a
+// subscription parks until the venue's first ingest. A multi-shard venue
+// merges the per-shard signals through funnel goroutines; stop bounds their
+// lifetime — pass the subscriber's cancellation so an idle venue doesn't
+// accumulate them.
+func (r *Router) VenueEpochSignal(venueName string, stop <-chan struct{}) (epoch, inserts uint64, ch <-chan struct{}) {
+	r.mu.RLock()
+	v, created := r.venues[venueName], r.created
+	r.mu.RUnlock()
+	if v == nil {
+		return 0, 0, created
 	}
 	if len(v.shards) == 1 {
-		e, i, c := v.shards[0].EpochSignal()
-		return e, i, c, nil
+		return v.shards[0].EpochSignal()
 	}
 	merged := make(chan struct{})
 	var once sync.Once
@@ -709,15 +732,12 @@ func (r *Router) VenueEpochSignal(venueName string, stop <-chan struct{}) (epoch
 			}
 		}(c)
 	}
-	return epoch, inserts, merged, nil
+	return epoch, inserts, merged
 }
 
 // Stats aggregates a venue's shard stats. A venue that does not exist
 // reports zeros (consistent with Len).
 func (r *Router) Stats(venueName string) DBStats {
-	if venueName == "" {
-		return r.def.Stats()
-	}
 	v := r.lookup(venueName)
 	if v == nil {
 		return DBStats{}

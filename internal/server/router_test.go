@@ -73,14 +73,12 @@ func syntheticCorpus(seed int64, clusterN, scatterN, queryN int) ([]Mapping, []s
 	return ms, kps, intr
 }
 
-// ingestBatches ingests ms into the unsharded db and, with identical batch
-// boundaries, into a fresh sharded venue on a router, so both see the same
-// insertion order.
-func shardedFixture(t testing.TB, cfg DatabaseConfig, shards int, ms []Mapping, batch int) (*Database, *Router, string) {
+// shardedFixture ingests ms into a router's default one-shard venue — the
+// reference — and, with identical batch boundaries, into a fresh sharded
+// venue, so both see the same insertion order.
+func shardedFixture(t testing.TB, cfg DatabaseConfig, shards int, ms []Mapping, batch int) (*Router, string) {
 	t.Helper()
-	single := newTestDB(t, cfg)
-	def := newTestDB(t, cfg)
-	r := NewRouter(def, cfg)
+	r := newTestRouter(t, cfg)
 	const venueName = "test-venue"
 	if err := r.ConfigureVenue(venueName, VenueConfig{Shards: shards}); err != nil {
 		t.Fatal(err)
@@ -90,21 +88,20 @@ func shardedFixture(t testing.TB, cfg DatabaseConfig, shards int, ms []Mapping, 
 		if end > len(ms) {
 			end = len(ms)
 		}
-		if err := single.Ingest(context.Background(), ms[i:end]); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := r.Ingest(context.Background(), venueName, ms[i:end]); err != nil {
-			t.Fatal(err)
+		for _, name := range []string{"", venueName} {
+			if _, err := r.Ingest(context.Background(), name, ms[i:end]); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
-	if single.Len() != r.Len(venueName) {
-		t.Fatalf("mapping counts diverge: single %d, venue %d", single.Len(), r.Len(venueName))
+	if r.Len("") != r.Len(venueName) {
+		t.Fatalf("mapping counts diverge: single %d, venue %d", r.Len(""), r.Len(venueName))
 	}
-	return single, r, venueName
+	return r, venueName
 }
 
 // requireBitIdentical compares two locate outcomes down to the float bits:
-// the scatter-gather merge must reproduce the single-database candidate
+// the scatter-gather merge must reproduce the one-shard candidate
 // list exactly, and the deterministic solver then reproduces the pose.
 func requireBitIdentical(t *testing.T, single LocateResult, errS error, sharded LocateResult, errR error) {
 	t.Helper()
@@ -133,14 +130,14 @@ func requireBitIdentical(t *testing.T, single LocateResult, errS error, sharded 
 }
 
 // TestRouterLocateBitIdenticalSynthetic is the fast golden test: a 4-shard
-// venue's scatter-gather Locate must equal the unsharded database's answer
-// bit for bit (Float64bits-equal pose), on a deterministic synthetic corpus.
+// venue's scatter-gather Locate must equal the one-shard default venue's
+// answer bit for bit (Float64bits-equal pose), on a deterministic synthetic corpus.
 func TestRouterLocateBitIdenticalSynthetic(t *testing.T) {
 	cfg := routerTestConfig()
 	ms, kps, intr := syntheticCorpus(7, 160, 1500, 200)
-	single, r, venueName := shardedFixture(t, cfg, 4, ms, 311)
+	r, venueName := shardedFixture(t, cfg, 4, ms, 311)
 
-	rs, errS := single.Locate(context.Background(), kps, intr)
+	rs, errS := r.Locate(context.Background(), "", kps, intr)
 	rr, errR := r.Locate(context.Background(), venueName, kps, intr)
 	requireBitIdentical(t, rs, errS, rr, errR)
 
@@ -151,7 +148,7 @@ func TestRouterLocateBitIdenticalSynthetic(t *testing.T) {
 		bad[i].Desc = decoys[i].Desc
 		bad[i].X, bad[i].Y = float64(5+i%10*17), float64(4+i/10*13)
 	}
-	rs, errS = single.Locate(context.Background(), bad, intr)
+	rs, errS = r.Locate(context.Background(), "", bad, intr)
 	rr, errR = r.Locate(context.Background(), venueName, bad, intr)
 	requireBitIdentical(t, rs, errS, rr, errR)
 }
@@ -168,9 +165,9 @@ func TestRouterLocateBitIdenticalWardriven(t *testing.T) {
 	w := testVenue()
 	ms := wardriveMappings(t, w)
 	kps, intr := queryKeypoints(t, w)
-	single, r, venueName := shardedFixture(t, cfg, 4, ms, 700)
+	r, venueName := shardedFixture(t, cfg, 4, ms, 700)
 
-	rs, errS := single.Locate(context.Background(), kps, intr)
+	rs, errS := r.Locate(context.Background(), "", kps, intr)
 	rr, errR := r.Locate(context.Background(), venueName, kps, intr)
 	requireBitIdentical(t, rs, errS, rr, errR)
 }
@@ -180,8 +177,7 @@ func TestRouterLocateBitIdenticalWardriven(t *testing.T) {
 // default venue) fail with ErrEmptyDatabase.
 func TestVenueIsolation(t *testing.T) {
 	cfg := routerTestConfig()
-	def := newTestDB(t, cfg)
-	r := NewRouter(def, cfg)
+	r := newTestRouter(t, cfg)
 	ms, kps, intr := syntheticCorpus(7, 160, 800, 200)
 	if _, err := r.Ingest(context.Background(), "venue-a", ms); err != nil {
 		t.Fatal(err)
@@ -205,15 +201,15 @@ func TestVenueIsolation(t *testing.T) {
 }
 
 // TestVenueOracleMergeEquality: the oracle assembled from a sharded venue's
-// per-shard oracles must be byte-identical to the unsharded database's —
+// per-shard oracles must be byte-identical to the one-shard venue's —
 // counting filters add with saturation, the verification filter ORs, so the
 // merge is exact, not approximate.
 func TestVenueOracleMergeEquality(t *testing.T) {
 	cfg := routerTestConfig()
 	ms, _, _ := syntheticCorpus(21, 120, 900, 120)
-	single, r, venueName := shardedFixture(t, cfg, 4, ms, 257)
+	r, venueName := shardedFixture(t, cfg, 4, ms, 257)
 
-	blobS, err := single.OracleBlob()
+	blobS, err := r.OracleBlob("")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +231,7 @@ func TestVenueOracleMergeEquality(t *testing.T) {
 }
 
 // TestVenuePersistenceRoundTrip: a durable sharded venue recovers its
-// topology (meta.json), every shard's data, and the venue sequence counter,
+// topology (meta.json) and every shard's data, continues the venue sequence,
 // and keeps answering bit-identically after a reopen.
 func TestVenuePersistenceRoundTrip(t *testing.T) {
 	dir := t.TempDir()
@@ -243,8 +239,7 @@ func TestVenuePersistenceRoundTrip(t *testing.T) {
 	ms, kps, intr := syntheticCorpus(7, 160, 900, 200)
 	const venueName = "airport-t2"
 
-	def1 := newTestDB(t, cfg)
-	r1 := NewRouter(def1, cfg)
+	r1 := newTestRouter(t, cfg)
 	if err := r1.ConfigureVenue(venueName, VenueConfig{Shards: 3}); err != nil {
 		t.Fatal(err)
 	}
@@ -271,8 +266,7 @@ func TestVenuePersistenceRoundTrip(t *testing.T) {
 		}
 	}
 
-	def2 := newTestDB(t, cfg)
-	r2 := NewRouter(def2, cfg)
+	r2 := newTestRouter(t, cfg)
 	if err := r2.OpenVenues(dir); err != nil {
 		t.Fatalf("recovery: %v", err)
 	}
@@ -288,9 +282,9 @@ func TestVenuePersistenceRoundTrip(t *testing.T) {
 		t.Fatalf("recovered venue answers differently:\n before: %+v\n after:  %+v", before, after)
 	}
 
-	// The recovered sequence counter must continue where the venue left
-	// off: appending the rest of the corpus must reproduce the unsharded
-	// database over the full corpus, bit for bit.
+	// The venue sequence must continue where the venue left off: appending
+	// the rest of the corpus must reproduce a one-shard engine over the full
+	// corpus, bit for bit.
 	if _, err := r2.Ingest(context.Background(), venueName, ms[half:]); err != nil {
 		t.Fatal(err)
 	}
@@ -310,8 +304,7 @@ func TestVenuePersistenceRoundTrip(t *testing.T) {
 // rejected and live venues cannot be re-configured.
 func TestVenueConfigRules(t *testing.T) {
 	cfg := routerTestConfig()
-	def := newTestDB(t, cfg)
-	r := NewRouter(def, cfg)
+	r := newTestRouter(t, cfg)
 	for _, bad := range []string{"", ".hidden", "UPPER", "spa ce", "a/b"} {
 		if err := r.ConfigureVenue(bad, VenueConfig{Shards: 2}); err == nil {
 			t.Errorf("ConfigureVenue(%q) accepted an invalid name", bad)

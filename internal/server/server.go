@@ -16,7 +16,7 @@ import (
 	"visualprint/internal/obs"
 )
 
-// Server accepts VisualPrint protocol connections and serves a Database.
+// Server accepts VisualPrint protocol connections and serves a Router.
 //
 // A connection announces its protocol version at open (see wire.go). Every
 // request carries a uint32 ID and is dispatched on its own goroutine while
@@ -35,10 +35,8 @@ import (
 // ErrShuttingDown while in-flight requests finish (or, past the drain
 // deadline, are canceled).
 type Server struct {
-	db *Database
-	// router resolves every request's venue — the empty name is db itself —
-	// and fans named venues across their shards. Serve always installs one
-	// (WithRouter overrides it with a preconfigured instance).
+	// router is the engine: it resolves every request's venue (the empty
+	// name is the default venue) and runs it on the venue's shards.
 	router *Router
 	ln     net.Listener
 
@@ -105,14 +103,6 @@ func WithQueueDepth(n int) Option {
 	return func(s *Server) { s.maxQueue = n }
 }
 
-// WithRouter installs a preconfigured multi-venue router (venue topologies,
-// durable venues directory). Without it, Serve builds a default in-memory
-// router over the database, so every networked server answers venue-scoped
-// requests.
-func WithRouter(r *Router) Option {
-	return func(s *Server) { s.router = r }
-}
-
 // WithReplState attaches a fleet control block: the server answers the
 // replication RPCs, rejects ingests with a redirect unless it is the
 // primary, and bounds replica-served reads by the configured staleness.
@@ -167,9 +157,9 @@ func DefaultQueueDepth(maxInFlight int) int {
 // Serve starts accepting connections on ln. It returns immediately; Close
 // stops the accept loop and all connections, Shutdown drains them
 // gracefully first.
-func Serve(ln net.Listener, db *Database, opts ...Option) *Server {
+func Serve(ln net.Listener, router *Router, opts ...Option) *Server {
 	s := &Server{
-		db: db, ln: ln, conns: make(map[net.Conn]struct{}), Log: obs.Default(),
+		router: router, ln: ln, conns: make(map[net.Conn]struct{}), Log: obs.Default(),
 		maxInFlight: DefaultMaxInFlight(),
 		maxQueue:    -1,
 	}
@@ -183,20 +173,16 @@ func Serve(ln net.Listener, db *Database, opts ...Option) *Server {
 		s.maxQueue = DefaultQueueDepth(s.maxInFlight)
 	}
 	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())
-	// Route the database's own warnings (persistence, resource budgets)
+	// Route the default venue's own warnings (persistence, resource budgets)
 	// through the server's logger so one knob silences or redirects both —
 	// unless the owner already chose a logger. The indirection through
 	// s.logf keeps a later `s.Log = nil` effective for both.
-	db.setLoggerDefault(obs.FuncLogger(s.logf))
-	if s.router == nil {
-		s.router = NewRouter(db, db.cfg)
-	}
-	s.router.SetLogger(s.Log)
+	router.Default().setLoggerDefault(obs.FuncLogger(s.logf))
+	router.SetLogger(s.Log)
 	// A networked server is always observable: requests are counted and
 	// traced, and the metrics RPC answers from this registry.
-	s.reg = db.EnableObs()
+	s.reg = router.EnableObs()
 	s.met = newSrvMetrics(s.reg)
-	s.router.instrument(s.reg)
 	if s.rs != nil {
 		s.rs.enableObs(s.reg)
 		s.rs.SetLogger(s.Log)
@@ -210,13 +196,13 @@ func Serve(ln net.Listener, db *Database, opts ...Option) *Server {
 // not built by Serve). The debug HTTP listener mounts it.
 func (s *Server) Registry() *obs.Registry { return s.reg }
 
-// ListenAndServe listens on addr (TCP) and serves db.
-func ListenAndServe(addr string, db *Database, opts ...Option) (*Server, error) {
+// ListenAndServe listens on addr (TCP) and serves router.
+func ListenAndServe(addr string, router *Router, opts ...Option) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
-	return Serve(ln, db, opts...), nil
+	return Serve(ln, router, opts...), nil
 }
 
 // Addr returns the listener address.
@@ -643,10 +629,7 @@ func (s *Server) serveSubscription(ctx context.Context, venue string, payload []
 	last := uint64(0)
 	first := true
 	for {
-		epoch, inserts, ch, err := s.router.VenueEpochSignal(venue, ctx.Done())
-		if err != nil {
-			return errorResponse(err)
-		}
+		epoch, inserts, ch := s.router.VenueEpochSignal(venue, ctx.Done())
 		// The channel was read alongside the version, so a bump past `epoch`
 		// closes exactly `ch` — sleeping below can never miss it.
 		if first || epoch != last {
@@ -695,8 +678,7 @@ func (s *Server) admitAndDispatch(ctx context.Context, h reqHeader, typ byte, pa
 	return s.dispatch(ctx, h.venue, h.sid, typ, payload)
 }
 
-// dispatch routes one request to its venue's engine(s) through the router,
-// which maps the empty venue to the default database.
+// dispatch routes one request to its venue's engine(s) through the router.
 func (s *Server) dispatch(ctx context.Context, venue string, sid uint64, typ byte, payload []byte) (byte, []byte) {
 	switch typ {
 	case msgPing:
@@ -748,12 +730,7 @@ func (s *Server) dispatch(ctx context.Context, venue string, sid uint64, typ byt
 		if err != nil {
 			return errorResponse(err)
 		}
-		var res LocateResult
-		if sid != 0 {
-			res, err = s.router.LocateSession(ctx, venue, sid, kps, intr)
-		} else {
-			res, err = s.router.Locate(ctx, venue, kps, intr)
-		}
+		res, err := s.router.LocateSession(ctx, venue, sid, kps, intr)
 		if err != nil {
 			return errorResponse(err)
 		}

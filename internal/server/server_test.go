@@ -60,7 +60,7 @@ func startServer(t testing.TB) (*Server, *Database) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := Serve(ln, db)
+	s := Serve(ln, routerFor(t, db))
 	s.Log = nil
 	t.Cleanup(func() { s.Close() })
 	return s, db
@@ -126,7 +126,7 @@ func TestOracleDownloadAgrees(t *testing.T) {
 	// The downloaded oracle must agree with the server's on every inserted
 	// descriptor.
 	for i := range ms {
-		want, _ := db.Oracle().Uniqueness(ms[i].Desc[:])
+		want, _ := db.Uniqueness(ms[i].Desc[:])
 		got, err := oracle.Uniqueness(ms[i].Desc[:])
 		if err != nil {
 			t.Fatal(err)
@@ -227,7 +227,7 @@ func TestServeConnOverPipe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := &Server{db: db, router: NewRouter(db, db.cfg), conns: map[net.Conn]struct{}{}}
+	s := &Server{router: routerFor(t, db), conns: map[net.Conn]struct{}{}}
 	clientEnd, serverEnd := net.Pipe()
 	go s.ServeConn(serverEnd)
 	c := NewClient(clientEnd)

@@ -16,19 +16,16 @@ package server
 // above the acceptance threshold, the query is re-solved cold over the
 // same gathered candidates — bit-identical to what a session-less Locate
 // would have returned (pinned by TestLocateSessionRejectedPriorBitIdentical).
-//
-// Warm-solve *errors* are returned without a cold retry: every error the
-// solve tail can produce (ErrTooFewMatches, clustering failure,
-// ErrNoConsensus, context cancellation) fires before the pose options are
-// consulted, so the cold solve would fail identically.
+// The warm-then-cold sequencing lives in the shared solve tail (solve, in
+// database.go); this file owns the prior, the gate and the bookkeeping.
 
 import (
 	"context"
+	"encoding/binary"
 	"math"
 	"time"
 
 	"visualprint/internal/hash"
-	"visualprint/internal/mathx"
 	"visualprint/internal/obs"
 	"visualprint/internal/pose"
 	"visualprint/internal/sift"
@@ -84,75 +81,22 @@ type trackMetrics struct {
 }
 
 // trackState bundles the session table with its metrics so both swap
-// atomically under ConfigureTracking / instrument.
+// atomically under ConfigureTracking / EnableObs.
 type trackState struct {
 	tb *track.Table
 	tm trackMetrics
 }
 
-// Database.locateWarm is Locate with a session prior: candidates are
-// gathered once, the warm solve runs first, and a rejected prior falls
-// back to the cold solve over the same candidate list (bit-identical to
-// plain Locate on this view). The bool reports warm acceptance.
-func (db *Database) locateWarm(ctx context.Context, kps []sift.Keypoint, intr pose.Intrinsics, ws warmSolve) (LocateResult, bool, error) {
-	v, t := db.pinView()
-	defer db.unpin(v, t)
-	m := db.metrics()
-	tr := m.trace.Begin("locate")
-	res, warm, err := db.locateViewWarm(ctx, v, kps, intr, tr, ws)
-	m.locateNs.Observe(m.trace.End(tr))
-	m.locates.Inc()
-	if err != nil {
-		m.locateErrors.Inc()
-	}
-	return res, warm, err
-}
-
-func (db *Database) locateViewWarm(ctx context.Context, v *dbView, kps []sift.Keypoint, intr pose.Intrinsics, tr *obs.Trace, ws warmSolve) (LocateResult, bool, error) {
-	if len(v.positions) == 0 {
-		return LocateResult{}, false, ErrEmptyDatabase
-	}
-	if err := ctx.Err(); err != nil {
-		return LocateResult{}, false, ctxError(err)
-	}
-	t0 := time.Now()
-	cands, err := db.gatherCandidates(ctx, v, kps)
-	tr.StageSince(obs.StageLSHQuery, t0)
-	if err != nil {
-		return LocateResult{}, false, ctxError(err)
-	}
-	return solveWarmThenCold(ctx, db.cfg, cands, v.lo, v.hi, intr, tr, ws)
-}
-
-// solveWarmThenCold runs the warm solve, gates it, and re-solves cold over
-// the same candidates when the prior is rejected.
-func solveWarmThenCold(ctx context.Context, cfg DatabaseConfig, cands []locateCand, lo, hi mathx.Vec3, intr pose.Intrinsics, tr *obs.Trace, ws warmSolve) (LocateResult, bool, error) {
-	res, err := solveCandidatesOpt(ctx, cfg, cands, lo, hi, intr, tr, ws.opt)
-	if err != nil {
-		// Prior-independent failure (see package comment): cold would fail
-		// the same way, so don't burn a second solve.
-		return res, false, err
-	}
-	if ws.accept <= 0 || res.Residual <= ws.accept {
-		return res, true, nil
-	}
-	// Rejected prior: the cold re-solve consumes exactly the session-less
-	// inputs (same candidates, bounds, cfg.Pose), so the result is
-	// bit-identical to plain Locate on the same view.
-	res, err = solveCandidates(ctx, cfg, cands, lo, hi, intr, tr)
-	return res, false, err
-}
-
-// sessionKey folds the venue name into the wire session ID so the same
-// device ID tracked in two venues keeps two independent histories.
+// sessionKey hashes (venue, session ID) into the session table's key, so the
+// same device ID tracked in two venues keeps two independent histories.
 func sessionKey(venueName string, sid uint64) uint64 {
-	if venueName == "" {
-		return sid
-	}
-	return sid ^ hash.Sum64([]byte(venueName), 0x7a5e)
+	var buf [8 + maxVenueName]byte
+	binary.LittleEndian.PutUint64(buf[:], sid)
+	n := copy(buf[8:], venueName)
+	return hash.Sum64(buf[:8+n], 0x7a5e)
 }
 
-// trackStatePtr returns the router's current tracking state (never nil
+// trackState returns the router's current tracking state (never nil
 // after NewRouter).
 func (r *Router) trackState() *trackState {
 	return r.trk.Load()
@@ -164,9 +108,9 @@ func (r *Router) trackState() *trackState {
 func (r *Router) ConfigureTracking(cfg track.Config) {
 	st := &trackState{tb: track.New(cfg)}
 	r.mu.Lock()
-	if r.reg != nil {
-		st.tb.Instrument(r.reg)
-		st.tm = newTrackMetrics(r.reg)
+	if m := r.met.Load(); m != nil {
+		st.tb.Instrument(m.reg)
+		st.tm = newTrackMetrics(m.reg)
 	}
 	r.trk.Store(st)
 	r.mu.Unlock()
@@ -183,28 +127,53 @@ func newTrackMetrics(reg *obs.Registry) trackMetrics {
 	}
 }
 
+// Locate answers a localization query against a venue. A venue that was
+// never ingested returns ErrEmptyDatabase.
+func (r *Router) Locate(ctx context.Context, venueName string, kps []sift.Keypoint, intr pose.Intrinsics) (LocateResult, error) {
+	return r.LocateSession(ctx, venueName, 0, kps, intr)
+}
+
 // LocateSession is Locate with continuous-localization tracking: sid == 0
-// is exactly Locate (no session state is read or written); a non-zero sid
+// is plain Locate (no session state is read or written); a non-zero sid
 // looks up the session's motion-model prior, warm-starts the pose solve
 // with it, and records the accepted fix back into the session history.
+//
+// This is the one Locate route: look the venue up, gather on the shard's
+// pinned view (one shard) or scatter and merge (several), and end in the
+// shared solve tail with the optional prior.
 func (r *Router) LocateSession(ctx context.Context, venueName string, sid uint64, kps []sift.Keypoint, intr pose.Intrinsics) (LocateResult, error) {
-	if sid == 0 {
-		return r.Locate(ctx, venueName, kps, intr)
+	v := r.lookup(venueName)
+	if v == nil {
+		return LocateResult{}, ErrEmptyDatabase
 	}
-	st := r.trackState()
-	now := time.Now()
-	key := sessionKey(venueName, sid)
-	prior, havePrior := st.tb.Predict(key, now)
-	var ws *warmSolve
-	if havePrior {
-		tcfg := st.tb.Config()
-		ws = &warmSolve{
-			opt:    warmPoseOptions(r.cfg.Pose, prior, tcfg),
-			accept: warmAccept(prior, tcfg),
+	v.locates.Load().Inc()
+	var (
+		st        *trackState
+		key       uint64
+		now       time.Time
+		prior     track.Prior
+		havePrior bool
+		ws        *warmSolve
+	)
+	if sid != 0 {
+		st, key, now = r.trackState(), sessionKey(venueName, sid), time.Now()
+		if prior, havePrior = st.tb.Predict(key, now); havePrior {
+			tcfg := st.tb.Config()
+			ws = &warmSolve{
+				opt:    warmPoseOptions(r.cfg.Pose, prior, tcfg),
+				accept: warmAccept(prior, tcfg),
+			}
 		}
 	}
-	res, warm, err := r.locateMaybeWarm(ctx, venueName, kps, intr, ws)
-	if err != nil {
+	var res LocateResult
+	var warm bool
+	var err error
+	if len(v.shards) == 1 {
+		res, warm, err = v.shards[0].locate(ctx, kps, intr, ws)
+	} else {
+		res, warm, err = r.locateSharded(ctx, v, kps, intr, ws)
+	}
+	if err != nil || sid == 0 {
 		return res, err
 	}
 	st.tb.Observe(key, res.Position, res.Yaw, res.Residual, now)
@@ -224,21 +193,10 @@ func (r *Router) LocateSession(ctx context.Context, venueName string, sid uint64
 	return res, nil
 }
 
-// EnableTrackingObs instruments the router — venue gauges plus the
-// tracking subsystem's counters and histograms — on the default
-// database's registry, enabling observability if nothing has yet, and
-// returns the registry. Serve does this automatically for networked
-// servers; in-process users (benchmarks, library embedders) opt in here.
-func (r *Router) EnableTrackingObs() *obs.Registry {
-	reg := r.def.EnableObs()
-	r.instrument(reg)
-	return reg
-}
-
 // TrackingStats is a point-in-time report of the session-tracking
 // subsystem: solve-outcome counters and the live session count. The
 // counters read zero until the router is instrumented (Serve does it;
-// in-process, EnableTrackingObs).
+// in-process, EnableObs).
 type TrackingStats struct {
 	// Warm counts session queries answered by an accepted warm-started
 	// solve; Cold counts full solves (no prior, or sid 0 never counts);
@@ -267,31 +225,4 @@ func (r *Router) EndSession(venueName string, sid uint64) {
 		return
 	}
 	r.trackState().tb.Forget(sessionKey(venueName, sid))
-}
-
-// locateMaybeWarm dispatches like Locate but threads an optional warm
-// solve through to the shared tail. ws == nil is exactly Locate's routing.
-func (r *Router) locateMaybeWarm(ctx context.Context, venueName string, kps []sift.Keypoint, intr pose.Intrinsics, ws *warmSolve) (LocateResult, bool, error) {
-	if venueName == "" {
-		if ws == nil {
-			res, err := r.def.Locate(ctx, kps, intr)
-			return res, false, err
-		}
-		return r.def.locateWarm(ctx, kps, intr, *ws)
-	}
-	v := r.lookup(venueName)
-	if v == nil {
-		return LocateResult{}, false, ErrEmptyDatabase
-	}
-	if v.locates != nil {
-		v.locates.Inc()
-	}
-	if len(v.shards) == 1 {
-		if ws == nil {
-			res, err := v.shards[0].Locate(ctx, kps, intr)
-			return res, false, err
-		}
-		return v.shards[0].locateWarm(ctx, kps, intr, *ws)
-	}
-	return r.locateSharded(ctx, v, kps, intr, ws)
 }

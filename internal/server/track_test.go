@@ -17,11 +17,9 @@ func trackFixture(t *testing.T) (*Router, *obs.Registry, []Mapping, queryFixture
 	t.Helper()
 	cfg := routerTestConfig()
 	ms, kps, intr := syntheticCorpus(7, 160, 1200, 200)
-	def := newTestDB(t, cfg)
-	r := NewRouter(def, cfg)
-	reg := obs.NewRegistry()
-	r.instrument(reg)
-	if err := def.Ingest(context.Background(), ms); err != nil {
+	r := newTestRouter(t, cfg)
+	reg := r.EnableObs()
+	if _, err := r.Ingest(context.Background(), "", ms); err != nil {
 		t.Fatal(err)
 	}
 	return r, reg, ms, queryFixture{kps: kps, intr: intr}
@@ -122,9 +120,8 @@ func TestLocateSessionRejectedPriorBitIdentical(t *testing.T) {
 func TestLocateSessionShardedWarm(t *testing.T) {
 	cfg := routerTestConfig()
 	ms, kps, intr := syntheticCorpus(7, 160, 1200, 200)
-	single, r, venueName := shardedFixture(t, cfg, 4, ms, 311)
-	reg := obs.NewRegistry()
-	r.instrument(reg)
+	r, venueName := shardedFixture(t, cfg, 4, ms, 311)
+	reg := r.EnableObs()
 	ctx := context.Background()
 	const sid = 55
 
@@ -143,7 +140,7 @@ func TestLocateSessionShardedWarm(t *testing.T) {
 		t.Fatalf("sharded warm solve used %d generations, cold %d", warm.Generations, cold.Generations)
 	}
 
-	// Rejected prior on the sharded path must still equal the unsharded
+	// Rejected prior on the sharded path must still equal the one-shard
 	// cold answer bit for bit (the existing scatter-gather guarantee).
 	tcfg := track.DefaultConfig()
 	tcfg.AcceptResidual = 1e-12
@@ -153,7 +150,7 @@ func TestLocateSessionShardedWarm(t *testing.T) {
 		t.Fatal(err)
 	}
 	fell, errS := r.LocateSession(ctx, venueName, sid, kps, intr)
-	rs, errR := single.Locate(ctx, kps, intr)
+	rs, errR := r.Locate(ctx, "", kps, intr)
 	requireBitIdentical(t, rs, errR, fell, errS)
 }
 
@@ -163,8 +160,11 @@ func TestSessionVenueScoping(t *testing.T) {
 	if k1, k2 := sessionKey("venue-a", 9), sessionKey("venue-b", 9); k1 == k2 {
 		t.Fatal("session keys collide across venues")
 	}
-	if k := sessionKey("", 9); k != 9 {
-		t.Fatalf("default-venue key = %d, want the raw sid", k)
+	if k1, k2 := sessionKey("", 9), sessionKey("venue-a", 9); k1 == k2 {
+		t.Fatal("default-venue session key collides with a named venue's")
+	}
+	if k1, k2 := sessionKey("", 9), sessionKey("", 10); k1 == k2 {
+		t.Fatal("session keys collide across session IDs")
 	}
 }
 

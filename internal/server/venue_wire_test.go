@@ -3,7 +3,6 @@ package server
 import (
 	"context"
 	"errors"
-	"net"
 	"testing"
 	"time"
 )
@@ -12,15 +11,7 @@ import (
 // routing is always on for a Serve-built server) and returns it.
 func startVenueServer(t testing.TB) *Server {
 	t.Helper()
-	db := newTestDB(t, routerTestConfig())
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := Serve(ln, db)
-	s.Log = nil
-	t.Cleanup(func() { s.Close() })
-	return s
+	return serveRouter(t, newTestRouter(t, routerTestConfig()))
 }
 
 // TestVenueIsolationOverWire: the cross-venue isolation guarantee holds

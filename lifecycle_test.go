@@ -74,7 +74,7 @@ func TestShutdownFlushesWAL(t *testing.T) {
 		t.Fatalf("reopen after Shutdown: %v", err)
 	}
 	defer reopened.Close()
-	if got := reopened.Database().Len(); got != n {
+	if got := int(reopened.Stats("").Mappings); got != n {
 		t.Fatalf("recovered %d mappings after Shutdown, want %d", got, n)
 	}
 }
@@ -116,5 +116,41 @@ func TestLocalizeContextCancel(t *testing.T) {
 	_, _, lerr := p.LocalizeContext(ctx, cam)
 	if !errors.Is(lerr, ErrCanceled) || !errors.Is(lerr, context.Canceled) {
 		t.Fatalf("got %v, want ErrCanceled matching context.Canceled", lerr)
+	}
+}
+
+// TestEveryVenueIsInstrumented: a Locate and an Ingest record into the same
+// server-wide instruments whichever venue and topology serves them — a named
+// one-shard venue like the default one — and a scatter-gather Locate counts
+// once, not once per shard.
+func TestEveryVenueIsInstrumented(t *testing.T) {
+	srv, err := NewServer(DefaultServerConfig(), WithVenueShards("wide", 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	ctx := context.Background()
+	kps := make([]Keypoint, 8)
+	for i := range kps {
+		kps[i].Desc[0], kps[i].Desc[1] = 7, byte(i)
+	}
+	before := srv.Metrics()
+	for i, venue := range []string{"narrow", "wide"} {
+		if _, err := srv.Ingest(ctx, venue, testMappings(40, 7)); err != nil {
+			t.Fatal(err)
+		}
+		// The query may fail clustering; reaching the LSH stage is the point.
+		srv.Locate(ctx, venue, kps, Intrinsics{W: 100, H: 100, FovX: 1, FovY: 1}) //nolint:errcheck
+		rep := srv.Metrics()
+		n := uint64(i + 1)
+		if got := rep.Counters["locates"] - before.Counters["locates"]; got != n {
+			t.Errorf("after %q: locates advanced by %d, want %d", venue, got, n)
+		}
+		if got := rep.Counters["ingests"] - before.Counters["ingests"]; got != n {
+			t.Errorf("after %q: ingests advanced by %d, want %d", venue, got, n)
+		}
+		if got := rep.Histograms["stage_lsh_query_ns"].Count - before.Histograms["stage_lsh_query_ns"].Count; got != n {
+			t.Errorf("after %q: stage_lsh_query_ns has %d observations, want %d", venue, got, n)
+		}
 	}
 }

@@ -29,134 +29,6 @@ func oracleWireBytes(t *testing.T, o *Oracle) []byte {
 	return buf.Bytes()
 }
 
-// TestPipelineOracleSyncMirror: the in-process handle mirrors the
-// networked OracleSync semantics — full sync, unchanged ack, delta on
-// top — lands byte-equal to the engine's oracle, and installs the result
-// as the pipeline's filtering oracle.
-func TestPipelineOracleSyncMirror(t *testing.T) {
-	p, err := NewPipeline(smallWorld(), DefaultServerConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { p.Server.Close() })
-	ctx := context.Background()
-	if err := p.Server.Ingest(randomMappings(4, 30)); err != nil {
-		t.Fatal(err)
-	}
-
-	h := p.OracleSync()
-	if _, _, ok := h.Version(); ok {
-		t.Fatal("fresh handle claims a version")
-	}
-	o, err := h.Sync(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	truth, err := p.Server.VenueOracle("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(oracleWireBytes(t, o), oracleWireBytes(t, truth)) {
-		t.Fatal("synced oracle differs from the engine's")
-	}
-	if p.Oracle != o {
-		t.Fatal("sync did not install the pipeline's filtering oracle")
-	}
-	full := h.TransferBytes()
-	if _, err := h.Sync(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if got := h.TransferBytes() - full; got != 16 {
-		t.Fatalf("unchanged sync cost %d bytes, want the 16-byte version stamp", got)
-	}
-
-	if err := p.Server.Ingest(randomMappings(5, 3)); err != nil {
-		t.Fatal(err)
-	}
-	before := h.TransferBytes()
-	o2, err := h.Sync(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	deltaCost := h.TransferBytes() - before
-	if deltaCost >= full {
-		t.Fatalf("small-batch delta cost %d >= initial full sync %d", deltaCost, full)
-	}
-	truth, err = p.Server.VenueOracle("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(oracleWireBytes(t, o2), oracleWireBytes(t, truth)) {
-		t.Fatal("delta sync diverged from the engine's oracle")
-	}
-	if epoch, inserts, ok := h.Version(); !ok || epoch < 2 || inserts != o2.Inserts() {
-		t.Fatalf("version after delta sync = (%d, %d, %v)", epoch, inserts, ok)
-	}
-}
-
-// TestPipelineOracleWatch: the in-process Watch delivers the current state
-// immediately, then a coalesced update per epoch advance; canceling the
-// context closes the channel.
-func TestPipelineOracleWatch(t *testing.T) {
-	p, err := NewPipeline(smallWorld(), DefaultServerConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { p.Server.Close() })
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	if err := p.Server.Ingest(randomMappings(6, 20)); err != nil {
-		t.Fatal(err)
-	}
-
-	updates, err := p.OracleSync().Watch(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	recv := func() OracleUpdate {
-		select {
-		case u, ok := <-updates:
-			if !ok {
-				t.Fatal("update channel closed early")
-			}
-			return u
-		case <-time.After(20 * time.Second):
-			t.Fatal("timed out waiting for an update")
-			return OracleUpdate{}
-		}
-	}
-	first := recv()
-	if first.Err != nil || first.Oracle == nil {
-		t.Fatalf("initial update = %+v", first)
-	}
-	if err := p.Server.Ingest(randomMappings(7, 5)); err != nil {
-		t.Fatal(err)
-	}
-	second := recv()
-	if second.Err != nil || second.Epoch <= first.Epoch {
-		t.Fatalf("post-ingest update = (epoch %d, err %v), first epoch %d", second.Epoch, second.Err, first.Epoch)
-	}
-	truth, err := p.Server.VenueOracle("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(oracleWireBytes(t, second.Oracle), oracleWireBytes(t, truth)) {
-		t.Fatal("watched oracle differs from the engine's")
-	}
-
-	cancel()
-	select {
-	case _, open := <-updates:
-		if open {
-			if _, open = <-updates; open {
-				t.Fatal("update channel still open after cancel")
-			}
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("update channel not closed after cancel")
-	}
-}
-
 // TestOracleSyncOverPublicAPI: the README quick-start shape — Connect,
 // OracleSync, Watch — works end to end through the exported surface, and
 // the pushed oracle agrees with the server's own.
@@ -170,7 +42,7 @@ func TestOracleSyncOverPublicAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := srv.Ingest(randomMappings(9, 25)); err != nil {
+	if _, err := srv.Ingest(context.Background(), "", randomMappings(9, 25)); err != nil {
 		t.Fatal(err)
 	}
 	c, err := Connect(addr.String(), WithClientLogger(nil))

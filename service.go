@@ -1,7 +1,6 @@
 package visualprint
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"io"
@@ -9,15 +8,12 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"sync"
+	"slices"
 	"time"
 
 	"visualprint/internal/cluster"
-	"visualprint/internal/codec"
-	"visualprint/internal/core"
 	"visualprint/internal/lsh"
 	"visualprint/internal/obs"
-	"visualprint/internal/odelta"
 	"visualprint/internal/pose"
 	"visualprint/internal/repl"
 	"visualprint/internal/server"
@@ -94,17 +90,15 @@ type VenueConfig = server.VenueConfig
 // Server is the VisualPrint cloud service: the LSH keypoint-to-3D lookup
 // table, the uniqueness oracle, and the localization pipeline, served over
 // a length-prefixed binary TCP protocol. A Server hosts any number of
-// venues: the default venue (the empty name) preserves the original
-// single-tenant behavior, and named venues — created on first ingest — each
-// own an isolated set of spatial shard engines with their own indexes,
-// oracles and durable directories.
+// venues: the default venue (the empty name) always exists as a one-shard
+// venue, and named venues — created on first ingest — each own an isolated
+// set of spatial shard engines with their own indexes, oracles and durable
+// directories.
 type Server struct {
-	db      *server.Database
 	router  *server.Router
 	srv     *server.Server
 	debug   *http.Server
 	netOpts []server.Option
-	durable bool
 
 	// Replication fleet state (nil unless WithReplication; see
 	// internal/repl). rs is the role/offset control block shared with the
@@ -212,26 +206,16 @@ func NewServer(cfg ServerConfig, opts ...ServerOption) (*Server, error) {
 			o(&so)
 		}
 	}
-	ecfg := cfg.engine()
-	var db *server.Database
-	var err error
-	if so.repl != nil {
-		if so.repl.Advertise == "" {
-			return nil, errors.New("visualprint: ReplicationOptions requires Advertise")
-		}
-		// Replication streams seq-tagged WAL records; the default venue
-		// must run the shard (seq-mode) engine so records re-apply
-		// byte-identically on replicas.
-		db, err = server.NewShardDatabase(ecfg)
-	} else {
-		db, err = server.NewDatabase(ecfg)
+	if so.repl != nil && so.repl.Advertise == "" {
+		return nil, errors.New("visualprint: ReplicationOptions requires Advertise")
 	}
+	router, err := server.NewRouter(cfg.engine())
 	if err != nil {
 		return nil, err
 	}
-	s := &Server{db: db, netOpts: so.net}
+	s := &Server{router: router, netOpts: so.net}
 	if so.repl != nil {
-		s.rs = server.NewReplState(db, server.ReplConfig{
+		s.rs = server.NewReplState(router.Default(), server.ReplConfig{
 			Self:            so.repl.Advertise,
 			Primary:         so.repl.Primary,
 			MinSyncReplicas: so.repl.MinSyncReplicas,
@@ -239,7 +223,6 @@ func NewServer(cfg ServerConfig, opts ...ServerOption) (*Server, error) {
 			MaxStaleness:    so.repl.MaxStaleness,
 		})
 	}
-	s.router = server.NewRouter(db, ecfg)
 	for name, vc := range so.venues {
 		if err := s.router.ConfigureVenue(name, vc); err != nil {
 			return nil, err
@@ -253,23 +236,14 @@ func NewServer(cfg ServerConfig, opts ...ServerOption) (*Server, error) {
 // and a background snapshotter periodically folds the log into a compact
 // binary snapshot. If the directory already holds data — including data left
 // by a crashed process — the prior state is recovered first, bit-identically.
-// The default venue keeps the original layout at the directory root (so
-// pre-venue data directories open unchanged); named venues live under
-// dir/venues/<name>/shard-NNN. Must be called before any ingest; an empty
-// dir string is a no-op (the server stays in-memory).
+// The default venue's shard lives at the directory root; named venues live
+// under dir/venues/<name>/shard-NNN. Must be called before any ingest; an
+// empty dir string is a no-op (the server stays in-memory).
 func (s *Server) OpenData(dir string) error {
 	if dir == "" {
 		return nil
 	}
-	if err := s.db.Open(dir); err != nil {
-		return err
-	}
-	if err := s.router.OpenVenues(dir); err != nil {
-		s.db.Close()
-		return err
-	}
-	s.durable = true
-	return nil
+	return s.router.OpenVenues(dir)
 }
 
 // Listen starts serving on addr ("host:port"; ":0" picks a free port) and
@@ -277,20 +251,20 @@ func (s *Server) OpenData(dir string) error {
 // replication loop: a replica begins tailing (or full-syncing from) its
 // primary as soon as the listener is up.
 func (s *Server) Listen(addr string) (net.Addr, error) {
-	if s.rs != nil && !s.durable {
+	if s.rs != nil && !s.Stats("").Persistent {
 		return nil, errors.New("visualprint: a replicated server requires a data directory (OpenData before Listen)")
 	}
-	opts := append([]server.Option{server.WithRouter(s.router)}, s.netOpts...)
+	opts := s.netOpts
 	if s.rs != nil {
-		opts = append(opts, server.WithReplState(s.rs))
+		opts = append(slices.Clip(opts), server.WithReplState(s.rs))
 	}
-	srv, err := server.ListenAndServe(addr, s.db, opts...)
+	srv, err := server.ListenAndServe(addr, s.router, opts...)
 	if err != nil {
 		return nil, err
 	}
 	s.srv = srv
 	if s.rs != nil {
-		node, err := repl.StartNode(repl.NodeConfig{DB: s.db, State: s.rs})
+		node, err := repl.StartNode(repl.NodeConfig{DB: s.router.Default(), State: s.rs})
 		if err != nil {
 			srv.Close()
 			s.srv = nil
@@ -304,14 +278,14 @@ func (s *Server) Listen(addr string) (net.Addr, error) {
 // ServeDebug starts an HTTP debug listener on addr serving the metrics
 // report as JSON at /debug/metrics and the standard pprof handlers under
 // /debug/pprof/. It returns the bound address; Close stops the listener.
-// Enables observability on the database if nothing has yet.
+// Enables observability on the engine if nothing has yet.
 func (s *Server) ServeDebug(addr string) (net.Addr, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
 	s.debug = &http.Server{
-		Handler: obs.DebugMux(s.db.EnableObs()),
+		Handler: obs.DebugMux(s.router.EnableObs()),
 		// A debug port must not let a stalled peer pin a connection
 		// forever while it sends its request header.
 		ReadHeaderTimeout: 5 * time.Second,
@@ -325,32 +299,16 @@ func (s *Server) ServeDebug(addr string) (net.Addr, error) {
 }
 
 // Metrics returns the server's observability report directly (in-process).
-// Enables observability on the database if nothing has yet.
+// Enables observability on the engine if nothing has yet.
 func (s *Server) Metrics() MetricsReport {
-	return s.db.EnableObs().Report()
+	return s.router.EnableObs().Report()
 }
 
 // Close stops the network listener (if any), the debug listener (if any)
 // and, for a durable server, flushes and closes every venue's data.
 // In-flight requests are cut off; use Shutdown to drain them gracefully.
 func (s *Server) Close() error {
-	s.stopRepl()
-	var err error
-	if s.srv != nil {
-		err = s.srv.Close()
-	}
-	if s.debug != nil {
-		if dErr := s.debug.Close(); err == nil {
-			err = dErr
-		}
-	}
-	if rErr := s.router.Close(); err == nil {
-		err = rErr
-	}
-	if dbErr := s.db.Close(); err == nil {
-		err = dbErr
-	}
-	return err
+	return s.teardown((*server.Server).Close)
 }
 
 // Shutdown stops the service gracefully: the listener closes, new requests
@@ -363,10 +321,16 @@ func (s *Server) Close() error {
 // a forced drain too. Returns nil on a clean drain, ctx.Err() on a forced
 // one.
 func (s *Server) Shutdown(ctx context.Context) error {
+	return s.teardown(func(srv *server.Server) error { return srv.Shutdown(ctx) })
+}
+
+// teardown is the body of Close and Shutdown, which differ only in how the
+// network front end stops. The first error wins; every step runs regardless.
+func (s *Server) teardown(stop func(*server.Server) error) error {
 	s.stopRepl()
 	var err error
 	if s.srv != nil {
-		err = s.srv.Shutdown(ctx)
+		err = stop(s.srv)
 	}
 	if s.debug != nil {
 		if dErr := s.debug.Close(); err == nil {
@@ -375,9 +339,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 	if rErr := s.router.Close(); err == nil {
 		err = rErr
-	}
-	if dbErr := s.db.Close(); err == nil {
-		err = dbErr
 	}
 	return err
 }
@@ -411,16 +372,6 @@ func (s *Server) ReplStatus() ReplStatus {
 	}
 }
 
-// Database gives direct access to the default venue's engine.
-//
-// It is a library-only escape hatch for benchmarks and tests that need the
-// raw engine: calls through it bypass the service layer entirely — no
-// admission control, no load shedding, no per-request metrics, and no venue
-// routing. Deployed code (including this repo's cmd/ binaries) should use
-// the public Server methods (Ingest, Locate, Stats, Compact), which go
-// through the same instrumented paths the network front end uses.
-func (s *Server) Database() *server.Database { return s.db }
-
 // ConfigureVenue fixes the shard topology a venue will be created with
 // (equivalent to the WithVenueShards option, for topologies decided after
 // construction). It must run before the venue's first ingest; configuring a
@@ -433,31 +384,21 @@ func (s *Server) ConfigureVenue(name string, cfg VenueConfig) error {
 // venue is not listed).
 func (s *Server) Venues() []string { return s.router.Venues() }
 
-// Ingest adds wardriven mappings to the default venue (in-process).
-func (s *Server) Ingest(ms []Mapping) error {
-	return s.db.Ingest(context.Background(), ms)
-}
-
-// IngestContext is Ingest under a context: cancellation is honored before
-// the batch is logged; once the write-ahead log has accepted it, the batch
-// runs to completion so an acknowledgment always means durable.
-func (s *Server) IngestContext(ctx context.Context, ms []Mapping) error {
-	return s.db.Ingest(ctx, ms)
-}
-
-// IngestVenue adds mappings to a named venue (in-process), creating the
-// venue on first use. The batch is partitioned across the venue's shards by
-// spatial cell and applied in parallel; it returns the venue's total
-// mapping count after the batch. The empty venue name addresses the default
-// venue.
-func (s *Server) IngestVenue(ctx context.Context, venue string, ms []Mapping) (total int, err error) {
+// Ingest adds wardriven mappings to a venue (in-process), creating a named
+// venue on first use; the empty name addresses the default venue. The batch
+// is partitioned across the venue's shards by spatial cell and applied in
+// parallel; it returns the venue's total mapping count after the batch.
+// Cancellation is honored before the batch is logged; once the write-ahead
+// log has accepted it, the batch runs to completion so an acknowledgment
+// always means durable.
+func (s *Server) Ingest(ctx context.Context, venue string, ms []Mapping) (total int, err error) {
 	return s.router.Ingest(ctx, venue, ms)
 }
 
 // Locate answers a localization query against a venue (in-process). The
-// empty venue name addresses the default venue; a named venue fans the
-// query across its shards and merges the candidates bit-identically to an
-// unsharded database. Querying a venue that was never ingested returns
+// empty venue name addresses the default venue; a multi-shard venue fans the
+// query across its shards and merges the candidates bit-identically to a
+// one-shard venue. Querying a venue that was never ingested returns
 // ErrEmptyDatabase — venues never see each other's data.
 func (s *Server) Locate(ctx context.Context, venue string, kps []Keypoint, intr Intrinsics) (LocateResult, error) {
 	return s.router.Locate(ctx, venue, kps, intr)
@@ -498,47 +439,23 @@ func (s *Server) EndSession(venue string, sid uint64) { s.router.EndSession(venu
 // session; build one with Client.Session or VenueHandle.Session.
 type SessionHandle = server.Session
 
-// VenueOracle returns a venue's uniqueness oracle for in-process keypoint
-// filtering. The default venue ("") shares the live oracle object (the
-// in-process equivalent of an OracleSync); a named venue's oracle is
-// assembled from its shards — a point-in-time copy, re-fetch after further
-// ingests.
+// VenueOracle returns a point-in-time copy of a venue's uniqueness oracle
+// for in-process keypoint filtering (the in-process equivalent of an
+// OracleSync; re-fetch after further ingests). The empty name addresses the
+// default venue; a venue that does not exist yet answers the empty oracle.
 func (s *Server) VenueOracle(venue string) (*Oracle, error) {
-	if venue == "" {
-		return s.db.Oracle(), nil
-	}
-	blob, err := s.router.OracleBlob(venue)
-	if err != nil {
-		return nil, err
-	}
-	raw, err := codec.Gunzip(blob)
-	if err != nil {
-		return nil, err
-	}
-	return core.Read(bytes.NewReader(raw))
+	return s.router.Oracle(venue)
 }
 
-// Stats returns the default venue's state report: mapping and byte counts
-// plus persistence status. For a named venue's aggregate, use VenueStats.
-func (s *Server) Stats() DBStats { return s.db.Stats() }
-
-// VenueStats aggregates a named venue's per-shard state reports. A venue
-// that does not exist reports zeros; the empty name reports the default
-// venue (same as Stats).
-func (s *Server) VenueStats(venue string) DBStats { return s.router.Stats(venue) }
+// Stats returns a venue's state report — mapping and byte counts plus
+// persistence status — aggregated over its shards. The empty name addresses
+// the default venue; a venue that does not exist reports zeros.
+func (s *Server) Stats(venue string) DBStats { return s.router.Stats(venue) }
 
 // Compact synchronously folds every durable venue's state into fresh
 // snapshots and truncates the write-ahead logs. A no-op for an in-memory
 // server.
-func (s *Server) Compact() error {
-	if !s.durable {
-		return nil
-	}
-	if err := s.db.Compact(); err != nil {
-		return err
-	}
-	return s.router.Compact()
-}
+func (s *Server) Compact() error { return s.router.Compact() }
 
 // DBStats is the server's state report: mapping and byte counts plus
 // persistence status (snapshot coverage, WAL size, last compaction). It is
@@ -558,8 +475,8 @@ type VenueHandle = server.Venue
 // transfer for the version the handle holds (an unchanged ack, a
 // compressed cell-delta chain, or a full blob); Watch subscribes to the
 // server's epoch-bump pushes and resyncs on each, replacing polling. Build
-// one with Client.OracleSync or VenueHandle.OracleSync; Pipeline.OracleSync
-// mirrors the surface in-process.
+// one with Client.OracleSync or VenueHandle.OracleSync; in-process users
+// call Server.VenueOracle instead.
 type OracleSync = server.OracleSync
 
 // OracleUpdate is one push-driven oracle refresh delivered by
@@ -818,166 +735,18 @@ func (p *Pipeline) Wardrive(cfg WardriveConfig, correctDrift bool) (int, error) 
 		}
 	}
 	ms := MappingsFrom(snaps)
-	if _, err := p.Server.IngestVenue(context.Background(), p.Venue, ms); err != nil {
+	if _, err := p.Server.Ingest(context.Background(), p.Venue, ms); err != nil {
 		return 0, err
 	}
-	// In-process deployments get the oracle directly (shared for the
-	// default venue, assembled from the shards for a named one); a
-	// networked client would OracleSync().Sync instead.
+	// In-process deployments get the oracle directly (a copy assembled from
+	// the venue's shards); a networked client would OracleSync().Sync
+	// instead.
 	o, err := p.Server.VenueOracle(p.Venue)
 	if err != nil {
 		return 0, err
 	}
 	p.Oracle = o
 	return len(ms), nil
-}
-
-// PipelineOracleSync mirrors the networked OracleSync handle for
-// single-process deployments: the same Sync / Watch / Version surface,
-// served by the embedded engine through the identical version-and-delta
-// logic a remote client exercises — TransferBytes reports what the syncs
-// would have cost on the wire. Build one with Pipeline.OracleSync.
-type PipelineOracleSync struct {
-	p *Pipeline
-
-	mu        sync.Mutex
-	oracle    *Oracle
-	epoch     uint64
-	inserts   uint64
-	versioned bool
-	bytes     int64
-}
-
-// OracleSync returns the in-process oracle-distribution handle for the
-// pipeline's venue. Syncing it also installs the result as the pipeline's
-// filtering oracle (p.Oracle), so push-driven deployments can keep a
-// wardriving pipeline's client-side filter current with Watch.
-func (p *Pipeline) OracleSync() *PipelineOracleSync { return &PipelineOracleSync{p: p} }
-
-// Version returns the held oracle's version identity; ok is false before
-// the first successful Sync.
-func (h *PipelineOracleSync) Version() (epoch, inserts uint64, ok bool) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.epoch, h.inserts, h.versioned
-}
-
-// TransferBytes returns the cumulative bytes the handle's syncs would have
-// transferred over the wire (delta chains and full blobs; unchanged acks
-// cost the fixed version stamp).
-func (h *PipelineOracleSync) TransferBytes() int64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.bytes
-}
-
-// Sync brings the handle (and p.Oracle) up to the engine's latest epoch,
-// applying a delta chain when the held version is inside the server's
-// retained window and a full rebuild otherwise.
-func (h *PipelineOracleSync) Sync(ctx context.Context) (*Oracle, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.syncLocked()
-}
-
-func (h *PipelineOracleSync) syncLocked() (*Oracle, error) {
-	haveEpoch, haveInserts := ^uint64(0), ^uint64(0)
-	if h.oracle != nil && h.versioned {
-		haveEpoch, haveInserts = h.epoch, h.inserts
-	}
-	res, err := h.p.Server.router.OracleSyncSince(h.p.Venue, haveEpoch, haveInserts)
-	if err != nil {
-		return nil, err
-	}
-	switch {
-	case res.Unchanged:
-		h.bytes += 16
-		return h.oracle, nil
-	case res.Delta != nil:
-		h.bytes += int64(len(res.Delta))
-		recs, err := odelta.DecodeChain(res.Delta)
-		if err != nil {
-			return nil, err
-		}
-		o, err := odelta.ApplyChain(h.oracle, recs)
-		if err != nil {
-			return nil, err
-		}
-		h.install(o, res.Epoch, res.Inserts)
-		return o, nil
-	default:
-		h.bytes += int64(len(res.Blob))
-		raw, err := codec.Gunzip(res.Blob)
-		if err != nil {
-			return nil, err
-		}
-		o, err := core.Read(bytes.NewReader(raw))
-		if err != nil {
-			return nil, err
-		}
-		h.install(o, res.Epoch, res.Inserts)
-		return o, nil
-	}
-}
-
-func (h *PipelineOracleSync) install(o *Oracle, epoch, inserts uint64) {
-	h.oracle, h.epoch, h.inserts, h.versioned = o, epoch, inserts, true
-	h.p.Oracle = o
-}
-
-// Watch mirrors OracleSync.Watch in-process: it delivers a synced oracle
-// whenever the engine's epoch advances past the held version, coalescing
-// bursts to the latest state. The channel closes when ctx is canceled, or
-// after delivering a terminal failure in OracleUpdate.Err.
-func (h *PipelineOracleSync) Watch(ctx context.Context) (<-chan OracleUpdate, error) {
-	// Fail venue problems synchronously, like the networked handle does.
-	if _, _, _, err := h.p.Server.router.VenueEpochSignal(h.p.Venue, ctx.Done()); err != nil {
-		return nil, err
-	}
-	out := make(chan OracleUpdate, 1)
-	go func() {
-		defer close(out)
-		for {
-			epoch, inserts, ch, err := h.p.Server.router.VenueEpochSignal(h.p.Venue, ctx.Done())
-			if err == nil {
-				he, hi, ok := h.Version()
-				if !ok || he != epoch || hi != inserts {
-					var o *Oracle
-					if o, err = h.Sync(ctx); err == nil {
-						// Snapshot: the next delta sync patches the held
-						// oracle in place (see the networked handle).
-						o, err = o.Clone()
-					}
-					if err == nil {
-						e2, i2, _ := h.Version()
-						select {
-						case out <- OracleUpdate{Oracle: o, Epoch: e2, Inserts: i2}:
-						case <-ctx.Done():
-							return
-						}
-					}
-				}
-			}
-			if err != nil {
-				if ctx.Err() == nil {
-					select {
-					case out <- OracleUpdate{Err: err}:
-					case <-ctx.Done():
-					}
-				}
-				return
-			}
-			select {
-			case <-ctx.Done():
-				return
-			case <-ch:
-			}
-		}
-	}()
-	return out, nil
 }
 
 // QueryStats reports what a localization query consumed.
