@@ -7,6 +7,7 @@ package lsh
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -66,6 +67,76 @@ func TestQueryIntoMatchesQuery(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestTopNMatchesSortAndTruncate: a capped query keeps a sorted top-n while
+// collecting and scores with an early-abandon distance; it must return
+// exactly what collecting everything, stable-sorting and truncating returns
+// — ids, distances, probe ordinals, order. The indexes are built to force
+// distance ties: descriptors inserted more than once (equal distance, same
+// bucket, adjacent arrival) and one-byte variants of a base (equal distance,
+// usually different buckets, so ties that arrive probes apart).
+func TestTopNMatchesSortAndTruncate(t *testing.T) {
+	var dst []Candidate
+	cases, ties := 0, 0
+	for seed := int64(1); seed <= 25; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		ix, err := NewIndex(DefaultParams())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var bases [][]byte
+		for b := 0; b < 6; b++ {
+			base := randDesc(rng)
+			bases = append(bases, base)
+			for v := 0; v < 40; v++ {
+				var d []byte
+				switch v % 4 {
+				case 0: // duplicate of the base
+					d = append([]byte(nil), base...)
+				case 1: // one byte moved by a fixed step: many equidistant variants
+					d = append([]byte(nil), base...)
+					d[rng.Intn(len(d))] ^= 4
+				default:
+					d = perturb(rng, base, 1+rng.Intn(6))
+				}
+				if _, err := ix.Insert(d); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		for q := 0; q < 4; q++ {
+			query := bases[rng.Intn(len(bases))]
+			if q%2 == 1 {
+				query = perturb(rng, query, 2)
+			}
+			for _, multi := range []bool{false, true} {
+				all, err := ix.Query(query, QueryOptions{MultiProbe: multi})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := 1; i < len(all); i++ {
+					if all[i].DistSq == all[i-1].DistSq {
+						ties++
+					}
+				}
+				for _, n := range []int{1, 2, 3, 8, len(all) + 5} {
+					want := all[:min(n, len(all))]
+					dst, err = ix.QueryInto(query, QueryOptions{MultiProbe: multi, MaxCandidates: n}, dst)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !slices.Equal(dst, want) {
+						t.Fatalf("seed %d query %d multiprobe %v n %d:\n top-n %+v\n sorted %+v", seed, q, multi, n, dst, want)
+					}
+					cases++
+				}
+			}
+		}
+	}
+	if cases < 200 || ties < cases {
+		t.Fatalf("%d cases with %d adjacent ties: the fixture no longer exercises the tie-break", cases, ties)
 	}
 }
 
@@ -134,5 +205,31 @@ func BenchmarkIndexQueryInto(b *testing.B) {
 		if dst, err = ix.QueryInto(q, QueryOptions{MultiProbe: true}, dst); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkQueryIntoTop2 is the server's per-keypoint query: multi-probe,
+// MaxCandidates 2 (NeighborsPerKeypoint), a near neighbor in the index so the
+// held n-th distance is small and most candidates are abandoned early.
+func BenchmarkQueryIntoTop2(b *testing.B) {
+	ix, rng := buildQueryIndex(b, 5000)
+	target := ix.descs[rng.Intn(len(ix.descs))]
+	for i := 0; i < 200; i++ { // a populated neighborhood around the query
+		if _, err := ix.Insert(perturb(rng, target, 1+i%24)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	q := perturb(rng, target, 2)
+	var dst []Candidate
+	var err error
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if dst, err = ix.QueryInto(q, QueryOptions{MultiProbe: true, MaxCandidates: 2}, dst); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if len(dst) != 2 {
+		b.Fatalf("query kept %d candidates, want 2", len(dst))
 	}
 }

@@ -190,7 +190,7 @@ type Candidate struct {
 	Probe int32
 }
 
-// compareCandidates orders by ascending distance; QueryInto sorts stably, so
+// compareCandidates orders by ascending distance; QueryInto ranks stably, so
 // equal distances keep candidate dedup order (table, then probe, then
 // in-bucket insertion order) — the deterministic tie-break the serialized
 // index round-trip and the parallel Locate fan-out both rely on.
@@ -306,7 +306,8 @@ type QueryOptions struct {
 }
 
 // Query returns candidate neighbors of desc from all L tables, de-duplicated
-// and sorted by ascending Euclidean distance (ties keep dedup order).
+// and sorted by ascending Euclidean distance (ties keep dedup order), the
+// nearest MaxCandidates of them when that is set.
 func (ix *Index) Query(desc []byte, opt QueryOptions) ([]Candidate, error) {
 	return ix.QueryInto(desc, opt, nil)
 }
@@ -318,7 +319,11 @@ func (ix *Index) Query(desc []byte, opt QueryOptions) ([]Candidate, error) {
 //
 // Candidate order is deterministic: dedup order is table order, then probe
 // order (exact bucket, then per coordinate -1/+1), then in-bucket insertion
-// order; the final sort is stable on ascending distance.
+// order; the ranking is stable on ascending distance. Uncapped, that is a
+// stable sort of everything collected. With MaxCandidates = n > 0 the n best
+// are kept sorted while collecting (see collect) — the same candidates in
+// the same order as sorting everything and truncating, without scoring most
+// of the losers in full or sorting them at all.
 func (ix *Index) QueryInto(desc []byte, opt QueryOptions, dst []Candidate) ([]Candidate, error) {
 	if len(desc) != ix.h.p.Dim {
 		return nil, errors.New("lsh: descriptor dimension mismatch")
@@ -334,30 +339,35 @@ func (ix *Index) QueryInto(desc []byte, opt QueryOptions, dst []Candidate) ([]Ca
 	for t := 0; t < ix.h.p.L; t++ {
 		ix.h.BucketVecInto(s.vec, t, s.coords)
 		ord := int32(t) * probesPerTable
-		dst = ix.collect(t, ord, desc, s, dst)
+		dst = ix.collect(t, ord, desc, s, dst, opt.MaxCandidates)
 		if opt.MultiProbe {
 			// Off-by-one perturbations, enumerated by mutating one
 			// coordinate at a time — same order as Probes, no allocation.
 			for m := range s.coords {
 				orig := s.coords[m]
 				s.coords[m] = orig - 1
-				dst = ix.collect(t, ord+1+2*int32(m), desc, s, dst)
+				dst = ix.collect(t, ord+1+2*int32(m), desc, s, dst, opt.MaxCandidates)
 				s.coords[m] = orig + 1
-				dst = ix.collect(t, ord+2+2*int32(m), desc, s, dst)
+				dst = ix.collect(t, ord+2+2*int32(m), desc, s, dst, opt.MaxCandidates)
 				s.coords[m] = orig
 			}
 		}
 	}
-	slices.SortStableFunc(dst, compareCandidates)
-	if opt.MaxCandidates > 0 && len(dst) > opt.MaxCandidates {
-		dst = dst[:opt.MaxCandidates]
+	if opt.MaxCandidates <= 0 {
+		slices.SortStableFunc(dst, compareCandidates)
 	}
 	return dst, nil
 }
 
-// collect appends the not-yet-seen candidates of one bucket probe, stamping
-// each with the probe ordinal it was first found at.
-func (ix *Index) collect(table int, ord int32, desc []byte, s *queryScratch, dst []Candidate) []Candidate {
+// collect adds the not-yet-seen candidates of one bucket probe, stamping
+// each with the probe ordinal it was first found at. With n <= 0 it appends
+// them in collection order. With n > 0, dst is the sorted n best so far:
+// once n are held, a candidate must beat the n-th distance to enter, so it
+// is scored by dist.SqLimit, which gives up as soon as the partial sum
+// reaches that distance. A tie with the n-th loses — it arrived later, which
+// is where a stable sort would have put it — and an entering candidate goes
+// after any equal distance already held, for the same reason.
+func (ix *Index) collect(table int, ord int32, desc []byte, s *queryScratch, dst []Candidate, n int) []Candidate {
 	k := ix.h.KeyInto(table, s.coords, s.key)
 	for _, id := range ix.tables[table][k] {
 		if int(id) >= len(s.seen) {
@@ -370,7 +380,26 @@ func (ix *Index) collect(table int, ord int32, desc []byte, s *queryScratch, dst
 			continue
 		}
 		s.seen[id] = s.epoch
-		dst = append(dst, Candidate{ID: int(id), DistSq: distSq(desc, ix.descs[id]), Probe: ord})
+		if n <= 0 {
+			dst = append(dst, Candidate{ID: int(id), DistSq: dist.Sq(desc, ix.descs[id]), Probe: ord})
+			continue
+		}
+		limit := math.MaxInt
+		if len(dst) == n {
+			limit = dst[n-1].DistSq
+		}
+		d := dist.SqLimit(desc, ix.descs[id], limit)
+		if d >= limit {
+			continue
+		}
+		if len(dst) < n {
+			dst = append(dst, Candidate{})
+		}
+		i := len(dst) - 1
+		for ; i > 0 && dst[i-1].DistSq > d; i-- {
+			dst[i] = dst[i-1]
+		}
+		dst[i] = Candidate{ID: int(id), DistSq: d, Probe: ord}
 	}
 	return dst
 }
@@ -395,10 +424,3 @@ func (ix *Index) MemoryBytes() int64 {
 	}
 	return total
 }
-
-// distSq scores one candidate against the query descriptor — the innermost
-// loop of every Locate. The 8-way unrolled kernel lives in internal/dist
-// (shared with the cluster-stage matchers); its integer sum is exactly
-// equal to the scalar loop on every input, so candidate ordering — and
-// therefore every downstream pose — is unchanged.
-func distSq(a, b []byte) int { return dist.Sq(a, b) }

@@ -3,10 +3,14 @@ package pose
 // Bit-identity regression coverage for the optimized solver (see DESIGN.md
 // "Performance"). The optimizations must be invisible in the output:
 //
-//   - the residual with precomputed aij and reused camera-to-point deltas
-//     must match the original per-call d() formulation bit for bit;
-//   - Localize with the early-abort objective must match a reference
-//     solver that evaluates every trial in full with the original residual;
+//   - the objective over per-point direction scratch and compact point
+//     indices must match the plain per-pair form of the same arithmetic
+//     (normalize both camera-to-point vectors, dot, polynomial arccos) bit
+//     for bit;
+//   - pair set-up that shuffles an index list and builds only the kept pairs
+//     must keep exactly the pairs build-all-then-shuffle keeps, in order;
+//   - Localize with the early-abort objective must match a reference solver
+//     that evaluates every trial in full with the reference residual;
 //   - the worker count must not change a single output bit, because every
 //     RNG draw is serial and each trial's cost is an independent serial
 //     summation.
@@ -20,26 +24,31 @@ import (
 	"visualprint/internal/mathx"
 )
 
-// referenceResidual is the pre-optimization residual, kept verbatim: aij and
-// the ai/aj plane distances recomputed from scratch via dsq2 on every call.
-func referenceResidual(pg *pairGeometry, x, y, z float64) float64 {
-	dix, diy, diz := pg.pi.X-x, pg.pi.Y-y, pg.pi.Z-z
-	djx, djy, djz := pg.pj.X-x, pg.pj.Y-y, pg.pj.Z-z
-	di := dix*dix + diy*diy + diz*diz
-	dj := djx*djx + djy*djy + djz*djz
+// refPair is one keypoint pair in the reference's self-contained form: both
+// endpoints by value, no shared point list.
+type refPair struct {
+	pi, pj mathx.Vec3
+	g3, gx float64
+}
+
+// referenceResidual is the per-pair residual with nothing shared between
+// pairs: both directions are normalized from scratch on every call.
+func referenceResidual(rp *refPair, x, y, z float64) float64 {
+	dix, diy, diz := rp.pi.X-x, rp.pi.Y-y, rp.pi.Z-z
+	djx, djy, djz := rp.pj.X-x, rp.pj.Y-y, rp.pj.Z-z
+	ai := dix*dix + diz*diz
+	aj := djx*djx + djz*djz
+	di := ai + diy*diy
+	dj := aj + djy*djy
 	e3 := math.Pi
 	if di > 1e-12 && dj > 1e-12 {
-		dot := dix*djx + diy*djy + diz*djz
-		cosv := mathx.Clamp(dot/math.Sqrt(di*dj), -1, 1)
-		e3 = math.Abs(math.Acos(cosv) - pg.g3)
+		ii, ij := 1/math.Sqrt(di), 1/math.Sqrt(dj)
+		e3 = math.Abs(acos((dix*ii)*(djx*ij)+(diy*ii)*(djy*ij)+(diz*ii)*(djz*ij)) - rp.g3)
 	}
-	ai := dsq2(x, z, pg.pi.X, pg.pi.Z)
-	aj := dsq2(x, z, pg.pj.X, pg.pj.Z)
-	aij := dsq2(pg.pi.X, pg.pi.Z, pg.pj.X, pg.pj.Z)
 	ex := math.Pi
 	if ai > 1e-12 && aj > 1e-12 {
-		cosv := mathx.Clamp((ai+aj-aij)/(2*math.Sqrt(ai)*math.Sqrt(aj)), -1, 1)
-		ex = math.Abs(math.Acos(cosv) - pg.gx)
+		ii, ij := 1/math.Sqrt(ai), 1/math.Sqrt(aj)
+		ex = math.Abs(acos((dix*ii)*(djx*ij)+(diz*ii)*(djz*ij)) - rp.gx)
 	}
 	e := e3 + 0.5*ex
 	if e > residualCap {
@@ -48,26 +57,117 @@ func referenceResidual(pg *pairGeometry, x, y, z float64) float64 {
 	return e
 }
 
-// TestResidualMatchesReference: optimized vs original residual, compared by
-// exact float64 bits over a broad random sweep including degenerate
-// (camera-on-point) positions.
+// pairResidual evaluates one pair through the production objective.
+func pairResidual(rp refPair, x, y, z float64) float64 {
+	pr := problem{
+		pts:   []mathx.Vec3{rp.pi, rp.pj},
+		pairs: []pairGeometry{{ia: 0, ib: 1, g3: rp.g3, gx: rp.gx}},
+	}
+	return pr.objective([3]float64{x, y, z}, make([]ptDir, 2), math.Inf(1))
+}
+
+// TestResidualMatchesReference: production vs reference residual, compared
+// by exact float64 bits over a broad random sweep including degenerate
+// (camera-on-point and camera-above-point) positions.
 func TestResidualMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(52))
 	for trial := 0; trial < 5000; trial++ {
-		pi := mathx.Vec3{X: rng.Float64()*20 - 10, Y: rng.Float64() * 3, Z: rng.Float64()*20 - 10}
-		pj := mathx.Vec3{X: rng.Float64()*20 - 10, Y: rng.Float64() * 3, Z: rng.Float64()*20 - 10}
-		pg := newPairGeometry(rng.Float64(), rng.Float64()*2, pi, pj)
+		rp := refPair{
+			pi: mathx.Vec3{X: rng.Float64()*20 - 10, Y: rng.Float64() * 3, Z: rng.Float64()*20 - 10},
+			pj: mathx.Vec3{X: rng.Float64()*20 - 10, Y: rng.Float64() * 3, Z: rng.Float64()*20 - 10},
+			gx: rng.Float64(),
+			g3: rng.Float64() * 2,
+		}
 		var x, y, z float64
-		if trial%17 == 0 {
-			x, y, z = pi.X, pi.Y, pi.Z // degenerate: zero range to point i
-		} else {
+		switch {
+		case trial%17 == 0:
+			x, y, z = rp.pi.X, rp.pi.Y, rp.pi.Z // zero range to point i
+		case trial%17 == 1:
+			x, y, z = rp.pj.X, rp.pj.Y+1, rp.pj.Z // zero X/Z range to point j
+		default:
 			x, y, z = rng.Float64()*24-12, rng.Float64()*4, rng.Float64()*24-12
 		}
-		got := pg.residual(x, y, z)
-		want := referenceResidual(&pg, x, y, z)
+		got := pairResidual(rp, x, y, z)
+		want := referenceResidual(&rp, x, y, z)
 		if math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("trial %d: residual %x (%v) != reference %x (%v)",
 				trial, math.Float64bits(got), got, math.Float64bits(want), want)
+		}
+	}
+}
+
+// referencePairs is pair set-up in its obvious form: build every pair, with
+// rays and gammas recomputed per pair, then shuffle the built pairs and
+// truncate.
+func referencePairs(corr []Correspondence, intr Intrinsics, maxPairs int, rng *rand.Rand) []refPair {
+	cx, cy := float64(intr.W)/2, float64(intr.H)/2
+	focal := cx / math.Tan(intr.FovX/2)
+	ray := func(px, py float64) mathx.Vec3 {
+		return mathx.Vec3{X: (px - cx) / focal, Y: -(py - cy) / focal, Z: 1}.Normalize()
+	}
+	var pairs []refPair
+	for i := 0; i < len(corr); i++ {
+		ri := ray(corr[i].Px, corr[i].Py)
+		gi := gamma(corr[i].Px, cx, intr.FovX, float64(intr.W))
+		for j := i + 1; j < len(corr); j++ {
+			rj := ray(corr[j].Px, corr[j].Py)
+			gj := gamma(corr[j].Px, cx, intr.FovX, float64(intr.W))
+			pairs = append(pairs, refPair{
+				pi: corr[i].P,
+				pj: corr[j].P,
+				g3: math.Acos(mathx.Clamp(ri.Dot(rj), -1, 1)),
+				gx: math.Abs(gi - gj),
+			})
+		}
+	}
+	if maxPairs > 0 && len(pairs) > maxPairs {
+		rng.Shuffle(len(pairs), func(a, b int) { pairs[a], pairs[b] = pairs[b], pairs[a] })
+		pairs = pairs[:maxPairs]
+	}
+	return pairs
+}
+
+// TestProblemKeepsReferencePairs: shuffling the index list draws the same
+// swaps as shuffling built pairs, so the kept pairs — endpoints resolved
+// through the compact point list, g3 and gx by bits — are the reference's,
+// in order, and the RNG is left in the same state.
+func TestProblemKeepsReferencePairs(t *testing.T) {
+	for _, tc := range []struct {
+		seed     int64
+		n        int
+		maxPairs int
+	}{
+		{1, 40, 300},
+		{2, 80, 300},
+		{3, 25, 100},
+		{4, 12, 300}, // fewer pairs than the cap: no shuffle, no draw
+		{5, 30, 0},   // uncapped
+	} {
+		corr, intr, _, _ := identityScenario(tc.seed, tc.n)
+		rngGot, rngWant := rand.New(rand.NewSource(tc.seed)), rand.New(rand.NewSource(tc.seed))
+		pr := newProblem(corr, intr, tc.maxPairs, rngGot)
+		want := referencePairs(corr, intr, tc.maxPairs, rngWant)
+		if len(pr.pairs) != len(want) {
+			t.Fatalf("seed %d: kept %d pairs, reference %d", tc.seed, len(pr.pairs), len(want))
+		}
+		if len(pr.pts) > len(corr) {
+			t.Fatalf("seed %d: %d compact points from %d correspondences", tc.seed, len(pr.pts), len(corr))
+		}
+		used := make([]bool, len(pr.pts))
+		for k, pg := range pr.pairs {
+			used[pg.ia], used[pg.ib] = true, true
+			got := refPair{pi: pr.pts[pg.ia], pj: pr.pts[pg.ib], g3: pg.g3, gx: pg.gx}
+			if got != want[k] {
+				t.Fatalf("seed %d pair %d: %+v != reference %+v", tc.seed, k, got, want[k])
+			}
+		}
+		for i, u := range used {
+			if !u {
+				t.Fatalf("seed %d: compact point %d is referenced by no kept pair", tc.seed, i)
+			}
+		}
+		if rngGot.Int63() != rngWant.Int63() {
+			t.Fatalf("seed %d: set-up consumed different randomness", tc.seed)
 		}
 	}
 }
@@ -77,30 +177,7 @@ func TestResidualMatchesReference(t *testing.T) {
 // every trial in full (no early abort) with referenceResidual, serially.
 func referenceLocalize(corr []Correspondence, intr Intrinsics, lo, hi mathx.Vec3, opt Options) Result {
 	rng := rand.New(rand.NewSource(opt.Seed))
-	cx, cy := float64(intr.W)/2, float64(intr.H)/2
-	focal := cx / math.Tan(intr.FovX/2)
-	ray := func(px, py float64) mathx.Vec3 {
-		return mathx.Vec3{X: (px - cx) / focal, Y: -(py - cy) / focal, Z: 1}.Normalize()
-	}
-	var pairs []pairGeometry
-	for i := 0; i < len(corr); i++ {
-		ri := ray(corr[i].Px, corr[i].Py)
-		gi := gamma(corr[i].Px, cx, intr.FovX, float64(intr.W))
-		for j := i + 1; j < len(corr); j++ {
-			rj := ray(corr[j].Px, corr[j].Py)
-			gj := gamma(corr[j].Px, cx, intr.FovX, float64(intr.W))
-			pairs = append(pairs, newPairGeometry(
-				math.Abs(gi-gj),
-				math.Acos(mathx.Clamp(ri.Dot(rj), -1, 1)),
-				corr[i].P,
-				corr[j].P,
-			))
-		}
-	}
-	if opt.MaxPairs > 0 && len(pairs) > opt.MaxPairs {
-		rng.Shuffle(len(pairs), func(a, b int) { pairs[a], pairs[b] = pairs[b], pairs[a] })
-		pairs = pairs[:opt.MaxPairs]
-	}
+	pairs := referencePairs(corr, intr, opt.MaxPairs, rng)
 	objective := func(v [3]float64) float64 {
 		var s float64
 		for k := range pairs {
@@ -261,5 +338,59 @@ func TestLocalizeDeadlineStillBounds(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
 		t.Fatalf("deadline-bounded solve ran %v", elapsed)
+	}
+}
+
+// generationFixture sets up one generation's worth of state the way
+// LocalizeContext does — an 80-correspondence problem capped at 300 pairs, a
+// 48-member population and a trial per member — and returns the Workers: 1
+// batch evaluator over it. The correspondences are consistent and the trials
+// sit within half a metre of the true camera, the regime a solve spends most
+// generations in: nearly every pair runs both arccos terms, as 98 % do in a
+// benchmark query.
+func generationFixture() (evaluate func(), trialCost []float64) {
+	corr, intr, _, _, cam := warmScenario(80)
+	rng := rand.New(rand.NewSource(17))
+	pr := newProblem(corr, intr, 300, rng)
+	dirs := make([]ptDir, len(pr.pts))
+	const popSize = 48
+	sample := func() [3]float64 {
+		return [3]float64{
+			cam.X + rng.Float64() - 0.5,
+			cam.Y + rng.Float64() - 0.5,
+			cam.Z + rng.Float64() - 0.5,
+		}
+	}
+	cost := make([]float64, popSize)
+	trials := make([][3]float64, popSize)
+	for i := range trials {
+		cost[i] = math.Inf(1) // every trial is summed in full
+		trials[i] = sample()
+	}
+	trialCost = make([]float64, popSize)
+	return newBatchEvaluator(1, &pr, dirs, trials, trialCost, cost), trialCost
+}
+
+// TestEvaluateZeroAllocs: the direction scratch is allocated once per solve,
+// so evaluating a generation allocates nothing.
+func TestEvaluateZeroAllocs(t *testing.T) {
+	evaluate, _ := generationFixture()
+	if n := testing.AllocsPerRun(20, evaluate); n != 0 {
+		t.Fatalf("one generation's evaluate() allocates %v times, want 0", n)
+	}
+}
+
+// BenchmarkObjective300Pairs times one generation with no early abort: 48
+// trials x (80 directions + 300 residuals), the loop a cold solve runs ~44
+// times.
+func BenchmarkObjective300Pairs(b *testing.B) {
+	evaluate, trialCost := generationFixture()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		evaluate()
+	}
+	if trialCost[0] <= 0 {
+		b.Fatal("evaluate produced no cost")
 	}
 }

@@ -56,12 +56,11 @@ func gamma(p, c, fov float64, s float64) float64 {
 	return math.Atan((p - c) * math.Tan(fov/2) / (s / 2))
 }
 
-// pairGeometry precomputes, for one keypoint pair, the observed angles and
-// the 3D coordinates entering the law-of-cosines constraint, plus the
-// position-independent parts of that constraint: aij (the pairwise X/Z
-// squared distance) is invariant across the ~2 million objective
-// evaluations of a default solve, so it is computed once here instead of
-// once per residual call.
+// pairGeometry holds, for one keypoint pair, the two observed angles and the
+// indices of its endpoints in the solve's compact point list. Everything
+// that depends on the trial camera position lives per point (ptDir), not per
+// pair: the ~300 pairs of a default solve draw on ~80 points, so a point's
+// direction is computed once per trial instead of once per pair it is in.
 //
 // The paper's Figure 12 splits the constraint into X/Z- and Y/Z-plane
 // angles. The X/Z (azimuthal) split is exact for an upright camera — the
@@ -72,111 +71,150 @@ func gamma(p, c, fov float64, s float64) float64 {
 // pairwise angle (the angle between the two pixel rays), which is invariant
 // to the entire unknown rotation and subsumes the vertical constraint.
 type pairGeometry struct {
-	gx     float64 // observed azimuthal separation (absolute, radians)
+	ia, ib int32   // endpoints, as indices into problem.pts
 	g3     float64 // observed full 3D angle between the two rays
-	pi, pj mathx.Vec3
-	aij    float64 // X/Z squared distance between pi and pj (Figure 12's d(ki,kj))
-	// c3lo/c3hi bound, in cosine space, the window of 3D angles within
-	// residualCap of g3. A trial whose ray cosine falls outside
-	// [c3lo, c3hi] provably yields a capped residual, so residual can
-	// return residualCap without evaluating either Acos (see residual).
-	c3lo, c3hi float64
+	gx     float64 // observed azimuthal separation (absolute, radians)
 }
 
-// capCosMargin absorbs the worst-case error of the precomputed math.Cos
-// bounds and the hot path's math.Acos (both correctly rounded to ~1 ulp,
-// absolute error < 1e-15 here): a raw cosine must clear the bound by this
-// much before the Acos-free capped path may be taken. Values inside the
-// margin band fall through to the full computation, which is always exact,
-// so the fast path never changes a result — it only skips work that is
-// guaranteed (with ~10^6x slack) to produce the cap.
-const capCosMargin = 1e-9
-
-// capAngleMargin keeps the cosine bounds away from the flat regions of cos
-// at 0 and pi, where a cosine-space margin stops implying an angle-space
-// margin. Windows that close to the domain edge simply don't get a bound
-// on that side.
-const capAngleMargin = 1e-4
-
-func newPairGeometry(gx, g3 float64, pi, pj mathx.Vec3) pairGeometry {
-	pg := pairGeometry{
-		gx: gx, g3: g3, pi: pi, pj: pj,
-		aij:  dsq2(pi.X, pi.Z, pj.X, pj.Z),
-		c3lo: math.Inf(-1),
-		c3hi: math.Inf(1),
-	}
-	// cos is strictly decreasing on [0, pi]: angles above g3+cap have
-	// cosines below cos(g3+cap), angles below g3-cap have cosines above
-	// cos(g3-cap). Each bound exists only when the window edge stays
-	// inside (0, pi) by capAngleMargin.
-	if g3+residualCap <= math.Pi-capAngleMargin {
-		pg.c3lo = math.Cos(g3+residualCap) - capCosMargin
-	}
-	if g3 >= residualCap+capAngleMargin {
-		pg.c3hi = math.Cos(g3-residualCap) + capCosMargin
-	}
-	return pg
+// ptDir is one point's direction from a trial camera position: the unit 3D
+// vector and the unit vector of its X/Z-plane projection. A pair's two
+// cosines are then plain dot products — no square root, no division. ok3/okx
+// are false when the camera sits (numerically) on the point or directly
+// above or below it, where the direction is undefined.
+type ptDir struct {
+	ux, uy, uz float64
+	hx, hz     float64
+	ok3, okx   bool
 }
 
-// dsq2 is Figure 12's d(): squared Euclidean distance in a 2D plane.
-func dsq2(a1, a2, b1, b2 float64) float64 {
-	d1, d2 := a1-b1, a2-b2
-	return d1*d1 + d2*d2
+// minRangeSq is the squared camera-to-point range at or below which a
+// direction counts as degenerate; the term it enters is then pi, the worst
+// case.
+const minRangeSq = 1e-12
+
+// direction fills d for point p seen from (x, y, z).
+func (d *ptDir) direction(p mathx.Vec3, x, y, z float64) {
+	dx, dy, dz := p.X-x, p.Y-y, p.Z-z
+	rx := dx*dx + dz*dz
+	r3 := rx + dy*dy
+	*d = ptDir{}
+	if r3 > minRangeSq {
+		inv := 1 / math.Sqrt(r3)
+		d.ux, d.uy, d.uz, d.ok3 = dx*inv, dy*inv, dz*inv, true
+	}
+	if rx > minRangeSq {
+		inv := 1 / math.Sqrt(rx)
+		d.hx, d.hz, d.okx = dx*inv, dz*inv, true
+	}
+}
+
+// acos approximates math.Acos by Abramowitz & Stegun 4.4.46,
+// sqrt(1-|x|) * P7(|x|), reflected through pi/2 for negative x; the argument
+// is clamped to [-1, 1] (a dot of two unit vectors can exceed 1 by an ulp).
+// The absolute error is at most 2.2e-8 rad (at x = 0, where the two branches
+// meet with a 4.4e-8 step down — the function stays non-increasing), five
+// orders of magnitude below the 4e-3 rad one pixel subtends at 240 px / 60
+// degrees. acos(1) is exactly 0 and acos(-1) exactly math.Pi. It costs one
+// square root and seven multiply-adds — a fraction of math.Acos, which is
+// pure Go on amd64 — and the objective calls it twice per pair per trial.
+func acos(x float64) float64 {
+	ax := math.Abs(x)
+	if ax > 1 {
+		ax = 1
+	}
+	p := -0.0012624911
+	p = p*ax + 0.0066700901
+	p = p*ax - 0.0170881256
+	p = p*ax + 0.0308918810
+	p = p*ax - 0.0501743046
+	p = p*ax + 0.0889789874
+	p = p*ax - 0.2145988016
+	p = p*ax + 1.5707963050
+	r := math.Sqrt(1-ax) * p
+	if x < 0 {
+		return math.Pi - r
+	}
+	return r
 }
 
 // residualCap truncates per-pair angular errors so a few wrong
 // correspondences (post-clustering residue) cannot dominate the objective.
 const residualCap = 0.5
 
-// residual returns the truncated angular error for a hypothesized camera
-// position: full-3D-angle term plus the paper's azimuthal (X/Z plane) term.
-// The camera-to-point deltas are computed once and reused for both terms
-// ((a-x)^2 equals (x-a)^2 exactly in IEEE arithmetic, so ai/aj match the
-// d() formulation bit for bit — pinned by TestResidualMatchesReference).
-//
-// Both terms add up to at least residualCap whenever the 3D-angle error
-// alone reaches the cap, so positions whose ray cosine falls outside the
-// precomputed [c3lo, c3hi] window return the cap without evaluating
-// math.Acos at all — the dominant cost of this function. For the
-// mismatched correspondences that survive clustering (and for most trials
-// of a not-yet-converged population) this short-circuit carries the bulk
-// of the evaluations; TestResidualMatchesReference pins it against the
-// unconditional formula across both paths.
-func (pg *pairGeometry) residual(x, y, z float64) float64 {
-	// Full 3D angle via the law of cosines on the two point ranges.
-	dix, diy, diz := pg.pi.X-x, pg.pi.Y-y, pg.pi.Z-z
-	djx, djy, djz := pg.pj.X-x, pg.pj.Y-y, pg.pj.Z-z
-	di := dix*dix + diy*diy + diz*diz
-	dj := djx*djx + djy*djy + djz*djz
+// residual returns the pair's truncated angular error given its endpoints'
+// directions from the trial position: the full-3D-angle term plus half the
+// paper's azimuthal (X/Z plane) term. Both terms are non-negative, so once
+// the 3D term alone reaches the cap the azimuthal one is skipped.
+func (pg *pairGeometry) residual(a, b *ptDir) float64 {
 	e3 := math.Pi // worst case when degenerate
-	if di > 1e-12 && dj > 1e-12 {
-		cosv := (dix*djx + diy*djy + diz*djz) / math.Sqrt(di*dj)
-		if cosv <= pg.c3lo || cosv >= pg.c3hi {
-			// The 3D angle is more than residualCap away from g3 (by at
-			// least the margins' slack), so e3 >= residualCap and the sum
-			// caps regardless of the azimuthal term.
-			return residualCap
-		}
-		e3 = math.Abs(math.Acos(mathx.Clamp(cosv, -1, 1)) - pg.g3)
+	if a.ok3 && b.ok3 {
+		e3 = math.Abs(acos(a.ux*b.ux+a.uy*b.uy+a.uz*b.uz) - pg.g3)
 	}
 	if e3 >= residualCap {
-		// ex >= 0, so the sum caps; skip the azimuthal Acos and sqrts.
 		return residualCap
 	}
-	// Azimuthal (X/Z plane) term, as in Figure 12; aij was precomputed at
-	// pair construction.
-	ai := dix*dix + diz*diz
-	aj := djx*djx + djz*djz
 	ex := math.Pi
-	if ai > 1e-12 && aj > 1e-12 {
-		cosv := mathx.Clamp((ai+aj-pg.aij)/(2*math.Sqrt(ai)*math.Sqrt(aj)), -1, 1)
-		ex = math.Abs(math.Acos(cosv) - pg.gx)
+	if a.okx && b.okx {
+		ex = math.Abs(acos(a.hx*b.hx+a.hz*b.hz) - pg.gx)
 	}
 	e := e3 + 0.5*ex
 	if e > residualCap {
 		e = residualCap
 	}
 	return e
+}
+
+// problem is the position-independent part of one solve: the kept pairs and
+// the compact list of the points they reference.
+type problem struct {
+	pts   []mathx.Vec3
+	pairs []pairGeometry
+}
+
+// newProblem builds the pair geometry of a solve. All n(n-1)/2 pairs are
+// candidates; when that exceeds maxPairs (> 0) a seeded shuffle picks which
+// to keep. Only an index list is shuffled and only kept pairs are built, so
+// set-up is O(n) rays and O(maxPairs) angles, not O(n^2) of either.
+func newProblem(corr []Correspondence, intr Intrinsics, maxPairs int, rng *rand.Rand) problem {
+	// Pixel rays in the camera frame: square pixels are assumed, so one
+	// focal length serves both axes.
+	cx, cy := float64(intr.W)/2, float64(intr.H)/2
+	focal := cx / math.Tan(intr.FovX/2)
+	rays := make([]mathx.Vec3, len(corr))
+	gammas := make([]float64, len(corr))
+	for i, c := range corr {
+		rays[i] = mathx.Vec3{X: (c.Px - cx) / focal, Y: -(c.Py - cy) / focal, Z: 1}.Normalize()
+		gammas[i] = gamma(c.Px, cx, intr.FovX, float64(intr.W))
+	}
+	idx := make([][2]int32, 0, len(corr)*(len(corr)-1)/2)
+	for i := range corr {
+		for j := i + 1; j < len(corr); j++ {
+			idx = append(idx, [2]int32{int32(i), int32(j)})
+		}
+	}
+	if maxPairs > 0 && len(idx) > maxPairs {
+		rng.Shuffle(len(idx), func(a, b int) { idx[a], idx[b] = idx[b], idx[a] })
+		idx = idx[:maxPairs]
+	}
+	pr := problem{pairs: make([]pairGeometry, len(idx))}
+	compact := make([]int32, len(corr)) // corr index -> pts index + 1; 0 = not yet referenced
+	ref := func(i int32) int32 {
+		if compact[i] == 0 {
+			pr.pts = append(pr.pts, corr[i].P)
+			compact[i] = int32(len(pr.pts))
+		}
+		return compact[i] - 1
+	}
+	for k, ij := range idx {
+		i, j := ij[0], ij[1]
+		pr.pairs[k] = pairGeometry{
+			ia: ref(i),
+			ib: ref(j),
+			g3: math.Acos(mathx.Clamp(rays[i].Dot(rays[j]), -1, 1)),
+			gx: math.Abs(gammas[i] - gammas[j]),
+		}
+	}
+	return pr
 }
 
 // Options tunes the differential-evolution solver.
@@ -256,19 +294,23 @@ type Result struct {
 	Yaw      float64 // estimated heading (radians)
 }
 
-// objectiveLimited sums the pair residuals for trial v, aborting as soon as
-// the partial sum reaches limit. Residuals are non-negative and IEEE float
-// addition of non-negative terms is monotonic, so an aborted evaluation's
-// full sum would also have been >= limit; callers that compare the return
-// value against limit with a strict < therefore decide exactly as if the
-// full sum had been computed, while a typical late-generation losing trial
-// costs a fraction of a full evaluation. Winning trials (sum stays below
-// limit throughout) are summed in full, in pair order — bit-identical to
-// the unconditional evaluation.
-func objectiveLimited(pairs []pairGeometry, v [3]float64, limit float64) float64 {
+// objective sums the pair residuals for trial v, aborting as soon as the
+// partial sum reaches limit; dirs is the caller's scratch, len(pr.pts) long.
+// Residuals are non-negative and IEEE float addition of non-negative terms
+// is monotonic, so an aborted evaluation's full sum would also have been >=
+// limit; callers that compare the return value against limit with a strict <
+// therefore decide exactly as if the full sum had been computed, while a
+// typical late-generation losing trial costs a fraction of a full
+// evaluation. Winning trials (sum stays below limit throughout) are summed
+// in full, in pair order — bit-identical to the unconditional evaluation.
+func (pr *problem) objective(v [3]float64, dirs []ptDir, limit float64) float64 {
+	for i, p := range pr.pts {
+		dirs[i].direction(p, v[0], v[1], v[2])
+	}
 	var s float64
-	for k := range pairs {
-		s += pairs[k].residual(v[0], v[1], v[2])
+	for k := range pr.pairs {
+		pg := &pr.pairs[k]
+		s += pg.residual(&dirs[pg.ia], &dirs[pg.ib])
 		if s >= limit {
 			return s
 		}
@@ -308,32 +350,7 @@ func LocalizeContext(ctx context.Context, corr []Correspondence, intr Intrinsics
 	}
 	rng := rand.New(rand.NewSource(opt.Seed))
 
-	// Precompute pair geometry. Pixel rays in the camera frame: square
-	// pixels are assumed, so one focal length serves both axes.
-	cx, cy := float64(intr.W)/2, float64(intr.H)/2
-	focal := cx / math.Tan(intr.FovX/2)
-	ray := func(px, py float64) mathx.Vec3 {
-		return mathx.Vec3{X: (px - cx) / focal, Y: -(py - cy) / focal, Z: 1}.Normalize()
-	}
-	pairs := make([]pairGeometry, 0, len(corr)*(len(corr)-1)/2)
-	for i := 0; i < len(corr); i++ {
-		ri := ray(corr[i].Px, corr[i].Py)
-		gi := gamma(corr[i].Px, cx, intr.FovX, float64(intr.W))
-		for j := i + 1; j < len(corr); j++ {
-			rj := ray(corr[j].Px, corr[j].Py)
-			gj := gamma(corr[j].Px, cx, intr.FovX, float64(intr.W))
-			pairs = append(pairs, newPairGeometry(
-				math.Abs(gi-gj),
-				math.Acos(mathx.Clamp(ri.Dot(rj), -1, 1)),
-				corr[i].P,
-				corr[j].P,
-			))
-		}
-	}
-	if opt.MaxPairs > 0 && len(pairs) > opt.MaxPairs {
-		rng.Shuffle(len(pairs), func(a, b int) { pairs[a], pairs[b] = pairs[b], pairs[a] })
-		pairs = pairs[:opt.MaxPairs]
-	}
+	pr := newProblem(corr, intr, opt.MaxPairs, rng)
 
 	warm := false
 	if opt.PriorRadius > 0 {
@@ -365,6 +382,7 @@ func LocalizeContext(ctx context.Context, corr []Correspondence, intr Intrinsics
 	evals := 0
 	pop := make([][3]float64, opt.PopSize)
 	cost := make([]float64, opt.PopSize)
+	dirs := make([]ptDir, len(pr.pts))
 	for i := range pop {
 		pop[i] = sample()
 		if warm && i == 0 {
@@ -376,12 +394,12 @@ func LocalizeContext(ctx context.Context, corr []Correspondence, intr Intrinsics
 				pop[i][d] = mathx.Clamp(pp[d], lov[d], lov[d]+span[d])
 			}
 		}
-		cost[i] = objectiveLimited(pairs, pop[i], math.Inf(1))
+		cost[i] = pr.objective(pop[i], dirs, math.Inf(1))
 	}
 	evals += opt.PopSize
 	trials := make([][3]float64, opt.PopSize)
 	trialCost := make([]float64, opt.PopSize)
-	evaluate := newBatchEvaluator(opt.Workers, pairs, trials, trialCost, cost)
+	evaluate := newBatchEvaluator(opt.Workers, &pr, dirs, trials, trialCost, cost)
 	start := time.Now()
 	for iter := 0; iter < opt.MaxIterations; iter++ {
 		if opt.Deadline > 0 && time.Since(start) > opt.Deadline {
@@ -426,7 +444,7 @@ func LocalizeContext(ctx context.Context, corr []Correspondence, intr Intrinsics
 					bc = cost[i]
 				}
 			}
-			if bc <= opt.MinResidual*float64(len(pairs)) {
+			if bc <= opt.MinResidual*float64(len(pr.pairs)) {
 				break
 			}
 		}
@@ -440,7 +458,7 @@ func LocalizeContext(ctx context.Context, corr []Correspondence, intr Intrinsics
 	pos := mathx.Vec3{X: pop[best][0], Y: pop[best][1], Z: pop[best][2]}
 	res := Result{
 		Position: pos,
-		Residual: cost[best] / float64(len(pairs)),
+		Residual: cost[best] / float64(len(pr.pairs)),
 		Evals:    evals,
 		Yaw:      EstimateYaw(corr, intr, pos),
 	}
@@ -448,11 +466,12 @@ func LocalizeContext(ctx context.Context, corr []Correspondence, intr Intrinsics
 }
 
 // newBatchEvaluator returns a function that fills trialCost[i] =
-// objectiveLimited(pairs, trials[i], cost[i]) for every i, splitting the
-// population across at most workers goroutines. Each index is evaluated by
-// exactly one worker against the generation-start cost snapshot, so the
-// filled values are identical at any worker count.
-func newBatchEvaluator(workers int, pairs []pairGeometry, trials [][3]float64, trialCost, cost []float64) func() {
+// pr.objective(trials[i], ·, cost[i]) for every i, splitting the population
+// across at most workers goroutines. Each index is evaluated by exactly one
+// worker against the generation-start cost snapshot, so the filled values
+// are identical at any worker count. dirs is the direction scratch of the
+// inline path; the pool gets one scratch per worker, allocated here once.
+func newBatchEvaluator(workers int, pr *problem, dirs []ptDir, trials [][3]float64, trialCost, cost []float64) func() {
 	n := len(trials)
 	if workers > n {
 		workers = n
@@ -460,9 +479,13 @@ func newBatchEvaluator(workers int, pairs []pairGeometry, trials [][3]float64, t
 	if workers <= 1 {
 		return func() {
 			for i := 0; i < n; i++ {
-				trialCost[i] = objectiveLimited(pairs, trials[i], cost[i])
+				trialCost[i] = pr.objective(trials[i], dirs, cost[i])
 			}
 		}
+	}
+	scratch := make([][]ptDir, workers)
+	for w := range scratch {
+		scratch[w] = make([]ptDir, len(dirs))
 	}
 	return func() {
 		var wg sync.WaitGroup
@@ -473,12 +496,12 @@ func newBatchEvaluator(workers int, pairs []pairGeometry, trials [][3]float64, t
 				continue
 			}
 			wg.Add(1)
-			go func(lo, hi int) {
+			go func(lo, hi int, dirs []ptDir) {
 				defer wg.Done()
 				for i := lo; i < hi; i++ {
-					trialCost[i] = objectiveLimited(pairs, trials[i], cost[i])
+					trialCost[i] = pr.objective(trials[i], dirs, cost[i])
 				}
-			}(lo, hi)
+			}(lo, hi, scratch[w])
 		}
 		wg.Wait()
 	}

@@ -10,7 +10,6 @@ import (
 	"cmp"
 	"context"
 	"runtime"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -725,14 +724,16 @@ func compareMergeCands(a, b MergeCand) int {
 }
 
 // CandidateSets retrieves, for each query keypoint, this shard's top
-// NeighborsPerKeypoint candidates under the venue-wide total order —
-// uncapped LSH query, explicit (DistSq, Probe, Seq) sort, then per-shard
-// truncation. The per-shard top-n is a superset of the shard's contribution
-// to the global top-n, so the Router can merge shard sets and re-truncate
-// without losing any candidate a single database would have kept. Distance
-// gating (MaxMatchDistSq) is deliberately NOT applied here: the single-
-// database path gates after truncation, so the Router gates after the merged
-// truncation to match.
+// NeighborsPerKeypoint candidates under the venue-wide total order. Within one
+// shard that order is the index's own ranking — equal distances keep
+// collection order, which is (probe ordinal, id), and reserve admits only
+// strictly increasing Seq, so id order is Seq order — so the capped query
+// already returns them sorted by (DistSq, Probe, Seq). The per-shard top-n is
+// a superset of the shard's contribution to the global top-n, so the Router
+// can merge shard sets and re-truncate without losing any candidate a single
+// database would have kept. Distance gating (MaxMatchDistSq) is deliberately
+// NOT applied here: the single-database path gates after truncation, so the
+// Router gates after the merged truncation to match.
 func (db *Database) CandidateSets(ctx context.Context, kps []sift.Keypoint) ([][]MergeCand, error) {
 	v, t := db.pinView()
 	defer db.unpin(v, t)
@@ -746,7 +747,7 @@ func (db *Database) CandidateSets(ctx context.Context, kps []sift.Keypoint) ([][
 			}
 		}
 		var err error
-		scratch, err = v.index.QueryInto(kps[i].Desc[:], lsh.QueryOptions{MultiProbe: true}, scratch)
+		scratch, err = v.index.QueryInto(kps[i].Desc[:], lsh.QueryOptions{MaxCandidates: n, MultiProbe: true}, scratch)
 		if err != nil {
 			return nil, err
 		}
@@ -758,10 +759,6 @@ func (db *Database) CandidateSets(ctx context.Context, kps []sift.Keypoint) ([][
 				Seq:    v.seqs[c.ID],
 				Pos:    v.positions[c.ID],
 			}
-		}
-		slices.SortFunc(mcs, compareMergeCands)
-		if n > 0 && len(mcs) > n {
-			mcs = mcs[:n]
 		}
 		out[i] = mcs
 	}
