@@ -10,9 +10,6 @@ package visualprint_test
 
 import (
 	"context"
-	"fmt"
-	"runtime"
-	"sync"
 	"testing"
 
 	"visualprint"
@@ -114,22 +111,6 @@ func BenchmarkTakeaways(b *testing.B) {
 	}
 }
 
-// BenchmarkConcurrentQueryThroughput measures multi-client localization
-// throughput over the multiplexed protocol, scaling the client count up
-// to GOMAXPROCS (see EXPERIMENTS.md for recorded scaling results).
-func BenchmarkConcurrentQueryThroughput(b *testing.B) {
-	sc := benchScale()
-	for i := 0; i < b.N; i++ {
-		e, err := bench.QueryThroughput(sc, runtime.GOMAXPROCS(0), 4)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(e.Points) == 0 {
-			b.Fatal("throughput produced no data")
-		}
-	}
-}
-
 // Ablation benchmarks for the design choices DESIGN.md calls out.
 
 func runAblation(b *testing.B, f func() (*bench.Experiment, error)) {
@@ -159,59 +140,6 @@ func BenchmarkAblationLSHParams(b *testing.B) { runAblation(b, bench.AblationLSH
 
 // BenchmarkAblationICP: map error with/without ICP drift correction.
 func BenchmarkAblationICP(b *testing.B) { run1(b, bench.AblationICP) }
-
-// Server-side Locate microbenchmarks (see DESIGN.md "Performance" and
-// BENCH_locate.json). The workload is synthetic — no rendering or SIFT —
-// so ns/op and allocs/op isolate the query pipeline: LSH candidate
-// retrieval, clustering, and the DE pose solve.
-
-var (
-	locateWorkloadOnce sync.Once
-	locateWorkload     *bench.LocateWorkload
-	locateWorkloadErr  error
-)
-
-func getLocateWorkload(b *testing.B) *bench.LocateWorkload {
-	b.Helper()
-	locateWorkloadOnce.Do(func() {
-		locateWorkload, locateWorkloadErr = bench.NewLocateWorkload(bench.DefaultLocateWorkload())
-	})
-	if locateWorkloadErr != nil {
-		b.Fatal(locateWorkloadErr)
-	}
-	return locateWorkload
-}
-
-// BenchmarkLocate measures one full server-side localization query
-// (200-keypoint fingerprint, ~4k-mapping database, deadline-free solve).
-// This is the headline number BENCH_locate.json tracks.
-func BenchmarkLocate(b *testing.B) {
-	w := getLocateWorkload(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := w.Run(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkLocateThroughput measures queries/s over the live TCP protocol at
-// 1, 2 and 4 concurrent clients against the same workload.
-func BenchmarkLocateThroughput(b *testing.B) {
-	w := getLocateWorkload(b)
-	for _, clients := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("clients=%d", clients), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				qps, err := w.QPS(clients, 4)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(qps, "queries/s")
-			}
-		})
-	}
-}
 
 // Persistence benchmarks (see DESIGN.md "Persistence" and EXPERIMENTS.md).
 

@@ -21,7 +21,6 @@ import (
 	"visualprint/internal/obs"
 	"visualprint/internal/odelta"
 	"visualprint/internal/pose"
-	"visualprint/internal/scene"
 	"visualprint/internal/sift"
 	"visualprint/internal/store"
 )
@@ -763,10 +762,4 @@ func (db *Database) CandidateSets(ctx context.Context, kps []sift.Keypoint) ([][
 		out[i] = mcs
 	}
 	return out, nil
-}
-
-// IntrinsicsForTest builds pose intrinsics from a scene camera (diagnostic
-// helper).
-func IntrinsicsForTest(cam scene.Camera) pose.Intrinsics {
-	return pose.Intrinsics{W: cam.W, H: cam.H, FovX: cam.FovX, FovY: cam.FovY()}
 }

@@ -47,7 +47,7 @@ func TestFailureModeFeaturelessQuery(t *testing.T) {
 	if len(kps) > 10 {
 		t.Fatalf("blank venue produced %d keypoints; scenario invalid", len(kps))
 	}
-	if _, err := c.Query(context.Background(), kps, IntrinsicsForTest(cam)); err == nil {
+	if _, err := c.Query(context.Background(), kps, sceneIntrinsics(cam)); err == nil {
 		t.Error("featureless query returned a confident fix")
 	} else if !IsRemote(err) {
 		t.Errorf("want a remote (server-diagnosed) error, got %v", err)
@@ -81,7 +81,7 @@ func TestFailureModeInsufficientWardriving(t *testing.T) {
 	sc := sift.DefaultConfig()
 	sc.ContrastThreshold = 0.02
 	kps := sift.Detect(fr.Image, sc)
-	res, err := c.Query(context.Background(), kps, IntrinsicsForTest(cam))
+	res, err := c.Query(context.Background(), kps, sceneIntrinsics(cam))
 	if err == nil && res.Matched > len(kps)/2 {
 		t.Errorf("unmapped venue produced a confident match: %+v", res)
 	}
@@ -129,7 +129,7 @@ func TestFailureModeDriftedMapDegradesGracefully(t *testing.T) {
 			t.Fatal(err)
 		}
 		kps := sift.Detect(fr.Image, sc)
-		res, err := db.Locate(context.Background(), kps, IntrinsicsForTest(cam))
+		res, err := db.Locate(context.Background(), kps, sceneIntrinsics(cam))
 		if err != nil {
 			continue // acceptable: no consensus under severe drift
 		}

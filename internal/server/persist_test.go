@@ -63,6 +63,11 @@ func routerFor(t testing.TB, db *Database) *Router {
 	return r
 }
 
+// sceneIntrinsics builds pose intrinsics from a scene camera.
+func sceneIntrinsics(cam scene.Camera) pose.Intrinsics {
+	return pose.Intrinsics{W: cam.W, H: cam.H, FovX: cam.FovX, FovY: cam.FovY()}
+}
+
 // queryKeypoints renders one viewpoint of the venue and extracts keypoints
 // for Locate.
 func queryKeypoints(t testing.TB, w *scene.World) ([]sift.Keypoint, pose.Intrinsics) {
@@ -82,7 +87,7 @@ func queryKeypoints(t testing.TB, w *scene.World) ([]sift.Keypoint, pose.Intrins
 	if len(kps) < 20 {
 		t.Fatalf("only %d query keypoints", len(kps))
 	}
-	return kps, IntrinsicsForTest(cam)
+	return kps, sceneIntrinsics(cam)
 }
 
 // locateBoth runs the same query on two databases and requires bit-equal

@@ -27,9 +27,9 @@ func routerTestConfig() DatabaseConfig {
 	return cfg
 }
 
-// syntheticCorpus builds a deterministic localizable workload (the bench
-// package's geometry): a tight descriptor cluster on a wall-like slab whose
-// keypoints are true pinhole projections from cam, plus scattered decoys.
+// syntheticCorpus builds a deterministic localizable workload: a tight
+// descriptor cluster on a wall-like slab plus scattered decoys, and one
+// query captured from the standard camera position facing the slab.
 func syntheticCorpus(seed int64, clusterN, scatterN, queryN int) ([]Mapping, []sift.Keypoint, pose.Intrinsics) {
 	rng := rand.New(rand.NewSource(seed))
 	center := mathx.Vec3{X: 4, Y: 1.5, Z: 7.5}
@@ -54,8 +54,15 @@ func syntheticCorpus(seed int64, clusterN, scatterN, queryN int) ([]Mapping, []s
 		m.Pos = mathx.Vec3{X: rng.Float64() * 12, Y: rng.Float64() * 3, Z: rng.Float64() * 9}
 		ms = append(ms, m)
 	}
+	kps, intr := syntheticQuery(ms, clusterN, queryN, mathx.Vec3{X: 4, Y: 1.4, Z: 2})
+	return ms, kps, intr
+}
+
+// syntheticQuery is the fingerprint a camera at cam captures of a
+// syntheticCorpus: the first clusterN keypoints are true pinhole
+// projections of the slab mappings, the rest decoys on a pixel grid.
+func syntheticQuery(ms []Mapping, clusterN, queryN int, cam mathx.Vec3) ([]sift.Keypoint, pose.Intrinsics) {
 	intr := pose.Intrinsics{W: 200, H: 150, FovX: 1.1, FovY: 0.85}
-	cam := mathx.Vec3{X: 4, Y: 1.4, Z: 2}
 	cx, cy := float64(intr.W)/2, float64(intr.H)/2
 	focal := cx / math.Tan(intr.FovX/2)
 	kps := make([]sift.Keypoint, queryN)
@@ -70,7 +77,7 @@ func syntheticCorpus(seed int64, clusterN, scatterN, queryN int) ([]Mapping, []s
 			kps[i].Y = float64(8 + (i/16)*10)
 		}
 	}
-	return ms, kps, intr
+	return kps, intr
 }
 
 // shardedFixture ingests ms into a router's default one-shard venue — the
@@ -151,6 +158,29 @@ func TestRouterLocateBitIdenticalSynthetic(t *testing.T) {
 	rs, errS = r.Locate(context.Background(), "", bad, intr)
 	rr, errR = r.Locate(context.Background(), venueName, bad, intr)
 	requireBitIdentical(t, rs, errS, rr, errR)
+}
+
+// BenchmarkRouterLocate is the local profiling entry point for one cold
+// server-side Locate (200-keypoint fingerprint, ~4k mappings, full solver
+// budget, no wall-clock deadline) on the one-shard route and the 4-shard
+// scatter-gather route. It gates nothing; benchmark/ is the measurement.
+//
+//	go test -run NONE -bench RouterLocate -cpuprofile cpu.pprof ./internal/server
+func BenchmarkRouterLocate(b *testing.B) {
+	cfg := DefaultDatabaseConfig()
+	cfg.Pose.Deadline = 0
+	ms, kps, intr := syntheticCorpus(7, 160, 4000, 200)
+	r, sharded := shardedFixture(b, cfg, 4, ms, 500)
+	for _, bc := range []struct{ name, venue string }{{"shards=1", ""}, {"shards=4", sharded}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := r.Locate(context.Background(), bc.venue, kps, intr); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
 // TestRouterLocateBitIdenticalWardriven is the same golden property on a

@@ -117,11 +117,11 @@ func WithDrainTimeout(d time.Duration) Option {
 	return func(s *Server) { s.drainTimeout = d }
 }
 
-// perCoreLocateQPS is the measured per-core Locate capacity on the full
-// benchmark workload (cmd/vpbench, BENCH_locate.json: ~27 q/s at ~37 ms/op
-// per core on the committed baseline host). The admission-control defaults
-// below are derived from it instead of guessed multipliers, so re-measure
-// and update it when the Locate pipeline's cost changes materially.
+// perCoreLocateQPS is the per-core Locate capacity the admission-control
+// defaults below are derived from, instead of guessed multipliers: ~27 q/s
+// at ~37 ms/op per core, measured 2026-08-09 on a 4k-mapping synthetic
+// corpus. Re-derive it from benchmark/'s closed-loop poses_per_s
+// (fingerprint_arrivals) when the defaults are next revisited.
 const perCoreLocateQPS = 27
 
 // defaultQueueWaitSeconds is the worst queueing delay the default queue

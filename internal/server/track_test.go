@@ -2,7 +2,9 @@ package server
 
 import (
 	"context"
+	"sort"
 	"testing"
+	"time"
 
 	"visualprint/internal/mathx"
 	"visualprint/internal/obs"
@@ -219,5 +221,79 @@ func TestWarmPoseOptionsLayering(t *testing.T) {
 	tcfg.WarmTol = 0
 	if w := warmPoseOptions(cold, p, tcfg); w.Tol != cold.Tol {
 		t.Fatalf("Tol = %v with WarmTol 0, want cold's %v", w.Tol, cold.Tol)
+	}
+}
+
+// TestSessionWalkWarmSaves is the acceptance regression for the tracking
+// subsystem: a camera walks past the slab at 0.8 m/s, one query per frame,
+// and the same frames are solved cold (session-less) and warm (one
+// session). The warm pass must consume at most half the cold pass's DE
+// generations with median pose error no worse, its first frame (no prior
+// yet) must be the only cold solve, and no prior may be rejected.
+func TestSessionWalkWarmSaves(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-second solver workload")
+	}
+	// The solver keeps its default generation budget: the test config's
+	// cap would clip the cold baseline the ratio is measured against.
+	cfg := routerTestConfig()
+	cfg.Pose.MaxIterations = pose.DefaultOptions().MaxIterations
+	const (
+		clusterN, queryN = 160, 200
+		frames           = 20
+		stepM            = 0.08
+		// The motion model reads the server's clock, so the walk is paced
+		// like the capture it stands for; back to back, a 0.08 m step would
+		// look like a sprint and trip the MaxSpeed clamp.
+		frameDt = 50 * time.Millisecond
+	)
+	ms, _, _ := syntheticCorpus(7, clusterN, 500, queryN)
+	r := newTestRouter(t, cfg)
+	reg := r.EnableObs()
+	ctx := context.Background()
+	if _, err := r.Ingest(ctx, "", ms); err != nil {
+		t.Fatal(err)
+	}
+
+	// walk solves every frame under sid and returns the mean generations
+	// and the median position error.
+	walk := func(sid uint64) (float64, float64) {
+		t.Helper()
+		gens, errs := 0, make([]float64, frames)
+		start := time.Now()
+		for f := 0; f < frames; f++ {
+			cam := mathx.Vec3{X: 4 + stepM*(float64(f)-float64(frames-1)/2), Y: 1.4, Z: 2}
+			kps, intr := syntheticQuery(ms, clusterN, queryN, cam)
+			if sid != 0 {
+				time.Sleep(time.Until(start.Add(time.Duration(f) * frameDt)))
+			}
+			res, err := r.LocateSession(ctx, "", sid, kps, intr)
+			if err != nil {
+				t.Fatalf("frame %d: %v", f, err)
+			}
+			gens += res.Generations
+			errs[f] = res.Position.Dist(cam)
+		}
+		sort.Float64s(errs)
+		return float64(gens) / frames, errs[frames/2]
+	}
+
+	coldGens, coldErr := walk(0)
+	warmGens, warmErr := walk(1)
+	t.Logf("generations/frame: cold %.1f, warm %.1f; median error: cold %.4f m, warm %.4f m", coldGens, warmGens, coldErr, warmErr)
+	if ratio := warmGens / coldGens; ratio > 0.5 {
+		t.Errorf("warm/cold generation ratio = %.3f (warm %.1f, cold %.1f), want <= 0.5", ratio, warmGens, coldGens)
+	}
+	if warmErr > coldErr {
+		t.Errorf("warm median error %.4f m worse than cold %.4f m", warmErr, coldErr)
+	}
+	if got := reg.Counter("track_warm").Value(); got != frames-1 {
+		t.Errorf("track_warm = %d, want %d", got, frames-1)
+	}
+	if got := reg.Counter("track_cold").Value(); got != 1 {
+		t.Errorf("track_cold = %d, want 1 (the first frame only)", got)
+	}
+	if got := reg.Counter("track_prior_rejected").Value(); got != 0 {
+		t.Errorf("track_prior_rejected = %d, want 0", got)
 	}
 }
