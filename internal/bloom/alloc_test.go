@@ -9,6 +9,8 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+
+	"visualprint/internal/testutil"
 )
 
 // TestAddAtMatchesAdd: inserting via PositionsInto+AddAt must leave the
@@ -81,8 +83,8 @@ func TestAppendPositionsKeyMatchesPositionsKey(t *testing.T) {
 
 // TestAddAtZeroAllocs: the hot insert form must not allocate.
 func TestAddAtZeroAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race detector instrumentation allocates; see race_off_test.go")
+	if testutil.RaceEnabled {
+		t.Skip("race detector instrumentation allocates; see testutil.RaceEnabled")
 	}
 	c, err := NewCounting(1<<12, 10, 8, 7)
 	if err != nil {

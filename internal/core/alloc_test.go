@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"visualprint/internal/bloom"
+	"visualprint/internal/testutil"
 )
 
 // referenceUniqueness is the pre-optimization lookup, kept verbatim: fresh
@@ -110,8 +111,8 @@ func TestUniquenessMatchesReference(t *testing.T) {
 // (Uniqueness, including multiprobe misses) at zero steady-state heap
 // allocations.
 func TestOracleScoringSteadyStateZeroAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race detector instrumentation allocates; see race_off_test.go")
+	if testutil.RaceEnabled {
+		t.Skip("race detector instrumentation allocates; see testutil.RaceEnabled")
 	}
 	o, err := New(TestParams())
 	if err != nil {
@@ -151,8 +152,8 @@ func TestOracleScoringSteadyStateZeroAllocs(t *testing.T) {
 // descriptor must also stay off the heap (filters are preallocated; only
 // counters change).
 func TestOracleInsertSteadyStateZeroAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race detector instrumentation allocates; see race_off_test.go")
+	if testutil.RaceEnabled {
+		t.Skip("race detector instrumentation allocates; see testutil.RaceEnabled")
 	}
 	o, err := New(TestParams())
 	if err != nil {

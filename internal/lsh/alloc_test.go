@@ -9,6 +9,8 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+
+	"visualprint/internal/testutil"
 )
 
 func buildQueryIndex(t testing.TB, n int) (*Index, *rand.Rand) {
@@ -144,8 +146,8 @@ func TestTopNMatchesSortAndTruncate(t *testing.T) {
 // heap allocations: warmed scratch (pool) plus a warmed destination slice
 // must serve repeated queries entirely from reused memory.
 func TestIndexQuerySteadyStateZeroAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race detector instrumentation allocates; see race_off_test.go")
+	if testutil.RaceEnabled {
+		t.Skip("race detector instrumentation allocates; see testutil.RaceEnabled")
 	}
 	ix, rng := buildQueryIndex(t, 1500)
 	q := perturb(rng, ix.descs[17], 2)

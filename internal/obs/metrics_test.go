@@ -9,6 +9,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"visualprint/internal/testutil"
 )
 
 func TestCounterGaugeBasics(t *testing.T) {
@@ -281,8 +283,8 @@ func TestDebugMuxServesMetricsJSON(t *testing.T) {
 // at zero steady-state heap allocations, the contract that lets these
 // instruments sit inside Locate without disturbing it.
 func TestRecordPathZeroAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race detector instrumentation allocates; see race_off_test.go")
+	if testutil.RaceEnabled {
+		t.Skip("race detector instrumentation allocates; see testutil.RaceEnabled")
 	}
 	r := NewRegistry()
 	c := r.Counter("c")
@@ -314,8 +316,8 @@ func TestRecordPathZeroAllocs(t *testing.T) {
 // TestSlowPathZeroAllocs: even a request that lands in the slow ring must
 // not allocate — the ring is fixed storage, copied into, never grown.
 func TestSlowPathZeroAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race detector instrumentation allocates; see race_off_test.go")
+	if testutil.RaceEnabled {
+		t.Skip("race detector instrumentation allocates; see testutil.RaceEnabled")
 	}
 	r := NewRegistry()
 	tr := NewTracer(r, 0) // every request is slow

@@ -7,14 +7,13 @@ import (
 
 // Stage identifies one phase of a server request in the per-request
 // tracer. The set covers the paper's per-stage latency accounting: LSH
-// candidate retrieval, oracle scoring, spatial clustering and the pose
-// solve on the query path, plus WAL append and snapshot serialization on
-// the durability path.
+// candidate retrieval, spatial clustering and the pose solve on the query
+// path (oracle scoring happens on the client), plus WAL append and snapshot
+// serialization on the durability path.
 type Stage int
 
 const (
 	StageLSHQuery Stage = iota
-	StageOracleScore
 	StageCluster
 	StagePoseSolve
 	StageWALAppend
@@ -27,8 +26,6 @@ func (s Stage) String() string {
 	switch s {
 	case StageLSHQuery:
 		return "lsh_query"
-	case StageOracleScore:
-		return "oracle_score"
 	case StageCluster:
 		return "cluster"
 	case StagePoseSolve:

@@ -47,10 +47,6 @@ type Record struct {
 	Payload []byte
 }
 
-// WireBytes returns the record's transfer cost — what a subscriber pays to
-// receive it.
-func (r *Record) WireBytes() int { return len(r.Payload) }
-
 // deltaMagic versions the sparse payload layout.
 const deltaMagic = "VPOD1\x00"
 
@@ -164,12 +160,6 @@ func fullRecord(cur *core.Oracle, fromEpoch, toEpoch, fromInserts uint64) (*Reco
 		Full:        true,
 		Payload:     blob,
 	}, nil
-}
-
-// FullRecord encodes cur as a Full record at epoch — the explicit form the
-// server uses to serve clients outside the delta window.
-func FullRecord(cur *core.Oracle, epoch uint64) (*Record, error) {
-	return fullRecord(cur, epoch, epoch, cur.Inserts())
 }
 
 // Apply advances o by one record and returns the resulting oracle: o

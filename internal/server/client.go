@@ -18,11 +18,6 @@ import (
 	"visualprint/internal/sift"
 )
 
-// decodeKeypoints parses the shared keypoint wire format.
-func decodeKeypoints(data []byte) ([]sift.Keypoint, error) {
-	return codec.UnmarshalKeypoints(data)
-}
-
 // RetryPolicy controls client-side retries: exponential backoff with
 // jitter, applied only to errors that are provably safe to retry.
 // ErrOverloaded is always retryable — the server shed the request before
@@ -448,9 +443,38 @@ func (c *Client) retryable(err error, idempotent bool) bool {
 	return false
 }
 
-// invoke is call plus the retry loop: jittered exponential backoff on
-// retryable errors, reconnecting first when the transport died.
-func (c *Client) invoke(ctx context.Context, h reqHeader, typ byte, payload []byte, idempotent bool) (byte, []byte, error) {
+// route says where a request may go and whether it may be repeated.
+type route uint8
+
+const (
+	// routeWrite: the primary, once — the request is not idempotent, so only
+	// a shed request (the server did no work) is retried.
+	routeWrite route = iota
+	// routePrimary: the primary; idempotent, so a lost connection is redialed
+	// and the request resent.
+	routePrimary
+	// routeRead: idempotent and answerable by any node — the configured read
+	// replica first (WithReadFromReplica), the primary on any replica failure:
+	// a dead replica, one mid-full-sync, or one past its staleness bound (the
+	// redirect it answers is the fallback trigger, not followed).
+	routeRead
+)
+
+// invoke is the one request path: pick the node (see route), then call with
+// the retry loop — jittered exponential backoff on retryable errors,
+// reconnecting first when the transport died.
+func (c *Client) invoke(ctx context.Context, rte route, h reqHeader, typ byte, payload []byte) (byte, []byte, error) {
+	if r := c.replica; r != nil && rte == routeRead {
+		rt, resp, err := r.invoke(ctx, rte, h, typ, payload)
+		if err == nil {
+			return rt, resp, nil
+		}
+		if cerr := ctx.Err(); cerr != nil {
+			return 0, nil, cerr
+		}
+		c.logf("visualprint client: read replica failed (%v); falling back to primary", err)
+	}
+	idempotent := rte != routeWrite
 	rt, resp, err := c.callRedirect(ctx, h, typ, payload)
 	for attempt := 1; err != nil && attempt < c.retry.MaxAttempts && c.retryable(err, idempotent); attempt++ {
 		select {
@@ -466,6 +490,18 @@ func (c *Client) invoke(ctx context.Context, h reqHeader, typ byte, payload []by
 		rt, resp, err = c.callRedirect(ctx, h, typ, payload)
 	}
 	return rt, resp, err
+}
+
+// roundTrip is invoke for requests with exactly one success response type.
+func (c *Client) roundTrip(ctx context.Context, rte route, h reqHeader, typ byte, payload []byte, wantType byte) ([]byte, error) {
+	rt, resp, err := c.invoke(ctx, rte, h, typ, payload)
+	if err != nil {
+		return nil, err
+	}
+	if rt != wantType {
+		return nil, errRemote{msg: "unexpected response type"}
+	}
+	return resp, nil
 }
 
 // maxRedirectHops bounds not-primary redirect chasing within one call, so
@@ -663,52 +699,6 @@ func (c *Client) sendCancel(id uint32) {
 	c.sent.Add(int64(n))
 }
 
-// roundTrip is invoke plus a response-type check, for idempotent requests.
-func (c *Client) roundTrip(ctx context.Context, h reqHeader, typ byte, payload []byte, wantType byte) ([]byte, error) {
-	return c.roundTripIdem(ctx, h, typ, payload, wantType, true)
-}
-
-func (c *Client) roundTripIdem(ctx context.Context, h reqHeader, typ byte, payload []byte, wantType byte, idempotent bool) ([]byte, error) {
-	rt, resp, err := c.invoke(ctx, h, typ, payload, idempotent)
-	if err != nil {
-		return nil, err
-	}
-	if rt != wantType {
-		return nil, errRemote{msg: "unexpected response type"}
-	}
-	return resp, nil
-}
-
-// readInvoke routes an idempotent read RPC through the configured read
-// replica first, falling back to the primary on any replica failure — a
-// dead replica, one mid-full-sync, or one past its staleness bound (the
-// redirect it answers is the fallback trigger, not followed).
-func (c *Client) readInvoke(ctx context.Context, h reqHeader, typ byte, payload []byte) (byte, []byte, error) {
-	if r := c.replica; r != nil {
-		rt, resp, err := r.invoke(ctx, h, typ, payload, true)
-		if err == nil {
-			return rt, resp, nil
-		}
-		if cerr := ctx.Err(); cerr != nil {
-			return 0, nil, cerr
-		}
-		c.logf("visualprint client: read replica failed (%v); falling back to primary", err)
-	}
-	return c.invoke(ctx, h, typ, payload, true)
-}
-
-// readRoundTrip is readInvoke plus the response-type check.
-func (c *Client) readRoundTrip(ctx context.Context, h reqHeader, typ byte, payload []byte, wantType byte) ([]byte, error) {
-	rt, resp, err := c.readInvoke(ctx, h, typ, payload)
-	if err != nil {
-		return nil, err
-	}
-	if rt != wantType {
-		return nil, errRemote{msg: "unexpected response type"}
-	}
-	return resp, nil
-}
-
 // Venue is a lightweight handle pinning requests to one named venue on a
 // shared client. Handles are cheap values — create one per venue as needed;
 // all handles multiplex over the client's single connection and share its
@@ -731,27 +721,60 @@ func (v Venue) OracleSync() *OracleSync {
 	return &OracleSync{c: v.c, venue: v.name}
 }
 
-// Ingest uploads mappings into the venue, creating it on first upload (see
-// Client.Ingest).
+// Ingest uploads wardriven keypoint-to-3D mappings into the venue, creating
+// it on first upload; it returns the venue's total mapping count after the
+// batch. Ingest is not idempotent (a batch applied twice doubles its
+// mappings), so the retry policy applies only to shed requests — never to a
+// connection lost with the batch in flight.
 func (v Venue) Ingest(ctx context.Context, ms []Mapping) (int, error) {
-	return v.c.ingest(ctx, v.name, ms)
+	resp, err := v.c.roundTrip(ctx, routeWrite, reqHeader{venue: v.name}, msgIngest, encodeMappings(ms), msgIngestAck)
+	if err != nil {
+		return 0, err
+	}
+	if len(resp) != 8 {
+		return 0, errRemote{msg: "bad ingest ack"}
+	}
+	return int(binary.LittleEndian.Uint64(resp)), nil
 }
 
-// Query localizes against the venue's shards (see Client.Query). A venue
-// that has never been ingested answers ErrEmptyDatabase.
+// Query uploads selected keypoints (with their 2D pixel coordinates) and
+// returns the 3D localization against the venue's shards. A venue that has
+// never been ingested answers ErrEmptyDatabase.
 func (v Venue) Query(ctx context.Context, kps []sift.Keypoint, intr pose.Intrinsics) (LocateResult, error) {
-	return v.c.query(ctx, v.name, kps, intr)
+	return v.query(ctx, 0, kps, intr)
 }
 
-// Stats returns the venue's mapping count (see Client.Stats).
+// query is Query plus the optional session ID (0 = none), which lets the
+// server warm-start the solve; the answer is equally correct without it.
+func (v Venue) query(ctx context.Context, sid uint64, kps []sift.Keypoint, intr pose.Intrinsics) (LocateResult, error) {
+	payload := encodeQuery(intr, codec.MarshalKeypoints(kps))
+	resp, err := v.c.roundTrip(ctx, routeRead, reqHeader{venue: v.name, sid: sid}, msgQuery, payload, msgQueryResult)
+	if err != nil {
+		return LocateResult{}, err
+	}
+	return decodeLocateResult(resp)
+}
+
+// Stats returns the venue's mapping count: StatsFull's first field.
 func (v Venue) Stats(ctx context.Context) (uint64, error) {
-	return v.c.stats(ctx, v.name)
+	s, err := v.StatsFull(ctx)
+	return s.Mappings, err
 }
 
-// StatsFull returns the venue's aggregated state report (see
-// Client.StatsFull).
+// StatsFull returns the venue's aggregated state report: database size,
+// oracle insert count and persistence state (snapshot coverage, WAL size,
+// last compaction) — of the node that answered, which is the read replica
+// when one is configured.
 func (v Venue) StatsFull(ctx context.Context) (DBStats, error) {
-	return v.c.statsFull(ctx, v.name)
+	resp, err := v.c.roundTrip(ctx, routeRead, reqHeader{venue: v.name}, msgStats, nil, msgStatsResult)
+	if err != nil {
+		return DBStats{}, err
+	}
+	s, err := decodeDBStats(resp)
+	if err != nil {
+		return DBStats{}, errRemote{msg: err.Error()}
+	}
+	return s, nil
 }
 
 // Session returns a handle for a continuous localization session against
@@ -797,7 +820,7 @@ func (s Session) Venue() string { return s.venue }
 // transparently re-solved cold server-side, so a session query is never
 // less accurate than a cold one.
 func (s Session) Query(ctx context.Context, kps []sift.Keypoint, intr pose.Intrinsics) (LocateResult, error) {
-	return s.c.querySession(ctx, s.venue, s.id, kps, intr)
+	return s.c.Venue(s.venue).query(ctx, s.id, kps, intr)
 }
 
 // newSessionID draws a random non-zero session identifier. Collisions
@@ -812,78 +835,25 @@ func newSessionID() uint64 {
 	}
 }
 
-// Ingest uploads wardriven keypoint-to-3D mappings; it returns the server's
-// total mapping count after the batch. Ingest is not idempotent (a batch
-// applied twice doubles its mappings), so the retry policy applies only to
-// shed requests — never to a connection lost with the batch in flight.
+// Ingest uploads mappings into the client's venue (see Venue.Ingest).
 func (c *Client) Ingest(ctx context.Context, ms []Mapping) (total int, err error) {
-	return c.ingest(ctx, c.venue, ms)
+	return c.Venue(c.venue).Ingest(ctx, ms)
 }
 
-func (c *Client) ingest(ctx context.Context, venue string, ms []Mapping) (total int, err error) {
-	resp, err := c.roundTripIdem(ctx, reqHeader{venue: venue}, msgIngest, encodeMappings(ms), msgIngestAck, false)
-	if err != nil {
-		return 0, err
-	}
-	if len(resp) != 8 {
-		return 0, errRemote{msg: "bad ingest ack"}
-	}
-	return int(binary.LittleEndian.Uint64(resp)), nil
-}
-
-// Query uploads selected keypoints (with their 2D pixel coordinates) and
-// returns the server's 3D localization.
+// Query localizes against the client's venue (see Venue.Query).
 func (c *Client) Query(ctx context.Context, kps []sift.Keypoint, intr pose.Intrinsics) (LocateResult, error) {
-	return c.query(ctx, c.venue, kps, intr)
+	return c.Venue(c.venue).Query(ctx, kps, intr)
 }
 
-func (c *Client) query(ctx context.Context, venue string, kps []sift.Keypoint, intr pose.Intrinsics) (LocateResult, error) {
-	return c.querySession(ctx, venue, 0, kps, intr)
-}
-
-// querySession is query plus the optional session ID (0 = none), which
-// lets the server warm-start the solve; the answer is equally correct
-// without it.
-func (c *Client) querySession(ctx context.Context, venue string, sid uint64, kps []sift.Keypoint, intr pose.Intrinsics) (LocateResult, error) {
-	payload := encodeQuery(intr, codec.MarshalKeypoints(kps))
-	resp, err := c.readRoundTrip(ctx, reqHeader{venue: venue, sid: sid}, msgQuery, payload, msgQueryResult)
-	if err != nil {
-		return LocateResult{}, err
-	}
-	return decodeLocateResult(resp)
-}
-
-// Stats returns the server's mapping count.
+// Stats returns the mapping count of the client's venue (see Venue.Stats).
 func (c *Client) Stats(ctx context.Context) (mappings uint64, err error) {
-	return c.stats(ctx, c.venue)
+	return c.Venue(c.venue).Stats(ctx)
 }
 
-func (c *Client) stats(ctx context.Context, venue string) (mappings uint64, err error) {
-	s, err := decodeStats(c.readRoundTrip(ctx, reqHeader{venue: venue}, msgStats, nil, msgStatsResult))
-	return s.Mappings, err
-}
-
-// StatsFull returns the server's full state report: database size, oracle
-// insert count and persistence state (snapshot coverage, WAL size, last
-// compaction).
+// StatsFull returns the full state report of the client's venue (see
+// Venue.StatsFull).
 func (c *Client) StatsFull(ctx context.Context) (DBStats, error) {
-	return c.statsFull(ctx, c.venue)
-}
-
-func (c *Client) statsFull(ctx context.Context, venue string) (DBStats, error) {
-	return decodeStats(c.roundTrip(ctx, reqHeader{venue: venue}, msgStats, nil, msgStatsResult))
-}
-
-// decodeStats finishes a msgStats round trip.
-func decodeStats(resp []byte, err error) (DBStats, error) {
-	if err != nil {
-		return DBStats{}, err
-	}
-	s, err := decodeDBStats(resp)
-	if err != nil {
-		return DBStats{}, errRemote{msg: err.Error()}
-	}
-	return s, nil
+	return c.Venue(c.venue).StatsFull(ctx)
 }
 
 // ErrMetricsUnsupported marks a Metrics call against a server running with
@@ -897,7 +867,7 @@ var ErrMetricsUnsupported = errors.New("visualprint client: server does not supp
 // running without a registry answers ErrMetricsUnsupported.
 func (c *Client) Metrics(ctx context.Context) (obs.Report, error) {
 	// Metrics are server-wide, never venue-scoped: always send bare.
-	resp, err := c.roundTrip(ctx, reqHeader{}, msgGetMetrics, nil, msgMetricsResult)
+	resp, err := c.roundTrip(ctx, routePrimary, reqHeader{}, msgGetMetrics, nil, msgMetricsResult)
 	if err != nil {
 		if IsRemote(err) {
 			return obs.Report{}, fmt.Errorf("%w: %w", ErrMetricsUnsupported, err)

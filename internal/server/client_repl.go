@@ -27,7 +27,7 @@ type ReplStatus struct {
 
 // ReplStatus asks the server for its replication state.
 func (c *Client) ReplStatus(ctx context.Context) (ReplStatus, error) {
-	resp, err := c.roundTrip(ctx, reqHeader{}, msgReplState, nil, msgReplStateResult)
+	resp, err := c.roundTrip(ctx, routePrimary, reqHeader{}, msgReplState, nil, msgReplStateResult)
 	if err != nil {
 		return ReplStatus{}, err
 	}
@@ -46,7 +46,7 @@ func (c *Client) ReplStatus(ctx context.Context) (ReplStatus, error) {
 // ReplSnapshot requests the full-sync transfer: the primary's serialized
 // database state and the WAL offset it covers.
 func (c *Client) ReplSnapshot(ctx context.Context) (seq uint64, blob []byte, err error) {
-	resp, err := c.roundTrip(ctx, reqHeader{}, msgReplSnapshot, nil, msgReplSnapshotResult)
+	resp, err := c.roundTrip(ctx, routePrimary, reqHeader{}, msgReplSnapshot, nil, msgReplSnapshotResult)
 	if err != nil {
 		return 0, nil, err
 	}
@@ -86,7 +86,7 @@ func (c *Client) ReplFetch(ctx context.Context, from uint64, max int, wait time.
 	binary.LittleEndian.PutUint32(req[8:], uint32(max))
 	binary.LittleEndian.PutUint32(req[12:], uint32(waitMs))
 	copy(req[16:], id)
-	resp, err := c.roundTrip(ctx, reqHeader{}, msgReplFetch, req, msgReplBatch)
+	resp, err := c.roundTrip(ctx, routePrimary, reqHeader{}, msgReplFetch, req, msgReplBatch)
 	if err != nil {
 		return ReplBatch{}, err
 	}
@@ -104,7 +104,7 @@ func (c *Client) ReplFollow(ctx context.Context, epoch uint64, addr string) erro
 	req := make([]byte, 8+len(addr))
 	binary.LittleEndian.PutUint64(req, epoch)
 	copy(req[8:], addr)
-	_, err := c.roundTrip(ctx, reqHeader{}, msgReplFollow, req, msgReplAck)
+	_, err := c.roundTrip(ctx, routePrimary, reqHeader{}, msgReplFollow, req, msgReplAck)
 	return err
 }
 
@@ -113,21 +113,8 @@ func (c *Client) ReplFollow(ctx context.Context, epoch uint64, addr string) erro
 func (c *Client) ReplPromote(ctx context.Context, epoch uint64) error {
 	req := make([]byte, 8)
 	binary.LittleEndian.PutUint64(req, epoch)
-	_, err := c.roundTrip(ctx, reqHeader{}, msgReplPromote, req, msgReplAck)
+	_, err := c.roundTrip(ctx, routePrimary, reqHeader{}, msgReplPromote, req, msgReplAck)
 	return err
-}
-
-// Ping performs a liveness round trip. Any server build with the RPC
-// answers, replication configured or not.
-func (c *Client) Ping(ctx context.Context) error {
-	resp, err := c.roundTrip(ctx, reqHeader{}, msgPing, nil, msgPong)
-	if err != nil {
-		return err
-	}
-	if len(resp) != 0 {
-		return errRemote{msg: "unexpected pong payload"}
-	}
-	return nil
 }
 
 // IsReplCompacted reports whether a fetch failed because the requested WAL

@@ -267,12 +267,12 @@ func TestConcurrentMixedWorkload(t *testing.T) {
 	}
 }
 
-// TestConcurrentOracleFilteringAndIngest: the gated oracle readers
-// (Database.SelectUnique / Database.Uniqueness) must be safe against
-// concurrent Ingest — the hazard the raw Oracle() accessor documents. Run
-// with -race (make verify does): the readers take the database read lock
-// for the whole oracle query, so filter reads can never interleave with
-// Ingest's counter writes.
+// TestConcurrentOracleFilteringAndIngest: oracle filtering runs on clones
+// (Database.OracleClone — what a client downloads and what the Router merges
+// into a venue oracle), and taking and querying them must be safe against
+// concurrent Ingest. Run with -race (make verify does): a clone is copied
+// from a pinned generation, so its reads can never interleave with Ingest's
+// counter writes.
 func TestConcurrentOracleFilteringAndIngest(t *testing.T) {
 	db, ms := syntheticDB(t, 57, 0, 48, 40)
 	kps := queryFromMappings(ms, 0, 32)
@@ -286,8 +286,13 @@ func TestConcurrentOracleFilteringAndIngest(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
+				o, err := db.OracleClone()
+				if err != nil {
+					errc <- fmt.Errorf("OracleClone: %v", err)
+					return
+				}
 				if w%2 == 0 {
-					sel, err := db.SelectUnique(kps, 10)
+					sel, err := o.SelectUnique(kps, 10)
 					if err != nil {
 						errc <- fmt.Errorf("SelectUnique: %v", err)
 						return
@@ -297,7 +302,7 @@ func TestConcurrentOracleFilteringAndIngest(t *testing.T) {
 						return
 					}
 				} else {
-					if _, err := db.Uniqueness(ms[i%len(ms)].Desc[:]); err != nil {
+					if _, err := o.Uniqueness(ms[i%len(ms)].Desc[:]); err != nil {
 						errc <- fmt.Errorf("Uniqueness: %v", err)
 						return
 					}

@@ -10,6 +10,7 @@ import (
 	"cmp"
 	"context"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -39,10 +40,10 @@ type DatabaseConfig struct {
 	Cluster        cluster.Params
 	Pose           pose.Options
 	// LocateParallelism bounds the worker pool that fans per-keypoint LSH
-	// candidate retrieval out during Locate. 0 means GOMAXPROCS; 1 forces
-	// the serial path. Queries below parallelLocateThreshold keypoints are
-	// always processed serially — goroutine fan-out costs more than it
-	// saves on small queries.
+	// candidate retrieval out during Locate. 0 means GOMAXPROCS; 1 keeps the
+	// gather on the calling goroutine, as do queries below
+	// parallelLocateThreshold keypoints — goroutine fan-out costs more than
+	// it saves on small queries.
 	LocateParallelism int
 	// WALCompactBytes is the write-ahead-log size past which the
 	// background snapshotter folds the log into a fresh snapshot (only
@@ -337,13 +338,6 @@ func (db *Database) Len() int {
 	return len(v.positions)
 }
 
-// Bounds returns the axis-aligned bounding box of ingested positions.
-func (db *Database) Bounds() (lo, hi mathx.Vec3, ok bool) {
-	v, t := db.pinView()
-	defer db.unpin(v, t)
-	return v.lo, v.hi, v.hasBounds
-}
-
 // MaxSeq returns the highest sequence number applied to this shard (0 when
 // empty). The Router stamps each venue batch from the maximum over the
 // venue's shards.
@@ -361,29 +355,6 @@ func (db *Database) OracleClone() (*core.Oracle, error) {
 	v, t := db.pinView()
 	defer db.unpin(v, t)
 	return v.oracle.Clone()
-}
-
-// SelectUnique runs the oracle's keypoint filtering (the client-side
-// fingerprint selection) against a pinned read snapshot, so it is safe
-// against concurrent Ingest, and takes no lock.
-func (db *Database) SelectUnique(kps []sift.Keypoint, n int) ([]sift.Keypoint, error) {
-	v, t := db.pinView()
-	defer db.unpin(v, t)
-	start := time.Now()
-	sel, err := v.oracle.SelectUnique(kps, n)
-	db.metrics().trace.ObserveStage(obs.StageOracleScore, time.Since(start))
-	return sel, err
-}
-
-// Uniqueness queries a pinned snapshot's oracle for one descriptor's
-// estimated global count (see SelectUnique).
-func (db *Database) Uniqueness(desc []byte) (uint32, error) {
-	v, t := db.pinView()
-	defer db.unpin(v, t)
-	start := time.Now()
-	u, err := v.oracle.Uniqueness(desc)
-	db.metrics().trace.ObserveStage(obs.StageOracleScore, time.Since(start))
-	return u, err
 }
 
 // DBStats is the server-state report behind the Stats RPC.
@@ -457,120 +428,136 @@ type locateCand struct {
 	p      mathx.Vec3
 }
 
+// mergeCand is one LSH candidate of one pinned view, annotated with what
+// restores the candidate ranking a single database would have produced across
+// any number of views: the squared descriptor distance, the multi-probe
+// ordinal the candidate was first collected at, and the venue-global sequence
+// number standing in for single-database insertion order. Ordering the union
+// by (distSq, probe, seq) reproduces a single index's stable-sorted dedup
+// order — in one index, equal-distance ties keep collection order, which is
+// lexicographic (probe ordinal, in-bucket insertion order), and in-bucket
+// insertion order is ingest order, i.e. seq. Worker scratch, never retained.
+type mergeCand struct {
+	distSq int
+	probe  int32
+	seq    uint64
+	pos    mathx.Vec3
+}
+
+// compareMergeCands is the venue-wide total candidate order (see mergeCand).
+func compareMergeCands(a, b mergeCand) int {
+	if a.distSq != b.distSq {
+		return cmp.Compare(a.distSq, b.distSq)
+	}
+	if a.probe != b.probe {
+		return cmp.Compare(a.probe, b.probe)
+	}
+	return cmp.Compare(a.seq, b.seq)
+}
+
 // parallelLocateThreshold is the keypoint count below which Locate skips
 // the worker pool; small queries are faster serially.
 const parallelLocateThreshold = 32
 
-// candidatesFor retrieves the distance-gated LSH candidates of one query
-// keypoint, appending them to dst. scratch is a reusable candidate buffer
-// (returned with whatever capacity it grew to) — with a warm scratch the
-// whole retrieval is allocation-free, which is what keeps the steady-state
-// Locate fan-out off the heap. Callers must hold a pin on v; the LSH index
-// read path is safe for concurrent queries.
-func (db *Database) candidatesFor(v *dbView, kp sift.Keypoint, scratch []lsh.Candidate, dst []locateCand) ([]lsh.Candidate, []locateCand, error) {
-	scratch, err := v.index.QueryInto(kp.Desc[:], lsh.QueryOptions{
-		MaxCandidates: db.cfg.NeighborsPerKeypoint,
-		MultiProbe:    true,
-	}, scratch)
-	if err != nil {
-		return scratch, dst, err
-	}
-	for _, c := range scratch {
-		if db.cfg.MaxMatchDistSq > 0 && c.DistSq > db.cfg.MaxMatchDistSq {
-			continue
-		}
-		dst = append(dst, locateCand{px: kp.X, py: kp.Y, p: v.positions[c.ID]})
-	}
-	return scratch, dst, nil
-}
-
-// ctxCheckStride is how many keypoints the LSH gather processes between
+// ctxCheckStride is how many keypoints a gather worker processes between
 // context checks: often enough that cancellation lands within a fraction of
 // a millisecond, rarely enough that the (mutex-guarded) ctx.Err stays off
 // the per-candidate hot path.
 const ctxCheckStride = 16
 
-// gatherCandidates produces the |K| * n candidate list, fanning the
-// per-keypoint LSH lookups across a bounded worker pool for large queries.
-// Each worker fills a disjoint per-keypoint slot, so flattening in keypoint
-// order yields exactly the serial path's candidate sequence — clustering
-// and pose results are bit-identical either way. The context is checked
-// every ctxCheckStride keypoints (per worker on the parallel path);
-// cancellation returns the raw context error for the caller to classify.
-func (db *Database) gatherCandidates(ctx context.Context, v *dbView, kps []sift.Keypoint) ([]locateCand, error) {
-	workers := db.cfg.LocateParallelism
+// gather produces the |K| * n candidate list from the pinned views of a
+// venue's shards. For each keypoint a worker asks every view for its top n
+// under the capped multi-probe query — within one view that is already the
+// (distSq, probe, seq) order, because reserve admits only increasing seq, so
+// id order is seq order — restores the total order across views, truncates
+// to n and only then gates on MaxMatchDistSq. Each view's top n is a
+// superset of its share of the venue's top n, so the result is exactly what
+// one database holding every mapping would have kept; with one view the sort
+// has nothing to reorder.
+//
+// Keypoints are handed out through a shared counter to cfg.LocateParallelism
+// workers (the caller is one of them; queries under parallelLocateThreshold
+// stay on the caller alone). Every worker owns its scratch and writes each
+// keypoint's survivors into that keypoint's own n-wide slot, so compacting
+// the slots in keypoint order yields the same list whatever the worker count
+// — clustering and pose are bit-identical either way — and a warm gather
+// allocates the same few buffers for any number of views. Cancellation
+// returns the raw context error for the caller to classify. Callers hold a
+// pin on every view; the LSH read path is safe for concurrent queries.
+func gather(ctx context.Context, cfg DatabaseConfig, views []*dbView, kps []sift.Keypoint) ([]locateCand, error) {
+	n := cfg.NeighborsPerKeypoint
+	workers := cfg.LocateParallelism
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(kps) {
-		workers = len(kps)
+	if len(kps) < parallelLocateThreshold {
+		workers = 1
 	}
-	if len(kps) < parallelLocateThreshold || workers <= 1 {
-		var cands []locateCand
-		var scratch []lsh.Candidate
-		var err error
-		for i := range kps {
-			if i%ctxCheckStride == 0 {
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-			}
-			scratch, cands, err = db.candidatesFor(v, kps[i], scratch, cands)
-			if err != nil {
-				return nil, err
-			}
-		}
-		return cands, nil
-	}
-	perKP := make([][]locateCand, len(kps))
+	workers = min(workers, len(kps))
+	slots := make([]locateCand, len(kps)*n)
+	kept := make([]int, len(kps))
 	var (
 		next     atomic.Int64
-		wg       sync.WaitGroup
-		errMu    sync.Mutex
+		errOnce  sync.Once
 		firstErr error
 	)
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
+	fail := func(err error) {
+		errOnce.Do(func() { firstErr = err })
+		next.Store(int64(len(kps))) // the other workers stop at their next keypoint
+	}
+	work := func() {
+		var scratch []lsh.Candidate
+		merged := make([]mergeCand, 0, len(views)*n)
+		for done := 0; ; done++ {
+			i := int(next.Add(1)) - 1
+			if i >= len(kps) {
+				return
+			}
+			if done%ctxCheckStride == 0 {
+				if err := ctx.Err(); err != nil {
+					fail(err)
+					return
+				}
+			}
+			merged = merged[:0]
+			for _, v := range views {
+				var err error
+				scratch, err = v.index.QueryInto(kps[i].Desc[:], lsh.QueryOptions{MaxCandidates: n, MultiProbe: true}, scratch)
+				if err != nil {
+					fail(err)
+					return
+				}
+				for _, c := range scratch {
+					merged = append(merged, mergeCand{distSq: c.DistSq, probe: c.Probe, seq: v.seqs[c.ID], pos: v.positions[c.ID]})
+				}
+			}
+			slices.SortFunc(merged, compareMergeCands)
+			slot := slots[i*n : i*n : (i+1)*n]
+			for _, c := range merged[:min(n, len(merged))] {
+				if cfg.MaxMatchDistSq > 0 && c.distSq > cfg.MaxMatchDistSq {
+					continue
+				}
+				slot = append(slot, locateCand{px: kps[i].X, py: kps[i].Y, p: c.pos})
+			}
+			kept[i] = len(slot)
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < workers; w++ {
+		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var scratch []lsh.Candidate // reused across this worker's keypoints
-			for n := 0; ; n++ {
-				i := int(next.Add(1)) - 1
-				if i >= len(kps) {
-					return
-				}
-				if n%ctxCheckStride == 0 {
-					if err := ctx.Err(); err != nil {
-						errMu.Lock()
-						if firstErr == nil {
-							firstErr = err
-						}
-						errMu.Unlock()
-						return
-					}
-				}
-				var cs []locateCand
-				var err error
-				scratch, cs, err = db.candidatesFor(v, kps[i], scratch, nil)
-				if err != nil {
-					errMu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					errMu.Unlock()
-					return
-				}
-				perKP[i] = cs
-			}
+			work()
 		}()
 	}
+	work()
 	wg.Wait()
 	if firstErr != nil {
 		return nil, firstErr
 	}
-	var cands []locateCand
-	for _, cs := range perKP {
-		cands = append(cands, cs...)
+	cands := slots[:0] // compacted in place: the write index never passes the read index
+	for i, k := range kept {
+		cands = append(cands, slots[i*n:i*n+k]...)
 	}
 	return cands, nil
 }
@@ -587,43 +574,62 @@ func (db *Database) gatherCandidates(ctx context.Context, v *dbView, kps []sift.
 // burning CPU mid-pipeline; those failures return ErrCanceled or
 // ErrDeadlineExceeded (which also match context.Canceled and
 // context.DeadlineExceeded under errors.Is).
+//
+// A lone shard is a one-shard venue: this is locateShards over []*Database{db},
+// the same body Router.LocateSession runs on a venue's shards.
 func (db *Database) Locate(ctx context.Context, kps []sift.Keypoint, intr pose.Intrinsics) (LocateResult, error) {
-	res, _, err := db.locate(ctx, kps, intr, nil)
+	res, _, err := locateShards(ctx, db.metrics(), []*Database{db}, kps, intr, nil)
 	return res, err
 }
 
-// locate is the one-shard route: pin the published view, gather the
-// candidates through the capped, worker-pooled LSH query, and run the shared
+// locateShards is the one Locate body, for a venue of any shard count: pin
+// each shard's published view once, gather the candidates of every view
+// through the worker pool, union the bounds of the same views, and run the
 // solve tail — warm-started when ws carries a session prior (the bool reports
-// warm acceptance; see solve).
-func (db *Database) locate(ctx context.Context, kps []sift.Keypoint, intr pose.Intrinsics, ws *warmSolve) (res LocateResult, warm bool, err error) {
-	v, t := db.pinView()
-	defer db.unpin(v, t)
-	m := db.metrics()
+// warm acceptance; see solve). Candidates, emptiness and bounds all come from
+// one generation per shard. Across shards the views are still not a
+// venue-wide snapshot: a Locate racing an Ingest may see the batch on some
+// shards only; quiesced, the result is exact.
+func locateShards(ctx context.Context, m *dbMetrics, shards []*Database, kps []sift.Keypoint, intr pose.Intrinsics, ws *warmSolve) (res LocateResult, warm bool, err error) {
 	tr := m.trace.Begin("locate")
 	defer func() { m.endLocate(tr, err) }()
-	if len(v.positions) == 0 {
+	views := make([]*dbView, len(shards))
+	toks := make([]*pinToken, len(shards))
+	for i, sh := range shards {
+		views[i], toks[i] = sh.pinView()
+	}
+	defer func() {
+		for i, sh := range shards {
+			sh.unpin(views[i], toks[i])
+		}
+	}()
+	var lo, hi mathx.Vec3
+	total, bounded := 0, false
+	for _, v := range views {
+		total += len(v.positions)
+		if v.hasBounds {
+			growBounds(&lo, &hi, &bounded, v.lo, v.hi)
+		}
+	}
+	if total == 0 {
 		return LocateResult{}, false, ErrEmptyDatabase
 	}
 	if err := ctx.Err(); err != nil {
 		return LocateResult{}, false, ctxError(err)
 	}
 	t0 := time.Now()
-	cands, err := db.gatherCandidates(ctx, v, kps)
+	cands, err := gather(ctx, shards[0].cfg, views, kps)
 	tr.StageSince(obs.StageLSHQuery, t0)
 	if err != nil {
 		return LocateResult{}, false, ctxError(err)
 	}
-	return solve(ctx, db.cfg, cands, v.lo, v.hi, intr, tr, ws)
+	return solve(ctx, shards[0].cfg, cands, lo, hi, intr, tr, ws)
 }
 
 // solve runs the back half of the Locate pipeline — clustering,
 // largest-cluster filtering and the pose optimization — over an
-// already-gathered candidate list. Shared verbatim between the one-shard
-// route (Database.locate) and the Router's scatter-gather route, which is what
-// makes the two bit-identical once their candidate lists match: the merged
-// venue bounds feed the same search box arithmetic (per-axis min/max commute
-// across shards), and clustering order is fixed by the list order.
+// already-gathered candidate list (see locateShards): the unioned venue
+// bounds feed the search box, and clustering order is fixed by the list order.
 //
 // A nil ws solves cold with cfg.Pose verbatim. A non-nil ws solves warm first
 // (prior pose, shrunk bounds, early convergence stop — see track.go) and
@@ -693,73 +699,4 @@ func solve(ctx context.Context, cfg DatabaseConfig, cands []locateCand, lo, hi m
 	}
 	res, err := localize(cfg.Pose)
 	return res, false, err
-}
-
-// MergeCand is one shard-local LSH candidate annotated with everything the
-// Router needs to merge shard result sets into the exact candidate ranking a
-// single database would have produced: the squared descriptor distance, the
-// multi-probe ordinal the candidate was first collected at, and the
-// venue-global sequence number standing in for single-database insertion
-// order. Sorting the union by (DistSq, Probe, Seq) reproduces a single
-// index's stable-sorted dedup order — in one index, equal-distance ties keep
-// collection order, which is lexicographic (probe ordinal, in-bucket
-// insertion order), and in-bucket insertion order is ingest order, i.e. Seq.
-type MergeCand struct {
-	DistSq int
-	Probe  int32
-	Seq    uint64
-	Pos    mathx.Vec3
-}
-
-// compareMergeCands is the venue-wide total candidate order (see MergeCand).
-func compareMergeCands(a, b MergeCand) int {
-	if a.DistSq != b.DistSq {
-		return cmp.Compare(a.DistSq, b.DistSq)
-	}
-	if a.Probe != b.Probe {
-		return cmp.Compare(a.Probe, b.Probe)
-	}
-	return cmp.Compare(a.Seq, b.Seq)
-}
-
-// CandidateSets retrieves, for each query keypoint, this shard's top
-// NeighborsPerKeypoint candidates under the venue-wide total order. Within one
-// shard that order is the index's own ranking — equal distances keep
-// collection order, which is (probe ordinal, id), and reserve admits only
-// strictly increasing Seq, so id order is Seq order — so the capped query
-// already returns them sorted by (DistSq, Probe, Seq). The per-shard top-n is
-// a superset of the shard's contribution to the global top-n, so the Router
-// can merge shard sets and re-truncate without losing any candidate a single
-// database would have kept. Distance gating (MaxMatchDistSq) is deliberately
-// NOT applied here: the single-database path gates after truncation, so the
-// Router gates after the merged truncation to match.
-func (db *Database) CandidateSets(ctx context.Context, kps []sift.Keypoint) ([][]MergeCand, error) {
-	v, t := db.pinView()
-	defer db.unpin(v, t)
-	n := db.cfg.NeighborsPerKeypoint
-	out := make([][]MergeCand, len(kps))
-	var scratch []lsh.Candidate
-	for i := range kps {
-		if i%ctxCheckStride == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, ctxError(err)
-			}
-		}
-		var err error
-		scratch, err = v.index.QueryInto(kps[i].Desc[:], lsh.QueryOptions{MaxCandidates: n, MultiProbe: true}, scratch)
-		if err != nil {
-			return nil, err
-		}
-		mcs := make([]MergeCand, len(scratch))
-		for j, c := range scratch {
-			mcs[j] = MergeCand{
-				DistSq: c.DistSq,
-				Probe:  c.Probe,
-				Seq:    v.seqs[c.ID],
-				Pos:    v.positions[c.ID],
-			}
-		}
-		out[i] = mcs
-	}
-	return out, nil
 }

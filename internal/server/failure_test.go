@@ -137,7 +137,7 @@ func TestFailureModeDriftedMapDegradesGracefully(t *testing.T) {
 		if p.X != p.X || p.Y != p.Y || p.Z != p.Z { // NaN check
 			t.Fatal("NaN position under drift")
 		}
-		lo, hi, _ := db.Bounds()
+		lo, hi, _ := publishedBounds(db)
 		if p.X < lo.X-1 || p.X > hi.X+1 || p.Z < lo.Z-1 || p.Z > hi.Z+1 {
 			t.Errorf("position %v far outside the mapped bounds", p)
 		}

@@ -174,7 +174,6 @@ var requestTypeNames = map[byte]string{
 	msgReplFetch:    "repl_fetch",
 	msgReplFollow:   "repl_follow",
 	msgReplPromote:  "repl_promote",
-	msgPing:         "ping",
 
 	msgOracleSync:      "oracle_sync",
 	msgSubscribeOracle: "subscribe_oracle",

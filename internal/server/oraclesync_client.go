@@ -93,7 +93,7 @@ func (h *OracleSync) syncLocked(ctx context.Context, retried bool) (*core.Oracle
 	if h.oracle != nil {
 		haveEpoch, haveInserts = h.epoch, h.inserts
 	}
-	rt, resp, err := h.c.readInvoke(ctx, reqHeader{venue: h.venue}, msgOracleSync, encodeOracleVersion(haveEpoch, haveInserts))
+	rt, resp, err := h.c.invoke(ctx, routeRead, reqHeader{venue: h.venue}, msgOracleSync, encodeOracleVersion(haveEpoch, haveInserts))
 	if err != nil {
 		return nil, err
 	}

@@ -149,8 +149,8 @@ func TestKillAndRestartRecoversIdenticalMap(t *testing.T) {
 	if db1.Len() != db2.Len() {
 		t.Fatalf("recovered %d mappings, ingested %d", db2.Len(), db1.Len())
 	}
-	lo1, hi1, ok1 := db1.Bounds()
-	lo2, hi2, ok2 := db2.Bounds()
+	lo1, hi1, ok1 := publishedBounds(db1)
+	lo2, hi2, ok2 := publishedBounds(db2)
 	if ok1 != ok2 || lo1 != lo2 || hi1 != hi2 {
 		t.Fatalf("bounds diverge: %v %v vs %v %v", lo1, hi1, lo2, hi2)
 	}
@@ -161,14 +161,17 @@ func TestKillAndRestartRecoversIdenticalMap(t *testing.T) {
 
 	// The uniqueness oracle must rank identically too (it drives client
 	// keypoint selection).
-	sel1, err := db1.SelectUnique(kps, 50)
-	if err != nil {
-		t.Fatal(err)
+	var sels [2][]sift.Keypoint
+	for i, db := range []*Database{db1, db2} {
+		o, err := db.OracleClone()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sels[i], err = o.SelectUnique(kps, 50); err != nil {
+			t.Fatal(err)
+		}
 	}
-	sel2, err := db2.SelectUnique(kps, 50)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sel1, sel2 := sels[0], sels[1]
 	if !reflect.DeepEqual(sel1, sel2) {
 		t.Fatal("oracle keypoint selection diverges after recovery")
 	}

@@ -19,8 +19,8 @@ import (
 //
 // The database's query-side state — LSH index, positions, oracle, bounds,
 // sequence tags — lives in an immutable dbView published through an
-// atomic.Pointer. Readers (Locate, Stats, oracle scoring, the Router's
-// scatter path) pin the current view, read it without any lock, and unpin;
+// atomic.Pointer. Readers (Locate — one pin per shard of the venue — Stats,
+// oracle clones) pin the current view, read it without any lock, and unpin;
 // db.mu now guards only the write path (ingest, recovery, snapshot window
 // bookkeeping) and the store fields.
 //
@@ -57,8 +57,9 @@ type dbView struct {
 	hasBounds bool
 	// seqs, parallel to positions, tags every mapping with its venue-global
 	// sequence number: the venue-wide insertion order, i.e. the tie-break that
-	// lets a scatter-gather query reproduce one database's candidate ranking
-	// exactly (see CandidateSets). maxSeq is the highest tag applied.
+	// lets a gather over several shards' views reproduce one database's
+	// candidate ranking exactly (see mergeCand). maxSeq is the highest tag
+	// applied.
 	seqs   []uint64
 	maxSeq uint64
 	// epoch is the oracle version: the count of ingest batches ever applied
@@ -217,20 +218,22 @@ func (v *dbView) apply(ms []Mapping, seqs []uint64) error {
 		if seqs[i] > v.maxSeq {
 			v.maxSeq = seqs[i]
 		}
-		p := ms[i].Pos
-		if !v.hasBounds {
-			v.lo, v.hi = p, p
-			v.hasBounds = true
-			continue
-		}
-		v.lo.X = math.Min(v.lo.X, p.X)
-		v.lo.Y = math.Min(v.lo.Y, p.Y)
-		v.lo.Z = math.Min(v.lo.Z, p.Z)
-		v.hi.X = math.Max(v.hi.X, p.X)
-		v.hi.Y = math.Max(v.hi.Y, p.Y)
-		v.hi.Z = math.Max(v.hi.Z, p.Z)
+		growBounds(&v.lo, &v.hi, &v.hasBounds, ms[i].Pos, ms[i].Pos)
 	}
 	return nil
+}
+
+// growBounds widens the axis-aligned box [lo, hi] (valid once ok) to cover
+// the box [plo, phi]. Per-axis min/max commute, so the order boxes and points
+// arrive in never changes the result — which is why the union of per-shard
+// bounds equals the bounds of one database holding every mapping.
+func growBounds(lo, hi *mathx.Vec3, ok *bool, plo, phi mathx.Vec3) {
+	if !*ok {
+		*lo, *hi, *ok = plo, phi, true
+		return
+	}
+	lo.X, lo.Y, lo.Z = math.Min(lo.X, plo.X), math.Min(lo.Y, plo.Y), math.Min(lo.Z, plo.Z)
+	hi.X, hi.Y, hi.Z = math.Max(hi.X, phi.X), math.Max(hi.Y, phi.Y), math.Max(hi.Z, phi.Z)
 }
 
 // publishLocked installs next as the live view and waits out the grace

@@ -9,12 +9,23 @@ package server
 
 import (
 	"context"
+	"errors"
 	"math"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"visualprint/internal/mathx"
 )
+
+// publishedBounds reads the bounding box off the published view, the way
+// locateShards does for every shard it pins.
+func publishedBounds(db *Database) (lo, hi mathx.Vec3, ok bool) {
+	v, t := db.pinView()
+	defer db.unpin(v, t)
+	return v.lo, v.hi, v.hasBounds
+}
 
 // resultBits flattens a LocateResult into comparable Float64bits, the
 // bit-identity currency the repo's equivalence tests use (== on floats
@@ -37,7 +48,8 @@ func resultBits(r LocateResult) [6]uint64 {
 // Locate whose result must be Float64bits-identical to the golden result of
 // a serialized locked run over the same prefix of batches. Run under -race
 // this is the snapshot-consistency proof for the whole publish/retire
-// protocol.
+// protocol on one shard; a second arm runs the same Locates against a
+// 4-shard venue, where the guarantee is per shard (see below).
 func TestConcurrentIngestLocateSnapshots(t *testing.T) {
 	const (
 		batches   = 8
@@ -172,6 +184,61 @@ func TestConcurrentIngestLocateSnapshots(t *testing.T) {
 	if want.err != "" || resultBits(res) != want.bits {
 		t.Fatalf("settled result %+v not bit-identical to serialized run %+v", resultBits(res), want)
 	}
+
+	// Four shards, the same body (locateShards) over four pinned views. Each
+	// view is a complete generation of its shard, but the four are pinned one
+	// after another, not as a venue-wide snapshot: a Locate racing an ingest
+	// may hold the batch on some shards only, a state no serialized prefix
+	// has. So the racing readers are held to "a pose or a typed sentinel" —
+	// and to the race detector — while the writer, between batches (nothing
+	// publishing), must read exactly the one-shard golden of that prefix.
+	rt := newTestRouter(t, cfg)
+	const quad = "quad"
+	if err := rt.ConfigureVenue(quad, VenueConfig{Shards: 4}); err != nil {
+		t.Fatal(err)
+	}
+	locateQuad := func() outcome {
+		res, err := rt.Locate(context.Background(), quad, kps, testIntrinsics())
+		if err != nil {
+			return outcome{err: err.Error()}
+		}
+		return outcome{bits: resultBits(res)}
+	}
+	done.Store(false)
+	checks.Store(0)
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !done.Load() {
+				_, err := rt.Locate(context.Background(), quad, kps, testIntrinsics())
+				if err != nil && !errors.Is(err, ErrEmptyDatabase) && !errors.Is(err, ErrTooFewMatches) && !errors.Is(err, ErrNoConsensus) {
+					fail("4-shard Locate racing ingest: " + err.Error())
+					return
+				}
+				checks.Add(1)
+			}
+		}()
+	}
+	for b := 0; b < batches; b++ {
+		if got := locateQuad(); got != golden[b] {
+			t.Errorf("4 shards, %d batches, quiesced: %+v, one-shard golden %+v", b, got, golden[b])
+		}
+		if _, err := rt.Ingest(context.Background(), quad, ms[b*batchSize:(b+1)*batchSize]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := locateQuad(); got != golden[batches] {
+		t.Errorf("4 shards, settled: %+v, one-shard golden %+v", got, golden[batches])
+	}
+	done.Store(true)
+	wg.Wait()
+	if msg := failMsg.Load(); msg != nil {
+		t.Fatal(msg.(string))
+	}
+	if checks.Load() == 0 {
+		t.Fatal("4-shard readers completed no Locates")
+	}
 }
 
 // TestGenerationsStayBitIdentical pins the double-apply invariant: a
@@ -252,8 +319,9 @@ func TestLocateLockFreeUnderWriteLock(t *testing.T) {
 }
 
 // TestStatsAndOracleReadsUnderWriteLock extends the lock-freedom proof to
-// the other read surfaces that moved off db.mu: Len, Bounds, Oracle
-// scoring and OracleClone must all complete while the write lock is held.
+// the other read surfaces that moved off db.mu: Len, a pinned view's bounds
+// and OracleClone (the base of all oracle scoring) must all complete while
+// the write lock is held.
 // (Stats is exercised for its pinned half via a fresh in-memory database,
 // whose store half reads nothing under mu contention here — see Stats for
 // the pin-then-lock ordering rule.)
@@ -267,15 +335,16 @@ func TestStatsAndOracleReadsUnderWriteLock(t *testing.T) {
 			done <- errMismatch("Len", n, len(ms))
 			return
 		}
-		if _, _, ok := db.Bounds(); !ok {
-			done <- errMismatch("Bounds ok", 0, 1)
+		if _, _, ok := publishedBounds(db); !ok {
+			done <- errMismatch("bounds ok", 0, 1)
 			return
 		}
-		if _, err := db.Uniqueness(ms[0].Desc[:]); err != nil {
+		o, err := db.OracleClone()
+		if err != nil {
 			done <- err
 			return
 		}
-		if _, err := db.OracleClone(); err != nil {
+		if _, err := o.Uniqueness(ms[0].Desc[:]); err != nil {
 			done <- err
 			return
 		}

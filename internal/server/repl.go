@@ -707,9 +707,6 @@ func (rs *ReplState) handlePromote(payload []byte) (byte, []byte) {
 // without synchronization afterwards.
 func (db *Database) SetRepl(rs *ReplState) { db.repl = rs }
 
-// Repl returns the installed control block, nil when replication is off.
-func (db *Database) Repl() *ReplState { return db.repl }
-
 // StoreSeq returns the durable record count — the replication offset of
 // this node. Zero for an in-memory database.
 func (db *Database) StoreSeq() uint64 {

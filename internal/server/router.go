@@ -19,8 +19,6 @@ import (
 	"visualprint/internal/hash"
 	"visualprint/internal/mathx"
 	"visualprint/internal/obs"
-	"visualprint/internal/pose"
-	"visualprint/internal/sift"
 	"visualprint/internal/track"
 )
 
@@ -34,18 +32,17 @@ import (
 // pin; an oracle sync answers the configuration's empty oracle at version
 // (0, 0); a subscription parks until the first ingest).
 //
-// Locate has one route: venue → shards → solve. A one-shard venue gathers
-// candidates from the shard's pinned view (Database.locate); a multi-shard
-// venue scatters — every shard retrieves its per-keypoint candidate sets in
-// parallel (CandidateSets) and the router merges them under the venue-wide
-// total order (DistSq, probe ordinal, ingest sequence) — and both end in the
-// shared clustering/pose tail (solve). The merged candidate list is
-// bit-identical to what one shard holding the same mappings in the same
-// ingest order would have produced — see MergeCand for the ordering argument
-// and TestRouterLocateBitIdentical for the pinned proof. The one semantic
-// difference is freshness, not ranking: a Locate racing an Ingest may observe
-// a prefix of the batch (per-shard reads are not a venue-wide atomic
-// snapshot); quiesced, the results are exact.
+// Locate has one route and one body: venue → pinned shard views → gather →
+// solve (locateShards). Every keypoint asks every view for its top n and the
+// gather restores the venue-wide total order (DistSq, probe ordinal, ingest
+// sequence) before truncating, so the candidate list is bit-identical to what
+// one shard holding the same mappings in the same ingest order would have
+// produced — see mergeCand for the ordering argument and
+// TestRouterLocateBitIdentical for the pinned proof; a one-shard venue is the
+// case where the order is already there. The one semantic difference is
+// freshness, not ranking: a Locate racing an Ingest may observe a prefix of
+// the batch (per-shard reads are not a venue-wide atomic snapshot); quiesced,
+// the results are exact.
 type Router struct {
 	cfg DatabaseConfig
 
@@ -539,81 +536,6 @@ func (v *venue) ingest(ms []Mapping) error {
 		}
 	}
 	return nil
-}
-
-// locateSharded is the scatter-gather route: per-shard candidate retrieval
-// in parallel, merge under the venue total order, shared solve tail. A
-// non-nil ws threads a session prior into the tail ("router affinity": the
-// prior applies after the shard fan-out merge, so any shard topology reuses
-// it); the bool reports warm acceptance (see solve).
-func (r *Router) locateSharded(ctx context.Context, v *venue, kps []sift.Keypoint, intr pose.Intrinsics, ws *warmSolve) (res LocateResult, warm bool, err error) {
-	m := r.metrics()
-	tr := m.trace.Begin("locate")
-	defer func() { m.endLocate(tr, err) }()
-	if v.len() == 0 {
-		return LocateResult{}, false, ErrEmptyDatabase
-	}
-	if err := ctx.Err(); err != nil {
-		return LocateResult{}, false, ctxError(err)
-	}
-	t0 := time.Now()
-	sets := make([][][]MergeCand, len(v.shards))
-	errs := make([]error, len(v.shards))
-	var wg sync.WaitGroup
-	for si := range v.shards {
-		wg.Add(1)
-		go func(si int) {
-			defer wg.Done()
-			sets[si], errs[si] = v.shards[si].CandidateSets(ctx, kps)
-		}(si)
-	}
-	wg.Wait()
-	for _, e := range errs {
-		if e != nil {
-			return LocateResult{}, false, e
-		}
-	}
-	// Merge per keypoint: concatenate the shard sets, restore the venue
-	// total order, truncate to the single-database candidate cap, then gate
-	// on descriptor distance — the same truncate-then-gate sequence as
-	// Database.candidatesFor, in the same order.
-	n := r.cfg.NeighborsPerKeypoint
-	var cands []locateCand
-	var merged []MergeCand
-	for k := range kps {
-		merged = merged[:0]
-		for si := range sets {
-			merged = append(merged, sets[si][k]...)
-		}
-		sort.Slice(merged, func(i, j int) bool { return compareMergeCands(merged[i], merged[j]) < 0 })
-		if n > 0 && len(merged) > n {
-			merged = merged[:n]
-		}
-		for _, c := range merged {
-			if r.cfg.MaxMatchDistSq > 0 && c.DistSq > r.cfg.MaxMatchDistSq {
-				continue
-			}
-			cands = append(cands, locateCand{px: kps[k].X, py: kps[k].Y, p: c.Pos})
-		}
-	}
-	// Union of per-shard bounds == the unsharded database's bounds
-	// (per-axis min/max commute across any partition of the mappings).
-	var lo, hi mathx.Vec3
-	have := false
-	for _, sh := range v.shards {
-		slo, shi, ok := sh.Bounds()
-		if !ok {
-			continue
-		}
-		if !have {
-			lo, hi, have = slo, shi, true
-			continue
-		}
-		lo.X, lo.Y, lo.Z = math.Min(lo.X, slo.X), math.Min(lo.Y, slo.Y), math.Min(lo.Z, slo.Z)
-		hi.X, hi.Y, hi.Z = math.Max(hi.X, shi.X), math.Max(hi.Y, shi.Y), math.Max(hi.Z, shi.Z)
-	}
-	tr.StageSince(obs.StageLSHQuery, t0)
-	return solve(ctx, r.cfg, cands, lo, hi, intr, tr, ws)
 }
 
 // Oracle returns a point-in-time copy of a venue's uniqueness oracle. A

@@ -108,7 +108,7 @@ func shardedFixture(t testing.TB, cfg DatabaseConfig, shards int, ms []Mapping, 
 }
 
 // requireBitIdentical compares two locate outcomes down to the float bits:
-// the scatter-gather merge must reproduce the one-shard candidate
+// the gather over several shards must reproduce the one-shard candidate
 // list exactly, and the deterministic solver then reproduces the pose.
 func requireBitIdentical(t *testing.T, single LocateResult, errS error, sharded LocateResult, errR error) {
 	t.Helper()
@@ -137,7 +137,7 @@ func requireBitIdentical(t *testing.T, single LocateResult, errS error, sharded 
 }
 
 // TestRouterLocateBitIdenticalSynthetic is the fast golden test: a 4-shard
-// venue's scatter-gather Locate must equal the one-shard default venue's
+// venue's Locate must equal the one-shard default venue's
 // answer bit for bit (Float64bits-equal pose), on a deterministic synthetic corpus.
 func TestRouterLocateBitIdenticalSynthetic(t *testing.T) {
 	cfg := routerTestConfig()
@@ -162,8 +162,8 @@ func TestRouterLocateBitIdenticalSynthetic(t *testing.T) {
 
 // BenchmarkRouterLocate is the local profiling entry point for one cold
 // server-side Locate (200-keypoint fingerprint, ~4k mappings, full solver
-// budget, no wall-clock deadline) on the one-shard route and the 4-shard
-// scatter-gather route. It gates nothing; benchmark/ is the measurement.
+// budget, no wall-clock deadline) on a one-shard and a 4-shard venue (the
+// same body, locateShards). It gates nothing; benchmark/ is the measurement.
 //
 //	go test -run NONE -bench RouterLocate -cpuprofile cpu.pprof ./internal/server
 func BenchmarkRouterLocate(b *testing.B) {

@@ -13,6 +13,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"visualprint/internal/codec"
 	"visualprint/internal/obs"
 )
 
@@ -681,9 +682,6 @@ func (s *Server) admitAndDispatch(ctx context.Context, h reqHeader, typ byte, pa
 // dispatch routes one request to its venue's engine(s) through the router.
 func (s *Server) dispatch(ctx context.Context, venue string, sid uint64, typ byte, payload []byte) (byte, []byte) {
 	switch typ {
-	case msgPing:
-		// Liveness answers unconditionally, replication configured or not.
-		return msgPong, nil
 	case msgReplState, msgReplSnapshot, msgReplFetch, msgReplFollow, msgReplPromote:
 		if s.rs == nil {
 			return errorResponse(errors.New("replication not enabled on this server"))
@@ -726,7 +724,7 @@ func (s *Server) dispatch(ctx context.Context, venue string, sid uint64, typ byt
 		if err != nil {
 			return errorResponse(err)
 		}
-		kps, err := decodeKeypoints(kpData)
+		kps, err := codec.UnmarshalKeypoints(kpData)
 		if err != nil {
 			return errorResponse(err)
 		}

@@ -125,8 +125,12 @@ func TestOracleDownloadAgrees(t *testing.T) {
 	}
 	// The downloaded oracle must agree with the server's on every inserted
 	// descriptor.
+	live, err := db.OracleClone()
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := range ms {
-		want, _ := db.Uniqueness(ms[i].Desc[:])
+		want, _ := live.Uniqueness(ms[i].Desc[:])
 		got, err := oracle.Uniqueness(ms[i].Desc[:])
 		if err != nil {
 			t.Fatal(err)

@@ -138,9 +138,9 @@ func (r *Router) Locate(ctx context.Context, venueName string, kps []sift.Keypoi
 // looks up the session's motion-model prior, warm-starts the pose solve
 // with it, and records the accepted fix back into the session history.
 //
-// This is the one Locate route: look the venue up, gather on the shard's
-// pinned view (one shard) or scatter and merge (several), and end in the
-// shared solve tail with the optional prior.
+// This is the one Locate route: look the venue up and run locateShards on
+// its shards with the optional prior ("router affinity": the prior applies
+// after the gather, so any shard topology reuses it).
 func (r *Router) LocateSession(ctx context.Context, venueName string, sid uint64, kps []sift.Keypoint, intr pose.Intrinsics) (LocateResult, error) {
 	v := r.lookup(venueName)
 	if v == nil {
@@ -165,14 +165,7 @@ func (r *Router) LocateSession(ctx context.Context, venueName string, sid uint64
 			}
 		}
 	}
-	var res LocateResult
-	var warm bool
-	var err error
-	if len(v.shards) == 1 {
-		res, warm, err = v.shards[0].locate(ctx, kps, intr, ws)
-	} else {
-		res, warm, err = r.locateSharded(ctx, v, kps, intr, ws)
-	}
+	res, warm, err := locateShards(ctx, r.metrics(), v.shards, kps, intr, ws)
 	if err != nil || sid == 0 {
 		return res, err
 	}

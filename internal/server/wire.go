@@ -40,8 +40,6 @@ const (
 	msgReplFollow         byte = 23 // [u64 epoch][primary addr] — demote/reconfigure
 	msgReplPromote        byte = 24 // [u64 epoch] — become primary
 	msgReplAck            byte = 25 // empty acknowledgement for follow/promote
-	msgPing               byte = 26 // liveness probe, no payload
-	msgPong               byte = 27
 
 	// Versioned oracle distribution. See DESIGN.md "Oracle distribution".
 	msgOracleSync      byte = 31 // [u64 haveEpoch][u64 haveInserts] -> one of the three below
