@@ -10,7 +10,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -120,9 +119,6 @@ func printMetrics(client *visualprint.Client, reqCtx func() (context.Context, co
 	defer cancel()
 	rep, err := client.Metrics(ctx)
 	if err != nil {
-		if errors.Is(err, visualprint.ErrMetricsUnsupported) {
-			log.Fatalf("server runs with observability disabled: %v", err)
-		}
 		log.Fatal(err)
 	}
 	fmt.Printf("uptime: %s\n", (time.Duration(rep.UptimeSeconds * float64(time.Second))).Round(time.Second))

@@ -12,12 +12,14 @@ package bloom
 import (
 	"bufio"
 	"bytes"
+	"cmp"
 	"compress/gzip"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	mathbits "math/bits"
+	"slices"
 
 	"visualprint/internal/hash"
 )
@@ -36,13 +38,28 @@ type Counting struct {
 	inserts uint64   // elements inserted (for load accounting)
 }
 
+// maxCells and maxK bound a filter's counters (or bits) and its probes per
+// element: far past any useful setting, and small enough that neither the
+// packed word count nor a decoded header can overflow or demand a huge
+// allocation.
+const maxCells, maxK = 1 << 48, 64
+
+// countingWords validates a counting filter's shape and returns its packed
+// word count.
+func countingWords(n uint64, bits uint, k int) (uint64, error) {
+	if n == 0 || n > maxCells || bits == 0 || bits > 16 || k <= 0 || k > maxK {
+		return 0, errors.New("bloom: need 0 < n <= 2^48, 0 < bits <= 16, 0 < k <= 64")
+	}
+	return (n*uint64(bits) + 63) / 64, nil
+}
+
 // NewCounting creates a counting filter with n counters of the given bit
 // width and k probes per element.
 func NewCounting(n uint64, bits uint, k int, seed uint32) (*Counting, error) {
-	if n == 0 || bits == 0 || bits > 16 || k <= 0 {
-		return nil, errors.New("bloom: need n > 0, 0 < bits <= 16, k > 0")
+	words, err := countingWords(n, bits, k)
+	if err != nil {
+		return nil, err
 	}
-	words := (n*uint64(bits) + 63) / 64
 	return &Counting{
 		bits: bits,
 		n:    n,
@@ -51,6 +68,13 @@ func NewCounting(n uint64, bits uint, k int, seed uint32) (*Counting, error) {
 		max:  (1 << bits) - 1,
 		data: make([]uint64, words),
 	}, nil
+}
+
+// Clone returns a deep copy of the filter: one copy of its words.
+func (c *Counting) Clone() *Counting {
+	d := *c
+	d.data = slices.Clone(c.data)
+	return &d
 }
 
 // counterAt reads counter i from the packed array. A counter may straddle a
@@ -165,6 +189,9 @@ func (c *Counting) K() int { return c.k }
 // NumCounters returns the number of counters.
 func (c *Counting) NumCounters() uint64 { return c.n }
 
+// Shape returns the parameters the filter was built with.
+func (c *Counting) Shape() (n uint64, bits uint, k int, seed uint32) { return c.n, c.bits, c.k, c.seed }
+
 // Inserts returns how many elements have been added.
 func (c *Counting) Inserts() uint64 { return c.inserts }
 
@@ -212,7 +239,8 @@ func (c *Counting) WriteTo(w io.Writer) (int64, error) {
 
 // ReadCounting deserializes a filter written by WriteTo. It reads exactly
 // the serialized bytes, so several filters can be read back-to-back from one
-// stream.
+// stream, and allocates the counter words as they arrive, so a header
+// claiming a huge filter costs no more than the bytes actually sent.
 func ReadCounting(r io.Reader) (*Counting, error) {
 	magic := make([]byte, len(countingMagic))
 	if _, err := io.ReadFull(r, magic); err != nil {
@@ -228,18 +256,28 @@ func ReadCounting(r io.Reader) (*Counting, error) {
 			return nil, err
 		}
 	}
-	c, err := NewCounting(n, uint(bits), int(k), seed)
+	if want, err := countingWords(n, uint(bits), int(k)); err != nil || words != want {
+		return nil, cmp.Or(err, errors.New("bloom: corrupt counting filter header"))
+	}
+	data, err := readWords(r, words)
 	if err != nil {
 		return nil, err
 	}
-	if words != uint64(len(c.data)) {
-		return nil, errors.New("bloom: corrupt counting filter header")
+	return &Counting{bits: uint(bits), n: n, k: int(k), seed: seed, max: 1<<bits - 1, data: data, inserts: inserts}, nil
+}
+
+// readWords reads n little-endian words in bounded chunks, growing the result
+// only as bytes arrive.
+func readWords(r io.Reader, n uint64) ([]uint64, error) {
+	var data []uint64
+	for uint64(len(data)) < n {
+		chunk := make([]uint64, min(n-uint64(len(data)), 1<<13))
+		if err := binary.Read(r, binary.LittleEndian, chunk); err != nil {
+			return nil, err
+		}
+		data = append(data, chunk...)
 	}
-	if err := binary.Read(r, binary.LittleEndian, c.data); err != nil {
-		return nil, err
-	}
-	c.inserts = inserts
-	return c, nil
+	return data, nil
 }
 
 // Filter is a plain binary Bloom filter; VisualPrint uses one as the
@@ -252,12 +290,28 @@ type Filter struct {
 	data []uint64
 }
 
+// filterWords validates a binary filter's shape and returns its word count.
+func filterWords(m uint64, k int) (uint64, error) {
+	if m == 0 || m > maxCells || k <= 0 || k > maxK {
+		return 0, errors.New("bloom: need 0 < m <= 2^48 and 0 < k <= 64")
+	}
+	return (m + 63) / 64, nil
+}
+
 // NewFilter creates a binary Bloom filter with m bits and k probes.
 func NewFilter(m uint64, k int, seed uint32) (*Filter, error) {
-	if m == 0 || k <= 0 {
-		return nil, errors.New("bloom: need m > 0 and k > 0")
+	words, err := filterWords(m, k)
+	if err != nil {
+		return nil, err
 	}
-	return &Filter{m: m, k: k, seed: seed, data: make([]uint64, (m+63)/64)}, nil
+	return &Filter{m: m, k: k, seed: seed, data: make([]uint64, words)}, nil
+}
+
+// Clone returns a deep copy of the filter: one copy of its words.
+func (f *Filter) Clone() *Filter {
+	g := *f
+	g.data = slices.Clone(f.data)
+	return &g
 }
 
 // Add inserts item.
@@ -307,7 +361,7 @@ func (f *Filter) WriteTo(w io.Writer) (int64, error) {
 }
 
 // ReadFilter deserializes a filter written by WriteTo. Like ReadCounting it
-// consumes exactly the serialized bytes.
+// consumes exactly the serialized bytes and grows its words as they arrive.
 func ReadFilter(r io.Reader) (*Filter, error) {
 	magic := make([]byte, len(filterMagic))
 	if _, err := io.ReadFull(r, magic); err != nil {
@@ -324,17 +378,14 @@ func ReadFilter(r io.Reader) (*Filter, error) {
 			return nil, err
 		}
 	}
-	f, err := NewFilter(m, int(k), seed)
+	if want, err := filterWords(m, int(k)); err != nil || words != want {
+		return nil, cmp.Or(err, errors.New("bloom: corrupt filter header"))
+	}
+	data, err := readWords(r, words)
 	if err != nil {
 		return nil, err
 	}
-	if words != uint64(len(f.data)) {
-		return nil, errors.New("bloom: corrupt filter header")
-	}
-	if err := binary.Read(r, binary.LittleEndian, f.data); err != nil {
-		return nil, err
-	}
-	return f, nil
+	return &Filter{m: m, k: int(k), seed: seed, data: data}, nil
 }
 
 // GzipBytes serializes any WriteTo-able value through gzip and returns the
@@ -447,6 +498,9 @@ func (f *Filter) SetBit(i uint64) { f.data[i/64] |= 1 << (i % 64) }
 
 // NumBits returns the filter's bit count m.
 func (f *Filter) NumBits() uint64 { return f.m }
+
+// Shape returns the parameters the filter was built with.
+func (f *Filter) Shape() (m uint64, k int, seed uint32) { return f.m, f.k, f.seed }
 
 // DiffBits calls fn(i) for every bit set in f but not in old (same m, k,
 // seed), in ascending order. Binary Bloom bits are monotone, so this is the

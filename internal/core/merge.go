@@ -1,18 +1,24 @@
 package core
 
 import (
-	"bytes"
 	"errors"
+
+	"visualprint/internal/bloom"
 )
 
-// Clone returns a deep copy of the oracle (serialize/deserialize round
-// trip).
-func (o *Oracle) Clone() (*Oracle, error) {
-	var buf bytes.Buffer
-	if _, err := o.WriteTo(&buf); err != nil {
-		return nil, err
+// Clone returns a deep copy of the oracle: one direct copy of every filter's
+// words, sharing the immutable projection family. It is the per-batch cost of
+// the server's copy-on-write ingest — the same order as the word-by-word scan
+// odelta.Diff makes of both versions every batch.
+func (o *Oracle) Clone() *Oracle {
+	c := &Oracle{p: o.p, hasher: o.hasher, inserts: o.inserts, primary: make([]*bloom.Counting, len(o.primary))}
+	for t, cf := range o.primary {
+		c.primary[t] = cf.Clone()
 	}
-	return Read(&buf)
+	if o.verify != nil {
+		c.verify = o.verify.Clone()
+	}
+	return c
 }
 
 // Merge folds src's filters into dst (same parameters). Counting filters add

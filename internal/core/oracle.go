@@ -148,6 +148,11 @@ func (o *Oracle) getScratch() *oracleScratch {
 	return s
 }
 
+// Filter hash seeds: one per primary table, one for the verification filter.
+const verifySeed = 0xbeef
+
+func tableSeed(t int) uint32 { return uint32(t) + 0x5bd1 }
+
 // New creates an empty oracle.
 func New(p Params) (*Oracle, error) {
 	if err := p.Validate(); err != nil {
@@ -159,14 +164,14 @@ func New(p Params) (*Oracle, error) {
 	}
 	o := &Oracle{p: p, hasher: h}
 	for t := 0; t < p.LSH.L; t++ {
-		cf, err := bloom.NewCounting(p.CountersPerTable, p.CounterBits, p.K, uint32(t)+0x5bd1)
+		cf, err := bloom.NewCounting(p.CountersPerTable, p.CounterBits, p.K, tableSeed(t))
 		if err != nil {
 			return nil, err
 		}
 		o.primary = append(o.primary, cf)
 	}
 	if p.VerifyBits > 0 {
-		v, err := bloom.NewFilter(p.VerifyBits, p.VerifyK, 0xbeef)
+		v, err := bloom.NewFilter(p.VerifyBits, p.VerifyK, verifySeed)
 		if err != nil {
 			return nil, err
 		}
@@ -442,7 +447,11 @@ func boolByte(b bool) byte {
 
 // Read deserializes an oracle written by WriteTo. The projection family is
 // rebuilt deterministically from the serialized LSH seed, so a downloaded
-// oracle hashes identically to the server's copy.
+// oracle hashes identically to the server's copy. The bytes come from
+// whatever server (or primary) sent them, so the header is validated before
+// anything is built — lsh.Params.Validate bounds the projection family — each
+// filter is read straight into the oracle as its bytes arrive, and a filter
+// disagreeing with the header is refused.
 func Read(r io.Reader) (*Oracle, error) {
 	br := bufio.NewReader(r)
 	magic := make([]byte, len(oracleMagic))
@@ -468,25 +477,37 @@ func Read(r io.Reader) (*Oracle, error) {
 	}
 	p.LSH.L, p.LSH.M, p.LSH.Dim = int(l), int(m), int(dim)
 	p.K, p.CounterBits, p.VerifyK = int(k), uint(cbits), int(vk)
+	if mp > 1 {
+		return nil, errors.New("core: corrupt oracle header")
+	}
 	p.MultiProbe = mp == 1
-	o, err := New(p)
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
+	h, err := lsh.NewHasher(p.LSH)
 	if err != nil {
 		return nil, err
 	}
+	o := &Oracle{p: p, hasher: h, inserts: inserts}
 	for t := 0; t < p.LSH.L; t++ {
 		cf, err := bloom.ReadCounting(br)
 		if err != nil {
 			return nil, err
 		}
-		o.primary[t] = cf
+		if n, bits, k, seed := cf.Shape(); n != p.CountersPerTable || bits != p.CounterBits || k != p.K || seed != tableSeed(t) {
+			return nil, errors.New("core: counting filter disagrees with the oracle header")
+		}
+		o.primary = append(o.primary, cf)
 	}
 	if p.VerifyBits > 0 {
 		v, err := bloom.ReadFilter(br)
 		if err != nil {
 			return nil, err
 		}
+		if m, k, seed := v.Shape(); m != p.VerifyBits || k != p.VerifyK || seed != verifySeed {
+			return nil, errors.New("core: verification filter disagrees with the oracle header")
+		}
 		o.verify = v
 	}
-	o.inserts = inserts
 	return o, nil
 }

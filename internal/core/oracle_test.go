@@ -3,8 +3,10 @@ package core
 import (
 	"bytes"
 	"math/rand"
+	"runtime"
 	"testing"
 
+	"visualprint/internal/lsh"
 	"visualprint/internal/sift"
 )
 
@@ -339,6 +341,110 @@ func TestReadRejectsGarbage(t *testing.T) {
 	if _, err := Read(bytes.NewReader([]byte("garbage everywhere"))); err == nil {
 		t.Error("garbage accepted")
 	}
+}
+
+// TestCloneIsDeep: a clone serializes byte-equal to its original, and
+// inserting into one leaves the other untouched — the copy-on-write ingest
+// inserts every batch into a clone of the published oracle.
+func TestCloneIsDeep(t *testing.T) {
+	o := newTestOracle(t)
+	rng := rand.New(rand.NewSource(4))
+	for i := 0; i < 50; i++ {
+		o.Insert(siftLikeDesc(rng))
+	}
+	before := oracleBytes(t, o)
+	c := o.Clone()
+	if !bytes.Equal(oracleBytes(t, c), before) {
+		t.Fatal("clone serializes unlike its original")
+	}
+	for i := 0; i < 50; i++ {
+		c.Insert(siftLikeDesc(rng))
+	}
+	if !bytes.Equal(oracleBytes(t, o), before) {
+		t.Fatal("inserting into a clone changed the original")
+	}
+	if c.Inserts() != o.Inserts()+50 {
+		t.Fatalf("clone counts %d inserts, original %d", c.Inserts(), o.Inserts())
+	}
+}
+
+func oracleBytes(t testing.TB, o *Oracle) []byte {
+	var buf bytes.Buffer
+	if _, err := o.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// fuzzOracleParams is a small oracle so fuzzed blobs stay short.
+func fuzzOracleParams() Params {
+	return Params{
+		LSH: lsh.Params{L: 3, M: 4, W: 400, Dim: 16, Seed: 3},
+		K:   4, CountersPerTable: 96, CounterBits: 10,
+		VerifyBits: 200, VerifyK: 3, MultiProbe: true,
+	}
+}
+
+// TestReadRejectsFiltersUnlikeHeader: a filter whose shape disagrees with
+// the oracle header — here more probes than the header's K, which would
+// overrun the per-call position buffer on the first lookup — is refused.
+func TestReadRejectsFiltersUnlikeHeader(t *testing.T) {
+	p := fuzzOracleParams()
+	o, err := New(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob := oracleBytes(t, o)
+	if _, err := Read(bytes.NewReader(blob)); err != nil {
+		t.Fatal(err)
+	}
+	// The header's K field follows magic, L, M, W, Dim and Seed.
+	bad := bytes.Clone(blob)
+	bad[len(oracleMagic)+4+4+8+4+8]--
+	if _, err := Read(bytes.NewReader(bad)); err == nil {
+		t.Fatal("counting filters with more probes than the header's K accepted")
+	}
+}
+
+// FuzzOracleRead: the oracle decoder, fed whatever a dialed server or a
+// primary sends, must never panic, must allocate no more than a small
+// multiple of its input beyond the bounded projection family, and whatever
+// it accepts must re-serialize to exactly the bytes it consumed.
+func FuzzOracleRead(f *testing.F) {
+	p := fuzzOracleParams()
+	rng := rand.New(rand.NewSource(1))
+	for _, n := range []int{0, 3, 30} {
+		o, err := New(p)
+		if err != nil {
+			f.Fatal(err)
+		}
+		for range n {
+			o.Insert(randDescDim(rng, p.LSH.Dim))
+		}
+		f.Add(oracleBytes(f, o))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		o, err := Read(bytes.NewReader(data))
+		runtime.ReadMemStats(&after)
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 64*uint64(len(data))+2<<20 {
+			t.Fatalf("decoding %d bytes allocated %d", len(data), grew)
+		}
+		if err != nil {
+			return
+		}
+		out := oracleBytes(t, o)
+		if len(out) > len(data) || !bytes.Equal(out, data[:len(out)]) {
+			t.Fatalf("accepted oracle re-serializes unlike its %d input bytes", len(data))
+		}
+	})
+}
+
+func randDescDim(rng *rand.Rand, dim int) []byte {
+	d := make([]byte, dim)
+	rng.Read(d)
+	return d
 }
 
 func TestMemoryBytesMatchesParams(t *testing.T) {

@@ -27,6 +27,7 @@ import (
 	"math/rand"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"visualprint/internal/dist"
 	"visualprint/internal/hash"
@@ -48,10 +49,19 @@ func DefaultParams() Params {
 	return Params{L: 10, M: 7, W: 500, Dim: 128, Seed: 1}
 }
 
+// maxRows and maxCoeffs bound the projection family NewHasher draws — L·M
+// rows of Dim coefficients — far past any useful setting (the paper's is 70
+// rows of 128), so a decoder reading Params from a header cannot be talked
+// into a huge allocation.
+const maxRows, maxCoeffs = 1 << 12, 1 << 18
+
 // Validate reports whether p is usable.
 func (p Params) Validate() error {
-	if p.L <= 0 || p.M <= 0 || p.W <= 0 || p.Dim <= 0 {
-		return errors.New("lsh: L, M, W and Dim must be positive")
+	if p.L <= 0 || p.M <= 0 || !(p.W > 0) || math.IsInf(p.W, 1) || p.Dim <= 0 {
+		return errors.New("lsh: L, M, W and Dim must be positive and finite")
+	}
+	if p.L > maxRows || p.M > maxRows || p.Dim > maxCoeffs || p.L*p.M > maxRows || p.L*p.M*p.Dim > maxCoeffs {
+		return errors.New("lsh: projection family too large")
 	}
 	return nil
 }
@@ -198,7 +208,7 @@ func compareCandidates(a, b Candidate) int { return cmp.Compare(a.DistSq, b.Dist
 
 // queryScratch is the reusable per-query state: the widened descriptor, a
 // bucket-coordinate buffer mutated in place for multi-probing, the key
-// serialization buffer, and the dedup stamps. Pooled on the Index so a
+// serialization buffer, and the dedup stamps. Pooled (scratchPool) so a
 // steady-state query allocates nothing.
 //
 // Dedup is an epoch-stamped slice indexed by candidate id rather than a
@@ -218,25 +228,61 @@ type queryScratch struct {
 // lookup table. IDs are assigned in insertion order; the caller keeps its
 // own id -> payload mapping.
 //
-// Concurrency: the read path (Query, QueryInto, Len, MemoryBytes, Hasher)
-// touches only immutable per-query state plus the tables/descs slices and
-// maps, so any number of Query calls may run concurrently — the server's
-// parallel Locate fan-out relies on this (scratch state is pooled, and
-// sync.Pool is safe for concurrent use). Insert mutates the tables and must
-// be externally serialized against both other Inserts and all readers (the
-// server's Database guards the index with an RWMutex: Ingest takes the write
-// lock, Locate the read lock). Query results are deterministic for a given
-// index state, which is what keeps the parallel and serial Locate paths
-// bit-identical.
+// An *Index is a length-bounded read handle over bucket tables it shares with
+// every index extended from it. Extend appends descriptors to the shared
+// tables and returns a longer handle; the receiver keeps answering exactly as
+// before, because a query only sees ids below its own Len — bucket ids are
+// strictly increasing, so each bucket is cut at the first id past Len, which
+// is exactly the bucket a fresh index of those Len descriptors would hold.
+//
+// Concurrency: any number of queries (Query, QueryInto, Len, MemoryBytes,
+// WriteTo) on any handles may run concurrently with each other and with one
+// Extend or Insert of the newest handle — the server's lock-free Locate relies
+// on this. Extend and Insert must be serialized with each other, and Insert
+// (which grows its receiver in place) also with readers of that handle. Query
+// results are deterministic for a given handle.
 type Index struct {
-	h      *Hasher
-	tables []map[uint64][]int32
-	descs  [][]byte
-
-	// scratch recycles *queryScratch values across queries (and inserts).
-	// Never serialized; the zero value is ready to use.
-	scratch sync.Pool
+	h *Hasher
+	t *tables
+	// descs and next are this handle's share of the lineage's append-only
+	// storage: extensions fill their spare capacity past len, which this
+	// handle never reads.
+	descs [][]byte
+	// next chains each bucket in insertion order: next[id*L+t] is 1 + the
+	// id after id in its table-t bucket, 0 for none. The writer stores a
+	// link atomically because older handles hold the id it links from;
+	// their readers see no link or one past their own Len, and stop either
+	// way.
+	next []int32
+	// nBuckets counts the buckets this handle sees.
+	nBuckets int
 }
+
+// tables is the storage shared by every handle of one index.
+type tables struct {
+	// maps holds one open-addressing table per LSH table, from bucket key to
+	// the bucket's first id. Slots are only ever filled, never changed;
+	// outgrowing a table publishes a rehashed copy, and a reader holding the
+	// old one still finds every bucket its handle can see.
+	maps []atomic.Pointer[[]slot]
+	used []int // filled slots per table: writer state
+	// n is the newest handle's Len, the only length Extend accepts: writer
+	// state, serialized with Extend.
+	n int
+}
+
+// slot is one bucket's entry in a table.
+type slot struct {
+	key  uint64
+	head int32 // first id + 1, stored atomically after key; 0 marks a free slot
+	tail int32 // last id: writer state, never read by queries
+}
+
+// scratchPool recycles *queryScratch values across the queries (and
+// inserts) of every index: one pool, so a query fanned out over many
+// indexes (a sharded venue) warms the same scratch set as one over a
+// single index.
+var scratchPool sync.Pool
 
 // NewIndex creates an empty index with the given parameters.
 func NewIndex(p Params) (*Index, error) {
@@ -244,24 +290,65 @@ func NewIndex(p Params) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	tables := make([]map[uint64][]int32, p.L)
-	for i := range tables {
-		tables[i] = make(map[uint64][]int32)
+	t := &tables{maps: make([]atomic.Pointer[[]slot], p.L), used: make([]int, p.L)}
+	for i := range t.maps {
+		slots := make([]slot, 8)
+		t.maps[i].Store(&slots)
 	}
-	return &Index{h: h, tables: tables}, nil
+	return &Index{h: h, t: t}, nil
 }
-
-// Hasher exposes the underlying projection family (shared with the oracle).
-func (ix *Index) Hasher() *Hasher { return ix.h }
 
 // Len returns the number of indexed descriptors.
 func (ix *Index) Len() int { return len(ix.descs) }
 
+// find returns the slot of key — or the free slot it would take — and the
+// head it loaded there (0 for free). Readers and the writer share it: a free
+// slot is only ever filled with some key, so a reader that met one (and
+// reads no further) never mistakes a later fill for its own bucket.
+func find(slots []slot, key uint64) (*slot, int32) {
+	mask := uint64(len(slots) - 1)
+	for i := key & mask; ; i = (i + 1) & mask {
+		if h := atomic.LoadInt32(&slots[i].head); h == 0 || slots[i].key == key {
+			return &slots[i], h
+		}
+	}
+}
+
+// after returns the id following id in its table-t bucket, -1 at the end of
+// the bucket as this handle sees it.
+func (ix *Index) after(id int32, t int) int32 {
+	return ix.visible(atomic.LoadInt32(&ix.next[int(id)*ix.h.p.L+t]))
+}
+
+// visible decodes a stored 1 + id (0 for none) into the id, or -1 when there
+// is none or this handle does not see it (id >= Len).
+func (ix *Index) visible(stored int32) int32 {
+	if id := stored - 1; id >= 0 && int(id) < len(ix.descs) {
+		return id
+	}
+	return -1
+}
+
+// eachBucket calls fn with the key and ids of every table-t bucket this
+// handle sees; ids is reused between calls.
+func (ix *Index) eachBucket(t int, fn func(key uint64, ids []int32)) {
+	slots := *ix.t.maps[t].Load()
+	var ids []int32
+	for i := range slots {
+		ids = ids[:0]
+		for id := ix.visible(atomic.LoadInt32(&slots[i].head)); id >= 0; id = ix.after(id, t) {
+			ids = append(ids, id)
+		}
+		if len(ids) > 0 {
+			fn(slots[i].key, ids)
+		}
+	}
+}
+
 // getScratch returns a cleared scratch sized for this index's parameters.
 func (ix *Index) getScratch() *queryScratch {
-	s, _ := ix.scratch.Get().(*queryScratch)
-	if s == nil {
-		p := ix.h.p
+	s, _ := scratchPool.Get().(*queryScratch)
+	if p := ix.h.p; s == nil || len(s.coords) != p.M || cap(s.vec) < p.Dim {
 		s = &queryScratch{
 			vec:    make([]float32, 0, p.Dim),
 			coords: make([]int32, p.M),
@@ -278,23 +365,79 @@ func (ix *Index) getScratch() *queryScratch {
 	return s
 }
 
-// Insert adds a descriptor and returns its id. The slice is retained; the
-// caller must not modify it afterwards.
-func (ix *Index) Insert(desc []byte) (int, error) {
-	if len(desc) != ix.h.p.Dim {
-		return 0, errors.New("lsh: descriptor dimension mismatch")
+// Extend returns an index holding ix's descriptors followed by descs, which
+// are retained (callers must not modify them). ix is unchanged and may be
+// queried concurrently. Only the newest index of a lineage — the last one
+// returned by Extend, or grown by Insert — may be extended; nothing is
+// written unless every descriptor is valid.
+func (ix *Index) Extend(descs [][]byte) (*Index, error) {
+	if len(ix.descs) != ix.t.n {
+		return nil, errors.New("lsh: only the newest index may be extended")
 	}
-	id := len(ix.descs)
-	ix.descs = append(ix.descs, desc)
+	for _, d := range descs {
+		if len(d) != ix.h.p.Dim {
+			return nil, errors.New("lsh: descriptor dimension mismatch")
+		}
+	}
+	next := *ix
+	L := ix.h.p.L
+	next.next = append(next.next, make([]int32, L*len(descs))...)
 	s := ix.getScratch()
-	defer ix.scratch.Put(s)
-	s.vec = DescriptorVec(desc, s.vec)
-	for t := 0; t < ix.h.p.L; t++ {
-		ix.h.BucketVecInto(s.vec, t, s.coords)
-		k := ix.h.KeyInto(t, s.coords, s.key)
-		ix.tables[t][k] = append(ix.tables[t][k], int32(id))
+	defer scratchPool.Put(s)
+	for _, desc := range descs {
+		id := int32(len(next.descs))
+		next.descs = append(next.descs, desc)
+		s.vec = DescriptorVec(desc, s.vec)
+		for t := 0; t < L; t++ {
+			ix.h.BucketVecInto(s.vec, t, s.coords)
+			if next.add(t, ix.h.KeyInto(t, s.coords, s.key), id) {
+				next.nBuckets++
+			}
+		}
 	}
-	return id, nil
+	ix.t.n = len(next.descs)
+	return &next, nil
+}
+
+// Insert adds a descriptor to ix in place and returns its id: Extend for a
+// single owner building an index. The slice is retained; the caller must not
+// modify it afterwards.
+func (ix *Index) Insert(desc []byte) (int, error) {
+	next, err := ix.Extend([][]byte{desc})
+	if err != nil {
+		return 0, err
+	}
+	*ix = *next
+	return ix.Len() - 1, nil
+}
+
+// add appends id, which must exceed every id already in the bucket, to the
+// table-t bucket at key: a link from the bucket's tail, or a new slot (and
+// then it reports true).
+func (ix *Index) add(t int, key uint64, id int32) bool {
+	slots := *ix.t.maps[t].Load()
+	s, h := find(slots, key)
+	if h != 0 {
+		atomic.StoreInt32(&ix.next[int(s.tail)*ix.h.p.L+t], id+1)
+		s.tail = id
+		return false
+	}
+	if 4*(ix.t.used[t]+1) > 3*len(slots) {
+		// Past 3/4 full: publish a rehashed copy twice the size.
+		grown := make([]slot, 2*len(slots))
+		for _, sl := range slots {
+			if sl.head != 0 {
+				g, _ := find(grown, sl.key)
+				*g = sl
+			}
+		}
+		ix.t.maps[t].Store(&grown)
+		s, _ = find(grown, key)
+	}
+	s.key, s.tail = key, id
+	atomic.StoreInt32(&s.head, id+1)
+	ix.t.used[t]++
+	return true
 }
 
 // QueryOptions tunes a nearest-neighbor query.
@@ -329,7 +472,7 @@ func (ix *Index) QueryInto(desc []byte, opt QueryOptions, dst []Candidate) ([]Ca
 		return nil, errors.New("lsh: descriptor dimension mismatch")
 	}
 	s := ix.getScratch()
-	defer ix.scratch.Put(s)
+	defer scratchPool.Put(s)
 	s.vec = DescriptorVec(desc, s.vec)
 	dst = dst[:0]
 	probesPerTable := int32(1)
@@ -368,8 +511,8 @@ func (ix *Index) QueryInto(desc []byte, opt QueryOptions, dst []Candidate) ([]Ca
 // is where a stable sort would have put it — and an entering candidate goes
 // after any equal distance already held, for the same reason.
 func (ix *Index) collect(table int, ord int32, desc []byte, s *queryScratch, dst []Candidate, n int) []Candidate {
-	k := ix.h.KeyInto(table, s.coords, s.key)
-	for _, id := range ix.tables[table][k] {
+	_, head := find(*ix.t.maps[table].Load(), ix.h.KeyInto(table, s.coords, s.key))
+	for id := ix.visible(head); id >= 0; id = ix.after(id, table) {
 		if int(id) >= len(s.seen) {
 			// Ids are dense insertion indices, so size the stamps to the
 			// index once; steady-state queries never regrow.
@@ -406,21 +549,14 @@ func (ix *Index) collect(table int, ord int32, desc []byte, s *queryScratch, dst
 
 // MemoryBytes estimates the in-memory footprint of the index: the L bucket
 // tables (key + id entries, with map overhead) plus the retained descriptor
-// bytes. This drives the Figure 15 client-footprint comparison, where
-// conventional LSH is shown to cost a large multiple of the raw data due to
-// the L-fold replication.
+// bytes — as a fresh index of Len descriptors would hold them, in which every
+// id sits in one bucket per table. This drives the Figure 15
+// client-footprint comparison, where conventional LSH is shown to cost a
+// large multiple of the raw data due to the L-fold replication.
 func (ix *Index) MemoryBytes() int64 {
-	var total int64
-	for _, t := range ix.tables {
-		// Per bucket: 8-byte key + slice header (24) + map entry overhead
-		// (~16); per entry: 4 bytes id.
-		total += int64(len(t)) * (8 + 24 + 16)
-		for _, ids := range t {
-			total += int64(len(ids)) * 4
-		}
-	}
-	for _, d := range ix.descs {
-		total += int64(len(d)) + 24
-	}
-	return total
+	// Per bucket: 8-byte key + slice header (24) + map entry overhead
+	// (~16); per id and table: 4 bytes; per descriptor: its bytes and a
+	// slice header.
+	n, p := int64(len(ix.descs)), ix.h.p
+	return int64(ix.nBuckets)*(8+24+16) + n*int64(p.L)*4 + n*(int64(p.Dim)+24)
 }

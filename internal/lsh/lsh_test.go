@@ -1,7 +1,10 @@
 package lsh
 
 import (
+	"math"
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -39,6 +42,10 @@ func TestParamsValidate(t *testing.T) {
 		{L: 10, M: 0, W: 500, Dim: 128},
 		{L: 10, M: 7, W: 0, Dim: 128},
 		{L: 10, M: 7, W: 500, Dim: 0},
+		{L: 10, M: 7, W: math.NaN(), Dim: 128},
+		{L: 10, M: 7, W: math.Inf(1), Dim: 128},
+		{L: 1 << 20, M: 1 << 20, W: 500, Dim: 1 << 20},
+		{L: 64, M: 64, W: 500, Dim: 128},
 	}
 	for i, p := range bad {
 		if err := p.Validate(); err == nil {
@@ -350,4 +357,104 @@ func TestConcurrentQueries(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+}
+
+// TestExtendKeepsOlderHandles: every handle of a lineage must keep answering
+// like a fresh index of its own descriptors — same buckets, same candidates
+// in the same order, same footprint — while later batches extend the shared
+// tables, including while the extension runs (under -race, the proof that
+// readers of an older handle never touch what the writer appends). Only the
+// newest handle may be extended.
+func TestExtendKeepsOlderHandles(t *testing.T) {
+	p := Params{L: 6, M: 4, W: 300, Dim: 32, Seed: 5}
+	rng := rand.New(rand.NewSource(8))
+	var descs [][]byte
+	for i := 0; i < 600; i++ {
+		d := make([]byte, p.Dim)
+		if i%3 == 2 { // near-duplicates crowd buckets, so they grow
+			copy(d, descs[i-1])
+			d[rng.Intn(p.Dim)] ^= 1
+		} else {
+			rng.Read(d)
+		}
+		descs = append(descs, d)
+	}
+	fresh := func(n int) *Index {
+		ix, err := NewIndex(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range descs[:n] {
+			if _, err := ix.Insert(d); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return ix
+	}
+	queries := descs[:40]
+	answers := func(ix *Index) [][]Candidate {
+		var out [][]Candidate
+		for _, q := range queries {
+			for _, opt := range []QueryOptions{{MultiProbe: true}, {MultiProbe: true, MaxCandidates: 3}} {
+				cs, err := ix.Query(q, opt)
+				if err != nil {
+					t.Error(err)
+				}
+				out = append(out, cs)
+			}
+		}
+		return out
+	}
+	handles := []*Index{fresh(0)}
+	want := [][][]Candidate{answers(handles[0])}
+	for n := 0; n < len(descs); {
+		k := min(1+rng.Intn(90), len(descs)-n)
+		held := handles[len(handles)-1]
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() { // a reader of the held handle, racing the extension
+			defer wg.Done()
+			got := answers(held)
+			if !slices.EqualFunc(got, want[len(want)-1], slices.Equal) {
+				t.Error("a held handle changed its answers while being extended")
+			}
+		}()
+		next, err := held.Extend(descs[n : n+k])
+		wg.Wait()
+		if err != nil {
+			t.Fatal(err)
+		}
+		n += k
+		handles = append(handles, next)
+		want = append(want, answers(fresh(n)))
+	}
+	for i, ix := range handles {
+		ref := fresh(ix.Len())
+		if !slices.EqualFunc(answers(ix), want[i], slices.Equal) {
+			t.Fatalf("handle of %d descriptors answers unlike a fresh index", ix.Len())
+		}
+		if got, want := ix.MemoryBytes(), ref.MemoryBytes(); got != want {
+			t.Fatalf("handle of %d descriptors: MemoryBytes %d, fresh %d", ix.Len(), got, want)
+		}
+		if !mapsEqual(tableDump(ix), tableDump(ref)) {
+			t.Fatalf("handle of %d descriptors sees other buckets than a fresh index", ix.Len())
+		}
+	}
+	if _, err := handles[1].Extend(descs[:1]); err == nil {
+		t.Fatal("an older handle was extended")
+	}
+}
+
+func mapsEqual(a, b []map[uint64][]int32) bool {
+	return slices.EqualFunc(a, b, func(x, y map[uint64][]int32) bool {
+		if len(x) != len(y) {
+			return false
+		}
+		for k, v := range x {
+			if !slices.Equal(v, y[k]) {
+				return false
+			}
+		}
+		return true
+	})
 }

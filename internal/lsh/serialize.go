@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 )
 
 // Index serialization, used by the server's durable snapshots. The format
@@ -18,12 +19,9 @@ import (
 // distances, is preserved.
 const indexMagic = "VPLSH1\x00\x00"
 
-// indexMaxEntries bounds deserialized allocation sizes so a corrupt length
-// field fails cleanly instead of attempting a huge allocation.
-const indexMaxEntries = 1 << 31
-
-// WriteTo serializes the index. The stream is framed by the caller (the
-// server snapshot wraps it in a checksummed container).
+// WriteTo serializes the index as a fresh index of its Len descriptors would
+// hold them. The stream is framed by the caller (the server snapshot wraps it
+// in a checksummed container).
 func (ix *Index) WriteTo(w io.Writer) (int64, error) {
 	bw := bufio.NewWriterSize(w, 1<<16)
 	if _, err := bw.WriteString(indexMagic); err != nil {
@@ -46,34 +44,38 @@ func (ix *Index) WriteTo(w io.Writer) (int64, error) {
 			return 0, err
 		}
 	}
-	for _, tbl := range ix.tables {
-		if err := binary.Write(bw, binary.LittleEndian, uint64(len(tbl))); err != nil {
+	for t := range ix.t.maps {
+		// Two passes over the same handle-bounded buckets: the count, then
+		// the entries.
+		var n uint64
+		ix.eachBucket(t, func(uint64, []int32) { n++ })
+		err := binary.Write(bw, binary.LittleEndian, n)
+		ix.eachBucket(t, func(key uint64, ids []int32) {
+			for _, x := range []any{key, uint32(len(ids)), ids} {
+				if err == nil {
+					err = binary.Write(bw, binary.LittleEndian, x)
+				}
+			}
+		})
+		if err != nil {
 			return 0, err
-		}
-		for key, ids := range tbl {
-			if err := binary.Write(bw, binary.LittleEndian, key); err != nil {
-				return 0, err
-			}
-			if err := binary.Write(bw, binary.LittleEndian, uint32(len(ids))); err != nil {
-				return 0, err
-			}
-			if err := binary.Write(bw, binary.LittleEndian, ids); err != nil {
-				return 0, err
-			}
 		}
 	}
 	return 0, bw.Flush()
 }
 
 // ReadIndex deserializes an index written by WriteTo, rebuilding the
-// projection family from the stored seed. It consumes exactly the bytes
-// WriteTo produced — no internal read-ahead — so the index can be embedded
-// mid-stream (the server's database snapshot does); hand it a buffered
-// reader when performance matters.
-func ReadIndex(r io.Reader) (*Index, error) {
-	br := r
+// projection family from the stored seed. The stream's parameters must equal
+// want, checked before anything is allocated; descriptors are allocated as
+// their bytes arrive, and every bucket id must be in range, strictly
+// increasing within its bucket (the order a bounded query relies on) and in
+// one bucket per table. It consumes exactly the bytes WriteTo produced — no
+// internal read-ahead — so the index can be embedded mid-stream (the server's
+// database snapshot does); hand it a buffered reader when performance
+// matters.
+func ReadIndex(r io.Reader, want Params) (*Index, error) {
 	magic := make([]byte, len(indexMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
+	if _, err := io.ReadFull(r, magic); err != nil {
 		return nil, err
 	}
 	if string(magic) != indexMagic {
@@ -81,60 +83,70 @@ func ReadIndex(r io.Reader) (*Index, error) {
 	}
 	var p Params
 	var l, m, dim uint32
-	fields := []any{&l, &m, &p.W, &dim, &p.Seed}
-	for _, v := range fields {
-		if err := binary.Read(br, binary.LittleEndian, v); err != nil {
+	var nDescs uint64
+	for _, v := range []any{&l, &m, &p.W, &dim, &p.Seed} {
+		if err := binary.Read(r, binary.LittleEndian, v); err != nil {
 			return nil, err
 		}
 	}
 	p.L, p.M, p.Dim = int(l), int(m), int(dim)
+	if p != want {
+		return nil, fmt.Errorf("lsh: index params %+v differ from expected %+v", p, want)
+	}
 	ix, err := NewIndex(p)
 	if err != nil {
 		return nil, err
 	}
-	var nDescs uint64
-	if err := binary.Read(br, binary.LittleEndian, &nDescs); err != nil {
+	if err := binary.Read(r, binary.LittleEndian, &nDescs); err != nil {
 		return nil, err
 	}
-	if nDescs > indexMaxEntries {
+	if nDescs > math.MaxInt32 {
 		return nil, errors.New("lsh: implausible descriptor count")
 	}
-	ix.descs = make([][]byte, nDescs)
-	for i := range ix.descs {
+	for uint64(len(ix.descs)) < nDescs {
 		d := make([]byte, p.Dim)
-		if _, err := io.ReadFull(br, d); err != nil {
+		if _, err := io.ReadFull(r, d); err != nil {
 			return nil, err
 		}
-		ix.descs[i] = d
+		ix.descs = append(ix.descs, d)
 	}
-	for t := 0; t < p.L; t++ {
+	ix.next = make([]int32, p.L*len(ix.descs))
+	ix.t.n = len(ix.descs)
+	placed := make([]int, len(ix.descs)) // per id, 1 + the last table that placed it
+	for t := range ix.t.maps {
 		var nBuckets uint64
-		if err := binary.Read(br, binary.LittleEndian, &nBuckets); err != nil {
+		if err := binary.Read(r, binary.LittleEndian, &nBuckets); err != nil {
 			return nil, err
 		}
-		if nBuckets > indexMaxEntries {
-			return nil, errors.New("lsh: implausible bucket count")
-		}
-		tbl := make(map[uint64][]int32, nBuckets)
-		for b := uint64(0); b < nBuckets; b++ {
+		for range nBuckets {
 			var key uint64
 			var n uint32
-			if err := binary.Read(br, binary.LittleEndian, &key); err != nil {
+			if err := binary.Read(r, binary.LittleEndian, &key); err != nil {
 				return nil, err
 			}
-			if err := binary.Read(br, binary.LittleEndian, &n); err != nil {
+			if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
 				return nil, err
 			}
-			if uint64(n) > nDescs {
-				return nil, errors.New("lsh: bucket larger than descriptor count")
+			if n == 0 || uint64(n) > nDescs {
+				return nil, errors.New("lsh: bucket size out of range")
 			}
 			ids := make([]int32, n)
-			if err := binary.Read(br, binary.LittleEndian, ids); err != nil {
+			if err := binary.Read(r, binary.LittleEndian, ids); err != nil {
 				return nil, err
 			}
-			tbl[key] = ids
+			if _, h := find(*ix.t.maps[t].Load(), key); h != 0 {
+				return nil, errors.New("lsh: duplicate bucket key")
+			}
+			for i, id := range ids {
+				if id < 0 || uint64(id) >= nDescs || (i > 0 && id <= ids[i-1]) || placed[id] == t+1 {
+					return nil, errors.New("lsh: bucket ids out of range, not increasing or repeated")
+				}
+				placed[id] = t + 1
+				if ix.add(t, key, id) {
+					ix.nBuckets++
+				}
+			}
 		}
-		ix.tables[t] = tbl
 	}
 	return ix, nil
 }

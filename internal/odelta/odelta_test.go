@@ -56,10 +56,7 @@ func TestDeltaChainByteEqual(t *testing.T) {
 		dim := p.LSH.Dim
 		epochs := 8
 		for e := 1; e <= epochs; e++ {
-			prev, err := server.Clone()
-			if err != nil {
-				t.Fatal(err)
-			}
+			prev := server.Clone()
 			batch := 1 + rng.Intn(20)
 			for i := 0; i < batch; i++ {
 				if err := server.Insert(randDesc(rng, dim)); err != nil {
@@ -97,16 +94,10 @@ func TestDeltaChainMultiStep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	client, err := server.Clone()
-	if err != nil {
-		t.Fatal(err)
-	}
+	client := server.Clone()
 	var recs []*Record
 	for e := 1; e <= 5; e++ {
-		prev, err := server.Clone()
-		if err != nil {
-			t.Fatal(err)
-		}
+		prev := server.Clone()
 		for i := 0; i < 5+rng.Intn(10); i++ {
 			if err := server.Insert(randDesc(rng, p.LSH.Dim)); err != nil {
 				t.Fatal(err)
@@ -151,10 +142,7 @@ func TestFullFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prev, err := server.Clone()
-	if err != nil {
-		t.Fatal(err)
-	}
+	prev := server.Clone()
 	for i := 0; i < 500; i++ {
 		if err := server.Insert(randDesc(rng, p.LSH.Dim)); err != nil {
 			t.Fatal(err)
@@ -185,10 +173,7 @@ func TestApplyRejectsWrongBase(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prev, err := server.Clone()
-	if err != nil {
-		t.Fatal(err)
-	}
+	prev := server.Clone()
 	for i := 0; i < 4; i++ {
 		if err := server.Insert(randDesc(rng, p.LSH.Dim)); err != nil {
 			t.Fatal(err)

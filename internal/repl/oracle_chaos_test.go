@@ -167,10 +167,7 @@ func TestChaosOracleWatchSurvivesPrimaryKill(t *testing.T) {
 	if err != nil {
 		t.Fatalf("post-failover ingest: %v", err)
 	}
-	live, err := newP.db.OracleClone()
-	if err != nil {
-		t.Fatal(err)
-	}
+	live := newP.db.OracleClone()
 	want := oracleBytes(t, live)
 	waitFor(t, 30*time.Second, "watch to converge on the post-failover oracle", func() bool {
 		u := snap()

@@ -856,22 +856,14 @@ func (c *Client) StatsFull(ctx context.Context) (DBStats, error) {
 	return c.Venue(c.venue).StatsFull(ctx)
 }
 
-// ErrMetricsUnsupported marks a Metrics call against a server running with
-// observability disabled. It wraps the server's rejection; match with
-// errors.Is.
-var ErrMetricsUnsupported = errors.New("visualprint client: server does not support the metrics RPC")
-
 // Metrics fetches the server's observability report: request counters,
 // latency histograms with quantile summaries (locate and its pipeline
-// stages, WAL fsync, snapshots), gauges, and the slow-request log. A server
-// running without a registry answers ErrMetricsUnsupported.
+// stages, WAL fsync, snapshots), gauges, and the slow-request log. Remote
+// failures (a draining server answers ErrShuttingDown) pass through as-is.
 func (c *Client) Metrics(ctx context.Context) (obs.Report, error) {
 	// Metrics are server-wide, never venue-scoped: always send bare.
 	resp, err := c.roundTrip(ctx, routePrimary, reqHeader{}, msgGetMetrics, nil, msgMetricsResult)
 	if err != nil {
-		if IsRemote(err) {
-			return obs.Report{}, fmt.Errorf("%w: %w", ErrMetricsUnsupported, err)
-		}
 		return obs.Report{}, err
 	}
 	var rep obs.Report

@@ -286,11 +286,7 @@ func TestConcurrentOracleFilteringAndIngest(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
-				o, err := db.OracleClone()
-				if err != nil {
-					errc <- fmt.Errorf("OracleClone: %v", err)
-					return
-				}
+				o := db.OracleClone()
 				if w%2 == 0 {
 					sel, err := o.SelectUnique(kps, 10)
 					if err != nil {

@@ -51,7 +51,7 @@ type DatabaseConfig struct {
 	// serializes the full database under a lock that stalls Ingest, so this
 	// knob also tunes the size of periodic ingest latency spikes: smaller
 	// means more frequent but shorter stalls. Locates are unaffected —
-	// they read pinned RCU snapshots and take no lock (see rcu.go).
+	// they read immutable published views and take no lock (see rcu.go).
 	WALCompactBytes int64
 	// OracleDeltaWindow bounds the per-epoch delta ring serving versioned
 	// OracleSync requests: how many recent ingest batches stay answerable
@@ -90,16 +90,11 @@ func DefaultDatabaseConfig() DatabaseConfig {
 type Database struct {
 	cfg DatabaseConfig
 
-	// cur is the published immutable read snapshot (see rcu.go): the LSH
-	// index, positions, oracle, bounds and sequence tags every reader uses,
-	// swapped wholesale by the write path. Readers pin it lock-free via
-	// pinView; mu is never needed to query.
+	// cur is the published immutable view (see rcu.go): the LSH index,
+	// positions, oracle, bounds and sequence tags every reader uses,
+	// replaced wholesale by the write path. Readers just Load it; mu is
+	// never needed to query.
 	cur atomic.Pointer[dbView]
-	// shadow is the off-line generation the next ingest batch mutates
-	// before publishing; nil after a wholesale replace (open, reset,
-	// full-sync), lazily re-cloned from cur by the next batch. Guarded by
-	// mu.
-	shadow *dbView
 
 	// mu guards the write path (ingest ordering, recovery, the oracle
 	// delta ring) and the store fields. The query-side state moved
@@ -271,7 +266,7 @@ func (db *Database) reserve(ms []Mapping, seqs []uint64) (pendingIngest, error) 
 		return pendingIngest{}, errRemote{msg: "database descriptor dimension mismatch"}
 	}
 	// cur is stable while mu is held: only mu.Lock holders publish.
-	last := db.cur.Load().maxSeq
+	last := db.cur.Load().maxSeq()
 	if seqs == nil {
 		seqs = make([]uint64, len(ms))
 		for i := range seqs {
@@ -332,30 +327,17 @@ func (p pendingIngest) wait() error {
 }
 
 // Len returns the number of ingested mappings.
-func (db *Database) Len() int {
-	v, t := db.pinView()
-	defer db.unpin(v, t)
-	return len(v.positions)
-}
+func (db *Database) Len() int { return len(db.cur.Load().positions) }
 
 // MaxSeq returns the highest sequence number applied to this shard (0 when
 // empty). The Router stamps each venue batch from the maximum over the
 // venue's shards.
-func (db *Database) MaxSeq() uint64 {
-	v, t := db.pinView()
-	defer db.unpin(v, t)
-	return v.maxSeq
-}
+func (db *Database) MaxSeq() uint64 { return db.cur.Load().maxSeq() }
 
-// OracleClone returns a deep copy of the live oracle taken from a pinned
-// read snapshot, safe against concurrent Ingest — the building block the
-// Router uses to assemble a venue-wide oracle from per-shard oracles via
-// core.Merge.
-func (db *Database) OracleClone() (*core.Oracle, error) {
-	v, t := db.pinView()
-	defer db.unpin(v, t)
-	return v.oracle.Clone()
-}
+// OracleClone returns a deep copy of the published oracle, safe against
+// concurrent Ingest — the building block the Router uses to assemble a
+// venue-wide oracle from per-shard oracles via core.Merge.
+func (db *Database) OracleClone() *core.Oracle { return db.cur.Load().oracle.Clone() }
 
 // DBStats is the server-state report behind the Stats RPC.
 type DBStats struct {
@@ -379,22 +361,15 @@ type DBStats struct {
 }
 
 // Stats reports the database's size, oracle state and persistence state.
-// The engine half comes from a pinned read snapshot; the store half is read
-// under the mutex afterwards — never while pinned (a pinned reader queued
-// on mu would deadlock against a publishing ingest; see rcu.go).
+// The engine half comes from the published view; the store half is read
+// under the mutex.
 func (db *Database) Stats() DBStats {
-	v, t := db.pinView()
-	mem := v.footprint.Load()
-	if mem == 0 {
-		mem = v.index.MemoryBytes() + v.oracle.MemoryBytes() + int64(len(v.positions))*24
-		v.footprint.Store(mem)
-	}
+	v := db.cur.Load()
 	s := DBStats{
 		Mappings:      uint64(len(v.positions)),
-		DatabaseBytes: uint64(mem),
+		DatabaseBytes: uint64(v.index.MemoryBytes() + v.oracle.MemoryBytes() + int64(len(v.positions))*24),
 		OracleInserts: v.oracle.Inserts(),
 	}
-	db.unpin(v, t)
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	if db.store != nil {
@@ -428,7 +403,7 @@ type locateCand struct {
 	p      mathx.Vec3
 }
 
-// mergeCand is one LSH candidate of one pinned view, annotated with what
+// mergeCand is one LSH candidate of one view, annotated with what
 // restores the candidate ranking a single database would have produced across
 // any number of views: the squared descriptor distance, the multi-probe
 // ordinal the candidate was first collected at, and the venue-global sequence
@@ -465,8 +440,8 @@ const parallelLocateThreshold = 32
 // the per-candidate hot path.
 const ctxCheckStride = 16
 
-// gather produces the |K| * n candidate list from the pinned views of a
-// venue's shards. For each keypoint a worker asks every view for its top n
+// gather produces the |K| * n candidate list from the views of a venue's
+// shards. For each keypoint a worker asks every view for its top n
 // under the capped multi-probe query — within one view that is already the
 // (distSq, probe, seq) order, because reserve admits only increasing seq, so
 // id order is seq order — restores the total order across views, truncates
@@ -482,8 +457,8 @@ const ctxCheckStride = 16
 // the slots in keypoint order yields the same list whatever the worker count
 // — clustering and pose are bit-identical either way — and a warm gather
 // allocates the same few buffers for any number of views. Cancellation
-// returns the raw context error for the caller to classify. Callers hold a
-// pin on every view; the LSH read path is safe for concurrent queries.
+// returns the raw context error for the caller to classify. Views are
+// immutable and the LSH read path is safe for concurrent queries.
 func gather(ctx context.Context, cfg DatabaseConfig, views []*dbView, kps []sift.Keypoint) ([]locateCand, error) {
 	n := cfg.NeighborsPerKeypoint
 	workers := cfg.LocateParallelism
@@ -582,7 +557,7 @@ func (db *Database) Locate(ctx context.Context, kps []sift.Keypoint, intr pose.I
 	return res, err
 }
 
-// locateShards is the one Locate body, for a venue of any shard count: pin
+// locateShards is the one Locate body, for a venue of any shard count: load
 // each shard's published view once, gather the candidates of every view
 // through the worker pool, union the bounds of the same views, and run the
 // solve tail — warm-started when ws carries a session prior (the bool reports
@@ -594,15 +569,9 @@ func locateShards(ctx context.Context, m *dbMetrics, shards []*Database, kps []s
 	tr := m.trace.Begin("locate")
 	defer func() { m.endLocate(tr, err) }()
 	views := make([]*dbView, len(shards))
-	toks := make([]*pinToken, len(shards))
 	for i, sh := range shards {
-		views[i], toks[i] = sh.pinView()
+		views[i] = sh.cur.Load()
 	}
-	defer func() {
-		for i, sh := range shards {
-			sh.unpin(views[i], toks[i])
-		}
-	}()
 	var lo, hi mathx.Vec3
 	total, bounded := 0, false
 	for _, v := range views {

@@ -17,8 +17,8 @@ import (
 // one step off, tagged with sparse increasing Seq — round-robin over nViews
 // shards, so every shard holds interleaved, non-contiguous Seq and equal
 // distances abound. Each mapping's position encodes its Seq, which makes a
-// candidate list comparable by value. It returns the shards' pinned views
-// (released at test end) and one query keypoint per base descriptor.
+// candidate list comparable by value. It returns the shards' published views
+// and one query keypoint per base descriptor.
 func gatherFixture(t testing.TB, cfg DatabaseConfig, nViews int) ([]*dbView, []sift.Keypoint) {
 	t.Helper()
 	shards := make([]*Database, nViews)
@@ -61,9 +61,7 @@ func gatherFixture(t testing.TB, cfg DatabaseConfig, nViews int) ([]*dbView, []s
 	}
 	views := make([]*dbView, nViews)
 	for i, db := range shards {
-		v, tok := db.pinView()
-		t.Cleanup(func() { db.unpin(v, tok) })
-		views[i] = v
+		views[i] = db.cur.Load()
 	}
 	kps := make([]sift.Keypoint, len(bases))
 	for i, b := range bases {

@@ -99,7 +99,7 @@ func (m *dbMetrics) endIngest(start time.Time, err error) {
 }
 
 // metrics returns the active instrument set. Lock-free: the pointer is
-// loaded atomically, so the RCU read paths (Locate, oracle scoring) record
+// loaded atomically, so the lock-free read paths (Locate, oracle scoring) record
 // without touching db.mu.
 func (db *Database) metrics() *dbMetrics {
 	if m := db.met.Load(); m != nil {

@@ -141,25 +141,6 @@ func TestMetricsFeedsStageHistograms(t *testing.T) {
 	}
 }
 
-// TestMetricsDisabledServerReportsUnsupported covers the one unavailable
-// case: a server constructed without Serve (no registry).
-func TestMetricsDisabledServerReportsUnsupported(t *testing.T) {
-	testutil.CheckGoroutines(t)
-	db, err := NewDatabase(DefaultDatabaseConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := &Server{router: routerFor(t, db)}
-	cliConn, srvConn := net.Pipe()
-	done := make(chan struct{})
-	go func() { defer close(done); s.ServeConn(srvConn) }()
-	c := NewClient(cliConn)
-	defer func() { c.Close(); <-done }()
-	if _, err := c.Metrics(context.Background()); !errors.Is(err, ErrMetricsUnsupported) {
-		t.Fatalf("want ErrMetricsUnsupported, got %v", err)
-	}
-}
-
 // TestServerCloseMidRequestFailsTyped kills the transport with a request
 // in flight: the call must fail promptly with ErrConnectionLost (not hang,
 // not return a garbled response), later calls must fail the same way, and

@@ -47,7 +47,7 @@ type OracleSyncResult struct {
 }
 
 // recordDeltaLocked appends the epoch step cur→next to the delta ring.
-// Callers hold db.mu with both views stable. Failure is not fatal to the
+// Callers hold db.mu; both views are immutable. Failure is not fatal to the
 // ingest — the ring is cleared (continuity would be broken) and clients
 // fall back to full syncs until deltas accumulate again.
 func (db *Database) recordDeltaLocked(cur, next *dbView) {
@@ -91,10 +91,9 @@ func (db *Database) bumpEpochLocked() {
 
 // OracleEpoch returns the live oracle's version identity — the epoch the
 // engine stamped on the last ingest batch and the matching insert count —
-// from a pinned read snapshot.
+// from the published view.
 func (db *Database) OracleEpoch() (epoch, inserts uint64) {
-	v, t := db.pinView()
-	defer db.unpin(v, t)
+	v := db.cur.Load()
 	return v.epoch, v.oracle.Inserts()
 }
 

@@ -249,11 +249,7 @@ func (h *OracleSync) watchLoop(ctx context.Context, id uint32, ch chan rpcResult
 				// Deliver a snapshot: the handle patches its held oracle in
 				// place on the next delta sync, which must not race with a
 				// consumer still reading this update.
-				snap, err := o.Clone()
-				if err != nil {
-					fail(err)
-					return
-				}
+				snap := o.Clone()
 				e2, i2, _ := h.Version()
 				select {
 				case out <- OracleUpdate{Oracle: snap, Epoch: e2, Inserts: i2}:

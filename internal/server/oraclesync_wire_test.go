@@ -333,10 +333,7 @@ func TestOracleSyncDenseChainNeverBeatsBlob(t *testing.T) {
 		t.Fatal(err)
 	}
 	haveEpoch, haveInserts := db.OracleEpoch()
-	held, err := db.OracleClone()
-	if err != nil {
-		t.Fatal(err)
-	}
+	held := db.OracleClone()
 	for i := 0; i < 4; i++ {
 		if err := db.Ingest(ctx, randomBatch(rng, 1500)); err != nil {
 			t.Fatal(err)
@@ -377,10 +374,7 @@ func TestOracleSyncDenseChainNeverBeatsBlob(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	live, err := db.OracleClone()
-	if err != nil {
-		t.Fatal(err)
-	}
+	live := db.OracleClone()
 	if !bytes.Equal(oracleBytes(t, o), oracleBytes(t, live)) {
 		t.Fatal("sync answer diverges from the live oracle")
 	}

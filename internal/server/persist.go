@@ -70,8 +70,9 @@ func (db *Database) open(dir string, install func(*store.Store) error) error {
 	// Recovery builds a detached view — the published (empty) view keeps
 	// serving lock-free readers untouched until the recovered state is
 	// complete — then publishes it once at the end. The WAL tail replays
-	// through the same dbView.apply path live ingest uses, so the recovered
-	// structures are bit-identical to the pre-crash state.
+	// through the same dbView.apply path live ingest uses, in place on the
+	// unpublished view, so the recovered structures are bit-identical to the
+	// pre-crash state.
 	rv, err := newEmptyView(db.cfg)
 	if err != nil {
 		st.Close()
@@ -103,8 +104,7 @@ func (db *Database) open(dir string, install func(*store.Store) error) error {
 	// per ingest batch — so the version history survives restarts and full
 	// syncs, and replicas replaying the same records serve the same epochs.
 	rv.epoch = st.Seq()
-	db.publishLocked(rv)
-	db.shadow = nil
+	db.cur.Store(rv)
 	db.bumpEpochLocked()
 	// The delta ring restarts empty: syncs citing pre-crash versions fall
 	// back to a full download.
@@ -185,8 +185,7 @@ func (db *Database) resetLocked() error {
 	if err != nil {
 		return err
 	}
-	db.publishLocked(v)
-	db.shadow = nil
+	db.cur.Store(v)
 	db.bumpEpochLocked()
 	db.deltaRing, db.deltaBytes = nil, 0
 	db.metrics().mappings.Set(0)
@@ -205,9 +204,8 @@ func (db *Database) resetLocked() error {
 // read lock Ingest's WAL reservation needs for writing. At the default
 // 64 MB threshold this is an ingest latency spike of up to a few seconds;
 // lowering DatabaseConfig.WALCompactBytes trades more frequent, shorter
-// stalls. Locates are unaffected either way — they read pinned RCU
-// snapshots and never touch db.mu (before the snapshot refactor they queued
-// behind the compaction-blocked writer; see rcu.go).
+// stalls. Locates are unaffected either way — they read immutable published
+// views and never touch db.mu (see rcu.go).
 func (db *Database) Compact() error {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
@@ -223,7 +221,8 @@ func (db *Database) Compact() error {
 // compactLockedR folds the published view into a durable snapshot with
 // tracing: a compaction slower than the tracer's threshold lands in the
 // slow-request ring with its duration attributed to the snapshot stage.
-// Callers hold db.mu (read side), which pins cur without a reader pin.
+// Callers hold db.mu (read side), which keeps ingest from publishing past
+// the log head meanwhile.
 func (db *Database) compactLockedR(st *store.Store) error {
 	m := db.metrics()
 	tr := m.trace.Begin("compact")
@@ -258,9 +257,8 @@ func (db *Database) snapshotter() {
 	}
 }
 
-// writeState serializes one view's full state. v must be stable for the
-// duration: either the published view read while holding db.mu (any side —
-// publishing requires the write lock) or a pinned view.
+// writeState serializes one view's full state (views are immutable, so any
+// view is stable for the duration).
 func (db *Database) writeState(v *dbView, w io.Writer) error {
 	if _, err := io.WriteString(w, dbSnapMagicSeq); err != nil {
 		return err
@@ -296,8 +294,9 @@ func (db *Database) writeState(v *dbView, w io.Writer) error {
 // loadState deserializes a snapshot into a fresh detached view, refusing
 // state whose parameters disagree with the database's configuration (a
 // server restarted with a different LSH family or oracle sizing would
-// otherwise silently mis-hash every query). The caller (open's recovery
-// path) publishes the view once the WAL tail has been replayed into it.
+// otherwise silently mis-hash every query) — the index before it is built.
+// The caller (open's recovery path) publishes the view once the WAL tail
+// has been replayed into it.
 func (db *Database) loadState(r io.Reader) (*dbView, error) {
 	magic := make([]byte, len(dbSnapMagicSeq))
 	if _, err := io.ReadFull(r, magic); err != nil {
@@ -306,12 +305,9 @@ func (db *Database) loadState(r io.Reader) (*dbView, error) {
 	if string(magic) != dbSnapMagicSeq {
 		return nil, fmt.Errorf("server: bad database snapshot magic %q (want %q)", magic, dbSnapMagicSeq)
 	}
-	ix, err := lsh.ReadIndex(r)
+	ix, err := lsh.ReadIndex(r, db.cfg.LSH)
 	if err != nil {
 		return nil, err
-	}
-	if ip := ix.Hasher().Params(); ip != db.cfg.LSH {
-		return nil, fmt.Errorf("server: snapshot LSH params %+v differ from configured %+v", ip, db.cfg.LSH)
 	}
 	var n uint64
 	if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
@@ -327,12 +323,6 @@ func (db *Database) loadState(r io.Reader) (*dbView, error) {
 	seqs := make([]uint64, n)
 	if err := binary.Read(r, binary.LittleEndian, seqs); err != nil {
 		return nil, err
-	}
-	var maxSeq uint64
-	for _, s := range seqs {
-		if s > maxSeq {
-			maxSeq = s
-		}
 	}
 	var has byte
 	if err := binary.Read(r, binary.LittleEndian, &has); err != nil {
@@ -353,7 +343,6 @@ func (db *Database) loadState(r io.Reader) (*dbView, error) {
 		index:     ix,
 		positions: positions,
 		seqs:      seqs,
-		maxSeq:    maxSeq,
 		hasBounds: has == 1,
 		lo:        bounds[0],
 		hi:        bounds[1],

@@ -163,11 +163,8 @@ func TestKillAndRestartRecoversIdenticalMap(t *testing.T) {
 	// keypoint selection).
 	var sels [2][]sift.Keypoint
 	for i, db := range []*Database{db1, db2} {
-		o, err := db.OracleClone()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sels[i], err = o.SelectUnique(kps, 50); err != nil {
+		var err error
+		if sels[i], err = db.OracleClone().SelectUnique(kps, 50); err != nil {
 			t.Fatal(err)
 		}
 	}

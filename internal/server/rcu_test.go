@@ -1,11 +1,11 @@
 package server
 
-// Tests for the RCU read-snapshot protocol (rcu.go): every reader must
-// observe a complete published generation — never a partially built index —
-// and results must be bit-identical to a serialized run of the same
-// batches. All must stay -race clean; the race detector is what proves the
-// pin/publish handshake sound (a reader touching a retired generation
-// mid-mutation would trip it).
+// Tests for the copy-on-write read views (rcu.go): every reader must observe
+// a complete published view — never a partially built index — for as long as
+// it holds it, and results must be bit-identical to a serialized run of the
+// same batches. All must stay -race clean; the race detector is what proves
+// that a reader of an older view never touches what later batches append to
+// the shared storage.
 
 import (
 	"context"
@@ -20,10 +20,9 @@ import (
 )
 
 // publishedBounds reads the bounding box off the published view, the way
-// locateShards does for every shard it pins.
+// locateShards does for every shard it loads.
 func publishedBounds(db *Database) (lo, hi mathx.Vec3, ok bool) {
-	v, t := db.pinView()
-	defer db.unpin(v, t)
+	v := db.cur.Load()
 	return v.lo, v.hi, v.hasBounds
 }
 
@@ -42,13 +41,13 @@ func resultBits(r LocateResult) [6]uint64 {
 }
 
 // TestConcurrentIngestLocateSnapshots drives Ingest batches against a fleet
-// of lock-free readers. Each reader iteration pins the current view and
-// asserts it is internally complete (index, positions and oracle agree on
-// the record count, which sits exactly on a batch boundary), then runs a
-// Locate whose result must be Float64bits-identical to the golden result of
-// a serialized locked run over the same prefix of batches. Run under -race
-// this is the snapshot-consistency proof for the whole publish/retire
-// protocol on one shard; a second arm runs the same Locates against a
+// of lock-free readers. Each reader iteration loads the current view and
+// asserts it is internally complete (its own index, positions, seqs and
+// oracle agree on the record count, which sits exactly on a batch boundary),
+// then runs a Locate whose result must be Float64bits-identical to the golden
+// result of a serialized locked run over the same prefix of batches. Run
+// under -race this is the snapshot-consistency proof for copy-on-write
+// publishing on one shard; a second arm runs the same Locates against a
 // 4-shard venue, where the guarantee is per shard (see below).
 func TestConcurrentIngestLocateSnapshots(t *testing.T) {
 	const (
@@ -116,22 +115,21 @@ func TestConcurrentIngestLocateSnapshots(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for !done.Load() {
-				// Completeness: a pinned view must be a published batch
-				// boundary with index, positions and oracle in agreement —
-				// a torn generation would disagree on at least one count.
-				v, tok := db.pinView()
+				// Completeness: a loaded view must be a published batch
+				// boundary with its own lengths in agreement — a torn
+				// generation would disagree on at least one count. (The
+				// view's lengths, never the shared tables, which later
+				// batches keep extending.)
+				v := db.cur.Load()
 				n := len(v.positions)
 				if n%batchSize != 0 || n > batches*batchSize {
-					db.unpin(v, tok)
-					fail("pinned view exposes a mid-batch state")
+					fail("loaded view exposes a mid-batch state")
 					return
 				}
-				if v.index.Len() != n || v.oracle.Inserts() != uint64(n) {
-					db.unpin(v, tok)
-					fail("pinned view has index/positions/oracle out of sync")
+				if v.index.Len() != n || len(v.seqs) != n || v.oracle.Inserts() != uint64(n) {
+					fail("loaded view has index/positions/seqs/oracle out of sync")
 					return
 				}
-				db.unpin(v, tok)
 
 				res, err := db.Locate(context.Background(), kps, testIntrinsics())
 				got := outcome{}
@@ -185,9 +183,9 @@ func TestConcurrentIngestLocateSnapshots(t *testing.T) {
 		t.Fatalf("settled result %+v not bit-identical to serialized run %+v", resultBits(res), want)
 	}
 
-	// Four shards, the same body (locateShards) over four pinned views. Each
-	// view is a complete generation of its shard, but the four are pinned one
-	// after another, not as a venue-wide snapshot: a Locate racing an ingest
+	// Four shards, the same body (locateShards) over four views. Each view is
+	// a complete generation of its shard, but the four are loaded one after
+	// another, not as a venue-wide snapshot: a Locate racing an ingest
 	// may hold the batch on some shards only, a state no serialized prefix
 	// has. So the racing readers are held to "a pose or a typed sentinel" —
 	// and to the race detector — while the writer, between batches (nothing
@@ -241,12 +239,11 @@ func TestConcurrentIngestLocateSnapshots(t *testing.T) {
 	}
 }
 
-// TestGenerationsStayBitIdentical pins the double-apply invariant: a
-// database grown through many small batches (generations alternating every
-// batch) answers Float64bits-identically to one built in a single batch —
-// i.e. applying each batch twice, once per generation, never diverges the
-// live structures from a straight serial build.
-func TestGenerationsStayBitIdentical(t *testing.T) {
+// TestBatchedIngestMatchesSingleBatch pins the extension invariant: a
+// database grown through many small batches — each one a new view extending
+// the last over the shared append-only storage, with its own oracle copy —
+// answers Float64bits-identically to one built in a single batch.
+func TestBatchedIngestMatchesSingleBatch(t *testing.T) {
 	_, ms := syntheticDB(t, 23, 1, 64, 48)
 	cfg := DefaultDatabaseConfig()
 	cfg.Pose.Deadline = 0
@@ -285,11 +282,87 @@ func TestGenerationsStayBitIdentical(t *testing.T) {
 	}
 }
 
+// TestHeldViewOutlivesLaterBatches: a view loaded after k batches stays a
+// complete generation for as long as it is held. The remaining batches
+// ingest from another goroutine without waiting on it — there is no grace
+// period — and the Locate body over the held view (gather and solve over
+// []*dbView{v}) answers Float64bits-equal to a serialized database of exactly
+// k batches, both while the writer runs and after it is done.
+func TestHeldViewOutlivesLaterBatches(t *testing.T) {
+	const batches, batchSize, k = 8, 22, 3
+	_, ms := syntheticDB(t, 11, 1, 96, 80)
+	ms = ms[:batches*batchSize]
+	kps := queryFromMappings(ms, 0, 20)
+	ctx := context.Background()
+	cfg := DefaultDatabaseConfig()
+	cfg.Pose.Deadline = 0
+	build := func() *Database {
+		db, err := NewDatabase(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Ingest(ctx, ms[:k*batchSize]); err != nil {
+			t.Fatal(err)
+		}
+		return db
+	}
+	golden, err := build().Locate(ctx, kps, testIntrinsics())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := resultBits(golden)
+
+	db := build()
+	v := db.cur.Load()
+	locateHeld := func() [6]uint64 {
+		cands, err := gather(ctx, db.cfg, []*dbView{v}, kps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, _, err := solve(ctx, db.cfg, cands, v.lo, v.hi, testIntrinsics(), nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resultBits(res)
+	}
+	done := make(chan error, 1)
+	go func() {
+		for b := k; b < batches; b++ {
+			if err := db.Ingest(ctx, ms[b*batchSize:(b+1)*batchSize]); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	if got := locateHeld(); got != want {
+		t.Errorf("held view while later batches ingest: %v, serialized %d batches %v", got, k, want)
+	}
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("ingest blocked behind a held view")
+	}
+	if n := db.Len(); n != batches*batchSize {
+		t.Fatalf("database holds %d mappings after every batch, want %d", n, batches*batchSize)
+	}
+	if got := locateHeld(); got != want {
+		t.Errorf("held view after later batches: %v, serialized %d batches %v", got, k, want)
+	}
+	n := len(v.positions)
+	if n != k*batchSize || v.index.Len() != n || len(v.seqs) != n || v.oracle.Inserts() != uint64(n) {
+		t.Fatalf("held view lengths moved: positions %d, index %d, seqs %d, oracle %d; want %d",
+			n, v.index.Len(), len(v.seqs), v.oracle.Inserts(), k*batchSize)
+	}
+}
+
 // TestLocateLockFreeUnderWriteLock is the deterministic lock-freedom proof:
 // with db.mu exclusively held (as a publishing ingest or a recovery holds
-// it), Locate must still complete — it reads a pinned snapshot and never
-// touches the mutex. Before the RCU refactor this deadlocked until the
-// lock was released.
+// it), Locate must still complete — it reads the published view and never
+// touches the mutex.
 func TestLocateLockFreeUnderWriteLock(t *testing.T) {
 	db, ms := syntheticDB(t, 7, 1, 48, 40)
 	kps := queryFromMappings(ms, 0, 32)
@@ -319,12 +392,10 @@ func TestLocateLockFreeUnderWriteLock(t *testing.T) {
 }
 
 // TestStatsAndOracleReadsUnderWriteLock extends the lock-freedom proof to
-// the other read surfaces that moved off db.mu: Len, a pinned view's bounds
-// and OracleClone (the base of all oracle scoring) must all complete while
-// the write lock is held.
-// (Stats is exercised for its pinned half via a fresh in-memory database,
-// whose store half reads nothing under mu contention here — see Stats for
-// the pin-then-lock ordering rule.)
+// the other read surfaces that stay off db.mu: Len, the published view's
+// bounds and OracleClone (the base of all oracle scoring) must all complete
+// while the write lock is held. (Stats reads its store half under mu, so it
+// is checked once the lock is released.)
 func TestStatsAndOracleReadsUnderWriteLock(t *testing.T) {
 	db, ms := syntheticDB(t, 7, 1, 48, 40)
 
@@ -339,11 +410,7 @@ func TestStatsAndOracleReadsUnderWriteLock(t *testing.T) {
 			done <- errMismatch("bounds ok", 0, 1)
 			return
 		}
-		o, err := db.OracleClone()
-		if err != nil {
-			done <- err
-			return
-		}
+		o := db.OracleClone()
 		if _, err := o.Uniqueness(ms[0].Desc[:]); err != nil {
 			done <- err
 			return
@@ -362,8 +429,7 @@ func TestStatsAndOracleReadsUnderWriteLock(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Stats takes mu.RLock for its store half, so it must be checked with
-	// the lock released — its pinned half is covered by the fact it returns
-	// consistent engine numbers at all.
+	// the lock released.
 	s := db.Stats()
 	if s.Mappings != uint64(len(ms)) {
 		t.Fatalf("Stats.Mappings = %d, want %d", s.Mappings, len(ms))

@@ -32,7 +32,7 @@ import (
 // pin; an oracle sync answers the configuration's empty oracle at version
 // (0, 0); a subscription parks until the first ingest).
 //
-// Locate has one route and one body: venue → pinned shard views → gather →
+// Locate has one route and one body: venue → published shard views → gather →
 // solve (locateShards). Every keypoint asks every view for its top n and the
 // gather restores the venue-wide total order (DistSq, probe ordinal, ingest
 // sequence) before truncating, so the candidate list is bit-identical to what
@@ -539,8 +539,8 @@ func (v *venue) ingest(ms []Mapping) error {
 }
 
 // Oracle returns a point-in-time copy of a venue's uniqueness oracle. A
-// multi-shard venue's oracle is assembled by merging per-shard oracle clones
-// (core.Merge) — bitwise identical to a one-shard oracle over the same
+// multi-shard venue's oracle is assembled by merging every other shard's
+// published oracle into a clone of the first's (core.Merge) — bitwise identical to a one-shard oracle over the same
 // inserts, because counting filters add with saturation and the verification
 // filter ORs. A venue that does not exist yet answers the configuration's
 // empty oracle, so a wardriver can download before its first upload.
@@ -549,16 +549,9 @@ func (r *Router) Oracle(venueName string) (*core.Oracle, error) {
 	if v == nil {
 		return core.New(r.cfg.Oracle)
 	}
-	merged, err := v.shards[0].OracleClone()
-	if err != nil {
-		return nil, err
-	}
+	merged := v.shards[0].OracleClone()
 	for _, sh := range v.shards[1:] {
-		clone, err := sh.OracleClone()
-		if err != nil {
-			return nil, err
-		}
-		if err := core.Merge(merged, clone); err != nil {
+		if err := core.Merge(merged, sh.cur.Load().oracle); err != nil {
 			return nil, err
 		}
 	}

@@ -765,9 +765,6 @@ func (s *Server) dispatch(ctx context.Context, venue string, sid uint64, typ byt
 	case msgStats:
 		return msgStatsResult, encodeDBStats(s.router.Stats(venue))
 	case msgGetMetrics:
-		if s.reg == nil {
-			return errorResponse(errors.New("metrics not enabled on this server"))
-		}
 		blob, err := json.Marshal(s.reg.Report())
 		if err != nil {
 			return errorResponse(err)

@@ -22,10 +22,13 @@ echo "== chaos / fault-injection (race) =="
 # The request-lifecycle suite (deadline propagation, cancel, shed, drain),
 # the netsim fault-injection run, the replication fleet suite (failover
 # preserving acked ingests, full-sync surviving feed loss), and the
-# session-table churn/expiry hammer. Already part of the full -race pass
-# above; re-run un-cached and verbose-on-failure so a flake names itself.
+# session-table churn/expiry hammer — plus the three tests that are the whole
+# proof of the lock-free read path (readers racing ingest see only complete
+# views, a held view outlives later batches, Locate never takes db.mu).
+# Already part of the full -race pass above; re-run un-cached and
+# verbose-on-failure so a flake names itself.
 go test -race -count=1 -short -run \
-	'TestChaos|TestShutdown|TestShedUnderBurst|TestCancelFreesServerSlot|TestDeadlineEnforcedServerSide|TestProxy' \
+	'TestChaos|TestShutdown|TestShedUnderBurst|TestCancelFreesServerSlot|TestDeadlineEnforcedServerSide|TestProxy|TestConcurrentIngestLocateSnapshots|TestHeldViewOutlivesLaterBatches|TestLocateLockFreeUnderWriteLock' \
 	./internal/server/ ./internal/netsim/ ./internal/repl/ ./internal/track/
 echo "== fuzz (short) =="
 make fuzz-short

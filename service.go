@@ -582,11 +582,8 @@ func IsRemoteError(err error) bool { return server.IsRemote(err) }
 // Server.Metrics and the debug HTTP endpoint produce the same report.
 type MetricsReport = obs.Report
 
-// Observability error sentinels, re-exported for errors.Is.
+// Transport error sentinel, re-exported for errors.Is.
 var (
-	// ErrMetricsUnsupported: the dialed server runs with observability
-	// disabled.
-	ErrMetricsUnsupported = server.ErrMetricsUnsupported
 	// ErrConnectionLost: the transport died with requests in flight.
 	ErrConnectionLost = server.ErrConnectionLost
 )
