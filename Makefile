@@ -19,7 +19,9 @@ verify:
 # internal/ (go test -fuzz takes one target in one package at a time, so the
 # list comes from `go test -list`; a new target needs no edit here). Today:
 # the request-header decoder and the ingest/query body decoders, the first
-# bytes of every request the server parses, plus the snapshot and download
+# bytes of every request the server parses; the response decoders a client
+# or replica runs on a peer's answer (FuzzResponseBodies) and the delta
+# chain decoder (FuzzDecodeChain, odelta); plus the snapshot and download
 # decoders FuzzReadIndex (lsh) and FuzzOracleRead (core). New inputs go to the
 # Go build cache; a crasher is written under the package's testdata/fuzz and
 # should be committed with its fix. Minimizing each new corpus entry is capped at 1 s:

@@ -62,7 +62,7 @@ func main() {
 	queueDepth := flag.Int("queue-depth", -1, "max requests queued for a slot before shedding with overloaded (-1: default)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight requests before canceling them")
 	var venueShards venueShardsFlag
-	flag.Var(&venueShards, "venue-shards", "shard topology for a named venue as name=N (repeatable; applies at venue creation)")
+	flag.Var(&venueShards, "venue-shards", "shard topology for a named venue as name=N (repeatable; applies at venue creation and must match a venue already recorded under -data)")
 	advertise := flag.String("advertise", "", "address fleet peers and redirected clients reach this node at; enables replication (requires -data)")
 	primary := flag.String("primary", "", "start as a replica of this primary address (with -advertise; empty: start as the primary)")
 	minSync := flag.Int("min-sync-replicas", 0, "acknowledge ingests only after this many replicas confirm them durable (0: local durability only)")

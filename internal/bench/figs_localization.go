@@ -61,7 +61,7 @@ func getVenueRuns(sc Scale) ([]*venueRun, error) {
 		if err := correctSnaps(snaps); err != nil {
 			return nil, err
 		}
-		router, err := server.NewRouter(server.DefaultDatabaseConfig())
+		router, err := server.NewRouter(server.DefaultDatabaseConfig(), nil)
 		if err != nil {
 			return nil, err
 		}

@@ -303,24 +303,31 @@ func EncodeChain(recs []*Record) []byte {
 	return buf.Bytes()
 }
 
-// DecodeChain parses an EncodeChain payload.
+// chainRecordMinBytes is the smallest encoded record: four one-byte
+// uvarints, the full flag and a one-byte zero payload length.
+const chainRecordMinBytes = 6
+
+// DecodeChain parses an EncodeChain payload. It accepts exactly the bytes
+// EncodeChain produces — minimal uvarints, a 0/1 full flag, no trailing
+// bytes — so a decoded chain re-encodes to its input, and it believes a
+// record count only as far as the bytes left can hold that many records.
 func DecodeChain(b []byte) ([]*Record, error) {
 	if len(b) < len(chainMagic) || string(b[:len(chainMagic)]) != chainMagic {
 		return nil, errors.New("odelta: bad chain magic")
 	}
 	r := bytes.NewReader(b[len(chainMagic):])
-	n, err := binary.ReadUvarint(r)
+	n, err := readUvarint(r)
 	if err != nil {
 		return nil, err
 	}
-	if n > 1<<20 {
-		return nil, errors.New("odelta: chain record count too large")
+	if n > uint64(r.Len()/chainRecordMinBytes) {
+		return nil, errors.New("odelta: chain record count exceeds payload")
 	}
 	recs := make([]*Record, 0, n)
 	for i := uint64(0); i < n; i++ {
 		rec := &Record{}
 		for _, dst := range []*uint64{&rec.FromEpoch, &rec.ToEpoch, &rec.FromInserts, &rec.ToInserts} {
-			v, err := binary.ReadUvarint(r)
+			v, err := readUvarint(r)
 			if err != nil {
 				return nil, err
 			}
@@ -330,8 +337,11 @@ func DecodeChain(b []byte) ([]*Record, error) {
 		if err != nil {
 			return nil, err
 		}
+		if fb > 1 {
+			return nil, errors.New("odelta: bad chain record flag")
+		}
 		rec.Full = fb == 1
-		plen, err := binary.ReadUvarint(r)
+		plen, err := readUvarint(r)
 		if err != nil {
 			return nil, err
 		}
@@ -348,4 +358,18 @@ func DecodeChain(b []byte) ([]*Record, error) {
 		return nil, errors.New("odelta: trailing bytes after chain")
 	}
 	return recs, nil
+}
+
+// readUvarint reads one uvarint, refusing a non-minimal encoding.
+func readUvarint(r *bytes.Reader) (uint64, error) {
+	left := r.Len()
+	v, err := binary.ReadUvarint(r)
+	if err != nil {
+		return 0, err
+	}
+	var tmp [binary.MaxVarintLen64]byte
+	if left-r.Len() != binary.PutUvarint(tmp[:], v) {
+		return 0, errors.New("odelta: non-minimal uvarint in chain")
+	}
+	return v, nil
 }

@@ -30,12 +30,11 @@ import (
 )
 
 // testConfig returns a deterministic engine configuration: no pose
-// wall-clock budget, serial retrieval — so two databases holding the same
-// mappings in the same order answer Locate bit-identically.
+// wall-clock budget — so two databases holding the same mappings in the
+// same order answer Locate bit-identically.
 func testConfig() server.DatabaseConfig {
 	cfg := server.DefaultDatabaseConfig()
 	cfg.Pose.Deadline = 0
-	cfg.LocateParallelism = 1
 	return cfg
 }
 
@@ -104,7 +103,7 @@ type member struct {
 // members mid-test, so each test owns the teardown via m.kill.
 func startMember(t *testing.T, advertise, primary string, minSync int, ln net.Listener) *member {
 	t.Helper()
-	router, err := server.NewRouter(testConfig())
+	router, err := server.NewRouter(testConfig(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,10 +25,9 @@ import (
 // descriptors whose 3D positions form a tight spatial cluster (so queries
 // reach the pose solver) plus nScatter descriptors scattered across the
 // venue. The pose deadline is disabled so Locate is fully deterministic.
-func syntheticDB(t testing.TB, seed int64, parallelism, nCluster, nScatter int) (*Database, []Mapping) {
+func syntheticDB(t testing.TB, seed int64, nCluster, nScatter int) (*Database, []Mapping) {
 	t.Helper()
 	cfg := DefaultDatabaseConfig()
-	cfg.LocateParallelism = parallelism
 	cfg.Pose.Deadline = 0 // wall-clock budgets break determinism
 	db, err := NewDatabase(cfg)
 	if err != nil {
@@ -84,11 +83,22 @@ func testIntrinsics() pose.Intrinsics {
 	return pose.Intrinsics{W: 200, H: 150, FovX: 1.1, FovY: 0.85}
 }
 
+// locateWith is Database.Locate with an explicit gather worker count.
+func locateWith(db *Database, kps []sift.Keypoint, workers int) (LocateResult, error) {
+	ctx := context.Background()
+	v := db.cur.Load()
+	cands, err := gather(ctx, db.cfg, []*dbView{v}, kps, workers)
+	if err != nil {
+		return LocateResult{}, err
+	}
+	res, _, err := solve(ctx, db.cfg, cands, v.lo, v.hi, testIntrinsics(), nil, nil)
+	return res, err
+}
+
 // TestParallelLocateMatchesSerial: the fan-out path must produce
 // bit-identical LocateResults to the serial path on fixed seeds.
 func TestParallelLocateMatchesSerial(t *testing.T) {
-	serial, ms := syntheticDB(t, 7, 1, 48, 40)
-	parallel, _ := syntheticDB(t, 7, 8, 48, 40)
+	db, ms := syntheticDB(t, 7, 48, 40)
 	for _, q := range []struct {
 		from, n int
 	}{
@@ -97,8 +107,8 @@ func TestParallelLocateMatchesSerial(t *testing.T) {
 		{40, 40}, // straddles cluster and scatter descriptors
 	} {
 		kps := queryFromMappings(ms, q.from, q.n)
-		rs, errS := serial.Locate(context.Background(), kps, testIntrinsics())
-		rp, errP := parallel.Locate(context.Background(), kps, testIntrinsics())
+		rs, errS := locateWith(db, kps, 1)
+		rp, errP := locateWith(db, kps, 8)
 		if (errS == nil) != (errP == nil) || (errS != nil && errS.Error() != errP.Error()) {
 			t.Fatalf("query %+v: serial err %v, parallel err %v", q, errS, errP)
 		}
@@ -109,7 +119,7 @@ func TestParallelLocateMatchesSerial(t *testing.T) {
 	// Sanity: the comparison exercised the full pipeline, not just an
 	// early error path.
 	kps := queryFromMappings(ms, 0, 48)
-	res, err := serial.Locate(context.Background(), kps, testIntrinsics())
+	res, err := db.Locate(context.Background(), kps, testIntrinsics())
 	if err != nil {
 		t.Fatalf("cluster query failed outright: %v", err)
 	}
@@ -120,13 +130,12 @@ func TestParallelLocateMatchesSerial(t *testing.T) {
 
 // TestSmallQueryStaysDeterministic covers the sequential-fallback boundary:
 // queries below the threshold run serially even with parallelism enabled
-// and must agree with a serial-only database too.
+// and must agree with a serial-only gather too.
 func TestSmallQueryStaysDeterministic(t *testing.T) {
-	serial, ms := syntheticDB(t, 9, 1, 40, 20)
-	parallel, _ := syntheticDB(t, 9, 4, 40, 20)
+	db, ms := syntheticDB(t, 9, 40, 20)
 	kps := queryFromMappings(ms, 0, parallelLocateThreshold-2)
-	rs, errS := serial.Locate(context.Background(), kps, testIntrinsics())
-	rp, errP := parallel.Locate(context.Background(), kps, testIntrinsics())
+	rs, errS := locateWith(db, kps, 1)
+	rp, errP := locateWith(db, kps, 4)
 	if (errS == nil) != (errP == nil) {
 		t.Fatalf("serial err %v, parallel err %v", errS, errP)
 	}
@@ -140,7 +149,7 @@ func TestSmallQueryStaysDeterministic(t *testing.T) {
 // distinct queries with distinct precomputed answers are fired interleaved
 // from many goroutines; any routing mixup surfaces as a wrong result.
 func TestPipelinedResponseRouting(t *testing.T) {
-	db, ms := syntheticDB(t, 21, 0, 48, 40)
+	db, ms := syntheticDB(t, 21, 48, 40)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -194,7 +203,7 @@ func TestPipelinedResponseRouting(t *testing.T) {
 // queries, stats, ingests and oracle fetches racing on shared and separate
 // connections — asserting per-request response-type routing throughout.
 func TestConcurrentMixedWorkload(t *testing.T) {
-	db, ms := syntheticDB(t, 33, 0, 48, 20)
+	db, ms := syntheticDB(t, 33, 48, 20)
 	base := db.Len()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -274,7 +283,7 @@ func TestConcurrentMixedWorkload(t *testing.T) {
 // from a pinned generation, so its reads can never interleave with Ingest's
 // counter writes.
 func TestConcurrentOracleFilteringAndIngest(t *testing.T) {
-	db, ms := syntheticDB(t, 57, 0, 48, 40)
+	db, ms := syntheticDB(t, 57, 48, 40)
 	kps := queryFromMappings(ms, 0, 32)
 
 	const readers = 3

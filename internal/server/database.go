@@ -39,12 +39,6 @@ type DatabaseConfig struct {
 	MaxMatchDistSq int
 	Cluster        cluster.Params
 	Pose           pose.Options
-	// LocateParallelism bounds the worker pool that fans per-keypoint LSH
-	// candidate retrieval out during Locate. 0 means GOMAXPROCS; 1 keeps the
-	// gather on the calling goroutine, as do queries below
-	// parallelLocateThreshold keypoints — goroutine fan-out costs more than
-	// it saves on small queries.
-	LocateParallelism int
 	// WALCompactBytes is the write-ahead-log size past which the
 	// background snapshotter folds the log into a fresh snapshot (only
 	// meaningful after Open; 0 means defaultWALCompactBytes). Compaction
@@ -53,15 +47,6 @@ type DatabaseConfig struct {
 	// means more frequent but shorter stalls. Locates are unaffected —
 	// they read immutable published views and take no lock (see rcu.go).
 	WALCompactBytes int64
-	// OracleDeltaWindow bounds the per-epoch delta ring serving versioned
-	// OracleSync requests: how many recent ingest batches stay answerable
-	// as compressed cell deltas before a client must full-sync. 0 means
-	// defaultOracleDeltaWindow; negative disables delta retention.
-	OracleDeltaWindow int
-	// OracleDeltaBudgetBytes caps the delta ring's total payload bytes
-	// (0 means defaultOracleDeltaBudget). The ring evicts oldest-first
-	// past either bound.
-	OracleDeltaBudgetBytes int64
 }
 
 // defaultWALCompactBytes triggers compaction once the WAL outgrows 64 MB —
@@ -108,7 +93,7 @@ type Database struct {
 	logSet bool
 	// deltaRing retains the per-epoch odelta records (consecutive epochs,
 	// oldest first) serving versioned OracleSync requests; deltaBytes
-	// accounts their payload total against OracleDeltaBudgetBytes. Guarded
+	// accounts their payload total against oracleDeltaBudget. Guarded
 	// by mu; cleared on recovery and reset (continuity would be broken).
 	deltaRing  []*odelta.Record
 	deltaBytes int64
@@ -134,9 +119,8 @@ type Database struct {
 	// NewReplState before the database serves traffic; read without mu.
 	repl *ReplState
 
-	// Observability (nil until Router.EnableObs; see obs.go). Installed once,
-	// never swapped, loaded atomically so lock-free readers can record.
-	met        atomic.Pointer[dbMetrics]
+	// met is the shard's instrument set (see obs.go), fixed at construction.
+	met        *dbMetrics
 	recoverDur time.Duration
 }
 
@@ -175,8 +159,14 @@ func (db *Database) logf(format string, args ...any) {
 }
 
 // NewDatabase creates an empty shard engine. The Router composes one or more
-// of these into a venue; a lone Database is a complete one-shard venue.
+// of these into a venue; a lone Database is a complete one-shard venue, and
+// records into a registry of its own.
 func NewDatabase(cfg DatabaseConfig) (*Database, error) {
+	return newDatabase(cfg, newDBMetrics(obs.NewRegistry()))
+}
+
+// newDatabase creates an empty shard engine recording into m.
+func newDatabase(cfg DatabaseConfig, m *dbMetrics) (*Database, error) {
 	if cfg.NeighborsPerKeypoint <= 0 {
 		cfg.NeighborsPerKeypoint = 2
 	}
@@ -187,7 +177,7 @@ func NewDatabase(cfg DatabaseConfig) (*Database, error) {
 	if err != nil {
 		return nil, err
 	}
-	db := &Database{cfg: cfg, epochCh: make(chan struct{})}
+	db := &Database{cfg: cfg, epochCh: make(chan struct{}), met: m}
 	db.cur.Store(v)
 	return db, nil
 }
@@ -234,7 +224,7 @@ func (db *Database) IngestSeq(ctx context.Context, ms []Mapping, seqs []uint64) 
 	if err == nil {
 		err = p.wait()
 	}
-	db.metrics().endIngest(start, err)
+	db.met.endIngest(start, err)
 	return err
 }
 
@@ -291,7 +281,7 @@ func (db *Database) reserve(ms []Mapping, seqs []uint64) (pendingIngest, error) 
 	if err := db.applyPublishLocked(ms, seqs); err != nil {
 		return pendingIngest{}, err
 	}
-	db.metrics().mappings.Set(int64(len(db.cur.Load().positions)))
+	db.met.mappings.Set(int64(len(db.cur.Load().positions)))
 	return p, nil
 }
 
@@ -305,7 +295,7 @@ func (p pendingIngest) wait() error {
 	}
 	tWait := time.Now()
 	err := p.commit.Wait()
-	p.db.metrics().trace.ObserveStage(obs.StageWALAppend, time.Since(tWait))
+	p.db.met.trace.ObserveStage(obs.StageWALAppend, time.Since(tWait))
 	if err != nil {
 		return err
 	}
@@ -450,21 +440,18 @@ const ctxCheckStride = 16
 // one database holding every mapping would have kept; with one view the sort
 // has nothing to reorder.
 //
-// Keypoints are handed out through a shared counter to cfg.LocateParallelism
-// workers (the caller is one of them; queries under parallelLocateThreshold
-// stay on the caller alone). Every worker owns its scratch and writes each
+// Keypoints are handed out through a shared counter to `workers` goroutines
+// (the caller is one of them; queries under parallelLocateThreshold stay on
+// the caller alone — goroutine fan-out costs more than it saves there).
+// Every worker owns its scratch and writes each
 // keypoint's survivors into that keypoint's own n-wide slot, so compacting
 // the slots in keypoint order yields the same list whatever the worker count
 // — clustering and pose are bit-identical either way — and a warm gather
 // allocates the same few buffers for any number of views. Cancellation
 // returns the raw context error for the caller to classify. Views are
 // immutable and the LSH read path is safe for concurrent queries.
-func gather(ctx context.Context, cfg DatabaseConfig, views []*dbView, kps []sift.Keypoint) ([]locateCand, error) {
+func gather(ctx context.Context, cfg DatabaseConfig, views []*dbView, kps []sift.Keypoint, workers int) ([]locateCand, error) {
 	n := cfg.NeighborsPerKeypoint
-	workers := cfg.LocateParallelism
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	if len(kps) < parallelLocateThreshold {
 		workers = 1
 	}
@@ -553,13 +540,13 @@ func gather(ctx context.Context, cfg DatabaseConfig, views []*dbView, kps []sift
 // A lone shard is a one-shard venue: this is locateShards over []*Database{db},
 // the same body Router.LocateSession runs on a venue's shards.
 func (db *Database) Locate(ctx context.Context, kps []sift.Keypoint, intr pose.Intrinsics) (LocateResult, error) {
-	res, _, err := locateShards(ctx, db.metrics(), []*Database{db}, kps, intr, nil)
+	res, _, err := locateShards(ctx, db.met, []*Database{db}, kps, intr, nil)
 	return res, err
 }
 
 // locateShards is the one Locate body, for a venue of any shard count: load
 // each shard's published view once, gather the candidates of every view
-// through the worker pool, union the bounds of the same views, and run the
+// through GOMAXPROCS workers, union the bounds of the same views, and run the
 // solve tail — warm-started when ws carries a session prior (the bool reports
 // warm acceptance; see solve). Candidates, emptiness and bounds all come from
 // one generation per shard. Across shards the views are still not a
@@ -587,7 +574,7 @@ func locateShards(ctx context.Context, m *dbMetrics, shards []*Database, kps []s
 		return LocateResult{}, false, ctxError(err)
 	}
 	t0 := time.Now()
-	cands, err := gather(ctx, shards[0].cfg, views, kps)
+	cands, err := gather(ctx, shards[0].cfg, views, kps, runtime.GOMAXPROCS(0))
 	tr.StageSince(obs.StageLSHQuery, t0)
 	if err != nil {
 		return LocateResult{}, false, ctxError(err)

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -86,7 +87,7 @@ func TestGatherIsTheTotalOrderTopN(t *testing.T) {
 	var lists [][]locateCand
 	for _, nViews := range []int{1, 3} {
 		views, kps := gatherFixture(t, cfg, nViews)
-		got, err := gather(context.Background(), cfg, views, kps)
+		got, err := gather(context.Background(), cfg, views, kps, runtime.GOMAXPROCS(0))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -138,14 +139,13 @@ func TestGatherAllocsDoNotGrowWithShards(t *testing.T) {
 		t.Skip("race detector instrumentation allocates; see testutil.RaceEnabled")
 	}
 	cfg := routerTestConfig()
-	cfg.LocateParallelism = 2
 	allocs := func(nViews int) float64 {
 		views, kps := gatherFixture(t, cfg, nViews)
 		for len(kps) < parallelLocateThreshold { // large enough to use the pool
 			kps = append(kps, kps...)
 		}
 		run := func() {
-			if _, err := gather(context.Background(), cfg, views, kps); err != nil {
+			if _, err := gather(context.Background(), cfg, views, kps, 2); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -262,7 +262,8 @@ func TestHostileLengthPrefixBoundedAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := &Server{router: routerFor(t, db)}
+	rt := routerFor(t, db)
+	s := &Server{router: rt, met: newSrvMetrics(rt.Registry())}
 	clientEnd, serverEnd := net.Pipe()
 	done := make(chan struct{})
 	var before, after runtime.MemStats

@@ -27,7 +27,7 @@ func lifecycleDB(t testing.TB, iterations int) (*Database, []Mapping) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, ms := syntheticDB(t, 21, 0, 48, 40)
+	_, ms := syntheticDB(t, 21, 48, 40)
 	if err := db.Ingest(context.Background(), ms); err != nil {
 		t.Fatal(err)
 	}

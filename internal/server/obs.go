@@ -7,14 +7,12 @@ import (
 	"visualprint/internal/store"
 )
 
-// Observability wiring. The engines and the server are instrumented
-// unconditionally — every hot path records through internal/obs handles —
-// but pay nothing until Router.EnableObs installs real instruments: a nil
-// *dbMetrics resolves to the shared zero instance below, whose nil
-// instrument pointers make every record call a no-op. Serve enables
-// observability automatically, so any networked server answers the
-// metrics RPC; a Router used directly as a library (wardrive pipeline,
-// micro-benchmarks) stays uninstrumented unless the owner opts in.
+// Observability wiring. The engines and the server are instrumented from
+// construction: NewRouter builds the registry and the engine instrument set
+// and hands it to every shard as the shard is built, a standalone Database
+// gets a registry of its own, and Serve builds the wire instruments on the
+// router's registry. Every hot path records through internal/obs handles
+// that are never swapped, so nothing checks whether instruments exist.
 
 // slowRequestThreshold is the tracer's cutoff for the slow-request ring:
 // a locate, ingest or compaction slower than this is captured with its
@@ -23,8 +21,8 @@ import (
 // stalls (compaction pauses, lock convoys).
 const slowRequestThreshold = 100 * time.Millisecond
 
-// dbMetrics is the engine instrument set. Router.EnableObs creates one and
-// hands it to every shard of every venue, so a Locate or an Ingest records
+// dbMetrics is the engine instrument set. NewRouter creates one and hands it
+// to every shard of every venue, so a Locate or an Ingest records
 // into the same instruments whichever venue and topology served it.
 type dbMetrics struct {
 	reg   *obs.Registry
@@ -43,10 +41,6 @@ type dbMetrics struct {
 	recovery *obs.Gauge
 	store    store.Metrics
 }
-
-// noDBMetrics is the disabled instrument set: all-nil instruments, every
-// record call a no-op. Shared, immutable.
-var noDBMetrics = &dbMetrics{}
 
 func newDBMetrics(r *obs.Registry) *dbMetrics {
 	return &dbMetrics{
@@ -95,30 +89,6 @@ func (m *dbMetrics) endIngest(start time.Time, err error) {
 	m.ingestNs.ObserveSince(start)
 	if err != nil {
 		m.ingestErrors.Inc()
-	}
-}
-
-// metrics returns the active instrument set. Lock-free: the pointer is
-// loaded atomically, so the lock-free read paths (Locate, oracle scoring) record
-// without touching db.mu.
-func (db *Database) metrics() *dbMetrics {
-	if m := db.met.Load(); m != nil {
-		return m
-	}
-	return noDBMetrics
-}
-
-// setMetrics installs the router's instrument set on this shard, publishing
-// the state it already has (mapping count, recovery cost, an attached
-// store).
-func (db *Database) setMetrics(m *dbMetrics) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	db.met.Store(m)
-	m.mappings.Set(int64(len(db.cur.Load().positions)))
-	m.recovery.Set(int64(db.recoverDur))
-	if db.store != nil {
-		db.store.SetMetrics(m.store)
 	}
 }
 

@@ -13,16 +13,16 @@ import (
 // back to a full blob. Epoch bumps additionally wake the subscription
 // streams (see server.go) through a closed-and-replaced signal channel.
 
-// defaultOracleDeltaWindow bounds the per-epoch delta ring: with one epoch
-// per wardrive upload, 64 epochs of history lets a client poll-free for a
-// long session while each retained record is only the sparse cell set one
-// batch touched.
-const defaultOracleDeltaWindow = 64
+// oracleDeltaWindow bounds the per-epoch delta ring: with one epoch per
+// wardrive upload, 64 epochs of history lets a client poll-free for a long
+// session while each retained record is only the sparse cell set one batch
+// touched. Past it a client full-syncs.
+const oracleDeltaWindow = 64
 
-// defaultOracleDeltaBudget caps the ring's byte total (64 MB); dense epochs
-// near the cutoff ratio can be large, so the ring evicts on bytes as well
-// as length.
-const defaultOracleDeltaBudget = 64 << 20
+// oracleDeltaBudget caps the ring's byte total (64 MB); dense epochs near
+// the cutoff ratio can be large, so the ring evicts oldest-first on bytes
+// as well as length.
+const oracleDeltaBudget = 64 << 20
 
 // oracleDeltaCompareFloor: delta chains under this size are served without
 // comparing against the full blob (which would cost a gzip of the whole
@@ -51,9 +51,6 @@ type OracleSyncResult struct {
 // ingest — the ring is cleared (continuity would be broken) and clients
 // fall back to full syncs until deltas accumulate again.
 func (db *Database) recordDeltaLocked(cur, next *dbView) {
-	if db.cfg.OracleDeltaWindow < 0 {
-		return
-	}
 	rec, err := odelta.Diff(cur.oracle, next.oracle, cur.epoch, next.epoch, 0)
 	if err != nil {
 		db.deltaRing, db.deltaBytes = nil, 0
@@ -66,15 +63,7 @@ func (db *Database) recordDeltaLocked(cur, next *dbView) {
 	}
 	db.deltaRing = append(db.deltaRing, rec)
 	db.deltaBytes += int64(len(rec.Payload))
-	window := db.cfg.OracleDeltaWindow
-	if window == 0 {
-		window = defaultOracleDeltaWindow
-	}
-	budget := db.cfg.OracleDeltaBudgetBytes
-	if budget <= 0 {
-		budget = defaultOracleDeltaBudget
-	}
-	for len(db.deltaRing) > window || (db.deltaBytes > budget && len(db.deltaRing) > 1) {
+	for len(db.deltaRing) > oracleDeltaWindow || (db.deltaBytes > oracleDeltaBudget && len(db.deltaRing) > 1) {
 		db.deltaBytes -= int64(len(db.deltaRing[0].Payload))
 		db.deltaRing = db.deltaRing[1:]
 	}

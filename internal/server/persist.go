@@ -57,7 +57,7 @@ func (db *Database) open(dir string, install func(*store.Store) error) error {
 	if len(db.cur.Load().positions) != 0 {
 		return errors.New("server: Open requires an empty database")
 	}
-	st, err := store.Open(dir, store.Options{Log: obs.FuncLogger(db.logf)})
+	st, err := store.Open(dir, store.Options{Log: obs.FuncLogger(db.logf), Metrics: db.met.store})
 	if err != nil {
 		return err
 	}
@@ -115,12 +115,8 @@ func (db *Database) open(dir string, install func(*store.Store) error) error {
 	db.snapKick = make(chan struct{}, 1)
 	db.quit = make(chan struct{})
 	db.snapDone = make(chan struct{})
-	// No-ops unless observability was enabled before the directory was
-	// attached (setMetrics covers the other order).
-	m := db.metrics()
-	st.SetMetrics(m.store)
-	m.recovery.Set(int64(db.recoverDur))
-	m.mappings.Set(int64(len(rv.positions)))
+	db.met.recovery.Set(int64(db.recoverDur))
+	db.met.mappings.Set(int64(len(rv.positions)))
 	go db.snapshotter()
 	return nil
 }
@@ -188,7 +184,7 @@ func (db *Database) resetLocked() error {
 	db.cur.Store(v)
 	db.bumpEpochLocked()
 	db.deltaRing, db.deltaBytes = nil, 0
-	db.metrics().mappings.Set(0)
+	db.met.mappings.Set(0)
 	return nil
 }
 
@@ -224,7 +220,7 @@ func (db *Database) Compact() error {
 // Callers hold db.mu (read side), which keeps ingest from publishing past
 // the log head meanwhile.
 func (db *Database) compactLockedR(st *store.Store) error {
-	m := db.metrics()
+	m := db.met
 	tr := m.trace.Begin("compact")
 	t0 := time.Now()
 	v := db.cur.Load()

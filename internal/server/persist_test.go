@@ -41,9 +41,9 @@ func newTestDB(t testing.TB, cfg DatabaseConfig) *Database {
 }
 
 // newTestRouter builds an engine whose default venue logs through t.
-func newTestRouter(t testing.TB, cfg DatabaseConfig) *Router {
+func newTestRouter(t testing.TB, cfg DatabaseConfig, topo map[string]VenueConfig) *Router {
 	t.Helper()
-	r, err := NewRouter(cfg)
+	r, err := NewRouter(cfg, topo)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,13 +52,17 @@ func newTestRouter(t testing.TB, cfg DatabaseConfig) *Router {
 }
 
 // routerFor wraps a standalone engine as the default venue of a fresh
-// router, so a test can serve the very Database it drives directly.
+// router, so a test can serve the very Database it drives directly. The
+// engine then records into the router's instruments, as a default shard
+// NewRouter built would; call it before the engine serves traffic.
 func routerFor(t testing.TB, db *Database) *Router {
 	t.Helper()
-	r, err := NewRouter(db.cfg)
+	r, err := NewRouter(db.cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	db.met = r.met
+	db.met.mappings.Set(int64(db.Len()))
 	r.venues[""].shards[0] = db
 	return r
 }

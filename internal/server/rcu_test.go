@@ -11,6 +11,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -56,7 +57,7 @@ func TestConcurrentIngestLocateSnapshots(t *testing.T) {
 		readers   = 4
 	)
 	// One deterministic mapping stream, sliced into batches.
-	_, ms := syntheticDB(t, 11, 1, 96, 80)
+	_, ms := syntheticDB(t, 11, 96, 80)
 	if len(ms) < batches*batchSize {
 		t.Fatalf("need %d mappings, have %d", batches*batchSize, len(ms))
 	}
@@ -190,11 +191,8 @@ func TestConcurrentIngestLocateSnapshots(t *testing.T) {
 	// has. So the racing readers are held to "a pose or a typed sentinel" —
 	// and to the race detector — while the writer, between batches (nothing
 	// publishing), must read exactly the one-shard golden of that prefix.
-	rt := newTestRouter(t, cfg)
 	const quad = "quad"
-	if err := rt.ConfigureVenue(quad, VenueConfig{Shards: 4}); err != nil {
-		t.Fatal(err)
-	}
+	rt := newTestRouter(t, cfg, map[string]VenueConfig{quad: {Shards: 4}})
 	locateQuad := func() outcome {
 		res, err := rt.Locate(context.Background(), quad, kps, testIntrinsics())
 		if err != nil {
@@ -244,7 +242,7 @@ func TestConcurrentIngestLocateSnapshots(t *testing.T) {
 // the last over the shared append-only storage, with its own oracle copy —
 // answers Float64bits-identically to one built in a single batch.
 func TestBatchedIngestMatchesSingleBatch(t *testing.T) {
-	_, ms := syntheticDB(t, 23, 1, 64, 48)
+	_, ms := syntheticDB(t, 23, 64, 48)
 	cfg := DefaultDatabaseConfig()
 	cfg.Pose.Deadline = 0
 
@@ -290,7 +288,7 @@ func TestBatchedIngestMatchesSingleBatch(t *testing.T) {
 // k batches, both while the writer runs and after it is done.
 func TestHeldViewOutlivesLaterBatches(t *testing.T) {
 	const batches, batchSize, k = 8, 22, 3
-	_, ms := syntheticDB(t, 11, 1, 96, 80)
+	_, ms := syntheticDB(t, 11, 96, 80)
 	ms = ms[:batches*batchSize]
 	kps := queryFromMappings(ms, 0, 20)
 	ctx := context.Background()
@@ -315,7 +313,7 @@ func TestHeldViewOutlivesLaterBatches(t *testing.T) {
 	db := build()
 	v := db.cur.Load()
 	locateHeld := func() [6]uint64 {
-		cands, err := gather(ctx, db.cfg, []*dbView{v}, kps)
+		cands, err := gather(ctx, db.cfg, []*dbView{v}, kps, runtime.GOMAXPROCS(0))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -364,7 +362,7 @@ func TestHeldViewOutlivesLaterBatches(t *testing.T) {
 // it), Locate must still complete — it reads the published view and never
 // touches the mutex.
 func TestLocateLockFreeUnderWriteLock(t *testing.T) {
-	db, ms := syntheticDB(t, 7, 1, 48, 40)
+	db, ms := syntheticDB(t, 7, 48, 40)
 	kps := queryFromMappings(ms, 0, 32)
 
 	db.mu.Lock()
@@ -397,7 +395,7 @@ func TestLocateLockFreeUnderWriteLock(t *testing.T) {
 // while the write lock is held. (Stats reads its store half under mu, so it
 // is checked once the lock is released.)
 func TestStatsAndOracleReadsUnderWriteLock(t *testing.T) {
-	db, ms := syntheticDB(t, 7, 1, 48, 40)
+	db, ms := syntheticDB(t, 7, 48, 40)
 
 	db.mu.Lock()
 	done := make(chan error, 1)

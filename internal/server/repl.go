@@ -141,7 +141,7 @@ type ReplState struct {
 	// acked is closed and renewed when acks advance — the semi-sync wakeup.
 	acked chan struct{}
 
-	// Metrics (nil until enableObs; all no-op before then).
+	// Metrics, registered by NewReplState on the database's registry.
 	bytesStreamed *obs.Counter
 	failovers     *obs.Counter
 	lagRecords    *obs.Gauge
@@ -150,11 +150,12 @@ type ReplState struct {
 	reg           *obs.Registry
 }
 
-// NewReplState builds the control block and binds it to db (whose ingest
-// path then advances and gates on it). The database must be durable by the
-// time the node serves traffic; that is validated by the fleet runner, not
-// here.
+// NewReplState builds the control block, binds it to db (whose ingest
+// path then advances and gates on it) and registers its instruments on db's
+// registry. The database must be durable by the time the node serves
+// traffic; that is validated by the fleet runner, not here.
 func NewReplState(db *Database, cfg ReplConfig) *ReplState {
+	reg := db.met.reg
 	rs := &ReplState{
 		db:           db,
 		lg:           obs.Default(),
@@ -170,6 +171,13 @@ func NewReplState(db *Database, cfg ReplConfig) *ReplState {
 		appended:     make(chan struct{}),
 		acked:        make(chan struct{}),
 		lastContact:  time.Now(),
+
+		bytesStreamed: reg.Counter("repl_bytes_streamed"),
+		failovers:     reg.Counter("failovers_total"),
+		lagRecords:    reg.Gauge("repl_lag_records"),
+		lagNs:         reg.Gauge("repl_lag_ns"),
+		ackGauges:     map[string]*obs.Gauge{},
+		reg:           reg,
 	}
 	if rs.syncTimeout <= 0 {
 		rs.syncTimeout = DefaultSyncTimeout
@@ -193,21 +201,6 @@ func (rs *ReplState) SetLogger(l *obs.Logger) {
 	rs.mu.Lock()
 	rs.lg = l
 	rs.mu.Unlock()
-}
-
-// enableObs wires the replication instruments onto r. Called by Serve.
-func (rs *ReplState) enableObs(r *obs.Registry) {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	if rs.reg != nil {
-		return
-	}
-	rs.reg = r
-	rs.bytesStreamed = r.Counter("repl_bytes_streamed")
-	rs.failovers = r.Counter("failovers_total")
-	rs.lagRecords = r.Gauge("repl_lag_records")
-	rs.lagNs = r.Gauge("repl_lag_ns")
-	rs.ackGauges = map[string]*obs.Gauge{}
 }
 
 // Role returns the node's current role.
@@ -263,9 +256,7 @@ func (rs *ReplState) Staleness() time.Duration {
 func (rs *ReplState) Touch() {
 	rs.mu.Lock()
 	rs.lastContact = time.Now()
-	if rs.lagNs != nil {
-		rs.lagNs.Set(0)
-	}
+	rs.lagNs.Set(0)
 	rs.mu.Unlock()
 }
 
@@ -351,9 +342,7 @@ func (rs *ReplState) Promote(epoch uint64) error {
 	promoted := rs.role != RolePrimary
 	rs.setRoleLocked(RolePrimary, epoch, rs.self)
 	if promoted {
-		if rs.failovers != nil {
-			rs.failovers.Inc()
-		}
+		rs.failovers.Inc()
 		rs.lg.Warnf("repl: promoted to primary at epoch %d (applied %d)", epoch, rs.db.StoreSeq())
 	}
 	return nil
@@ -403,14 +392,12 @@ func (rs *ReplState) recordAckLocked(id string, off uint64) {
 	rs.acks[id] = off
 	close(rs.acked)
 	rs.acked = make(chan struct{})
-	if rs.reg != nil {
-		g, ok := rs.ackGauges[id]
-		if !ok {
-			g = rs.reg.Gauge("repl_ack_offset_" + metricSafe(id))
-			rs.ackGauges[id] = g
-		}
-		g.Set(int64(off))
+	g, ok := rs.ackGauges[id]
+	if !ok {
+		g = rs.reg.Gauge("repl_ack_offset_" + metricSafe(id))
+		rs.ackGauges[id] = g
 	}
+	g.Set(int64(off))
 }
 
 // metricSafe rewrites an address into a metric-name suffix.
@@ -541,16 +528,12 @@ func (rs *ReplState) handleFetch(ctx context.Context, payload []byte) (byte, []b
 	if id != "" {
 		rs.recordAckLocked(id, from)
 	}
-	if rs.lagRecords != nil {
-		head := rs.db.StoreSeq()
-		var minAck uint64 = head
-		for _, off := range rs.acks {
-			if off < minAck {
-				minAck = off
-			}
-		}
-		rs.lagRecords.Set(int64(head - minAck))
+	head := rs.db.StoreSeq()
+	minAck := head
+	for _, off := range rs.acks {
+		minAck = min(minAck, off)
 	}
+	rs.lagRecords.Set(int64(head - minAck))
 	// Check out this replica's cached reader (if its position matches).
 	r := rs.readers[id]
 	delete(rs.readers, id)
@@ -604,9 +587,7 @@ func (rs *ReplState) handleFetch(ctx context.Context, payload []byte) (byte, []b
 	for _, rec := range records {
 		streamed += len(rec)
 	}
-	if rs.bytesStreamed != nil && streamed > 0 {
-		rs.bytesStreamed.Add(uint64(streamed))
-	}
+	rs.bytesStreamed.Add(uint64(streamed))
 	rs.mu.Unlock()
 
 	return msgReplBatch, encodeReplBatch(from, rs.db.StoreSeq(), records)
@@ -660,6 +641,11 @@ func decodeReplBatch(p []byte) (firstSeq, head uint64, records [][]byte, err err
 	head = binary.LittleEndian.Uint64(p[8:])
 	n := binary.LittleEndian.Uint32(p[16:])
 	off := 20
+	// Every record costs at least its 4-byte length prefix, so the count a
+	// peer claims is believed only as far as the bytes that came with it.
+	if uint64(n) > uint64(len(p)-off)/4 {
+		return 0, 0, nil, errors.New("repl batch record count exceeds payload")
+	}
 	records = make([][]byte, 0, n)
 	for i := uint32(0); i < n; i++ {
 		if off+4 > len(p) {
@@ -672,6 +658,9 @@ func decodeReplBatch(p []byte) (firstSeq, head uint64, records [][]byte, err err
 		}
 		records = append(records, p[off:off+ln])
 		off += ln
+	}
+	if off != len(p) {
+		return 0, 0, nil, errors.New("trailing bytes after repl batch")
 	}
 	return firstSeq, head, records, nil
 }
@@ -795,9 +784,7 @@ func (rs *ReplState) gateRead() error {
 		return &NotPrimaryError{Primary: rs.primaryAddr}
 	default:
 		stale := time.Since(rs.lastContact)
-		if rs.lagNs != nil {
-			rs.lagNs.Set(int64(stale))
-		}
+		rs.lagNs.Set(int64(stale))
 		if stale > rs.maxStaleness {
 			return &NotPrimaryError{Primary: rs.primaryAddr}
 		}

@@ -11,7 +11,6 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"visualprint/internal/bloom"
@@ -45,30 +44,30 @@ import (
 // the results are exact.
 type Router struct {
 	cfg DatabaseConfig
+	// pre maps venue names to the topologies fixed at construction (shard
+	// count, cell size); venues absent from the map get defaults. Immutable.
+	pre map[string]VenueConfig
 
 	mu sync.RWMutex
 	// venues holds every live venue, the default one under the empty name.
 	venues map[string]*venue
 	dir    string // data directory; "" while in-memory
-	// pre maps venue names to configurations fixed before first ingest
-	// (shard count, cell size); venues absent from the map get defaults.
-	pre map[string]VenueConfig
 	// created is closed and replaced whenever a venue is created — the wakeup
 	// for oracle subscriptions parked on a venue that does not exist yet.
 	created chan struct{}
 
-	// Observability (nil until EnableObs): met is the engine instrument set
+	// Observability, built by NewRouter: met is the engine instrument set
 	// the default venue's shard records into, shardMet its gauge-less copy
 	// for every other shard; per-venue request counters are created on
-	// met's registry as venues appear.
-	met       atomic.Pointer[dbMetrics]
+	// met's registry as venues appear, and venueGage counts named venues.
+	met       *dbMetrics
 	shardMet  *dbMetrics
 	venueGage *obs.Gauge
 
-	// trk is the continuous-localization session state (table + metrics;
-	// see track.go). Always non-nil after NewRouter; swapped wholesale by
-	// ConfigureTracking, read lock-free on the LocateSession hot path.
-	trk atomic.Pointer[trackState]
+	// trk is the continuous-localization session table and tm its
+	// instruments (see track.go).
+	trk *track.Table
+	tm  trackMetrics
 
 	log *obs.Logger
 }
@@ -117,22 +116,49 @@ type venue struct {
 	// wait.
 	ingestMu sync.Mutex
 
-	// Per-venue request counters (nil until EnableObs, which may run while
-	// the venue serves).
-	locates atomic.Pointer[obs.Counter]
-	ingests atomic.Pointer[obs.Counter]
+	// Per-venue request counters.
+	locates *obs.Counter
+	ingests *obs.Counter
 }
 
-// NewRouter builds the engine with its empty default venue. Named venues are
-// created lazily with the same configuration.
-func NewRouter(cfg DatabaseConfig) (*Router, error) {
-	r := &Router{
-		cfg:     cfg,
-		venues:  make(map[string]*venue),
-		pre:     make(map[string]VenueConfig),
-		created: make(chan struct{}),
+// NewRouter builds the engine with its empty default venue, its instruments
+// and its session table. Named venues are created lazily with the same
+// configuration; topo fixes the shard topology of the venues it names — a
+// venue created by its first ingest takes it, and a venue recovered by
+// OpenVenues must agree with it. Venues absent from topo get one shard.
+//
+// Every instrument exists from here on: one set serves every shard of every
+// venue, so all venues record into the same locates / locate_ns / ingest_ns
+// / stage_* instruments; the per-engine gauges (mappings, recovery_ns,
+// wal_bytes, snapshot_bytes) report the default venue. Venues add a
+// request-counter pair (venue_<name>_locates / _ingests), and the venues
+// gauge tracks the live named-venue count.
+func NewRouter(cfg DatabaseConfig, topo map[string]VenueConfig) (*Router, error) {
+	pre := make(map[string]VenueConfig, len(topo))
+	for name, vc := range topo {
+		if !validVenueName(name) {
+			return nil, fmt.Errorf("server: invalid venue name %q", name)
+		}
+		pre[name] = vc.withDefaults()
 	}
-	r.trk.Store(&trackState{tb: track.New(track.DefaultConfig())})
+	reg := obs.NewRegistry()
+	met := newDBMetrics(reg)
+	r := &Router{
+		cfg:       cfg,
+		pre:       pre,
+		venues:    make(map[string]*venue),
+		created:   make(chan struct{}),
+		met:       met,
+		shardMet:  met.withoutGauges(),
+		venueGage: reg.Gauge("venues"),
+		trk:       track.New(track.DefaultConfig()),
+		tm:        newTrackMetrics(reg),
+	}
+	r.trk.Instrument(reg)
+	// The wire instruments live on the same registry (Serve builds them
+	// from Registry); registering them here lets an in-process report
+	// list the same names before any listener exists.
+	newSrvMetrics(reg)
 	def, err := r.buildVenueLocked("", VenueConfig{}.withDefaults())
 	if err != nil {
 		return nil, err
@@ -151,23 +177,6 @@ func (r *Router) SetLogger(l *obs.Logger) {
 	r.mu.Unlock()
 }
 
-// ConfigureVenue fixes the shard topology a venue will be created with. It
-// must run before the venue's first ingest (or before OpenVenues recovers
-// it); configuring an already-created venue returns an error, since live
-// resharding is not supported.
-func (r *Router) ConfigureVenue(name string, cfg VenueConfig) error {
-	if !validVenueName(name) {
-		return fmt.Errorf("server: invalid venue name %q", name)
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, ok := r.venues[name]; ok {
-		return fmt.Errorf("server: venue %q already exists; resharding is not supported", name)
-	}
-	r.pre[name] = cfg.withDefaults()
-	return nil
-}
-
 // Default returns the default venue's single shard — what the replication
 // control block and the fleet runner bind to.
 func (r *Router) Default() *Database { return r.lookup("").shards[0] }
@@ -184,59 +193,10 @@ func (r *Router) Venues() []string {
 	return names[1:] // the default venue always exists and its empty name sorts first
 }
 
-// EnableObs turns on metrics and tracing for the whole engine and returns
-// the registry. Idempotent. One instrument set serves every shard of every
-// venue, present and future, so all venues record into the same locates /
-// locate_ns / ingest_ns / stage_* instruments; the per-engine gauges
-// (mappings, recovery_ns, wal_bytes, snapshot_bytes) report the default venue.
-// Venues additionally get a request-counter pair (venue_<name>_locates /
-// _ingests), and the venues gauge tracks the live named-venue count. Serve
-// calls it for every networked server; library users opt in explicitly.
-func (r *Router) EnableObs() *obs.Registry {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if m := r.met.Load(); m != nil {
-		return m.reg
-	}
-	reg := obs.NewRegistry()
-	m := newDBMetrics(reg)
-	r.met.Store(m)
-	r.shardMet = m.withoutGauges()
-	for _, v := range r.venues {
-		r.instrumentLocked(v)
-	}
-	r.venues[""].shards[0].setMetrics(m)
-	r.venueGage = reg.Gauge("venues")
-	r.venueGage.Set(int64(len(r.venues) - 1))
-	// Re-publish the tracking state with instruments attached (the table's
-	// session gauge starts at the current — normally zero — count).
-	st := r.trk.Load()
-	st.tb.Instrument(reg)
-	r.trk.Store(&trackState{tb: st.tb, tm: newTrackMetrics(reg)})
-	return reg
-}
-
-// instrumentLocked attaches the shared instrument set and the per-venue
-// counters to v. No-op before EnableObs. Callers hold r.mu.
-func (r *Router) instrumentLocked(v *venue) {
-	if r.shardMet == nil {
-		return
-	}
-	for _, sh := range v.shards {
-		sh.setMetrics(r.shardMet)
-	}
-	v.locates.Store(r.shardMet.reg.Counter("venue_" + v.name + "_locates"))
-	v.ingests.Store(r.shardMet.reg.Counter("venue_" + v.name + "_ingests"))
-}
-
-// metrics returns the engine instrument set (the no-op set before
-// EnableObs). Lock-free, like Database.metrics.
-func (r *Router) metrics() *dbMetrics {
-	if m := r.met.Load(); m != nil {
-		return m
-	}
-	return noDBMetrics
-}
+// Registry returns the registry every engine, session and wire instrument
+// of this router records into — what the metrics RPC and the debug listener
+// report.
+func (r *Router) Registry() *obs.Registry { return r.met.reg }
 
 // venueMetaFile is the per-venue topology record inside the venue directory.
 const venueMetaFile = "meta.json"
@@ -262,8 +222,10 @@ func (r *Router) shardDir(venueName string, i int) string {
 // OpenVenues attaches dir as the data directory: the default venue's shard is
 // recovered from the root, every venue recorded under dir/venues from its own
 // directory (topology from meta.json, each shard from its store), and venues
-// created later are durable under the same root. It must run before any
-// ingest. A failed open leaves the router closed and in-memory.
+// created later are durable under the same root. A recorded venue whose
+// shard count disagrees with the topology NewRouter was given is refused:
+// its mappings are partitioned for the recorded count. It must run before
+// any ingest. A failed open leaves the router closed and in-memory.
 func (r *Router) OpenVenues(dir string) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -307,7 +269,12 @@ func (r *Router) openLocked() error {
 		if err := json.Unmarshal(meta, &vc); err != nil {
 			return fmt.Errorf("server: venue %q meta: %w", name, err)
 		}
-		v, err := r.buildVenueLocked(name, vc.withDefaults())
+		vc = vc.withDefaults()
+		if want, ok := r.pre[name]; ok && want.Shards != vc.Shards {
+			return fmt.Errorf("server: venue %q is configured with %d shard(s) but its %s records %d; resharding is not supported",
+				name, want.Shards, venueMetaFile, vc.Shards)
+		}
+		v, err := r.buildVenueLocked(name, vc)
 		if err != nil {
 			return err
 		}
@@ -316,13 +283,22 @@ func (r *Router) openLocked() error {
 	return nil
 }
 
-// buildVenueLocked constructs a venue's shard engines, attaching durable
-// stores when the router has a data directory. Callers hold r.mu (or own the
-// router exclusively).
+// buildVenueLocked constructs a venue's shard engines with their
+// instruments, attaching durable stores when the router has a data
+// directory. Callers hold r.mu (or own the router exclusively).
 func (r *Router) buildVenueLocked(name string, vc VenueConfig) (*venue, error) {
-	v := &venue{name: name, cfg: vc}
+	m := r.shardMet
+	if name == "" {
+		m = r.met
+	}
+	v := &venue{
+		name:    name,
+		cfg:     vc,
+		locates: m.reg.Counter("venue_" + name + "_locates"),
+		ingests: m.reg.Counter("venue_" + name + "_ingests"),
+	}
 	for i := 0; i < vc.Shards; i++ {
-		sh, err := NewDatabase(r.cfg)
+		sh, err := newDatabase(r.cfg, m)
 		if err == nil && r.dir != "" {
 			err = sh.Open(r.shardDir(name, i))
 		}
@@ -334,7 +310,6 @@ func (r *Router) buildVenueLocked(name string, vc VenueConfig) (*venue, error) {
 		}
 		v.shards = append(v.shards, sh)
 	}
-	r.instrumentLocked(v)
 	return v, nil
 }
 
@@ -433,9 +408,6 @@ func (r *Router) Compact() error {
 
 // shardFor hashes a mapping's spatial cell to a shard index.
 func (v *venue) shardFor(p mathx.Vec3) int {
-	if len(v.shards) == 1 {
-		return 0
-	}
 	cs := v.cfg.CellSize
 	var buf [12]byte
 	binary.LittleEndian.PutUint32(buf[0:], uint32(int32(math.Floor(p.X/cs))))
@@ -480,10 +452,10 @@ func (r *Router) Ingest(ctx context.Context, venueName string, ms []Mapping) (to
 	if err != nil {
 		return 0, err
 	}
-	v.ingests.Load().Inc()
+	v.ingests.Inc()
 	start := time.Now()
 	err = v.ingest(ms)
-	r.metrics().endIngest(start, err)
+	r.met.endIngest(start, err)
 	if err != nil {
 		return 0, err
 	}

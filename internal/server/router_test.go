@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"visualprint/internal/codec"
@@ -85,11 +86,8 @@ func syntheticQuery(ms []Mapping, clusterN, queryN int, cam mathx.Vec3) ([]sift.
 // venue, so both see the same insertion order.
 func shardedFixture(t testing.TB, cfg DatabaseConfig, shards int, ms []Mapping, batch int) (*Router, string) {
 	t.Helper()
-	r := newTestRouter(t, cfg)
 	const venueName = "test-venue"
-	if err := r.ConfigureVenue(venueName, VenueConfig{Shards: shards}); err != nil {
-		t.Fatal(err)
-	}
+	r := newTestRouter(t, cfg, map[string]VenueConfig{venueName: {Shards: shards}})
 	for i := 0; i < len(ms); i += batch {
 		end := i + batch
 		if end > len(ms) {
@@ -207,7 +205,7 @@ func TestRouterLocateBitIdenticalWardriven(t *testing.T) {
 // default venue) fail with ErrEmptyDatabase.
 func TestVenueIsolation(t *testing.T) {
 	cfg := routerTestConfig()
-	r := newTestRouter(t, cfg)
+	r := newTestRouter(t, cfg, nil)
 	ms, kps, intr := syntheticCorpus(7, 160, 800, 200)
 	if _, err := r.Ingest(context.Background(), "venue-a", ms); err != nil {
 		t.Fatal(err)
@@ -269,10 +267,7 @@ func TestVenuePersistenceRoundTrip(t *testing.T) {
 	ms, kps, intr := syntheticCorpus(7, 160, 900, 200)
 	const venueName = "airport-t2"
 
-	r1 := newTestRouter(t, cfg)
-	if err := r1.ConfigureVenue(venueName, VenueConfig{Shards: 3}); err != nil {
-		t.Fatal(err)
-	}
+	r1 := newTestRouter(t, cfg, map[string]VenueConfig{venueName: {Shards: 3}})
 	if err := r1.OpenVenues(dir); err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +291,7 @@ func TestVenuePersistenceRoundTrip(t *testing.T) {
 		}
 	}
 
-	r2 := newTestRouter(t, cfg)
+	r2 := newTestRouter(t, cfg, nil)
 	if err := r2.OpenVenues(dir); err != nil {
 		t.Fatalf("recovery: %v", err)
 	}
@@ -330,24 +325,73 @@ func TestVenuePersistenceRoundTrip(t *testing.T) {
 	requireBitIdentical(t, rs, errS, rr, errR)
 }
 
-// TestVenueConfigRules pins the topology lifecycle: invalid names are
-// rejected and live venues cannot be re-configured.
+// TestVenueConfigRules pins the topology lifecycle: NewRouter rejects
+// invalid venue names, and a first ingest creates a configured venue with
+// its topology and any other venue with one shard.
 func TestVenueConfigRules(t *testing.T) {
 	cfg := routerTestConfig()
-	r := newTestRouter(t, cfg)
 	for _, bad := range []string{"", ".hidden", "UPPER", "spa ce", "a/b"} {
-		if err := r.ConfigureVenue(bad, VenueConfig{Shards: 2}); err == nil {
-			t.Errorf("ConfigureVenue(%q) accepted an invalid name", bad)
+		if _, err := NewRouter(cfg, map[string]VenueConfig{bad: {Shards: 2}}); err == nil {
+			t.Errorf("NewRouter accepted the invalid venue name %q", bad)
 		}
 	}
-	if err := r.ConfigureVenue("live", VenueConfig{Shards: 2}); err != nil {
-		t.Fatal(err)
-	}
+	r := newTestRouter(t, cfg, map[string]VenueConfig{"live": {Shards: 2}})
 	ms, _, _ := syntheticCorpus(3, 0, 32, 0)
-	if _, err := r.Ingest(context.Background(), "live", ms); err != nil {
+	for name, want := range map[string]int{"live": 2, "other": 1} {
+		if _, err := r.Ingest(context.Background(), name, ms); err != nil {
+			t.Fatal(err)
+		}
+		if got := len(r.lookup(name).shards); got != want {
+			t.Errorf("venue %q created with %d shard(s), want %d", name, got, want)
+		}
+	}
+}
+
+// TestOpenVenuesRefusesTopologyMismatch: a venue recorded on disk with one
+// shard count is not opened under a topology that names another — its
+// mappings are partitioned for the recorded count — and the error names the
+// venue and both counts. An agreeing topology and an unconfigured venue open
+// as before.
+func TestOpenVenuesRefusesTopologyMismatch(t *testing.T) {
+	dir := t.TempDir()
+	cfg := routerTestConfig()
+	ms, _, _ := syntheticCorpus(3, 0, 64, 0)
+	recorded := map[string]VenueConfig{"mall": {Shards: 1}, "wide": {Shards: 3}}
+	w := newTestRouter(t, cfg, recorded)
+	if err := w.OpenVenues(dir); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.ConfigureVenue("live", VenueConfig{Shards: 4}); err == nil {
-		t.Error("re-configuring a live venue must fail (no live resharding)")
+	for name := range recorded {
+		if _, err := w.Ingest(context.Background(), name, ms); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	r := newTestRouter(t, cfg, map[string]VenueConfig{"mall": {Shards: 4}})
+	err := r.OpenVenues(dir)
+	r.Close()
+	if err == nil {
+		t.Fatal("a 1-shard venue on disk opened under a 4-shard topology")
+	}
+	for _, want := range []string{`"mall"`, "4 shard", "records 1"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %s", err, want)
+		}
+	}
+
+	for _, topo := range []map[string]VenueConfig{recorded, nil} {
+		r := newTestRouter(t, cfg, topo)
+		if err := r.OpenVenues(dir); err != nil {
+			t.Fatalf("topology %v: %v", topo, err)
+		}
+		for name, vc := range recorded {
+			if got := len(r.lookup(name).shards); got != vc.Shards || r.Len(name) != len(ms) {
+				t.Errorf("topology %v: venue %q opened with %d shard(s), %d mappings; want %d, %d", topo, name, got, r.Len(name), vc.Shards, len(ms))
+			}
+		}
+		r.Close()
 	}
 }

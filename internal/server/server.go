@@ -74,10 +74,8 @@ type Server struct {
 	// process logger (obs.Default); nil silences.
 	Log *obs.Logger
 
-	// Observability, wired by Serve (nil on a bare Server, e.g. direct
-	// ServeConn construction in tests — instrumentation then no-ops and
-	// the metrics RPC reports it disabled).
-	reg *obs.Registry
+	// met is the wire-level instrument set Serve builds on the router's
+	// registry.
 	met *srvMetrics
 
 	// rs, when non-nil, makes this server a fleet member: replication
@@ -180,12 +178,8 @@ func Serve(ln net.Listener, router *Router, opts ...Option) *Server {
 	// s.logf keeps a later `s.Log = nil` effective for both.
 	router.Default().setLoggerDefault(obs.FuncLogger(s.logf))
 	router.SetLogger(s.Log)
-	// A networked server is always observable: requests are counted and
-	// traced, and the metrics RPC answers from this registry.
-	s.reg = router.EnableObs()
-	s.met = newSrvMetrics(s.reg)
+	s.met = newSrvMetrics(router.Registry())
 	if s.rs != nil {
-		s.rs.enableObs(s.reg)
 		s.rs.SetLogger(s.Log)
 	}
 	s.wg.Add(1)
@@ -193,9 +187,9 @@ func Serve(ln net.Listener, router *Router, opts ...Option) *Server {
 	return s
 }
 
-// Registry returns the server's metrics registry (nil when the server was
-// not built by Serve). The debug HTTP listener mounts it.
-func (s *Server) Registry() *obs.Registry { return s.reg }
+// Registry returns the router's metrics registry, which the metrics RPC
+// reports.
+func (s *Server) Registry() *obs.Registry { return s.router.Registry() }
 
 // ListenAndServe listens on addr (TCP) and serves router.
 func ListenAndServe(addr string, router *Router, opts ...Option) (*Server, error) {
@@ -388,9 +382,7 @@ func (s *Server) admit(ctx context.Context) error {
 	default:
 	}
 	n := s.queued.Add(1)
-	if m := s.met; m != nil {
-		m.queueDepth.Set(n)
-	}
+	s.met.queueDepth.Set(n)
 	if n > int64(s.maxQueue) {
 		s.unqueue()
 		return ErrOverloaded
@@ -405,10 +397,7 @@ func (s *Server) admit(ctx context.Context) error {
 }
 
 func (s *Server) unqueue() {
-	n := s.queued.Add(-1)
-	if m := s.met; m != nil {
-		m.queueDepth.Set(n)
-	}
+	s.met.queueDepth.Set(s.queued.Add(-1))
 }
 
 func (s *Server) release() {
@@ -528,9 +517,7 @@ func (s *Server) serve(conn net.Conn) {
 		}
 		if typ == msgCancel {
 			if inflight.cancel(id) {
-				if m := s.met; m != nil {
-					m.canceled.Inc()
-				}
+				s.met.canceled.Inc()
 			}
 			continue // fire-and-forget: no response
 		}
@@ -538,9 +525,7 @@ func (s *Server) serve(conn net.Conn) {
 		if typ&headerFlag != 0 {
 			typ &^= headerFlag
 			if h, payload, err = decodeReqHeader(payload); err != nil {
-				if m := s.met; m != nil {
-					m.headerRejected.Inc()
-				}
+				s.met.headerRejected.Inc()
 				out <- response{id: id, typ: msgError, payload: encodeErrorPayload(err)}
 				continue
 			}
@@ -597,9 +582,7 @@ func (s *Server) serveRequest(ctx context.Context, h reqHeader, typ byte, payloa
 	}
 	if !s.beginRequest() {
 		rt, resp := errorResponse(ErrShuttingDown)
-		if m := s.met; m != nil {
-			m.record(typ, time.Now(), rt, resp)
-		}
+		s.met.record(typ, time.Now(), rt, resp)
 		return rt, resp
 	}
 	defer s.endRequest()
@@ -623,10 +606,8 @@ func (s *Server) serveSubscription(ctx context.Context, venue string, payload []
 	if draining {
 		return errorResponse(ErrShuttingDown)
 	}
-	if m := s.met; m != nil {
-		m.subscribers.Add(1)
-		defer m.subscribers.Add(-1)
-	}
+	s.met.subscribers.Add(1)
+	defer s.met.subscribers.Add(-1)
 	last := uint64(0)
 	first := true
 	for {
@@ -637,9 +618,7 @@ func (s *Server) serveSubscription(ctx context.Context, venue string, payload []
 			if !push(msgOracleEpoch, encodeOracleVersion(epoch, inserts)) {
 				return errorResponse(ctxError(ctx.Err()))
 			}
-			if m := s.met; m != nil {
-				m.epochPushes.Inc()
-			}
+			s.met.epochPushes.Inc()
 			last, first = epoch, false
 		}
 		select {
@@ -655,9 +634,6 @@ func (s *Server) serveSubscription(ctx context.Context, venue string, payload []
 // the in-flight gauge and error-code counters.
 func (s *Server) handle(ctx context.Context, h reqHeader, typ byte, payload []byte) (byte, []byte) {
 	m := s.met
-	if m == nil {
-		return s.admitAndDispatch(ctx, h, typ, payload)
-	}
 	m.inflight.Add(1)
 	m.bytesIn.Add(uint64(len(payload)))
 	start := time.Now()
@@ -670,8 +646,8 @@ func (s *Server) handle(ctx context.Context, h reqHeader, typ byte, payload []by
 // admitAndDispatch applies admission control, then routes the request.
 func (s *Server) admitAndDispatch(ctx context.Context, h reqHeader, typ byte, payload []byte) (byte, []byte) {
 	if err := s.admit(ctx); err != nil {
-		if m := s.met; m != nil && errors.Is(err, ErrOverloaded) {
-			m.shed.Inc()
+		if errors.Is(err, ErrOverloaded) {
+			s.met.shed.Inc()
 		}
 		return errorResponse(err)
 	}
@@ -745,27 +721,21 @@ func (s *Server) dispatch(ctx context.Context, venue string, sid uint64, typ byt
 		m := s.met
 		switch {
 		case res.Unchanged:
-			if m != nil {
-				m.syncUnchanged.Inc()
-			}
+			m.syncUnchanged.Inc()
 			return msgOracleSyncNone, encodeOracleVersion(res.Epoch, res.Inserts)
 		case res.Delta != nil:
-			if m != nil {
-				m.syncDelta.Inc()
-				m.syncBytes.Add(uint64(len(res.Delta)))
-			}
+			m.syncDelta.Inc()
+			m.syncBytes.Add(uint64(len(res.Delta)))
 			return msgOracleSyncDelta, res.Delta
 		default:
-			if m != nil {
-				m.syncFull.Inc()
-				m.syncBytes.Add(uint64(len(res.Blob)))
-			}
+			m.syncFull.Inc()
+			m.syncBytes.Add(uint64(len(res.Blob)))
 			return msgOracleSyncFull, encodeOracleSyncFull(res.Epoch, res.Blob)
 		}
 	case msgStats:
 		return msgStatsResult, encodeDBStats(s.router.Stats(venue))
 	case msgGetMetrics:
-		blob, err := json.Marshal(s.reg.Report())
+		blob, err := json.Marshal(s.router.Registry().Report())
 		if err != nil {
 			return errorResponse(err)
 		}

@@ -228,7 +228,8 @@ func TestServeConnOverPipe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := &Server{router: routerFor(t, db), conns: map[net.Conn]struct{}{}}
+	r := routerFor(t, db)
+	s := &Server{router: r, conns: map[net.Conn]struct{}{}, met: newSrvMetrics(r.Registry())}
 	clientEnd, serverEnd := net.Pipe()
 	go s.ServeConn(serverEnd)
 	c := NewClient(clientEnd)

@@ -39,14 +39,13 @@ func TestSessionQueryOverWire(t *testing.T) {
 	if d := cold.Position.Dist(warm.Position); d > 0.5 {
 		t.Fatalf("warm answer drifted %.3fm from cold", d)
 	}
-	st := s.router.trackState()
-	if got := st.tm.cold.Value(); got != 1 {
+	if got := s.router.tm.cold.Value(); got != 1 {
 		t.Fatalf("track_cold = %d, want 1", got)
 	}
-	if got := st.tm.warm.Value(); got != 1 {
+	if got := s.router.tm.warm.Value(); got != 1 {
 		t.Fatalf("track_warm = %d, want 1", got)
 	}
-	if n := st.tb.Len(); n != 1 {
+	if n := s.router.trk.Len(); n != 1 {
 		t.Fatalf("session table has %d sessions, want 1", n)
 	}
 }
@@ -77,8 +76,7 @@ func TestSessionVenueScopedOverWire(t *testing.T) {
 			t.Fatalf("venue session query %d: %v", i, err)
 		}
 	}
-	st := s.router.trackState()
-	if got := st.tm.warm.Value(); got != 1 {
+	if got := s.router.tm.warm.Value(); got != 1 {
 		t.Fatalf("track_warm = %d, want 1", got)
 	}
 }

@@ -66,9 +66,8 @@ func warmAccept(p track.Prior, tcfg track.Config) float64 {
 	return math.Max(tcfg.AcceptResidual, p.Residual*tcfg.AcceptFactor)
 }
 
-// trackMetrics is the Router's session-tracking instrument set. The zero
-// value (all nil) is a no-op via obs's nil-receiver safety, so the hot
-// path records unconditionally.
+// trackMetrics is the Router's session-tracking instrument set, built by
+// NewRouter.
 type trackMetrics struct {
 	warm     *obs.Counter // accepted warm solves
 	cold     *obs.Counter // session queries solved cold (no prior, or rejected)
@@ -80,13 +79,6 @@ type trackMetrics struct {
 	priorErrMM *obs.Histogram
 }
 
-// trackState bundles the session table with its metrics so both swap
-// atomically under ConfigureTracking / EnableObs.
-type trackState struct {
-	tb *track.Table
-	tm trackMetrics
-}
-
 // sessionKey hashes (venue, session ID) into the session table's key, so the
 // same device ID tracked in two venues keeps two independent histories.
 func sessionKey(venueName string, sid uint64) uint64 {
@@ -94,26 +86,6 @@ func sessionKey(venueName string, sid uint64) uint64 {
 	binary.LittleEndian.PutUint64(buf[:], sid)
 	n := copy(buf[8:], venueName)
 	return hash.Sum64(buf[:8+n], 0x7a5e)
-}
-
-// trackState returns the router's current tracking state (never nil
-// after NewRouter).
-func (r *Router) trackState() *trackState {
-	return r.trk.Load()
-}
-
-// ConfigureTracking replaces the router's session table with one built
-// from cfg. Call it before serving: queries racing the swap may observe
-// either table, and sessions recorded in the old one are forgotten.
-func (r *Router) ConfigureTracking(cfg track.Config) {
-	st := &trackState{tb: track.New(cfg)}
-	r.mu.Lock()
-	if m := r.met.Load(); m != nil {
-		st.tb.Instrument(m.reg)
-		st.tm = newTrackMetrics(m.reg)
-	}
-	r.trk.Store(st)
-	r.mu.Unlock()
 }
 
 func newTrackMetrics(reg *obs.Registry) trackMetrics {
@@ -146,9 +118,8 @@ func (r *Router) LocateSession(ctx context.Context, venueName string, sid uint64
 	if v == nil {
 		return LocateResult{}, ErrEmptyDatabase
 	}
-	v.locates.Load().Inc()
+	v.locates.Inc()
 	var (
-		st        *trackState
 		key       uint64
 		now       time.Time
 		prior     track.Prior
@@ -156,59 +127,34 @@ func (r *Router) LocateSession(ctx context.Context, venueName string, sid uint64
 		ws        *warmSolve
 	)
 	if sid != 0 {
-		st, key, now = r.trackState(), sessionKey(venueName, sid), time.Now()
-		if prior, havePrior = st.tb.Predict(key, now); havePrior {
-			tcfg := st.tb.Config()
+		key, now = sessionKey(venueName, sid), time.Now()
+		if prior, havePrior = r.trk.Predict(key, now); havePrior {
+			tcfg := r.trk.Config()
 			ws = &warmSolve{
 				opt:    warmPoseOptions(r.cfg.Pose, prior, tcfg),
 				accept: warmAccept(prior, tcfg),
 			}
 		}
 	}
-	res, warm, err := locateShards(ctx, r.metrics(), v.shards, kps, intr, ws)
+	res, warm, err := locateShards(ctx, r.met, v.shards, kps, intr, ws)
 	if err != nil || sid == 0 {
 		return res, err
 	}
-	st.tb.Observe(key, res.Position, res.Yaw, res.Residual, now)
+	r.trk.Observe(key, res.Position, res.Yaw, res.Residual, now)
 	if havePrior {
-		st.tm.priorErrMM.Observe(int64(prior.Pos.Dist(res.Position) * 1000))
+		r.tm.priorErrMM.Observe(int64(prior.Pos.Dist(res.Position) * 1000))
 	}
 	if warm {
-		st.tm.warm.Inc()
-		st.tm.warmGens.Observe(int64(res.Generations))
+		r.tm.warm.Inc()
+		r.tm.warmGens.Observe(int64(res.Generations))
 	} else {
-		st.tm.cold.Inc()
-		st.tm.coldGens.Observe(int64(res.Generations))
+		r.tm.cold.Inc()
+		r.tm.coldGens.Observe(int64(res.Generations))
 		if havePrior {
-			st.tm.rejected.Inc()
+			r.tm.rejected.Inc()
 		}
 	}
 	return res, nil
-}
-
-// TrackingStats is a point-in-time report of the session-tracking
-// subsystem: solve-outcome counters and the live session count. The
-// counters read zero until the router is instrumented (Serve does it;
-// in-process, EnableObs).
-type TrackingStats struct {
-	// Warm counts session queries answered by an accepted warm-started
-	// solve; Cold counts full solves (no prior, or sid 0 never counts);
-	// Rejected counts warm solves that failed the residual gate and were
-	// re-run cold (a subset of Cold).
-	Warm, Cold, Rejected uint64
-	// Sessions is the number of live tracked sessions.
-	Sessions int
-}
-
-// TrackingStats reports the tracking subsystem's current counters.
-func (r *Router) TrackingStats() TrackingStats {
-	st := r.trackState()
-	return TrackingStats{
-		Warm:     st.tm.warm.Value(),
-		Cold:     st.tm.cold.Value(),
-		Rejected: st.tm.rejected.Value(),
-		Sessions: st.tb.Len(),
-	}
 }
 
 // EndSession drops a session's tracking state (the client told us it is
@@ -217,5 +163,5 @@ func (r *Router) EndSession(venueName string, sid uint64) {
 	if sid == 0 {
 		return
 	}
-	r.trackState().tb.Forget(sessionKey(venueName, sid))
+	r.trk.Forget(sessionKey(venueName, sid))
 }

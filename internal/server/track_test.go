@@ -19,12 +19,23 @@ func trackFixture(t *testing.T) (*Router, *obs.Registry, []Mapping, queryFixture
 	t.Helper()
 	cfg := routerTestConfig()
 	ms, kps, intr := syntheticCorpus(7, 160, 1200, 200)
-	r := newTestRouter(t, cfg)
-	reg := r.EnableObs()
+	r := newTestRouter(t, cfg, nil)
+	reg := r.Registry()
 	if _, err := r.Ingest(context.Background(), "", ms); err != nil {
 		t.Fatal(err)
 	}
 	return r, reg, ms, queryFixture{kps: kps, intr: intr}
+}
+
+// rejectEveryPrior gives r a fresh session table whose residual gate no warm
+// solve passes (unreachably tight floor and factor). Tests call it before
+// the session queries it should govern.
+func rejectEveryPrior(r *Router) {
+	tcfg := track.DefaultConfig()
+	tcfg.AcceptResidual = 1e-12
+	tcfg.AcceptFactor = 1e-9
+	r.trk = track.New(tcfg)
+	r.trk.Instrument(r.Registry())
 }
 
 type queryFixture struct {
@@ -83,7 +94,7 @@ func TestLocateSessionZeroSidBitIdentical(t *testing.T) {
 	plain, errP := r.Locate(ctx, "", q.kps, q.intr)
 	viaSession, errS := r.LocateSession(ctx, "", 0, q.kps, q.intr)
 	requireBitIdentical(t, plain, errP, viaSession, errS)
-	if n := r.trackState().tb.Len(); n != 0 {
+	if n := r.trk.Len(); n != 0 {
 		t.Fatalf("sid 0 created %d session(s)", n)
 	}
 }
@@ -94,11 +105,7 @@ func TestLocateSessionZeroSidBitIdentical(t *testing.T) {
 // down to the float bits.
 func TestLocateSessionRejectedPriorBitIdentical(t *testing.T) {
 	r, reg, _, q := trackFixture(t)
-	tcfg := track.DefaultConfig()
-	// Unreachably tight floor and factor: every prior is rejected.
-	tcfg.AcceptResidual = 1e-12
-	tcfg.AcceptFactor = 1e-9
-	r.ConfigureTracking(tcfg)
+	rejectEveryPrior(r)
 	ctx := context.Background()
 	const sid = 31
 
@@ -123,7 +130,7 @@ func TestLocateSessionShardedWarm(t *testing.T) {
 	cfg := routerTestConfig()
 	ms, kps, intr := syntheticCorpus(7, 160, 1200, 200)
 	r, venueName := shardedFixture(t, cfg, 4, ms, 311)
-	reg := r.EnableObs()
+	reg := r.Registry()
 	ctx := context.Background()
 	const sid = 55
 
@@ -144,10 +151,7 @@ func TestLocateSessionShardedWarm(t *testing.T) {
 
 	// Rejected prior on the sharded path must still equal the one-shard
 	// cold answer bit for bit (the existing scatter-gather guarantee).
-	tcfg := track.DefaultConfig()
-	tcfg.AcceptResidual = 1e-12
-	tcfg.AcceptFactor = 1e-9
-	r.ConfigureTracking(tcfg)
+	rejectEveryPrior(r)
 	if _, err := r.LocateSession(ctx, venueName, sid, kps, intr); err != nil {
 		t.Fatal(err)
 	}
@@ -179,11 +183,11 @@ func TestEndSessionForgets(t *testing.T) {
 	if _, err := r.LocateSession(ctx, "", sid, q.kps, q.intr); err != nil {
 		t.Fatal(err)
 	}
-	if n := r.trackState().tb.Len(); n != 1 {
+	if n := r.trk.Len(); n != 1 {
 		t.Fatalf("Len = %d after first session query, want 1", n)
 	}
 	r.EndSession("", sid)
-	if n := r.trackState().tb.Len(); n != 0 {
+	if n := r.trk.Len(); n != 0 {
 		t.Fatalf("Len = %d after EndSession, want 0", n)
 	}
 	if _, err := r.LocateSession(ctx, "", sid, q.kps, q.intr); err != nil {
@@ -248,8 +252,8 @@ func TestSessionWalkWarmSaves(t *testing.T) {
 		frameDt = 50 * time.Millisecond
 	)
 	ms, _, _ := syntheticCorpus(7, clusterN, 500, queryN)
-	r := newTestRouter(t, cfg)
-	reg := r.EnableObs()
+	r := newTestRouter(t, cfg, nil)
+	reg := r.Registry()
 	ctx := context.Background()
 	if _, err := r.Ingest(ctx, "", ms); err != nil {
 		t.Fatal(err)

@@ -45,7 +45,7 @@ func TestReadRPCsNeverCreateVenues(t *testing.T) {
 	cfg.Oracle.CountersPerTable = 1 << 8
 	cfg.Oracle.VerifyBits = 1 << 10
 	dir := t.TempDir()
-	r := newTestRouter(t, cfg)
+	r := newTestRouter(t, cfg, nil)
 	if err := r.OpenVenues(dir); err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestReadRPCsNeverCreateVenues(t *testing.T) {
 // version (0, 0); the venue's first ingest wakes the parked subscription, and
 // the delta chain from (0, 0) lands byte-equal to the server's oracle.
 func TestSyncBeforeFirstIngest(t *testing.T) {
-	r := newTestRouter(t, routerTestConfig())
+	r := newTestRouter(t, routerTestConfig(), nil)
 	s := serveRouter(t, r)
 	c, err := Dial(s.Addr().String(), WithLogger(nil))
 	if err != nil {
@@ -162,12 +162,11 @@ func TestIngestLockNotHeldAcrossDurabilityWait(t *testing.T) {
 		shards int
 	}{{"", 1}, {"wide", 4}} {
 		t.Run(fmt.Sprintf("shards=%d", tc.shards), func(t *testing.T) {
-			r := newTestRouter(t, routerTestConfig())
+			var topo map[string]VenueConfig
 			if tc.venue != "" {
-				if err := r.ConfigureVenue(tc.venue, VenueConfig{Shards: tc.shards}); err != nil {
-					t.Fatal(err)
-				}
+				topo = map[string]VenueConfig{tc.venue: {Shards: tc.shards}}
 			}
+			r := newTestRouter(t, routerTestConfig(), topo)
 			if err := r.OpenVenues(t.TempDir()); err != nil {
 				t.Fatal(err)
 			}
@@ -226,17 +225,16 @@ func TestIngestLockNotHeldAcrossDurabilityWait(t *testing.T) {
 // deterministically).
 func TestConcurrentDurableIngestsShareGroupCommits(t *testing.T) {
 	cfg := routerTestConfig()
-	cfg.OracleDeltaWindow = -1 // keep the locked apply short next to the fsync
-	r := newTestRouter(t, cfg)
+	// A small oracle keeps the locked apply (oracle copy plus delta diff,
+	// both linear in the oracle) short next to the fsync.
+	cfg.Oracle.CountersPerTable, cfg.Oracle.VerifyBits = 1<<10, 1<<12
 	const venueName = "wide"
-	if err := r.ConfigureVenue(venueName, VenueConfig{Shards: 4}); err != nil {
-		t.Fatal(err)
-	}
+	r := newTestRouter(t, cfg, map[string]VenueConfig{venueName: {Shards: 4}})
 	if err := r.OpenVenues(t.TempDir()); err != nil {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	fsyncNs := r.EnableObs().Histogram("wal_fsync_ns")
+	fsyncNs := r.Registry().Histogram("wal_fsync_ns")
 	const workers, perWorker, rounds = 16, 10, 40
 	for _, name := range []string{"", venueName} {
 		before := fsyncNs.Count()
@@ -285,10 +283,7 @@ func TestRestartContinuesEverySequence(t *testing.T) {
 	half := len(ms) / 2
 	ctx := context.Background()
 	open := func(dir string) *Router {
-		r := newTestRouter(t, cfg)
-		if err := r.ConfigureVenue(venueName, VenueConfig{Shards: 3}); err != nil {
-			t.Fatal(err)
-		}
+		r := newTestRouter(t, cfg, map[string]VenueConfig{venueName: {Shards: 3}})
 		if dir != "" {
 			if err := r.OpenVenues(dir); err != nil {
 				t.Fatal(err)
@@ -383,7 +378,7 @@ func TestUntaggedOnDiskFormatRefused(t *testing.T) {
 		{"wal-only", false, fmt.Sprintf("seq ingest payload %d bytes, want %d", len(ms)*mappingWireSize, len(ms)*seqMappingWireSize)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			r := newTestRouter(t, cfg)
+			r := newTestRouter(t, cfg, nil)
 			err := r.OpenVenues(build(t, tc.snapshot))
 			if err == nil {
 				r.Close()

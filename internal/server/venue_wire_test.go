@@ -11,7 +11,7 @@ import (
 // routing is always on for a Serve-built server) and returns it.
 func startVenueServer(t testing.TB) *Server {
 	t.Helper()
-	return serveRouter(t, newTestRouter(t, routerTestConfig()))
+	return serveRouter(t, newTestRouter(t, routerTestConfig(), nil))
 }
 
 // TestVenueIsolationOverWire: the cross-venue isolation guarantee holds

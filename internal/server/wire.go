@@ -462,6 +462,9 @@ func decodeDBStats(data []byte) (DBStats, error) {
 	if len(data) != dbStatsWireSize {
 		return DBStats{}, fmt.Errorf("server: bad stats payload size %d", len(data))
 	}
+	if data[48] > 1 {
+		return DBStats{}, fmt.Errorf("server: bad stats persistence flag %d", data[48])
+	}
 	return DBStats{
 		Mappings:           binary.LittleEndian.Uint64(data[0:]),
 		DatabaseBytes:      binary.LittleEndian.Uint64(data[8:]),

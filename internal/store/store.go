@@ -98,8 +98,9 @@ type Store struct {
 	// corrupt snapshot file and then delete the WAL segments it covers.
 	snapMu sync.Mutex
 
+	met Metrics
+
 	mu             sync.Mutex
-	met            Metrics
 	snapSeq        uint64 // records covered by the newest snapshot
 	haveSnap       bool
 	lastCompaction time.Time
@@ -125,7 +126,7 @@ func Open(dir string, opt Options) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Store{dir: dir, log: lg, noSync: opt.NoSync}
+	s := &Store{dir: dir, log: lg, noSync: opt.NoSync, met: opt.Metrics}
 	for _, e := range entries {
 		name := e.Name()
 		switch {
@@ -145,26 +146,8 @@ func Open(dir string, opt Options) (*Store, error) {
 	}
 	sort.Slice(s.recoverSnaps, func(i, j int) bool { return s.recoverSnaps[i] > s.recoverSnaps[j] })
 	sort.Slice(s.recoverSegs, func(i, j int) bool { return s.recoverSegs[i] < s.recoverSegs[j] })
-	s.wal = newWAL(dir, opt.NoSync, lg)
-	s.SetMetrics(opt.Metrics)
+	s.wal = newWAL(dir, opt.NoSync, lg, opt.Metrics)
 	return s, nil
-}
-
-// SetMetrics swaps the store's instrument set. It may be called at any
-// time — the owner typically opens the store first and enables
-// observability later — and is safe against concurrent Appends.
-func (s *Store) SetMetrics(m Metrics) {
-	s.mu.Lock()
-	s.met = m
-	s.mu.Unlock()
-	s.wal.setMetrics(m.FsyncNs, m.BatchRecords, m.WALBytes)
-}
-
-// metrics returns the current instrument set.
-func (s *Store) metrics() Metrics {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.met
 }
 
 // Recover rebuilds the owner's state: load receives the payload of the
@@ -285,7 +268,7 @@ func (s *Store) Snapshot(write func(w io.Writer) error) error {
 	if already {
 		return nil // nothing logged since the last snapshot
 	}
-	met := s.metrics()
+	met := s.met
 	start := time.Now()
 	path, err := writeSnapshot(s.dir, seq, write, s.noSync)
 	if err != nil {

@@ -546,3 +546,26 @@ func TestConcurrentSnapshots(t *testing.T) {
 		t.Fatalf("recovery skipped a corrupt snapshot: %v", lc.lines)
 	}
 }
+
+// TestWALBytesGaugeAfterRecovery: the wal_bytes gauge a store is opened with
+// reports the recovered active segment before the first new append.
+func TestWALBytesGaugeAfterRecovery(t *testing.T) {
+	dir := t.TempDir()
+	s, _, _ := openAndRecover(t, dir, t.Logf)
+	appendAll(t, s, "alpha", "beta")
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	walBytes := obs.NewRegistry().Gauge("wal_bytes")
+	s, err := Open(dir, Options{Log: obs.FuncLogger(t.Logf), Metrics: Metrics{WALBytes: walBytes}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if err := s.Recover(func(io.Reader) error { return nil }, func([]byte) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := walBytes.Value(), s.WALBytes(); got != want || got == 0 {
+		t.Fatalf("wal_bytes gauge = %d after recovery, store reports %d", got, want)
+	}
+}

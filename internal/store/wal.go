@@ -69,8 +69,7 @@ type wal struct {
 	noSync bool
 	log    *obs.Logger
 
-	// Instruments, set via setMetrics under mu and snapshotted by the
-	// committer at the top of each batch; nil instruments are no-ops.
+	// Instruments, fixed at construction; nil instruments are no-ops.
 	fsyncNs      *obs.Histogram
 	batchRecords *obs.Histogram
 	walBytes     *obs.Gauge
@@ -95,18 +94,13 @@ type wal struct {
 	testSyncDelay time.Duration
 }
 
-func newWAL(dir string, noSync bool, lg *obs.Logger) *wal {
-	w := &wal{dir: dir, noSync: noSync, log: lg, done: make(chan struct{})}
+func newWAL(dir string, noSync bool, lg *obs.Logger, m Metrics) *wal {
+	w := &wal{
+		dir: dir, noSync: noSync, log: lg, done: make(chan struct{}),
+		fsyncNs: m.FsyncNs, batchRecords: m.BatchRecords, walBytes: m.WALBytes,
+	}
 	w.cond = sync.NewCond(&w.mu)
 	return w
-}
-
-// setMetrics installs (or clears) the wal's instruments.
-func (w *wal) setMetrics(fsyncNs, batchRecords *obs.Histogram, walBytes *obs.Gauge) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.fsyncNs, w.batchRecords, w.walBytes = fsyncNs, batchRecords, walBytes
-	w.walBytes.Set(w.size)
 }
 
 func segmentName(firstSeq uint64) string {
@@ -161,6 +155,7 @@ func createSegment(dir string, firstSeq uint64, noSync bool) (*os.File, string, 
 func (w *wal) start(f *os.File, path string, firstSeq, nextSeq uint64, size int64) {
 	w.f, w.path = f, path
 	w.firstSeq, w.nextSeq, w.size = firstSeq, nextSeq, size
+	w.walBytes.Set(size)
 	go w.run()
 }
 
@@ -219,7 +214,6 @@ func (w *wal) run() {
 		w.busy = true
 		delay := w.testSyncDelay
 		stickyErr := w.err
-		fsyncH, batchH := w.fsyncNs, w.batchRecords
 		w.mu.Unlock()
 
 		err := stickyErr
@@ -242,8 +236,8 @@ func (w *wal) run() {
 			if err == nil && !w.noSync {
 				err = f.Sync()
 			}
-			fsyncH.ObserveSince(commitStart)
-			batchH.Observe(int64(len(recs)))
+			w.fsyncNs.ObserveSince(commitStart)
+			w.batchRecords.Observe(int64(len(recs)))
 			if delay > 0 {
 				time.Sleep(delay)
 			}

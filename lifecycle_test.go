@@ -3,6 +3,8 @@ package visualprint
 import (
 	"context"
 	"errors"
+	"slices"
+	"sort"
 	"testing"
 	"time"
 )
@@ -152,5 +154,70 @@ func TestEveryVenueIsInstrumented(t *testing.T) {
 		if got := rep.Histograms["stage_lsh_query_ns"].Count - before.Histograms["stage_lsh_query_ns"].Count; got != n {
 			t.Errorf("after %q: stage_lsh_query_ns has %d observations, want %d", venue, got, n)
 		}
+	}
+}
+
+// metricNames flattens a report to its instrument names, by kind.
+func metricNames(rep MetricsReport) []string {
+	var names []string
+	for n := range rep.Counters {
+		names = append(names, "counter "+n)
+	}
+	for n := range rep.Gauges {
+		names = append(names, "gauge "+n)
+	}
+	for n := range rep.Histograms {
+		names = append(names, "histogram "+n)
+	}
+	sort.Strings(names)
+	return names
+}
+
+// TestMetricNamesFixedAtConstruction: every instrument exists from NewServer
+// on. An in-process report taken before any listener names exactly the
+// instruments a networked client reads after ingest, query, session and
+// oracle-sync traffic on the default venue.
+func TestMetricNamesFixedAtConstruction(t *testing.T) {
+	srv, err := NewServer(DefaultServerConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	want := metricNames(srv.Metrics())
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := Connect(addr.String(), WithClientLogger(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ctx := context.Background()
+	ms := randomMappings(9, 200)
+	if _, err := c.Ingest(ctx, ms); err != nil {
+		t.Fatal(err)
+	}
+	kps := make([]Keypoint, 40)
+	for i := range kps {
+		kps[i].Desc = ms[i].Desc
+		kps[i].X, kps[i].Y = float64(10+3*i), float64(20+i)
+	}
+	intr := Intrinsics{W: 200, H: 150, FovX: 1.1, FovY: 0.85}
+	// The answers do not matter here, only that every path records.
+	c.Query(ctx, kps, intr) //nolint:errcheck
+	sess := c.Session()
+	for i := 0; i < 2; i++ {
+		sess.Query(ctx, kps, intr) //nolint:errcheck
+	}
+	if _, err := c.OracleSync().Sync(ctx); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := c.Metrics(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := metricNames(rep); !slices.Equal(got, want) {
+		t.Fatalf("instruments after traffic differ from those at construction:\n got  %v\n want %v", got, want)
 	}
 }

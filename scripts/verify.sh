@@ -17,7 +17,11 @@ echo "== api compatibility gate =="
 # below; re-run explicitly so an accidental API break names itself here.
 go test . -count=1 -run TestPublicAPISnapshot
 echo "== go test -race =="
-go test -race ./...
+# internal/server alone runs ~566 s under -race on a 2-vCPU host (its
+# slowest tests are the ~60 s wardriven end-to-end, failure-mode and
+# recovery scenarios), near go test's 600 s default per-binary timeout;
+# 20 minutes leaves room for the packages ./... runs beside it.
+go test -race -timeout 20m ./...
 echo "== chaos / fault-injection (race) =="
 # The request-lifecycle suite (deadline propagation, cancel, shed, drain),
 # the netsim fault-injection run, the replication fleet suite (failover

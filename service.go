@@ -18,7 +18,6 @@ import (
 	"visualprint/internal/repl"
 	"visualprint/internal/server"
 	"visualprint/internal/sift"
-	"visualprint/internal/track"
 )
 
 // Configuration substrate types, re-exported so ServerConfig is expressible
@@ -54,22 +53,10 @@ type ServerConfig struct {
 	Cluster ClusterParams
 	// Pose tunes the pose solver.
 	Pose PoseOptions
-	// LocateParallelism bounds the per-query LSH retrieval worker pool
-	// (0 = GOMAXPROCS, 1 = serial).
-	LocateParallelism int
 	// WALCompactBytes is the write-ahead-log size past which the
 	// background snapshotter folds the log into a fresh snapshot (0 =
 	// engine default). Only meaningful for a durable server (OpenData).
 	WALCompactBytes int64
-	// OracleDeltaWindow bounds how many recent oracle epochs keep
-	// compressed cell-delta records for versioned OracleSync requests:
-	// clients within the window refresh by delta chain, older clients
-	// full-sync. 0 is the engine default (64 epochs); negative disables
-	// delta retention entirely.
-	OracleDeltaWindow int
-	// OracleDeltaBudgetBytes caps the bytes retained by the delta window
-	// (0 = engine default, 64 MB).
-	OracleDeltaBudgetBytes int64
 }
 
 // engine converts the public configuration to the internal engine's. The
@@ -80,12 +67,6 @@ func (c ServerConfig) engine() server.DatabaseConfig { return server.DatabaseCon
 func DefaultServerConfig() ServerConfig {
 	return ServerConfig(server.DefaultDatabaseConfig())
 }
-
-// VenueConfig fixes a named venue's shard topology: how many shard engines
-// its mappings are partitioned across and the spatial cell size used as the
-// partition key. Topology is immutable once the venue exists and is
-// persisted alongside the venue's data.
-type VenueConfig = server.VenueConfig
 
 // Server is the VisualPrint cloud service: the LSH keypoint-to-3D lookup
 // table, the uniqueness oracle, and the localization pipeline, served over
@@ -111,7 +92,7 @@ type Server struct {
 // Server exists.
 type serverOptions struct {
 	net    []server.Option
-	venues map[string]VenueConfig
+	venues map[string]server.VenueConfig
 	repl   *ReplicationOptions
 }
 
@@ -143,21 +124,16 @@ func WithDrainTimeout(d time.Duration) ServerOption {
 }
 
 // WithVenueShards fixes the shard count a named venue is created with. The
-// topology applies when the venue first comes to life (first ingest, or
-// recovery via OpenData); it cannot change afterwards. Venues without a
-// configured topology default to a single shard.
+// topology applies when the venue first comes to life (first ingest) and
+// cannot change afterwards: OpenData refuses a recorded venue whose shard
+// count disagrees with it. Venues without a configured topology default to
+// a single shard.
 func WithVenueShards(venue string, shards int) ServerOption {
-	return WithVenueTopology(venue, VenueConfig{Shards: shards})
-}
-
-// WithVenueTopology is WithVenueShards with full control (shard count and
-// spatial cell size).
-func WithVenueTopology(venue string, cfg VenueConfig) ServerOption {
 	return func(o *serverOptions) {
 		if o.venues == nil {
-			o.venues = make(map[string]VenueConfig)
+			o.venues = make(map[string]server.VenueConfig)
 		}
-		o.venues[venue] = cfg
+		o.venues[venue] = server.VenueConfig{Shards: shards}
 	}
 }
 
@@ -197,7 +173,7 @@ func WithReplication(o ReplicationOptions) ServerOption {
 }
 
 // NewServer creates a cloud service with an empty default venue. Options
-// configure venue topologies immediately and the network front end once
+// fix venue topologies immediately and configure the network front end once
 // Listen starts it.
 func NewServer(cfg ServerConfig, opts ...ServerOption) (*Server, error) {
 	var so serverOptions
@@ -209,7 +185,7 @@ func NewServer(cfg ServerConfig, opts ...ServerOption) (*Server, error) {
 	if so.repl != nil && so.repl.Advertise == "" {
 		return nil, errors.New("visualprint: ReplicationOptions requires Advertise")
 	}
-	router, err := server.NewRouter(cfg.engine())
+	router, err := server.NewRouter(cfg.engine(), so.venues)
 	if err != nil {
 		return nil, err
 	}
@@ -222,11 +198,6 @@ func NewServer(cfg ServerConfig, opts ...ServerOption) (*Server, error) {
 			SyncTimeout:     so.repl.SyncTimeout,
 			MaxStaleness:    so.repl.MaxStaleness,
 		})
-	}
-	for name, vc := range so.venues {
-		if err := s.router.ConfigureVenue(name, vc); err != nil {
-			return nil, err
-		}
 	}
 	return s, nil
 }
@@ -278,14 +249,13 @@ func (s *Server) Listen(addr string) (net.Addr, error) {
 // ServeDebug starts an HTTP debug listener on addr serving the metrics
 // report as JSON at /debug/metrics and the standard pprof handlers under
 // /debug/pprof/. It returns the bound address; Close stops the listener.
-// Enables observability on the engine if nothing has yet.
 func (s *Server) ServeDebug(addr string) (net.Addr, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
 	s.debug = &http.Server{
-		Handler: obs.DebugMux(s.router.EnableObs()),
+		Handler: obs.DebugMux(s.router.Registry()),
 		// A debug port must not let a stalled peer pin a connection
 		// forever while it sends its request header.
 		ReadHeaderTimeout: 5 * time.Second,
@@ -298,10 +268,11 @@ func (s *Server) ServeDebug(addr string) (net.Addr, error) {
 	return ln.Addr(), nil
 }
 
-// Metrics returns the server's observability report directly (in-process).
-// Enables observability on the engine if nothing has yet.
+// Metrics returns the server's observability report directly (in-process):
+// the same instruments, from construction on, that Client.Metrics reads
+// over the wire.
 func (s *Server) Metrics() MetricsReport {
-	return s.router.EnableObs().Report()
+	return s.router.Registry().Report()
 }
 
 // Close stops the network listener (if any), the debug listener (if any)
@@ -372,14 +343,6 @@ func (s *Server) ReplStatus() ReplStatus {
 	}
 }
 
-// ConfigureVenue fixes the shard topology a venue will be created with
-// (equivalent to the WithVenueShards option, for topologies decided after
-// construction). It must run before the venue's first ingest; configuring a
-// live venue returns an error, since resharding is not supported.
-func (s *Server) ConfigureVenue(name string, cfg VenueConfig) error {
-	return s.router.ConfigureVenue(name, cfg)
-}
-
 // Venues returns the sorted names of all live named venues (the default
 // venue is not listed).
 func (s *Server) Venues() []string { return s.router.Venues() }
@@ -403,22 +366,6 @@ func (s *Server) Ingest(ctx context.Context, venue string, ms []Mapping) (total 
 func (s *Server) Locate(ctx context.Context, venue string, kps []Keypoint, intr Intrinsics) (LocateResult, error) {
 	return s.router.Locate(ctx, venue, kps, intr)
 }
-
-// TrackConfig tunes the server-side continuous-localization session
-// table: capacity and TTL of the session slots, the constant-velocity
-// motion model's radius growth, and the residual gates deciding when a
-// warm-started solve is accepted versus re-run cold.
-type TrackConfig = track.Config
-
-// DefaultTrackConfig returns the session-tracking configuration servers
-// start with. Zero fields in a custom config fall back to these values.
-func DefaultTrackConfig() TrackConfig { return track.DefaultConfig() }
-
-// ConfigureTracking replaces the server's continuous-localization session
-// configuration. Existing sessions are dropped (their next query solves
-// cold and re-seeds); in-flight session queries finish against the old
-// table. Safe to call on a live server.
-func (s *Server) ConfigureTracking(cfg TrackConfig) { s.router.ConfigureTracking(cfg) }
 
 // LocateSession is Locate within a continuous localization session: the
 // non-zero sid keys server-side tracking state, letting repeat queries
