@@ -22,9 +22,10 @@ verify:
 # bytes of every request the server parses; the response decoders a client
 # or replica runs on a peer's answer (FuzzResponseBodies) and the delta
 # chain decoder (FuzzDecodeChain, odelta); plus the snapshot and download
-# decoders FuzzReadIndex (lsh) and FuzzOracleRead (core). New inputs go to the
-# Go build cache; a crasher is written under the package's testdata/fuzz and
-# should be committed with its fix. Minimizing each new corpus entry is capped at 1 s:
+# decoders FuzzReadIndex (lsh) and FuzzOracleRead (core); and WAL recovery
+# plus the replication stream's WALReader on one segment (FuzzWALSegment,
+# store). New inputs go to the Go build cache; a crasher is written under
+# the package's testdata/fuzz and should be committed with its fix. Minimizing each new corpus entry is capped at 1 s:
 # the default (60 s) can spend a whole 10 s budget shrinking one input.
 fuzz-short:
 	@go test -list '^Fuzz' ./internal/... | \

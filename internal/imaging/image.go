@@ -10,6 +10,8 @@ import (
 	"image"
 	"image/color"
 	"math"
+	"runtime"
+	"sync"
 )
 
 // Gray is a single-channel float32 image with intensities nominally in
@@ -129,57 +131,92 @@ func gaussianKernel(sigma float64) []float32 {
 // standard deviation, computed separably (horizontal then vertical pass)
 // with replicate border handling. A sigma <= 0 returns a copy of g.
 func GaussianBlur(g *Gray, sigma float64) *Gray {
+	return GaussianBlurBuf(g, sigma, nil)
+}
+
+// GaussianBlurBuf is GaussianBlur with the horizontal pass written to tmp
+// when tmp holds at least W*H pixels (otherwise it allocates one), so a
+// caller blurring many images allocates only the outputs. tmp is
+// overwritten and not retained.
+//
+// Both passes are split into row bands over GOMAXPROCS goroutines. Every
+// output pixel is the same float32 sum as in a serial pass: the taps of one
+// pixel are added in ascending order, starting from zero, whichever band or
+// pass order computes it, so the result does not depend on the core count.
+func GaussianBlurBuf(g *Gray, sigma float64, tmp []float32) *Gray {
 	k := gaussianKernel(sigma)
 	if len(k) == 1 {
 		return g.Clone()
 	}
-	radius := len(k) / 2
-	tmp := NewGray(g.W, g.H)
-	out := NewGray(g.W, g.H)
-	// Horizontal pass.
-	for y := 0; y < g.H; y++ {
-		row := g.Pix[y*g.W : (y+1)*g.W]
-		dst := tmp.Pix[y*g.W : (y+1)*g.W]
-		for x := 0; x < g.W; x++ {
-			var acc float32
-			if x >= radius && x < g.W-radius {
-				// Fast interior path: no bounds checks on neighbors.
-				base := row[x-radius:]
-				for i, kv := range k {
-					acc += base[i] * kv
-				}
-			} else {
-				for i, kv := range k {
-					acc += g.At(x+i-radius, y) * kv
-				}
-			}
-			dst[x] = acc
-		}
+	w, h, radius := g.W, g.H, len(k)/2
+	if len(tmp) < w*h {
+		tmp = make([]float32, w*h)
 	}
-	// Vertical pass.
-	for y := 0; y < g.H; y++ {
-		dst := out.Pix[y*g.W : (y+1)*g.W]
-		if y >= radius && y < g.H-radius {
-			for x := 0; x < g.W; x++ {
+	tmp = tmp[:w*h]
+	out := NewGray(w, h)
+	rowBands(w*h*len(k), h, func(y0, y1 int) {
+		for y := y0; y < y1; y++ {
+			row := g.Pix[y*w : (y+1)*w]
+			dst := tmp[y*w : (y+1)*w]
+			for x := range dst {
 				var acc float32
-				idx := (y-radius)*g.W + x
-				for _, kv := range k {
-					acc += tmp.Pix[idx] * kv
-					idx += g.W
-				}
-				dst[x] = acc
-			}
-		} else {
-			for x := 0; x < g.W; x++ {
-				var acc float32
-				for i, kv := range k {
-					acc += tmp.At(x, y+i-radius) * kv
+				if x >= radius && x < w-radius {
+					// Fast interior path: no bounds checks on neighbors.
+					base := row[x-radius : x-radius+len(k)]
+					for i, kv := range k {
+						acc += base[i] * kv
+					}
+				} else {
+					for i, kv := range k {
+						acc += g.At(x+i-radius, y) * kv
+					}
 				}
 				dst[x] = acc
 			}
 		}
-	}
+	})
+	// The vertical pass runs row-wise: each tap adds one whole source row
+	// into the zeroed output row, which keeps both rows in cache and gives
+	// every pixel the same sequence of additions as a per-pixel column sum.
+	rowBands(w*h*len(k), h, func(y0, y1 int) {
+		for y := y0; y < y1; y++ {
+			dst := out.Pix[y*w : (y+1)*w]
+			for i, kv := range k {
+				sy := min(max(y+i-radius, 0), h-1)
+				src := tmp[sy*w : (sy+1)*w]
+				for x, v := range src {
+					dst[x] += v * kv
+				}
+			}
+		}
+	})
 	return out
+}
+
+// minBandWork is the fewest multiply-adds worth handing to another
+// goroutine: below it, starting and joining the goroutine costs more than
+// the work it takes off the caller.
+const minBandWork = 1 << 15
+
+// rowBands calls fn over [0, h) cut into contiguous row bands, one per
+// goroutine, the caller's included: GOMAXPROCS of them, fewer when the pass
+// does less than minBandWork multiply-adds per band.
+func rowBands(work, h int, fn func(y0, y1 int)) {
+	bands := min(runtime.GOMAXPROCS(0), h, work/minBandWork)
+	if bands <= 1 {
+		fn(0, h)
+		return
+	}
+	var wg sync.WaitGroup
+	for b := 1; b < bands; b++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			fn(h*b/bands, h*(b+1)/bands)
+		}()
+	}
+	fn(0, h/bands)
+	wg.Wait()
 }
 
 // Downsample returns g at half resolution by taking every other pixel. This

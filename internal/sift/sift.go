@@ -16,7 +16,10 @@ package sift
 
 import (
 	"math"
+	"runtime"
 	"sort"
+	"sync"
+	"sync/atomic"
 
 	"visualprint/internal/dist"
 	"visualprint/internal/imaging"
@@ -88,16 +91,30 @@ func DefaultConfig() Config {
 
 // Detect runs the full SIFT pipeline on img and returns described
 // keypoints, strongest first.
+//
+// The pyramid's blurs and the per-candidate orientation and descriptor work
+// run on GOMAXPROCS goroutines. Each candidate's peaks and each keypoint's
+// descriptor are computed by one goroutine from read-only pyramid levels
+// and written to a slot fixed by the serial order, so the list handed to
+// the sort, and hence the result, is the same bits on any core count.
 func Detect(img *imaging.Gray, cfg Config) []Keypoint {
 	if cfg.ScalesPerOctave <= 0 {
 		cfg = DefaultConfig()
 	}
 	pyr := buildPyramid(img, cfg)
-	kps := detectExtrema(pyr, cfg)
-	out := make([]Keypoint, 0, len(kps))
-	for _, c := range kps {
-		for _, ori := range orientations(pyr, c) {
-			kp := Keypoint{
+	cands := detectExtrema(pyr, cfg)
+	peaks := make([]oriPeaks, len(cands))
+	fanOut(len(cands), func(i int) { peaks[i] = orientations(pyr, cands[i]) })
+	first := make([]int, len(cands)+1) // first[i]: slot of candidate i's first keypoint
+	for i, pk := range peaks {
+		first[i+1] = first[i] + pk.n
+	}
+	out := make([]Keypoint, first[len(cands)])
+	fanOut(len(cands), func(i int) {
+		c := cands[i]
+		for j, ori := range peaks[i].theta[:peaks[i].n] {
+			kp := &out[first[i]+j]
+			*kp = Keypoint{
 				X:           c.x * c.octScale,
 				Y:           c.y * c.octScale,
 				Scale:       c.sigma * c.octScale,
@@ -105,9 +122,8 @@ func Detect(img *imaging.Gray, cfg Config) []Keypoint {
 				Response:    c.response,
 			}
 			describe(pyr, c, ori, &kp.Desc)
-			out = append(out, kp)
 		}
-	}
+	})
 	sort.Slice(out, func(i, j int) bool { return out[i].Response > out[j].Response })
 	if cfg.MaxKeypoints > 0 && len(out) > cfg.MaxKeypoints {
 		out = out[:cfg.MaxKeypoints]
@@ -115,11 +131,34 @@ func Detect(img *imaging.Gray, cfg Config) []Keypoint {
 	return out
 }
 
-// pyramid holds per-octave Gaussian and DoG stacks.
+// fanOut calls fn(i) for every i in [0, n) on up to GOMAXPROCS goroutines,
+// the caller's included. Indices are claimed one at a time, so a slow
+// candidate does not hold up a fixed share of the others.
+func fanOut(n int, fn func(i int)) {
+	var next atomic.Int64
+	work := func() {
+		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+			fn(i)
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < min(runtime.GOMAXPROCS(0), n); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
+}
+
+// pyramid holds the per-octave Gaussian stacks. The DoG images are not
+// stored: detectExtrema reads each DoG pixel as the difference of the two
+// Gaussian levels it spans, the same float32 subtraction that would have
+// filled it.
 type pyramid struct {
 	octaves [][]*imaging.Gray // gaussians[octave][level], len s+3
-	dogs    [][]*imaging.Gray // dogs[octave][level], len s+2
-	cfg     Config
 }
 
 func buildPyramid(img *imaging.Gray, cfg Config) *pyramid {
@@ -134,8 +173,11 @@ func buildPyramid(img *imaging.Gray, cfg Config) *pyramid {
 		nOct = 1
 	}
 
-	p := &pyramid{cfg: cfg}
-	base := imaging.GaussianBlur(img, cfg.Sigma) // assume nominal input blur 0
+	p := &pyramid{}
+	// Every blur of the call writes its horizontal pass here; octaves only
+	// shrink, so the first image's size fits them all.
+	tmp := make([]float32, img.W*img.H)
+	base := imaging.GaussianBlurBuf(img, cfg.Sigma, tmp) // assume nominal input blur 0
 	for o := 0; o < nOct; o++ {
 		levels := make([]*imaging.Gray, s+3)
 		levels[0] = base
@@ -143,16 +185,10 @@ func buildPyramid(img *imaging.Gray, cfg Config) *pyramid {
 		for l := 1; l < s+3; l++ {
 			sigmaTotal := cfg.Sigma * math.Pow(k, float64(l))
 			sigmaDelta := math.Sqrt(sigmaTotal*sigmaTotal - sigmaPrev*sigmaPrev)
-			levels[l] = imaging.GaussianBlur(levels[l-1], sigmaDelta)
+			levels[l] = imaging.GaussianBlurBuf(levels[l-1], sigmaDelta, tmp)
 			sigmaPrev = sigmaTotal
 		}
-		dogs := make([]*imaging.Gray, s+2)
-		for l := 0; l < s+2; l++ {
-			d, _ := imaging.Subtract(levels[l+1], levels[l])
-			dogs[l] = d
-		}
 		p.octaves = append(p.octaves, levels)
-		p.dogs = append(p.dogs, dogs)
 		// Next octave starts from the level with 2x the base sigma.
 		base = imaging.Downsample(levels[s])
 		if base.W < 8 || base.H < 8 {
@@ -177,13 +213,15 @@ func detectExtrema(p *pyramid, cfg Config) []candidate {
 	s := cfg.ScalesPerOctave
 	k := math.Pow(2, 1/float64(s))
 	edgeLimit := (cfg.EdgeThreshold + 1) * (cfg.EdgeThreshold + 1) / cfg.EdgeThreshold
-	for o, dogs := range p.dogs {
+	for o, levels := range p.octaves {
 		octScale := math.Pow(2, float64(o))
-		for l := 1; l <= len(dogs)-2; l++ {
-			d0, d1, d2 := dogs[l-1], dogs[l], dogs[l+1]
-			for y := 1; y < d1.H-1; y++ {
-				for x := 1; x < d1.W-1; x++ {
-					v := d1.Pix[y*d1.W+x]
+		// DoG level l is levels[l+1] - levels[l]; there are len(levels)-1.
+		for l := 1; l <= len(levels)-3; l++ {
+			d0, d1, d2 := dog{levels[l], levels[l-1]}, dog{levels[l+1], levels[l]}, dog{levels[l+2], levels[l+1]}
+			w, h := levels[l].W, levels[l].H
+			for y := 1; y < h-1; y++ {
+				for x := 1; x < w-1; x++ {
+					v := d1.at(x, y)
 					av := math.Abs(float64(v))
 					if av < cfg.ContrastThreshold {
 						continue
@@ -192,17 +230,17 @@ func detectExtrema(p *pyramid, cfg Config) []candidate {
 						continue
 					}
 					// Edge rejection: 2x2 Hessian of the DoG.
-					dxx := float64(d1.At(x+1, y) + d1.At(x-1, y) - 2*v)
-					dyy := float64(d1.At(x, y+1) + d1.At(x, y-1) - 2*v)
-					dxy := float64(d1.At(x+1, y+1)-d1.At(x-1, y+1)-d1.At(x+1, y-1)+d1.At(x-1, y-1)) / 4
+					dxx := float64(d1.at(x+1, y) + d1.at(x-1, y) - 2*v)
+					dyy := float64(d1.at(x, y+1) + d1.at(x, y-1) - 2*v)
+					dxy := float64(d1.at(x+1, y+1)-d1.at(x-1, y+1)-d1.at(x+1, y-1)+d1.at(x-1, y-1)) / 4
 					tr := dxx + dyy
 					det := dxx*dyy - dxy*dxy
 					if det <= 0 || tr*tr/det > edgeLimit {
 						continue
 					}
 					// Subpixel refinement in x and y via 1-D quadratic fits.
-					ox := quadOffset(float64(d1.At(x-1, y)), float64(v), float64(d1.At(x+1, y)))
-					oy := quadOffset(float64(d1.At(x, y-1)), float64(v), float64(d1.At(x, y+1)))
+					ox := quadOffset(float64(d1.at(x-1, y)), float64(v), float64(d1.at(x+1, y)))
+					oy := quadOffset(float64(d1.at(x, y-1)), float64(v), float64(d1.at(x, y+1)))
 					out = append(out, candidate{
 						octave:   o,
 						level:    l,
@@ -217,6 +255,15 @@ func detectExtrema(p *pyramid, cfg Config) []candidate {
 		}
 	}
 	return out
+}
+
+// dog is one difference-of-Gaussian image, hi - lo, read pixel by pixel.
+// Callers stay one pixel inside the border.
+type dog struct{ hi, lo *imaging.Gray }
+
+func (d dog) at(x, y int) float32 {
+	i := y*d.hi.W + x
+	return d.hi.Pix[i] - d.lo.Pix[i]
 }
 
 // quadOffset returns the sub-sample offset of the vertex of the parabola
@@ -235,14 +282,14 @@ func quadOffset(a, b, c float64) float64 {
 	return off
 }
 
-func isExtremum(d0, d1, d2 *imaging.Gray, x, y int, v float32) bool {
+func isExtremum(d0, d1, d2 dog, x, y int, v float32) bool {
 	if v > 0 {
 		for dy := -1; dy <= 1; dy++ {
 			for dx := -1; dx <= 1; dx++ {
-				if d0.At(x+dx, y+dy) >= v || d2.At(x+dx, y+dy) >= v {
+				if d0.at(x+dx, y+dy) >= v || d2.at(x+dx, y+dy) >= v {
 					return false
 				}
-				if (dx != 0 || dy != 0) && d1.At(x+dx, y+dy) >= v {
+				if (dx != 0 || dy != 0) && d1.at(x+dx, y+dy) >= v {
 					return false
 				}
 			}
@@ -251,10 +298,10 @@ func isExtremum(d0, d1, d2 *imaging.Gray, x, y int, v float32) bool {
 	}
 	for dy := -1; dy <= 1; dy++ {
 		for dx := -1; dx <= 1; dx++ {
-			if d0.At(x+dx, y+dy) <= v || d2.At(x+dx, y+dy) <= v {
+			if d0.at(x+dx, y+dy) <= v || d2.at(x+dx, y+dy) <= v {
 				return false
 			}
-			if (dx != 0 || dy != 0) && d1.At(x+dx, y+dy) <= v {
+			if (dx != 0 || dy != 0) && d1.at(x+dx, y+dy) <= v {
 				return false
 			}
 		}
@@ -272,12 +319,22 @@ func (p *pyramid) gaussianImage(c candidate) *imaging.Gray {
 	return levels[l]
 }
 
-const oriBins = 36
+const (
+	oriBins  = 36
+	maxPeaks = 4 // orientations kept per candidate
+)
+
+// oriPeaks is a candidate's orientations, theta[:n], n >= 1.
+type oriPeaks struct {
+	theta [maxPeaks]float64
+	n     int
+}
 
 // orientations computes the dominant gradient orientation(s) of a candidate
 // from a Gaussian-weighted 36-bin histogram; peaks within 80% of the maximum
-// each produce a keypoint, per Lowe.
-func orientations(p *pyramid, c candidate) []float64 {
+// each produce a keypoint, per Lowe, in bin order up to maxPeaks. A
+// candidate without a peak gets orientation 0.
+func orientations(p *pyramid, c candidate) oriPeaks {
 	img := p.gaussianImage(c)
 	var hist [oriBins]float64
 	sigmaW := 1.5 * c.sigma
@@ -315,11 +372,8 @@ func orientations(p *pyramid, c candidate) []float64 {
 			maxV = h
 		}
 	}
-	if maxV == 0 {
-		return []float64{0}
-	}
-	var out []float64
-	for i := 0; i < oriBins; i++ {
+	var out oriPeaks
+	for i := 0; i < oriBins && maxV > 0; i++ {
 		h := hist[i]
 		prev := hist[(i+oriBins-1)%oriBins]
 		next := hist[(i+1)%oriBins]
@@ -328,15 +382,12 @@ func orientations(p *pyramid, c candidate) []float64 {
 		}
 		// Parabolic peak interpolation.
 		off := quadOffset(prev, h, next)
-		theta := (float64(i)+0.5+off)/oriBins*2*math.Pi - math.Pi
-		out = append(out, theta)
-		if len(out) == 4 {
+		out.theta[out.n] = (float64(i)+0.5+off)/oriBins*2*math.Pi - math.Pi
+		if out.n++; out.n == maxPeaks {
 			break
 		}
 	}
-	if len(out) == 0 {
-		out = []float64{0}
-	}
+	out.n = max(out.n, 1) // no peak: orientation 0
 	return out
 }
 

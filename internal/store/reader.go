@@ -46,6 +46,7 @@ type WALReader struct {
 	f        *os.File
 	segFirst uint64
 	off      int64 // byte offset of the next record header in f
+	size     int64 // f's size when last measured; it only grows
 
 	warnedAt uint64 // position of the last tail-anomaly warning, to log once
 	closed   bool
@@ -125,7 +126,7 @@ func (r *WALReader) openSegment(firstSeq uint64) error {
 	if r.f != nil {
 		r.f.Close()
 	}
-	r.f, r.segFirst, r.off = f, firstSeq, walHeaderSize
+	r.f, r.segFirst, r.off, r.size = f, firstSeq, walHeaderSize, 0
 	return nil
 }
 
@@ -183,6 +184,9 @@ func (r *WALReader) nextRecord() (payload []byte, seq uint64, err error) {
 	if int64(ln) > maxRecordSize {
 		return nil, 0, fmt.Errorf("store: reader: implausible record length %d at %s+%d", ln, segmentName(r.segFirst), r.off)
 	}
+	if err := r.checkFits(ln); err != nil {
+		return nil, 0, err
+	}
 	payload = make([]byte, ln)
 	if n, err := r.f.ReadAt(payload, r.off+recHeaderSize); n < int(ln) {
 		if err != nil && err != io.EOF {
@@ -206,6 +210,52 @@ func (r *WALReader) nextRecord() (payload []byte, seq uint64, err error) {
 	r.next++
 	r.off += int64(recHeaderSize) + int64(ln)
 	return payload, seq, nil
+}
+
+// checkFits reports whether the record at r.off, ln payload bytes long,
+// lies within the segment file, before any buffer is sized by ln. A record
+// running past the end is an append still in flight on the live tail
+// (io.EOF: poll) or, on a sealed segment, a corrupt length (an error).
+func (r *WALReader) checkFits(ln uint32) error {
+	end := r.off + recHeaderSize + int64(ln)
+	fits := func() (bool, error) {
+		if end <= r.size {
+			return true, nil
+		}
+		info, err := r.f.Stat()
+		if err != nil {
+			return false, err
+		}
+		r.size = info.Size()
+		return end <= r.size, nil
+	}
+	if ok, err := fits(); ok || err != nil {
+		return err
+	}
+	sealed, err := r.sealed()
+	if err != nil {
+		return err
+	}
+	if !sealed {
+		return io.EOF
+	}
+	// The appender rotates only after the segment's last write, so the
+	// size measured now is final: the record may have completed between
+	// the two measurements.
+	if ok, err := fits(); ok || err != nil {
+		return err
+	}
+	return fmt.Errorf("store: reader: record length %d at %s+%d runs past the end of the sealed segment (%d bytes)", ln, segmentName(r.segFirst), r.off, r.size)
+}
+
+// sealed reports whether a later segment than the reader's exists, i.e.
+// the appender has rotated away from the current one.
+func (r *WALReader) sealed() (bool, error) {
+	segs, err := r.s.listSegments()
+	if err != nil {
+		return false, err
+	}
+	return len(segs) > 0 && segs[len(segs)-1] > r.segFirst, nil
 }
 
 // advance moves the reader to the segment whose first record is r.next. It

@@ -434,6 +434,11 @@ func replaySegment(path string, firstSeq uint64, isLast bool, base uint64, noSyn
 		if int64(n) > maxRecordSize {
 			return seq, truncate(recStart, "implausible record length")
 		}
+		// A length the file cannot hold is a torn or corrupt header: truncate
+		// without allocating the buffer it asks for.
+		if int64(n) > fileSize-r.offset {
+			return seq, truncate(recStart, "torn record payload")
+		}
 		payload := make([]byte, n)
 		if _, err := io.ReadFull(r, payload); err != nil {
 			return seq, truncate(recStart, "torn record payload")
