@@ -24,7 +24,8 @@ verify:
 # chain decoder (FuzzDecodeChain, odelta); plus the snapshot and download
 # decoders FuzzReadIndex (lsh) and FuzzOracleRead (core); and WAL recovery
 # plus the replication stream's WALReader on one segment (FuzzWALSegment,
-# store). New inputs go to the Go build cache; a crasher is written under
+# store); and the VPDB2 database snapshot a shard recovers from and a replica
+# full-syncs from (FuzzSnapshot, server). New inputs go to the Go build cache; a crasher is written under
 # the package's testdata/fuzz and should be committed with its fix. Minimizing each new corpus entry is capped at 1 s:
 # the default (60 s) can spend a whole 10 s budget shrinking one input.
 fuzz-short:

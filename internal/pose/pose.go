@@ -20,7 +20,9 @@
 // pool when Options.Workers allows — so the result is bit-identical for a
 // fixed seed at any worker count (see DESIGN.md "Performance"). The search
 // ends at the evaluation budget, the deadline, or Options.Tol population
-// convergence, whichever comes first.
+// convergence, whichever comes first. LocalizeCold (seed.go) runs the same
+// search in a small box around the best closed-form P3P hypothesis, with
+// the venue-wide search as its fallback.
 package pose
 
 import (
@@ -165,10 +167,13 @@ func (pg *pairGeometry) residual(a, b *ptDir) float64 {
 }
 
 // problem is the position-independent part of one solve: the kept pairs and
-// the compact list of the points they reference.
+// the compact list of the points they reference, plus the camera-frame unit
+// ray of every correspondence (the closed-form hypotheses of seed.go draw on
+// all of them, not only on the kept pairs' endpoints).
 type problem struct {
 	pts   []mathx.Vec3
 	pairs []pairGeometry
+	rays  []mathx.Vec3
 }
 
 // newProblem builds the pair geometry of a solve. All n(n-1)/2 pairs are
@@ -196,7 +201,7 @@ func newProblem(corr []Correspondence, intr Intrinsics, maxPairs int, rng *rand.
 		rng.Shuffle(len(idx), func(a, b int) { idx[a], idx[b] = idx[b], idx[a] })
 		idx = idx[:maxPairs]
 	}
-	pr := problem{pairs: make([]pairGeometry, len(idx))}
+	pr := problem{pairs: make([]pairGeometry, len(idx)), rays: rays}
 	compact := make([]int32, len(corr)) // corr index -> pts index + 1; 0 = not yet referenced
 	ref := func(i int32) int32 {
 		if compact[i] == 0 {
@@ -333,11 +338,22 @@ func Localize(corr []Correspondence, intr Intrinsics, lo, hi mathx.Vec3, opt Opt
 // proceeds exactly as Localize — the context check consumes no randomness,
 // so a context that never fires leaves results bit-identical.
 func LocalizeContext(ctx context.Context, corr []Correspondence, intr Intrinsics, lo, hi mathx.Vec3, opt Options) (Result, error) {
+	opt, err := prepare(corr, intr, opt)
+	if err != nil {
+		return Result{}, err
+	}
+	rng := rand.New(rand.NewSource(opt.Seed))
+	pr := newProblem(corr, intr, opt.MaxPairs, rng)
+	return pr.search(ctx, rng, corr, intr, lo, hi, opt)
+}
+
+// prepare validates a solve's inputs and applies the option defaults.
+func prepare(corr []Correspondence, intr Intrinsics, opt Options) (Options, error) {
 	if len(corr) < 3 {
-		return Result{}, errors.New("pose: need at least 3 correspondences")
+		return opt, errors.New("pose: need at least 3 correspondences")
 	}
 	if intr.W <= 0 || intr.H <= 0 || intr.FovX <= 0 || intr.FovY <= 0 {
-		return Result{}, errors.New("pose: invalid intrinsics")
+		return opt, errors.New("pose: invalid intrinsics")
 	}
 	if opt.PopSize < 8 {
 		opt.PopSize = 8
@@ -348,10 +364,13 @@ func LocalizeContext(ctx context.Context, corr []Correspondence, intr Intrinsics
 	if opt.Workers <= 0 {
 		opt.Workers = runtime.GOMAXPROCS(0)
 	}
-	rng := rand.New(rand.NewSource(opt.Seed))
+	return opt, nil
+}
 
-	pr := newProblem(corr, intr, opt.MaxPairs, rng)
-
+// search is the differential-evolution body of LocalizeContext over a built
+// problem: rng is the solve's stream positioned just after newProblem's pair
+// shuffle, and opt has its defaults applied.
+func (pr *problem) search(ctx context.Context, rng *rand.Rand, corr []Correspondence, intr Intrinsics, lo, hi mathx.Vec3, opt Options) (Result, error) {
 	warm := false
 	if opt.PriorRadius > 0 {
 		plo := mathx.Vec3{X: opt.PriorPos.X - opt.PriorRadius, Y: opt.PriorPos.Y - opt.PriorRadius, Z: opt.PriorPos.Z - opt.PriorRadius}
@@ -399,7 +418,7 @@ func LocalizeContext(ctx context.Context, corr []Correspondence, intr Intrinsics
 	evals += opt.PopSize
 	trials := make([][3]float64, opt.PopSize)
 	trialCost := make([]float64, opt.PopSize)
-	evaluate := newBatchEvaluator(opt.Workers, &pr, dirs, trials, trialCost, cost)
+	evaluate := newBatchEvaluator(opt.Workers, pr, dirs, trials, trialCost, cost)
 	start := time.Now()
 	for iter := 0; iter < opt.MaxIterations; iter++ {
 		if opt.Deadline > 0 && time.Since(start) > opt.Deadline {

@@ -1,6 +1,7 @@
 package pose
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -193,7 +194,9 @@ func TestEstimateYawPerfectGeometry(t *testing.T) {
 	}
 }
 
-func BenchmarkLocalize30Corr(b *testing.B) {
+// bench30Corr is the benchmarks' query: 30 exact correspondences seen from
+// a camera in a 50 x 3 x 20 m box.
+func bench30Corr() ([]Correspondence, Intrinsics, mathx.Vec3, mathx.Vec3) {
 	cam := scene.DefaultCamera(320, 240)
 	cam.Pos = mathx.Vec3{X: 12, Y: 1.6, Z: 5}
 	rng := rand.New(rand.NewSource(8))
@@ -206,11 +209,30 @@ func BenchmarkLocalize30Corr(b *testing.B) {
 			corr = append(corr, Correspondence{Px: px, Py: py, P: p})
 		}
 	}
+	return corr, testIntrinsics(cam), mathx.Vec3{}, mathx.Vec3{X: 50, Y: 3, Z: 20}
+}
+
+func BenchmarkLocalize30Corr(b *testing.B) {
+	corr, intr, lo, hi := bench30Corr()
 	opt := DefaultOptions()
 	opt.Deadline = 50 * time.Millisecond
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Localize(corr, testIntrinsics(cam), mathx.Vec3{}, mathx.Vec3{X: 50, Y: 3, Z: 20}, opt)
+		Localize(corr, intr, lo, hi, opt)
+	}
+}
+
+// BenchmarkLocalizeSeeded is BenchmarkLocalize30Corr through the seeded
+// cold solve: the hypothesis stage, the shrunk-box search and any fallback.
+func BenchmarkLocalizeSeeded(b *testing.B) {
+	corr, intr, lo, hi := bench30Corr()
+	opt := DefaultOptions()
+	opt.Deadline = 50 * time.Millisecond
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		LocalizeCold(ctx, corr, intr, lo, hi, opt)
 	}
 }

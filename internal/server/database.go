@@ -380,9 +380,12 @@ type LocateResult struct {
 	Residual float64
 	// Matched counts the keypoints whose matches survived clustering.
 	Matched int
-	// Generations is the DE generation count the pose solve consumed
-	// (initialization included) — the quantity the warm-start tracking
-	// path halves. In-process only: it is not carried on the wire, so
+	// Generations is the pose solve's objective evaluations in DE
+	// generations of the configured population (initialization included):
+	// a venue-wide or warm solve's generation count, and for the seeded
+	// cold solve its hypothesis scoring, its smaller-population search and
+	// any fallback, all in the same unit — the work the warm-start and the
+	// seeded paths cut. In-process only: it is not carried on the wire, so
 	// results decoded from a remote server report 0.
 	Generations int
 }
@@ -587,12 +590,17 @@ func locateShards(ctx context.Context, m *dbMetrics, shards []*Database, kps []s
 // already-gathered candidate list (see locateShards): the unioned venue
 // bounds feed the search box, and clustering order is fixed by the list order.
 //
-// A nil ws solves cold with cfg.Pose verbatim. A non-nil ws solves warm first
-// (prior pose, shrunk bounds, early convergence stop — see track.go) and
-// reports true when the result passes the residual gate; a rejected prior is
-// re-solved cold over the same correspondences, so the answer is
-// bit-identical to a session-less Locate. Warm-solve errors are returned
-// without a cold retry: nothing that can fail depends on the prior.
+// A nil ws solves cold: pose.LocalizeCold with cfg.Pose, a search seeded by
+// closed-form hypotheses whose gate falls back to the venue-wide search
+// (cfg.Pose verbatim through pose.LocalizeContext). A non-nil ws solves warm
+// first (prior pose, shrunk bounds, early convergence stop — see track.go)
+// and reports true when the result passes the residual gate; a rejected
+// prior falls through to the same cold solve over the same correspondences,
+// so the answer is bit-identical to a session-less Locate. Warm-solve errors
+// are returned without a cold retry: nothing that can fail depends on the
+// prior. A warm ws that accepts everything (accept 0) and carries cfg.Pose
+// unchanged is the venue-wide search alone, the in-package baseline the
+// seeded solve is measured against.
 func solve(ctx context.Context, cfg DatabaseConfig, cands []locateCand, lo, hi mathx.Vec3, intr pose.Intrinsics, tr *obs.Trace, ws *warmSolve) (LocateResult, bool, error) {
 	if len(cands) < 3 {
 		return LocateResult{}, false, ErrTooFewMatches
@@ -626,19 +634,17 @@ func solve(ctx context.Context, cfg DatabaseConfig, cands []locateCand, lo, hi m
 	// camera position through the wall plane, which a box clipped to the
 	// venue interior excludes.
 	pad := mathx.Vec3{X: 0.3, Y: 0.3, Z: 0.3}
-	localize := func(popt pose.Options) (LocateResult, error) {
+	localize := func(run func(context.Context, []pose.Correspondence, pose.Intrinsics, mathx.Vec3, mathx.Vec3, pose.Options) (pose.Result, error), popt pose.Options) (LocateResult, error) {
 		t0 := time.Now()
-		res, err := pose.LocalizeContext(ctx, corr, intr, lo.Sub(pad), hi.Add(pad), popt)
+		res, err := run(ctx, corr, intr, lo.Sub(pad), hi.Add(pad), popt)
 		tr.StageSince(obs.StagePoseSolve, t0)
 		if err != nil {
 			return LocateResult{}, ctxError(err)
 		}
-		// Evals = effective-PopSize × (init + generations); the solver clamps
-		// PopSize to a floor of 8, so mirror that clamp here.
-		ps := popt.PopSize
-		if ps < 8 {
-			ps = 8
-		}
+		// Generations counts evaluations in generations of the configured
+		// population; the solver clamps PopSize to a floor of 8, so mirror
+		// that clamp here.
+		ps := max(popt.PopSize, 8)
 		return LocateResult{
 			Position:    res.Position,
 			Yaw:         res.Yaw,
@@ -648,11 +654,11 @@ func solve(ctx context.Context, cfg DatabaseConfig, cands []locateCand, lo, hi m
 		}, nil
 	}
 	if ws != nil {
-		res, err := localize(ws.opt)
+		res, err := localize(pose.LocalizeContext, ws.opt)
 		if err != nil || ws.accept <= 0 || res.Residual <= ws.accept {
 			return res, err == nil, err
 		}
 	}
-	res, err := localize(cfg.Pose)
+	res, err := localize(pose.LocalizeCold, cfg.Pose)
 	return res, false, err
 }

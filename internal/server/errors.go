@@ -53,6 +53,11 @@ var (
 	// error a server sends unprompted, as an id-0 frame before closing, and
 	// it fails every call on that connection.
 	ErrProtocolVersion = errors.New("server: unsupported protocol version")
+	// ErrVenueNotReplicated: a replicated server was asked to ingest into or
+	// query a named venue. Replication covers only the default venue, so
+	// such a server refuses named venues rather than acknowledge writes a
+	// failover would lose (see NewDefaultVenueRouter).
+	ErrVenueNotReplicated = errors.New("server: replication covers only the default venue")
 )
 
 // NotPrimaryError is the concrete redirect error behind ErrNotPrimary. It
@@ -113,6 +118,7 @@ const (
 	errCodeCanceled         byte = 7
 	errCodeNotPrimary       byte = 8
 	errCodeProtocolVersion  byte = 9
+	errCodeVenueNotRepl     byte = 10
 )
 
 // errorCode maps a server-side error to its wire code. Raw context errors
@@ -138,6 +144,8 @@ func errorCode(err error) byte {
 		return errCodeNotPrimary
 	case errors.Is(err, ErrProtocolVersion):
 		return errCodeProtocolVersion
+	case errors.Is(err, ErrVenueNotReplicated):
+		return errCodeVenueNotRepl
 	default:
 		return errCodeGeneric
 	}
@@ -165,6 +173,8 @@ func sentinelFor(code byte) error {
 		return ErrNotPrimary
 	case errCodeProtocolVersion:
 		return ErrProtocolVersion
+	case errCodeVenueNotRepl:
+		return ErrVenueNotReplicated
 	default:
 		return nil
 	}

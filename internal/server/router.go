@@ -70,6 +70,11 @@ type Router struct {
 	tm  trackMetrics
 
 	log *obs.Logger
+
+	// defaultOnly marks a replicated server's router, fixed by
+	// NewDefaultVenueRouter: replication covers only the default venue, so
+	// every named venue is refused.
+	defaultOnly bool
 }
 
 // VenueConfig fixes a venue's shard topology. It is immutable once the venue
@@ -167,6 +172,29 @@ func NewRouter(cfg DatabaseConfig, topo map[string]VenueConfig) (*Router, error)
 	return r, nil
 }
 
+// NewDefaultVenueRouter is NewRouter for a replicated server. Replication
+// ships only the default venue's log and holds only its acks for the
+// semi-sync quorum, so this router serves the default venue alone: an ingest
+// into or a query of a named venue answers ErrVenueNotReplicated, and
+// OpenVenues refuses a data directory that records one. Nothing is
+// acknowledged that a failover could lose.
+func NewDefaultVenueRouter(cfg DatabaseConfig) (*Router, error) {
+	r, err := NewRouter(cfg, nil)
+	if err != nil {
+		return nil, err
+	}
+	r.defaultOnly = true
+	return r, nil
+}
+
+// admit refuses a named venue on a default-venue-only router.
+func (r *Router) admit(venueName string) error {
+	if r.defaultOnly && venueName != "" {
+		return ErrVenueNotReplicated
+	}
+	return nil
+}
+
 // SetLogger routes venue lifecycle messages through l (nil silences).
 func (r *Router) SetLogger(l *obs.Logger) {
 	if l == nil {
@@ -224,8 +252,9 @@ func (r *Router) shardDir(venueName string, i int) string {
 // directory (topology from meta.json, each shard from its store), and venues
 // created later are durable under the same root. A recorded venue whose
 // shard count disagrees with the topology NewRouter was given is refused:
-// its mappings are partitioned for the recorded count. It must run before
-// any ingest. A failed open leaves the router closed and in-memory.
+// its mappings are partitioned for the recorded count, and so is any
+// recorded named venue on a NewDefaultVenueRouter. It must run before any
+// ingest. A failed open leaves the router closed and in-memory.
 func (r *Router) OpenVenues(dir string) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -261,6 +290,9 @@ func (r *Router) openLocked() error {
 			continue
 		}
 		name := e.Name()
+		if err := r.admit(name); err != nil {
+			return fmt.Errorf("server: venue %q is recorded under %s: %w", name, r.dir, err)
+		}
 		meta, err := os.ReadFile(filepath.Join(root, name, venueMetaFile))
 		if err != nil {
 			return fmt.Errorf("server: venue %q: %w", name, err)
@@ -441,12 +473,16 @@ func (v *venue) len() int {
 // order; the lock is released before the durability wait (each shard's WAL
 // fsync, the semi-sync replica quorum), so concurrent ingests into one venue
 // share group commits instead of serializing on the disk or the replica
-// round trip. The call returns once every shard has acknowledged.
+// round trip. The call returns once every shard has acknowledged. A
+// NewDefaultVenueRouter refuses a named venue with ErrVenueNotReplicated.
 //
 // The context gates admission only (see Database.Ingest).
 func (r *Router) Ingest(ctx context.Context, venueName string, ms []Mapping) (total int, err error) {
 	if err := ctx.Err(); err != nil {
 		return 0, ctxError(err)
+	}
+	if err := r.admit(venueName); err != nil {
+		return 0, err
 	}
 	v, err := r.getOrCreate(venueName)
 	if err != nil {

@@ -110,10 +110,15 @@ func (r *Router) Locate(ctx context.Context, venueName string, kps []sift.Keypoi
 // looks up the session's motion-model prior, warm-starts the pose solve
 // with it, and records the accepted fix back into the session history.
 //
+// A NewDefaultVenueRouter refuses a named venue with ErrVenueNotReplicated.
+//
 // This is the one Locate route: look the venue up and run locateShards on
 // its shards with the optional prior ("router affinity": the prior applies
 // after the gather, so any shard topology reuses it).
 func (r *Router) LocateSession(ctx context.Context, venueName string, sid uint64, kps []sift.Keypoint, intr pose.Intrinsics) (LocateResult, error) {
+	if err := r.admit(venueName); err != nil {
+		return LocateResult{}, err
+	}
 	v := r.lookup(venueName)
 	if v == nil {
 		return LocateResult{}, ErrEmptyDatabase

@@ -43,9 +43,24 @@ type queryFixture struct {
 	intr pose.Intrinsics
 }
 
+// venueWideLocate answers a session-less query with the venue-wide search
+// alone: cfg.Pose verbatim over the whole venue box, no hypothesis prior. A
+// warmSolve carrying the cold options and no residual gate is exactly that
+// search (see solve) — the baseline the warm and the seeded cold paths are
+// measured against.
+func venueWideLocate(t *testing.T, r *Router, venue string, kps []sift.Keypoint, intr pose.Intrinsics) LocateResult {
+	t.Helper()
+	res, _, err := locateShards(context.Background(), r.met, r.lookup(venue).shards, kps, intr, &warmSolve{opt: r.cfg.Pose})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 // TestLocateSessionWarmAcceptance: the second query of a session must be
 // answered by an accepted warm solve that consumes no more DE generations
-// than the cold solve, and the session metrics must record it.
+// than the venue-wide search, and the session metrics must record it. (The
+// seeded cold solve of the first query may use fewer than either.)
 func TestLocateSessionWarmAcceptance(t *testing.T) {
 	r, reg, _, q := trackFixture(t)
 	ctx := context.Background()
@@ -72,8 +87,8 @@ func TestLocateSessionWarmAcceptance(t *testing.T) {
 	if got := reg.Counter("track_prior_rejected").Value(); got != 0 {
 		t.Fatalf("track_prior_rejected = %d, want 0", got)
 	}
-	if warm.Generations > cold.Generations {
-		t.Fatalf("warm solve used %d generations, cold %d", warm.Generations, cold.Generations)
+	if wide := venueWideLocate(t, r, "", q.kps, q.intr); warm.Generations > wide.Generations {
+		t.Fatalf("warm solve used %d generations, the venue-wide search %d", warm.Generations, wide.Generations)
 	}
 	if d := warm.Position.Dist(cold.Position); d > 0.5 {
 		t.Fatalf("warm pose drifted %.3f m from cold pose", d)
@@ -134,8 +149,7 @@ func TestLocateSessionShardedWarm(t *testing.T) {
 	ctx := context.Background()
 	const sid = 55
 
-	cold, err := r.LocateSession(ctx, venueName, sid, kps, intr)
-	if err != nil {
+	if _, err := r.LocateSession(ctx, venueName, sid, kps, intr); err != nil {
 		t.Fatal(err)
 	}
 	warm, err := r.LocateSession(ctx, venueName, sid, kps, intr)
@@ -145,8 +159,8 @@ func TestLocateSessionShardedWarm(t *testing.T) {
 	if got := reg.Counter("track_warm").Value(); got != 1 {
 		t.Fatalf("track_warm = %d, want 1", got)
 	}
-	if warm.Generations > cold.Generations {
-		t.Fatalf("sharded warm solve used %d generations, cold %d", warm.Generations, cold.Generations)
+	if wide := venueWideLocate(t, r, venueName, kps, intr); warm.Generations > wide.Generations {
+		t.Fatalf("sharded warm solve used %d generations, the venue-wide search %d", warm.Generations, wide.Generations)
 	}
 
 	// Rejected prior on the sharded path must still equal the one-shard
@@ -228,70 +242,95 @@ func TestWarmPoseOptionsLayering(t *testing.T) {
 	}
 }
 
-// TestSessionWalkWarmSaves is the acceptance regression for the tracking
-// subsystem: a camera walks past the slab at 0.8 m/s, one query per frame,
-// and the same frames are solved cold (session-less) and warm (one
-// session). The warm pass must consume at most half the cold pass's DE
-// generations with median pose error no worse, its first frame (no prior
-// yet) must be the only cold solve, and no prior may be rejected.
-func TestSessionWalkWarmSaves(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-second solver workload")
-	}
-	// The solver keeps its default generation budget: the test config's
-	// cap would clip the cold baseline the ratio is measured against.
+// walkFrame is one frame of the synthetic walk: the true camera and the
+// query it captures.
+type walkFrame struct {
+	cam  mathx.Vec3
+	kps  []sift.Keypoint
+	intr pose.Intrinsics
+}
+
+// walkFixture ingests the walk corpus into a router and returns the walk: a
+// camera passing the slab at 0.8 m/s, one query per 50 ms frame. The solver
+// keeps its default generation budget: the test config's cap would clip the
+// venue-wide baseline the walks are measured against.
+func walkFixture(t *testing.T) (*Router, *obs.Registry, []walkFrame) {
+	t.Helper()
 	cfg := routerTestConfig()
 	cfg.Pose.MaxIterations = pose.DefaultOptions().MaxIterations
 	const (
 		clusterN, queryN = 160, 200
 		frames           = 20
 		stepM            = 0.08
-		// The motion model reads the server's clock, so the walk is paced
-		// like the capture it stands for; back to back, a 0.08 m step would
-		// look like a sprint and trip the MaxSpeed clamp.
-		frameDt = 50 * time.Millisecond
 	)
 	ms, _, _ := syntheticCorpus(7, clusterN, 500, queryN)
 	r := newTestRouter(t, cfg, nil)
-	reg := r.Registry()
-	ctx := context.Background()
-	if _, err := r.Ingest(ctx, "", ms); err != nil {
+	if _, err := r.Ingest(context.Background(), "", ms); err != nil {
 		t.Fatal(err)
 	}
+	walk := make([]walkFrame, frames)
+	for f := range walk {
+		cam := mathx.Vec3{X: 4 + stepM*(float64(f)-float64(frames-1)/2), Y: 1.4, Z: 2}
+		kps, intr := syntheticQuery(ms, clusterN, queryN, cam)
+		walk[f] = walkFrame{cam: cam, kps: kps, intr: intr}
+	}
+	return r, r.Registry(), walk
+}
 
-	// walk solves every frame under sid and returns the mean generations
-	// and the median position error.
-	walk := func(sid uint64) (float64, float64) {
-		t.Helper()
-		gens, errs := 0, make([]float64, frames)
-		start := time.Now()
-		for f := 0; f < frames; f++ {
-			cam := mathx.Vec3{X: 4 + stepM*(float64(f)-float64(frames-1)/2), Y: 1.4, Z: 2}
-			kps, intr := syntheticQuery(ms, clusterN, queryN, cam)
-			if sid != 0 {
-				time.Sleep(time.Until(start.Add(time.Duration(f) * frameDt)))
-			}
-			res, err := r.LocateSession(ctx, "", sid, kps, intr)
-			if err != nil {
-				t.Fatalf("frame %d: %v", f, err)
-			}
-			gens += res.Generations
-			errs[f] = res.Position.Dist(cam)
+// walkStats solves every frame with locate and returns the total
+// generations and the median position error.
+func walkStats(t *testing.T, walk []walkFrame, locate func(f int, w walkFrame) LocateResult) (int, float64) {
+	t.Helper()
+	gens, errs := 0, make([]float64, len(walk))
+	for f, w := range walk {
+		res := locate(f, w)
+		gens += res.Generations
+		errs[f] = res.Position.Dist(w.cam)
+	}
+	sort.Float64s(errs)
+	return gens, errs[len(errs)/2]
+}
+
+// TestSessionWalkWarmSaves is the acceptance regression for the tracking
+// subsystem: a camera walks past the slab at 0.8 m/s, one query per frame,
+// and the same frames are solved by the venue-wide search (the warm path's
+// baseline, which the cold solve still falls back to) and warm (one
+// session). The warm pass must consume at most half the venue-wide pass's
+// DE generations with median pose error no worse, its first frame (no prior
+// yet) must be the only cold solve, and no prior may be rejected.
+func TestSessionWalkWarmSaves(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-second solver workload")
+	}
+	r, reg, walk := walkFixture(t)
+	ctx := context.Background()
+	// The motion model reads the server's clock, so the walk is paced like
+	// the capture it stands for; back to back, a 0.08 m step would look like
+	// a sprint and trip the MaxSpeed clamp.
+	const frameDt = 50 * time.Millisecond
+	frames := len(walk)
+
+	wideGens, wideErr := walkStats(t, walk, func(_ int, w walkFrame) LocateResult {
+		return venueWideLocate(t, r, "", w.kps, w.intr)
+	})
+	start := time.Now()
+	warmGens, warmErr := walkStats(t, walk, func(f int, w walkFrame) LocateResult {
+		time.Sleep(time.Until(start.Add(time.Duration(f) * frameDt)))
+		res, err := r.LocateSession(ctx, "", 1, w.kps, w.intr)
+		if err != nil {
+			t.Fatalf("frame %d: %v", f, err)
 		}
-		sort.Float64s(errs)
-		return float64(gens) / frames, errs[frames/2]
+		return res
+	})
+	t.Logf("generations/frame: venue-wide %.1f, warm %.1f; median error: venue-wide %.4f m, warm %.4f m",
+		float64(wideGens)/float64(frames), float64(warmGens)/float64(frames), wideErr, warmErr)
+	if ratio := float64(warmGens) / float64(wideGens); ratio > 0.5 {
+		t.Errorf("warm/cold generation ratio = %.3f (warm %d, cold %d), want <= 0.5", ratio, warmGens, wideGens)
 	}
-
-	coldGens, coldErr := walk(0)
-	warmGens, warmErr := walk(1)
-	t.Logf("generations/frame: cold %.1f, warm %.1f; median error: cold %.4f m, warm %.4f m", coldGens, warmGens, coldErr, warmErr)
-	if ratio := warmGens / coldGens; ratio > 0.5 {
-		t.Errorf("warm/cold generation ratio = %.3f (warm %.1f, cold %.1f), want <= 0.5", ratio, warmGens, coldGens)
+	if warmErr > wideErr {
+		t.Errorf("warm median error %.4f m worse than cold %.4f m", warmErr, wideErr)
 	}
-	if warmErr > coldErr {
-		t.Errorf("warm median error %.4f m worse than cold %.4f m", warmErr, coldErr)
-	}
-	if got := reg.Counter("track_warm").Value(); got != frames-1 {
+	if got := reg.Counter("track_warm").Value(); got != uint64(frames-1) {
 		t.Errorf("track_warm = %d, want %d", got, frames-1)
 	}
 	if got := reg.Counter("track_cold").Value(); got != 1 {
@@ -299,5 +338,38 @@ func TestSessionWalkWarmSaves(t *testing.T) {
 	}
 	if got := reg.Counter("track_prior_rejected").Value(); got != 0 {
 		t.Errorf("track_prior_rejected = %d, want 0", got)
+	}
+}
+
+// TestSessionlessLocateSeededSaves: on the walk of TestSessionWalkWarmSaves,
+// a session-less Locate — the seeded cold solve, hypothesis scoring included
+// — spends at most half the venue-wide search's objective evaluations at an
+// equal or better median error. Generations is evaluations over the
+// configured population, rounded down; the seeded side is counted one
+// generation high per frame so the rounding cannot flatter it.
+func TestSessionlessLocateSeededSaves(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-second solver workload")
+	}
+	r, _, walk := walkFixture(t)
+	ctx := context.Background()
+	wideGens, wideErr := walkStats(t, walk, func(_ int, w walkFrame) LocateResult {
+		return venueWideLocate(t, r, "", w.kps, w.intr)
+	})
+	seededGens, seededErr := walkStats(t, walk, func(f int, w walkFrame) LocateResult {
+		res, err := r.Locate(ctx, "", w.kps, w.intr)
+		if err != nil {
+			t.Fatalf("frame %d: %v", f, err)
+		}
+		return res
+	})
+	seededGens += len(walk)
+	t.Logf("generations/frame: venue-wide %.1f, seeded <= %.1f; median error: venue-wide %.4f m, seeded %.4f m",
+		float64(wideGens)/float64(len(walk)), float64(seededGens)/float64(len(walk)), wideErr, seededErr)
+	if 2*seededGens > wideGens {
+		t.Errorf("seeded cold solves used <= %d generations of evaluations, venue-wide %d: want <= 50 %%", seededGens, wideGens)
+	}
+	if seededErr > wideErr {
+		t.Errorf("seeded median error %.4f m worse than venue-wide %.4f m", seededErr, wideErr)
 	}
 }

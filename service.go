@@ -141,9 +141,10 @@ func WithVenueShards(venue string, shards int) ServerOption {
 // fleet: one primary accepts writes and streams its write-ahead log to any
 // number of replicas, which serve reads from byte-identical state; a
 // sentinel process (cmd/vpsentinel, or repl.Sentinel in-process) promotes
-// the most-caught-up replica when the primary dies. Replication covers the
-// server's default venue and requires a durable server (OpenData before
-// Listen).
+// the most-caught-up replica when the primary dies. Replication covers only
+// the server's default venue, and a replicated server serves nothing else:
+// an ingest into or a query of a named venue answers ErrVenueNotReplicated.
+// It requires a durable server (OpenData before Listen).
 type ReplicationOptions struct {
 	// Advertise is the address fleet peers and redirected clients reach
 	// this node at (the bind address is often ":0" or a wildcard, so it
@@ -167,7 +168,12 @@ type ReplicationOptions struct {
 	MaxStaleness time.Duration
 }
 
-// WithReplication enrolls the server in a replication fleet.
+// WithReplication enrolls the server in a replication fleet. Replication
+// covers only the default venue, so a replicated server is a default-venue
+// server: NewServer rejects it together with WithVenueShards, OpenData
+// refuses a data directory that records a named venue, and ingests and
+// queries naming a venue answer ErrVenueNotReplicated instead of an
+// acknowledgement a failover could not honor.
 func WithReplication(o ReplicationOptions) ServerOption {
 	return func(so *serverOptions) { so.repl = &o }
 }
@@ -182,10 +188,20 @@ func NewServer(cfg ServerConfig, opts ...ServerOption) (*Server, error) {
 			o(&so)
 		}
 	}
-	if so.repl != nil && so.repl.Advertise == "" {
+	var (
+		router *server.Router
+		err    error
+	)
+	switch {
+	case so.repl == nil:
+		router, err = server.NewRouter(cfg.engine(), so.venues)
+	case so.repl.Advertise == "":
 		return nil, errors.New("visualprint: ReplicationOptions requires Advertise")
+	case len(so.venues) > 0:
+		return nil, errors.New("visualprint: WithReplication covers only the default venue and cannot be combined with WithVenueShards")
+	default:
+		router, err = server.NewDefaultVenueRouter(cfg.engine())
 	}
-	router, err := server.NewRouter(cfg.engine(), so.venues)
 	if err != nil {
 		return nil, err
 	}
@@ -563,6 +579,10 @@ var (
 	// of identical mappings is not deduplicated, though, so prefer checking
 	// replica acks via metrics before retrying).
 	ErrReplSyncTimeout = server.ErrReplSyncTimeout
+	// ErrVenueNotReplicated: a replicated server was asked to ingest into
+	// or query a named venue. Replication covers only the default venue,
+	// so a replicated server refuses the others.
+	ErrVenueNotReplicated = server.ErrVenueNotReplicated
 )
 
 // WithReadFromReplica routes the client's read RPCs (Query, OracleSync,
