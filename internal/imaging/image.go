@@ -255,18 +255,6 @@ func Resize(g *Gray, w, h int) (*Gray, error) {
 	return out, nil
 }
 
-// Subtract returns a - b pixelwise. The images must have equal dimensions.
-func Subtract(a, b *Gray) (*Gray, error) {
-	if a.W != b.W || a.H != b.H {
-		return nil, errors.New("imaging: Subtract dimension mismatch")
-	}
-	out := NewGray(a.W, a.H)
-	for i := range out.Pix {
-		out.Pix[i] = a.Pix[i] - b.Pix[i]
-	}
-	return out, nil
-}
-
 // Gradient computes central-difference image gradients, returning the
 // magnitude and orientation (radians, in (-pi, pi]) at (x, y).
 func Gradient(g *Gray, x, y int) (mag, theta float64) {

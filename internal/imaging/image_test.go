@@ -164,23 +164,6 @@ func TestResize(t *testing.T) {
 	}
 }
 
-func TestSubtract(t *testing.T) {
-	a := NewGray(2, 2)
-	b := NewGray(2, 2)
-	a.Set(0, 0, 0.8)
-	b.Set(0, 0, 0.3)
-	d, err := Subtract(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(float64(d.At(0, 0))-0.5) > 1e-6 {
-		t.Errorf("Subtract = %v", d.At(0, 0))
-	}
-	if _, err := Subtract(a, NewGray(3, 2)); err == nil {
-		t.Error("want dimension-mismatch error")
-	}
-}
-
 func TestGradientOnRamp(t *testing.T) {
 	// Horizontal ramp: gradient points in +x with magnitude ~ slope*2/2.
 	g := NewGray(8, 8)

@@ -22,7 +22,8 @@
 // ends at the evaluation budget, the deadline, or Options.Tol population
 // convergence, whichever comes first. LocalizeCold (seed.go) runs the same
 // search in a small box around the best closed-form P3P hypothesis, with
-// the venue-wide search as its fallback.
+// the venue-wide search as its fallback; LocalizeWarm runs it around a
+// tracking session's prediction.
 package pose
 
 import (
@@ -251,30 +252,6 @@ type Options struct {
 	// conservative 0.001). <= 0 disables the check and always runs the
 	// full MaxIterations budget.
 	Tol float64
-	// PriorPos and PriorRadius warm-start the search from a predicted
-	// camera position (a tracking session's motion-model extrapolation —
-	// see internal/track). When PriorRadius > 0 the search box is
-	// intersected with the axis-aligned cube PriorPos ± PriorRadius
-	// (when the intersection is non-empty; a prior entirely outside the
-	// caller's box is ignored) and the first member of the initial
-	// population is pinned to the clamped prior itself, so a good prior
-	// converges in a fraction of the cold generations via the Tol stop.
-	//
-	// Bit-identity contract: PriorRadius == 0 leaves every code path,
-	// bound, and RNG draw of the solve untouched — a solve without a
-	// prior is Float64bits-identical to one on a build that predates
-	// these fields (pinned by TestLocalizeZeroPriorBitIdentical).
-	PriorPos    mathx.Vec3
-	PriorRadius float64
-	// MinResidual > 0 stops the search once the best population member's
-	// mean per-pair residual (radians) has dropped to this value — an
-	// absolute "good enough" criterion complementing the relative Tol
-	// stop, which cannot fire when the optimum cost approaches zero
-	// (std and mean shrink together). Warm-started tracking solves use
-	// it to bank the prior's head start instead of polishing an already
-	// sub-millimeter answer for the full budget. 0 disables the check
-	// (the cold default), leaving results bit-identical.
-	MinResidual float64
 }
 
 // DefaultOptions returns solver settings tuned for indoor venues.
@@ -344,7 +321,7 @@ func LocalizeContext(ctx context.Context, corr []Correspondence, intr Intrinsics
 	}
 	rng := rand.New(rand.NewSource(opt.Seed))
 	pr := newProblem(corr, intr, opt.MaxPairs, rng)
-	return pr.search(ctx, rng, corr, intr, lo, hi, opt)
+	return pr.search(ctx, rng, corr, intr, lo, hi, opt, mathx.Vec3{}, 0, 0)
 }
 
 // prepare validates a solve's inputs and applies the option defaults.
@@ -370,11 +347,22 @@ func prepare(corr []Correspondence, intr Intrinsics, opt Options) (Options, erro
 // search is the differential-evolution body of LocalizeContext over a built
 // problem: rng is the solve's stream positioned just after newProblem's pair
 // shuffle, and opt has its defaults applied.
-func (pr *problem) search(ctx context.Context, rng *rand.Rand, corr []Correspondence, intr Intrinsics, lo, hi mathx.Vec3, opt Options) (Result, error) {
+//
+// A radius > 0 warm-starts the search from a prior camera position: the box
+// is intersected with the cube prior ± radius (when the intersection is
+// non-empty; a prior entirely outside [lo, hi] is ignored) and the first
+// member of the initial population is pinned to the clamped prior, so a good
+// prior converges in a fraction of the venue-wide generations via the Tol
+// stop. A stop > 0 also ends the search once the best member's mean per-pair
+// residual (radians) has dropped to it — an absolute "good enough" criterion
+// beside the relative Tol stop, which cannot fire as the optimum cost
+// approaches zero (std and mean shrink together). radius 0 and stop 0 leave
+// every bound and RNG draw of the venue-wide search untouched.
+func (pr *problem) search(ctx context.Context, rng *rand.Rand, corr []Correspondence, intr Intrinsics, lo, hi mathx.Vec3, opt Options, prior mathx.Vec3, radius, stop float64) (Result, error) {
 	warm := false
-	if opt.PriorRadius > 0 {
-		plo := mathx.Vec3{X: opt.PriorPos.X - opt.PriorRadius, Y: opt.PriorPos.Y - opt.PriorRadius, Z: opt.PriorPos.Z - opt.PriorRadius}
-		phi := mathx.Vec3{X: opt.PriorPos.X + opt.PriorRadius, Y: opt.PriorPos.Y + opt.PriorRadius, Z: opt.PriorPos.Z + opt.PriorRadius}
+	if radius > 0 {
+		plo := mathx.Vec3{X: prior.X - radius, Y: prior.Y - radius, Z: prior.Z - radius}
+		phi := mathx.Vec3{X: prior.X + radius, Y: prior.Y + radius, Z: prior.Z + radius}
 		if ilo, ihi, ok := intersectBox(lo, hi, plo, phi); ok {
 			lo, hi = ilo, ihi
 			warm = true
@@ -408,7 +396,7 @@ func (pr *problem) search(ctx context.Context, rng *rand.Rand, corr []Correspond
 			// Pin one member to the predicted pose itself (sample() above
 			// still ran, keeping the RNG stream uniform across the
 			// population regardless of the prior).
-			pp := [3]float64{opt.PriorPos.X, opt.PriorPos.Y, opt.PriorPos.Z}
+			pp := [3]float64{prior.X, prior.Y, prior.Z}
 			for d := 0; d < 3; d++ {
 				pop[i][d] = mathx.Clamp(pp[d], lov[d], lov[d]+span[d])
 			}
@@ -456,14 +444,14 @@ func (pr *problem) search(ctx context.Context, rng *rand.Rand, corr []Correspond
 		if opt.Tol > 0 && converged(cost, opt.Tol) {
 			break
 		}
-		if opt.MinResidual > 0 {
+		if stop > 0 {
 			bc := cost[0]
 			for i := 1; i < opt.PopSize; i++ {
 				if cost[i] < bc {
 					bc = cost[i]
 				}
 			}
-			if bc <= opt.MinResidual*float64(len(pr.pairs)) {
+			if bc <= stop*float64(len(pr.pairs)) {
 				break
 			}
 		}

@@ -1,15 +1,18 @@
 package pose
 
-// The seeded cold solve (see DESIGN.md "Performance"). A venue-wide DE
-// search spends most of its generations finding the basin the answer lies
-// in; three correspondences already fix the camera center up to a small
-// finite set in closed form. LocalizeCold draws correspondence triples,
-// solves each with Grunert's three-point perspective (P3P) quartic, ranks
-// the resulting centers RANSAC-style on the solve's own objective, and runs
-// the warm-start DE (Options.PriorPos/PriorRadius) around the best one. A
-// seeded answer that the shrunk box may have stopped short of the true
-// minimum is re-solved by the venue-wide search, bit for bit the solve
-// LocalizeContext runs without a prior.
+// The two solves that start from a prior (see DESIGN.md "Performance" and
+// "Continuous localization"). A venue-wide DE search spends most of its
+// generations finding the basin the answer lies in; a prior position skips
+// that. LocalizeCold finds its own: three correspondences fix the camera
+// center up to a small finite set in closed form, so it draws
+// correspondence triples, solves each with Grunert's three-point
+// perspective (P3P) quartic, ranks the resulting centers RANSAC-style on
+// the solve's own objective, and runs the warm-start DE around the best
+// one. A seeded answer that the shrunk box may have stopped short of the
+// true minimum is re-solved by the venue-wide search, bit for bit the solve
+// LocalizeContext runs. LocalizeWarm takes a tracking session's
+// motion-model prediction instead and gates the answer on the session's
+// recent residuals; its caller re-solves a rejected one cold.
 
 import (
 	"context"
@@ -50,13 +53,41 @@ const (
 	rootIters = 64
 )
 
+// The warm-solve policy of LocalizeWarm. best is the session's best
+// retained residual (mean radians per pair): the achievable residual is a
+// property of the corpus (descriptor mismatch noise), not of the solver, so
+// the session's recent fixes are the yardstick for both the gate and the
+// early stop. Anchoring on the window minimum rather than the last fix keeps
+// either from ratcheting looser frame over frame.
+const (
+	// warmGateFloor and warmGateFactor set the acceptance gate,
+	// max(warmGateFloor, best·warmGateFactor): a warm answer above it
+	// is rejected. The floor covers near-perfect corpora whose residuals
+	// are ~0.
+	warmGateFloor  = 0.02
+	warmGateFactor = 1.5
+	// warmStopFloor and warmStopFactor set the absolute early stop,
+	// max(warmStopFloor, best·warmStopFactor): the search halts once it is
+	// clearly better than every recent fix, a shortcut that cannot compound
+	// error along a trajectory the way "within slack of the last fix"
+	// would. Where the residual floor is noise-dominated it never fires and
+	// the search ends on warmPopTol.
+	warmStopFloor  = 3e-4
+	warmStopFactor = 0.5
+	// warmPopTol replaces Options.Tol: tighter than the cold 0.001, because
+	// inside the shrunk box the extra polish costs a handful of generations
+	// and roughly halves the median pose error of a walk, so warm answers
+	// beat cold ones instead of merely matching them.
+	warmPopTol = 0.0007
+)
+
 // LocalizeCold is the cold solve: the same answer space as LocalizeContext,
 // reached from closed-form hypotheses instead of the whole box. It draws
 // seedTriples correspondence triples with an RNG separate from the DE's,
 // solves each by P3P, drops centers outside [lo, hi], ranks the rest on a
 // seedScorePairs-pair subset of the solve's pairs and evaluates the best
 // seedTop in full. The best becomes the prior of a warm-start DE
-// (PriorRadius seedRadius, PopSize seedPopSize) over the same pairs.
+// (radius seedRadius, PopSize seedPopSize) over the same pairs.
 //
 // The gate: when the seeded answer lies within seedGateMargin of a face of
 // the shrunk box that is inside [lo, hi], the minimum may lie beyond that
@@ -76,8 +107,8 @@ func LocalizeCold(ctx context.Context, corr []Correspondence, intr Intrinsics, l
 	prior, evals, ok := newSeeder(&pr, corr, lo, hi, opt).best()
 	if ok {
 		sopt := opt
-		sopt.PriorPos, sopt.PriorRadius, sopt.PopSize = prior, seedRadius, seedPopSize
-		res, err := pr.search(ctx, rng, corr, intr, lo, hi, sopt)
+		sopt.PopSize = seedPopSize
+		res, err := pr.search(ctx, rng, corr, intr, lo, hi, sopt, prior, seedRadius, 0)
 		if err != nil {
 			return Result{}, err
 		}
@@ -93,6 +124,29 @@ func LocalizeCold(ctx context.Context, corr []Correspondence, intr Intrinsics, l
 	}
 	res.Evals += evals
 	return res, nil
+}
+
+// LocalizeWarm is the warm solve of a tracking session: LocalizeContext
+// inside the cube prior ± radius (intersected with [lo, hi]; a prior wholly
+// outside is ignored), with one member of the initial population pinned to
+// the prior, Tol warmPopTol and the absolute early stop
+// max(warmStopFloor, best·warmStopFactor). best is the session's best
+// retained residual. The bool reports whether the answer passed the gate,
+// a residual of at most max(warmGateFloor, best·warmGateFactor); the
+// caller re-solves a rejected one cold.
+func LocalizeWarm(ctx context.Context, corr []Correspondence, intr Intrinsics, lo, hi mathx.Vec3, opt Options, prior mathx.Vec3, radius, best float64) (Result, bool, error) {
+	opt.Tol = warmPopTol
+	opt, err := prepare(corr, intr, opt)
+	if err != nil {
+		return Result{}, false, err
+	}
+	rng := rand.New(rand.NewSource(opt.Seed))
+	pr := newProblem(corr, intr, opt.MaxPairs, rng)
+	res, err := pr.search(ctx, rng, corr, intr, lo, hi, opt, prior, radius, math.Max(warmStopFloor, best*warmStopFactor))
+	if err != nil {
+		return Result{}, false, err
+	}
+	return res, res.Residual <= math.Max(warmGateFloor, best*warmGateFactor), nil
 }
 
 // pinnedToPrior reports whether pos lies within seedGateMargin of a face of

@@ -1,52 +1,33 @@
 package pose
 
-// Warm-start coverage: the prior fields must be inert at their zero value
-// (the bit-identity contract the tracking subsystem's cold fallback relies
-// on), a disjoint prior must be ignored, and a good prior must converge in
-// a fraction of the cold generations with no accuracy loss.
+// Warm-start coverage through LocalizeWarm: a disjoint prior must leave
+// only the warm tolerance and stop, and a good prior must converge in a
+// fraction of the cold generations with no accuracy loss and pass the gate.
 
 import (
+	"context"
 	"math"
 	"testing"
 
 	"visualprint/internal/mathx"
 )
 
-// TestLocalizeZeroPriorBitIdentical: PriorRadius == 0 must leave the solve
-// byte-for-byte identical to the pre-warm-start solver, even with PriorPos
-// set — proven against the verbatim reference mirror, which has no prior
-// code at all.
-func TestLocalizeZeroPriorBitIdentical(t *testing.T) {
-	for _, seed := range []int64{3, 9, 21} {
-		corr, intr, lo, hi := identityScenario(seed, 18)
-		opt := identityOptions(1)
-		opt.Seed = seed * 7
-		opt.PriorPos = mathx.Vec3{X: 4, Y: 1.5, Z: 3} // must be ignored
-		got, err := Localize(corr, intr, lo, hi, opt)
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		want := referenceLocalize(corr, intr, lo, hi, opt)
-		if got != want {
-			t.Fatalf("seed %d: zero-prior solve diverged from reference: %+v != %+v",
-				seed, got, want)
-		}
-	}
-}
-
 // TestLocalizeDisjointPriorIgnored: a prior box that does not intersect the
-// search box must be ignored entirely — the solve must match the no-prior
-// solve bit for bit.
+// search box must be ignored entirely — the warm solve must match the
+// no-prior solve at the warm tolerance bit for bit. The scenario's residual
+// floor is far above the early stop, so the stop cannot fire either.
 func TestLocalizeDisjointPriorIgnored(t *testing.T) {
 	corr, intr, lo, hi := identityScenario(5, 16)
 	opt := identityOptions(1)
+	opt.Tol = warmPopTol
 	base, err := Localize(corr, intr, lo, hi, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt.PriorPos = mathx.Vec3{X: 1e6, Y: 1e6, Z: 1e6}
-	opt.PriorRadius = 0.5
-	got, err := Localize(corr, intr, lo, hi, opt)
+	if base.Residual <= warmStopFloor {
+		t.Fatalf("scenario residual %v reaches the early stop %v", base.Residual, warmStopFloor)
+	}
+	got, _, err := LocalizeWarm(context.Background(), corr, intr, lo, hi, identityOptions(1), mathx.Vec3{X: 1e6, Y: 1e6, Z: 1e6}, 0.5, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,8 +64,9 @@ func warmScenario(n int) ([]Correspondence, Intrinsics, mathx.Vec3, mathx.Vec3, 
 }
 
 // TestLocalizeWarmConvergesFaster: with a prior near the true camera, the
-// solve must reach an equal-or-better answer in at most half the cold
-// solve's generations (Evals counts PopSize per generation).
+// warm solve must pass its gate and reach an equal-or-better answer in at
+// most half the cold solve's generations (Evals counts PopSize per
+// generation).
 func TestLocalizeWarmConvergesFaster(t *testing.T) {
 	corr, intr, lo, hi, cam := warmScenario(24)
 	opt := DefaultOptions()
@@ -94,12 +76,13 @@ func TestLocalizeWarmConvergesFaster(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt.PriorPos = mathx.Vec3{X: cam.X + 0.2, Y: cam.Y - 0.1, Z: cam.Z + 0.25}
-	opt.PriorRadius = 0.75
-	opt.MinResidual = 3e-4
-	warm, err := Localize(corr, intr, lo, hi, opt)
+	prior := mathx.Vec3{X: cam.X + 0.2, Y: cam.Y - 0.1, Z: cam.Z + 0.25}
+	warm, accepted, err := LocalizeWarm(context.Background(), corr, intr, lo, hi, opt, prior, 0.75, 0)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if !accepted {
+		t.Fatalf("warm answer (residual %v) failed the gate", warm.Residual)
 	}
 	if warm.Evals*2 > cold.Evals {
 		t.Fatalf("warm solve used %d evals, cold %d (want <= 50%%)", warm.Evals, cold.Evals)

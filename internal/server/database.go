@@ -24,6 +24,7 @@ import (
 	"visualprint/internal/pose"
 	"visualprint/internal/sift"
 	"visualprint/internal/store"
+	"visualprint/internal/track"
 )
 
 // DatabaseConfig configures the server-side structures.
@@ -45,7 +46,7 @@ type DatabaseConfig struct {
 	// serializes the full database under a lock that stalls Ingest, so this
 	// knob also tunes the size of periodic ingest latency spikes: smaller
 	// means more frequent but shorter stalls. Locates are unaffected —
-	// they read immutable published views and take no lock (see rcu.go).
+	// they read immutable published views and take no lock (see view.go).
 	WALCompactBytes int64
 }
 
@@ -75,7 +76,7 @@ func DefaultDatabaseConfig() DatabaseConfig {
 type Database struct {
 	cfg DatabaseConfig
 
-	// cur is the published immutable view (see rcu.go): the LSH index,
+	// cur is the published immutable view (see view.go): the LSH index,
 	// positions, oracle, bounds and sequence tags every reader uses,
 	// replaced wholesale by the write path. Readers just Load it; mu is
 	// never needed to query.
@@ -550,12 +551,12 @@ func (db *Database) Locate(ctx context.Context, kps []sift.Keypoint, intr pose.I
 // locateShards is the one Locate body, for a venue of any shard count: load
 // each shard's published view once, gather the candidates of every view
 // through GOMAXPROCS workers, union the bounds of the same views, and run the
-// solve tail — warm-started when ws carries a session prior (the bool reports
-// warm acceptance; see solve). Candidates, emptiness and bounds all come from
-// one generation per shard. Across shards the views are still not a
+// solve tail — warm-started when prior is a session's prediction (the bool
+// reports warm acceptance; see solve). Candidates, emptiness and bounds all
+// come from one generation per shard. Across shards the views are still not a
 // venue-wide snapshot: a Locate racing an Ingest may see the batch on some
 // shards only; quiesced, the result is exact.
-func locateShards(ctx context.Context, m *dbMetrics, shards []*Database, kps []sift.Keypoint, intr pose.Intrinsics, ws *warmSolve) (res LocateResult, warm bool, err error) {
+func locateShards(ctx context.Context, m *dbMetrics, shards []*Database, kps []sift.Keypoint, intr pose.Intrinsics, prior *track.Prior) (res LocateResult, warm bool, err error) {
 	tr := m.trace.Begin("locate")
 	defer func() { m.endLocate(tr, err) }()
 	views := make([]*dbView, len(shards))
@@ -582,33 +583,63 @@ func locateShards(ctx context.Context, m *dbMetrics, shards []*Database, kps []s
 	if err != nil {
 		return LocateResult{}, false, ctxError(err)
 	}
-	return solve(ctx, shards[0].cfg, cands, lo, hi, intr, tr, ws)
+	return solve(ctx, shards[0].cfg, cands, lo, hi, intr, tr, prior)
 }
 
+// searchPad pads the ingested bounds into the pose search box. Keeping the
+// box tight matters: keypoints concentrated on one wall admit a mirrored
+// camera position through the wall plane, which a box clipped to the venue
+// interior excludes.
+var searchPad = mathx.Vec3{X: 0.3, Y: 0.3, Z: 0.3}
+
 // solve runs the back half of the Locate pipeline — clustering,
-// largest-cluster filtering and the pose optimization — over an
-// already-gathered candidate list (see locateShards): the unioned venue
-// bounds feed the search box, and clustering order is fixed by the list order.
+// largest-cluster filtering (correspondences) and the pose optimization —
+// over an already-gathered candidate list (see locateShards): the unioned
+// venue bounds, padded by searchPad, are the search box.
 //
-// A nil ws solves cold: pose.LocalizeCold with cfg.Pose, a search seeded by
-// closed-form hypotheses whose gate falls back to the venue-wide search
-// (cfg.Pose verbatim through pose.LocalizeContext). A non-nil ws solves warm
-// first (prior pose, shrunk bounds, early convergence stop — see track.go)
-// and reports true when the result passes the residual gate; a rejected
-// prior falls through to the same cold solve over the same correspondences,
-// so the answer is bit-identical to a session-less Locate. Warm-solve errors
-// are returned without a cold retry: nothing that can fail depends on the
-// prior. A warm ws that accepts everything (accept 0) and carries cfg.Pose
-// unchanged is the venue-wide search alone, the in-package baseline the
-// seeded solve is measured against.
-func solve(ctx context.Context, cfg DatabaseConfig, cands []locateCand, lo, hi mathx.Vec3, intr pose.Intrinsics, tr *obs.Trace, ws *warmSolve) (LocateResult, bool, error) {
-	if len(cands) < 3 {
-		return LocateResult{}, false, ErrTooFewMatches
+// A nil prior solves cold: pose.LocalizeCold with cfg.Pose, a search seeded
+// by closed-form hypotheses whose gate falls back to the venue-wide search.
+// A session's prior solves warm first (pose.LocalizeWarm) and reports true
+// when the result passes the residual gate; a rejected prior falls through
+// to the same cold solve over the same correspondences, so the answer is
+// bit-identical to a session-less Locate. Warm-solve errors are returned
+// without a cold retry: nothing that can fail depends on the prior.
+func solve(ctx context.Context, cfg DatabaseConfig, cands []locateCand, lo, hi mathx.Vec3, intr pose.Intrinsics, tr *obs.Trace, prior *track.Prior) (LocateResult, bool, error) {
+	corr, err := correspondences(ctx, cfg, cands, tr)
+	if err != nil {
+		return LocateResult{}, false, err
 	}
-	if err := ctx.Err(); err != nil {
+	lo, hi = lo.Sub(searchPad), hi.Add(searchPad)
+	if prior != nil {
+		t0 := time.Now()
+		res, accepted, err := pose.LocalizeWarm(ctx, corr, intr, lo, hi, cfg.Pose, prior.Pos, prior.Radius, prior.Residual)
+		tr.StageSince(obs.StagePoseSolve, t0)
+		if err != nil {
+			return LocateResult{}, false, ctxError(err)
+		}
+		if accepted {
+			return locateResult(res, len(corr), cfg.Pose), true, nil
+		}
+	}
+	t0 := time.Now()
+	res, err := pose.LocalizeCold(ctx, corr, intr, lo, hi, cfg.Pose)
+	tr.StageSince(obs.StagePoseSolve, t0)
+	if err != nil {
 		return LocateResult{}, false, ctxError(err)
 	}
-	// Largest spatial cluster filters out scattered false matches.
+	return locateResult(res, len(corr), cfg.Pose), false, nil
+}
+
+// correspondences clusters the gathered candidates' 3D points and pairs
+// each member of the largest cluster with its query pixel, in candidate
+// order; the largest cluster filters out scattered false matches.
+func correspondences(ctx context.Context, cfg DatabaseConfig, cands []locateCand, tr *obs.Trace) ([]pose.Correspondence, error) {
+	if len(cands) < 3 {
+		return nil, ErrTooFewMatches
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, ctxError(err)
+	}
 	pts := make([]mathx.Vec3, len(cands))
 	for i, c := range cands {
 		pts[i] = c.p
@@ -617,48 +648,31 @@ func solve(ctx context.Context, cfg DatabaseConfig, cands []locateCand, lo, hi m
 	largest, ok, err := cluster.Largest(pts, cfg.Cluster)
 	tr.StageSince(obs.StageCluster, t0)
 	if err != nil {
-		return LocateResult{}, false, err
+		return nil, err
 	}
 	if !ok || len(largest.Indices) < 3 {
-		return LocateResult{}, false, ErrNoConsensus
+		return nil, ErrNoConsensus
 	}
 	if err := ctx.Err(); err != nil {
-		return LocateResult{}, false, ctxError(err)
+		return nil, ctxError(err)
 	}
 	corr := make([]pose.Correspondence, 0, len(largest.Indices))
 	for _, i := range largest.Indices {
 		corr = append(corr, pose.Correspondence{Px: cands[i].px, Py: cands[i].py, P: cands[i].p})
 	}
-	// Search box: the ingested bounds with a small pad. Keeping the box
-	// tight matters: keypoints concentrated on one wall admit a mirrored
-	// camera position through the wall plane, which a box clipped to the
-	// venue interior excludes.
-	pad := mathx.Vec3{X: 0.3, Y: 0.3, Z: 0.3}
-	localize := func(run func(context.Context, []pose.Correspondence, pose.Intrinsics, mathx.Vec3, mathx.Vec3, pose.Options) (pose.Result, error), popt pose.Options) (LocateResult, error) {
-		t0 := time.Now()
-		res, err := run(ctx, corr, intr, lo.Sub(pad), hi.Add(pad), popt)
-		tr.StageSince(obs.StagePoseSolve, t0)
-		if err != nil {
-			return LocateResult{}, ctxError(err)
-		}
-		// Generations counts evaluations in generations of the configured
-		// population; the solver clamps PopSize to a floor of 8, so mirror
-		// that clamp here.
-		ps := max(popt.PopSize, 8)
-		return LocateResult{
-			Position:    res.Position,
-			Yaw:         res.Yaw,
-			Residual:    res.Residual,
-			Matched:     len(largest.Indices),
-			Generations: res.Evals / ps,
-		}, nil
+	return corr, nil
+}
+
+// locateResult is a pose solve over matched correspondences as a Locate
+// answer. Generations counts evaluations in generations of the configured
+// population; the solver clamps PopSize to a floor of 8, so this mirrors
+// that clamp.
+func locateResult(res pose.Result, matched int, opt pose.Options) LocateResult {
+	return LocateResult{
+		Position:    res.Position,
+		Yaw:         res.Yaw,
+		Residual:    res.Residual,
+		Matched:     matched,
+		Generations: res.Evals / max(opt.PopSize, 8),
 	}
-	if ws != nil {
-		res, err := localize(pose.LocalizeContext, ws.opt)
-		if err != nil || ws.accept <= 0 || res.Residual <= ws.accept {
-			return res, err == nil, err
-		}
-	}
-	res, err := localize(pose.LocalizeCold, cfg.Pose)
-	return res, false, err
 }

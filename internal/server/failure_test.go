@@ -30,10 +30,9 @@ func blankWallVenue() *scene.World {
 func TestFailureModeFeaturelessQuery(t *testing.T) {
 	// Mode 1: a white-wall query frame yields almost no keypoints, and the
 	// query must fail with a diagnosable error rather than a bogus fix.
-	w := testVenue()
 	s, _ := startServer(t)
 	c := dialClient(t, s)
-	if _, err := c.Ingest(context.Background(), wardriveMappings(t, w)[:600]); err != nil {
+	if _, err := c.Ingest(context.Background(), wardriveMappings(t)[:600]); err != nil {
 		t.Fatal(err)
 	}
 	blank := blankWallVenue()
@@ -58,13 +57,12 @@ func TestFailureModeInsufficientWardriving(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wardriving is slow")
 	}
-	// Mode 2: the database covers a DIFFERENT venue than the query. The
-	// server must either find no consensus or return a poor match count —
-	// there is no correct answer available.
-	mapped := testVenue()
+	// Mode 2: the database covers testVenue(), a DIFFERENT venue than the
+	// query. The server must either find no consensus or return a poor
+	// match count — there is no correct answer available.
 	s, _ := startServer(t)
 	c := dialClient(t, s)
-	if _, err := c.Ingest(context.Background(), wardriveMappings(t, mapped)[:800]); err != nil {
+	if _, err := c.Ingest(context.Background(), wardriveMappings(t)[:800]); err != nil {
 		t.Fatal(err)
 	}
 	other := scene.Build(scene.VenueSpec{

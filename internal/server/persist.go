@@ -201,7 +201,7 @@ func (db *Database) resetLocked() error {
 // 64 MB threshold this is an ingest latency spike of up to a few seconds;
 // lowering DatabaseConfig.WALCompactBytes trades more frequent, shorter
 // stalls. Locates are unaffected either way — they read immutable published
-// views and never touch db.mu (see rcu.go).
+// views and never touch db.mu (see view.go).
 func (db *Database) Compact() error {
 	db.mu.RLock()
 	defer db.mu.RUnlock()

@@ -121,7 +121,7 @@ func TestKillAndRestartRecoversIdenticalMap(t *testing.T) {
 	}
 	dir := t.TempDir()
 	w := testVenue()
-	ms := wardriveMappings(t, w)
+	ms := wardriveMappings(t)
 	kps, intr := queryKeypoints(t, w)
 
 	db1 := newTestDB(t, persistTestConfig())
@@ -186,7 +186,7 @@ func TestRecoveryFromSnapshotPlusTail(t *testing.T) {
 	}
 	dir := t.TempDir()
 	w := testVenue()
-	ms := wardriveMappings(t, w)
+	ms := wardriveMappings(t)
 	kps, intr := queryKeypoints(t, w)
 	half := len(ms) / 2
 

@@ -68,6 +68,9 @@ type Router struct {
 	// instruments (see track.go).
 	trk *track.Table
 	tm  trackMetrics
+	// now is the session clock the motion model reads: time.Now, swapped
+	// only by tests.
+	now func() time.Time
 
 	log *obs.Logger
 
@@ -156,10 +159,10 @@ func NewRouter(cfg DatabaseConfig, topo map[string]VenueConfig) (*Router, error)
 		met:       met,
 		shardMet:  met.withoutGauges(),
 		venueGage: reg.Gauge("venues"),
-		trk:       track.New(track.DefaultConfig()),
+		trk:       track.New(reg),
 		tm:        newTrackMetrics(reg),
+		now:       time.Now,
 	}
-	r.trk.Instrument(reg)
 	// The wire instruments live on the same registry (Serve builds them
 	// from Registry); registering them here lets an in-process report
 	// list the same names before any listener exists.

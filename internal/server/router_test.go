@@ -191,7 +191,7 @@ func TestRouterLocateBitIdenticalWardriven(t *testing.T) {
 	cfg := DefaultDatabaseConfig()
 	cfg.Pose.Deadline = 0
 	w := testVenue()
-	ms := wardriveMappings(t, w)
+	ms := wardriveMappings(t)
 	kps, intr := queryKeypoints(t, w)
 	r, venueName := shardedFixture(t, cfg, 4, ms, 700)
 

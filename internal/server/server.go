@@ -130,7 +130,7 @@ const perCoreLocateQPS = 27
 const defaultQueueWaitSeconds = 10
 
 // DefaultMaxInFlight returns the default bound on concurrently executing
-// requests. Locate is CPU-bound and lock-free (see rcu.go), so one
+// requests. Locate is CPU-bound and lock-free (see view.go), so one
 // executing request per core saturates the machine; the 2x factor plus
 // constant covers the remaining off-CPU gaps (WAL fsyncs on ingest,
 // response write-backs) without letting a deep execution pool inflate

@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"net"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"visualprint/internal/mathx"
@@ -23,31 +25,44 @@ func testVenue() *scene.World {
 	})
 }
 
-// wardriveMappings returns drift-free observations of the venue as server
-// mappings.
-func wardriveMappings(t testing.TB, w *scene.World) []Mapping {
+// venueWalk is the wardrive walk of testVenue(), run once for the suite:
+// under -race one walk takes tens of seconds.
+var venueWalk struct {
+	once sync.Once
+	ms   []Mapping
+	err  error
+}
+
+// wardriveMappings returns drift-free observations of testVenue() as server
+// mappings, a copy of its own for each caller.
+func wardriveMappings(t testing.TB) []Mapping {
 	t.Helper()
-	cfg := wardrive.DefaultConfig()
-	cfg.ImageW, cfg.ImageH = 200, 150
-	cfg.StepMeters = 2.5
-	cfg.RowSpacing = 4
-	cfg.MaxKeypointsPerFrame = 250
-	cfg.Drift = wardrive.DriftModel{} // drift-free for server tests
-	cfg.CloudStride = 0
-	snaps, err := wardrive.Walk(w, cfg)
-	if err != nil {
-		t.Fatal(err)
+	venueWalk.once.Do(func() {
+		cfg := wardrive.DefaultConfig()
+		cfg.ImageW, cfg.ImageH = 200, 150
+		cfg.StepMeters = 2.5
+		cfg.RowSpacing = 4
+		cfg.MaxKeypointsPerFrame = 250
+		cfg.Drift = wardrive.DriftModel{} // drift-free for server tests
+		cfg.CloudStride = 0
+		snaps, err := wardrive.Walk(testVenue(), cfg)
+		if err != nil {
+			venueWalk.err = err
+			return
+		}
+		for _, o := range wardrive.Observations(snaps) {
+			m := Mapping{Pos: o.Est}
+			copy(m.Desc[:], o.Keypoint.Desc[:])
+			venueWalk.ms = append(venueWalk.ms, m)
+		}
+	})
+	if venueWalk.err != nil {
+		t.Fatal(venueWalk.err)
 	}
-	var ms []Mapping
-	for _, o := range wardrive.Observations(snaps) {
-		m := Mapping{Pos: o.Est}
-		copy(m.Desc[:], o.Keypoint.Desc[:])
-		ms = append(ms, m)
+	if len(venueWalk.ms) < 500 {
+		t.Fatalf("only %d wardriven mappings", len(venueWalk.ms))
 	}
-	if len(ms) < 500 {
-		t.Fatalf("only %d wardriven mappings", len(ms))
-	}
-	return ms
+	return slices.Clone(venueWalk.ms)
 }
 
 func startServer(t testing.TB) (*Server, *Database) {
@@ -145,7 +160,7 @@ func TestEndToEndLocalization(t *testing.T) {
 	w := testVenue()
 	s, _ := startServer(t)
 	c := dialClient(t, s)
-	ms := wardriveMappings(t, w)
+	ms := wardriveMappings(t)
 	// Ingest in batches, as the wardriving app streams them.
 	for i := 0; i < len(ms); i += 500 {
 		end := i + 500

@@ -8,21 +8,21 @@ package server
 // Router keeps a bounded, TTL-evicted table of recent fixes per session
 // (internal/track) and, when a new query arrives for a known session,
 // predicts the camera position with a constant-velocity model and hands
-// the DE pose solver a prior: a shrunk search box around the prediction,
-// one population member pinned to it, and an absolute early-convergence
-// stop. Accepted warm solves converge in a fraction of the cold solve's
-// generations. A residual gate guards against a wrong prior (tracking
-// loss, teleport, venue re-entry): if the warm solve's mean residual is
-// above the acceptance threshold, the query is re-solved cold over the
-// same gathered candidates — bit-identical to what a session-less Locate
-// would have returned (pinned by TestLocateSessionRejectedPriorBitIdentical).
-// The warm-then-cold sequencing lives in the shared solve tail (solve, in
-// database.go); this file owns the prior, the gate and the bookkeeping.
+// it to the warm pose solve (pose.LocalizeWarm): a shrunk search box around
+// the prediction, one population member pinned to it, and an absolute
+// early-convergence stop. Accepted warm solves converge in a fraction of
+// the cold solve's generations. A residual gate guards against a wrong
+// prior (tracking loss, teleport, venue re-entry): if the warm solve's mean
+// residual is above the acceptance threshold, the query is re-solved cold
+// over the same gathered candidates — bit-identical to what a session-less
+// Locate would have returned (pinned by
+// TestLocateSessionRejectedPriorBitIdentical). The warm-then-cold
+// sequencing lives in the shared solve tail (solve, in database.go), the
+// warm policy in internal/pose; this file owns the session bookkeeping.
 
 import (
 	"context"
 	"encoding/binary"
-	"math"
 	"time"
 
 	"visualprint/internal/hash"
@@ -31,40 +31,6 @@ import (
 	"visualprint/internal/sift"
 	"visualprint/internal/track"
 )
-
-// warmSolve carries a session's prior into the solve tail.
-type warmSolve struct {
-	// opt is the warm-start pose option set (prior position/radius and the
-	// early-convergence stop layered onto the cold options).
-	opt pose.Options
-	// accept is the residual gate (mean radians per pair): a warm solve
-	// above it is discarded and the query re-solved cold.
-	accept float64
-}
-
-// warmPoseOptions layers a session prior onto the cold pose options: the
-// shrunk search box around the prediction, the warm population-convergence
-// tolerance (tighter than cold by default — polish is cheap inside the
-// box), and an absolute early stop scaled from the session's best retained
-// residual — set below it (WarmStopFactor < 1), so it fires only when the
-// solve is clearly better than every recent fix and cannot ratchet error
-// along a trajectory; WarmMinResidual floors it for near-perfect corpora.
-func warmPoseOptions(cold pose.Options, p track.Prior, tcfg track.Config) pose.Options {
-	cold.PriorPos = p.Pos
-	cold.PriorRadius = p.Radius
-	cold.MinResidual = math.Max(tcfg.WarmMinResidual, p.Residual*tcfg.WarmStopFactor)
-	if tcfg.WarmTol > 0 {
-		cold.Tol = tcfg.WarmTol
-	}
-	return cold
-}
-
-// warmAccept computes the residual acceptance gate for a prior: at least
-// the configured floor, at least the session's best retained residual
-// with slack.
-func warmAccept(p track.Prior, tcfg track.Config) float64 {
-	return math.Max(tcfg.AcceptResidual, p.Residual*tcfg.AcceptFactor)
-}
 
 // trackMetrics is the Router's session-tracking instrument set, built by
 // NewRouter.
@@ -125,28 +91,22 @@ func (r *Router) LocateSession(ctx context.Context, venueName string, sid uint64
 	}
 	v.locates.Inc()
 	var (
-		key       uint64
-		now       time.Time
-		prior     track.Prior
-		havePrior bool
-		ws        *warmSolve
+		key   uint64
+		now   time.Time
+		prior *track.Prior
 	)
 	if sid != 0 {
-		key, now = sessionKey(venueName, sid), time.Now()
-		if prior, havePrior = r.trk.Predict(key, now); havePrior {
-			tcfg := r.trk.Config()
-			ws = &warmSolve{
-				opt:    warmPoseOptions(r.cfg.Pose, prior, tcfg),
-				accept: warmAccept(prior, tcfg),
-			}
+		key, now = sessionKey(venueName, sid), r.now()
+		if p, ok := r.trk.Predict(key, now); ok {
+			prior = &p
 		}
 	}
-	res, warm, err := locateShards(ctx, r.met, v.shards, kps, intr, ws)
+	res, warm, err := locateShards(ctx, r.met, v.shards, kps, intr, prior)
 	if err != nil || sid == 0 {
 		return res, err
 	}
-	r.trk.Observe(key, res.Position, res.Yaw, res.Residual, now)
-	if havePrior {
+	r.trk.Observe(key, res.Position, res.Residual, now)
+	if prior != nil {
 		r.tm.priorErrMM.Observe(int64(prior.Pos.Dist(res.Position) * 1000))
 	}
 	if warm {
@@ -155,7 +115,7 @@ func (r *Router) LocateSession(ctx context.Context, venueName string, sid uint64
 	} else {
 		r.tm.cold.Inc()
 		r.tm.coldGens.Observe(int64(res.Generations))
-		if havePrior {
+		if prior != nil {
 			r.tm.rejected.Inc()
 		}
 	}

@@ -2,6 +2,11 @@ package server
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"math"
+	"runtime"
 	"sort"
 	"testing"
 	"time"
@@ -10,7 +15,6 @@ import (
 	"visualprint/internal/obs"
 	"visualprint/internal/pose"
 	"visualprint/internal/sift"
-	"visualprint/internal/track"
 )
 
 // trackFixture builds an instrumented router over the synthetic corpus
@@ -27,16 +31,11 @@ func trackFixture(t *testing.T) (*Router, *obs.Registry, []Mapping, queryFixture
 	return r, reg, ms, queryFixture{kps: kps, intr: intr}
 }
 
-// rejectEveryPrior gives r a fresh session table whose residual gate no warm
-// solve passes (unreachably tight floor and factor). Tests call it before
-// the session queries it should govern.
-func rejectEveryPrior(r *Router) {
-	tcfg := track.DefaultConfig()
-	tcfg.AcceptResidual = 1e-12
-	tcfg.AcceptFactor = 1e-9
-	r.trk = track.New(tcfg)
-	r.trk.Instrument(r.Registry())
-}
+// farCam is a camera 3 m along X from the fixtures' standard camera
+// (4, 1.4, 2): farther than the motion model's largest prior radius, so a
+// session whose last fix was taken from the standard camera gets a prior box
+// that excludes it, and the residual gate rejects the warm answer.
+var farCam = mathx.Vec3{X: 1, Y: 1.4, Z: 2}
 
 type queryFixture struct {
 	kps  []sift.Keypoint
@@ -44,17 +43,36 @@ type queryFixture struct {
 }
 
 // venueWideLocate answers a session-less query with the venue-wide search
-// alone: cfg.Pose verbatim over the whole venue box, no hypothesis prior. A
-// warmSolve carrying the cold options and no residual gate is exactly that
-// search (see solve) — the baseline the warm and the seeded cold paths are
-// measured against.
+// alone: pose.LocalizeContext with cfg.Pose over the correspondences and
+// the search box solve builds, no hypothesis prior — the baseline the warm
+// and the seeded cold paths are measured against, and the search the
+// seeded solve falls back to.
 func venueWideLocate(t *testing.T, r *Router, venue string, kps []sift.Keypoint, intr pose.Intrinsics) LocateResult {
 	t.Helper()
-	res, _, err := locateShards(context.Background(), r.met, r.lookup(venue).shards, kps, intr, &warmSolve{opt: r.cfg.Pose})
+	ctx := context.Background()
+	shards := r.lookup(venue).shards
+	views := make([]*dbView, len(shards))
+	var lo, hi mathx.Vec3
+	bounded := false
+	for i, sh := range shards {
+		views[i] = sh.cur.Load()
+		if views[i].hasBounds {
+			growBounds(&lo, &hi, &bounded, views[i].lo, views[i].hi)
+		}
+	}
+	cands, err := gather(ctx, r.cfg, views, kps, runtime.GOMAXPROCS(0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res
+	corr, err := correspondences(ctx, r.cfg, cands, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := pose.LocalizeContext(ctx, corr, intr, lo.Sub(searchPad), hi.Add(searchPad), r.cfg.Pose)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return locateResult(res, len(corr), r.cfg.Pose)
 }
 
 // TestLocateSessionWarmAcceptance: the second query of a session must be
@@ -115,20 +133,21 @@ func TestLocateSessionZeroSidBitIdentical(t *testing.T) {
 }
 
 // TestLocateSessionRejectedPriorBitIdentical is the headline fallback
-// guarantee: when the residual gate rejects the prior, the cold re-solve
-// over the same candidates must reproduce the session-less Locate answer
-// down to the float bits.
+// guarantee: when the residual gate rejects the prior — here the device
+// reappears 3 m from its last fix — the cold re-solve over the same
+// candidates must reproduce the session-less Locate answer down to the
+// float bits.
 func TestLocateSessionRejectedPriorBitIdentical(t *testing.T) {
-	r, reg, _, q := trackFixture(t)
-	rejectEveryPrior(r)
+	r, reg, ms, q := trackFixture(t)
+	far, _ := syntheticQuery(ms, 160, 200, farCam)
 	ctx := context.Background()
 	const sid = 31
 
 	if _, err := r.LocateSession(ctx, "", sid, q.kps, q.intr); err != nil {
 		t.Fatal(err)
 	}
-	fell, errS := r.LocateSession(ctx, "", sid, q.kps, q.intr)
-	plain, errP := r.Locate(ctx, "", q.kps, q.intr)
+	fell, errS := r.LocateSession(ctx, "", sid, far, q.intr)
+	plain, errP := r.Locate(ctx, "", far, q.intr)
 	requireBitIdentical(t, plain, errP, fell, errS)
 	if got := reg.Counter("track_prior_rejected").Value(); got != 1 {
 		t.Fatalf("track_prior_rejected = %d, want 1", got)
@@ -163,15 +182,16 @@ func TestLocateSessionShardedWarm(t *testing.T) {
 		t.Fatalf("sharded warm solve used %d generations, the venue-wide search %d", warm.Generations, wide.Generations)
 	}
 
-	// Rejected prior on the sharded path must still equal the one-shard
-	// cold answer bit for bit (the existing scatter-gather guarantee).
-	rejectEveryPrior(r)
-	if _, err := r.LocateSession(ctx, venueName, sid, kps, intr); err != nil {
-		t.Fatal(err)
-	}
-	fell, errS := r.LocateSession(ctx, venueName, sid, kps, intr)
-	rs, errR := r.Locate(ctx, "", kps, intr)
+	// A rejected prior on the sharded path (the device reappears 3 m away)
+	// must still equal the one-shard cold answer bit for bit (the existing
+	// scatter-gather guarantee).
+	far, _ := syntheticQuery(ms, 160, 200, farCam)
+	fell, errS := r.LocateSession(ctx, venueName, sid, far, intr)
+	rs, errR := r.Locate(ctx, "", far, intr)
 	requireBitIdentical(t, rs, errR, fell, errS)
+	if got := reg.Counter("track_prior_rejected").Value(); got != 1 {
+		t.Fatalf("track_prior_rejected = %d, want 1", got)
+	}
 }
 
 // TestSessionVenueScoping: the same session ID in two venues keeps two
@@ -213,35 +233,6 @@ func TestEndSessionForgets(t *testing.T) {
 	r.EndSession("", 0) // no-op
 }
 
-// TestWarmPoseOptionsLayering pins what the warm option set changes — and,
-// by elimination, what it leaves alone.
-func TestWarmPoseOptionsLayering(t *testing.T) {
-	cold := routerTestConfig().Pose
-	p := track.Prior{Pos: mathx.Vec3{X: 1, Y: 2, Z: 3}, Radius: 0.75}
-	tcfg := track.DefaultConfig()
-	w := warmPoseOptions(cold, p, tcfg)
-	if w.PriorPos != p.Pos || w.PriorRadius != p.Radius {
-		t.Fatalf("prior not threaded: %+v", w)
-	}
-	if w.MinResidual != tcfg.WarmMinResidual {
-		t.Fatalf("MinResidual = %v, want %v", w.MinResidual, tcfg.WarmMinResidual)
-	}
-	if w.Tol != tcfg.WarmTol {
-		t.Fatalf("Tol = %v, want the warm override %v", w.Tol, tcfg.WarmTol)
-	}
-	w.PriorPos, w.PriorRadius, w.MinResidual, w.Tol = cold.PriorPos, cold.PriorRadius, cold.MinResidual, cold.Tol
-	if w != cold {
-		t.Fatalf("warm options changed more than the prior fields:\n cold: %+v\n warm: %+v", cold, w)
-	}
-
-	// WarmTol zero (not defaulted — e.g. a hand-built Config) keeps the
-	// cold tolerance.
-	tcfg.WarmTol = 0
-	if w := warmPoseOptions(cold, p, tcfg); w.Tol != cold.Tol {
-		t.Fatalf("Tol = %v with WarmTol 0, want cold's %v", w.Tol, cold.Tol)
-	}
-}
-
 // walkFrame is one frame of the synthetic walk: the true camera and the
 // query it captures.
 type walkFrame struct {
@@ -253,8 +244,9 @@ type walkFrame struct {
 // walkFixture ingests the walk corpus into a router and returns the walk: a
 // camera passing the slab at 0.8 m/s, one query per 50 ms frame. The solver
 // keeps its default generation budget: the test config's cap would clip the
-// venue-wide baseline the walks are measured against.
-func walkFixture(t *testing.T) (*Router, *obs.Registry, []walkFrame) {
+// venue-wide baseline the walks are measured against. capture is the frame
+// a camera anywhere else takes of the same corpus.
+func walkFixture(t *testing.T) (r *Router, reg *obs.Registry, walk []walkFrame, capture func(cam mathx.Vec3) walkFrame) {
 	t.Helper()
 	cfg := routerTestConfig()
 	cfg.Pose.MaxIterations = pose.DefaultOptions().MaxIterations
@@ -264,17 +256,32 @@ func walkFixture(t *testing.T) (*Router, *obs.Registry, []walkFrame) {
 		stepM            = 0.08
 	)
 	ms, _, _ := syntheticCorpus(7, clusterN, 500, queryN)
-	r := newTestRouter(t, cfg, nil)
+	r = newTestRouter(t, cfg, nil)
 	if _, err := r.Ingest(context.Background(), "", ms); err != nil {
 		t.Fatal(err)
 	}
-	walk := make([]walkFrame, frames)
-	for f := range walk {
-		cam := mathx.Vec3{X: 4 + stepM*(float64(f)-float64(frames-1)/2), Y: 1.4, Z: 2}
+	capture = func(cam mathx.Vec3) walkFrame {
 		kps, intr := syntheticQuery(ms, clusterN, queryN, cam)
-		walk[f] = walkFrame{cam: cam, kps: kps, intr: intr}
+		return walkFrame{cam: cam, kps: kps, intr: intr}
 	}
-	return r, r.Registry(), walk
+	walk = make([]walkFrame, frames)
+	for f := range walk {
+		walk[f] = capture(mathx.Vec3{X: 4 + stepM*(float64(f)-float64(frames-1)/2), Y: 1.4, Z: 2})
+	}
+	return r, r.Registry(), walk, capture
+}
+
+// frameDt is the walks' frame period. The motion model reads the router's
+// session clock, so a walk sets that clock to its frame's time: walked back
+// to back, a 0.08 m step would look like a sprint and trip the speed clamp,
+// and walked on the wall clock the prior box would widen with every
+// millisecond a slow solve takes.
+const frameDt = 50 * time.Millisecond
+
+// atFrame sets r's session clock to frame f of a walk.
+func atFrame(r *Router, f int) {
+	at := time.Unix(1_700_000_000, 0).Add(time.Duration(f) * frameDt)
+	r.now = func() time.Time { return at }
 }
 
 // walkStats solves every frame with locate and returns the total
@@ -302,29 +309,25 @@ func TestSessionWalkWarmSaves(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second solver workload")
 	}
-	r, reg, walk := walkFixture(t)
+	r, reg, walk, _ := walkFixture(t)
 	ctx := context.Background()
-	// The motion model reads the server's clock, so the walk is paced like
-	// the capture it stands for; back to back, a 0.08 m step would look like
-	// a sprint and trip the MaxSpeed clamp.
-	const frameDt = 50 * time.Millisecond
 	frames := len(walk)
 
 	wideGens, wideErr := walkStats(t, walk, func(_ int, w walkFrame) LocateResult {
 		return venueWideLocate(t, r, "", w.kps, w.intr)
 	})
-	start := time.Now()
 	warmGens, warmErr := walkStats(t, walk, func(f int, w walkFrame) LocateResult {
-		time.Sleep(time.Until(start.Add(time.Duration(f) * frameDt)))
+		atFrame(r, f)
 		res, err := r.LocateSession(ctx, "", 1, w.kps, w.intr)
 		if err != nil {
 			t.Fatalf("frame %d: %v", f, err)
 		}
 		return res
 	})
-	t.Logf("generations/frame: venue-wide %.1f, warm %.1f; median error: venue-wide %.4f m, warm %.4f m",
-		float64(wideGens)/float64(frames), float64(warmGens)/float64(frames), wideErr, warmErr)
-	if ratio := float64(warmGens) / float64(wideGens); ratio > 0.5 {
+	ratio := float64(warmGens) / float64(wideGens)
+	t.Logf("generations/frame: venue-wide %.1f, warm %.1f (ratio %.4f); median error: venue-wide %.4f m, warm %.4f m",
+		float64(wideGens)/float64(frames), float64(warmGens)/float64(frames), ratio, wideErr, warmErr)
+	if ratio > 0.5 {
 		t.Errorf("warm/cold generation ratio = %.3f (warm %d, cold %d), want <= 0.5", ratio, warmGens, wideGens)
 	}
 	if warmErr > wideErr {
@@ -351,7 +354,7 @@ func TestSessionlessLocateSeededSaves(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second solver workload")
 	}
-	r, _, walk := walkFixture(t)
+	r, _, walk, _ := walkFixture(t)
 	ctx := context.Background()
 	wideGens, wideErr := walkStats(t, walk, func(_ int, w walkFrame) LocateResult {
 		return venueWideLocate(t, r, "", w.kps, w.intr)
@@ -371,5 +374,45 @@ func TestSessionlessLocateSeededSaves(t *testing.T) {
 	}
 	if seededErr > wideErr {
 		t.Errorf("seeded median error %.4f m worse than venue-wide %.4f m", seededErr, wideErr)
+	}
+}
+
+// TestSessionWalkGolden pins the session path bit for bit: the walk of
+// TestSessionWalkWarmSaves on the session clock, then one frame from farCam
+// (a teleport the gate rejects, solved cold). The digest is SHA-256 over the
+// Float64bits of every answer's position, yaw and residual, its Matched and
+// Generations, then the track_* counters, the sessions gauge and the count
+// and sum of the three track_* histograms, all little-endian uint64.
+func TestSessionWalkGolden(t *testing.T) {
+	const want = "4fc8548d40df2e116d795e18b770f9724aa2e2591c6feafa3717f66af9803cd2"
+	r, reg, walk, capture := walkFixture(t)
+	walk = append(walk, capture(farCam))
+	h := sha256.New()
+	put := func(v uint64) {
+		h.Write(binary.LittleEndian.AppendUint64(nil, v))
+	}
+	for f, w := range walk {
+		atFrame(r, f)
+		res, err := r.LocateSession(context.Background(), "", 1, w.kps, w.intr)
+		if err != nil {
+			t.Fatalf("frame %d: %v", f, err)
+		}
+		for _, v := range []float64{res.Position.X, res.Position.Y, res.Position.Z, res.Yaw, res.Residual} {
+			put(math.Float64bits(v))
+		}
+		put(uint64(res.Matched))
+		put(uint64(res.Generations))
+	}
+	for _, name := range []string{"track_warm", "track_cold", "track_prior_rejected", "track_created", "track_evicted", "track_expired"} {
+		put(reg.Counter(name).Value())
+	}
+	put(uint64(reg.Gauge("track_sessions").Value()))
+	for _, name := range []string{"track_warm_generations", "track_cold_generations", "track_prior_error_mm"} {
+		put(reg.Histogram(name).Count())
+		put(reg.Histogram(name).Sum())
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Fatalf("session walk digest %s, want %s (warm %d, cold %d, rejected %d)", got, want,
+			reg.Counter("track_warm").Value(), reg.Counter("track_cold").Value(), reg.Counter("track_prior_rejected").Value())
 	}
 }

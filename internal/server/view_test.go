@@ -1,6 +1,6 @@
 package server
 
-// Tests for the copy-on-write read views (rcu.go): every reader must observe
+// Tests for the copy-on-write read views (view.go): every reader must observe
 // a complete published view — never a partially built index — for as long as
 // it holds it, and results must be bit-identical to a serialized run of the
 // same batches. All must stay -race clean; the race detector is what proves

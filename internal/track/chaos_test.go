@@ -1,8 +1,9 @@
 package track
 
 // Session-table churn under the race detector: concurrent create, locate
-// (predict), observe, forget and TTL expiry over a deliberately tiny table
-// so capacity eviction and expiry race with reads on the same shards.
+// (predict), observe, forget and TTL expiry, all on one shard of the table
+// and over more sessions than the shard holds, so capacity eviction and
+// expiry race with reads on the same shard.
 // `make chaos` runs this full-length; the normal suite (and scripts/
 // verify.sh) runs the -short round.
 
@@ -17,39 +18,40 @@ import (
 	"visualprint/internal/testutil"
 )
 
-// TestChaosTrackChurn hammers one small table from many goroutines. The
-// assertions are structural — the table must stay within capacity, the
-// sessions gauge must agree with Len, and nothing may deadlock or race.
+// TestChaosTrackChurn hammers one shard from many goroutines. The
+// assertions are structural — the shard must stay within its share of the
+// capacity, the sessions gauge must agree with Len, both eviction and
+// expiry must fire, and nothing may deadlock or race.
 func TestChaosTrackChurn(t *testing.T) {
 	testutil.CheckGoroutines(t)
 	reg := obs.NewRegistry()
-	const capacity = 64
-	tb := New(Config{
-		Capacity: capacity,
-		Shards:   4,
-		TTL:      2 * time.Millisecond,
-		History:  3,
-	})
-	tb.Instrument(reg)
+	tb := New(reg)
+	ids := sameShardIDs(tb, 4*perShard)
 
 	workers, opsPer := 8, 4000
 	if testing.Short() {
 		workers, opsPer = 4, 800
 	}
 	base := time.Date(2026, 8, 9, 12, 0, 0, 0, time.UTC)
-	var virtual atomic.Int64 // virtual nanos so expiry is deterministic-ish but racy
+	// Virtual nanos: 50 µs per op, and a jump past the TTL every 400 ops of
+	// each worker, so expiry is deterministic-ish but racy. Between jumps
+	// the workers create more sessions than the shard holds.
+	var virtual atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < opsPer; i++ {
-				// 96 IDs over a 64-capacity table: constant create/evict churn.
-				id := uint64(w*13+i) % 96
-				now := base.Add(time.Duration(virtual.Add(50_000))) // 50 µs per op
+				id := ids[(w*opsPer+i)%len(ids)]
+				step := int64(50 * time.Microsecond)
+				if i%400 == 399 {
+					step += int64(ttl)
+				}
+				now := base.Add(time.Duration(virtual.Add(step)))
 				switch i % 7 {
 				case 0, 1, 2:
-					tb.Observe(id, mathx.Vec3{X: float64(i % 10), Y: 1.5, Z: float64(w)}, 0, 0.01, now)
+					tb.Observe(id, mathx.Vec3{X: float64(i % 10), Y: 1.5, Z: float64(w)}, 0.01, now)
 				case 3, 4:
 					if p, ok := tb.Predict(id, now); ok && p.Radius <= 0 {
 						t.Errorf("prediction with non-positive radius %v", p.Radius)
@@ -60,8 +62,8 @@ func TestChaosTrackChurn(t *testing.T) {
 				case 6:
 					tb.ExpireIdle(now)
 				}
-				if n := tb.Len(); n > capacity {
-					t.Errorf("table grew to %d sessions (capacity %d)", n, capacity)
+				if n := tb.Len(); n > perShard {
+					t.Errorf("shard grew to %d sessions (capacity %d)", n, perShard)
 					return
 				}
 			}
@@ -69,15 +71,19 @@ func TestChaosTrackChurn(t *testing.T) {
 	}
 	wg.Wait()
 
-	if n := tb.Len(); n > capacity {
-		t.Fatalf("final Len %d exceeds capacity %d", n, capacity)
+	if n := tb.Len(); n > perShard {
+		t.Fatalf("final Len %d exceeds the shard's capacity %d", n, perShard)
+	}
+	if reg.Counter("track_evicted").Value() == 0 || reg.Counter("track_expired").Value() == 0 {
+		t.Fatalf("churn fired %d evictions and %d expiries, want both",
+			reg.Counter("track_evicted").Value(), reg.Counter("track_expired").Value())
 	}
 	if g, n := reg.Gauge("track_sessions").Value(), tb.Len(); g != int64(n) {
 		t.Fatalf("track_sessions gauge %d disagrees with Len %d", g, n)
 	}
-	// Everything idles out: a full sweep far in the future must empty the
-	// table and zero the gauge.
-	tb.ExpireIdle(base.Add(time.Hour))
+	// Everything idles out: a full sweep past the TTL from the last op must
+	// empty the table and zero the gauge.
+	tb.ExpireIdle(base.Add(time.Duration(virtual.Load()) + ttl + time.Nanosecond))
 	if n := tb.Len(); n != 0 {
 		t.Fatalf("%d sessions survived a full expiry sweep", n)
 	}

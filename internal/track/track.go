@@ -2,7 +2,7 @@
 // a bounded, TTL-evicted table of recent pose fixes per client session,
 // plus a constant-velocity motion model that turns those fixes into a
 // predicted pose + uncertainty radius — the prior that warm-starts the
-// next differential-evolution solve (pose.Options.PriorPos/PriorRadius).
+// next differential-evolution solve (pose.LocalizeWarm).
 //
 // MobileARLoc (PAPERS.md) is the production shape being reproduced:
 // absolute localization fused with an on-device pose prior. Here the prior
@@ -10,7 +10,7 @@
 // in the request header (see internal/server reqHeader), so the client
 // protocol stays a plain fingerprint upload.
 //
-// The table is lock-sharded: Locate's RCU read path holds no database
+// The table is lock-sharded: Locate's read path holds no database
 // lock, and the session lookup riding on it must not reintroduce one
 // global serialization point. Each shard owns a map plus an intrusive LRU
 // list; eviction (capacity and TTL) is amortized inline on the accessing
@@ -26,151 +26,47 @@ import (
 	"visualprint/internal/obs"
 )
 
-// Config sizes the session table and tunes the motion-model prior and the
-// warm solve built from it. The zero value is usable: New applies the
-// documented defaults to every zero field.
-type Config struct {
-	// Capacity bounds the total tracked sessions; the least-recently-used
+// The session table's size and the motion model's prior. Each has one
+// setting; the warm solve the prior feeds is tuned in internal/pose
+// (LocalizeWarm).
+const (
+	// capacity bounds the total tracked sessions; the least-recently-used
 	// session of the arriving session's shard is evicted past it.
-	// Default 4096.
-	Capacity int
-	// TTL evicts sessions idle longer than this (a user who stopped
-	// localizing). Default 2 minutes.
-	TTL time.Duration
-	// Shards is the lock-shard count (rounded up to a power of two).
-	// Default 16.
-	Shards int
-	// History is the number of pose fixes retained per session.
-	// Default 8.
-	History int
-	// BaseRadius is the prior half-width (meters) for a stationary,
+	capacity = 4096
+	// ttl evicts sessions idle longer than this (a user who stopped
+	// localizing).
+	ttl = 2 * time.Minute
+	// numShards is the lock-shard count, a power of two.
+	numShards = 16
+	// perShard is a shard's share of capacity.
+	perShard = capacity / numShards
+	// history is the number of pose fixes retained per session.
+	history = 8
+	// baseRadius is the prior half-width (meters) for a stationary,
 	// just-observed session; prediction uncertainty (fix age, speed,
-	// missing velocity estimate) scales it up from there. Default 0.08 —
-	// at continuous-tracking frame rates the constant-velocity prediction
-	// is millimeter-accurate, and a wrong prior is caught by the
+	// missing velocity estimate) scales it up from there. At continuous-
+	// tracking frame rates the constant-velocity prediction is
+	// millimeter-accurate, and a wrong prior is caught by the warm solve's
 	// acceptance gate and re-solved cold.
-	BaseRadius float64
-	// MaxRadius caps the prior half-width as uncertainty grows with
-	// speed and fix age. Default 2.5.
-	MaxRadius float64
-	// MaxSpeed clamps the motion-model velocity estimate (meters/second)
-	// against corrupt timestamps or teleporting fixes. Default 3.
-	MaxSpeed float64
-	// MaxPredictAge disables prediction when the last fix is older than
-	// this — the extrapolation would be guesswork. Default 2 seconds.
-	MaxPredictAge time.Duration
-	// AcceptResidual is the floor of the warm-solve acceptance gate: a
-	// warm result whose mean per-pair residual (radians) exceeds
-	// max(AcceptResidual, minResidual*AcceptFactor) — minResidual being
-	// the best residual across the session's retained fixes — is
-	// discarded and the request falls back to the cold solve. The floor
-	// covers near-perfect corpora where the session's residuals are ~0.
-	// Default 0.02.
-	AcceptResidual float64
-	// AcceptFactor scales the session's best retained residual into the
-	// acceptance gate — the achievable residual is a property of the
-	// corpus (descriptor mismatch noise), not of the solver, so "as good
-	// as the session's recent fixes, within slack" is the meaningful test
-	// of a correct prior. Anchoring on the window minimum rather than the
-	// last fix keeps the gate from ratcheting looser frame over frame.
-	// Default 1.5.
-	AcceptFactor float64
-	// WarmMinResidual is the floor of the warm solve's absolute
-	// early-convergence stop (pose.Options.MinResidual). Default 3e-4.
-	WarmMinResidual float64
-	// WarmStopFactor scales the session's best retained residual into the
-	// early stop: the warm solve halts once it is clearly better than
-	// every recent fix (below the window minimum by this factor) — a
-	// conservative shortcut that cannot compound error along a
-	// trajectory the way "within slack of the last fix" would. On
-	// corpora where the residual floor is noise-dominated the stop
-	// simply never fires and the solve converges via WarmTol. Default 0.5.
-	WarmStopFactor float64
-	// WarmTol overrides the pose solver's population-convergence tolerance
-	// (pose.Options.Tol) for warm solves. Default 0.0007 — tighter than
-	// the cold default 0.001: inside the shrunk prior box the extra polish
-	// costs a handful of generations and roughly halves the median pose
-	// error on the walk benchmark, so warm answers beat cold ones instead
-	// of merely matching them. Loosening it trades accuracy back for
-	// generations.
-	WarmTol float64
-}
+	baseRadius = 0.08
+	// maxRadius caps the prior half-width as uncertainty grows with speed
+	// and fix age.
+	maxRadius = 2.5
+	// maxSpeed clamps the motion-model velocity estimate (meters/second)
+	// against corrupt timestamps or teleporting fixes.
+	maxSpeed = 3
+	// maxPredictAge disables prediction when the last fix is older than
+	// this: the extrapolation would be guesswork.
+	maxPredictAge = 2 * time.Second
+)
 
-// DefaultConfig returns the documented defaults.
-func DefaultConfig() Config {
-	return Config{
-		Capacity:        4096,
-		TTL:             2 * time.Minute,
-		Shards:          16,
-		History:         8,
-		BaseRadius:      0.08,
-		MaxRadius:       2.5,
-		MaxSpeed:        3,
-		MaxPredictAge:   2 * time.Second,
-		AcceptResidual:  0.02,
-		AcceptFactor:    1.5,
-		WarmMinResidual: 3e-4,
-		WarmStopFactor:  0.5,
-		WarmTol:         0.0007,
-	}
-}
-
-// withDefaults fills zero fields.
-func (c Config) withDefaults() Config {
-	d := DefaultConfig()
-	if c.Capacity <= 0 {
-		c.Capacity = d.Capacity
-	}
-	if c.TTL <= 0 {
-		c.TTL = d.TTL
-	}
-	if c.Shards <= 0 {
-		c.Shards = d.Shards
-	}
-	for c.Shards&(c.Shards-1) != 0 {
-		c.Shards++
-	}
-	if c.History <= 0 {
-		c.History = d.History
-	}
-	if c.BaseRadius <= 0 {
-		c.BaseRadius = d.BaseRadius
-	}
-	if c.MaxRadius < c.BaseRadius {
-		c.MaxRadius = d.MaxRadius
-	}
-	if c.MaxSpeed <= 0 {
-		c.MaxSpeed = d.MaxSpeed
-	}
-	if c.MaxPredictAge <= 0 {
-		c.MaxPredictAge = d.MaxPredictAge
-	}
-	if c.AcceptResidual <= 0 {
-		c.AcceptResidual = d.AcceptResidual
-	}
-	if c.AcceptFactor <= 0 {
-		c.AcceptFactor = d.AcceptFactor
-	}
-	if c.WarmMinResidual <= 0 {
-		c.WarmMinResidual = d.WarmMinResidual
-	}
-	if c.WarmStopFactor <= 0 {
-		c.WarmStopFactor = d.WarmStopFactor
-	}
-	if c.WarmTol <= 0 {
-		c.WarmTol = d.WarmTol
-	}
-	return c
-}
-
-// Prior is a predicted camera pose with an uncertainty half-width — the
+// Prior is a predicted camera position with an uncertainty half-width — the
 // warm start handed to the pose solver. Residual is the session's best
 // retained solve quality (minimum mean radians per pair across the fix
 // history), the baseline the warm solve's acceptance gate and early stop
 // are scaled from.
 type Prior struct {
 	Pos      mathx.Vec3
-	Yaw      float64
 	Radius   float64
 	Residual float64
 }
@@ -178,7 +74,6 @@ type Prior struct {
 // fix is one accepted localization result.
 type fix struct {
 	pos      mathx.Vec3
-	yaw      float64
 	residual float64
 	at       time.Time
 }
@@ -187,9 +82,9 @@ type fix struct {
 // only under that shard's lock.
 type session struct {
 	id   uint64
-	ring []fix // capacity Config.History
-	n    int   // fixes stored (<= cap)
-	head int   // next write slot
+	ring [history]fix
+	n    int // fixes stored (<= cap)
+	head int // next write slot
 	last time.Time
 	// intrusive LRU list (most-recent at the shard's front)
 	prev, next *session
@@ -213,24 +108,26 @@ type shard struct {
 // Table is the lock-sharded session store. All methods are safe for
 // concurrent use.
 type Table struct {
-	cfg      Config
-	perShard int
-	shards   []shard
+	shards [numShards]shard
 
-	// Metrics are nil-safe no-ops until Instrument is called.
 	sessions  *obs.Gauge
 	created   *obs.Counter
 	evictions *obs.Counter
 	expired   *obs.Counter
 }
 
-// New builds a table with cfg (zero fields defaulted).
-func New(cfg Config) *Table {
-	cfg = cfg.withDefaults()
-	t := &Table{cfg: cfg, shards: make([]shard, cfg.Shards)}
-	t.perShard = (cfg.Capacity + cfg.Shards - 1) / cfg.Shards
-	if t.perShard < 1 {
-		t.perShard = 1
+// New builds an empty table recording into reg (nil records nothing):
+//
+//	track_sessions        gauge    currently tracked sessions
+//	track_created         counter  sessions ever created
+//	track_evicted         counter  capacity evictions (LRU)
+//	track_expired         counter  TTL expiries
+func New(reg *obs.Registry) *Table {
+	t := &Table{
+		sessions:  reg.Gauge("track_sessions"),
+		created:   reg.Counter("track_created"),
+		evictions: reg.Counter("track_evicted"),
+		expired:   reg.Counter("track_expired"),
 	}
 	for i := range t.shards {
 		t.shards[i].m = make(map[uint64]*session)
@@ -238,52 +135,33 @@ func New(cfg Config) *Table {
 	return t
 }
 
-// Config returns the effective (defaulted) configuration.
-func (t *Table) Config() Config { return t.cfg }
-
-// Instrument registers the table's metrics on reg:
-//
-//	track_sessions        gauge    currently tracked sessions
-//	track_created         counter  sessions ever created
-//	track_evicted         counter  capacity evictions (LRU)
-//	track_expired         counter  TTL expiries
-func (t *Table) Instrument(reg *obs.Registry) {
-	if reg == nil {
-		return
-	}
-	t.sessions = reg.Gauge("track_sessions")
-	t.created = reg.Counter("track_created")
-	t.evictions = reg.Counter("track_evicted")
-	t.expired = reg.Counter("track_expired")
-}
-
 func (t *Table) shardFor(id uint64) *shard {
 	// Fibonacci hash: session IDs are client-chosen and may be sequential.
 	// The shard count is a power of two, so the upper mixed bits mask down.
 	h := id * 0x9e3779b97f4a7c15
-	return &t.shards[(h>>32)&uint64(len(t.shards)-1)]
+	return &t.shards[(h>>32)&(numShards-1)]
 }
 
 // Observe records an accepted localization fix for id, creating the
 // session on first contact (evicting the shard's LRU session past
 // capacity) and opportunistically expiring idle sessions on the same
 // shard.
-func (t *Table) Observe(id uint64, pos mathx.Vec3, yaw, residual float64, now time.Time) {
+func (t *Table) Observe(id uint64, pos mathx.Vec3, residual float64, now time.Time) {
 	sh := t.shardFor(id)
 	sh.mu.Lock()
 	t.sweepLocked(sh, now)
 	s := sh.m[id]
 	if s == nil {
-		if len(sh.m) >= t.perShard {
+		if len(sh.m) >= perShard {
 			t.evictLocked(sh, sh.back)
 			t.evictions.Inc()
 		}
-		s = &session{id: id, ring: make([]fix, t.cfg.History)}
+		s = &session{id: id}
 		sh.m[id] = s
 		t.created.Inc()
 		t.sessions.Add(1)
 	}
-	s.ring[s.head] = fix{pos: pos, yaw: yaw, residual: residual, at: now}
+	s.ring[s.head] = fix{pos: pos, residual: residual, at: now}
 	s.head = (s.head + 1) % len(s.ring)
 	if s.n < len(s.ring) {
 		s.n++
@@ -296,9 +174,9 @@ func (t *Table) Observe(id uint64, pos mathx.Vec3, yaw, residual float64, now ti
 // Predict extrapolates id's next pose at time now with the
 // constant-velocity model over the two most recent fixes (position hold
 // with a single fix). It returns false when the session is unknown,
-// TTL-expired, or its last fix is older than MaxPredictAge. The returned
-// radius grows with estimated speed and fix age from BaseRadius up to
-// MaxRadius.
+// TTL-expired, or its last fix is older than maxPredictAge. The returned
+// radius grows with estimated speed and fix age from baseRadius up to
+// maxRadius.
 func (t *Table) Predict(id uint64, now time.Time) (Prior, bool) {
 	sh := t.shardFor(id)
 	sh.mu.Lock()
@@ -307,7 +185,7 @@ func (t *Table) Predict(id uint64, now time.Time) (Prior, bool) {
 	if s == nil || s.n == 0 {
 		return Prior{}, false
 	}
-	if now.Sub(s.last) > t.cfg.TTL {
+	if now.Sub(s.last) > ttl {
 		t.evictLocked(sh, s)
 		t.expired.Inc()
 		return Prior{}, false
@@ -317,7 +195,7 @@ func (t *Table) Predict(id uint64, now time.Time) (Prior, bool) {
 	if age < 0 {
 		age = 0
 	}
-	if age > t.cfg.MaxPredictAge {
+	if age > maxPredictAge {
 		return Prior{}, false
 	}
 	t.touchLocked(sh, s)
@@ -333,7 +211,7 @@ func (t *Table) Predict(id uint64, now time.Time) (Prior, bool) {
 			minRes = r
 		}
 	}
-	p := Prior{Pos: newest.pos, Yaw: newest.yaw, Radius: t.cfg.BaseRadius, Residual: minRes}
+	p := Prior{Pos: newest.pos, Radius: baseRadius, Residual: minRes}
 	speed, haveVel := 0.0, false
 	if s.n >= 2 {
 		prevFix := s.latest(1)
@@ -342,25 +220,25 @@ func (t *Table) Predict(id uint64, now time.Time) (Prior, bool) {
 			haveVel = true
 			v := newest.pos.Sub(prevFix.pos).Scale(1 / dt)
 			speed = v.Norm()
-			if speed > t.cfg.MaxSpeed {
-				v = v.Scale(t.cfg.MaxSpeed / speed)
-				speed = t.cfg.MaxSpeed
+			if speed > maxSpeed {
+				v = v.Scale(maxSpeed / speed)
+				speed = maxSpeed
 			}
 			p.Pos = p.Pos.Add(v.Scale(ageS))
 		}
 	}
 	// Uncertainty: half a base width per traveled meter of extrapolation,
 	// plus a stationary floor that grows as the fix ages.
-	p.Radius = t.cfg.BaseRadius * (1 + ageS + speed*ageS)
+	p.Radius = baseRadius * (1 + ageS + speed*ageS)
 	if !haveVel {
 		// Single fix: the velocity is unknown, so a position-hold prior's
 		// true uncertainty is however far the device can have walked —
 		// without this the second frame of a brisk walk lands outside the
 		// base box and the clipped solve carries centimeters of error.
-		p.Radius += t.cfg.MaxSpeed * ageS
+		p.Radius += maxSpeed * ageS
 	}
-	if p.Radius > t.cfg.MaxRadius {
-		p.Radius = t.cfg.MaxRadius
+	if p.Radius > maxRadius {
+		p.Radius = maxRadius
 	}
 	return p, true
 }
@@ -395,7 +273,7 @@ func (t *Table) ExpireIdle(now time.Time) int {
 	for i := range t.shards {
 		sh := &t.shards[i]
 		sh.mu.Lock()
-		for sh.back != nil && now.Sub(sh.back.last) > t.cfg.TTL {
+		for sh.back != nil && now.Sub(sh.back.last) > ttl {
 			t.evictLocked(sh, sh.back)
 			t.expired.Inc()
 			total++
@@ -410,7 +288,7 @@ func (t *Table) ExpireIdle(now time.Time) int {
 func (t *Table) sweepLocked(sh *shard, now time.Time) {
 	for i := 0; i < 2; i++ {
 		s := sh.back
-		if s == nil || now.Sub(s.last) <= t.cfg.TTL {
+		if s == nil || now.Sub(s.last) <= ttl {
 			return
 		}
 		t.evictLocked(sh, s)
