@@ -72,8 +72,11 @@ func DBSCAN(pts []mathx.Vec3, p Params) ([]Cluster, error) {
 		cells[k] = append(cells[k], i)
 	}
 	eps2 := p.Eps * p.Eps
+	// neighbors returns i's neighbourhood in one buffer shared by every
+	// query of the call: each result is consumed before the next query.
+	var nbuf []int
 	neighbors := func(i int) []int {
-		var out []int
+		out := nbuf[:0]
 		k := key(pts[i])
 		for dx := int32(-1); dx <= 1; dx++ {
 			for dy := int32(-1); dy <= 1; dy++ {
@@ -87,6 +90,7 @@ func DBSCAN(pts []mathx.Vec3, p Params) ([]Cluster, error) {
 				}
 			}
 		}
+		nbuf = out
 		return out
 	}
 
@@ -97,6 +101,7 @@ func DBSCAN(pts []mathx.Vec3, p Params) ([]Cluster, error) {
 	labels := make([]int, n) // 0 unvisited, -1 noise, >0 cluster id
 	clusterID := 0
 	var clusters []Cluster
+	var queue []int // the expansion worklist, reused by every cluster
 	for i := 0; i < n; i++ {
 		if labels[i] != unvisited {
 			continue
@@ -110,11 +115,10 @@ func DBSCAN(pts []mathx.Vec3, p Params) ([]Cluster, error) {
 		var members []int
 		labels[i] = clusterID
 		members = append(members, i)
-		// Expand the cluster with a worklist.
-		queue := append([]int(nil), nb...)
-		for len(queue) > 0 {
-			j := queue[0]
-			queue = queue[1:]
+		// Expand the cluster breadth-first: queue[head:] is still to visit.
+		queue = append(queue[:0], nb...)
+		for head := 0; head < len(queue); head++ {
+			j := queue[head]
 			if labels[j] == noise {
 				labels[j] = clusterID // border point
 				members = append(members, j)

@@ -1,7 +1,10 @@
 package cluster
 
 import (
+	"errors"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"visualprint/internal/mathx"
@@ -180,5 +183,145 @@ func BenchmarkDBSCAN1000(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		DBSCAN(pts, DefaultParams())
+	}
+}
+
+// referenceDBSCAN is DBSCAN as it stood before its neighbour buffer and
+// worklist were shared across the call: a fresh slice per neighbourhood
+// query and a re-sliced queue per cluster. TestDBSCANMatchesReference holds
+// the shared-scratch version to it.
+func referenceDBSCAN(pts []mathx.Vec3, p Params) ([]Cluster, error) {
+	if p.Eps <= 0 || p.MinPts <= 0 {
+		return nil, errors.New("cluster: Eps and MinPts must be positive")
+	}
+	n := len(pts)
+	if n == 0 {
+		return nil, nil
+	}
+	// Hash grid with cell size eps.
+	cells := make(map[[3]int32][]int, n)
+	key := func(v mathx.Vec3) [3]int32 {
+		return [3]int32{
+			int32(math.Floor(v.X / p.Eps)),
+			int32(math.Floor(v.Y / p.Eps)),
+			int32(math.Floor(v.Z / p.Eps)),
+		}
+	}
+	for i, pt := range pts {
+		k := key(pt)
+		cells[k] = append(cells[k], i)
+	}
+	eps2 := p.Eps * p.Eps
+	neighbors := func(i int) []int {
+		var out []int
+		k := key(pts[i])
+		for dx := int32(-1); dx <= 1; dx++ {
+			for dy := int32(-1); dy <= 1; dy++ {
+				for dz := int32(-1); dz <= 1; dz++ {
+					for _, j := range cells[[3]int32{k[0] + dx, k[1] + dy, k[2] + dz}] {
+						d := pts[i].Sub(pts[j])
+						if d.Dot(d) <= eps2 {
+							out = append(out, j)
+						}
+					}
+				}
+			}
+		}
+		return out
+	}
+
+	const (
+		unvisited = 0
+		noise     = -1
+	)
+	labels := make([]int, n) // 0 unvisited, -1 noise, >0 cluster id
+	clusterID := 0
+	var clusters []Cluster
+	for i := 0; i < n; i++ {
+		if labels[i] != unvisited {
+			continue
+		}
+		nb := neighbors(i)
+		if len(nb) < p.MinPts {
+			labels[i] = noise
+			continue
+		}
+		clusterID++
+		var members []int
+		labels[i] = clusterID
+		members = append(members, i)
+		// Expand the cluster with a worklist.
+		queue := append([]int(nil), nb...)
+		for len(queue) > 0 {
+			j := queue[0]
+			queue = queue[1:]
+			if labels[j] == noise {
+				labels[j] = clusterID // border point
+				members = append(members, j)
+				continue
+			}
+			if labels[j] != unvisited {
+				continue
+			}
+			labels[j] = clusterID
+			members = append(members, j)
+			jn := neighbors(j)
+			if len(jn) >= p.MinPts {
+				queue = append(queue, jn...)
+			}
+		}
+		clusters = append(clusters, Cluster{Indices: members})
+	}
+	// Sort by descending size (insertion-stable for ties).
+	for i := 1; i < len(clusters); i++ {
+		for j := i; j > 0 && len(clusters[j].Indices) > len(clusters[j-1].Indices); j-- {
+			clusters[j], clusters[j-1] = clusters[j-1], clusters[j]
+		}
+	}
+	return clusters, nil
+}
+
+// queryLikePoints is a server-shaped input: a scene's matches concentrated
+// in one or two blobs plus false matches scattered over a venue.
+func queryLikePoints(rng *rand.Rand, n int) []mathx.Vec3 {
+	inScene := n * (40 + rng.Intn(50)) / 100
+	pts := blob(rng, mathx.Vec3{X: 4 + rng.Float64()*8, Y: 1.5, Z: 3 + rng.Float64()*4}, inScene, 0.3+rng.Float64()*1.5)
+	if rng.Intn(2) == 0 {
+		pts = append(pts, blob(rng, mathx.Vec3{X: rng.Float64() * 16, Y: 1.5, Z: rng.Float64() * 10}, inScene/3, 0.8)...)
+	}
+	for len(pts) < n {
+		pts = append(pts, mathx.Vec3{X: rng.Float64() * 16, Y: rng.Float64() * 3, Z: rng.Float64() * 10})
+	}
+	return pts[:n]
+}
+
+// TestDBSCANMatchesReference: the same clusters, member for member and in
+// the same order, as the reference over random inputs and parameters.
+func TestDBSCANMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(34))
+	for trial := 0; trial < 200; trial++ {
+		pts := queryLikePoints(rng, 1+rng.Intn(300))
+		p := Params{Eps: 0.2 + rng.Float64()*2.5, MinPts: 1 + rng.Intn(6)}
+		got, err := DBSCAN(pts, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _ := referenceDBSCAN(pts, p)
+		if !slices.EqualFunc(got, want, func(a, b Cluster) bool { return slices.Equal(a.Indices, b.Indices) }) {
+			t.Fatalf("trial %d (%d points, %+v): %v, want %v", trial, len(pts), p, got, want)
+		}
+	}
+}
+
+// TestDBSCANAllocs bounds the allocations of one call on a 128-point query:
+// the grid, the labels and the clusters' own member lists, with neither a
+// neighbourhood query nor a worklist step allocating.
+func TestDBSCANAllocs(t *testing.T) {
+	pts := queryLikePoints(rand.New(rand.NewSource(7)), 128)
+	got := testing.AllocsPerRun(20, func() { DBSCAN(pts, DefaultParams()) })
+	ref := testing.AllocsPerRun(20, func() { referenceDBSCAN(pts, DefaultParams()) })
+	t.Logf("allocations per call on 128 points: %.0f (reference %.0f)", got, ref)
+	if got > 200 {
+		t.Fatalf("DBSCAN allocates %.0f times on 128 points, want <= 200", got)
 	}
 }

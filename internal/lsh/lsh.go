@@ -446,6 +446,11 @@ type QueryOptions struct {
 	MaxCandidates int
 	// MultiProbe also checks the off-by-one buckets in every table.
 	MultiProbe bool
+	// MaxDistSq, when positive, drops candidates whose squared distance
+	// exceeds it. Under MaxCandidates = n the result is then the n best
+	// with the farther ones removed, and the cut-off bounds the scoring of
+	// every candidate from the first, not only once n are held.
+	MaxDistSq int
 }
 
 // Query returns candidate neighbors of desc from all L tables, de-duplicated
@@ -475,6 +480,10 @@ func (ix *Index) QueryInto(desc []byte, opt QueryOptions, dst []Candidate) ([]Ca
 	defer scratchPool.Put(s)
 	s.vec = DescriptorVec(desc, s.vec)
 	dst = dst[:0]
+	limit := math.MaxInt
+	if opt.MaxDistSq > 0 && opt.MaxDistSq < math.MaxInt {
+		limit = opt.MaxDistSq + 1
+	}
 	probesPerTable := int32(1)
 	if opt.MultiProbe {
 		probesPerTable += 2 * int32(ix.h.p.M)
@@ -482,16 +491,16 @@ func (ix *Index) QueryInto(desc []byte, opt QueryOptions, dst []Candidate) ([]Ca
 	for t := 0; t < ix.h.p.L; t++ {
 		ix.h.BucketVecInto(s.vec, t, s.coords)
 		ord := int32(t) * probesPerTable
-		dst = ix.collect(t, ord, desc, s, dst, opt.MaxCandidates)
+		dst = ix.collect(t, ord, desc, s, dst, opt.MaxCandidates, limit)
 		if opt.MultiProbe {
 			// Off-by-one perturbations, enumerated by mutating one
 			// coordinate at a time — same order as Probes, no allocation.
 			for m := range s.coords {
 				orig := s.coords[m]
 				s.coords[m] = orig - 1
-				dst = ix.collect(t, ord+1+2*int32(m), desc, s, dst, opt.MaxCandidates)
+				dst = ix.collect(t, ord+1+2*int32(m), desc, s, dst, opt.MaxCandidates, limit)
 				s.coords[m] = orig + 1
-				dst = ix.collect(t, ord+2+2*int32(m), desc, s, dst, opt.MaxCandidates)
+				dst = ix.collect(t, ord+2+2*int32(m), desc, s, dst, opt.MaxCandidates, limit)
 				s.coords[m] = orig
 			}
 		}
@@ -502,15 +511,16 @@ func (ix *Index) QueryInto(desc []byte, opt QueryOptions, dst []Candidate) ([]Ca
 	return dst, nil
 }
 
-// collect adds the not-yet-seen candidates of one bucket probe, stamping
-// each with the probe ordinal it was first found at. With n <= 0 it appends
-// them in collection order. With n > 0, dst is the sorted n best so far:
-// once n are held, a candidate must beat the n-th distance to enter, so it
-// is scored by dist.SqLimit, which gives up as soon as the partial sum
-// reaches that distance. A tie with the n-th loses — it arrived later, which
+// collect adds the not-yet-seen candidates of one bucket probe closer than
+// gate (a squared distance, math.MaxInt for none), stamping each with the
+// probe ordinal it was first found at. With n <= 0 it appends them in
+// collection order. With n > 0, dst is the sorted n best so far: a
+// candidate must beat gate to enter, and once n are held the n-th distance,
+// so it is scored by dist.SqLimit, which gives up as soon as the partial sum
+// reaches that limit. A tie with the n-th loses — it arrived later, which
 // is where a stable sort would have put it — and an entering candidate goes
 // after any equal distance already held, for the same reason.
-func (ix *Index) collect(table int, ord int32, desc []byte, s *queryScratch, dst []Candidate, n int) []Candidate {
+func (ix *Index) collect(table int, ord int32, desc []byte, s *queryScratch, dst []Candidate, n, gate int) []Candidate {
 	_, head := find(*ix.t.maps[table].Load(), ix.h.KeyInto(table, s.coords, s.key))
 	for id := ix.visible(head); id >= 0; id = ix.after(id, table) {
 		if int(id) >= len(s.seen) {
@@ -524,10 +534,12 @@ func (ix *Index) collect(table int, ord int32, desc []byte, s *queryScratch, dst
 		}
 		s.seen[id] = s.epoch
 		if n <= 0 {
-			dst = append(dst, Candidate{ID: int(id), DistSq: dist.Sq(desc, ix.descs[id]), Probe: ord})
+			if d := dist.Sq(desc, ix.descs[id]); d < gate {
+				dst = append(dst, Candidate{ID: int(id), DistSq: d, Probe: ord})
+			}
 			continue
 		}
-		limit := math.MaxInt
+		limit := gate
 		if len(dst) == n {
 			limit = dst[n-1].DistSq
 		}

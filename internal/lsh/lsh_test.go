@@ -244,6 +244,41 @@ func TestIndexMaxCandidates(t *testing.T) {
 	}
 }
 
+// TestIndexMaxDistSq: a gated query returns the ungated answer with the
+// candidates beyond the gate removed, capped or not. The descriptors are
+// near copies of a few bases, so squared distances are small and often
+// equal to the gate.
+func TestIndexMaxDistSq(t *testing.T) {
+	ix, _ := NewIndex(Params{L: 4, M: 2, W: 5000, Dim: 16, Seed: 13})
+	rng := rand.New(rand.NewSource(14))
+	bases := make([][]byte, 5)
+	for i := range bases {
+		bases[i] = make([]byte, 16)
+		for j := range bases[i] {
+			bases[i][j] = byte(10 + rng.Intn(200))
+		}
+	}
+	for i := 0; i < 200; i++ {
+		ix.Insert(perturb(rng, bases[i%len(bases)], 2))
+	}
+	for trial := 0; trial < 200; trial++ {
+		q := perturb(rng, bases[rng.Intn(len(bases))], 1)
+		gate := 1 + rng.Intn(40)
+		n := rng.Intn(6) // 0: uncapped
+		all, _ := ix.Query(q, QueryOptions{MultiProbe: true, MaxCandidates: n})
+		var want []Candidate
+		for _, c := range all {
+			if c.DistSq <= gate {
+				want = append(want, c)
+			}
+		}
+		got, _ := ix.Query(q, QueryOptions{MultiProbe: true, MaxCandidates: n, MaxDistSq: gate})
+		if !slices.Equal(got, want) {
+			t.Fatalf("trial %d (n %d, gate %d): gated %v, want %v", trial, n, gate, got, want)
+		}
+	}
+}
+
 func TestIndexDimensionMismatch(t *testing.T) {
 	ix, _ := NewIndex(Params{L: 2, M: 2, W: 100, Dim: 8, Seed: 13})
 	if _, err := ix.Insert(make([]byte, 9)); err == nil {

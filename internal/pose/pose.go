@@ -11,7 +11,7 @@
 // separately on the X/Z and Y/Z planes as the paper formulates it.
 //
 // As in the paper ("we solve the localization optimization using a
-// time-bounded differential evolution"), the solver is a bounded
+// time-bounded differential evolution"), the venue-wide solve is a bounded
 // differential-evolution search over the venue's bounding box with an
 // evaluation/time budget. The DE is the synchronous-generation rand/1/bin
 // variant: every RNG draw happens serially in index order, each
@@ -20,10 +20,12 @@
 // pool when Options.Workers allows — so the result is bit-identical for a
 // fixed seed at any worker count (see DESIGN.md "Performance"). The search
 // ends at the evaluation budget, the deadline, or Options.Tol population
-// convergence, whichever comes first. LocalizeCold (seed.go) runs the same
-// search in a small box around the best closed-form P3P hypothesis, with
-// the venue-wide search as its fallback; LocalizeWarm runs it around a
-// tracking session's prediction.
+// convergence, whichever comes first. The two solves that start from a
+// prior do not search the venue: LocalizeCold (seed.go) polishes the best
+// closed-form P3P hypothesis, and LocalizeWarm a tracking session's
+// prediction, with a restarted Nelder–Mead simplex inside a box around it
+// (refine.go). The cold one falls back to the venue-wide DE when its answer
+// lands on that box's edge.
 package pose
 
 import (
@@ -223,7 +225,10 @@ func newProblem(corr []Correspondence, intr Intrinsics, maxPairs int, rng *rand.
 	return pr
 }
 
-// Options tunes the differential-evolution solver.
+// Options tunes the pose solvers. MaxPairs and Seed shape every solve's
+// objective; the rest bound the venue-wide DE only — the refiner that
+// LocalizeCold and LocalizeWarm run from a prior has a constant step and
+// stop (refine.go).
 type Options struct {
 	// PopSize is the DE population size.
 	PopSize int
@@ -321,7 +326,7 @@ func LocalizeContext(ctx context.Context, corr []Correspondence, intr Intrinsics
 	}
 	rng := rand.New(rand.NewSource(opt.Seed))
 	pr := newProblem(corr, intr, opt.MaxPairs, rng)
-	return pr.search(ctx, rng, corr, intr, lo, hi, opt, mathx.Vec3{}, 0, 0)
+	return pr.search(ctx, rng, corr, intr, lo, hi, opt)
 }
 
 // prepare validates a solve's inputs and applies the option defaults.
@@ -347,27 +352,7 @@ func prepare(corr []Correspondence, intr Intrinsics, opt Options) (Options, erro
 // search is the differential-evolution body of LocalizeContext over a built
 // problem: rng is the solve's stream positioned just after newProblem's pair
 // shuffle, and opt has its defaults applied.
-//
-// A radius > 0 warm-starts the search from a prior camera position: the box
-// is intersected with the cube prior ± radius (when the intersection is
-// non-empty; a prior entirely outside [lo, hi] is ignored) and the first
-// member of the initial population is pinned to the clamped prior, so a good
-// prior converges in a fraction of the venue-wide generations via the Tol
-// stop. A stop > 0 also ends the search once the best member's mean per-pair
-// residual (radians) has dropped to it — an absolute "good enough" criterion
-// beside the relative Tol stop, which cannot fire as the optimum cost
-// approaches zero (std and mean shrink together). radius 0 and stop 0 leave
-// every bound and RNG draw of the venue-wide search untouched.
-func (pr *problem) search(ctx context.Context, rng *rand.Rand, corr []Correspondence, intr Intrinsics, lo, hi mathx.Vec3, opt Options, prior mathx.Vec3, radius, stop float64) (Result, error) {
-	warm := false
-	if radius > 0 {
-		plo := mathx.Vec3{X: prior.X - radius, Y: prior.Y - radius, Z: prior.Z - radius}
-		phi := mathx.Vec3{X: prior.X + radius, Y: prior.Y + radius, Z: prior.Z + radius}
-		if ilo, ihi, ok := intersectBox(lo, hi, plo, phi); ok {
-			lo, hi = ilo, ihi
-			warm = true
-		}
-	}
+func (pr *problem) search(ctx context.Context, rng *rand.Rand, corr []Correspondence, intr Intrinsics, lo, hi mathx.Vec3, opt Options) (Result, error) {
 	span := [3]float64{hi.X - lo.X, hi.Y - lo.Y, hi.Z - lo.Z}
 	lov := [3]float64{lo.X, lo.Y, lo.Z}
 	sample := func() [3]float64 {
@@ -392,15 +377,6 @@ func (pr *problem) search(ctx context.Context, rng *rand.Rand, corr []Correspond
 	dirs := make([]ptDir, len(pr.pts))
 	for i := range pop {
 		pop[i] = sample()
-		if warm && i == 0 {
-			// Pin one member to the predicted pose itself (sample() above
-			// still ran, keeping the RNG stream uniform across the
-			// population regardless of the prior).
-			pp := [3]float64{prior.X, prior.Y, prior.Z}
-			for d := 0; d < 3; d++ {
-				pop[i][d] = mathx.Clamp(pp[d], lov[d], lov[d]+span[d])
-			}
-		}
 		cost[i] = pr.objective(pop[i], dirs, math.Inf(1))
 	}
 	evals += opt.PopSize
@@ -443,17 +419,6 @@ func (pr *problem) search(ctx context.Context, rng *rand.Rand, corr []Correspond
 		}
 		if opt.Tol > 0 && converged(cost, opt.Tol) {
 			break
-		}
-		if stop > 0 {
-			bc := cost[0]
-			for i := 1; i < opt.PopSize; i++ {
-				if cost[i] < bc {
-					bc = cost[i]
-				}
-			}
-			if bc <= stop*float64(len(pr.pairs)) {
-				break
-			}
 		}
 	}
 	best := 0
@@ -531,17 +496,6 @@ func converged(cost []float64, tol float64) bool {
 		s2 += d * d
 	}
 	return math.Sqrt(s2/float64(len(cost))) <= tol*math.Abs(mean)
-}
-
-// intersectBox returns the axis-aligned intersection of [alo, ahi] and
-// [blo, bhi], and whether it is non-empty in every dimension.
-func intersectBox(alo, ahi, blo, bhi mathx.Vec3) (mathx.Vec3, mathx.Vec3, bool) {
-	lo := mathx.Vec3{X: math.Max(alo.X, blo.X), Y: math.Max(alo.Y, blo.Y), Z: math.Max(alo.Z, blo.Z)}
-	hi := mathx.Vec3{X: math.Min(ahi.X, bhi.X), Y: math.Min(ahi.Y, bhi.Y), Z: math.Min(ahi.Z, bhi.Z)}
-	if lo.X > hi.X || lo.Y > hi.Y || lo.Z > hi.Z {
-		return mathx.Vec3{}, mathx.Vec3{}, false
-	}
-	return lo, hi, true
 }
 
 // EstimateYaw recovers the camera heading given its position: for each

@@ -7,12 +7,13 @@ package pose
 // center up to a small finite set in closed form, so it draws
 // correspondence triples, solves each with Grunert's three-point
 // perspective (P3P) quartic, ranks the resulting centers RANSAC-style on
-// the solve's own objective, and runs the warm-start DE around the best
-// one. A seeded answer that the shrunk box may have stopped short of the
-// true minimum is re-solved by the venue-wide search, bit for bit the solve
-// LocalizeContext runs. LocalizeWarm takes a tracking session's
-// motion-model prediction instead and gates the answer on the session's
-// recent residuals; its caller re-solves a rejected one cold.
+// the solve's own objective, and polishes the best one with the local
+// refiner (refine.go). A refined answer that the shrunk box may have
+// stopped short of the true minimum is re-solved by the venue-wide search,
+// bit for bit the solve LocalizeContext runs. LocalizeWarm refines a
+// tracking session's motion-model prediction instead and gates the answer
+// on the session's recent residuals; its caller re-solves a rejected one
+// cold.
 
 import (
 	"context"
@@ -37,8 +38,6 @@ const (
 	// around the prior: wider than the spread of good hypotheses under a
 	// pixel of noise, a fraction of a venue.
 	seedRadius = 0.5
-	// seedPopSize is the DE population inside the shrunk box.
-	seedPopSize = 32
 	// seedGateMargin is the distance in metres from a face of the shrunk
 	// box, where that face lies inside the venue box, at which a seeded
 	// answer counts as pinned against the box and the venue-wide search
@@ -53,32 +52,17 @@ const (
 	rootIters = 64
 )
 
-// The warm-solve policy of LocalizeWarm. best is the session's best
-// retained residual (mean radians per pair): the achievable residual is a
-// property of the corpus (descriptor mismatch noise), not of the solver, so
-// the session's recent fixes are the yardstick for both the gate and the
-// early stop. Anchoring on the window minimum rather than the last fix keeps
-// either from ratcheting looser frame over frame.
+// The warm-solve gate of LocalizeWarm, max(warmGateFloor,
+// best·warmGateFactor) with best the session's best retained residual (mean
+// radians per pair): a warm answer above it is rejected. The achievable
+// residual is a property of the corpus (descriptor mismatch noise), not of
+// the solver, so the session's recent fixes are the yardstick; anchoring on
+// the window minimum rather than the last fix keeps the gate from
+// ratcheting looser frame over frame. The floor covers near-perfect corpora
+// whose residuals are ~0.
 const (
-	// warmGateFloor and warmGateFactor set the acceptance gate,
-	// max(warmGateFloor, best·warmGateFactor): a warm answer above it
-	// is rejected. The floor covers near-perfect corpora whose residuals
-	// are ~0.
 	warmGateFloor  = 0.02
 	warmGateFactor = 1.5
-	// warmStopFloor and warmStopFactor set the absolute early stop,
-	// max(warmStopFloor, best·warmStopFactor): the search halts once it is
-	// clearly better than every recent fix, a shortcut that cannot compound
-	// error along a trajectory the way "within slack of the last fix"
-	// would. Where the residual floor is noise-dominated it never fires and
-	// the search ends on warmPopTol.
-	warmStopFloor  = 3e-4
-	warmStopFactor = 0.5
-	// warmPopTol replaces Options.Tol: tighter than the cold 0.001, because
-	// inside the shrunk box the extra polish costs a handful of generations
-	// and roughly halves the median pose error of a walk, so warm answers
-	// beat cold ones instead of merely matching them.
-	warmPopTol = 0.0007
 )
 
 // LocalizeCold is the cold solve: the same answer space as LocalizeContext,
@@ -86,37 +70,35 @@ const (
 // seedTriples correspondence triples with an RNG separate from the DE's,
 // solves each by P3P, drops centers outside [lo, hi], ranks the rest on a
 // seedScorePairs-pair subset of the solve's pairs and evaluates the best
-// seedTop in full. The best becomes the prior of a warm-start DE
-// (radius seedRadius, PopSize seedPopSize) over the same pairs.
+// seedTop in full. The best becomes the prior of the Nelder–Mead refiner
+// (refine.go) inside the box prior ± seedRadius, over the same pairs.
 //
-// The gate: when the seeded answer lies within seedGateMargin of a face of
+// The gate: when the refined answer lies within seedGateMargin of a face of
 // the shrunk box that is inside [lo, hi], the minimum may lie beyond that
 // face, and the solve is repeated by LocalizeContext with opt verbatim —
 // today's venue-wide search, bit for bit, as is a solve that found no
 // hypothesis. Result.Evals counts every objective evaluation: the
-// hypotheses scored, the seeded search and any fallback. opt is a cold
-// option set (no prior of its own); the result is identical at any
-// Options.Workers.
+// hypotheses scored, the refiner's and any fallback's. The result is
+// identical at any Options.Workers.
 func LocalizeCold(ctx context.Context, corr []Correspondence, intr Intrinsics, lo, hi mathx.Vec3, opt Options) (Result, error) {
 	opt, err := prepare(corr, intr, opt)
 	if err != nil {
 		return Result{}, err
 	}
-	rng := rand.New(rand.NewSource(opt.Seed))
-	pr := newProblem(corr, intr, opt.MaxPairs, rng)
-	prior, evals, ok := newSeeder(&pr, corr, lo, hi, opt).best()
+	pr := newProblem(corr, intr, opt.MaxPairs, rand.New(rand.NewSource(opt.Seed)))
+	s := newSeeder(&pr, corr, lo, hi, opt)
+	prior, evals, ok := s.best()
 	if ok {
-		sopt := opt
-		sopt.PopSize = seedPopSize
-		res, err := pr.search(ctx, rng, corr, intr, lo, hi, sopt, prior, seedRadius, 0)
+		// prior lies in [lo, hi], so its box is never empty.
+		res, _, err := pr.refinePrior(ctx, corr, intr, lo, hi, prior, seedRadius, s.dirs)
 		if err != nil {
 			return Result{}, err
 		}
-		res.Evals += evals
+		evals += res.Evals
 		if !pinnedToPrior(res.Position, prior, lo, hi) {
+			res.Evals = evals
 			return res, nil
 		}
-		evals = res.Evals
 	}
 	res, err := LocalizeContext(ctx, corr, intr, lo, hi, opt)
 	if err != nil {
@@ -126,27 +108,45 @@ func LocalizeCold(ctx context.Context, corr []Correspondence, intr Intrinsics, l
 	return res, nil
 }
 
-// LocalizeWarm is the warm solve of a tracking session: LocalizeContext
-// inside the cube prior ± radius (intersected with [lo, hi]; a prior wholly
-// outside is ignored), with one member of the initial population pinned to
-// the prior, Tol warmPopTol and the absolute early stop
-// max(warmStopFloor, best·warmStopFactor). best is the session's best
-// retained residual. The bool reports whether the answer passed the gate,
-// a residual of at most max(warmGateFloor, best·warmGateFactor); the
-// caller re-solves a rejected one cold.
+// LocalizeWarm is the warm solve of a tracking session: the Nelder–Mead
+// refiner started from the prior inside the cube prior ± radius intersected
+// with [lo, hi]. best is the session's best retained residual. The bool
+// reports whether the answer passed the gate, a residual of at most
+// max(warmGateFloor, best·warmGateFactor); the caller re-solves a rejected
+// one cold. A prior box that misses [lo, hi] is rejected unsolved, with a
+// zero Result.
 func LocalizeWarm(ctx context.Context, corr []Correspondence, intr Intrinsics, lo, hi mathx.Vec3, opt Options, prior mathx.Vec3, radius, best float64) (Result, bool, error) {
-	opt.Tol = warmPopTol
 	opt, err := prepare(corr, intr, opt)
 	if err != nil {
 		return Result{}, false, err
 	}
-	rng := rand.New(rand.NewSource(opt.Seed))
-	pr := newProblem(corr, intr, opt.MaxPairs, rng)
-	res, err := pr.search(ctx, rng, corr, intr, lo, hi, opt, prior, radius, math.Max(warmStopFloor, best*warmStopFactor))
-	if err != nil {
+	pr := newProblem(corr, intr, opt.MaxPairs, rand.New(rand.NewSource(opt.Seed)))
+	res, ok, err := pr.refinePrior(ctx, corr, intr, lo, hi, prior, radius, make([]ptDir, len(pr.pts)))
+	if err != nil || !ok {
 		return Result{}, false, err
 	}
 	return res, res.Residual <= math.Max(warmGateFloor, best*warmGateFactor), nil
+}
+
+// refinePrior runs refine from prior inside the cube prior ± radius
+// intersected with [lo, hi], with a starting step of radius/2, and reports
+// false, unsolved, when that intersection is empty.
+func (pr *problem) refinePrior(ctx context.Context, corr []Correspondence, intr Intrinsics, lo, hi, prior mathx.Vec3, radius float64, dirs []ptDir) (Result, bool, error) {
+	b, ok := priorBox(lo, hi, prior, radius)
+	if !ok {
+		return Result{}, false, nil
+	}
+	v, cost, evals, err := pr.refine(ctx, [3]float64{prior.X, prior.Y, prior.Z}, b, radius/2, dirs)
+	if err != nil {
+		return Result{}, false, err
+	}
+	pos := mathx.Vec3{X: v[0], Y: v[1], Z: v[2]}
+	return Result{
+		Position: pos,
+		Residual: cost / float64(len(pr.pairs)),
+		Evals:    evals,
+		Yaw:      EstimateYaw(corr, intr, pos),
+	}, true, nil
 }
 
 // pinnedToPrior reports whether pos lies within seedGateMargin of a face of

@@ -1,8 +1,8 @@
 package pose
 
-// Warm-start coverage through LocalizeWarm: a disjoint prior must leave
-// only the warm tolerance and stop, and a good prior must converge in a
-// fraction of the cold generations with no accuracy loss and pass the gate.
+// Warm-start coverage through LocalizeWarm: a disjoint prior is rejected
+// unsolved, and a good prior must converge in a fraction of the cold
+// evaluations with no accuracy loss and pass the gate.
 
 import (
 	"context"
@@ -13,26 +13,17 @@ import (
 )
 
 // TestLocalizeDisjointPriorIgnored: a prior box that does not intersect the
-// search box must be ignored entirely — the warm solve must match the
-// no-prior solve at the warm tolerance bit for bit. The scenario's residual
-// floor is far above the early stop, so the stop cannot fire either.
+// search box gives the refiner nowhere to start, so the warm solve rejects
+// it unsolved — zero evaluations — and the caller's cold re-solve is the
+// only answer.
 func TestLocalizeDisjointPriorIgnored(t *testing.T) {
 	corr, intr, lo, hi := identityScenario(5, 16)
-	opt := identityOptions(1)
-	opt.Tol = warmPopTol
-	base, err := Localize(corr, intr, lo, hi, opt)
+	got, accepted, err := LocalizeWarm(context.Background(), corr, intr, lo, hi, identityOptions(1), mathx.Vec3{X: 1e6, Y: 1e6, Z: 1e6}, 0.5, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if base.Residual <= warmStopFloor {
-		t.Fatalf("scenario residual %v reaches the early stop %v", base.Residual, warmStopFloor)
-	}
-	got, _, err := LocalizeWarm(context.Background(), corr, intr, lo, hi, identityOptions(1), mathx.Vec3{X: 1e6, Y: 1e6, Z: 1e6}, 0.5, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != base {
-		t.Fatalf("disjoint prior changed the solve: %+v != %+v", got, base)
+	if accepted || got != (Result{}) {
+		t.Fatalf("disjoint prior was solved: %+v (accepted %v)", got, accepted)
 	}
 }
 

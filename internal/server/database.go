@@ -381,12 +381,12 @@ type LocateResult struct {
 	Residual float64
 	// Matched counts the keypoints whose matches survived clustering.
 	Matched int
-	// Generations is the pose solve's objective evaluations in DE
-	// generations of the configured population (initialization included):
-	// a venue-wide or warm solve's generation count, and for the seeded
-	// cold solve its hypothesis scoring, its smaller-population search and
-	// any fallback, all in the same unit — the work the warm-start and the
-	// seeded paths cut. In-process only: it is not carried on the wire, so
+	// Generations is the pose solve's objective evaluations, aborted ones
+	// included, divided by the configured DE population (Pose.PopSize,
+	// floored at 8): a venue-wide solve's generation count (initialization
+	// included), and for a warm or seeded cold solve its hypothesis
+	// scoring, its refiner and any fallback in the same unit — the work
+	// those paths cut. In-process only: it is not carried on the wire, so
 	// results decoded from a remote server report 0.
 	Generations int
 }
@@ -438,11 +438,14 @@ const ctxCheckStride = 16
 // shards. For each keypoint a worker asks every view for its top n
 // under the capped multi-probe query — within one view that is already the
 // (distSq, probe, seq) order, because reserve admits only increasing seq, so
-// id order is seq order — restores the total order across views, truncates
-// to n and only then gates on MaxMatchDistSq. Each view's top n is a
-// superset of its share of the venue's top n, so the result is exactly what
-// one database holding every mapping would have kept; with one view the sort
-// has nothing to reorder.
+// id order is seq order — restores the total order across views and
+// truncates to n. The query itself drops candidates beyond MaxMatchDistSq:
+// a distance cut-off of a distance-sorted list removes a suffix, so each
+// view's gated top n is its top n less that suffix, and the merged list
+// keeps the same prefix a gate after the merge would have. Each view's top
+// n is a superset of its share of the venue's top n, so the result is
+// exactly what one database holding every mapping would have kept; with one
+// view the sort has nothing to reorder.
 //
 // Keypoints are handed out through a shared counter to `workers` goroutines
 // (the caller is one of them; queries under parallelLocateThreshold stay on
@@ -488,7 +491,7 @@ func gather(ctx context.Context, cfg DatabaseConfig, views []*dbView, kps []sift
 			merged = merged[:0]
 			for _, v := range views {
 				var err error
-				scratch, err = v.index.QueryInto(kps[i].Desc[:], lsh.QueryOptions{MaxCandidates: n, MultiProbe: true}, scratch)
+				scratch, err = v.index.QueryInto(kps[i].Desc[:], lsh.QueryOptions{MaxCandidates: n, MultiProbe: true, MaxDistSq: cfg.MaxMatchDistSq}, scratch)
 				if err != nil {
 					fail(err)
 					return
@@ -500,9 +503,6 @@ func gather(ctx context.Context, cfg DatabaseConfig, views []*dbView, kps []sift
 			slices.SortFunc(merged, compareMergeCands)
 			slot := slots[i*n : i*n : (i+1)*n]
 			for _, c := range merged[:min(n, len(merged))] {
-				if cfg.MaxMatchDistSq > 0 && c.distSq > cfg.MaxMatchDistSq {
-					continue
-				}
 				slot = append(slot, locateCand{px: kps[i].X, py: kps[i].Y, p: c.pos})
 			}
 			kept[i] = len(slot)
@@ -536,9 +536,9 @@ func gather(ctx context.Context, cfg DatabaseConfig, views []*dbView, kps []sift
 // ErrEmptyDatabase, ErrTooFewMatches and ErrNoConsensus.
 //
 // The context is checked at every stage boundary and once per DE
-// generation inside the pose solve, so a canceled or expired request stops
-// burning CPU mid-pipeline; those failures return ErrCanceled or
-// ErrDeadlineExceeded (which also match context.Canceled and
+// generation or refiner iteration inside the pose solve, so a canceled or
+// expired request stops burning CPU mid-pipeline; those failures return
+// ErrCanceled or ErrDeadlineExceeded (which also match context.Canceled and
 // context.DeadlineExceeded under errors.Is).
 //
 // A lone shard is a one-shard venue: this is locateShards over []*Database{db},
@@ -664,7 +664,7 @@ func correspondences(ctx context.Context, cfg DatabaseConfig, cands []locateCand
 }
 
 // locateResult is a pose solve over matched correspondences as a Locate
-// answer. Generations counts evaluations in generations of the configured
+// answer. Generations counts evaluations in units of the configured
 // population; the solver clamps PopSize to a floor of 8, so this mirrors
 // that clamp.
 func locateResult(res pose.Result, matched int, opt pose.Options) LocateResult {

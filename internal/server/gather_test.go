@@ -91,32 +91,7 @@ func TestGatherIsTheTotalOrderTopN(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var want []locateCand
-		ties, gated := 0, 0
-		for _, kp := range kps {
-			var all []mergeCand
-			for _, v := range views {
-				cs, err := v.index.Query(kp.Desc[:], lsh.QueryOptions{MultiProbe: true})
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, c := range cs {
-					all = append(all, mergeCand{distSq: c.DistSq, probe: c.Probe, seq: v.seqs[c.ID], pos: v.positions[c.ID]})
-				}
-			}
-			slices.SortFunc(all, compareMergeCands)
-			all = all[:min(len(all), cfg.NeighborsPerKeypoint)]
-			for j, c := range all {
-				if j > 0 && c.distSq == all[j-1].distSq {
-					ties++
-				}
-				if c.distSq > cfg.MaxMatchDistSq {
-					gated++
-					continue
-				}
-				want = append(want, locateCand{px: kp.X, py: kp.Y, p: c.pos})
-			}
-		}
+		want, ties, gated := referenceGather(t, cfg, views, kps)
 		if !slices.Equal(got, want) {
 			t.Fatalf("%d view(s):\n got  %+v\n want %+v", nViews, got, want)
 		}
@@ -127,6 +102,111 @@ func TestGatherIsTheTotalOrderTopN(t *testing.T) {
 	}
 	if !slices.Equal(lists[0], lists[1]) {
 		t.Fatalf("one view and three views over the same stream disagree:\n 1: %+v\n 3: %+v", lists[0], lists[1])
+	}
+}
+
+// referenceGather is gather by its definition: per keypoint, every
+// candidate any view's uncapped, ungated query collects, sorted by
+// compareMergeCands, truncated to n, then gated on MaxMatchDistSq after the
+// merge. It also counts the distance ties within the kept top n and the
+// entries the gate removed.
+func referenceGather(t testing.TB, cfg DatabaseConfig, views []*dbView, kps []sift.Keypoint) (want []locateCand, ties, gated int) {
+	t.Helper()
+	for _, kp := range kps {
+		var all []mergeCand
+		for _, v := range views {
+			cs, err := v.index.Query(kp.Desc[:], lsh.QueryOptions{MultiProbe: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, c := range cs {
+				all = append(all, mergeCand{distSq: c.DistSq, probe: c.Probe, seq: v.seqs[c.ID], pos: v.positions[c.ID]})
+			}
+		}
+		slices.SortFunc(all, compareMergeCands)
+		all = all[:min(len(all), cfg.NeighborsPerKeypoint)]
+		for j, c := range all {
+			if j > 0 && c.distSq == all[j-1].distSq {
+				ties++
+			}
+			if cfg.MaxMatchDistSq > 0 && c.distSq > cfg.MaxMatchDistSq {
+				gated++
+				continue
+			}
+			want = append(want, locateCand{px: kp.X, py: kp.Y, p: c.pos})
+		}
+	}
+	return want, ties, gated
+}
+
+// TestGatherGateInQueryMatchesMergeGate: the distance gate applied inside
+// each view's capped query keeps exactly what a gate after the merge keeps,
+// over random venues of one to four views — noisy copies of forty base
+// descriptors, a few small steps off, so squared distances are small
+// integers that often equal the random gate — at random n.
+func TestGatherGateInQueryMatchesMergeGate(t *testing.T) {
+	rng := rand.New(rand.NewSource(34))
+	gatedTotal := 0
+	for trial := 0; trial < 12; trial++ {
+		cfg := routerTestConfig()
+		cfg.NeighborsPerKeypoint = 1 + rng.Intn(8)
+		cfg.MaxMatchDistSq = 1 + rng.Intn(40)
+		nViews := 1 + rng.Intn(4)
+		shards := make([]*Database, nViews)
+		for i := range shards {
+			db, err := NewDatabase(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			shards[i] = db
+		}
+		bases := make([][128]byte, 40)
+		for i := range bases {
+			for j := range bases[i] {
+				bases[i][j] = byte(rng.Intn(256))
+			}
+		}
+		seq := uint64(0)
+		ms := make([][]Mapping, nViews)
+		seqs := make([][]uint64, nViews)
+		for k := 0; k < 300; k++ {
+			m := Mapping{Desc: bases[rng.Intn(len(bases))]}
+			for e := rng.Intn(8); e > 0; e-- {
+				m.Desc[rng.Intn(len(m.Desc))] += byte(rng.Intn(7) - 3)
+			}
+			seq += 1 + uint64(rng.Intn(3))
+			m.Pos = mathx.Vec3{X: float64(seq)}
+			si := rng.Intn(nViews)
+			ms[si], seqs[si] = append(ms[si], m), append(seqs[si], seq)
+		}
+		views := make([]*dbView, nViews)
+		for i, db := range shards {
+			if err := db.IngestSeq(context.Background(), ms[i], seqs[i]); err != nil {
+				t.Fatal(err)
+			}
+			views[i] = db.cur.Load()
+		}
+		kps := make([]sift.Keypoint, 40)
+		for i := range kps {
+			kps[i] = sift.Keypoint{X: float64(i), Desc: bases[i%len(bases)]}
+			for e := rng.Intn(4); e > 0; e-- {
+				kps[i].Desc[rng.Intn(len(kps[i].Desc))] += byte(rng.Intn(3) - 1)
+			}
+		}
+		got, err := gather(context.Background(), cfg, views, kps, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _, gated := referenceGather(t, cfg, views, kps)
+		if !slices.Equal(got, want) {
+			t.Fatalf("trial %d (%d views, n %d, gate %d): gated query kept %d candidates, merge gate %d",
+				trial, nViews, cfg.NeighborsPerKeypoint, cfg.MaxMatchDistSq, len(got), len(want))
+		}
+		gatedTotal += gated
+	}
+	t.Logf("the gate removed %d candidates", gatedTotal)
+	if gatedTotal == 0 {
+		t.Fatal("no trial's gate removed a candidate: the test does not exercise it")
 	}
 }
 

@@ -3,20 +3,25 @@ package server
 import (
 	"context"
 	"errors"
+	"math/rand"
 	"net"
 	"sort"
 	"testing"
 	"time"
 
 	"visualprint/internal/codec"
+	"visualprint/internal/mathx"
 	"visualprint/internal/testutil"
 )
 
 // lifecycleDB builds a database whose pose solves run for a controlled
 // number of DE generations (~0.5 ms each, no convergence cutoff, no
 // wall-clock budget), so tests can make a Locate effectively endless or
-// merely slow. The mappings follow the syntheticDB layout: a tight cluster
-// (queries against it reach the pose solver) plus scatter.
+// merely slow. The mappings follow the syntheticDB layout — a tight cluster
+// (queries against it reach the pose solver) plus scatter — except that the
+// cluster lies on a line: P3P has no hypothesis for collinear points, so
+// every solve is the venue-wide DE, which alone honours these options (the
+// refiner of a seeded solve stops on its own simplex size).
 func lifecycleDB(t testing.TB, iterations int) (*Database, []Mapping) {
 	t.Helper()
 	cfg := DefaultDatabaseConfig()
@@ -27,7 +32,20 @@ func lifecycleDB(t testing.TB, iterations int) (*Database, []Mapping) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, ms := syntheticDB(t, 21, 48, 40)
+	const nCluster = 48
+	rng := rand.New(rand.NewSource(21))
+	ms := make([]Mapping, nCluster+40)
+	for i := range ms {
+		for j := range ms[i].Desc {
+			ms[i].Desc[j] = byte(rng.Intn(256))
+		}
+		if i < nCluster {
+			f := float64(i)/(nCluster-1) - 0.5
+			ms[i].Pos = mathx.Vec3{X: 4 + 0.8*f, Y: 1.5 + 0.4*f, Z: 3 + 0.6*f}
+		} else {
+			ms[i].Pos = mathx.Vec3{X: rng.Float64() * 12, Y: rng.Float64() * 3, Z: rng.Float64() * 9}
+		}
+	}
 	if err := db.Ingest(context.Background(), ms); err != nil {
 		t.Fatal(err)
 	}

@@ -8,13 +8,13 @@ package server
 // Router keeps a bounded, TTL-evicted table of recent fixes per session
 // (internal/track) and, when a new query arrives for a known session,
 // predicts the camera position with a constant-velocity model and hands
-// it to the warm pose solve (pose.LocalizeWarm): a shrunk search box around
-// the prediction, one population member pinned to it, and an absolute
-// early-convergence stop. Accepted warm solves converge in a fraction of
-// the cold solve's generations. A residual gate guards against a wrong
-// prior (tracking loss, teleport, venue re-entry): if the warm solve's mean
-// residual is above the acceptance threshold, the query is re-solved cold
-// over the same gathered candidates — bit-identical to what a session-less
+// it to the warm pose solve (pose.LocalizeWarm): a Nelder–Mead refinement
+// started at the prediction inside a box of the prior's radius around it.
+// Accepted warm solves take a fraction of the cold solve's evaluations. A
+// residual gate guards against a wrong prior (tracking loss, teleport,
+// venue re-entry): if the warm solve's mean residual is above the
+// acceptance threshold, or the prior's box lies outside the venue, the
+// query is re-solved cold over the same gathered candidates — bit-identical to what a session-less
 // Locate would have returned (pinned by
 // TestLocateSessionRejectedPriorBitIdentical). The warm-then-cold
 // sequencing lives in the shared solve tail (solve, in database.go), the

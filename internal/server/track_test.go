@@ -384,7 +384,7 @@ func TestSessionlessLocateSeededSaves(t *testing.T) {
 // Generations, then the track_* counters, the sessions gauge and the count
 // and sum of the three track_* histograms, all little-endian uint64.
 func TestSessionWalkGolden(t *testing.T) {
-	const want = "4fc8548d40df2e116d795e18b770f9724aa2e2591c6feafa3717f66af9803cd2"
+	const want = "305168f4b536a412746c49ec7d63ca43a04d1bd85f1e4438ab2c2a41c710c9a5"
 	r, reg, walk, capture := walkFixture(t)
 	walk = append(walk, capture(farCam))
 	h := sha256.New()

@@ -1,8 +1,8 @@
 // Package track is the server-side continuous-localization session store:
 // a bounded, TTL-evicted table of recent pose fixes per client session,
 // plus a constant-velocity motion model that turns those fixes into a
-// predicted pose + uncertainty radius — the prior that warm-starts the
-// next differential-evolution solve (pose.LocalizeWarm).
+// predicted pose + uncertainty radius — the prior that starts the next
+// warm pose solve, a local refinement around it (pose.LocalizeWarm).
 //
 // MobileARLoc (PAPERS.md) is the production shape being reproduced:
 // absolute localization fused with an on-device pose prior. Here the prior
@@ -63,8 +63,7 @@ const (
 // Prior is a predicted camera position with an uncertainty half-width — the
 // warm start handed to the pose solver. Residual is the session's best
 // retained solve quality (minimum mean radians per pair across the fix
-// history), the baseline the warm solve's acceptance gate and early stop
-// are scaled from.
+// history), the baseline the warm solve's acceptance gate is scaled from.
 type Prior struct {
 	Pos      mathx.Vec3
 	Radius   float64

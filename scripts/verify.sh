@@ -17,10 +17,11 @@ echo "== api compatibility gate =="
 # below; re-run explicitly so an accidental API break names itself here.
 go test . -count=1 -run TestPublicAPISnapshot
 echo "== go test -race =="
-# internal/server alone runs ~566 s under -race on a 2-vCPU host (its
-# slowest tests are the ~60 s wardriven end-to-end, failure-mode and
-# recovery scenarios), near go test's 600 s default per-binary timeout;
-# 20 minutes leaves room for the packages ./... runs beside it.
+# internal/server alone runs ~290 s under -race on a 2-vCPU host (5.4 min
+# wall with its build; its slowest tests are the wardriven end-to-end,
+# failure-mode and recovery scenarios), half of go test's 600 s default
+# per-binary timeout; 20 minutes leaves room for the packages ./... runs
+# beside it on a slower or busier host.
 go test -race -timeout 20m ./...
 echo "== chaos / fault-injection (race) =="
 # The request-lifecycle suite (deadline propagation, cancel, shed, drain),
