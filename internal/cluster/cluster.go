@@ -5,13 +5,15 @@
 // largest cluster, discarding others" — false matches scatter across the
 // venue while true matches concentrate around the scene the user is viewing.
 //
-// The algorithm is DBSCAN accelerated by a uniform hash grid with cell size
-// eps, so neighborhood queries touch at most 27 cells.
+// The algorithm is DBSCAN accelerated by a uniform grid with cell size eps,
+// kept as a cell-sorted index, so neighborhood queries touch at most 27
+// cells.
 package cluster
 
 import (
 	"errors"
 	"math"
+	"slices"
 
 	"visualprint/internal/mathx"
 )
@@ -23,12 +25,6 @@ type Params struct {
 	// MinPts is the minimum neighborhood size (including the point
 	// itself) for a point to be a core point.
 	MinPts int
-}
-
-// DefaultParams suits indoor scenes: matches within 2 m of each other
-// belong to the same viewed scene.
-func DefaultParams() Params {
-	return Params{Eps: 2.0, MinPts: 3}
 }
 
 // Cluster is a set of input indices.
@@ -58,30 +54,38 @@ func DBSCAN(pts []mathx.Vec3, p Params) ([]Cluster, error) {
 	if n == 0 {
 		return nil, nil
 	}
-	// Hash grid with cell size eps.
-	cells := make(map[[3]int32][]int, n)
-	key := func(v mathx.Vec3) [3]int32 {
-		return [3]int32{
-			int32(math.Floor(v.X / p.Eps)),
-			int32(math.Floor(v.Y / p.Eps)),
-			int32(math.Floor(v.Z / p.Eps)),
-		}
+	// The grid, cell size eps: the point indices sorted by cell, stably,
+	// so that a cell's members stay in ascending index order, and each
+	// cell's range in that order.
+	key := make([][3]int32, n)
+	order := make([]int, n)
+	for i, v := range pts {
+		key[i] = [3]int32{int32(math.Floor(v.X / p.Eps)), int32(math.Floor(v.Y / p.Eps)), int32(math.Floor(v.Z / p.Eps))}
+		order[i] = i
 	}
-	for i, pt := range pts {
-		k := key(pt)
-		cells[k] = append(cells[k], i)
+	slices.SortStableFunc(order, func(a, b int) int { return slices.Compare(key[a][:], key[b][:]) })
+	cells := make(map[[3]int32][2]int, n)
+	for lo := 0; lo < n; {
+		hi := lo + 1
+		for hi < n && key[order[hi]] == key[order[lo]] {
+			hi++
+		}
+		cells[key[order[lo]]] = [2]int{lo, hi}
+		lo = hi
 	}
 	eps2 := p.Eps * p.Eps
 	// neighbors returns i's neighbourhood in one buffer shared by every
-	// query of the call: each result is consumed before the next query.
-	var nbuf []int
+	// query of the call: each result is consumed before the next query, and
+	// a neighbourhood never holds more than n points.
+	nbuf := make([]int, 0, n)
 	neighbors := func(i int) []int {
 		out := nbuf[:0]
-		k := key(pts[i])
+		k := key[i]
 		for dx := int32(-1); dx <= 1; dx++ {
 			for dy := int32(-1); dy <= 1; dy++ {
 				for dz := int32(-1); dz <= 1; dz++ {
-					for _, j := range cells[[3]int32{k[0] + dx, k[1] + dy, k[2] + dz}] {
+					r := cells[[3]int32{k[0] + dx, k[1] + dy, k[2] + dz}]
+					for _, j := range order[r[0]:r[1]] {
 						d := pts[i].Sub(pts[j])
 						if d.Dot(d) <= eps2 {
 							out = append(out, j)
@@ -101,7 +105,8 @@ func DBSCAN(pts []mathx.Vec3, p Params) ([]Cluster, error) {
 	labels := make([]int, n) // 0 unvisited, -1 noise, >0 cluster id
 	clusterID := 0
 	var clusters []Cluster
-	var queue []int // the expansion worklist, reused by every cluster
+	queue := make([]int, 0, n) // the expansion worklist, reused by every cluster
+	members := make([]int, 0, n)
 	for i := 0; i < n; i++ {
 		if labels[i] != unvisited {
 			continue
@@ -112,9 +117,8 @@ func DBSCAN(pts []mathx.Vec3, p Params) ([]Cluster, error) {
 			continue
 		}
 		clusterID++
-		var members []int
 		labels[i] = clusterID
-		members = append(members, i)
+		members = append(members[:0], i)
 		// Expand the cluster breadth-first: queue[head:] is still to visit.
 		queue = append(queue[:0], nb...)
 		for head := 0; head < len(queue); head++ {
@@ -134,7 +138,7 @@ func DBSCAN(pts []mathx.Vec3, p Params) ([]Cluster, error) {
 				queue = append(queue, jn...)
 			}
 		}
-		clusters = append(clusters, Cluster{Indices: members})
+		clusters = append(clusters, Cluster{Indices: slices.Clone(members)})
 	}
 	// Sort by descending size (insertion-stable for ties).
 	for i := 1; i < len(clusters); i++ {

@@ -10,6 +10,10 @@ import (
 	"visualprint/internal/mathx"
 )
 
+// indoor is the server's clustering: matches within 2 m of each other
+// belong to the same viewed scene.
+var indoor = Params{Eps: 2, MinPts: 3}
+
 func blob(rng *rand.Rand, center mathx.Vec3, n int, spread float64) []mathx.Vec3 {
 	pts := make([]mathx.Vec3, n)
 	for i := range pts {
@@ -32,7 +36,7 @@ func TestDBSCANValidation(t *testing.T) {
 }
 
 func TestDBSCANEmpty(t *testing.T) {
-	cs, err := DBSCAN(nil, DefaultParams())
+	cs, err := DBSCAN(nil, indoor)
 	if err != nil || cs != nil {
 		t.Errorf("empty input: %v, %v", cs, err)
 	}
@@ -159,7 +163,7 @@ func TestDBSCANScenarioQueryFiltering(t *testing.T) {
 		})
 	}
 	pts := append(append([]mathx.Vec3{}, sceneMatches...), falseMatches...)
-	c, ok, err := Largest(pts, DefaultParams())
+	c, ok, err := Largest(pts, indoor)
 	if err != nil || !ok {
 		t.Fatalf("ok=%v err=%v", ok, err)
 	}
@@ -182,7 +186,7 @@ func BenchmarkDBSCAN1000(b *testing.B) {
 	pts := append(blob(rng, mathx.Vec3{}, 500, 1), blob(rng, mathx.Vec3{X: 50}, 500, 1)...)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		DBSCAN(pts, DefaultParams())
+		DBSCAN(pts, indoor)
 	}
 }
 
@@ -313,15 +317,17 @@ func TestDBSCANMatchesReference(t *testing.T) {
 	}
 }
 
-// TestDBSCANAllocs bounds the allocations of one call on a 128-point query:
-// the grid, the labels and the clusters' own member lists, with neither a
-// neighbourhood query nor a worklist step allocating.
+// TestDBSCANAllocs bounds the allocations of one call on a 128-point query
+// (16 when written): the grid's keys, sorted index and cell map, the
+// labels, the three scratch buffers, the cluster list and each cluster's
+// member list, with neither a neighbourhood query nor a worklist step
+// allocating.
 func TestDBSCANAllocs(t *testing.T) {
 	pts := queryLikePoints(rand.New(rand.NewSource(7)), 128)
-	got := testing.AllocsPerRun(20, func() { DBSCAN(pts, DefaultParams()) })
-	ref := testing.AllocsPerRun(20, func() { referenceDBSCAN(pts, DefaultParams()) })
+	got := testing.AllocsPerRun(20, func() { DBSCAN(pts, indoor) })
+	ref := testing.AllocsPerRun(20, func() { referenceDBSCAN(pts, indoor) })
 	t.Logf("allocations per call on 128 points: %.0f (reference %.0f)", got, ref)
-	if got > 200 {
-		t.Fatalf("DBSCAN allocates %.0f times on 128 points, want <= 200", got)
+	if got > 20 {
+		t.Fatalf("DBSCAN allocates %.0f times on 128 points, want <= 20", got)
 	}
 }

@@ -9,15 +9,18 @@ package pose
 //     for bit;
 //   - pair set-up that shuffles an index list and builds only the kept pairs
 //     must keep exactly the pairs build-all-then-shuffle keeps, in order;
-//   - Localize with the early-abort objective must match a reference solver
-//     that evaluates every trial in full with the reference residual;
+//   - the venue-wide search with the early-abort objective must match a
+//     reference solver that evaluates every trial in full with the
+//     reference residual;
 //   - the worker count must not change a single output bit, because every
 //     RNG draw is serial and each trial's cost is an independent serial
 //     summation.
 
 import (
+	"context"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 
@@ -172,12 +175,12 @@ func TestProblemKeepsReferencePairs(t *testing.T) {
 	}
 }
 
-// referenceLocalize mirrors Localize's synchronous-generation DE exactly —
+// referenceLocalize mirrors search's synchronous-generation DE exactly —
 // the same RNG draw order, same clamping, same selection — but evaluates
 // every trial in full (no early abort) with referenceResidual, serially.
-func referenceLocalize(corr []Correspondence, intr Intrinsics, lo, hi mathx.Vec3, opt Options) Result {
-	rng := rand.New(rand.NewSource(opt.Seed))
-	pairs := referencePairs(corr, intr, opt.MaxPairs, rng)
+func referenceLocalize(corr []Correspondence, intr Intrinsics, lo, hi mathx.Vec3, seed int64, generations int) Result {
+	rng := rand.New(rand.NewSource(seed))
+	pairs := referencePairs(corr, intr, solveMaxPairs, rng)
 	objective := func(v [3]float64) float64 {
 		var s float64
 		for k := range pairs {
@@ -188,8 +191,8 @@ func referenceLocalize(corr []Correspondence, intr Intrinsics, lo, hi mathx.Vec3
 	span := [3]float64{hi.X - lo.X, hi.Y - lo.Y, hi.Z - lo.Z}
 	lov := [3]float64{lo.X, lo.Y, lo.Z}
 	evals := 0
-	pop := make([][3]float64, opt.PopSize)
-	cost := make([]float64, opt.PopSize)
+	pop := make([][3]float64, dePopSize)
+	cost := make([]float64, dePopSize)
 	for i := range pop {
 		pop[i] = [3]float64{
 			lov[0] + rng.Float64()*span[0],
@@ -198,16 +201,16 @@ func referenceLocalize(corr []Correspondence, intr Intrinsics, lo, hi mathx.Vec3
 		}
 		cost[i] = objective(pop[i])
 	}
-	evals += opt.PopSize
-	trials := make([][3]float64, opt.PopSize)
-	for iter := 0; iter < opt.MaxIterations; iter++ {
+	evals += dePopSize
+	trials := make([][3]float64, dePopSize)
+	for iter := 0; iter < generations; iter++ {
 		for i := range pop {
-			a, b, c := rng.Intn(opt.PopSize), rng.Intn(opt.PopSize), rng.Intn(opt.PopSize)
+			a, b, c := rng.Intn(dePopSize), rng.Intn(dePopSize), rng.Intn(dePopSize)
 			var trial [3]float64
 			jrand := rng.Intn(3)
 			for d := 0; d < 3; d++ {
-				if d == jrand || rng.Float64() < opt.CR {
-					trial[d] = pop[a][d] + opt.F*(pop[b][d]-pop[c][d])
+				if d == jrand || rng.Float64() < deCR {
+					trial[d] = pop[a][d] + deF*(pop[b][d]-pop[c][d])
 				} else {
 					trial[d] = pop[i][d]
 				}
@@ -215,30 +218,28 @@ func referenceLocalize(corr []Correspondence, intr Intrinsics, lo, hi mathx.Vec3
 			}
 			trials[i] = trial
 		}
-		evals += opt.PopSize
+		evals += dePopSize
 		for i := range pop {
 			if tc := objective(trials[i]); tc < cost[i] {
 				pop[i], cost[i] = trials[i], tc
 			}
 		}
-		if opt.Tol > 0 {
-			var mean float64
-			for _, c := range cost {
-				mean += c
-			}
-			mean /= float64(len(cost))
-			var s2 float64
-			for _, c := range cost {
-				d := c - mean
-				s2 += d * d
-			}
-			if math.Sqrt(s2/float64(len(cost))) <= opt.Tol*math.Abs(mean) {
-				break
-			}
+		var mean float64
+		for _, c := range cost {
+			mean += c
+		}
+		mean /= float64(len(cost))
+		var s2 float64
+		for _, c := range cost {
+			d := c - mean
+			s2 += d * d
+		}
+		if math.Sqrt(s2/float64(len(cost))) <= deTol*math.Abs(mean) {
+			break
 		}
 	}
 	best := 0
-	for i := 1; i < opt.PopSize; i++ {
+	for i := 1; i < dePopSize; i++ {
 		if cost[i] < cost[best] {
 			best = i
 		}
@@ -267,15 +268,18 @@ func identityScenario(seed int64, n int) ([]Correspondence, Intrinsics, mathx.Ve
 	return corr, intr, mathx.Vec3{X: -1, Y: 0, Z: -1}, mathx.Vec3{X: 9, Y: 3.5, Z: 7}
 }
 
-// identityOptions: a deadline-free fixed-seed configuration (a wall-clock
-// budget would make the generation count timing-dependent).
-func identityOptions(workers int) Options {
-	opt := DefaultOptions()
-	opt.Deadline = 0
-	opt.MaxIterations = 40
-	opt.Workers = workers
-	return opt
+// searchSolve is the venue-wide search under a budget the test picks: the
+// problem built from a fresh stream of seed as newSolve builds it from
+// solveSeed, then search with the given deadline, workers and generations.
+func searchSolve(corr []Correspondence, intr Intrinsics, lo, hi mathx.Vec3, seed int64, deadline time.Duration, workers, generations int) (Result, error) {
+	rng := rand.New(rand.NewSource(seed))
+	pr := newProblem(corr, intr, solveMaxPairs, rng)
+	return pr.search(context.Background(), rng, corr, intr, lo, hi, deadline, workers, generations)
 }
+
+// identityGenerations is the identity tests' budget, deadline-free (a
+// wall-clock budget would make the generation count timing-dependent).
+const identityGenerations = 40
 
 // TestLocalizeMatchesReferenceSolver: the production solver — precomputed
 // pair geometry, early-abort objective, worker-pool evaluation — must agree
@@ -289,16 +293,14 @@ func TestLocalizeMatchesReferenceSolver(t *testing.T) {
 		{3, 12, 1},
 		{4, 20, 1},
 		{5, 30, 4},
-		{6, 9, 0},
+		{6, 9, runtime.GOMAXPROCS(0)},
 	} {
 		corr, intr, lo, hi := identityScenario(tc.seed, tc.n)
-		opt := identityOptions(tc.workers)
-		opt.Seed = tc.seed * 11
-		got, err := Localize(corr, intr, lo, hi, opt)
+		got, err := searchSolve(corr, intr, lo, hi, tc.seed*11, 0, tc.workers, identityGenerations)
 		if err != nil {
 			t.Fatalf("seed %d: %v", tc.seed, err)
 		}
-		want := referenceLocalize(corr, intr, lo, hi, opt)
+		want := referenceLocalize(corr, intr, lo, hi, tc.seed*11, identityGenerations)
 		if got != want {
 			t.Fatalf("seed %d workers %d: optimized %+v != reference %+v",
 				tc.seed, tc.workers, got, want)
@@ -310,12 +312,12 @@ func TestLocalizeMatchesReferenceSolver(t *testing.T) {
 // exact same Result for a fixed seed.
 func TestLocalizeWorkerCountBitIdentical(t *testing.T) {
 	corr, intr, lo, hi := identityScenario(9, 24)
-	base, err := Localize(corr, intr, lo, hi, identityOptions(1))
+	base, err := searchSolve(corr, intr, lo, hi, solveSeed, 0, 1, identityGenerations)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{0, 2, 3, 8} {
-		got, err := Localize(corr, intr, lo, hi, identityOptions(workers))
+	for _, workers := range []int{runtime.GOMAXPROCS(0), 2, 3, 8} {
+		got, err := searchSolve(corr, intr, lo, hi, solveSeed, 0, workers, identityGenerations)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -329,11 +331,8 @@ func TestLocalizeWorkerCountBitIdentical(t *testing.T) {
 // still honor the wall-clock budget of the paper's time-bounded solve.
 func TestLocalizeDeadlineStillBounds(t *testing.T) {
 	corr, intr, lo, hi := identityScenario(13, 40)
-	opt := DefaultOptions()
-	opt.MaxIterations = 1 << 20
-	opt.Deadline = 30 * time.Millisecond
 	start := time.Now()
-	if _, err := Localize(corr, intr, lo, hi, opt); err != nil {
+	if _, err := searchSolve(corr, intr, lo, hi, solveSeed, 30*time.Millisecond, runtime.GOMAXPROCS(0), 1<<20); err != nil {
 		t.Fatal(err)
 	}
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
@@ -343,7 +342,7 @@ func TestLocalizeDeadlineStillBounds(t *testing.T) {
 
 // generationFixture sets up one generation's worth of state the way
 // LocalizeContext does — an 80-correspondence problem capped at 300 pairs, a
-// 48-member population and a trial per member — and returns the Workers: 1
+// 48-member population and a trial per member — and returns the one-worker
 // batch evaluator over it. The correspondences are consistent and the trials
 // sit within half a metre of the true camera, the regime a solve spends most
 // generations in: nearly every pair runs both arccos terms, as 98 % do in a

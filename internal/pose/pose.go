@@ -16,16 +16,16 @@
 // evaluation/time budget. The DE is the synchronous-generation rand/1/bin
 // variant: every RNG draw happens serially in index order, each
 // generation's trial population is derived from the generation-start
-// snapshot, and only then are the trials evaluated — on a bounded worker
-// pool when Options.Workers allows — so the result is bit-identical for a
-// fixed seed at any worker count (see DESIGN.md "Performance"). The search
-// ends at the evaluation budget, the deadline, or Options.Tol population
-// convergence, whichever comes first. The two solves that start from a
-// prior do not search the venue: LocalizeCold (seed.go) polishes the best
-// closed-form P3P hypothesis, and LocalizeWarm a tracking session's
-// prediction, with a restarted Nelder–Mead simplex inside a box around it
-// (refine.go). The cold one falls back to the venue-wide DE when its answer
-// lands on that box's edge.
+// snapshot, and only then are the trials evaluated — on a pool of
+// GOMAXPROCS workers — so the result is bit-identical for the fixed seed at
+// any worker count (see DESIGN.md "Performance"). The search ends at the
+// generation budget, Options.Deadline, or population convergence (deTol),
+// whichever comes first. The two solves that start from a prior do not
+// search the venue: LocalizeCold (seed.go) polishes the best closed-form P3P
+// hypothesis, and LocalizeWarm a tracking session's prediction, with a
+// restarted Nelder–Mead simplex inside a box around it (refine.go). The cold
+// one falls back to the venue-wide DE when its answer lands on that box's
+// edge.
 package pose
 
 import (
@@ -225,52 +225,42 @@ func newProblem(corr []Correspondence, intr Intrinsics, maxPairs int, rng *rand.
 	return pr
 }
 
-// Options tunes the pose solvers. MaxPairs and Seed shape every solve's
-// objective; the rest bound the venue-wide DE only — the refiner that
+// The solve's fixed values. solveMaxPairs and solveSeed shape every solve's
+// objective; the rest are the venue-wide DE's — the refiner that
 // LocalizeCold and LocalizeWarm run from a prior has a constant step and
-// stop (refine.go).
+// stop of its own (refine.go).
+const (
+	// solveMaxPairs caps the keypoint pairs entering the objective: pairs
+	// grow quadratically and a subsample suffices.
+	solveMaxPairs = 300
+	// solveSeed seeds the pair shuffle and the DE, which makes every solve
+	// a function of its inputs (with Options.Deadline off).
+	solveSeed = 1
+	// dePopSize is the DE population.
+	dePopSize = 48
+	// deMaxIterations bounds the DE's generations.
+	deMaxIterations = 150
+	// deF and deCR are the DE's differential weight and crossover rate.
+	deF, deCR = 0.7, 0.9
+	// deTol stops the search once the population has converged: after a
+	// generation's selection, if std(cost) <= deTol*|mean(cost)| the
+	// remaining generations cannot meaningfully improve the answer. This is
+	// the convergence criterion of scipy's differential_evolution (its
+	// default is 0.01; this is a more conservative 0.001).
+	deTol = 0.001
+)
+
+// Options holds the pose solvers' one setting.
 type Options struct {
-	// PopSize is the DE population size.
-	PopSize int
-	// MaxIterations bounds DE generations.
-	MaxIterations int
-	// Deadline, if positive, stops the search after this wall-clock
-	// budget (the paper's "time-bounded" solve).
+	// Deadline, if positive, stops the venue-wide search after this
+	// wall-clock budget (the paper's "time-bounded" solve); 0 makes the
+	// answer independent of the clock.
 	Deadline time.Duration
-	// F and CR are the DE differential weight and crossover rate.
-	F, CR float64
-	// MaxPairs caps the number of keypoint pairs entering the objective
-	// (pairs grow quadratically; a subsample suffices). 0 means all.
-	MaxPairs int
-	// Seed makes the search deterministic.
-	Seed int64
-	// Workers bounds the pool evaluating each generation's trials.
-	// 0 uses GOMAXPROCS; 1 evaluates inline. All RNG draws are serial
-	// regardless, so the result is identical at any worker count
-	// (pinned by TestLocalizeWorkerCountBitIdentical).
-	Workers int
-	// Tol stops the search once the population has converged: after a
-	// generation's selection, if std(cost) <= Tol*|mean(cost)| the
-	// remaining generations cannot meaningfully improve the answer and
-	// are skipped. This is the convergence criterion of scipy's
-	// differential_evolution (its default is 0.01; we default to a more
-	// conservative 0.001). <= 0 disables the check and always runs the
-	// full MaxIterations budget.
-	Tol float64
 }
 
-// DefaultOptions returns solver settings tuned for indoor venues.
+// DefaultOptions returns the serving default: a 150 ms budget.
 func DefaultOptions() Options {
-	return Options{
-		PopSize:       48,
-		MaxIterations: 150,
-		Deadline:      150 * time.Millisecond,
-		F:             0.7,
-		CR:            0.9,
-		MaxPairs:      300,
-		Seed:          1,
-		Tol:           0.001,
-	}
+	return Options{Deadline: 150 * time.Millisecond}
 }
 
 // Result reports a localization solve.
@@ -280,6 +270,11 @@ type Result struct {
 	Evals    int
 	Yaw      float64 // estimated heading (radians)
 }
+
+// Generations is r.Evals in units of the venue-wide DE's population: a
+// venue-wide solve's generation count, initialization included, and the
+// work of a seeded or warm solve in the same unit.
+func (r Result) Generations() int { return r.Evals / dePopSize }
 
 // objective sums the pair residuals for trial v, aborting as soon as the
 // partial sum reaches limit; dirs is the caller's scratch, len(pr.pts) long.
@@ -305,54 +300,41 @@ func (pr *problem) objective(v [3]float64, dirs []ptDir, limit float64) float64 
 	return s
 }
 
-// Localize estimates the camera position from correspondences within the
-// axis-aligned search box [lo, hi]. It is LocalizeContext without
-// cancellation.
-func Localize(corr []Correspondence, intr Intrinsics, lo, hi mathx.Vec3, opt Options) (Result, error) {
-	return LocalizeContext(context.Background(), corr, intr, lo, hi, opt)
-}
-
-// LocalizeContext is Localize with cooperative cancellation: the context is
-// checked once per DE generation, so a canceled or expired request stops
-// burning CPU within one generation (~PopSize objective evaluations) instead
-// of running out its full iteration/deadline budget. A cancellation before
-// the first generation completes returns ctx.Err(); the search otherwise
-// proceeds exactly as Localize — the context check consumes no randomness,
-// so a context that never fires leaves results bit-identical.
+// LocalizeContext estimates the camera position from correspondences
+// within the axis-aligned search box [lo, hi] by the venue-wide DE. The
+// context is checked once per generation, so a canceled or expired request
+// stops burning CPU within one generation (dePopSize objective evaluations)
+// instead of running out its full budget. A cancellation returns ctx.Err()
+// with a Result holding only the evaluations spent. The check consumes no
+// randomness, so a context that never fires leaves results bit-identical.
 func LocalizeContext(ctx context.Context, corr []Correspondence, intr Intrinsics, lo, hi mathx.Vec3, opt Options) (Result, error) {
-	opt, err := prepare(corr, intr, opt)
+	pr, rng, err := newSolve(corr, intr)
 	if err != nil {
 		return Result{}, err
 	}
-	rng := rand.New(rand.NewSource(opt.Seed))
-	pr := newProblem(corr, intr, opt.MaxPairs, rng)
-	return pr.search(ctx, rng, corr, intr, lo, hi, opt)
+	return pr.search(ctx, rng, corr, intr, lo, hi, opt.Deadline, runtime.GOMAXPROCS(0), deMaxIterations)
 }
 
-// prepare validates a solve's inputs and applies the option defaults.
-func prepare(corr []Correspondence, intr Intrinsics, opt Options) (Options, error) {
+// newSolve validates a solve's inputs and builds its problem from a fresh
+// stream of solveSeed; the stream is returned positioned just after the pair
+// shuffle, where the DE draws from it.
+func newSolve(corr []Correspondence, intr Intrinsics) (problem, *rand.Rand, error) {
 	if len(corr) < 3 {
-		return opt, errors.New("pose: need at least 3 correspondences")
+		return problem{}, nil, errors.New("pose: need at least 3 correspondences")
 	}
 	if intr.W <= 0 || intr.H <= 0 || intr.FovX <= 0 || intr.FovY <= 0 {
-		return opt, errors.New("pose: invalid intrinsics")
+		return problem{}, nil, errors.New("pose: invalid intrinsics")
 	}
-	if opt.PopSize < 8 {
-		opt.PopSize = 8
-	}
-	if opt.MaxIterations <= 0 {
-		opt.MaxIterations = 100
-	}
-	if opt.Workers <= 0 {
-		opt.Workers = runtime.GOMAXPROCS(0)
-	}
-	return opt, nil
+	rng := rand.New(rand.NewSource(solveSeed))
+	return newProblem(corr, intr, solveMaxPairs, rng), rng, nil
 }
 
 // search is the differential-evolution body of LocalizeContext over a built
 // problem: rng is the solve's stream positioned just after newProblem's pair
-// shuffle, and opt has its defaults applied.
-func (pr *problem) search(ctx context.Context, rng *rand.Rand, corr []Correspondence, intr Intrinsics, lo, hi mathx.Vec3, opt Options) (Result, error) {
+// shuffle, deadline is Options.Deadline, and each generation's trials are
+// evaluated by up to workers goroutines for at most generations generations.
+// The serving callers pass GOMAXPROCS and deMaxIterations; tests vary both.
+func (pr *problem) search(ctx context.Context, rng *rand.Rand, corr []Correspondence, intr Intrinsics, lo, hi mathx.Vec3, deadline time.Duration, workers, generations int) (Result, error) {
 	span := [3]float64{hi.X - lo.X, hi.Y - lo.Y, hi.Z - lo.Z}
 	lov := [3]float64{lo.X, lo.Y, lo.Z}
 	sample := func() [3]float64 {
@@ -372,34 +354,34 @@ func (pr *problem) search(ctx context.Context, rng *rand.Rand, corr []Correspond
 		return Result{}, err
 	}
 	evals := 0
-	pop := make([][3]float64, opt.PopSize)
-	cost := make([]float64, opt.PopSize)
+	pop := make([][3]float64, dePopSize)
+	cost := make([]float64, dePopSize)
 	dirs := make([]ptDir, len(pr.pts))
 	for i := range pop {
 		pop[i] = sample()
 		cost[i] = pr.objective(pop[i], dirs, math.Inf(1))
 	}
-	evals += opt.PopSize
-	trials := make([][3]float64, opt.PopSize)
-	trialCost := make([]float64, opt.PopSize)
-	evaluate := newBatchEvaluator(opt.Workers, pr, dirs, trials, trialCost, cost)
+	evals += dePopSize
+	trials := make([][3]float64, dePopSize)
+	trialCost := make([]float64, dePopSize)
+	evaluate := newBatchEvaluator(workers, pr, dirs, trials, trialCost, cost)
 	start := time.Now()
-	for iter := 0; iter < opt.MaxIterations; iter++ {
-		if opt.Deadline > 0 && time.Since(start) > opt.Deadline {
+	for iter := 0; iter < generations; iter++ {
+		if deadline > 0 && time.Since(start) > deadline {
 			break
 		}
 		// Cooperative cancellation, once per generation: the caller's
 		// request died or expired, so the remaining budget is wasted work.
 		if err := ctx.Err(); err != nil {
-			return Result{}, err
+			return Result{Evals: evals}, err
 		}
 		for i := range pop {
-			a, b, c := rng.Intn(opt.PopSize), rng.Intn(opt.PopSize), rng.Intn(opt.PopSize)
+			a, b, c := rng.Intn(dePopSize), rng.Intn(dePopSize), rng.Intn(dePopSize)
 			var trial [3]float64
 			jrand := rng.Intn(3)
 			for d := 0; d < 3; d++ {
-				if d == jrand || rng.Float64() < opt.CR {
-					trial[d] = pop[a][d] + opt.F*(pop[b][d]-pop[c][d])
+				if d == jrand || rng.Float64() < deCR {
+					trial[d] = pop[a][d] + deF*(pop[b][d]-pop[c][d])
 				} else {
 					trial[d] = pop[i][d]
 				}
@@ -408,7 +390,7 @@ func (pr *problem) search(ctx context.Context, rng *rand.Rand, corr []Correspond
 			trials[i] = trial
 		}
 		evaluate()
-		evals += opt.PopSize
+		evals += dePopSize
 		for i := range pop {
 			// A trial whose evaluation aborted returns a partial sum that is
 			// >= cost[i] by construction, so the strict < rejects it exactly
@@ -417,12 +399,12 @@ func (pr *problem) search(ctx context.Context, rng *rand.Rand, corr []Correspond
 				pop[i], cost[i] = trials[i], trialCost[i]
 			}
 		}
-		if opt.Tol > 0 && converged(cost, opt.Tol) {
+		if converged(cost) {
 			break
 		}
 	}
 	best := 0
-	for i := 1; i < opt.PopSize; i++ {
+	for i := 1; i < dePopSize; i++ {
 		if cost[i] < cost[best] {
 			best = i
 		}
@@ -480,11 +462,11 @@ func newBatchEvaluator(workers int, pr *problem, dirs []ptDir, trials [][3]float
 }
 
 // converged reports whether the population's cost spread has collapsed
-// below the relative tolerance: std(cost) <= tol*|mean(cost)| — the same
+// below the relative tolerance: std(cost) <= deTol*|mean(cost)| — the same
 // criterion scipy's differential_evolution uses. Costs hold only fully
 // evaluated (never aborted) sums, so the decision depends on true
 // objective values and is identical at any worker count.
-func converged(cost []float64, tol float64) bool {
+func converged(cost []float64) bool {
 	var mean float64
 	for _, c := range cost {
 		mean += c
@@ -495,13 +477,13 @@ func converged(cost []float64, tol float64) bool {
 		d := c - mean
 		s2 += d * d
 	}
-	return math.Sqrt(s2/float64(len(cost))) <= tol*math.Abs(mean)
+	return math.Sqrt(s2/float64(len(cost))) <= deTol*math.Abs(mean)
 }
 
 // EstimateYaw recovers the camera heading given its position: for each
 // correspondence, the world bearing to the 3D point minus the in-image
 // bearing of its pixel gives one yaw estimate; the circular mean is
-// returned. Together with Localize's (x, y, z) this provides the
+// returned. Together with the solved (x, y, z) this provides the
 // "positioning fidelity similar to Google Tango, but with only a standard,
 // 2D, RGB camera".
 func EstimateYaw(corr []Correspondence, intr Intrinsics, pos mathx.Vec3) float64 {

@@ -2,8 +2,10 @@ package pose
 
 import (
 	"context"
+	"errors"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 
@@ -40,11 +42,10 @@ func testIntrinsics(cam scene.Camera) Intrinsics {
 	return Intrinsics{W: cam.W, H: cam.H, FovX: cam.FovX, FovY: cam.FovY()}
 }
 
-func solverOptions() Options {
-	opt := DefaultOptions()
-	opt.Deadline = 2 * time.Second
-	opt.MaxIterations = 250
-	return opt
+// localizeLong is the venue-wide search with a larger budget than the
+// serving one: 250 generations within 2 s.
+func localizeLong(corr []Correspondence, intr Intrinsics, lo, hi mathx.Vec3) (Result, error) {
+	return searchSolve(corr, intr, lo, hi, solveSeed, 2*time.Second, runtime.GOMAXPROCS(0), 250)
 }
 
 func TestGammaSignsAndMagnitude(t *testing.T) {
@@ -67,8 +68,8 @@ func TestLocalizeExactCorrespondences(t *testing.T) {
 	cam.Yaw = 0.8
 	rng := rand.New(rand.NewSource(1))
 	corr := synthCorrespondences(t, cam, rng, 20, 0)
-	res, err := Localize(corr, testIntrinsics(cam),
-		mathx.Vec3{X: 0, Y: 0, Z: 0}, mathx.Vec3{X: 50, Y: 3, Z: 20}, solverOptions())
+	res, err := localizeLong(corr, testIntrinsics(cam),
+		mathx.Vec3{X: 0, Y: 0, Z: 0}, mathx.Vec3{X: 50, Y: 3, Z: 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,8 +87,8 @@ func TestLocalizeNoisyCorrespondences(t *testing.T) {
 	cam.Yaw = -2.1
 	rng := rand.New(rand.NewSource(2))
 	corr := synthCorrespondences(t, cam, rng, 30, 1.0) // 1px pixel noise
-	res, err := Localize(corr, testIntrinsics(cam),
-		mathx.Vec3{}, mathx.Vec3{X: 50, Y: 3, Z: 20}, solverOptions())
+	res, err := localizeLong(corr, testIntrinsics(cam),
+		mathx.Vec3{}, mathx.Vec3{X: 50, Y: 3, Z: 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,8 +103,8 @@ func TestLocalizeYawEstimate(t *testing.T) {
 	cam.Yaw = 1.1
 	rng := rand.New(rand.NewSource(3))
 	corr := synthCorrespondences(t, cam, rng, 25, 0)
-	res, err := Localize(corr, testIntrinsics(cam),
-		mathx.Vec3{}, mathx.Vec3{X: 40, Y: 3, Z: 20}, solverOptions())
+	res, err := localizeLong(corr, testIntrinsics(cam),
+		mathx.Vec3{}, mathx.Vec3{X: 40, Y: 3, Z: 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,11 +116,12 @@ func TestLocalizeYawEstimate(t *testing.T) {
 
 func TestLocalizeValidation(t *testing.T) {
 	intr := Intrinsics{W: 100, H: 100, FovX: 1, FovY: 1}
-	if _, err := Localize(make([]Correspondence, 2), intr, mathx.Vec3{}, mathx.Vec3{X: 1, Y: 1, Z: 1}, DefaultOptions()); err == nil {
+	ctx := context.Background()
+	if _, err := LocalizeContext(ctx, make([]Correspondence, 2), intr, mathx.Vec3{}, mathx.Vec3{X: 1, Y: 1, Z: 1}, DefaultOptions()); err == nil {
 		t.Error("2 correspondences accepted")
 	}
 	corr := make([]Correspondence, 5)
-	if _, err := Localize(corr, Intrinsics{}, mathx.Vec3{}, mathx.Vec3{X: 1, Y: 1, Z: 1}, DefaultOptions()); err == nil {
+	if _, err := LocalizeContext(ctx, corr, Intrinsics{}, mathx.Vec3{}, mathx.Vec3{X: 1, Y: 1, Z: 1}, DefaultOptions()); err == nil {
 		t.Error("zero intrinsics accepted")
 	}
 }
@@ -129,11 +131,8 @@ func TestLocalizeRespectsDeadline(t *testing.T) {
 	cam.Pos = mathx.Vec3{X: 5, Y: 1.5, Z: 5}
 	rng := rand.New(rand.NewSource(4))
 	corr := synthCorrespondences(t, cam, rng, 40, 0)
-	opt := DefaultOptions()
-	opt.Deadline = 10 * time.Millisecond
-	opt.MaxIterations = 1_000_000
 	start := time.Now()
-	if _, err := Localize(corr, testIntrinsics(cam), mathx.Vec3{}, mathx.Vec3{X: 20, Y: 3, Z: 20}, opt); err != nil {
+	if _, err := searchSolve(corr, testIntrinsics(cam), mathx.Vec3{}, mathx.Vec3{X: 20, Y: 3, Z: 20}, solveSeed, 10*time.Millisecond, runtime.GOMAXPROCS(0), 1_000_000); err != nil {
 		t.Fatal(err)
 	}
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
@@ -146,14 +145,15 @@ func TestLocalizeDeterministicWithSeed(t *testing.T) {
 	cam.Pos = mathx.Vec3{X: 8, Y: 1.5, Z: 4}
 	rng := rand.New(rand.NewSource(5))
 	corr := synthCorrespondences(t, cam, rng, 15, 0)
-	opt := solverOptions()
-	opt.Deadline = 0 // disable wall-clock so the run is fully deterministic
-	opt.MaxIterations = 60
-	a, err := Localize(corr, testIntrinsics(cam), mathx.Vec3{}, mathx.Vec3{X: 20, Y: 3, Z: 10}, opt)
+	// No deadline: the wall clock must not decide the generation count.
+	solve := func() (Result, error) {
+		return searchSolve(corr, testIntrinsics(cam), mathx.Vec3{}, mathx.Vec3{X: 20, Y: 3, Z: 10}, solveSeed, 0, runtime.GOMAXPROCS(0), 60)
+	}
+	a, err := solve()
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _ := Localize(corr, testIntrinsics(cam), mathx.Vec3{}, mathx.Vec3{X: 20, Y: 3, Z: 10}, opt)
+	b, _ := solve()
 	if a.Position != b.Position {
 		t.Errorf("non-deterministic solve: %v vs %v", a.Position, b.Position)
 	}
@@ -171,8 +171,8 @@ func TestLocalizeWithOutliers(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		corr[i].P = mathx.Vec3{X: rng.Float64() * 40, Y: rng.Float64() * 3, Z: rng.Float64() * 20}
 	}
-	res, err := Localize(corr, testIntrinsics(cam),
-		mathx.Vec3{}, mathx.Vec3{X: 40, Y: 3, Z: 20}, solverOptions())
+	res, err := localizeLong(corr, testIntrinsics(cam),
+		mathx.Vec3{}, mathx.Vec3{X: 40, Y: 3, Z: 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,6 +191,35 @@ func TestEstimateYawPerfectGeometry(t *testing.T) {
 	dyaw := math.Abs(math.Mod(yaw-cam.Yaw+3*math.Pi, 2*math.Pi) - math.Pi)
 	if dyaw > 0.05 {
 		t.Errorf("yaw error %.3f", dyaw)
+	}
+}
+
+// TestSearchChecksContextEveryGeneration: the venue-wide search checks its
+// context once before the initial population and once per generation, so
+// a context canceled after k checks stops it with the error after at most
+// dePopSize·(k+1) evaluations.
+func TestSearchChecksContextEveryGeneration(t *testing.T) {
+	corr, intr, lo, hi := identityScenario(13, 40)
+	build := func() (*problem, *rand.Rand) {
+		rng := rand.New(rand.NewSource(solveSeed))
+		pr := newProblem(corr, intr, solveMaxPairs, rng)
+		return &pr, rng
+	}
+	pr, rng := build()
+	full, err := pr.search(context.Background(), rng, corr, intr, lo, hi, 0, 1, deMaxIterations)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []int{0, 1, 5, 20} {
+		pr, rng := build()
+		ctx := &cancelAfter{Context: context.Background(), after: k}
+		res, err := pr.search(ctx, rng, corr, intr, lo, hi, 0, 1, deMaxIterations)
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("canceled after %d checks: err %v", k, err)
+		}
+		if res.Evals > dePopSize*(k+1) || res.Evals >= full.Evals {
+			t.Fatalf("canceled after %d checks: %d evaluations (uncanceled %d), want <= %d", k, res.Evals, full.Evals, dePopSize*(k+1))
+		}
 	}
 }
 
@@ -214,12 +243,12 @@ func bench30Corr() ([]Correspondence, Intrinsics, mathx.Vec3, mathx.Vec3) {
 
 func BenchmarkLocalize30Corr(b *testing.B) {
 	corr, intr, lo, hi := bench30Corr()
-	opt := DefaultOptions()
-	opt.Deadline = 50 * time.Millisecond
+	opt := Options{Deadline: 50 * time.Millisecond}
+	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Localize(corr, intr, lo, hi, opt)
+		LocalizeContext(ctx, corr, intr, lo, hi, opt)
 	}
 }
 
@@ -227,8 +256,7 @@ func BenchmarkLocalize30Corr(b *testing.B) {
 // cold solve: the hypothesis stage, the shrunk-box search and any fallback.
 func BenchmarkLocalizeSeeded(b *testing.B) {
 	corr, intr, lo, hi := bench30Corr()
-	opt := DefaultOptions()
-	opt.Deadline = 50 * time.Millisecond
+	opt := Options{Deadline: 50 * time.Millisecond}
 	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()

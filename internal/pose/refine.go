@@ -101,7 +101,7 @@ func (s *simplex) size() float64 {
 // objective evaluations, aborted ones included. The context is checked
 // every iteration; dirs is the direction scratch, len(pr.pts) long, and
 // nothing else is allocated. The refiner draws no randomness and evaluates
-// serially, so its answer does not depend on Options.Workers.
+// serially, so its answer does not depend on GOMAXPROCS.
 func (pr *problem) refine(ctx context.Context, x0 [3]float64, b box, step float64, dirs []ptDir) ([3]float64, float64, int, error) {
 	x := b.clamp(x0)
 	fx := pr.objective(x, dirs, math.Inf(1))

@@ -18,8 +18,10 @@ import (
 // and returns it with its direction scratch, the venue box and the camera.
 func refineFixture(n int) (*problem, []ptDir, mathx.Vec3, mathx.Vec3, mathx.Vec3) {
 	corr, intr, lo, hi, cam := warmScenario(n)
-	opt := DefaultOptions()
-	pr := newProblem(corr, intr, opt.MaxPairs, rand.New(rand.NewSource(opt.Seed)))
+	pr, _, err := newSolve(corr, intr)
+	if err != nil {
+		panic(err)
+	}
 	return &pr, make([]ptDir, len(pr.pts)), lo, hi, cam
 }
 

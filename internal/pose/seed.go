@@ -9,16 +9,16 @@ package pose
 // perspective (P3P) quartic, ranks the resulting centers RANSAC-style on
 // the solve's own objective, and polishes the best one with the local
 // refiner (refine.go). A refined answer that the shrunk box may have
-// stopped short of the true minimum is re-solved by the venue-wide search,
-// bit for bit the solve LocalizeContext runs. LocalizeWarm refines a
-// tracking session's motion-model prediction instead and gates the answer
-// on the session's recent residuals; its caller re-solves a rejected one
-// cold.
+// stopped short of the true minimum is re-solved by the venue-wide search
+// over the same problem, bit for bit the solve LocalizeContext runs.
+// LocalizeWarm refines a tracking session's motion-model prediction instead
+// and gates the answer on the session's recent residuals; its caller
+// re-solves a rejected one cold.
 
 import (
 	"context"
 	"math"
-	"math/rand"
+	"runtime"
 
 	"visualprint/internal/mathx"
 )
@@ -43,7 +43,7 @@ const (
 	// answer counts as pinned against the box and the venue-wide search
 	// re-solves.
 	seedGateMargin = 0.01
-	// seedStream is folded into Options.Seed to seed the triple draw, a
+	// seedStream is folded into solveSeed to seed the triple draw, a
 	// stream of its own: the DE's RNG sees exactly the draws it would see
 	// without a prior.
 	seedStream = 0x5eedc01d5eedc01d
@@ -75,18 +75,17 @@ const (
 //
 // The gate: when the refined answer lies within seedGateMargin of a face of
 // the shrunk box that is inside [lo, hi], the minimum may lie beyond that
-// face, and the solve is repeated by LocalizeContext with opt verbatim —
-// today's venue-wide search, bit for bit, as is a solve that found no
-// hypothesis. Result.Evals counts every objective evaluation: the
-// hypotheses scored, the refiner's and any fallback's. The result is
-// identical at any Options.Workers.
+// face, and the venue-wide search re-solves the problem already built, from
+// the stream newProblem left — LocalizeContext with opt, bit for bit, as is
+// a solve that found no hypothesis. Result.Evals counts every objective
+// evaluation: the hypotheses scored, the refiner's and any fallback's. The
+// result is identical at any GOMAXPROCS.
 func LocalizeCold(ctx context.Context, corr []Correspondence, intr Intrinsics, lo, hi mathx.Vec3, opt Options) (Result, error) {
-	opt, err := prepare(corr, intr, opt)
+	pr, rng, err := newSolve(corr, intr)
 	if err != nil {
 		return Result{}, err
 	}
-	pr := newProblem(corr, intr, opt.MaxPairs, rand.New(rand.NewSource(opt.Seed)))
-	s := newSeeder(&pr, corr, lo, hi, opt)
+	s := newSeeder(&pr, corr, lo, hi)
 	prior, evals, ok := s.best()
 	if ok {
 		// prior lies in [lo, hi], so its box is never empty.
@@ -100,7 +99,7 @@ func LocalizeCold(ctx context.Context, corr []Correspondence, intr Intrinsics, l
 			return res, nil
 		}
 	}
-	res, err := LocalizeContext(ctx, corr, intr, lo, hi, opt)
+	res, err := pr.search(ctx, rng, corr, intr, lo, hi, opt.Deadline, runtime.GOMAXPROCS(0), deMaxIterations)
 	if err != nil {
 		return Result{}, err
 	}
@@ -115,12 +114,11 @@ func LocalizeCold(ctx context.Context, corr []Correspondence, intr Intrinsics, l
 // max(warmGateFloor, best·warmGateFactor); the caller re-solves a rejected
 // one cold. A prior box that misses [lo, hi] is rejected unsolved, with a
 // zero Result.
-func LocalizeWarm(ctx context.Context, corr []Correspondence, intr Intrinsics, lo, hi mathx.Vec3, opt Options, prior mathx.Vec3, radius, best float64) (Result, bool, error) {
-	opt, err := prepare(corr, intr, opt)
+func LocalizeWarm(ctx context.Context, corr []Correspondence, intr Intrinsics, lo, hi, prior mathx.Vec3, radius, best float64) (Result, bool, error) {
+	pr, _, err := newSolve(corr, intr)
 	if err != nil {
 		return Result{}, false, err
 	}
-	pr := newProblem(corr, intr, opt.MaxPairs, rand.New(rand.NewSource(opt.Seed)))
 	res, ok, err := pr.refinePrior(ctx, corr, intr, lo, hi, prior, radius, make([]ptDir, len(pr.pts)))
 	if err != nil || !ok {
 		return Result{}, false, err
@@ -175,21 +173,22 @@ type seeder struct {
 	pr   *problem
 	corr []Correspondence
 	// sub is the ranking subset of pr's pairs with its own compact point
-	// list. Past MaxPairs, pr's pairs are a seeded shuffle and any prefix
-	// is a uniform sample; below it they are in (i, j) order, so a prefix
-	// would only see the first points and the subset is strided instead.
+	// list. When newProblem kept fewer than all pairs, they are a seeded
+	// shuffle and any prefix is a uniform sample; otherwise they are in
+	// (i, j) order, so a prefix would only see the first points and the
+	// subset is strided instead.
 	sub    problem
 	dirs   []ptDir // direction scratch, len(pr.pts) >= len(sub.pts)
 	lo, hi mathx.Vec3
 	seed   uint64
 }
 
-func newSeeder(pr *problem, corr []Correspondence, lo, hi mathx.Vec3, opt Options) *seeder {
-	s := &seeder{pr: pr, corr: corr, dirs: make([]ptDir, len(pr.pts)), lo: lo, hi: hi, seed: uint64(opt.Seed) ^ seedStream}
+func newSeeder(pr *problem, corr []Correspondence, lo, hi mathx.Vec3) *seeder {
+	s := &seeder{pr: pr, corr: corr, dirs: make([]ptDir, len(pr.pts)), lo: lo, hi: hi, seed: solveSeed ^ seedStream}
 	m := len(pr.pairs)
 	k := min(seedScorePairs, m)
 	n := len(corr)
-	shuffled := opt.MaxPairs > 0 && n*(n-1)/2 > opt.MaxPairs
+	shuffled := m < n*(n-1)/2
 	s.sub.pairs = make([]pairGeometry, k)
 	s.sub.pts = make([]mathx.Vec3, 0, min(2*k, len(pr.pts)))
 	compact := make([]int32, len(pr.pts)) // pr.pts index -> sub.pts index + 1

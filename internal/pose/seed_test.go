@@ -7,8 +7,10 @@ package pose
 // search it replaces.
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -97,7 +99,7 @@ func TestP3PDegenerateTriples(t *testing.T) {
 	}
 	for name, corr := range map[string][]Correspondence{"one pixel": onePixel, "one line": line} {
 		pr := newProblem(corr, intr, 0, nil)
-		pos, _, ok := newSeeder(&pr, corr, lo, hi, DefaultOptions()).best()
+		pos, _, ok := newSeeder(&pr, corr, lo, hi).best()
 		if ok || math.IsNaN(pos.X+pos.Y+pos.Z) {
 			t.Errorf("%s: stage returned a hypothesis %v", name, pos)
 		}
@@ -165,9 +167,11 @@ func TestRealRootsKnown(t *testing.T) {
 // 80-correspondence problem capped at 300 pairs.
 func seedFixture() (*seeder, mathx.Vec3) {
 	corr, intr, lo, hi, cam := warmScenario(80)
-	opt := DefaultOptions()
-	pr := newProblem(corr, intr, opt.MaxPairs, rand.New(rand.NewSource(opt.Seed)))
-	return newSeeder(&pr, corr, lo, hi, opt), cam
+	pr, _, err := newSolve(corr, intr)
+	if err != nil {
+		panic(err)
+	}
+	return newSeeder(&pr, corr, lo, hi), cam
 }
 
 // TestSeedStageZeroAllocs: with its scratch built, the hypothesis stage
@@ -227,6 +231,20 @@ func outlierScene(seed int64) ([]Correspondence, Intrinsics, mathx.Vec3, mathx.V
 	return corr, testIntrinsics(cam), mathx.Vec3{}.Sub(pad), venue.Add(pad), cam.Pos
 }
 
+// noisyOutlierScene is outlierScene(seed) with 20 px of pixel noise, far
+// beyond a real query's: it scatters the P3P hypotheses, so about a third of
+// these scenes' refined answers end on their box and fall back, where the
+// scenes as they are almost never do.
+func noisyOutlierScene(seed int64) ([]Correspondence, Intrinsics, mathx.Vec3, mathx.Vec3) {
+	corr, intr, lo, hi, _ := outlierScene(seed)
+	rng := rand.New(rand.NewSource(seed))
+	for i := range corr {
+		corr[i].Px += 20 * rng.NormFloat64()
+		corr[i].Py += 20 * rng.NormFloat64()
+	}
+	return corr, intr, lo, hi
+}
+
 // TestLocalizeColdNeverWorse: over 60 outlier-laden scenes the gated seeded
 // solve's residual is never more than 0.1 % above the venue-wide search's,
 // for at most half the objective evaluations in total. Outliers scattered
@@ -236,14 +254,12 @@ func outlierScene(seed int64) ([]Correspondence, Intrinsics, mathx.Vec3, mathx.V
 // finds it on a few percent of scenes where the seeded solve stays at the
 // true camera (EXPERIMENTS.md "Cold pose solve").
 func TestLocalizeColdNeverWorse(t *testing.T) {
-	opt := DefaultOptions()
-	opt.Deadline = 0 // the generation count must not depend on the clock
-	opt.Workers = 1
+	var opt Options // no deadline: the generation count must not depend on the clock
 	var seededEvals, wideEvals int
 	var seededErr, wideErr []float64
 	for seed := int64(1); seed <= 60; seed++ {
 		corr, intr, lo, hi, cam := outlierScene(seed)
-		wide, err := Localize(corr, intr, lo, hi, opt)
+		wide, err := LocalizeContext(t.Context(), corr, intr, lo, hi, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -267,27 +283,106 @@ func TestLocalizeColdNeverWorse(t *testing.T) {
 	}
 }
 
-// TestLocalizeColdWorkerIndependent: the hypothesis stage is serial and the
-// seeded DE keeps the solver's worker-count independence, so the result is
-// bit-identical at any worker count.
+// TestLocalizeColdWorkerIndependent: the hypothesis stage and the refiner
+// are serial, and a fallback's DE pool sizes itself by GOMAXPROCS without
+// changing a bit, so the result is the same at any GOMAXPROCS — on two
+// scenes that the seeded solve answers and one that falls back.
 func TestLocalizeColdWorkerIndependent(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	type coldCase struct {
+		corr   []Correspondence
+		intr   Intrinsics
+		lo, hi mathx.Vec3
+	}
+	var scenes []coldCase
 	for _, seed := range []int64{3, 17} {
 		corr, intr, lo, hi, _ := outlierScene(seed)
-		opt := DefaultOptions()
-		opt.Deadline = 0
+		scenes = append(scenes, coldCase{corr, intr, lo, hi})
+	}
+	corr, intr, lo, hi := noisyOutlierScene(3)
+	scenes = append(scenes, coldCase{corr, intr, lo, hi})
+	for k, sc := range scenes {
 		var base Result
-		for i, workers := range []int{1, 2, 8} {
-			opt.Workers = workers
-			got, err := LocalizeCold(t.Context(), corr, intr, lo, hi, opt)
+		for i, procs := range []int{1, 2, 8} {
+			runtime.GOMAXPROCS(procs)
+			got, err := LocalizeCold(t.Context(), sc.corr, sc.intr, sc.lo, sc.hi, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if i == 0 {
 				base = got
 			} else if got != base {
-				t.Fatalf("scene %d workers=%d diverged: %+v != %+v", seed, workers, got, base)
+				t.Fatalf("scene %d GOMAXPROCS=%d diverged: %+v != %+v", k, procs, got, base)
 			}
 		}
+	}
+}
+
+// TestLocalizeColdFallbackIsVenueWide: a cold solve that falls back — no
+// in-box hypothesis, or a refined answer pinned to its box — answers
+// LocalizeContext's Result bit for bit, with the seeded stage's and the
+// refiner's evaluations added: the fallback searches the problem the
+// seeded stage built, from the stream newProblem left.
+func TestLocalizeColdFallbackIsVenueWide(t *testing.T) {
+	var opt Options
+	ctx := t.Context()
+	// fellBack re-traces LocalizeCold's gate and, on a fallback, returns
+	// the evaluations spent before it.
+	fellBack := func(corr []Correspondence, intr Intrinsics, lo, hi mathx.Vec3) (int, bool) {
+		pr, _, err := newSolve(corr, intr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := newSeeder(&pr, corr, lo, hi)
+		prior, evals, ok := s.best()
+		if !ok {
+			return evals, true
+		}
+		res, _, err := pr.refinePrior(ctx, corr, intr, lo, hi, prior, seedRadius, s.dirs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return evals + res.Evals, pinnedToPrior(res.Position, prior, lo, hi)
+	}
+	check := func(name string, corr []Correspondence, intr Intrinsics, lo, hi mathx.Vec3) bool {
+		evals, ok := fellBack(corr, intr, lo, hi)
+		if !ok {
+			return false
+		}
+		want, err := LocalizeContext(ctx, corr, intr, lo, hi, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want.Evals += evals
+		got, err := LocalizeCold(ctx, corr, intr, lo, hi, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Fatalf("%s: fallback %+v, want LocalizeContext plus %d seeded evaluations: %+v", name, got, evals, want)
+		}
+		return true
+	}
+	// Every triple collinear: no hypothesis at all.
+	intr := Intrinsics{W: 200, H: 150, FovX: 1.1, FovY: 0.85}
+	line := make([]Correspondence, 12)
+	for i := range line {
+		f := float64(i)
+		line[i] = Correspondence{Px: 10 + 15*f, Py: 20 + 9*f, P: mathx.Vec3{X: f, Y: 0.5 * f, Z: 5}}
+	}
+	if !check("one line", line, intr, mathx.Vec3{X: -10, Y: -10, Z: -10}, mathx.Vec3{X: 10, Y: 10, Z: 10}) {
+		t.Fatal("one line: the cold solve found a hypothesis")
+	}
+	pinned := 0
+	for seed := int64(1); seed <= 20; seed++ {
+		corr, intr, lo, hi := noisyOutlierScene(seed)
+		if check(fmt.Sprintf("scene %d", seed), corr, intr, lo, hi) {
+			pinned++
+		}
+	}
+	t.Logf("%d of 20 noisy outlier scenes fell back", pinned)
+	if pinned == 0 {
+		t.Fatal("no outlier scene fell back: the pinned path went untested")
 	}
 }
 

@@ -18,7 +18,7 @@ import (
 // only answer.
 func TestLocalizeDisjointPriorIgnored(t *testing.T) {
 	corr, intr, lo, hi := identityScenario(5, 16)
-	got, accepted, err := LocalizeWarm(context.Background(), corr, intr, lo, hi, identityOptions(1), mathx.Vec3{X: 1e6, Y: 1e6, Z: 1e6}, 0.5, 0)
+	got, accepted, err := LocalizeWarm(context.Background(), corr, intr, lo, hi, mathx.Vec3{X: 1e6, Y: 1e6, Z: 1e6}, 0.5, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +30,7 @@ func TestLocalizeDisjointPriorIgnored(t *testing.T) {
 // warmScenario builds a geometrically consistent correspondence set: 3D
 // points in a wall-like slab, pixels their true pinhole projections from a
 // known camera — the same shape as the bench workload, so the objective has
-// a near-zero optimum and the Tol convergence stop is meaningful.
+// a near-zero optimum and the deTol convergence stop is meaningful.
 func warmScenario(n int) ([]Correspondence, Intrinsics, mathx.Vec3, mathx.Vec3, mathx.Vec3) {
 	intr := Intrinsics{W: 200, H: 150, FovX: 1.1, FovY: 0.85}
 	cam := mathx.Vec3{X: 4, Y: 1.4, Z: 2}
@@ -56,19 +56,16 @@ func warmScenario(n int) ([]Correspondence, Intrinsics, mathx.Vec3, mathx.Vec3, 
 
 // TestLocalizeWarmConvergesFaster: with a prior near the true camera, the
 // warm solve must pass its gate and reach an equal-or-better answer in at
-// most half the cold solve's generations (Evals counts PopSize per
+// most half the cold solve's generations (Evals counts dePopSize per
 // generation).
 func TestLocalizeWarmConvergesFaster(t *testing.T) {
 	corr, intr, lo, hi, cam := warmScenario(24)
-	opt := DefaultOptions()
-	opt.Deadline = 0
-	opt.Workers = 1
-	cold, err := Localize(corr, intr, lo, hi, opt)
+	cold, err := LocalizeContext(context.Background(), corr, intr, lo, hi, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	prior := mathx.Vec3{X: cam.X + 0.2, Y: cam.Y - 0.1, Z: cam.Z + 0.25}
-	warm, accepted, err := LocalizeWarm(context.Background(), corr, intr, lo, hi, opt, prior, 0.75, 0)
+	warm, accepted, err := LocalizeWarm(context.Background(), corr, intr, lo, hi, prior, 0.75, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

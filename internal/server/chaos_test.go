@@ -33,7 +33,7 @@ import (
 // concurrency that makes latent data races reachable.
 func TestChaosClientsSurviveFaultInjection(t *testing.T) {
 	testutil.CheckGoroutines(t)
-	db, ms := lifecycleDB(t, 60) // fast solves: chaos targets the transport
+	db, ms := lifecycleDB(t, 30*time.Millisecond) // fast solves: chaos targets the transport
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

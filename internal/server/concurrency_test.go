@@ -87,11 +87,11 @@ func testIntrinsics() pose.Intrinsics {
 func locateWith(db *Database, kps []sift.Keypoint, workers int) (LocateResult, error) {
 	ctx := context.Background()
 	v := db.cur.Load()
-	cands, err := gather(ctx, db.cfg, []*dbView{v}, kps, workers)
+	cands, err := gather(ctx, []*dbView{v}, kps, neighborsPerKeypoint, maxMatchDistSq, workers)
 	if err != nil {
 		return LocateResult{}, err
 	}
-	res, _, err := solve(ctx, db.cfg, cands, v.lo, v.hi, testIntrinsics(), nil, nil)
+	res, _, err := solve(ctx, db, cands, v.lo, v.hi, testIntrinsics(), nil, nil)
 	return res, err
 }
 

@@ -31,15 +31,7 @@ import (
 type DatabaseConfig struct {
 	LSH    lsh.Params
 	Oracle core.Params
-	// NeighborsPerKeypoint is n in the paper's |K|*n candidate retrieval.
-	NeighborsPerKeypoint int
-	// MaxMatchDistSq rejects LSH candidates farther (squared Euclidean)
-	// than this from the query descriptor; 0 accepts everything. Gating
-	// matters: ungated far matches scatter 3D candidates across the venue
-	// and poison the clustering step.
-	MaxMatchDistSq int
-	Cluster        cluster.Params
-	Pose           pose.Options
+	Pose   pose.Options
 	// WALCompactBytes is the write-ahead-log size past which the
 	// background snapshotter folds the log into a fresh snapshot (only
 	// meaningful after Open; 0 means defaultWALCompactBytes). Compaction
@@ -49,6 +41,23 @@ type DatabaseConfig struct {
 	// they read immutable published views and take no lock (see view.go).
 	WALCompactBytes int64
 }
+
+// The Locate pipeline's fixed values: candidate retrieval and the
+// consensus clustering over the candidates' 3D points.
+const (
+	// neighborsPerKeypoint is n in the paper's |K|*n candidate retrieval.
+	neighborsPerKeypoint = 2
+	// maxMatchDistSq rejects LSH candidates farther (squared Euclidean)
+	// than this from the query descriptor. Gating matters: ungated far
+	// matches scatter 3D candidates across the venue and poison the
+	// clustering step.
+	maxMatchDistSq = 60000
+	// clusterEps and clusterMinPts are the DBSCAN radius and core size
+	// (the point itself included): matches within 2 m of each other belong
+	// to the same viewed scene.
+	clusterEps    = 2.0
+	clusterMinPts = 3
+)
 
 // defaultWALCompactBytes triggers compaction once the WAL outgrows 64 MB —
 // a few hundred thousand mapping records, well past the point where
@@ -60,12 +69,9 @@ const defaultWALCompactBytes = 64 << 20
 // paper's 2.5M-descriptor scale).
 func DefaultDatabaseConfig() DatabaseConfig {
 	return DatabaseConfig{
-		LSH:                  lsh.DefaultParams(),
-		Oracle:               core.TestParams(),
-		NeighborsPerKeypoint: 2,
-		MaxMatchDistSq:       60000,
-		Cluster:              cluster.DefaultParams(),
-		Pose:                 pose.DefaultOptions(),
+		LSH:    lsh.DefaultParams(),
+		Oracle: core.TestParams(),
+		Pose:   pose.DefaultOptions(),
 	}
 }
 
@@ -123,6 +129,10 @@ type Database struct {
 	// met is the shard's instrument set (see obs.go), fixed at construction.
 	met        *dbMetrics
 	recoverDur time.Duration
+
+	// coldSolve is the cold pose solve, pose.LocalizeCold. Tests swap in one
+	// that holds a request in flight until its context ends.
+	coldSolve func(ctx context.Context, corr []pose.Correspondence, intr pose.Intrinsics, lo, hi mathx.Vec3, opt pose.Options) (pose.Result, error)
 }
 
 // SetLogger routes the database's persistence and resource warnings
@@ -168,9 +178,6 @@ func NewDatabase(cfg DatabaseConfig) (*Database, error) {
 
 // newDatabase creates an empty shard engine recording into m.
 func newDatabase(cfg DatabaseConfig, m *dbMetrics) (*Database, error) {
-	if cfg.NeighborsPerKeypoint <= 0 {
-		cfg.NeighborsPerKeypoint = 2
-	}
 	if cfg.WALCompactBytes <= 0 {
 		cfg.WALCompactBytes = defaultWALCompactBytes
 	}
@@ -178,7 +185,7 @@ func newDatabase(cfg DatabaseConfig, m *dbMetrics) (*Database, error) {
 	if err != nil {
 		return nil, err
 	}
-	db := &Database{cfg: cfg, epochCh: make(chan struct{}), met: m}
+	db := &Database{cfg: cfg, epochCh: make(chan struct{}), met: m, coldSolve: pose.LocalizeCold}
 	db.cur.Store(v)
 	return db, nil
 }
@@ -382,12 +389,12 @@ type LocateResult struct {
 	// Matched counts the keypoints whose matches survived clustering.
 	Matched int
 	// Generations is the pose solve's objective evaluations, aborted ones
-	// included, divided by the configured DE population (Pose.PopSize,
-	// floored at 8): a venue-wide solve's generation count (initialization
-	// included), and for a warm or seeded cold solve its hypothesis
-	// scoring, its refiner and any fallback in the same unit — the work
-	// those paths cut. In-process only: it is not carried on the wire, so
-	// results decoded from a remote server report 0.
+	// included, divided by the DE's fixed population of 48: a venue-wide
+	// solve's generation count (initialization included), and for a warm
+	// or seeded cold solve its hypothesis scoring, its refiner and any
+	// fallback in the same unit — the work those paths cut. In-process
+	// only: it is not carried on the wire, so results decoded from a
+	// remote server report 0.
 	Generations int
 }
 
@@ -435,11 +442,11 @@ const parallelLocateThreshold = 32
 const ctxCheckStride = 16
 
 // gather produces the |K| * n candidate list from the views of a venue's
-// shards. For each keypoint a worker asks every view for its top n
+// shards; Locate's n is neighborsPerKeypoint and its gate maxMatchDistSq. For each keypoint a worker asks every view for its top n
 // under the capped multi-probe query — within one view that is already the
 // (distSq, probe, seq) order, because reserve admits only increasing seq, so
 // id order is seq order — restores the total order across views and
-// truncates to n. The query itself drops candidates beyond MaxMatchDistSq:
+// truncates to n. The query itself drops candidates beyond maxDistSq:
 // a distance cut-off of a distance-sorted list removes a suffix, so each
 // view's gated top n is its top n less that suffix, and the merged list
 // keeps the same prefix a gate after the merge would have. Each view's top
@@ -457,8 +464,7 @@ const ctxCheckStride = 16
 // allocates the same few buffers for any number of views. Cancellation
 // returns the raw context error for the caller to classify. Views are
 // immutable and the LSH read path is safe for concurrent queries.
-func gather(ctx context.Context, cfg DatabaseConfig, views []*dbView, kps []sift.Keypoint, workers int) ([]locateCand, error) {
-	n := cfg.NeighborsPerKeypoint
+func gather(ctx context.Context, views []*dbView, kps []sift.Keypoint, n, maxDistSq, workers int) ([]locateCand, error) {
 	if len(kps) < parallelLocateThreshold {
 		workers = 1
 	}
@@ -491,7 +497,7 @@ func gather(ctx context.Context, cfg DatabaseConfig, views []*dbView, kps []sift
 			merged = merged[:0]
 			for _, v := range views {
 				var err error
-				scratch, err = v.index.QueryInto(kps[i].Desc[:], lsh.QueryOptions{MaxCandidates: n, MultiProbe: true, MaxDistSq: cfg.MaxMatchDistSq}, scratch)
+				scratch, err = v.index.QueryInto(kps[i].Desc[:], lsh.QueryOptions{MaxCandidates: n, MultiProbe: true, MaxDistSq: maxDistSq}, scratch)
 				if err != nil {
 					fail(err)
 					return
@@ -578,12 +584,12 @@ func locateShards(ctx context.Context, m *dbMetrics, shards []*Database, kps []s
 		return LocateResult{}, false, ctxError(err)
 	}
 	t0 := time.Now()
-	cands, err := gather(ctx, shards[0].cfg, views, kps, runtime.GOMAXPROCS(0))
+	cands, err := gather(ctx, views, kps, neighborsPerKeypoint, maxMatchDistSq, runtime.GOMAXPROCS(0))
 	tr.StageSince(obs.StageLSHQuery, t0)
 	if err != nil {
 		return LocateResult{}, false, ctxError(err)
 	}
-	return solve(ctx, shards[0].cfg, cands, lo, hi, intr, tr, prior)
+	return solve(ctx, shards[0], cands, lo, hi, intr, tr, prior)
 }
 
 // searchPad pads the ingested bounds into the pose search box. Keeping the
@@ -595,45 +601,47 @@ var searchPad = mathx.Vec3{X: 0.3, Y: 0.3, Z: 0.3}
 // solve runs the back half of the Locate pipeline — clustering,
 // largest-cluster filtering (correspondences) and the pose optimization —
 // over an already-gathered candidate list (see locateShards): the unioned
-// venue bounds, padded by searchPad, are the search box.
+// venue bounds, padded by searchPad, are the search box. db is the venue's
+// first shard, whose configuration and cold solve every shard shares.
 //
-// A nil prior solves cold: pose.LocalizeCold with cfg.Pose, a search seeded
-// by closed-form hypotheses whose gate falls back to the venue-wide search.
+// A nil prior solves cold: db.coldSolve (pose.LocalizeCold) with cfg.Pose, a
+// search seeded by closed-form hypotheses whose gate falls back to the
+// venue-wide search.
 // A session's prior solves warm first (pose.LocalizeWarm) and reports true
 // when the result passes the residual gate; a rejected prior falls through
 // to the same cold solve over the same correspondences, so the answer is
 // bit-identical to a session-less Locate. Warm-solve errors are returned
 // without a cold retry: nothing that can fail depends on the prior.
-func solve(ctx context.Context, cfg DatabaseConfig, cands []locateCand, lo, hi mathx.Vec3, intr pose.Intrinsics, tr *obs.Trace, prior *track.Prior) (LocateResult, bool, error) {
-	corr, err := correspondences(ctx, cfg, cands, tr)
+func solve(ctx context.Context, db *Database, cands []locateCand, lo, hi mathx.Vec3, intr pose.Intrinsics, tr *obs.Trace, prior *track.Prior) (LocateResult, bool, error) {
+	corr, err := correspondences(ctx, cands, tr)
 	if err != nil {
 		return LocateResult{}, false, err
 	}
 	lo, hi = lo.Sub(searchPad), hi.Add(searchPad)
 	if prior != nil {
 		t0 := time.Now()
-		res, accepted, err := pose.LocalizeWarm(ctx, corr, intr, lo, hi, cfg.Pose, prior.Pos, prior.Radius, prior.Residual)
+		res, accepted, err := pose.LocalizeWarm(ctx, corr, intr, lo, hi, prior.Pos, prior.Radius, prior.Residual)
 		tr.StageSince(obs.StagePoseSolve, t0)
 		if err != nil {
 			return LocateResult{}, false, ctxError(err)
 		}
 		if accepted {
-			return locateResult(res, len(corr), cfg.Pose), true, nil
+			return locateResult(res, len(corr)), true, nil
 		}
 	}
 	t0 := time.Now()
-	res, err := pose.LocalizeCold(ctx, corr, intr, lo, hi, cfg.Pose)
+	res, err := db.coldSolve(ctx, corr, intr, lo, hi, db.cfg.Pose)
 	tr.StageSince(obs.StagePoseSolve, t0)
 	if err != nil {
 		return LocateResult{}, false, ctxError(err)
 	}
-	return locateResult(res, len(corr), cfg.Pose), false, nil
+	return locateResult(res, len(corr)), false, nil
 }
 
 // correspondences clusters the gathered candidates' 3D points and pairs
 // each member of the largest cluster with its query pixel, in candidate
 // order; the largest cluster filters out scattered false matches.
-func correspondences(ctx context.Context, cfg DatabaseConfig, cands []locateCand, tr *obs.Trace) ([]pose.Correspondence, error) {
+func correspondences(ctx context.Context, cands []locateCand, tr *obs.Trace) ([]pose.Correspondence, error) {
 	if len(cands) < 3 {
 		return nil, ErrTooFewMatches
 	}
@@ -645,7 +653,7 @@ func correspondences(ctx context.Context, cfg DatabaseConfig, cands []locateCand
 		pts[i] = c.p
 	}
 	t0 := time.Now()
-	largest, ok, err := cluster.Largest(pts, cfg.Cluster)
+	largest, ok, err := cluster.Largest(pts, cluster.Params{Eps: clusterEps, MinPts: clusterMinPts})
 	tr.StageSince(obs.StageCluster, t0)
 	if err != nil {
 		return nil, err
@@ -664,15 +672,13 @@ func correspondences(ctx context.Context, cfg DatabaseConfig, cands []locateCand
 }
 
 // locateResult is a pose solve over matched correspondences as a Locate
-// answer. Generations counts evaluations in units of the configured
-// population; the solver clamps PopSize to a floor of 8, so this mirrors
-// that clamp.
-func locateResult(res pose.Result, matched int, opt pose.Options) LocateResult {
+// answer.
+func locateResult(res pose.Result, matched int) LocateResult {
 	return LocateResult{
 		Position:    res.Position,
 		Yaw:         res.Yaw,
 		Residual:    res.Residual,
 		Matched:     matched,
-		Generations: res.Evals / max(opt.PopSize, 8),
+		Generations: res.Generations(),
 	}
 }

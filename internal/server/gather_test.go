@@ -82,16 +82,15 @@ func gatherFixture(t testing.TB, cfg DatabaseConfig, nViews int) ([]*dbView, []s
 // the level where it is decided.
 func TestGatherIsTheTotalOrderTopN(t *testing.T) {
 	cfg := routerTestConfig()
-	cfg.NeighborsPerKeypoint = 3
-	cfg.MaxMatchDistSq = 3 // duplicates (0) pass, one-step-off copies (4) do not
+	const n, gate = 3, 3 // duplicates (0) pass the gate, one-step-off copies (4) do not
 	var lists [][]locateCand
 	for _, nViews := range []int{1, 3} {
 		views, kps := gatherFixture(t, cfg, nViews)
-		got, err := gather(context.Background(), cfg, views, kps, runtime.GOMAXPROCS(0))
+		got, err := gather(context.Background(), views, kps, n, gate, runtime.GOMAXPROCS(0))
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, ties, gated := referenceGather(t, cfg, views, kps)
+		want, ties, gated := referenceGather(t, views, kps, n, gate)
 		if !slices.Equal(got, want) {
 			t.Fatalf("%d view(s):\n got  %+v\n want %+v", nViews, got, want)
 		}
@@ -107,10 +106,10 @@ func TestGatherIsTheTotalOrderTopN(t *testing.T) {
 
 // referenceGather is gather by its definition: per keypoint, every
 // candidate any view's uncapped, ungated query collects, sorted by
-// compareMergeCands, truncated to n, then gated on MaxMatchDistSq after the
+// compareMergeCands, truncated to n, then gated on maxDistSq after the
 // merge. It also counts the distance ties within the kept top n and the
 // entries the gate removed.
-func referenceGather(t testing.TB, cfg DatabaseConfig, views []*dbView, kps []sift.Keypoint) (want []locateCand, ties, gated int) {
+func referenceGather(t testing.TB, views []*dbView, kps []sift.Keypoint, n, maxDistSq int) (want []locateCand, ties, gated int) {
 	t.Helper()
 	for _, kp := range kps {
 		var all []mergeCand
@@ -124,12 +123,12 @@ func referenceGather(t testing.TB, cfg DatabaseConfig, views []*dbView, kps []si
 			}
 		}
 		slices.SortFunc(all, compareMergeCands)
-		all = all[:min(len(all), cfg.NeighborsPerKeypoint)]
+		all = all[:min(len(all), n)]
 		for j, c := range all {
 			if j > 0 && c.distSq == all[j-1].distSq {
 				ties++
 			}
-			if cfg.MaxMatchDistSq > 0 && c.distSq > cfg.MaxMatchDistSq {
+			if maxDistSq > 0 && c.distSq > maxDistSq {
 				gated++
 				continue
 			}
@@ -149,8 +148,8 @@ func TestGatherGateInQueryMatchesMergeGate(t *testing.T) {
 	gatedTotal := 0
 	for trial := 0; trial < 12; trial++ {
 		cfg := routerTestConfig()
-		cfg.NeighborsPerKeypoint = 1 + rng.Intn(8)
-		cfg.MaxMatchDistSq = 1 + rng.Intn(40)
+		n := 1 + rng.Intn(8)
+		gate := 1 + rng.Intn(40)
 		nViews := 1 + rng.Intn(4)
 		shards := make([]*Database, nViews)
 		for i := range shards {
@@ -193,14 +192,14 @@ func TestGatherGateInQueryMatchesMergeGate(t *testing.T) {
 				kps[i].Desc[rng.Intn(len(kps[i].Desc))] += byte(rng.Intn(3) - 1)
 			}
 		}
-		got, err := gather(context.Background(), cfg, views, kps, 2)
+		got, err := gather(context.Background(), views, kps, n, gate, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, _, gated := referenceGather(t, cfg, views, kps)
+		want, _, gated := referenceGather(t, views, kps, n, gate)
 		if !slices.Equal(got, want) {
 			t.Fatalf("trial %d (%d views, n %d, gate %d): gated query kept %d candidates, merge gate %d",
-				trial, nViews, cfg.NeighborsPerKeypoint, cfg.MaxMatchDistSq, len(got), len(want))
+				trial, nViews, n, gate, len(got), len(want))
 		}
 		gatedTotal += gated
 	}
@@ -225,7 +224,7 @@ func TestGatherAllocsDoNotGrowWithShards(t *testing.T) {
 			kps = append(kps, kps...)
 		}
 		run := func() {
-			if _, err := gather(context.Background(), cfg, views, kps, 2); err != nil {
+			if _, err := gather(context.Background(), views, kps, neighborsPerKeypoint, maxMatchDistSq, 2); err != nil {
 				t.Fatal(err)
 			}
 		}

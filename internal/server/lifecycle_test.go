@@ -3,7 +3,7 @@ package server
 import (
 	"context"
 	"errors"
-	"math/rand"
+	"math"
 	"net"
 	"sort"
 	"testing"
@@ -11,56 +11,40 @@ import (
 
 	"visualprint/internal/codec"
 	"visualprint/internal/mathx"
+	"visualprint/internal/pose"
 	"visualprint/internal/testutil"
 )
 
-// lifecycleDB builds a database whose pose solves run for a controlled
-// number of DE generations (~0.5 ms each, no convergence cutoff, no
-// wall-clock budget), so tests can make a Locate effectively endless or
-// merely slow. The mappings follow the syntheticDB layout — a tight cluster
-// (queries against it reach the pose solver) plus scatter — except that the
-// cluster lies on a line: P3P has no hypothesis for collinear points, so
-// every solve is the venue-wide DE, which alone honours these options (the
-// refiner of a seeded solve stops on its own simplex size).
-func lifecycleDB(t testing.TB, iterations int) (*Database, []Mapping) {
+// lifecycleDB is the syntheticDB fixture — a tight cluster, which queries
+// against reach the pose solver, plus scatter — whose cold solve first holds
+// the request for hold, or until its context ends if that is sooner, and
+// then solves as usual: tests make a Locate effectively endless or merely
+// slow.
+func lifecycleDB(t testing.TB, hold time.Duration) (*Database, []Mapping) {
 	t.Helper()
-	cfg := DefaultDatabaseConfig()
-	cfg.Pose.Deadline = 0
-	cfg.Pose.Tol = 0
-	cfg.Pose.MaxIterations = iterations
-	db, err := NewDatabase(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const nCluster = 48
-	rng := rand.New(rand.NewSource(21))
-	ms := make([]Mapping, nCluster+40)
-	for i := range ms {
-		for j := range ms[i].Desc {
-			ms[i].Desc[j] = byte(rng.Intn(256))
+	db, ms := syntheticDB(t, 21, 48, 40)
+	db.coldSolve = func(ctx context.Context, corr []pose.Correspondence, intr pose.Intrinsics, lo, hi mathx.Vec3, opt pose.Options) (pose.Result, error) {
+		timer := time.NewTimer(hold)
+		defer timer.Stop()
+		select {
+		case <-ctx.Done():
+			return pose.Result{}, ctx.Err()
+		case <-timer.C:
 		}
-		if i < nCluster {
-			f := float64(i)/(nCluster-1) - 0.5
-			ms[i].Pos = mathx.Vec3{X: 4 + 0.8*f, Y: 1.5 + 0.4*f, Z: 3 + 0.6*f}
-		} else {
-			ms[i].Pos = mathx.Vec3{X: rng.Float64() * 12, Y: rng.Float64() * 3, Z: rng.Float64() * 9}
-		}
-	}
-	if err := db.Ingest(context.Background(), ms); err != nil {
-		t.Fatal(err)
+		return pose.LocalizeCold(ctx, corr, intr, lo, hi, opt)
 	}
 	return db, ms
 }
 
-// endlessIters makes a solve run minutes — every test using it must cancel
-// the request (or force-drain the server); assertions then prove the
+// endless holds a solve until its request ends — every test using it must
+// cancel the request (or force-drain the server); assertions then prove the
 // cancellation actually cut the work short.
-const endlessIters = 500_000
+const endless = time.Duration(math.MaxInt64)
 
 // TestLocateCanceledContext: a pre-canceled context stops Locate before
 // any work, typed and matching both the sentinel and the stdlib identity.
 func TestLocateCanceledContext(t *testing.T) {
-	db, ms := lifecycleDB(t, endlessIters)
+	db, ms := lifecycleDB(t, endless)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	start := time.Now()
@@ -73,11 +57,10 @@ func TestLocateCanceledContext(t *testing.T) {
 	}
 }
 
-// TestLocateDeadlineMidSolve: a deadline expiring inside the DE loop stops
-// the solve within a generation instead of running out the iteration
-// budget (which would take minutes at endlessIters).
+// TestLocateDeadlineMidSolve: a deadline expiring inside the pose solve
+// stops it and the Locate answers typed, instead of never returning.
 func TestLocateDeadlineMidSolve(t *testing.T) {
-	db, ms := lifecycleDB(t, endlessIters)
+	db, ms := lifecycleDB(t, endless)
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()
 	start := time.Now()
@@ -91,13 +74,13 @@ func TestLocateDeadlineMidSolve(t *testing.T) {
 }
 
 // TestCancelFreesServerSlot is the acceptance test for request
-// cancellation: with a single execution slot occupied by an effectively
-// endless solve, canceling the client context must send a cancel frame
-// that frees the slot — a second request then completes promptly, minutes
-// before the first solve could have finished on its own.
+// cancellation: with a single execution slot occupied by an endless solve,
+// canceling the client context must send a cancel frame that frees the
+// slot — a second request then completes promptly, though the first solve
+// would never have finished on its own.
 func TestCancelFreesServerSlot(t *testing.T) {
 	testutil.CheckGoroutines(t)
-	db, ms := lifecycleDB(t, endlessIters)
+	db, ms := lifecycleDB(t, endless)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -124,9 +107,9 @@ func TestCancelFreesServerSlot(t *testing.T) {
 	if err := <-errc; !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled query returned %v, want context.Canceled", err)
 	}
-	// The slot must come free long before the abandoned solve's iteration
-	// budget (minutes) could elapse: a 2-keypoint query fails the match
-	// gate quickly once admitted.
+	// The slot must come free although the abandoned solve would never end
+	// on its own: a 2-keypoint query fails the match gate quickly once
+	// admitted.
 	start := time.Now()
 	done := make(chan error, 1)
 	go func() {
@@ -146,12 +129,12 @@ func TestCancelFreesServerSlot(t *testing.T) {
 
 // TestDeadlineEnforcedServerSide drives the wire protocol directly: a
 // request header with a 50 ms deadline on a query whose solve
-// would take minutes. The server must answer — typed — shortly after the
+// never ends on its own. The server must answer — typed — shortly after the
 // deadline, proving enforcement happens server-side (the test's own
 // context never expires).
 func TestDeadlineEnforcedServerSide(t *testing.T) {
 	testutil.CheckGoroutines(t)
-	db, ms := lifecycleDB(t, endlessIters)
+	db, ms := lifecycleDB(t, endless)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -195,7 +178,7 @@ func TestDeadlineEnforcedServerSide(t *testing.T) {
 // starvation.
 func TestShedUnderBurst(t *testing.T) {
 	testutil.CheckGoroutines(t)
-	db, ms := lifecycleDB(t, 400)
+	db, ms := lifecycleDB(t, 200*time.Millisecond)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -232,7 +215,7 @@ func TestShedUnderBurst(t *testing.T) {
 // (ErrTooFewMatches) is never retried.
 func TestRetryRecoversFromOverload(t *testing.T) {
 	testutil.CheckGoroutines(t)
-	db, ms := lifecycleDB(t, endlessIters)
+	db, ms := lifecycleDB(t, endless)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -284,7 +267,7 @@ func TestRetryRecoversFromOverload(t *testing.T) {
 // returns nil on the clean drain.
 func TestShutdownDrains(t *testing.T) {
 	testutil.CheckGoroutines(t)
-	db, ms := lifecycleDB(t, 400) // ~a few hundred ms per solve
+	db, ms := lifecycleDB(t, 200*time.Millisecond)
 	want, wantErr := db.Locate(context.Background(), queryFromMappings(ms, 0, 48), testIntrinsics())
 	if wantErr != nil {
 		t.Fatal(wantErr)
@@ -358,7 +341,7 @@ func TestShutdownDrains(t *testing.T) {
 // reports the forced drain via ctx.Err().
 func TestShutdownForcedCancelsInFlight(t *testing.T) {
 	testutil.CheckGoroutines(t)
-	db, ms := lifecycleDB(t, endlessIters)
+	db, ms := lifecycleDB(t, endless)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -403,7 +386,7 @@ func TestShutdownForcedCancelsInFlight(t *testing.T) {
 // the same way an expiring context does.
 func TestDrainTimeoutOption(t *testing.T) {
 	testutil.CheckGoroutines(t)
-	db, ms := lifecycleDB(t, endlessIters)
+	db, ms := lifecycleDB(t, endless)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

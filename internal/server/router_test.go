@@ -19,12 +19,10 @@ import (
 )
 
 // routerTestConfig makes Locate a pure function of database state (no
-// wall-clock solver deadline) so bit-identity comparisons are meaningful,
-// and trims the solver budget so the synthetic tests stay fast.
+// wall-clock solver deadline) so bit-identity comparisons are meaningful.
 func routerTestConfig() DatabaseConfig {
 	cfg := DefaultDatabaseConfig()
 	cfg.Pose.Deadline = 0
-	cfg.Pose.MaxIterations = 15
 	return cfg
 }
 

@@ -60,11 +60,11 @@ func venueWideLocate(t *testing.T, r *Router, venue string, kps []sift.Keypoint,
 			growBounds(&lo, &hi, &bounded, views[i].lo, views[i].hi)
 		}
 	}
-	cands, err := gather(ctx, r.cfg, views, kps, runtime.GOMAXPROCS(0))
+	cands, err := gather(ctx, views, kps, neighborsPerKeypoint, maxMatchDistSq, runtime.GOMAXPROCS(0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	corr, err := correspondences(ctx, r.cfg, cands, nil)
+	corr, err := correspondences(ctx, cands, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func venueWideLocate(t *testing.T, r *Router, venue string, kps []sift.Keypoint,
 	if err != nil {
 		t.Fatal(err)
 	}
-	return locateResult(res, len(corr), r.cfg.Pose)
+	return locateResult(res, len(corr))
 }
 
 // TestLocateSessionWarmAcceptance: the second query of a session must be
@@ -242,14 +242,11 @@ type walkFrame struct {
 }
 
 // walkFixture ingests the walk corpus into a router and returns the walk: a
-// camera passing the slab at 0.8 m/s, one query per 50 ms frame. The solver
-// keeps its default generation budget: the test config's cap would clip the
-// venue-wide baseline the walks are measured against. capture is the frame
-// a camera anywhere else takes of the same corpus.
+// camera passing the slab at 0.8 m/s, one query per 50 ms frame. capture is
+// the frame a camera anywhere else takes of the same corpus.
 func walkFixture(t *testing.T) (r *Router, reg *obs.Registry, walk []walkFrame, capture func(cam mathx.Vec3) walkFrame) {
 	t.Helper()
 	cfg := routerTestConfig()
-	cfg.Pose.MaxIterations = pose.DefaultOptions().MaxIterations
 	const (
 		clusterN, queryN = 160, 200
 		frames           = 20

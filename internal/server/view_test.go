@@ -313,11 +313,11 @@ func TestHeldViewOutlivesLaterBatches(t *testing.T) {
 	db := build()
 	v := db.cur.Load()
 	locateHeld := func() [6]uint64 {
-		cands, err := gather(ctx, db.cfg, []*dbView{v}, kps, runtime.GOMAXPROCS(0))
+		cands, err := gather(ctx, []*dbView{v}, kps, neighborsPerKeypoint, maxMatchDistSq, runtime.GOMAXPROCS(0))
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, _, err := solve(ctx, db.cfg, cands, v.lo, v.hi, testIntrinsics(), nil, nil)
+		res, _, err := solve(ctx, db, cands, v.lo, v.hi, testIntrinsics(), nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -17,11 +17,11 @@ echo "== api compatibility gate =="
 # below; re-run explicitly so an accidental API break names itself here.
 go test . -count=1 -run TestPublicAPISnapshot
 echo "== go test -race =="
-# internal/server alone runs ~290 s under -race on a 2-vCPU host (5.4 min
+# internal/server alone runs ~170 s under -race on a 2-vCPU host (2.9 min
 # wall with its build; its slowest tests are the wardriven end-to-end,
-# failure-mode and recovery scenarios), half of go test's 600 s default
-# per-binary timeout; 20 minutes leaves room for the packages ./... runs
-# beside it on a slower or busier host.
+# failure-mode and recovery scenarios), under a third of go test's 600 s
+# default per-binary timeout; 20 minutes leaves room for the packages ./...
+# runs beside it on a slower or busier host.
 go test -race -timeout 20m ./...
 echo "== chaos / fault-injection (race) =="
 # The request-lifecycle suite (deadline propagation, cancel, shed, drain),

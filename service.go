@@ -11,7 +11,6 @@ import (
 	"slices"
 	"time"
 
-	"visualprint/internal/cluster"
 	"visualprint/internal/lsh"
 	"visualprint/internal/obs"
 	"visualprint/internal/pose"
@@ -26,15 +25,16 @@ type (
 	// LSHParams configures the locality-sensitive hash family indexing the
 	// keypoint-to-3D lookup table.
 	LSHParams = lsh.Params
-	// ClusterParams tunes the density clustering that picks the consensus
-	// 3D candidate cloud before pose solving.
-	ClusterParams = cluster.Params
-	// PoseOptions tunes the differential-evolution pose solver.
+	// PoseOptions holds the pose solver's one setting, the wall-clock
+	// budget of its venue-wide search.
 	PoseOptions = pose.Options
 )
 
 // ServerConfig configures the cloud service: index family, oracle sizing,
-// candidate retrieval, clustering, pose solving and persistence thresholds.
+// the pose solver's time budget and persistence thresholds. Candidate
+// retrieval (n = 2 neighbours per keypoint, gated at a squared descriptor
+// distance of 60000), consensus clustering (2 m, 3 points) and the solver's
+// search are fixed.
 // It is owned by this package — field-for-field convertible to the internal
 // engine configuration, but no longer an alias leaking internal types.
 // Start from DefaultServerConfig and override fields as needed; the zero
@@ -44,14 +44,7 @@ type ServerConfig struct {
 	LSH LSHParams
 	// Oracle sizes the uniqueness oracle (counting Bloom filters).
 	Oracle OracleParams
-	// NeighborsPerKeypoint is n in the paper's |K|*n candidate retrieval.
-	NeighborsPerKeypoint int
-	// MaxMatchDistSq rejects LSH candidates farther (squared Euclidean)
-	// than this from the query descriptor; 0 accepts everything.
-	MaxMatchDistSq int
-	// Cluster tunes consensus clustering over the 3D candidates.
-	Cluster ClusterParams
-	// Pose tunes the pose solver.
+	// Pose bounds the pose solver's venue-wide search in wall-clock time.
 	Pose PoseOptions
 	// WALCompactBytes is the write-ahead-log size past which the
 	// background snapshotter folds the log into a fresh snapshot (0 =
