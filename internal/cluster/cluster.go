@@ -105,8 +105,27 @@ func DBSCAN(pts []mathx.Vec3, p Params) ([]Cluster, error) {
 	labels := make([]int, n) // 0 unvisited, -1 noise, >0 cluster id
 	clusterID := 0
 	var clusters []Cluster
-	queue := make([]int, 0, n) // the expansion worklist, reused by every cluster
+	// The expansion worklist, reused by every cluster. A point joins the
+	// cluster when it is first reached: a border point (noise so far) only
+	// joins, an unvisited one also waits in queue[head:] to be expanded.
+	// Members are listed in the order they are first reached, which is the
+	// order a worklist of every neighbourhood would have visited them in,
+	// and no point is queued twice, so the worklist never outgrows n.
+	queue := make([]int, 0, n)
 	members := make([]int, 0, n)
+	reach := func(nb []int) {
+		for _, j := range nb {
+			switch labels[j] {
+			case unvisited:
+				queue = append(queue, j)
+			case noise:
+			default:
+				continue
+			}
+			labels[j] = clusterID
+			members = append(members, j)
+		}
+	}
 	for i := 0; i < n; i++ {
 		if labels[i] != unvisited {
 			continue
@@ -120,22 +139,11 @@ func DBSCAN(pts []mathx.Vec3, p Params) ([]Cluster, error) {
 		labels[i] = clusterID
 		members = append(members[:0], i)
 		// Expand the cluster breadth-first: queue[head:] is still to visit.
-		queue = append(queue[:0], nb...)
+		queue = queue[:0]
+		reach(nb)
 		for head := 0; head < len(queue); head++ {
-			j := queue[head]
-			if labels[j] == noise {
-				labels[j] = clusterID // border point
-				members = append(members, j)
-				continue
-			}
-			if labels[j] != unvisited {
-				continue
-			}
-			labels[j] = clusterID
-			members = append(members, j)
-			jn := neighbors(j)
-			if len(jn) >= p.MinPts {
-				queue = append(queue, jn...)
+			if jn := neighbors(queue[head]); len(jn) >= p.MinPts {
+				reach(jn)
 			}
 		}
 		clusters = append(clusters, Cluster{Indices: slices.Clone(members)})

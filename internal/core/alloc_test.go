@@ -38,10 +38,9 @@ func referenceUniqueness(o *Oracle, desc []byte) uint32 {
 		return count
 	}
 	ests := make([]uint32, 0, o.p.LSH.L)
-	coords := make([]int32, o.p.LSH.M)
 	var key []byte
 	for t := 0; t < o.p.LSH.L; t++ {
-		o.hasher.BucketInto(desc, t, coords)
+		coords := o.hasher.Bucket(desc, t)
 		key = bucketBytes(key, coords)
 		est := refEstimate(t, key)
 		if est == 0 && o.p.MultiProbe {

@@ -82,27 +82,9 @@ func Sum128(data []byte, seed uint32) (uint64, uint64) {
 	n := len(data)
 
 	for len(data) >= 16 {
-		k1 := binary.LittleEndian.Uint64(data)
-		k2 := binary.LittleEndian.Uint64(data[8:])
+		h1 = mixH1(h1, h2, binary.LittleEndian.Uint64(data))
+		h2 = mixH2(h1, h2, binary.LittleEndian.Uint64(data[8:]))
 		data = data[16:]
-
-		k1 *= c1_64
-		k1 = rotl64(k1, 31)
-		k1 *= c2_64
-		h1 ^= k1
-
-		h1 = rotl64(h1, 27)
-		h1 += h2
-		h1 = h1*5 + 0x52dce729
-
-		k2 *= c2_64
-		k2 = rotl64(k2, 33)
-		k2 *= c1_64
-		h2 ^= k2
-
-		h2 = rotl64(h2, 31)
-		h2 += h1
-		h2 = h2*5 + 0x38495ab5
 	}
 
 	var k1, k2 uint64
@@ -127,10 +109,7 @@ func Sum128(data []byte, seed uint32) (uint64, uint64) {
 		fallthrough
 	case 9:
 		k2 ^= uint64(data[8])
-		k2 *= c2_64
-		k2 = rotl64(k2, 33)
-		k2 *= c1_64
-		h2 ^= k2
+		h2 ^= mixK2(k2)
 		fallthrough
 	case 8:
 		k1 ^= uint64(data[7]) << 56
@@ -155,12 +134,23 @@ func Sum128(data []byte, seed uint32) (uint64, uint64) {
 		fallthrough
 	case 1:
 		k1 ^= uint64(data[0])
-		k1 *= c1_64
-		k1 = rotl64(k1, 31)
-		k1 *= c2_64
-		h1 ^= k1
+		h1 ^= mixK1(k1)
 	}
+	return finish(h1, h2, n)
+}
 
+// mixK1 and mixK2 scramble a block's first and second word.
+func mixK1(k uint64) uint64 { return rotl64(k*c1_64, 31) * c2_64 }
+func mixK2(k uint64) uint64 { return rotl64(k*c2_64, 33) * c1_64 }
+
+// mixH1 and mixH2 fold one 16-byte block, read as the little-endian words
+// k1 and k2, into the state: h1 first, then h2 from the new h1. Two halves
+// rather than one function, so that each stays small enough to inline.
+func mixH1(h1, h2, k1 uint64) uint64 { return (rotl64(h1^mixK1(k1), 27)+h2)*5 + 0x52dce729 }
+func mixH2(h1, h2, k2 uint64) uint64 { return (rotl64(h2^mixK2(k2), 31)+h1)*5 + 0x38495ab5 }
+
+// finish mixes the input length n into the state and finalizes both words.
+func finish(h1, h2 uint64, n int) (uint64, uint64) {
 	h1 ^= uint64(n)
 	h2 ^= uint64(n)
 	h1 += h2
@@ -175,5 +165,37 @@ func Sum128(data []byte, seed uint32) (uint64, uint64) {
 // Sum64 returns the first 64-bit word of Sum128; convenient for map keys.
 func Sum64(data []byte, seed uint32) uint64 {
 	h1, _ := Sum128(data, seed)
+	return h1
+}
+
+// Sum64Int32s is Sum64 of the little-endian bytes of v, hashed straight
+// from the integers: four of them fill one 16-byte block, and a tail of one
+// to three fills the same lanes the byte tail would. The LSH bucket keys
+// use it, so a coordinate is never serialized to be hashed.
+func Sum64Int32s(v []int32, seed uint32) uint64 {
+	h1 := uint64(seed)
+	h2 := uint64(seed)
+	n := 4 * len(v)
+
+	for len(v) >= 4 {
+		w := v[:4:4]
+		h1 = mixH1(h1, h2, uint64(uint32(w[0]))|uint64(uint32(w[1]))<<32)
+		h2 = mixH2(h1, h2, uint64(uint32(w[2]))|uint64(uint32(w[3]))<<32)
+		v = v[4:]
+	}
+
+	var k1 uint64
+	switch len(v) {
+	case 3:
+		h2 ^= mixK2(uint64(uint32(v[2])))
+		fallthrough
+	case 2:
+		k1 = uint64(uint32(v[1])) << 32
+		fallthrough
+	case 1:
+		k1 |= uint64(uint32(v[0]))
+		h1 ^= mixK1(k1)
+	}
+	h1, _ = finish(h1, h2, n)
 	return h1
 }

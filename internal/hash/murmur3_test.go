@@ -1,6 +1,8 @@
 package hash
 
 import (
+	"encoding/binary"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -115,6 +117,36 @@ func TestSum64MatchesSum128(t *testing.T) {
 	h1, _ := Sum128(data, 7)
 	if got := Sum64(data, 7); got != h1 {
 		t.Errorf("Sum64 = %#x, want %#x", got, h1)
+	}
+}
+
+// TestSum64Int32sMatchesSum64: hashing integers directly must equal Sum64
+// of their little-endian bytes — the bucket keys of every index and
+// snapshot depend on it — for every tail length and random seeds.
+func TestSum64Int32sMatchesSum64(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for n := 0; n <= 12; n++ {
+		for trial := 0; trial < 200; trial++ {
+			v := make([]int32, n)
+			for i := range v {
+				v[i] = int32(rng.Uint32())
+			}
+			buf := make([]byte, 4*n)
+			for i, x := range v {
+				binary.LittleEndian.PutUint32(buf[4*i:], uint32(x))
+			}
+			seed := rng.Uint32()
+			if got, want := Sum64Int32s(v, seed), Sum64(buf, seed); got != want {
+				t.Fatalf("len %d seed %#x %v: Sum64Int32s %#x, Sum64 %#x", n, seed, v, got, want)
+			}
+		}
+	}
+}
+
+func BenchmarkSum64Int32s_7(b *testing.B) {
+	v := []int32{3, -1, 4, 1, -5, 9, 2}
+	for i := 0; i < b.N; i++ {
+		Sum64Int32s(v, uint32(i))
 	}
 }
 

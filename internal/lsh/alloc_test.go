@@ -43,9 +43,9 @@ func TestQueryIntoMatchesQuery(t *testing.T) {
 		var q []byte
 		switch trial % 3 {
 		case 0: // exact hit
-			q = append([]byte(nil), ix.descs[rng.Intn(len(ix.descs))]...)
+			q = append([]byte(nil), ix.desc(int32(rng.Intn(ix.Len())))...)
 		case 1: // near neighbor
-			q = perturb(rng, ix.descs[rng.Intn(len(ix.descs))], 3)
+			q = perturb(rng, ix.desc(int32(rng.Intn(ix.Len()))), 3)
 		default: // likely miss
 			q = randDesc(rng)
 		}
@@ -150,7 +150,7 @@ func TestIndexQuerySteadyStateZeroAllocs(t *testing.T) {
 		t.Skip("race detector instrumentation allocates; see testutil.RaceEnabled")
 	}
 	ix, rng := buildQueryIndex(t, 1500)
-	q := perturb(rng, ix.descs[17], 2)
+	q := perturb(rng, ix.desc(17), 2)
 	opt := QueryOptions{MultiProbe: true, MaxCandidates: 4}
 	var dst []Candidate
 	var err error
@@ -215,7 +215,7 @@ func BenchmarkIndexQueryInto(b *testing.B) {
 // held n-th distance is small and most candidates are abandoned early.
 func BenchmarkQueryIntoTop2(b *testing.B) {
 	ix, rng := buildQueryIndex(b, 5000)
-	target := ix.descs[rng.Intn(len(ix.descs))]
+	target := slices.Clone(ix.desc(int32(rng.Intn(ix.Len()))))
 	for i := 0; i < 200; i++ { // a populated neighborhood around the query
 		if _, err := ix.Insert(perturb(rng, target, 1+i%24)); err != nil {
 			b.Fatal(err)

@@ -9,19 +9,24 @@
 // are drawn from a Gaussian (2-stable) distribution, so projected distances
 // preserve the L2 norm in expectation. Each projection is quantized with
 // width W; the M quantized values form the bucket coordinate of one of the L
-// tables.
+// tables, and Murmur3 over the coordinate is the bucket's 64-bit key.
 //
-// The query path is allocation-free in steady state: the descriptor bytes
-// are widened to float32 once per query (not once per projection row — at
-// the paper's L=10, M=7 that would be a 70x redundant conversion), bucket
-// coordinates, probe perturbations and table keys run through per-query
-// scratch buffers recycled via a sync.Pool, and QueryInto appends into a
-// caller-owned candidate slice. See DESIGN.md "Performance".
+// The read path makes one pass over each thing it reads. A query widens its
+// descriptor to float32 once, projects it once per table — the coefficients
+// are stored row-interleaved in groups of 8, so one sweep of the vector
+// advances 8 independent float32 chains, each in its own row's order — and
+// hashes each probe's coordinate straight from the int32s
+// (hash.Sum64Int32s). ProbeKeys computes the L·(2M+1) keys once, and
+// QueryKeys answers them on any index of the same Params, so a query fanned
+// out over shards hashes once. Each candidate then costs one load from its
+// table's link array (next[t], id-indexed) and one contiguous read of its
+// descriptor from the index's byte arena. Steady-state queries allocate
+// nothing: scratch is pooled and QueryInto appends into a caller-owned
+// slice. See DESIGN.md "Performance".
 package lsh
 
 import (
 	"cmp"
-	"encoding/binary"
 	"errors"
 	"math"
 	"math/rand"
@@ -50,17 +55,35 @@ func DefaultParams() Params {
 }
 
 // maxRows and maxCoeffs bound the projection family NewHasher draws — L·M
-// rows of Dim coefficients — far past any useful setting (the paper's is 70
-// rows of 128), so a decoder reading Params from a header cannot be talked
-// into a huge allocation.
+// rows of Dim coefficients, stored zero-padded to groups of 8 rows per table
+// — far past any useful setting (the paper's is 70 rows of 128, 80 stored),
+// so a decoder reading Params from a header cannot be talked into a huge
+// allocation.
 const maxRows, maxCoeffs = 1 << 12, 1 << 18
+
+// lanes is the row-group width of the interleaved projection: 8 float32
+// accumulators and the vector element fit the 16 registers of amd64 and
+// arm64 with room to spare, and cover the paper's M = 7 in one group.
+const lanes = 8
+
+// groups is the number of lanes-wide row groups per table.
+func (p Params) groups() int { return (p.M + lanes - 1) / lanes }
+
+// probes is the number of bucket probes per table: the exact bucket, and
+// with multiProbe its 2M off-by-one neighbours.
+func (p Params) probes(multiProbe bool) int {
+	if multiProbe {
+		return 1 + 2*p.M
+	}
+	return 1
+}
 
 // Validate reports whether p is usable.
 func (p Params) Validate() error {
 	if p.L <= 0 || p.M <= 0 || !(p.W > 0) || math.IsInf(p.W, 1) || p.Dim <= 0 {
 		return errors.New("lsh: L, M, W and Dim must be positive and finite")
 	}
-	if p.L > maxRows || p.M > maxRows || p.Dim > maxCoeffs || p.L*p.M > maxRows || p.L*p.M*p.Dim > maxCoeffs {
+	if p.L > maxRows || p.M > maxRows || p.Dim > maxCoeffs || p.L*p.M > maxRows || p.L*p.groups()*lanes*p.Dim > maxCoeffs {
 		return errors.New("lsh: projection family too large")
 	}
 	return nil
@@ -70,25 +93,31 @@ func (p Params) Validate() error {
 // deterministic for a given Params (including Seed) and safe for concurrent
 // use once constructed.
 type Hasher struct {
-	p    Params
-	proj [][]float32 // L*M rows of Dim Gaussian coefficients
-	offs []float64   // L*M uniform offsets in [0, W)
+	p Params
+	// proj holds the L·M Gaussian rows interleaved: table t's rows m in
+	// groups g = m/8, group (t, g) the Dim entries from (t·groups+g)·Dim on,
+	// entry d holding coefficient d of rows 8g…8g+7. Rows past M are zero.
+	proj [][lanes]float32
+	offs []float64 // L*M uniform offsets in [0, W)
 }
 
-// NewHasher builds the random projection family for p.
+// NewHasher builds the random projection family for p. The coefficients are
+// drawn row by row, each row's Dim coefficients and then its offset: the
+// family is a function of Params alone, and snapshots store only the seed,
+// so this draw order is part of the VPLSH1 format.
 func NewHasher(p Params) (*Hasher, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
 	rng := rand.New(rand.NewSource(p.Seed))
-	n := p.L * p.M
-	h := &Hasher{p: p, proj: make([][]float32, n), offs: make([]float64, n)}
-	for i := 0; i < n; i++ {
-		row := make([]float32, p.Dim)
-		for d := range row {
-			row[d] = float32(rng.NormFloat64())
+	g := p.groups()
+	h := &Hasher{p: p, proj: make([][lanes]float32, p.L*g*p.Dim), offs: make([]float64, p.L*p.M)}
+	for i := range h.offs {
+		t, m := i/p.M, i%p.M
+		blk := h.proj[(t*g+m/lanes)*p.Dim:]
+		for d := 0; d < p.Dim; d++ {
+			blk[d][m%lanes] = float32(rng.NormFloat64())
 		}
-		h.proj[i] = row
 		h.offs[i] = rng.Float64() * p.W
 	}
 	return h, nil
@@ -110,58 +139,52 @@ func DescriptorVec(desc []byte, dst []float32) []float32 {
 }
 
 // Bucket computes the M quantized projection coordinates of desc for the
-// given table (0 <= table < L). The desc length must equal Dim.
+// given table (0 <= table < L). The desc length must equal Dim. It
+// allocates; hot paths widen once with DescriptorVec and use BucketVecInto.
 func (h *Hasher) Bucket(desc []byte, table int) []int32 {
 	out := make([]int32, h.p.M)
-	h.BucketInto(desc, table, out)
+	h.BucketVecInto(DescriptorVec(desc, nil), table, out)
 	return out
 }
 
-// BucketInto is Bucket without allocation; out must have length M. It
-// converts every descriptor byte once per projection row; hot paths that
-// hash the same descriptor into several tables should convert once with
-// DescriptorVec and use BucketVecInto instead.
-func (h *Hasher) BucketInto(desc []byte, table int, out []int32) {
-	base := table * h.p.M
-	for m := 0; m < h.p.M; m++ {
-		row := h.proj[base+m]
-		var acc float32
-		for d, v := range desc {
-			acc += row[d] * float32(v)
-		}
-		out[m] = int32(math.Floor((float64(acc) + h.offs[base+m]) / h.p.W))
-	}
-}
-
-// BucketVecInto is BucketInto over a pre-widened descriptor (DescriptorVec).
-// Identical arithmetic, so the coordinates match BucketInto bit for bit.
+// BucketVecInto computes the M quantized projection coordinates of a
+// widened descriptor (DescriptorVec, length Dim) for the given table into
+// out (length M). One sweep of vec per group of 8 rows advances the 8 rows'
+// float32 sums together; each sum still adds its products in dimension
+// order, so the coordinates are bit for bit those of projecting row by row.
 func (h *Hasher) BucketVecInto(vec []float32, table int, out []int32) {
-	base := table * h.p.M
-	for m := 0; m < h.p.M; m++ {
-		row := h.proj[base+m]
-		var acc float32
-		for d, v := range vec {
-			acc += row[d] * v
+	p := h.p
+	out = out[:p.M]
+	g := p.groups()
+	for gi := 0; gi < g; gi++ {
+		blk := h.proj[(table*g+gi)*p.Dim:][:p.Dim]
+		vec := vec[:len(blk)] // one check here, none per element below
+		var a0, a1, a2, a3, a4, a5, a6, a7 float32
+		for d := range blk {
+			c, v := &blk[d], vec[d]
+			a0 += c[0] * v
+			a1 += c[1] * v
+			a2 += c[2] * v
+			a3 += c[3] * v
+			a4 += c[4] * v
+			a5 += c[5] * v
+			a6 += c[6] * v
+			a7 += c[7] * v
 		}
-		out[m] = int32(math.Floor((float64(acc) + h.offs[base+m]) / h.p.W))
+		acc := [lanes]float32{a0, a1, a2, a3, a4, a5, a6, a7}
+		m0 := gi * lanes
+		for r, a := range acc[:min(lanes, p.M-m0)] {
+			out[m0+r] = int32(math.Floor((float64(a) + h.offs[table*p.M+m0+r]) / p.W))
+		}
 	}
 }
 
 // Key collapses a bucket coordinate into a 64-bit table key using Murmur3
 // seeded by the table index — the "cryptographic hash g_i from the same
-// family (Murmur-3)" step of Figure 8.
+// family (Murmur-3)" step of Figure 8 — over the coordinates' little-endian
+// bytes, hashed without serializing them.
 func (h *Hasher) Key(table int, coords []int32) uint64 {
-	return h.KeyInto(table, coords, make([]byte, 4*len(coords)))
-}
-
-// KeyInto is Key using buf as the serialization scratch; buf must have
-// length (not just capacity) of at least 4*len(coords).
-func (h *Hasher) KeyInto(table int, coords []int32, buf []byte) uint64 {
-	buf = buf[:4*len(coords)]
-	for i, c := range coords {
-		binary.LittleEndian.PutUint32(buf[4*i:], uint32(c))
-	}
-	return hash.Sum64(buf, uint32(table)*0x9e3779b9+1)
+	return hash.Sum64Int32s(coords, uint32(table)*0x9e3779b9+1)
 }
 
 // Probes returns the multi-probe set for a bucket coordinate: the exact
@@ -207,9 +230,9 @@ type Candidate struct {
 func compareCandidates(a, b Candidate) int { return cmp.Compare(a.DistSq, b.DistSq) }
 
 // queryScratch is the reusable per-query state: the widened descriptor, a
-// bucket-coordinate buffer mutated in place for multi-probing, the key
-// serialization buffer, and the dedup stamps. Pooled (scratchPool) so a
-// steady-state query allocates nothing.
+// bucket-coordinate buffer mutated in place for multi-probing, the probe
+// keys, and the dedup stamps. Pooled (scratchPool) so a steady-state query
+// allocates nothing.
 //
 // Dedup is an epoch-stamped slice indexed by candidate id rather than a
 // map: a query bumps epoch and treats seen[id] == epoch as "already
@@ -218,7 +241,7 @@ func compareCandidates(a, b Candidate) int { return cmp.Compare(a.DistSq, b.Dist
 type queryScratch struct {
 	vec    []float32
 	coords []int32
-	key    []byte
+	keys   []uint64
 	seen   []uint32
 	epoch  uint32
 }
@@ -228,32 +251,37 @@ type queryScratch struct {
 // lookup table. IDs are assigned in insertion order; the caller keeps its
 // own id -> payload mapping.
 //
-// An *Index is a length-bounded read handle over bucket tables it shares with
+// An *Index is a length-bounded read handle over storage it shares with
 // every index extended from it. Extend appends descriptors to the shared
-// tables and returns a longer handle; the receiver keeps answering exactly as
-// before, because a query only sees ids below its own Len — bucket ids are
-// strictly increasing, so each bucket is cut at the first id past Len, which
-// is exactly the bucket a fresh index of those Len descriptors would hold.
+// storage and returns a longer handle; the receiver keeps answering exactly
+// as before, because a query only sees ids below its own Len — bucket ids
+// are strictly increasing, so each bucket is cut at the first id past Len,
+// which is exactly the bucket a fresh index of those Len descriptors would
+// hold.
 //
-// Concurrency: any number of queries (Query, QueryInto, Len, MemoryBytes,
-// WriteTo) on any handles may run concurrently with each other and with one
-// Extend or Insert of the newest handle — the server's lock-free Locate relies
-// on this. Extend and Insert must be serialized with each other, and Insert
-// (which grows its receiver in place) also with readers of that handle. Query
-// results are deterministic for a given handle.
+// Concurrency: any number of queries (Query, QueryInto, QueryKeys, Len,
+// MemoryBytes, WriteTo) on any handles may run concurrently with each other
+// and with one Extend or Insert of the newest handle — the server's
+// lock-free Locate relies on this. Extend and Insert must be serialized with
+// each other, and Insert (which grows its receiver in place) also with
+// readers of that handle. Query results are deterministic for a given
+// handle.
 type Index struct {
 	h *Hasher
 	t *tables
 	// descs and next are this handle's share of the lineage's append-only
 	// storage: extensions fill their spare capacity past len, which this
 	// handle never reads.
-	descs [][]byte
-	// next chains each bucket in insertion order: next[id*L+t] is 1 + the
-	// id after id in its table-t bucket, 0 for none. The writer stores a
-	// link atomically because older handles hold the id it links from;
-	// their readers see no link or one past their own Len, and stop either
-	// way.
-	next []int32
+	//
+	// descs is the descriptor arena, id-major: id i's Dim bytes start at
+	// i·Dim.
+	descs []byte
+	// next[t] chains table t's buckets in insertion order: next[t][id] is
+	// 1 + the id after id in its bucket, 0 for none, and len(next[t]) is
+	// Len. The writer stores a link atomically because older handles hold
+	// the id it links from; their readers see no link or one past their own
+	// Len, and stop either way.
+	next [][]int32
 	// nBuckets counts the buckets this handle sees.
 	nBuckets int
 }
@@ -295,11 +323,17 @@ func NewIndex(p Params) (*Index, error) {
 		slots := make([]slot, 8)
 		t.maps[i].Store(&slots)
 	}
-	return &Index{h: h, t: t}, nil
+	return &Index{h: h, t: t, next: make([][]int32, p.L)}, nil
 }
 
 // Len returns the number of indexed descriptors.
-func (ix *Index) Len() int { return len(ix.descs) }
+func (ix *Index) Len() int { return len(ix.next[0]) }
+
+// desc returns the bytes of descriptor id.
+func (ix *Index) desc(id int32) []byte {
+	dim := ix.h.p.Dim
+	return ix.descs[int(id)*dim : int(id)*dim+dim]
+}
 
 // find returns the slot of key — or the free slot it would take — and the
 // head it loaded there (0 for free). Readers and the writer share it: a free
@@ -314,29 +348,17 @@ func find(slots []slot, key uint64) (*slot, int32) {
 	}
 }
 
-// after returns the id following id in its table-t bucket, -1 at the end of
-// the bucket as this handle sees it.
-func (ix *Index) after(id int32, t int) int32 {
-	return ix.visible(atomic.LoadInt32(&ix.next[int(id)*ix.h.p.L+t]))
-}
-
-// visible decodes a stored 1 + id (0 for none) into the id, or -1 when there
-// is none or this handle does not see it (id >= Len).
-func (ix *Index) visible(stored int32) int32 {
-	if id := stored - 1; id >= 0 && int(id) < len(ix.descs) {
-		return id
-	}
-	return -1
-}
-
 // eachBucket calls fn with the key and ids of every table-t bucket this
-// handle sees; ids is reused between calls.
+// handle sees; ids is reused between calls. A stored 1 + id decodes to an
+// id this handle sees exactly when it is below len(next) — 0 (none) wraps
+// past it.
 func (ix *Index) eachBucket(t int, fn func(key uint64, ids []int32)) {
 	slots := *ix.t.maps[t].Load()
+	next := ix.next[t]
 	var ids []int32
 	for i := range slots {
 		ids = ids[:0]
-		for id := ix.visible(atomic.LoadInt32(&slots[i].head)); id >= 0; id = ix.after(id, t) {
+		for id := atomic.LoadInt32(&slots[i].head) - 1; uint(id) < uint(len(next)); id = atomic.LoadInt32(&next[id]) - 1 {
 			ids = append(ids, id)
 		}
 		if len(ids) > 0 {
@@ -352,7 +374,7 @@ func (ix *Index) getScratch() *queryScratch {
 		s = &queryScratch{
 			vec:    make([]float32, 0, p.Dim),
 			coords: make([]int32, p.M),
-			key:    make([]byte, 4*p.M),
+			keys:   make([]uint64, 0, p.L*p.probes(true)),
 		}
 	}
 	s.epoch++
@@ -366,42 +388,45 @@ func (ix *Index) getScratch() *queryScratch {
 }
 
 // Extend returns an index holding ix's descriptors followed by descs, which
-// are retained (callers must not modify them). ix is unchanged and may be
-// queried concurrently. Only the newest index of a lineage — the last one
-// returned by Extend, or grown by Insert — may be extended; nothing is
-// written unless every descriptor is valid.
+// it copies into the lineage's arena (the caller may reuse them). ix is
+// unchanged and may be queried concurrently. Only the newest index of a
+// lineage — the last one returned by Extend, or grown by Insert — may be
+// extended; nothing is written unless every descriptor is valid.
 func (ix *Index) Extend(descs [][]byte) (*Index, error) {
-	if len(ix.descs) != ix.t.n {
+	if ix.Len() != ix.t.n {
 		return nil, errors.New("lsh: only the newest index may be extended")
 	}
+	p := ix.h.p
 	for _, d := range descs {
-		if len(d) != ix.h.p.Dim {
+		if len(d) != p.Dim {
 			return nil, errors.New("lsh: descriptor dimension mismatch")
 		}
 	}
 	next := *ix
-	L := ix.h.p.L
-	next.next = append(next.next, make([]int32, L*len(descs))...)
+	next.descs = slices.Grow(ix.descs, len(descs)*p.Dim)
+	next.next = make([][]int32, p.L)
+	for t := range next.next {
+		next.next[t] = append(ix.next[t], make([]int32, len(descs))...)
+	}
 	s := ix.getScratch()
 	defer scratchPool.Put(s)
-	for _, desc := range descs {
-		id := int32(len(next.descs))
-		next.descs = append(next.descs, desc)
+	for i, desc := range descs {
+		id := int32(ix.Len() + i)
+		next.descs = append(next.descs, desc...)
 		s.vec = DescriptorVec(desc, s.vec)
-		for t := 0; t < L; t++ {
+		for t := 0; t < p.L; t++ {
 			ix.h.BucketVecInto(s.vec, t, s.coords)
-			if next.add(t, ix.h.KeyInto(t, s.coords, s.key), id) {
+			if next.add(t, ix.h.Key(t, s.coords), id) {
 				next.nBuckets++
 			}
 		}
 	}
-	ix.t.n = len(next.descs)
+	ix.t.n = next.Len()
 	return &next, nil
 }
 
 // Insert adds a descriptor to ix in place and returns its id: Extend for a
-// single owner building an index. The slice is retained; the caller must not
-// modify it afterwards.
+// single owner building an index. The bytes are copied.
 func (ix *Index) Insert(desc []byte) (int, error) {
 	next, err := ix.Extend([][]byte{desc})
 	if err != nil {
@@ -418,7 +443,7 @@ func (ix *Index) add(t int, key uint64, id int32) bool {
 	slots := *ix.t.maps[t].Load()
 	s, h := find(slots, key)
 	if h != 0 {
-		atomic.StoreInt32(&ix.next[int(s.tail)*ix.h.p.L+t], id+1)
+		atomic.StoreInt32(&ix.next[t][s.tail], id+1)
 		s.tail = id
 		return false
 	}
@@ -463,13 +488,14 @@ func (ix *Index) Query(desc []byte, opt QueryOptions) ([]Candidate, error) {
 // QueryInto is Query appending into dst (which is truncated first and may be
 // nil). Reusing dst across queries makes the steady-state query path free of
 // heap allocations — the property the server's per-keypoint Locate fan-out
-// depends on, pinned by TestIndexQuerySteadyStateZeroAllocs.
+// depends on, pinned by TestIndexQuerySteadyStateZeroAllocs. It is
+// ProbeKeys followed by QueryKeys.
 //
 // Candidate order is deterministic: dedup order is table order, then probe
 // order (exact bucket, then per coordinate -1/+1), then in-bucket insertion
 // order; the ranking is stable on ascending distance. Uncapped, that is a
 // stable sort of everything collected. With MaxCandidates = n > 0 the n best
-// are kept sorted while collecting (see collect) — the same candidates in
+// are kept sorted while collecting (see queryKeys) — the same candidates in
 // the same order as sorting everything and truncating, without scoring most
 // of the losers in full or sorting them at all.
 func (ix *Index) QueryInto(desc []byte, opt QueryOptions, dst []Candidate) ([]Candidate, error) {
@@ -478,83 +504,128 @@ func (ix *Index) QueryInto(desc []byte, opt QueryOptions, dst []Candidate) ([]Ca
 	}
 	s := ix.getScratch()
 	defer scratchPool.Put(s)
+	s.keys = ix.probeKeys(desc, opt.MultiProbe, s, s.keys)
+	return ix.queryKeys(desc, s.keys, opt, s, dst), nil
+}
+
+// ProbeKeys appends to keys (truncated first) the bucket keys of desc's
+// probe sequence, table-major: per table the exact bucket, then with
+// multiProbe the off-by-one perturbations per coordinate, -1 before +1 —
+// L·(2M+1) keys, or L without multiProbe. The keys depend only on Params,
+// so one call serves QueryKeys on every index of the same Params, the
+// shards of a venue among them.
+func (ix *Index) ProbeKeys(desc []byte, multiProbe bool, keys []uint64) ([]uint64, error) {
+	if len(desc) != ix.h.p.Dim {
+		return nil, errors.New("lsh: descriptor dimension mismatch")
+	}
+	s := ix.getScratch()
+	defer scratchPool.Put(s)
+	return ix.probeKeys(desc, multiProbe, s, keys), nil
+}
+
+func (ix *Index) probeKeys(desc []byte, multiProbe bool, s *queryScratch, keys []uint64) []uint64 {
+	p := ix.h.p
+	keys = slices.Grow(keys[:0], p.L*p.probes(multiProbe))
 	s.vec = DescriptorVec(desc, s.vec)
-	dst = dst[:0]
-	limit := math.MaxInt
-	if opt.MaxDistSq > 0 && opt.MaxDistSq < math.MaxInt {
-		limit = opt.MaxDistSq + 1
-	}
-	probesPerTable := int32(1)
-	if opt.MultiProbe {
-		probesPerTable += 2 * int32(ix.h.p.M)
-	}
-	for t := 0; t < ix.h.p.L; t++ {
+	for t := 0; t < p.L; t++ {
 		ix.h.BucketVecInto(s.vec, t, s.coords)
-		ord := int32(t) * probesPerTable
-		dst = ix.collect(t, ord, desc, s, dst, opt.MaxCandidates, limit)
-		if opt.MultiProbe {
+		keys = append(keys, ix.h.Key(t, s.coords))
+		if multiProbe {
 			// Off-by-one perturbations, enumerated by mutating one
 			// coordinate at a time — same order as Probes, no allocation.
-			for m := range s.coords {
-				orig := s.coords[m]
+			for m, orig := range s.coords {
 				s.coords[m] = orig - 1
-				dst = ix.collect(t, ord+1+2*int32(m), desc, s, dst, opt.MaxCandidates, limit)
+				keys = append(keys, ix.h.Key(t, s.coords))
 				s.coords[m] = orig + 1
-				dst = ix.collect(t, ord+2+2*int32(m), desc, s, dst, opt.MaxCandidates, limit)
+				keys = append(keys, ix.h.Key(t, s.coords))
 				s.coords[m] = orig
 			}
 		}
 	}
-	if opt.MaxCandidates <= 0 {
-		slices.SortStableFunc(dst, compareCandidates)
-	}
-	return dst, nil
+	return keys
 }
 
-// collect adds the not-yet-seen candidates of one bucket probe closer than
-// gate (a squared distance, math.MaxInt for none), stamping each with the
-// probe ordinal it was first found at. With n <= 0 it appends them in
-// collection order. With n > 0, dst is the sorted n best so far: a
-// candidate must beat gate to enter, and once n are held the n-th distance,
-// so it is scored by dist.SqLimit, which gives up as soon as the partial sum
-// reaches that limit. A tie with the n-th loses — it arrived later, which
-// is where a stable sort would have put it — and an entering candidate goes
-// after any equal distance already held, for the same reason.
-func (ix *Index) collect(table int, ord int32, desc []byte, s *queryScratch, dst []Candidate, n, gate int) []Candidate {
-	_, head := find(*ix.t.maps[table].Load(), ix.h.KeyInto(table, s.coords, s.key))
-	for id := ix.visible(head); id >= 0; id = ix.after(id, table) {
-		if int(id) >= len(s.seen) {
-			// Ids are dense insertion indices, so size the stamps to the
-			// index once; steady-state queries never regrow.
-			grown := make([]uint32, len(ix.descs))
-			copy(grown, s.seen)
-			s.seen = grown
-		} else if s.seen[id] == s.epoch {
-			continue
-		}
-		s.seen[id] = s.epoch
-		if n <= 0 {
-			if d := dist.Sq(desc, ix.descs[id]); d < gate {
-				dst = append(dst, Candidate{ID: int(id), DistSq: d, Probe: ord})
+// QueryKeys is QueryInto over probe keys ProbeKeys computed for desc on an
+// index of the same Params, with the same opt.MultiProbe; it reports an
+// error when their count does not fit it.
+func (ix *Index) QueryKeys(desc []byte, keys []uint64, opt QueryOptions, dst []Candidate) ([]Candidate, error) {
+	p := ix.h.p
+	if len(desc) != p.Dim {
+		return nil, errors.New("lsh: descriptor dimension mismatch")
+	}
+	if len(keys) != p.L*p.probes(opt.MultiProbe) {
+		return nil, errors.New("lsh: probe key count does not fit the query")
+	}
+	s := ix.getScratch()
+	defer scratchPool.Put(s)
+	return ix.queryKeys(desc, keys, opt, s, dst), nil
+}
+
+// queryKeys is the one query body. For each probe key in order it walks the
+// key's bucket and adds the not-yet-seen candidates closer than the
+// MaxDistSq gate, stamping each with the probe ordinal — the key's index —
+// it was first found at. Uncapped, it appends them in collection order and
+// sorts stably at the end. With MaxCandidates = n > 0, dst is the sorted n
+// best so far: a candidate must beat the gate to enter, and once n are held
+// the n-th distance, so it is scored by dist.SqLimit, which gives up as
+// soon as the partial sum reaches that limit. A tie with the n-th loses —
+// it arrived later, which is where a stable sort would have put it — and an
+// entering candidate goes after any equal distance already held, for the
+// same reason.
+func (ix *Index) queryKeys(desc []byte, keys []uint64, opt QueryOptions, s *queryScratch, dst []Candidate) []Candidate {
+	dst = dst[:0]
+	gate := math.MaxInt
+	if opt.MaxDistSq > 0 && opt.MaxDistSq < math.MaxInt {
+		gate = opt.MaxDistSq + 1
+	}
+	if len(s.seen) < ix.Len() {
+		// Ids are dense insertion indices, so size the stamps to the index
+		// once; steady-state queries never regrow.
+		grown := make([]uint32, ix.Len())
+		copy(grown, s.seen)
+		s.seen = grown
+	}
+	n := opt.MaxCandidates
+	perTable := len(keys) / len(ix.next)
+	for t, next := range ix.next {
+		slots := *ix.t.maps[t].Load()
+		for j, key := range keys[t*perTable : (t+1)*perTable] {
+			ord := int32(t*perTable + j)
+			_, head := find(slots, key)
+			// uint(id) < len(next) is both "this handle sees id" (0, no
+			// link, wraps past it) and the bounds check of next[id].
+			for id := head - 1; uint(id) < uint(len(next)); id = atomic.LoadInt32(&next[id]) - 1 {
+				if s.seen[id] == s.epoch {
+					continue
+				}
+				s.seen[id] = s.epoch
+				if n <= 0 {
+					if d := dist.Sq(desc, ix.desc(id)); d < gate {
+						dst = append(dst, Candidate{ID: int(id), DistSq: d, Probe: ord})
+					}
+					continue
+				}
+				limit := gate
+				if len(dst) == n {
+					limit = dst[n-1].DistSq
+				}
+				d := dist.SqLimit(desc, ix.desc(id), limit)
+				if d >= limit {
+					continue
+				}
+				if len(dst) < n {
+					dst = append(dst, Candidate{})
+				}
+				i := len(dst) - 1
+				for ; i > 0 && dst[i-1].DistSq > d; i-- {
+					dst[i] = dst[i-1]
+				}
+				dst[i] = Candidate{ID: int(id), DistSq: d, Probe: ord}
 			}
-			continue
 		}
-		limit := gate
-		if len(dst) == n {
-			limit = dst[n-1].DistSq
-		}
-		d := dist.SqLimit(desc, ix.descs[id], limit)
-		if d >= limit {
-			continue
-		}
-		if len(dst) < n {
-			dst = append(dst, Candidate{})
-		}
-		i := len(dst) - 1
-		for ; i > 0 && dst[i-1].DistSq > d; i-- {
-			dst[i] = dst[i-1]
-		}
-		dst[i] = Candidate{ID: int(id), DistSq: d, Probe: ord}
+	}
+	if n <= 0 {
+		slices.SortStableFunc(dst, compareCandidates)
 	}
 	return dst
 }
@@ -564,11 +635,12 @@ func (ix *Index) collect(table int, ord int32, desc []byte, s *queryScratch, dst
 // bytes — as a fresh index of Len descriptors would hold them, in which every
 // id sits in one bucket per table. This drives the Figure 15
 // client-footprint comparison, where conventional LSH is shown to cost a
-// large multiple of the raw data due to the L-fold replication.
+// large multiple of the raw data due to the L-fold replication; it models
+// that conventional layout, not this index's own.
 func (ix *Index) MemoryBytes() int64 {
 	// Per bucket: 8-byte key + slice header (24) + map entry overhead
 	// (~16); per id and table: 4 bytes; per descriptor: its bytes and a
 	// slice header.
-	n, p := int64(len(ix.descs)), ix.h.p
+	n, p := int64(ix.Len()), ix.h.p
 	return int64(ix.nBuckets)*(8+24+16) + n*int64(p.L)*4 + n*(int64(p.Dim)+24)
 }

@@ -339,14 +339,14 @@ func TestBucketQuantizationMonotone(t *testing.T) {
 	}
 }
 
-func BenchmarkBucketInto(b *testing.B) {
+func BenchmarkBucketVecInto(b *testing.B) {
 	h, _ := NewHasher(DefaultParams())
 	rng := rand.New(rand.NewSource(1))
-	d := randDesc(rng)
+	vec := DescriptorVec(randDesc(rng), nil)
 	out := make([]int32, h.Params().M)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		h.BucketInto(d, i%h.Params().L, out)
+		h.BucketVecInto(vec, i%h.Params().L, out)
 	}
 }
 

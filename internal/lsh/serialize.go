@@ -36,13 +36,11 @@ func (ix *Index) WriteTo(w io.Writer) (int64, error) {
 			return 0, err
 		}
 	}
-	if err := binary.Write(bw, binary.LittleEndian, uint64(len(ix.descs))); err != nil {
+	if err := binary.Write(bw, binary.LittleEndian, uint64(ix.Len())); err != nil {
 		return 0, err
 	}
-	for _, d := range ix.descs {
-		if _, err := bw.Write(d); err != nil {
-			return 0, err
-		}
+	if _, err := bw.Write(ix.descs); err != nil {
+		return 0, err
 	}
 	for t := range ix.t.maps {
 		// Two passes over the same handle-bounded buckets: the count, then
@@ -66,10 +64,10 @@ func (ix *Index) WriteTo(w io.Writer) (int64, error) {
 
 // ReadIndex deserializes an index written by WriteTo, rebuilding the
 // projection family from the stored seed. The stream's parameters must equal
-// want, checked before anything is allocated; descriptors are allocated as
-// their bytes arrive, and every bucket id must be in range, strictly
-// increasing within its bucket (the order a bounded query relies on) and in
-// one bucket per table. It consumes exactly the bytes WriteTo produced — no
+// want, checked before anything is allocated; the descriptor arena grows as
+// the bytes arrive, never to a size the header merely claims; and every
+// bucket id must be in range, strictly increasing within its bucket (the
+// order a bounded query relies on) and in one bucket per table. It consumes exactly the bytes WriteTo produced — no
 // internal read-ahead — so the index can be embedded mid-stream (the server's
 // database snapshot does); hand it a buffered reader when performance
 // matters.
@@ -103,16 +101,17 @@ func ReadIndex(r io.Reader, want Params) (*Index, error) {
 	if nDescs > math.MaxInt32 {
 		return nil, errors.New("lsh: implausible descriptor count")
 	}
-	for uint64(len(ix.descs)) < nDescs {
-		d := make([]byte, p.Dim)
-		if _, err := io.ReadFull(r, d); err != nil {
+	for uint64(len(ix.descs)) < nDescs*uint64(p.Dim) {
+		ix.descs = append(ix.descs, make([]byte, p.Dim)...)
+		if _, err := io.ReadFull(r, ix.descs[len(ix.descs)-p.Dim:]); err != nil {
 			return nil, err
 		}
-		ix.descs = append(ix.descs, d)
 	}
-	ix.next = make([]int32, p.L*len(ix.descs))
-	ix.t.n = len(ix.descs)
-	placed := make([]int, len(ix.descs)) // per id, 1 + the last table that placed it
+	for t := range ix.next {
+		ix.next[t] = make([]int32, nDescs)
+	}
+	ix.t.n = int(nDescs)
+	placed := make([]int, nDescs) // per id, 1 + the last table that placed it
 	for t := range ix.t.maps {
 		var nBuckets uint64
 		if err := binary.Read(r, binary.LittleEndian, &nBuckets); err != nil {

@@ -2,7 +2,9 @@ package lsh
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -69,6 +71,48 @@ func TestIndexSerializeRoundTrip(t *testing.T) {
 		}
 		if !reflect.DeepEqual(a, b) {
 			t.Fatalf("query %d diverges: %v vs %v", i, a, b)
+		}
+	}
+}
+
+// TestWriteToBytesPinned pins the VPLSH1 bytes of a fixed lineage — its
+// newest handle and an older one — so the in-memory layout can change
+// without changing a snapshot byte.
+func TestWriteToBytesPinned(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	descs := make([][]byte, 400)
+	for i := range descs {
+		if i%4 == 3 { // near-duplicates, so buckets hold several ids
+			descs[i] = perturb(rng, descs[i-1], 2)
+		} else {
+			descs[i] = randDesc(rng)
+		}
+	}
+	ix, err := NewIndex(DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var handles []*Index
+	for _, k := range []int{1, 90, 0, 150, 159} {
+		if ix, err = ix.Extend(descs[ix.Len() : ix.Len()+k]); err != nil {
+			t.Fatal(err)
+		}
+		handles = append(handles, ix)
+	}
+	for _, c := range []struct {
+		ix   *Index
+		want string
+	}{
+		{handles[1], "ab1f1cfb910aae929b68d19ce626599d17ee57d05b5bbb6f15365d79519763e1"},
+		{handles[4], "89472c3702838ac2a172811aa0b5db73ed37d9c8cf1ad192362b2a173bd4d35f"},
+	} {
+		var buf bytes.Buffer
+		if _, err := c.ix.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(buf.Bytes())
+		if got := hex.EncodeToString(sum[:]); got != c.want {
+			t.Errorf("handle of %d descriptors: WriteTo digest %s, want %s", c.ix.Len(), got, c.want)
 		}
 	}
 }
@@ -167,6 +211,11 @@ func FuzzReadIndex(f *testing.F) {
 	for _, n := range []int{0, 1, 5, 40} {
 		f.Add(fuzzSeed(f, p, n))
 	}
+	// A header claiming 2^31-1 descriptors over a five-descriptor body: the
+	// arena must grow only with the bytes that arrive.
+	hostile := fuzzSeed(f, p, 5)
+	binary.LittleEndian.PutUint64(hostile[len(indexMagic)+4+4+8+4+8:], 1<<31-1)
+	f.Add(hostile)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -189,8 +238,8 @@ func FuzzReadIndex(f *testing.F) {
 		rng := rand.New(rand.NewSource(int64(len(data))))
 		queries := [][]byte{make([]byte, p.Dim)}
 		rng.Read(queries[0])
-		for _, d := range ix.descs[:min(4, ix.Len())] {
-			queries = append(queries, d)
+		for id := range min(4, ix.Len()) {
+			queries = append(queries, ix.desc(int32(id)))
 		}
 		for _, q := range queries {
 			for _, opt := range []QueryOptions{{MultiProbe: true}, {MultiProbe: true, MaxCandidates: 2}} {

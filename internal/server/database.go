@@ -442,7 +442,9 @@ const parallelLocateThreshold = 32
 const ctxCheckStride = 16
 
 // gather produces the |K| * n candidate list from the views of a venue's
-// shards; Locate's n is neighborsPerKeypoint and its gate maxMatchDistSq. For each keypoint a worker asks every view for its top n
+// shards; Locate's n is neighborsPerKeypoint and its gate maxMatchDistSq.
+// For each keypoint a worker computes the probe keys once (every shard's
+// index shares the venue's LSH parameters) and asks every view for its top n
 // under the capped multi-probe query — within one view that is already the
 // (distSq, probe, seq) order, because reserve admits only increasing seq, so
 // id order is seq order — restores the total order across views and
@@ -480,7 +482,9 @@ func gather(ctx context.Context, views []*dbView, kps []sift.Keypoint, n, maxDis
 		errOnce.Do(func() { firstErr = err })
 		next.Store(int64(len(kps))) // the other workers stop at their next keypoint
 	}
+	opt := lsh.QueryOptions{MaxCandidates: n, MultiProbe: true, MaxDistSq: maxDistSq}
 	work := func() {
+		var keys []uint64
 		var scratch []lsh.Candidate
 		merged := make([]mergeCand, 0, len(views)*n)
 		for done := 0; ; done++ {
@@ -494,11 +498,15 @@ func gather(ctx context.Context, views []*dbView, kps []sift.Keypoint, n, maxDis
 					return
 				}
 			}
+			desc := kps[i].Desc[:]
+			var err error
+			if keys, err = views[0].index.ProbeKeys(desc, opt.MultiProbe, keys); err != nil {
+				fail(err)
+				return
+			}
 			merged = merged[:0]
 			for _, v := range views {
-				var err error
-				scratch, err = v.index.QueryInto(kps[i].Desc[:], lsh.QueryOptions{MaxCandidates: n, MultiProbe: true, MaxDistSq: maxDistSq}, scratch)
-				if err != nil {
+				if scratch, err = v.index.QueryKeys(desc, keys, opt, scratch); err != nil {
 					fail(err)
 					return
 				}

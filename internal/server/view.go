@@ -6,7 +6,6 @@ import (
 	"visualprint/internal/core"
 	"visualprint/internal/lsh"
 	"visualprint/internal/mathx"
-	"visualprint/internal/sift"
 )
 
 // Copy-on-write read views.
@@ -19,12 +18,12 @@ import (
 // snapshot window bookkeeping) and the store fields.
 //
 // An ingest builds the next view from the published one by extension, never
-// by mutation: positions, seqs and the index's descriptors are append-only
-// slices whose spare capacity the next view fills past the published length,
-// and the index is a new handle over the shared, append-only bucket tables
-// (lsh.Index.Extend) that sees only ids below its own length. A reader of an
-// older view is bounded by that view's lengths, so it never looks at what
-// later batches append. The oracle is the one structure a batch updates in
+// by mutation: positions, seqs and the index's descriptor arena are
+// append-only slices whose spare capacity the next view fills past the
+// published length, and the index is a new handle over the shared,
+// append-only bucket tables (lsh.Index.Extend) that sees only ids below its
+// own length. A reader of an older view is bounded by that view's lengths,
+// so it never looks at what later batches append. The oracle is the one structure a batch updates in
 // place, so the next view inserts into its own copy (core.Oracle.Clone).
 // Publishing is one pointer store; a view stays valid for as long as anyone
 // holds it and the garbage collector retires it. Nothing tracks readers, so
@@ -79,13 +78,10 @@ func newEmptyView(cfg DatabaseConfig) (*dbView, error) {
 // published view, see applyPublishLocked), WAL replay and replica catch-up
 // (on a detached recovery view). seqs is parallel to ms.
 func (v *dbView) apply(ms []Mapping, seqs []uint64) error {
-	buf := make([]byte, len(ms)*sift.DescriptorSize)
 	descs := make([][]byte, len(ms))
 	for i := range ms {
-		desc := buf[i*sift.DescriptorSize : (i+1)*sift.DescriptorSize : (i+1)*sift.DescriptorSize]
-		copy(desc, ms[i].Desc[:])
-		descs[i] = desc
-		if err := v.oracle.Insert(desc); err != nil {
+		descs[i] = ms[i].Desc[:] // Extend copies them into the index's arena
+		if err := v.oracle.Insert(descs[i]); err != nil {
 			return err
 		}
 		v.positions = append(v.positions, ms[i].Pos)

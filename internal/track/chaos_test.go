@@ -33,10 +33,16 @@ func TestChaosTrackChurn(t *testing.T) {
 		workers, opsPer = 4, 800
 	}
 	base := time.Date(2026, 8, 9, 12, 0, 0, 0, time.UTC)
-	// Virtual nanos: 50 µs per op, and a jump past the TTL every 400 ops of
-	// each worker, so expiry is deterministic-ish but racy. Between jumps
-	// the workers create more sessions than the shard holds.
-	var virtual atomic.Int64
+	// Virtual nanos: 50 µs per op, and a jump past the TTL every jumpEvery
+	// ops of all workers together, counted on one shared counter so that no
+	// schedule can bunch the jumps up. Whatever the interleaving, the
+	// jumpEvery ops between two jumps make ~3/7 of jumpEvery Observe calls,
+	// far more than the shard's perShard sessions, so it overfills
+	// (evictions), and the sweeps after a jump idle out what the interval
+	// left (expiries); the -short round's 3200 ops hold one jump mid-run.
+	// Which op lands on a jump and which sweep sees it stays racy.
+	const jumpEvery = 1600
+	var virtual, ops atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -45,7 +51,7 @@ func TestChaosTrackChurn(t *testing.T) {
 			for i := 0; i < opsPer; i++ {
 				id := ids[(w*opsPer+i)%len(ids)]
 				step := int64(50 * time.Microsecond)
-				if i%400 == 399 {
+				if ops.Add(1)%jumpEvery == 0 {
 					step += int64(ttl)
 				}
 				now := base.Add(time.Duration(virtual.Add(step)))

@@ -35,6 +35,10 @@ echo "== chaos / fault-injection (race) =="
 go test -race -count=1 -short -run \
 	'TestChaos|TestShutdown|TestShedUnderBurst|TestCancelFreesServerSlot|TestDeadlineEnforcedServerSide|TestProxy|TestConcurrentIngestLocateSnapshots|TestHeldViewOutlivesLaterBatches|TestLocateLockFreeUnderWriteLock' \
 	./internal/server/ ./internal/netsim/ ./internal/repl/ ./internal/track/
+# The session-table churn again, full length and without -race (~2 s): its
+# eviction/expiry assertion depends on the goroutine schedule, so fifty runs
+# make a schedule-dependent regression name itself.
+go test -count=50 -run TestChaosTrackChurn ./internal/track/
 echo "== fuzz (short) =="
 make fuzz-short
 echo "== benchmark module =="
