@@ -1,6 +1,6 @@
 # VisualPrint build/verify targets.
 
-.PHONY: build test verify chaos fuzz-short bench-check clean
+.PHONY: build test verify chaos fuzz-short bench-check loc clean
 
 build:
 	go build ./...
@@ -62,6 +62,14 @@ bench-check:
 	bash benchmark/run.sh --workload fingerprint_arrivals --seed 1 --seconds 3 -out bench_current.json
 	bash benchmark/run.sh --workload session_walk --seed 1 --seconds 3 -out bench_current.json
 	bash benchmark/run.sh --workload wardrive_mix --seed 1 --seconds 3 -out bench_current.json
+
+# Non-test Go lines (wc -l) per package directory and in total: the size
+# figure ROADMAP.md quotes. cmd/ and examples/ count; benchmark/ (its own
+# module) and the A/B worktrees under .bench_build/ do not.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' -exec wc -l {} + | \
+	awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
+	END { for (d in n) printf "%6d  %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%6d  total\n", t }'
 
 # Remove built binaries and any data directories left by manual testing.
 # Test-created data dirs live under the test tempdir and clean themselves up.

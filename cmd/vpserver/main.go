@@ -58,7 +58,7 @@ func main() {
 	data := flag.String("data", "", "data directory for durable storage (empty: in-memory)")
 	debugAddr := flag.String("debug-addr", "", "HTTP debug listen address serving /debug/metrics and /debug/pprof/ (empty: disabled)")
 	logLevel := flag.String("log-level", "info", "minimum log level: debug, info, warn, error")
-	maxInFlight := flag.Int("max-in-flight", 0, "max concurrently executing requests (0: default, 4x GOMAXPROCS)")
+	maxInFlight := flag.Int("max-in-flight", 0, "max concurrently executing requests (0: default, 2*GOMAXPROCS+2)")
 	queueDepth := flag.Int("queue-depth", -1, "max requests queued for a slot before shedding with overloaded (-1: default)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight requests before canceling them")
 	var venueShards venueShardsFlag

@@ -90,11 +90,12 @@ func testIntrinsics() pose.Intrinsics {
 // member is one fleet process: durable shard database, replication state,
 // TCP front end, and the background replication node.
 type member struct {
-	db   *server.Database
-	rs   *server.ReplState
-	srv  *server.Server
-	node *Node
-	addr string // advertised address
+	router *server.Router
+	db     *server.Database
+	rs     *server.ReplState
+	srv    *server.Server
+	node   *Node
+	addr   string // advertised address
 }
 
 // startMember brings up a fleet member on ln. advertise is the address
@@ -118,9 +119,8 @@ func startMember(t *testing.T, advertise, primary string, minSync int, ln net.Li
 		SyncTimeout:     10 * time.Second,
 		MaxStaleness:    time.Minute, // replicas answer in-test reads even while partitioned
 	})
-	db.SetLogger(obs.Discard)
 	srv := server.Serve(ln, router, server.WithReplState(rs))
-	srv.Log = nil
+	srv.Log = nil             // silences the router's shards too
 	rs.SetLogger(obs.Discard) // after Serve, which wires the server's logger
 	node, err := StartNode(NodeConfig{
 		DB: db, State: rs, Log: obs.Discard,
@@ -130,7 +130,7 @@ func startMember(t *testing.T, advertise, primary string, minSync int, ln net.Li
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &member{db: db, rs: rs, srv: srv, node: node, addr: advertise}
+	return &member{router: router, db: db, rs: rs, srv: srv, node: node, addr: advertise}
 }
 
 // kill tears the member down abruptly: listener and connections cut, the
@@ -298,23 +298,24 @@ func TestChaosFailoverPreservesAckedIngests(t *testing.T) {
 		t.Fatalf("new primary holds %d mappings, want %d (acked history + redirected batch, nothing else)", total, wantTotal)
 	}
 
-	// Golden comparison: a fresh database fed exactly the acknowledged
-	// history (plus the redirected batch) must answer Locate bit-identically
-	// to the promoted primary — same position, same matches, same
-	// everything. The unacknowledged batch must have left no trace.
-	golden, err := server.NewDatabase(testConfig())
+	// Golden comparison: a fresh one-shard engine fed exactly the
+	// acknowledged history (plus the redirected batch) must answer Locate
+	// bit-identically to the promoted primary — same position, same
+	// matches, same everything. The unacknowledged batch must have left no
+	// trace.
+	golden, err := server.NewRouter(testConfig(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, b := range append(append([][]server.Mapping{}, acked...), extra) {
-		if err := golden.Ingest(context.Background(), b); err != nil {
+		if _, err := golden.Ingest(context.Background(), "", b); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for _, q := range []struct{ from, n int }{{0, 24}, {8, 16}} {
 		kps := queryFrom(ms, q.from, q.n)
-		want, errW := golden.Locate(context.Background(), kps, testIntrinsics())
-		got, errG := newP.db.Locate(context.Background(), kps, testIntrinsics())
+		want, errW := golden.Locate(context.Background(), "", kps, testIntrinsics())
+		got, errG := newP.router.Locate(context.Background(), "", kps, testIntrinsics())
 		if !errors.Is(errG, errW) && fmt.Sprint(errW) != fmt.Sprint(errG) {
 			t.Fatalf("query [%d,%d): golden err %v, new primary err %v", q.from, q.from+q.n, errW, errG)
 		}
@@ -329,8 +330,8 @@ func TestChaosFailoverPreservesAckedIngests(t *testing.T) {
 		return other.db.StoreSeq() == newP.db.StoreSeq()
 	})
 	kps := queryFrom(ms, 0, 24)
-	want, _ := newP.db.Locate(context.Background(), kps, testIntrinsics())
-	got, _ := other.db.Locate(context.Background(), kps, testIntrinsics())
+	want, _ := newP.router.Locate(context.Background(), "", kps, testIntrinsics())
+	got, _ := other.router.Locate(context.Background(), "", kps, testIntrinsics())
 	if !reflect.DeepEqual(want, got) {
 		t.Fatalf("replica Locate diverged from promoted primary:\nprimary %+v\nreplica %+v", want, got)
 	}
@@ -359,7 +360,7 @@ func TestChaosFullSyncSurvivesFeedLossMidTransfer(t *testing.T) {
 	// Seed the primary and compact: the history now exists only as a
 	// snapshot, so the replica below cannot tail from zero.
 	for i := 0; i < 8; i++ {
-		if err := primary.db.Ingest(context.Background(), ms[i*11:(i+1)*11]); err != nil {
+		if _, err := primary.router.Ingest(context.Background(), "", ms[i*11:(i+1)*11]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -398,8 +399,8 @@ func TestChaosFullSyncSurvivesFeedLossMidTransfer(t *testing.T) {
 		t.Helper()
 		for _, q := range []struct{ from, n int }{{0, 24}, {16, 24}} {
 			kps := queryFrom(ms, q.from, q.n)
-			want, errW := primary.db.Locate(context.Background(), kps, testIntrinsics())
-			got, errG := replica.db.Locate(context.Background(), kps, testIntrinsics())
+			want, errW := primary.router.Locate(context.Background(), "", kps, testIntrinsics())
+			got, errG := replica.router.Locate(context.Background(), "", kps, testIntrinsics())
 			if fmt.Sprint(errW) != fmt.Sprint(errG) {
 				t.Fatalf("%s: query [%d,%d): primary err %v, replica err %v", stage, q.from, q.from+q.n, errW, errG)
 			}
@@ -411,7 +412,7 @@ func TestChaosFullSyncSurvivesFeedLossMidTransfer(t *testing.T) {
 	compare("after full-sync")
 
 	// The synced replica must now tail live writes like any other.
-	if err := primary.db.Ingest(context.Background(), ms[0:11]); err != nil {
+	if _, err := primary.router.Ingest(context.Background(), "", ms[0:11]); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, 10*time.Second, "replica to tail the post-sync ingest", func() bool {

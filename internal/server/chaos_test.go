@@ -33,12 +33,12 @@ import (
 // concurrency that makes latent data races reachable.
 func TestChaosClientsSurviveFaultInjection(t *testing.T) {
 	testutil.CheckGoroutines(t)
-	db, ms := lifecycleDB(t, 30*time.Millisecond) // fast solves: chaos targets the transport
+	rt, ms := lifecycleRouter(t, 30*time.Millisecond) // fast solves: chaos targets the transport
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := Serve(ln, routerFor(t, db))
+	s := Serve(ln, rt)
 	s.Log = nil
 	t.Cleanup(func() { s.Close() })
 

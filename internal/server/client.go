@@ -101,9 +101,10 @@ func WithLogger(l *obs.Logger) DialOption {
 	return func(c *dialConfig) { c.log = l }
 }
 
-// WithVenue pins every request the client sends to the named venue, as if
-// each call went through Client.Venue(name). The empty name (the default)
-// addresses the server's default venue.
+// WithVenue pins every request the client sends to the named venue; it is
+// the one way to scope a client. The empty name (the default) addresses the
+// server's default venue. Metrics and replication requests are server-wide
+// and ignore it.
 func WithVenue(name string) DialOption {
 	return func(c *dialConfig) { c.venue = name }
 }
@@ -136,8 +137,8 @@ type Client struct {
 	retry  RetryPolicy
 	log    *obs.Logger
 
-	// venue is the default venue for every call (WithVenue); Venue(name)
-	// handles override it per request.
+	// venue addresses every venue-scoped call (WithVenue; empty = the
+	// default venue).
 	venue string
 
 	// target is the address the dialer currently points at (string; only
@@ -699,90 +700,6 @@ func (c *Client) sendCancel(id uint32) {
 	c.sent.Add(int64(n))
 }
 
-// Venue is a lightweight handle pinning requests to one named venue on a
-// shared client. Handles are cheap values — create one per venue as needed;
-// all handles multiplex over the client's single connection and share its
-// retry policy and byte counters. The zero name addresses the default venue
-// (identical to calling the client directly).
-type Venue struct {
-	c    *Client
-	name string
-}
-
-// Venue returns a handle whose requests address the named venue.
-func (c *Client) Venue(name string) Venue { return Venue{c: c, name: name} }
-
-// Name returns the venue name the handle addresses.
-func (v Venue) Name() string { return v.name }
-
-// OracleSync returns the venue's oracle-distribution handle (see
-// Client.OracleSync).
-func (v Venue) OracleSync() *OracleSync {
-	return &OracleSync{c: v.c, venue: v.name}
-}
-
-// Ingest uploads wardriven keypoint-to-3D mappings into the venue, creating
-// it on first upload; it returns the venue's total mapping count after the
-// batch. Ingest is not idempotent (a batch applied twice doubles its
-// mappings), so the retry policy applies only to shed requests — never to a
-// connection lost with the batch in flight.
-func (v Venue) Ingest(ctx context.Context, ms []Mapping) (int, error) {
-	resp, err := v.c.roundTrip(ctx, routeWrite, reqHeader{venue: v.name}, msgIngest, encodeMappings(ms), msgIngestAck)
-	if err != nil {
-		return 0, err
-	}
-	if len(resp) != 8 {
-		return 0, errRemote{msg: "bad ingest ack"}
-	}
-	return int(binary.LittleEndian.Uint64(resp)), nil
-}
-
-// Query uploads selected keypoints (with their 2D pixel coordinates) and
-// returns the 3D localization against the venue's shards. A venue that has
-// never been ingested answers ErrEmptyDatabase.
-func (v Venue) Query(ctx context.Context, kps []sift.Keypoint, intr pose.Intrinsics) (LocateResult, error) {
-	return v.query(ctx, 0, kps, intr)
-}
-
-// query is Query plus the optional session ID (0 = none), which lets the
-// server warm-start the solve; the answer is equally correct without it.
-func (v Venue) query(ctx context.Context, sid uint64, kps []sift.Keypoint, intr pose.Intrinsics) (LocateResult, error) {
-	payload := encodeQuery(intr, codec.MarshalKeypoints(kps))
-	resp, err := v.c.roundTrip(ctx, routeRead, reqHeader{venue: v.name, sid: sid}, msgQuery, payload, msgQueryResult)
-	if err != nil {
-		return LocateResult{}, err
-	}
-	return decodeLocateResult(resp)
-}
-
-// Stats returns the venue's mapping count: StatsFull's first field.
-func (v Venue) Stats(ctx context.Context) (uint64, error) {
-	s, err := v.StatsFull(ctx)
-	return s.Mappings, err
-}
-
-// StatsFull returns the venue's aggregated state report: database size,
-// oracle insert count and persistence state (snapshot coverage, WAL size,
-// last compaction) — of the node that answered, which is the read replica
-// when one is configured.
-func (v Venue) StatsFull(ctx context.Context) (DBStats, error) {
-	resp, err := v.c.roundTrip(ctx, routeRead, reqHeader{venue: v.name}, msgStats, nil, msgStatsResult)
-	if err != nil {
-		return DBStats{}, err
-	}
-	s, err := decodeDBStats(resp)
-	if err != nil {
-		return DBStats{}, errRemote{msg: err.Error()}
-	}
-	return s, nil
-}
-
-// Session returns a handle for a continuous localization session against
-// the venue: repeated queries carry the same session ID, letting the
-// server warm-start each pose solve from the device's tracked trajectory
-// (see Client.Session).
-func (v Venue) Session() Session { return Session{c: v.c, venue: v.name, id: newSessionID()} }
-
 // Session is a continuous localization session: a stream of queries from
 // one moving device, identified to the server by a random non-zero 64-bit
 // ID so it can warm-start each pose solve from the previous fixes. The
@@ -795,23 +712,19 @@ func (v Venue) Session() Session { return Session{c: v.c, venue: v.name, id: new
 // continues. There is no teardown RPC: stop querying and the server's TTL
 // sweep reclaims the slot.
 type Session struct {
-	c     *Client
-	venue string
-	id    uint64
+	c  *Client
+	id uint64
 }
 
-// Session returns a session handle bound to the client's default venue
-// (or its WithVenue pin).
+// Session returns a session handle against the client's venue (its
+// WithVenue pin, or the default venue).
 func (c *Client) Session() Session {
-	return Session{c: c, venue: c.venue, id: newSessionID()}
+	return Session{c: c, id: newSessionID()}
 }
 
 // ID returns the session's wire identifier. Never zero: zero is the wire
 // encoding for "no session".
 func (s Session) ID() uint64 { return s.id }
-
-// Venue returns the venue name the session addresses.
-func (s Session) Venue() string { return s.venue }
 
 // Query localizes one frame within the session. Identical to
 // Client.Query except the request carries the session ID, so the server
@@ -820,7 +733,7 @@ func (s Session) Venue() string { return s.venue }
 // transparently re-solved cold server-side, so a session query is never
 // less accurate than a cold one.
 func (s Session) Query(ctx context.Context, kps []sift.Keypoint, intr pose.Intrinsics) (LocateResult, error) {
-	return s.c.Venue(s.venue).query(ctx, s.id, kps, intr)
+	return s.c.query(ctx, s.id, kps, intr)
 }
 
 // newSessionID draws a random non-zero session identifier. Collisions
@@ -835,25 +748,61 @@ func newSessionID() uint64 {
 	}
 }
 
-// Ingest uploads mappings into the client's venue (see Venue.Ingest).
+// Ingest uploads wardriven keypoint-to-3D mappings into the client's venue,
+// creating a named venue on first upload; it returns the venue's total
+// mapping count after the batch. Ingest is not idempotent (a batch applied
+// twice doubles its mappings), so the retry policy applies only to shed
+// requests — never to a connection lost with the batch in flight.
 func (c *Client) Ingest(ctx context.Context, ms []Mapping) (total int, err error) {
-	return c.Venue(c.venue).Ingest(ctx, ms)
+	resp, err := c.roundTrip(ctx, routeWrite, reqHeader{venue: c.venue}, msgIngest, encodeMappings(ms), msgIngestAck)
+	if err != nil {
+		return 0, err
+	}
+	if len(resp) != 8 {
+		return 0, errRemote{msg: "bad ingest ack"}
+	}
+	return int(binary.LittleEndian.Uint64(resp)), nil
 }
 
-// Query localizes against the client's venue (see Venue.Query).
+// Query uploads selected keypoints (with their 2D pixel coordinates) and
+// returns the 3D localization against the client's venue. A venue that has
+// never been ingested answers ErrEmptyDatabase.
 func (c *Client) Query(ctx context.Context, kps []sift.Keypoint, intr pose.Intrinsics) (LocateResult, error) {
-	return c.Venue(c.venue).Query(ctx, kps, intr)
+	return c.query(ctx, 0, kps, intr)
 }
 
-// Stats returns the mapping count of the client's venue (see Venue.Stats).
+// query is Query plus the optional session ID (0 = none), which lets the
+// server warm-start the solve; the answer is equally correct without it.
+func (c *Client) query(ctx context.Context, sid uint64, kps []sift.Keypoint, intr pose.Intrinsics) (LocateResult, error) {
+	payload := encodeQuery(intr, codec.MarshalKeypoints(kps))
+	resp, err := c.roundTrip(ctx, routeRead, reqHeader{venue: c.venue, sid: sid}, msgQuery, payload, msgQueryResult)
+	if err != nil {
+		return LocateResult{}, err
+	}
+	return decodeLocateResult(resp)
+}
+
+// Stats returns the mapping count of the client's venue: StatsFull's first
+// field.
 func (c *Client) Stats(ctx context.Context) (mappings uint64, err error) {
-	return c.Venue(c.venue).Stats(ctx)
+	s, err := c.StatsFull(ctx)
+	return s.Mappings, err
 }
 
-// StatsFull returns the full state report of the client's venue (see
-// Venue.StatsFull).
+// StatsFull returns the client's venue's state report, aggregated over its
+// shards: database size, oracle insert count and persistence state
+// (snapshot coverage, WAL size, last compaction) — of the node that
+// answered, which is the read replica when one is configured.
 func (c *Client) StatsFull(ctx context.Context) (DBStats, error) {
-	return c.Venue(c.venue).StatsFull(ctx)
+	resp, err := c.roundTrip(ctx, routeRead, reqHeader{venue: c.venue}, msgStats, nil, msgStatsResult)
+	if err != nil {
+		return DBStats{}, err
+	}
+	s, err := decodeDBStats(resp)
+	if err != nil {
+		return DBStats{}, errRemote{msg: err.Error()}
+	}
+	return s, nil
 }
 
 // Metrics fetches the server's observability report: request counters,

@@ -21,18 +21,16 @@ import (
 	"visualprint/internal/sift"
 )
 
-// syntheticDB builds a database with deterministic contents: nCluster
-// descriptors whose 3D positions form a tight spatial cluster (so queries
-// reach the pose solver) plus nScatter descriptors scattered across the
-// venue. The pose deadline is disabled so Locate is fully deterministic.
-func syntheticDB(t testing.TB, seed int64, nCluster, nScatter int) (*Database, []Mapping) {
+// syntheticRouter builds an engine whose default venue has deterministic
+// contents: nCluster descriptors whose 3D positions form a tight spatial
+// cluster (so queries reach the pose solver) plus nScatter descriptors
+// scattered across the venue. The pose deadline is disabled so Locate is
+// fully deterministic.
+func syntheticRouter(t testing.TB, seed int64, nCluster, nScatter int) (*Router, []Mapping) {
 	t.Helper()
 	cfg := DefaultDatabaseConfig()
 	cfg.Pose.Deadline = 0 // wall-clock budgets break determinism
-	db, err := NewDatabase(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rt := newTestRouter(t, cfg, nil)
 	rng := rand.New(rand.NewSource(seed))
 	ms := make([]Mapping, 0, nCluster+nScatter)
 	center := mathx.Vec3{X: 4, Y: 1.5, Z: 3}
@@ -60,10 +58,10 @@ func syntheticDB(t testing.TB, seed int64, nCluster, nScatter int) (*Database, [
 		}
 		ms = append(ms, m)
 	}
-	if err := db.Ingest(context.Background(), ms); err != nil {
+	if _, err := rt.Ingest(context.Background(), "", ms); err != nil {
 		t.Fatal(err)
 	}
-	return db, ms
+	return rt, ms
 }
 
 // queryFromMappings builds a query whose keypoints carry the exact
@@ -83,7 +81,8 @@ func testIntrinsics() pose.Intrinsics {
 	return pose.Intrinsics{W: 200, H: 150, FovX: 1.1, FovY: 0.85}
 }
 
-// locateWith is Database.Locate with an explicit gather worker count.
+// locateWith is a one-shard Locate (locateShards) with an explicit gather
+// worker count.
 func locateWith(db *Database, kps []sift.Keypoint, workers int) (LocateResult, error) {
 	ctx := context.Background()
 	v := db.cur.Load()
@@ -98,7 +97,7 @@ func locateWith(db *Database, kps []sift.Keypoint, workers int) (LocateResult, e
 // TestParallelLocateMatchesSerial: the fan-out path must produce
 // bit-identical LocateResults to the serial path on fixed seeds.
 func TestParallelLocateMatchesSerial(t *testing.T) {
-	db, ms := syntheticDB(t, 7, 48, 40)
+	rt, ms := syntheticRouter(t, 7, 48, 40)
 	for _, q := range []struct {
 		from, n int
 	}{
@@ -107,8 +106,8 @@ func TestParallelLocateMatchesSerial(t *testing.T) {
 		{40, 40}, // straddles cluster and scatter descriptors
 	} {
 		kps := queryFromMappings(ms, q.from, q.n)
-		rs, errS := locateWith(db, kps, 1)
-		rp, errP := locateWith(db, kps, 8)
+		rs, errS := locateWith(rt.Default(), kps, 1)
+		rp, errP := locateWith(rt.Default(), kps, 8)
 		if (errS == nil) != (errP == nil) || (errS != nil && errS.Error() != errP.Error()) {
 			t.Fatalf("query %+v: serial err %v, parallel err %v", q, errS, errP)
 		}
@@ -119,7 +118,7 @@ func TestParallelLocateMatchesSerial(t *testing.T) {
 	// Sanity: the comparison exercised the full pipeline, not just an
 	// early error path.
 	kps := queryFromMappings(ms, 0, 48)
-	res, err := db.Locate(context.Background(), kps, testIntrinsics())
+	res, err := rt.Locate(context.Background(), "", kps, testIntrinsics())
 	if err != nil {
 		t.Fatalf("cluster query failed outright: %v", err)
 	}
@@ -132,10 +131,10 @@ func TestParallelLocateMatchesSerial(t *testing.T) {
 // queries below the threshold run serially even with parallelism enabled
 // and must agree with a serial-only gather too.
 func TestSmallQueryStaysDeterministic(t *testing.T) {
-	db, ms := syntheticDB(t, 9, 40, 20)
+	rt, ms := syntheticRouter(t, 9, 40, 20)
 	kps := queryFromMappings(ms, 0, parallelLocateThreshold-2)
-	rs, errS := locateWith(db, kps, 1)
-	rp, errP := locateWith(db, kps, 4)
+	rs, errS := locateWith(rt.Default(), kps, 1)
+	rp, errP := locateWith(rt.Default(), kps, 4)
 	if (errS == nil) != (errP == nil) {
 		t.Fatalf("serial err %v, parallel err %v", errS, errP)
 	}
@@ -149,12 +148,12 @@ func TestSmallQueryStaysDeterministic(t *testing.T) {
 // distinct queries with distinct precomputed answers are fired interleaved
 // from many goroutines; any routing mixup surfaces as a wrong result.
 func TestPipelinedResponseRouting(t *testing.T) {
-	db, ms := syntheticDB(t, 21, 48, 40)
+	rt, ms := syntheticRouter(t, 21, 48, 40)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := Serve(ln, routerFor(t, db))
+	s := Serve(ln, rt)
 	s.Log = nil
 	defer s.Close()
 
@@ -166,7 +165,7 @@ func TestPipelinedResponseRouting(t *testing.T) {
 	want := make([]LocateResult, len(queries))
 	wantErr := make([]error, len(queries))
 	for i, q := range queries {
-		want[i], wantErr[i] = db.Locate(context.Background(), q, testIntrinsics())
+		want[i], wantErr[i] = rt.Locate(context.Background(), "", q, testIntrinsics())
 		want[i].Generations = 0 // in-process only, not carried on the wire
 	}
 
@@ -203,13 +202,13 @@ func TestPipelinedResponseRouting(t *testing.T) {
 // queries, stats, ingests and oracle fetches racing on shared and separate
 // connections — asserting per-request response-type routing throughout.
 func TestConcurrentMixedWorkload(t *testing.T) {
-	db, ms := syntheticDB(t, 33, 48, 20)
-	base := db.Len()
+	rt, ms := syntheticRouter(t, 33, 48, 20)
+	base := rt.Default().Len()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := Serve(ln, routerFor(t, db))
+	s := Serve(ln, rt)
 	s.Log = nil
 	defer s.Close()
 
@@ -271,7 +270,7 @@ func TestConcurrentMixedWorkload(t *testing.T) {
 	for err := range errc {
 		t.Error(err)
 	}
-	if got := int64(db.Len()); got != int64(base)+ingested {
+	if got := int64(rt.Default().Len()); got != int64(base)+ingested {
 		t.Errorf("db has %d mappings, want %d", got, int64(base)+ingested)
 	}
 }
@@ -283,7 +282,7 @@ func TestConcurrentMixedWorkload(t *testing.T) {
 // from a pinned generation, so its reads can never interleave with Ingest's
 // counter writes.
 func TestConcurrentOracleFilteringAndIngest(t *testing.T) {
-	db, ms := syntheticDB(t, 57, 48, 40)
+	rt, ms := syntheticRouter(t, 57, 48, 40)
 	kps := queryFromMappings(ms, 0, 32)
 
 	const readers = 3
@@ -295,7 +294,7 @@ func TestConcurrentOracleFilteringAndIngest(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
-				o := db.OracleClone()
+				o := rt.Default().OracleClone()
 				if w%2 == 0 {
 					sel, err := o.SelectUnique(kps, 10)
 					if err != nil {
@@ -327,7 +326,7 @@ func TestConcurrentOracleFilteringAndIngest(t *testing.T) {
 				}
 				batch[b].Pos = mathx.Vec3{X: rng.Float64() * 12, Y: rng.Float64() * 3, Z: rng.Float64() * 9}
 			}
-			if err := db.Ingest(context.Background(), batch); err != nil {
+			if _, err := rt.Ingest(context.Background(), "", batch); err != nil {
 				errc <- fmt.Errorf("Ingest: %v", err)
 				return
 			}
@@ -340,8 +339,8 @@ func TestConcurrentOracleFilteringAndIngest(t *testing.T) {
 	}
 	// Every reader and the writer ran to completion; the oracle now reflects
 	// all inserts.
-	if _, got := db.OracleEpoch(); got != uint64(db.Len()) {
-		t.Errorf("oracle inserts %d != mappings %d", got, db.Len())
+	if _, got := rt.Default().OracleEpoch(); got != uint64(rt.Default().Len()) {
+		t.Errorf("oracle inserts %d != mappings %d", got, rt.Default().Len())
 	}
 }
 

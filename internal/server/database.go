@@ -27,19 +27,12 @@ import (
 	"visualprint/internal/track"
 )
 
-// DatabaseConfig configures the server-side structures.
+// DatabaseConfig configures the server-side structures. The oracle's LSH
+// family (paper: L=10, M=7, W=500) is also the lookup table's: the paper
+// tunes one family for both, so a venue's index and oracle hash alike.
 type DatabaseConfig struct {
-	LSH    lsh.Params
 	Oracle core.Params
 	Pose   pose.Options
-	// WALCompactBytes is the write-ahead-log size past which the
-	// background snapshotter folds the log into a fresh snapshot (only
-	// meaningful after Open; 0 means defaultWALCompactBytes). Compaction
-	// serializes the full database under a lock that stalls Ingest, so this
-	// knob also tunes the size of periodic ingest latency spikes: smaller
-	// means more frequent but shorter stalls. Locates are unaffected —
-	// they read immutable published views and take no lock (see view.go).
-	WALCompactBytes int64
 }
 
 // The Locate pipeline's fixed values: candidate retrieval and the
@@ -59,17 +52,19 @@ const (
 	clusterMinPts = 3
 )
 
-// defaultWALCompactBytes triggers compaction once the WAL outgrows 64 MB —
-// a few hundred thousand mapping records, well past the point where
-// replaying the log dominates cold-start time.
-const defaultWALCompactBytes = 64 << 20
+// walCompactBytes is the write-ahead-log size past which the background
+// snapshotter folds the log into a fresh snapshot: 64 MB, a few hundred
+// thousand mapping records, well past the point where replaying the log
+// dominates cold-start time. Compaction serializes the full database under a
+// lock that stalls Ingest (see Compact); Locates read immutable views and are
+// unaffected.
+const walCompactBytes = 64 << 20
 
 // DefaultDatabaseConfig returns a configuration scaled for the simulated
 // venues (TestParams-sized oracle; swap in core.DefaultParams for the
 // paper's 2.5M-descriptor scale).
 func DefaultDatabaseConfig() DatabaseConfig {
 	return DatabaseConfig{
-		LSH:    lsh.DefaultParams(),
 		Oracle: core.TestParams(),
 		Pose:   pose.DefaultOptions(),
 	}
@@ -77,7 +72,7 @@ func DefaultDatabaseConfig() DatabaseConfig {
 
 // Database is the cloud service state. All methods are safe for concurrent
 // use. A Database is purely in-memory until Open attaches a data directory;
-// from then on every Ingest is write-ahead logged and the map survives a
+// from then on every ingest is write-ahead logged and the map survives a
 // crash (see persist.go).
 type Database struct {
 	cfg DatabaseConfig
@@ -92,12 +87,9 @@ type Database struct {
 	// delta ring) and the store fields. The query-side state moved
 	// into cur; no read RPC takes this lock anymore.
 	mu sync.RWMutex
-	// log receives persistence warnings (WAL truncation); set via SetLogger, defaulting to
-	// the process logger (obs.Default). Serve wires it to the server's
-	// logger when still unset. Every logf call site already holds mu, so
-	// SetLogger taking the write lock keeps late wiring race-free.
-	log    *obs.Logger
-	logSet bool
+	// log is the owning Router's logger (Router.logger), read at each
+	// warning so Serve's later wiring reaches shards opened before it.
+	log func() *obs.Logger
 	// deltaRing retains the per-epoch odelta records (consecutive epochs,
 	// oldest first) serving versioned OracleSync requests; deltaBytes
 	// accounts their payload total against oracleDeltaBudget. Guarded
@@ -117,8 +109,12 @@ type Database struct {
 	store    *store.Store
 	dataDir  string // last directory Open attached; survives Close so a failed full-sync can retry
 	snapKick chan struct{}
-	quit     chan struct{}
-	snapDone chan struct{}
+	// compactAt is the WAL size at which an ingest kicks the snapshotter:
+	// walCompactBytes, lowered by tests before Open to reach the trigger
+	// without megabytes of ingest.
+	compactAt int64
+	quit      chan struct{}
+	snapDone  chan struct{}
 
 	// repl, when non-nil, is the fleet control block (see repl.go): the
 	// ingest path advances its durable offset and, on a semi-sync primary,
@@ -135,57 +131,19 @@ type Database struct {
 	coldSolve func(ctx context.Context, corr []pose.Correspondence, intr pose.Intrinsics, lo, hi mathx.Vec3, opt pose.Options) (pose.Result, error)
 }
 
-// SetLogger routes the database's persistence and resource warnings
-// through l (nil silences them). Defaults to the process logger
-// (obs.Default) when never called.
-func (db *Database) SetLogger(l *obs.Logger) {
-	if l == nil {
-		l = obs.Discard
-	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	db.log = l
-	db.logSet = true
-}
-
-// setLoggerDefault wires l only when SetLogger has never been called.
-func (db *Database) setLoggerDefault(l *obs.Logger) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if !db.logSet {
-		db.log = l
-		db.logSet = true
-	}
-}
-
-// logf logs one warning. Callers must hold db.mu (either side).
+// logf logs one warning through the Router's logger.
 func (db *Database) logf(format string, args ...any) {
-	if db.log != nil {
-		db.log.Warnf(format, args...)
-		return
-	}
-	if !db.logSet {
-		obs.Default().Warnf(format, args...)
-	}
+	db.log().Warnf(format, args...)
 }
 
-// NewDatabase creates an empty shard engine. The Router composes one or more
-// of these into a venue; a lone Database is a complete one-shard venue, and
-// records into a registry of its own.
-func NewDatabase(cfg DatabaseConfig) (*Database, error) {
-	return newDatabase(cfg, newDBMetrics(obs.NewRegistry()))
-}
-
-// newDatabase creates an empty shard engine recording into m.
-func newDatabase(cfg DatabaseConfig, m *dbMetrics) (*Database, error) {
-	if cfg.WALCompactBytes <= 0 {
-		cfg.WALCompactBytes = defaultWALCompactBytes
-	}
+// newDatabase creates an empty shard engine recording into m and logging
+// through log. Only the Router builds shards (buildVenueLocked).
+func newDatabase(cfg DatabaseConfig, m *dbMetrics, log func() *obs.Logger) (*Database, error) {
 	v, err := newEmptyView(cfg)
 	if err != nil {
 		return nil, err
 	}
-	db := &Database{cfg: cfg, epochCh: make(chan struct{}), met: m, coldSolve: pose.LocalizeCold}
+	db := &Database{cfg: cfg, log: log, epochCh: make(chan struct{}), compactAt: walCompactBytes, met: m, coldSolve: pose.LocalizeCold}
 	db.cur.Store(v)
 	return db, nil
 }
@@ -196,14 +154,18 @@ type Mapping struct {
 	Pos  mathx.Vec3
 }
 
-// Ingest incorporates wardriven mappings: each descriptor is added to the
-// lookup table and the uniqueness oracle — "in constant time and memory"
-// per record — tagged with the next run of sequence numbers (MaxSeq+1…).
+// IngestSeq incorporates wardriven mappings: each descriptor is added to the
+// lookup table and the uniqueness oracle — "in constant time and memory" per
+// record — tagged with the caller's sequence numbers (Router.Ingest stamping
+// the venue-global order, or replication replaying a primary's records). seqs
+// must be parallel to ms and strictly increasing, and every seq must exceed
+// the shard's current MaxSeq — replayed or reordered batches are caller bugs,
+// rejected before the WAL reservation.
 //
 // On a durable database (Open), the batch is write-ahead logged before it
-// is applied, and Ingest returns only once the record has reached stable
+// is applied, and IngestSeq returns only once the record has reached stable
 // storage — so an acknowledged batch is always recovered, and a crash can
-// only lose batches whose Ingest had not yet returned. The WAL reservation
+// only lose batches whose IngestSeq had not yet returned. The WAL reservation
 // and the in-memory apply share the database lock, which pins replay order
 // to apply order and makes recovery bit-identical; the fsync wait happens
 // after the lock is released, so concurrent ingests batch into shared
@@ -214,15 +176,6 @@ type Mapping struct {
 // the batch has been logged and applied the ingest runs to completion —
 // aborting between the WAL append and the ack would leave the caller
 // unable to tell whether the batch survives a crash.
-func (db *Database) Ingest(ctx context.Context, ms []Mapping) error {
-	return db.IngestSeq(ctx, ms, nil)
-}
-
-// IngestSeq is Ingest with caller-assigned sequence numbers (replication
-// replaying a primary's records; nil seqs self-assigns like Ingest). seqs
-// must be parallel to ms and strictly increasing, and every seq must exceed
-// the shard's current MaxSeq — replayed or reordered batches are caller
-// bugs, rejected before the WAL reservation.
 func (db *Database) IngestSeq(ctx context.Context, ms []Mapping, seqs []uint64) error {
 	if err := ctx.Err(); err != nil {
 		return ctxError(err)
@@ -257,20 +210,12 @@ type pendingIngest struct {
 func (db *Database) reserve(ms []Mapping, seqs []uint64) (pendingIngest, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	// Reject malformed batches before the WAL reservation: applyLocked
-	// must not be able to fail after the record is logged, or replay would
-	// diverge from the live state.
-	if db.cfg.LSH.Dim != sift.DescriptorSize || db.cfg.Oracle.LSH.Dim != sift.DescriptorSize {
-		return pendingIngest{}, errRemote{msg: "database descriptor dimension mismatch"}
-	}
-	// cur is stable while mu is held: only mu.Lock holders publish.
+	// Reject malformed batches before the WAL reservation: apply must not
+	// be able to fail after the record is logged, or replay would diverge
+	// from the live state. (The descriptor dimension is the LSH family's,
+	// checked once by NewRouter.) cur is stable while mu is held: only
+	// mu.Lock holders publish.
 	last := db.cur.Load().maxSeq()
-	if seqs == nil {
-		seqs = make([]uint64, len(ms))
-		for i := range seqs {
-			seqs[i] = last + uint64(i) + 1
-		}
-	}
 	if len(seqs) != len(ms) {
 		return pendingIngest{}, errRemote{msg: "seq batch length mismatch"}
 	}
@@ -315,7 +260,7 @@ func (p pendingIngest) wait() error {
 			return err
 		}
 	}
-	if p.st.WALBytes() >= p.db.cfg.WALCompactBytes {
+	if p.st.WALBytes() >= p.db.compactAt {
 		select {
 		case p.kick <- struct{}{}:
 		default: // a compaction is already queued
@@ -540,26 +485,6 @@ func gather(ctx context.Context, views []*dbView, kps []sift.Keypoint, n, maxDis
 		cands = append(cands, slots[i*n:i*n+k]...)
 	}
 	return cands, nil
-}
-
-// Locate runs the paper's server-side query pipeline: LSH candidate
-// retrieval for each uploaded keypoint (parallelized across a bounded
-// worker pool on large queries), spatial clustering of the candidate 3D
-// points, largest-cluster filtering, and the Figure 12 optimization over
-// the surviving correspondences. Failures return the typed sentinels
-// ErrEmptyDatabase, ErrTooFewMatches and ErrNoConsensus.
-//
-// The context is checked at every stage boundary and once per DE
-// generation or refiner iteration inside the pose solve, so a canceled or
-// expired request stops burning CPU mid-pipeline; those failures return
-// ErrCanceled or ErrDeadlineExceeded (which also match context.Canceled and
-// context.DeadlineExceeded under errors.Is).
-//
-// A lone shard is a one-shard venue: this is locateShards over []*Database{db},
-// the same body Router.LocateSession runs on a venue's shards.
-func (db *Database) Locate(ctx context.Context, kps []sift.Keypoint, intr pose.Intrinsics) (LocateResult, error) {
-	res, _, err := locateShards(ctx, db.met, []*Database{db}, kps, intr, nil)
-	return res, err
 }
 
 // locateShards is the one Locate body, for a venue of any shard count: load

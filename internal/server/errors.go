@@ -6,7 +6,7 @@ import (
 	"strings"
 )
 
-// Typed localization failures returned by Database.Locate. They cross the
+// Typed localization failures returned by Router.Locate. They cross the
 // wire as stable one-byte codes in the msgError payload, so a networked
 // caller can errors.Is against them instead of matching message text.
 var (

@@ -104,17 +104,14 @@ func TestFailureModeDriftedMapDegradesGracefully(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db, err := NewDatabase(DefaultDatabaseConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rt := newTestRouter(t, DefaultDatabaseConfig(), nil)
 	var ms []Mapping
 	for _, o := range wardrive.Observations(snaps) {
 		m := Mapping{Pos: o.Est}
 		copy(m.Desc[:], o.Keypoint.Desc[:])
 		ms = append(ms, m)
 	}
-	if err := db.Ingest(context.Background(), ms); err != nil {
+	if _, err := rt.Ingest(context.Background(), "", ms); err != nil {
 		t.Fatal(err)
 	}
 	pois := w.POIsOfKind(scene.POIUnique)
@@ -127,7 +124,7 @@ func TestFailureModeDriftedMapDegradesGracefully(t *testing.T) {
 			t.Fatal(err)
 		}
 		kps := sift.Detect(fr.Image, sc)
-		res, err := db.Locate(context.Background(), kps, sceneIntrinsics(cam))
+		res, err := rt.Locate(context.Background(), "", kps, sceneIntrinsics(cam))
 		if err != nil {
 			continue // acceptable: no consensus under severe drift
 		}
@@ -135,7 +132,7 @@ func TestFailureModeDriftedMapDegradesGracefully(t *testing.T) {
 		if p.X != p.X || p.Y != p.Y || p.Z != p.Z { // NaN check
 			t.Fatal("NaN position under drift")
 		}
-		lo, hi, _ := publishedBounds(db)
+		lo, hi, _ := publishedBounds(rt.Default())
 		if p.X < lo.X-1 || p.X > hi.X+1 || p.Z < lo.Z-1 || p.Z > hi.Z+1 {
 			t.Errorf("position %v far outside the mapped bounds", p)
 		}

@@ -24,11 +24,7 @@ func gatherFixture(t testing.TB, cfg DatabaseConfig, nViews int) ([]*dbView, []s
 	t.Helper()
 	shards := make([]*Database, nViews)
 	for i := range shards {
-		db, err := NewDatabase(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		shards[i] = db
+		shards[i] = newTestRouter(t, cfg, nil).Default()
 	}
 	rng := rand.New(rand.NewSource(5))
 	var bases []Mapping
@@ -153,11 +149,7 @@ func TestGatherGateInQueryMatchesMergeGate(t *testing.T) {
 		nViews := 1 + rng.Intn(4)
 		shards := make([]*Database, nViews)
 		for i := range shards {
-			db, err := NewDatabase(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			shards[i] = db
+			shards[i] = newTestRouter(t, cfg, nil).Default()
 		}
 		bases := make([][128]byte, 40)
 		for i := range bases {

@@ -128,8 +128,8 @@ func FuzzRequestHeader(f *testing.F) {
 // additional option saves that one byte.
 func TestQueryWireSizeByHeader(t *testing.T) {
 	s := startVenueServer(t)
-	c := dialClient(t, s)
 	const venue = "mall-7"
+	c, cv := dialClient(t, s), dialVenue(t, s, venue)
 	kps := make([]sift.Keypoint, 200)
 	intr := pose.Intrinsics{W: 100, H: 100, FovX: 1, FovY: 1}
 	for _, tc := range headerCases[:8] {
@@ -141,13 +141,13 @@ func TestQueryWireSizeByHeader(t *testing.T) {
 			defer cancel()
 			envelope, options = envelope+5, options+1
 		}
-		query := c.Query
+		cl, query := c, c.Query
 		switch {
 		case tc.h.venue != "" && tc.h.sid != 0:
-			query = c.Venue(venue).Session().Query
+			cl, query = cv, cv.Session().Query
 			envelope, options = envelope+2+int64(len(venue))+9, options+2
 		case tc.h.venue != "":
-			query = c.Venue(venue).Query
+			cl, query = cv, cv.Query
 			envelope, options = envelope+2+int64(len(venue)), options+1
 		case tc.h.sid != 0:
 			query = c.Session().Query
@@ -157,13 +157,13 @@ func TestQueryWireSizeByHeader(t *testing.T) {
 		if options > 1 {
 			want -= options - 1
 		}
-		before := c.BytesSent()
+		before := cl.BytesSent()
 		// The database is empty: the typed answer proves the server decoded
 		// the header and reached the engine.
 		if _, err := query(ctx, kps, intr); !errors.Is(err, ErrEmptyDatabase) {
 			t.Fatalf("%s: %v, want ErrEmptyDatabase", tc.name, err)
 		}
-		if got := c.BytesSent() - before; got != want {
+		if got := cl.BytesSent() - before; got != want {
 			t.Errorf("%s: query cost %d bytes on the wire, want %d", tc.name, got, want)
 		}
 	}
@@ -258,11 +258,7 @@ func TestRefusedPreambleAnsweredTyped(t *testing.T) {
 // TestHostileLengthPrefixBoundedAlloc: a length prefix is a claim, not a
 // reservation — the read buffer grows with the bytes that actually arrive.
 func TestHostileLengthPrefixBoundedAlloc(t *testing.T) {
-	db, err := NewDatabase(DefaultDatabaseConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	rt := routerFor(t, db)
+	rt := newTestRouter(t, DefaultDatabaseConfig(), nil)
 	s := &Server{router: rt, met: newSrvMetrics(rt.Registry())}
 	clientEnd, serverEnd := net.Pipe()
 	done := make(chan struct{})

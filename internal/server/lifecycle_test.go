@@ -15,15 +15,15 @@ import (
 	"visualprint/internal/testutil"
 )
 
-// lifecycleDB is the syntheticDB fixture — a tight cluster, which queries
-// against reach the pose solver, plus scatter — whose cold solve first holds
-// the request for hold, or until its context ends if that is sooner, and
-// then solves as usual: tests make a Locate effectively endless or merely
-// slow.
-func lifecycleDB(t testing.TB, hold time.Duration) (*Database, []Mapping) {
+// lifecycleRouter is the syntheticRouter fixture — a tight cluster, which
+// queries against reach the pose solver, plus scatter — whose default
+// venue's cold solve first holds the request for hold, or until its context
+// ends if that is sooner, and then solves as usual: tests make a Locate
+// effectively endless or merely slow.
+func lifecycleRouter(t testing.TB, hold time.Duration) (*Router, []Mapping) {
 	t.Helper()
-	db, ms := syntheticDB(t, 21, 48, 40)
-	db.coldSolve = func(ctx context.Context, corr []pose.Correspondence, intr pose.Intrinsics, lo, hi mathx.Vec3, opt pose.Options) (pose.Result, error) {
+	rt, ms := syntheticRouter(t, 21, 48, 40)
+	rt.Default().coldSolve = func(ctx context.Context, corr []pose.Correspondence, intr pose.Intrinsics, lo, hi mathx.Vec3, opt pose.Options) (pose.Result, error) {
 		timer := time.NewTimer(hold)
 		defer timer.Stop()
 		select {
@@ -33,7 +33,7 @@ func lifecycleDB(t testing.TB, hold time.Duration) (*Database, []Mapping) {
 		}
 		return pose.LocalizeCold(ctx, corr, intr, lo, hi, opt)
 	}
-	return db, ms
+	return rt, ms
 }
 
 // endless holds a solve until its request ends — every test using it must
@@ -44,11 +44,11 @@ const endless = time.Duration(math.MaxInt64)
 // TestLocateCanceledContext: a pre-canceled context stops Locate before
 // any work, typed and matching both the sentinel and the stdlib identity.
 func TestLocateCanceledContext(t *testing.T) {
-	db, ms := lifecycleDB(t, endless)
+	rt, ms := lifecycleRouter(t, endless)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	start := time.Now()
-	_, err := db.Locate(ctx, queryFromMappings(ms, 0, 48), testIntrinsics())
+	_, err := rt.Locate(ctx, "", queryFromMappings(ms, 0, 48), testIntrinsics())
 	if !errors.Is(err, ErrCanceled) || !errors.Is(err, context.Canceled) {
 		t.Fatalf("got %v, want ErrCanceled matching context.Canceled", err)
 	}
@@ -60,11 +60,11 @@ func TestLocateCanceledContext(t *testing.T) {
 // TestLocateDeadlineMidSolve: a deadline expiring inside the pose solve
 // stops it and the Locate answers typed, instead of never returning.
 func TestLocateDeadlineMidSolve(t *testing.T) {
-	db, ms := lifecycleDB(t, endless)
+	rt, ms := lifecycleRouter(t, endless)
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err := db.Locate(ctx, queryFromMappings(ms, 0, 48), testIntrinsics())
+	_, err := rt.Locate(ctx, "", queryFromMappings(ms, 0, 48), testIntrinsics())
 	if !errors.Is(err, ErrDeadlineExceeded) || !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("got %v, want ErrDeadlineExceeded matching context.DeadlineExceeded", err)
 	}
@@ -80,12 +80,12 @@ func TestLocateDeadlineMidSolve(t *testing.T) {
 // would never have finished on its own.
 func TestCancelFreesServerSlot(t *testing.T) {
 	testutil.CheckGoroutines(t)
-	db, ms := lifecycleDB(t, endless)
+	rt, ms := lifecycleRouter(t, endless)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := Serve(ln, routerFor(t, db), WithMaxInFlight(1))
+	s := Serve(ln, rt, WithMaxInFlight(1))
 	s.Log = nil
 	t.Cleanup(func() { s.Close() })
 	c := dialClient(t, s)
@@ -134,12 +134,12 @@ func TestCancelFreesServerSlot(t *testing.T) {
 // context never expires).
 func TestDeadlineEnforcedServerSide(t *testing.T) {
 	testutil.CheckGoroutines(t)
-	db, ms := lifecycleDB(t, endless)
+	rt, ms := lifecycleRouter(t, endless)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := Serve(ln, routerFor(t, db))
+	s := Serve(ln, rt)
 	s.Log = nil
 	t.Cleanup(func() { s.Close() })
 
@@ -178,12 +178,12 @@ func TestDeadlineEnforcedServerSide(t *testing.T) {
 // starvation.
 func TestShedUnderBurst(t *testing.T) {
 	testutil.CheckGoroutines(t)
-	db, ms := lifecycleDB(t, 200*time.Millisecond)
+	rt, ms := lifecycleRouter(t, 200*time.Millisecond)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := Serve(ln, routerFor(t, db), WithMaxInFlight(1), WithQueueDepth(0))
+	s := Serve(ln, rt, WithMaxInFlight(1), WithQueueDepth(0))
 	s.Log = nil
 	t.Cleanup(func() { s.Close() })
 	c := dialClient(t, s)
@@ -215,12 +215,12 @@ func TestShedUnderBurst(t *testing.T) {
 // (ErrTooFewMatches) is never retried.
 func TestRetryRecoversFromOverload(t *testing.T) {
 	testutil.CheckGoroutines(t)
-	db, ms := lifecycleDB(t, endless)
+	rt, ms := lifecycleRouter(t, endless)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := Serve(ln, routerFor(t, db), WithMaxInFlight(1), WithQueueDepth(0))
+	s := Serve(ln, rt, WithMaxInFlight(1), WithQueueDepth(0))
 	s.Log = nil
 	t.Cleanup(func() { s.Close() })
 
@@ -267,8 +267,8 @@ func TestRetryRecoversFromOverload(t *testing.T) {
 // returns nil on the clean drain.
 func TestShutdownDrains(t *testing.T) {
 	testutil.CheckGoroutines(t)
-	db, ms := lifecycleDB(t, 200*time.Millisecond)
-	want, wantErr := db.Locate(context.Background(), queryFromMappings(ms, 0, 48), testIntrinsics())
+	rt, ms := lifecycleRouter(t, 200*time.Millisecond)
+	want, wantErr := rt.Locate(context.Background(), "", queryFromMappings(ms, 0, 48), testIntrinsics())
 	if wantErr != nil {
 		t.Fatal(wantErr)
 	}
@@ -277,7 +277,7 @@ func TestShutdownDrains(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := Serve(ln, routerFor(t, db))
+	s := Serve(ln, rt)
 	s.Log = nil
 	t.Cleanup(func() { s.Close() })
 	c := dialClient(t, s)
@@ -341,12 +341,12 @@ func TestShutdownDrains(t *testing.T) {
 // reports the forced drain via ctx.Err().
 func TestShutdownForcedCancelsInFlight(t *testing.T) {
 	testutil.CheckGoroutines(t)
-	db, ms := lifecycleDB(t, endless)
+	rt, ms := lifecycleRouter(t, endless)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := Serve(ln, routerFor(t, db))
+	s := Serve(ln, rt)
 	s.Log = nil
 	t.Cleanup(func() { s.Close() })
 	c := dialClient(t, s)
@@ -386,12 +386,12 @@ func TestShutdownForcedCancelsInFlight(t *testing.T) {
 // the same way an expiring context does.
 func TestDrainTimeoutOption(t *testing.T) {
 	testutil.CheckGoroutines(t)
-	db, ms := lifecycleDB(t, endless)
+	rt, ms := lifecycleRouter(t, endless)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := Serve(ln, routerFor(t, db), WithDrainTimeout(200*time.Millisecond))
+	s := Serve(ln, rt, WithDrainTimeout(200*time.Millisecond))
 	s.Log = nil
 	t.Cleanup(func() { s.Close() })
 	c := dialClient(t, s)

@@ -149,11 +149,22 @@ var requestTypeNames = map[byte]string{
 	msgSubscribeOracle: "subscribe_oracle",
 }
 
-// errCodeNames maps wire error codes to metric name suffixes.
-var errCodeNames = [10]string{
-	"generic", "empty_database", "too_few_matches", "no_consensus",
-	"overloaded", "deadline_exceeded", "shutting_down", "canceled",
-	"not_primary", "protocol_version",
+// errCodeNames maps wire error codes to metric name suffixes. Keyed by
+// code, the table is as long as the highest code named; a new code must be
+// named here (TestErrCodeNamesCoverSentinels), or record books it as
+// generic.
+var errCodeNames = [...]string{
+	errCodeGeneric:          "generic",
+	errCodeEmptyDatabase:    "empty_database",
+	errCodeTooFewMatches:    "too_few_matches",
+	errCodeNoConsensus:      "no_consensus",
+	errCodeOverloaded:       "overloaded",
+	errCodeDeadlineExceeded: "deadline_exceeded",
+	errCodeShuttingDown:     "shutting_down",
+	errCodeCanceled:         "canceled",
+	errCodeNotPrimary:       "not_primary",
+	errCodeProtocolVersion:  "protocol_version",
+	errCodeVenueNotRepl:     "venue_not_replicated",
 }
 
 func newSrvMetrics(r *obs.Registry) *srvMetrics {

@@ -212,3 +212,56 @@ func TestDialDeadServerFailsPromptly(t *testing.T) {
 		t.Fatal("Dial to dead address succeeded")
 	}
 }
+
+// TestVenueNotReplicatedCountedByCode: a default-venue-only server refuses a
+// named-venue query with wire code 10, and the metrics book it under its own
+// name — not as a generic error.
+func TestVenueNotReplicatedCountedByCode(t *testing.T) {
+	r, err := NewDefaultVenueRouter(DefaultDatabaseConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := serveRouter(t, r)
+	c := dialVenue(t, s, "mall")
+	kps := make([]sift.Keypoint, 3)
+	if _, err := c.Query(context.Background(), kps, pose.Intrinsics{W: 100, H: 100, FovX: 1, FovY: 1}); !errors.Is(err, ErrVenueNotReplicated) {
+		t.Fatalf("named-venue query on a default-venue server: %v, want ErrVenueNotReplicated", err)
+	}
+	counters := s.Registry().Report().Counters
+	if got := counters["errors_venue_not_replicated"]; got != 1 {
+		t.Errorf("errors_venue_not_replicated = %d, want 1", got)
+	}
+	if got := counters["errors_generic"]; got != 0 {
+		t.Errorf("errors_generic = %d, want 0", got)
+	}
+}
+
+// TestErrCodeNamesCoverSentinels: every typed sentinel crosses the wire
+// under a code of its own, and that code has a metric name of its own, so
+// srvMetrics.record never books a typed failure as generic.
+func TestErrCodeNamesCoverSentinels(t *testing.T) {
+	sentinels := []error{
+		ErrEmptyDatabase, ErrTooFewMatches, ErrNoConsensus,
+		ErrOverloaded, ErrShuttingDown, ErrDeadlineExceeded, ErrCanceled,
+		ErrNotPrimary, ErrProtocolVersion, ErrVenueNotReplicated,
+	}
+	names := map[string]error{errCodeNames[errCodeGeneric]: nil}
+	for _, e := range sentinels {
+		code := errorCode(e)
+		if code == errCodeGeneric || sentinelFor(code) != e {
+			t.Errorf("%v: wire code %d does not round-trip", e, code)
+			continue
+		}
+		if int(code) >= len(errCodeNames) || errCodeNames[code] == "" {
+			t.Errorf("%v: wire code %d has no metric name", e, code)
+			continue
+		}
+		if prev, dup := names[errCodeNames[code]]; dup {
+			t.Errorf("%v and %v share the metric name %q", e, prev, errCodeNames[code])
+		}
+		names[errCodeNames[code]] = e
+	}
+	if len(names) != len(errCodeNames) {
+		t.Errorf("%d named codes for %d sentinels plus generic", len(errCodeNames), len(sentinels))
+	}
+}

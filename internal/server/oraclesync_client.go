@@ -28,12 +28,11 @@ const noVersion = ^uint64(0)
 
 // OracleSync is the oracle-distribution handle: it owns one downloaded
 // uniqueness oracle plus its version identity (epoch, inserts) and keeps
-// them current against the server. Build one with Client.OracleSync or
-// Venue.OracleSync; methods are safe for concurrent use, sharing the
+// them current against the server for the client's venue. Build one with
+// Client.OracleSync; methods are safe for concurrent use, sharing the
 // client's single connection.
 type OracleSync struct {
-	c     *Client
-	venue string
+	c *Client
 
 	// mu guards the held oracle and its version, and serializes Sync calls
 	// (two concurrent syncs patching one oracle would corrupt it).
@@ -44,12 +43,12 @@ type OracleSync struct {
 	bytes   int64
 }
 
-// OracleSync returns the oracle-distribution handle for the client's
-// default venue (or its WithVenue pin). The handle starts empty; the first
-// Sync downloads the full oracle and later Syncs ride the server's delta
-// window. Create one handle per oracle consumer and keep it — the version
+// OracleSync returns the oracle-distribution handle for the client's venue
+// (its WithVenue pin, or the default venue). The handle starts empty; the
+// first Sync downloads the full oracle and later Syncs ride the server's
+// delta window. Create one handle per oracle consumer and keep it — the version
 // identity it accumulates is what makes refreshes cheap.
-func (c *Client) OracleSync() *OracleSync { return &OracleSync{c: c, venue: c.venue} }
+func (c *Client) OracleSync() *OracleSync { return &OracleSync{c: c} }
 
 // Oracle returns the held oracle (nil before the first successful Sync).
 // The handle retains ownership: the same instance is patched in place by
@@ -93,7 +92,7 @@ func (h *OracleSync) syncLocked(ctx context.Context, retried bool) (*core.Oracle
 	if h.oracle != nil {
 		haveEpoch, haveInserts = h.epoch, h.inserts
 	}
-	rt, resp, err := h.c.invoke(ctx, routeRead, reqHeader{venue: h.venue}, msgOracleSync, encodeOracleVersion(haveEpoch, haveInserts))
+	rt, resp, err := h.c.invoke(ctx, routeRead, reqHeader{venue: h.c.venue}, msgOracleSync, encodeOracleVersion(haveEpoch, haveInserts))
 	if err != nil {
 		return nil, err
 	}
@@ -169,7 +168,7 @@ type OracleUpdate struct {
 // closed).
 func (h *OracleSync) Watch(ctx context.Context) (<-chan OracleUpdate, error) {
 	epoch, _, _ := h.Version()
-	id, ch, err := h.c.subscribe(ctx, h.venue, epoch)
+	id, ch, err := h.c.subscribe(ctx, epoch)
 	if err != nil {
 		return nil, err
 	}
@@ -286,7 +285,7 @@ func (h *OracleSync) resubscribe(ctx context.Context) (uint32, chan rpcResult, e
 		rerr := h.c.reconnect(ctx)
 		if rerr == nil {
 			epoch, _, _ := h.Version()
-			id, ch, err := h.c.subscribe(ctx, h.venue, epoch)
+			id, ch, err := h.c.subscribe(ctx, epoch)
 			if err == nil {
 				return id, ch, nil
 			}
@@ -315,10 +314,10 @@ func (h *OracleSync) resubscribe(ctx context.Context) (uint32, chan rpcResult, e
 // returned mailbox until unsubscribe. The mailbox is latest-wins (see
 // deliverLatest). Only the frame write is deadline-bounded; the stream
 // itself is long-lived and carries no header deadline.
-func (c *Client) subscribe(ctx context.Context, venue string, haveEpoch uint64) (uint32, chan rpcResult, error) {
+func (c *Client) subscribe(ctx context.Context, haveEpoch uint64) (uint32, chan rpcResult, error) {
 	payload := make([]byte, 8)
 	binary.LittleEndian.PutUint64(payload, haveEpoch)
-	return c.send(ctx, true, reqHeader{venue: venue}, msgSubscribeOracle, payload)
+	return c.send(ctx, true, reqHeader{venue: c.venue}, msgSubscribeOracle, payload)
 }
 
 // unsubscribe retires a subscription stream's demux route; late frames for

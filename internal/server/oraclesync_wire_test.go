@@ -322,24 +322,21 @@ func recvUpdate(t *testing.T, ch <-chan OracleUpdate) OracleUpdate {
 // cost 2.4x the blob it replaced. The server must answer with whichever
 // transfer is smaller.
 func TestOracleSyncDenseChainNeverBeatsBlob(t *testing.T) {
-	db, err := NewDatabase(DefaultDatabaseConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
+	rt := newTestRouter(t, DefaultDatabaseConfig(), nil)
+	db := rt.Default()
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(11))
-	if err := db.Ingest(ctx, randomBatch(rng, 1500)); err != nil {
+	if _, err := rt.Ingest(ctx, "", randomBatch(rng, 1500)); err != nil {
 		t.Fatal(err)
 	}
 	haveEpoch, haveInserts := db.OracleEpoch()
 	held := db.OracleClone()
 	for i := 0; i < 4; i++ {
-		if err := db.Ingest(ctx, randomBatch(rng, 1500)); err != nil {
+		if _, err := rt.Ingest(ctx, "", randomBatch(rng, 1500)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	blob, err := routerFor(t, db).OracleBlob("")
+	blob, err := rt.OracleBlob("")
 	if err != nil {
 		t.Fatal(err)
 	}

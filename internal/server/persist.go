@@ -21,7 +21,7 @@ import (
 // structures — LSH bucket slices, position ids, oracle counters — are
 // bit-identical to the pre-crash state), and a background snapshotter
 // starts folding the WAL into fresh snapshots whenever it outgrows
-// DatabaseConfig.WALCompactBytes.
+// walCompactBytes.
 //
 // Snapshot payload layout (inside the store's checksummed container):
 //
@@ -41,7 +41,7 @@ const dbSnapMagicSeq = "VPDB2\x00\x00\x00"
 
 // Open attaches dir as the database's durable backing store, recovering
 // any previously persisted state into the (required to be empty) in-memory
-// structures. After Open, every Ingest is write-ahead logged; Close
+// structures. After Open, every ingest is write-ahead logged; Close
 // releases the directory.
 func (db *Database) Open(dir string) error { return db.open(dir, nil) }
 
@@ -174,7 +174,7 @@ func (db *Database) ReplaceFromSnapshot(seq uint64, blob []byte) error {
 }
 
 // resetLocked publishes a fresh empty view, returning the in-memory state
-// to NewDatabase equivalence (a subsequent open's Recover then repopulates
+// to a freshly built shard's (a subsequent open's Recover then repopulates
 // it from the installed snapshot). Callers hold db.mu.
 func (db *Database) resetLocked() error {
 	v, err := newEmptyView(db.cfg)
@@ -197,11 +197,10 @@ func (db *Database) resetLocked() error {
 // An in-memory database has nothing to fold and returns nil.
 //
 // Ingest stalls for the duration: serialization and fsync happen under the
-// read lock Ingest's WAL reservation needs for writing. At the default
-// 64 MB threshold this is an ingest latency spike of up to a few seconds;
-// lowering DatabaseConfig.WALCompactBytes trades more frequent, shorter
-// stalls. Locates are unaffected either way — they read immutable published
-// views and never touch db.mu (see view.go).
+// read lock Ingest's WAL reservation needs for writing. At the 64 MB
+// threshold (walCompactBytes) this is an ingest latency spike of up to a few
+// seconds. Locates are unaffected — they read immutable published views and
+// never touch db.mu (see view.go).
 func (db *Database) Compact() error {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
@@ -301,7 +300,7 @@ func (db *Database) loadState(r io.Reader) (*dbView, error) {
 	if string(magic) != dbSnapMagicSeq {
 		return nil, fmt.Errorf("server: bad database snapshot magic %q (want %q)", magic, dbSnapMagicSeq)
 	}
-	ix, err := lsh.ReadIndex(r, db.cfg.LSH)
+	ix, err := lsh.ReadIndex(r, db.cfg.Oracle.LSH)
 	if err != nil {
 		return nil, err
 	}

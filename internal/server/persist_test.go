@@ -17,11 +17,10 @@ import (
 	"visualprint/internal/sift"
 )
 
-// persistTestConfig shrinks the compaction threshold so tests exercise the
-// background snapshotter without megabytes of ingest.
+// persistTestConfig is the default configuration with a deterministic pose
+// solve.
 func persistTestConfig() DatabaseConfig {
 	cfg := DefaultDatabaseConfig()
-	cfg.WALCompactBytes = 1 << 20
 	// The pose optimizer is an anytime search: its wall-clock deadline makes
 	// the iteration count timing-dependent. Bit-identical recovery checks
 	// need Locate to be a pure function of database state, so run the
@@ -30,40 +29,31 @@ func persistTestConfig() DatabaseConfig {
 	return cfg
 }
 
-func newTestDB(t testing.TB, cfg DatabaseConfig) *Database {
-	t.Helper()
-	db, err := NewDatabase(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	db.SetLogger(obs.FuncLogger(t.Logf))
+// persistTestShard returns r's default shard with the compaction threshold
+// shrunk to 1 MB, so tests exercise the background snapshotter without
+// megabytes of ingest. Call it before the shard is opened.
+func persistTestShard(r *Router) *Database {
+	db := r.Default()
+	db.compactAt = 1 << 20
 	return db
 }
 
-// newTestRouter builds an engine whose default venue logs through t.
-func newTestRouter(t testing.TB, cfg DatabaseConfig, topo map[string]VenueConfig) *Router {
+// newTestRouter builds an engine whose shards log through t until a Serve
+// rewires them.
+func newTestRouter(t testing.TB, cfg DatabaseConfig, topo map[string]int) *Router {
+	t.Helper()
+	return newLoggingRouter(t, cfg, topo, obs.FuncLogger(t.Logf))
+}
+
+// newLoggingRouter builds an engine whose shards log through l, as Serve
+// would wire them to its Server.Log.
+func newLoggingRouter(t testing.TB, cfg DatabaseConfig, topo map[string]int, l *obs.Logger) *Router {
 	t.Helper()
 	r, err := NewRouter(cfg, topo)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.Default().SetLogger(obs.FuncLogger(t.Logf))
-	return r
-}
-
-// routerFor wraps a standalone engine as the default venue of a fresh
-// router, so a test can serve the very Database it drives directly. The
-// engine then records into the router's instruments, as a default shard
-// NewRouter built would; call it before the engine serves traffic.
-func routerFor(t testing.TB, db *Database) *Router {
-	t.Helper()
-	r, err := NewRouter(db.cfg, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	db.met = r.met
-	db.met.mappings.Set(int64(db.Len()))
-	r.venues[""].shards[0] = db
+	r.logTo.Store(&l)
 	return r
 }
 
@@ -94,12 +84,12 @@ func queryKeypoints(t testing.TB, w *scene.World) ([]sift.Keypoint, pose.Intrins
 	return kps, sceneIntrinsics(cam)
 }
 
-// locateBoth runs the same query on two databases and requires bit-equal
-// answers (including equal failures).
-func requireIdenticalLocate(t *testing.T, a, b *Database, kps []sift.Keypoint, intr pose.Intrinsics) {
+// requireIdenticalLocate runs the same query on two engines' default venues
+// and requires bit-equal answers (including equal failures).
+func requireIdenticalLocate(t *testing.T, a, b *Router, kps []sift.Keypoint, intr pose.Intrinsics) {
 	t.Helper()
-	ra, errA := a.Locate(context.Background(), kps, intr)
-	rb, errB := b.Locate(context.Background(), kps, intr)
+	ra, errA := a.Locate(context.Background(), "", kps, intr)
+	rb, errB := b.Locate(context.Background(), "", kps, intr)
 	if (errA == nil) != (errB == nil) || (errA != nil && errA.Error() != errB.Error()) {
 		t.Fatalf("locate errors diverge: %v vs %v", errA, errB)
 	}
@@ -124,7 +114,8 @@ func TestKillAndRestartRecoversIdenticalMap(t *testing.T) {
 	ms := wardriveMappings(t)
 	kps, intr := queryKeypoints(t, w)
 
-	db1 := newTestDB(t, persistTestConfig())
+	r1 := newTestRouter(t, persistTestConfig(), nil)
+	db1 := persistTestShard(r1)
 	if err := db1.Open(dir); err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +125,7 @@ func TestKillAndRestartRecoversIdenticalMap(t *testing.T) {
 		if end > len(ms) {
 			end = len(ms)
 		}
-		if err := db1.Ingest(context.Background(), ms[i:end]); err != nil {
+		if _, err := r1.Ingest(context.Background(), "", ms[i:end]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -144,7 +135,8 @@ func TestKillAndRestartRecoversIdenticalMap(t *testing.T) {
 	// cleanup time adds nothing to disk, every Ingest already returned.)
 	t.Cleanup(func() { db1.Close() })
 
-	db2 := newTestDB(t, persistTestConfig())
+	r2 := newTestRouter(t, persistTestConfig(), nil)
+	db2 := persistTestShard(r2)
 	if err := db2.Open(dir); err != nil {
 		t.Fatalf("recovery: %v", err)
 	}
@@ -161,7 +153,7 @@ func TestKillAndRestartRecoversIdenticalMap(t *testing.T) {
 	if i1, i2 := db1.Stats().OracleInserts, db2.Stats().OracleInserts; i1 != i2 {
 		t.Fatalf("oracle inserts diverge: %d vs %d", i1, i2)
 	}
-	requireIdenticalLocate(t, db1, db2, kps, intr)
+	requireIdenticalLocate(t, r1, r2, kps, intr)
 
 	// The uniqueness oracle must rank identically too (it drives client
 	// keypoint selection).
@@ -190,18 +182,19 @@ func TestRecoveryFromSnapshotPlusTail(t *testing.T) {
 	kps, intr := queryKeypoints(t, w)
 	half := len(ms) / 2
 
-	db1 := newTestDB(t, persistTestConfig())
+	r1 := newTestRouter(t, persistTestConfig(), nil)
+	db1 := persistTestShard(r1)
 	if err := db1.Open(dir); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { db1.Close() }) // abandoned mid-test as a crash; reaped after
-	if err := db1.Ingest(context.Background(), ms[:half]); err != nil {
+	if _, err := r1.Ingest(context.Background(), "", ms[:half]); err != nil {
 		t.Fatal(err)
 	}
 	if err := db1.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	if err := db1.Ingest(context.Background(), ms[half:]); err != nil {
+	if _, err := r1.Ingest(context.Background(), "", ms[half:]); err != nil {
 		t.Fatal(err)
 	}
 	st := db1.Stats()
@@ -209,7 +202,8 @@ func TestRecoveryFromSnapshotPlusTail(t *testing.T) {
 		t.Fatalf("stats after compaction: %+v", st)
 	}
 
-	db2 := newTestDB(t, persistTestConfig())
+	r2 := newTestRouter(t, persistTestConfig(), nil)
+	db2 := persistTestShard(r2)
 	if err := db2.Open(dir); err != nil {
 		t.Fatalf("recovery: %v", err)
 	}
@@ -217,7 +211,7 @@ func TestRecoveryFromSnapshotPlusTail(t *testing.T) {
 	if db1.Len() != db2.Len() {
 		t.Fatalf("recovered %d mappings, ingested %d", db2.Len(), db1.Len())
 	}
-	requireIdenticalLocate(t, db1, db2, kps, intr)
+	requireIdenticalLocate(t, r1, r2, kps, intr)
 }
 
 // TestCorruptWALTailTruncatedNotFatal garbles the WAL tail and requires
@@ -226,7 +220,8 @@ func TestCorruptWALTailTruncatedNotFatal(t *testing.T) {
 	dir := t.TempDir()
 	cfg := persistTestConfig()
 
-	db1 := newTestDB(t, cfg)
+	r1 := newTestRouter(t, cfg, nil)
+	db1 := persistTestShard(r1)
 	if err := db1.Open(dir); err != nil {
 		t.Fatal(err)
 	}
@@ -235,38 +230,22 @@ func TestCorruptWALTailTruncatedNotFatal(t *testing.T) {
 		ms[i].Desc[0] = byte(i)
 		ms[i].Pos.X = float64(i)
 	}
-	if err := db1.Ingest(context.Background(), ms); err != nil {
+	if _, err := r1.Ingest(context.Background(), "", ms); err != nil {
 		t.Fatal(err)
 	}
 	if err := db1.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	// Append garbage to the WAL — a torn record from a mid-write crash.
-	segs, err := filepath.Glob(filepath.Join(dir, "wal-*.log"))
-	if err != nil || len(segs) == 0 {
-		t.Fatalf("no wal segment: %v", err)
-	}
-	f, err := os.OpenFile(segs[len(segs)-1], os.O_APPEND|os.O_WRONLY, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Write([]byte{0xde, 0xad, 0xbe}); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
+	tearWALTail(t, dir)
 
 	var mu sync.Mutex
 	var warnings []string
-	db2, err := NewDatabase(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	db2.SetLogger(obs.FuncLogger(func(format string, args ...any) {
+	db2 := newLoggingRouter(t, cfg, nil, obs.FuncLogger(func(format string, args ...any) {
 		mu.Lock()
 		warnings = append(warnings, fmt.Sprintf(format, args...))
 		mu.Unlock()
-	}))
+	})).Default()
 	if err := db2.Open(dir); err != nil {
 		t.Fatalf("recovery after tail corruption: %v", err)
 	}
@@ -287,18 +266,99 @@ func TestCorruptWALTailTruncatedNotFatal(t *testing.T) {
 	}
 }
 
-func TestOpenRequiresEmptyDatabase(t *testing.T) {
-	db := newTestDB(t, persistTestConfig())
-	if err := db.Ingest(context.Background(), []Mapping{{}}); err != nil {
+// tearWALTail appends garbage to the newest WAL segment in a shard's
+// directory — a torn record from a mid-write crash.
+func tearWALTail(t *testing.T, dir string) {
+	t.Helper()
+	segs, err := filepath.Glob(filepath.Join(dir, "wal-*.log"))
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("no wal segment: %v", err)
+	}
+	f, err := os.OpenFile(segs[len(segs)-1], os.O_APPEND|os.O_WRONLY, 0o644)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Open(t.TempDir()); err == nil {
+	defer f.Close()
+	if _, err := f.Write([]byte{0xde, 0xad, 0xbe}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestNamedVenueWarningsReachServerLog: every shard logs through its
+// Router's logger, which Serve points at Server.Log — a named venue's shards
+// as well as the default venue's. A venue created after Serve over a shard
+// directory whose WAL ends in a torn record recovers it, and the store's
+// truncation warning lands in Server.Log.
+func TestNamedVenueWarningsReachServerLog(t *testing.T) {
+	cfg := persistTestConfig()
+	ctx := context.Background()
+	ms := make([]Mapping, 30)
+	for i := range ms {
+		ms[i].Desc[0] = byte(i)
+		ms[i].Pos.X = float64(i)
+	}
+	// A named venue's shard directory with a torn WAL tail.
+	src := t.TempDir()
+	w := newTestRouter(t, cfg, nil)
+	if err := w.OpenVenues(src); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Ingest(ctx, "mall", ms); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	torn := filepath.Join(src, venuesSubdir, "mall", shardDirName(0))
+	tearWALTail(t, torn)
+
+	dir := t.TempDir()
+	r := newTestRouter(t, cfg, nil)
+	if err := r.OpenVenues(dir); err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	s := serveRouter(t, r)
+	var mu sync.Mutex
+	var warnings []string
+	s.Log = obs.FuncLogger(func(format string, args ...any) {
+		mu.Lock()
+		warnings = append(warnings, fmt.Sprintf(format, args...))
+		mu.Unlock()
+	})
+	// No meta.json records the venue, so the next ingest creates it over
+	// the torn shard directory.
+	if err := os.MkdirAll(filepath.Join(dir, venuesSubdir, "mall"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Rename(torn, filepath.Join(dir, venuesSubdir, "mall", shardDirName(0))); err != nil {
+		t.Fatal(err)
+	}
+	if total, err := r.Ingest(ctx, "mall", ms); err != nil || total != 2*len(ms) {
+		t.Fatalf("ingest into the recovered venue: total %d, %v; want %d", total, err, 2*len(ms))
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for _, msg := range warnings {
+		if strings.Contains(msg, "truncating wal") {
+			return
+		}
+	}
+	t.Fatalf("Server.Log got no truncation warning; got %q", warnings)
+}
+
+func TestOpenRequiresEmptyDatabase(t *testing.T) {
+	r := newTestRouter(t, persistTestConfig(), nil)
+	if _, err := r.Ingest(context.Background(), "", []Mapping{{}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Default().Open(t.TempDir()); err == nil {
 		t.Fatal("Open on a non-empty database succeeded")
 	}
 }
 
 func TestDoubleOpenFails(t *testing.T) {
-	db := newTestDB(t, persistTestConfig())
+	db := persistTestShard(newTestRouter(t, persistTestConfig(), nil))
 	if err := db.Open(t.TempDir()); err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +369,8 @@ func TestDoubleOpenFails(t *testing.T) {
 }
 
 func TestCloseIsIdempotentAndInMemoryNoop(t *testing.T) {
-	db := newTestDB(t, persistTestConfig())
+	r := newTestRouter(t, persistTestConfig(), nil)
+	db := persistTestShard(r)
 	if err := db.Close(); err != nil { // in-memory: no-op
 		t.Fatal(err)
 	}
@@ -323,7 +384,7 @@ func TestCloseIsIdempotentAndInMemoryNoop(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A closed durable database keeps serving in-memory.
-	if err := db.Ingest(context.Background(), []Mapping{{}}); err != nil {
+	if _, err := r.Ingest(context.Background(), "", []Mapping{{}}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -332,10 +393,9 @@ func TestCloseIsIdempotentAndInMemoryNoop(t *testing.T) {
 // for the snapshotter to fold it.
 func TestBackgroundCompaction(t *testing.T) {
 	dir := t.TempDir()
-	cfg := persistTestConfig()
-	cfg.WALCompactBytes = 4 << 10
-
-	db := newTestDB(t, cfg)
+	r := newTestRouter(t, persistTestConfig(), nil)
+	db := r.Default()
+	db.compactAt = 4 << 10
 	if err := db.Open(dir); err != nil {
 		t.Fatal(err)
 	}
@@ -346,7 +406,7 @@ func TestBackgroundCompaction(t *testing.T) {
 			ms[i].Desc[0], ms[i].Desc[1] = byte(round), byte(i)
 			ms[i].Pos.X = float64(round*100 + i)
 		}
-		if err := db.Ingest(context.Background(), ms); err != nil {
+		if _, err := r.Ingest(context.Background(), "", ms); err != nil {
 			t.Fatal(err)
 		}
 		if db.Stats().SnapshotSeq > 0 {
@@ -362,16 +422,16 @@ func TestBackgroundCompaction(t *testing.T) {
 // inserts and persistence state travel through the Stats RPC.
 func TestStatsRPCExtendedFields(t *testing.T) {
 	dir := t.TempDir()
-	db := newTestDB(t, persistTestConfig())
-	if err := db.Open(dir); err != nil {
+	r := newTestRouter(t, persistTestConfig(), nil)
+	if err := r.OpenVenues(dir); err != nil {
 		t.Fatal(err)
 	}
-	defer db.Close()
+	defer r.Close()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := Serve(ln, routerFor(t, db))
+	s := Serve(ln, r)
 	s.Log = nil
 	defer s.Close()
 	c, err := Dial(s.Addr().String())

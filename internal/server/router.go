@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"visualprint/internal/bloom"
@@ -18,6 +19,7 @@ import (
 	"visualprint/internal/hash"
 	"visualprint/internal/mathx"
 	"visualprint/internal/obs"
+	"visualprint/internal/sift"
 	"visualprint/internal/track"
 )
 
@@ -44,9 +46,9 @@ import (
 // the results are exact.
 type Router struct {
 	cfg DatabaseConfig
-	// pre maps venue names to the topologies fixed at construction (shard
-	// count, cell size); venues absent from the map get defaults. Immutable.
-	pre map[string]VenueConfig
+	// pre maps venue names to the shard counts fixed at construction; venues
+	// absent from the map get one shard. Immutable.
+	pre map[string]int
 
 	mu sync.RWMutex
 	// venues holds every live venue, the default one under the empty name.
@@ -72,7 +74,11 @@ type Router struct {
 	// only by tests.
 	now func() time.Time
 
-	log *obs.Logger
+	// logTo is the logger every shard warning and venue message goes
+	// through: Serve points it at its Server.Log field, read at each message
+	// so a later assignment takes effect. Unset, warnings go to the process
+	// logger (see logger).
+	logTo atomic.Pointer[*obs.Logger]
 
 	// defaultOnly marks a replicated server's router, fixed by
 	// NewDefaultVenueRouter: replication covers only the default venue, so
@@ -80,42 +86,25 @@ type Router struct {
 	defaultOnly bool
 }
 
-// VenueConfig fixes a venue's shard topology. It is immutable once the venue
-// exists — resharding is a future roadmap item — and persisted in the
-// venue's meta.json so recovery rebuilds the same topology.
-type VenueConfig struct {
-	// Shards is the number of shard engines the venue's mappings are
-	// partitioned across (minimum 1).
-	Shards int `json:"shards"`
-	// CellSize is the edge length of the spatial cells mappings are hashed
-	// by before the cell is assigned to a shard. Defaults to
-	// DefaultVenueCellSize. Cells, not raw positions, are the partition key
-	// so co-located features land on the same shard and per-shard WAL
-	// batches stay coherent; correctness never depends on it (the merge
-	// order is position-agnostic).
-	CellSize float64 `json:"cell_size"`
-}
-
-// DefaultVenueCellSize is the default spatial cell edge (meters in the
+// venueCellSize is the edge of the spatial cells a multi-shard venue hashes
+// mappings by before the cell is assigned to a shard (meters in the
 // simulated venues) — a few times the clustering epsilon, so one consensus
-// cluster usually lives in O(1) cells.
-const DefaultVenueCellSize = 4.0
+// cluster usually lives in O(1) cells and per-shard WAL batches stay
+// coherent. It decides only which shard a new mapping lands on, never an
+// answer: the merge order is position-agnostic (TestRouterLocateBitIdentical*).
+const venueCellSize = 4.0
 
-func (vc VenueConfig) withDefaults() VenueConfig {
-	if vc.Shards <= 0 {
-		vc.Shards = 1
-	}
-	if vc.CellSize <= 0 {
-		vc.CellSize = DefaultVenueCellSize
-	}
-	return vc
+// venueMeta is a named venue's meta.json: its shard count, immutable once
+// the venue exists (resharding is a future roadmap item), so recovery
+// rebuilds the same topology. Directories written by earlier versions also
+// record "cell_size" (always venueCellSize), which decoding ignores.
+type venueMeta struct {
+	Shards int `json:"shards"`
 }
 
 // venue is one tenant: its shard engines plus the lock under which
 // venue-wide ingest order is stamped onto every mapping.
 type venue struct {
-	name   string
-	cfg    VenueConfig
 	shards []*Database
 
 	// ingestMu serializes the stamping and applying of batches venue-wide,
@@ -131,9 +120,12 @@ type venue struct {
 
 // NewRouter builds the engine with its empty default venue, its instruments
 // and its session table. Named venues are created lazily with the same
-// configuration; topo fixes the shard topology of the venues it names — a
-// venue created by its first ingest takes it, and a venue recovered by
-// OpenVenues must agree with it. Venues absent from topo get one shard.
+// configuration; topo fixes the shard count of the venues it names (values
+// below 1 mean 1) — a venue created by its first ingest takes it, and a venue
+// recovered by OpenVenues must agree with it. Venues absent from topo get one
+// shard. A configuration whose LSH family does not hash SIFT descriptors
+// (Dim other than sift.DescriptorSize) is refused here, so no ingest has to
+// check it.
 //
 // Every instrument exists from here on: one set serves every shard of every
 // venue, so all venues record into the same locates / locate_ns / ingest_ns
@@ -141,13 +133,16 @@ type venue struct {
 // wal_bytes, snapshot_bytes) report the default venue. Venues add a
 // request-counter pair (venue_<name>_locates / _ingests), and the venues
 // gauge tracks the live named-venue count.
-func NewRouter(cfg DatabaseConfig, topo map[string]VenueConfig) (*Router, error) {
-	pre := make(map[string]VenueConfig, len(topo))
-	for name, vc := range topo {
+func NewRouter(cfg DatabaseConfig, topo map[string]int) (*Router, error) {
+	if d := cfg.Oracle.LSH.Dim; d != sift.DescriptorSize {
+		return nil, fmt.Errorf("server: LSH family dimension %d, want the SIFT descriptor's %d", d, sift.DescriptorSize)
+	}
+	pre := make(map[string]int, len(topo))
+	for name, n := range topo {
 		if !validVenueName(name) {
 			return nil, fmt.Errorf("server: invalid venue name %q", name)
 		}
-		pre[name] = vc.withDefaults()
+		pre[name] = max(n, 1)
 	}
 	reg := obs.NewRegistry()
 	met := newDBMetrics(reg)
@@ -167,7 +162,7 @@ func NewRouter(cfg DatabaseConfig, topo map[string]VenueConfig) (*Router, error)
 	// from Registry); registering them here lets an in-process report
 	// list the same names before any listener exists.
 	newSrvMetrics(reg)
-	def, err := r.buildVenueLocked("", VenueConfig{}.withDefaults())
+	def, err := r.buildVenueLocked("", 1)
 	if err != nil {
 		return nil, err
 	}
@@ -198,14 +193,13 @@ func (r *Router) admit(venueName string) error {
 	return nil
 }
 
-// SetLogger routes venue lifecycle messages through l (nil silences).
-func (r *Router) SetLogger(l *obs.Logger) {
-	if l == nil {
-		l = obs.Discard
+// logger returns the logger shard warnings go through: what Serve wired
+// (see logTo), or the process logger before any Serve.
+func (r *Router) logger() *obs.Logger {
+	if p := r.logTo.Load(); p != nil {
+		return *p
 	}
-	r.mu.Lock()
-	r.log = l
-	r.mu.Unlock()
+	return obs.Default()
 }
 
 // Default returns the default venue's single shard — what the replication
@@ -300,16 +294,16 @@ func (r *Router) openLocked() error {
 		if err != nil {
 			return fmt.Errorf("server: venue %q: %w", name, err)
 		}
-		var vc VenueConfig
-		if err := json.Unmarshal(meta, &vc); err != nil {
+		var vm venueMeta
+		if err := json.Unmarshal(meta, &vm); err != nil {
 			return fmt.Errorf("server: venue %q meta: %w", name, err)
 		}
-		vc = vc.withDefaults()
-		if want, ok := r.pre[name]; ok && want.Shards != vc.Shards {
+		shards := max(vm.Shards, 1)
+		if want, ok := r.pre[name]; ok && want != shards {
 			return fmt.Errorf("server: venue %q is configured with %d shard(s) but its %s records %d; resharding is not supported",
-				name, want.Shards, venueMetaFile, vc.Shards)
+				name, want, venueMetaFile, shards)
 		}
-		v, err := r.buildVenueLocked(name, vc)
+		v, err := r.buildVenueLocked(name, shards)
 		if err != nil {
 			return err
 		}
@@ -319,21 +313,20 @@ func (r *Router) openLocked() error {
 }
 
 // buildVenueLocked constructs a venue's shard engines with their
-// instruments, attaching durable stores when the router has a data
-// directory. Callers hold r.mu (or own the router exclusively).
-func (r *Router) buildVenueLocked(name string, vc VenueConfig) (*venue, error) {
+// instruments and the router's logger, attaching durable stores when the
+// router has a data directory. Callers hold r.mu (or own the router
+// exclusively).
+func (r *Router) buildVenueLocked(name string, shards int) (*venue, error) {
 	m := r.shardMet
 	if name == "" {
 		m = r.met
 	}
 	v := &venue{
-		name:    name,
-		cfg:     vc,
 		locates: m.reg.Counter("venue_" + name + "_locates"),
 		ingests: m.reg.Counter("venue_" + name + "_ingests"),
 	}
-	for i := 0; i < vc.Shards; i++ {
-		sh, err := newDatabase(r.cfg, m)
+	for i := 0; i < shards; i++ {
+		sh, err := newDatabase(r.cfg, m, r.logger)
 		if err == nil && r.dir != "" {
 			err = sh.Open(r.shardDir(name, i))
 		}
@@ -371,16 +364,16 @@ func (r *Router) getOrCreate(name string) (*venue, error) {
 	if v, ok := r.venues[name]; ok {
 		return v, nil
 	}
-	vc, ok := r.pre[name]
+	shards, ok := r.pre[name]
 	if !ok {
-		vc = VenueConfig{}.withDefaults()
+		shards = 1
 	}
 	if r.dir != "" {
 		venueDir := filepath.Join(r.dir, venuesSubdir, name)
 		if err := os.MkdirAll(venueDir, 0o755); err != nil {
 			return nil, err
 		}
-		meta, err := json.Marshal(vc)
+		meta, err := json.Marshal(venueMeta{Shards: shards})
 		if err != nil {
 			return nil, err
 		}
@@ -388,7 +381,7 @@ func (r *Router) getOrCreate(name string) (*venue, error) {
 			return nil, err
 		}
 	}
-	v, err := r.buildVenueLocked(name, vc)
+	v, err := r.buildVenueLocked(name, shards)
 	if err != nil {
 		return nil, err
 	}
@@ -396,8 +389,8 @@ func (r *Router) getOrCreate(name string) (*venue, error) {
 	close(r.created)
 	r.created = make(chan struct{})
 	r.venueGage.Set(int64(len(r.venues) - 1))
-	if r.log != nil {
-		r.log.Infof("server: venue %q created (%d shard(s))", name, vc.Shards)
+	if p := r.logTo.Load(); p != nil {
+		(*p).Infof("server: venue %q created (%d shard(s))", name, shards)
 	}
 	return v, nil
 }
@@ -443,21 +436,11 @@ func (r *Router) Compact() error {
 
 // shardFor hashes a mapping's spatial cell to a shard index.
 func (v *venue) shardFor(p mathx.Vec3) int {
-	cs := v.cfg.CellSize
 	var buf [12]byte
-	binary.LittleEndian.PutUint32(buf[0:], uint32(int32(math.Floor(p.X/cs))))
-	binary.LittleEndian.PutUint32(buf[4:], uint32(int32(math.Floor(p.Y/cs))))
-	binary.LittleEndian.PutUint32(buf[8:], uint32(int32(math.Floor(p.Z/cs))))
+	binary.LittleEndian.PutUint32(buf[0:], uint32(int32(math.Floor(p.X/venueCellSize))))
+	binary.LittleEndian.PutUint32(buf[4:], uint32(int32(math.Floor(p.Y/venueCellSize))))
+	binary.LittleEndian.PutUint32(buf[8:], uint32(int32(math.Floor(p.Z/venueCellSize))))
 	return int(hash.Sum64(buf[:], 0x5eed) % uint64(len(v.shards)))
-}
-
-// Len returns a venue's total mapping count (0 for a venue never created).
-func (r *Router) Len(venueName string) int {
-	v := r.lookup(venueName)
-	if v == nil {
-		return 0
-	}
-	return v.len()
 }
 
 func (v *venue) len() int {
@@ -479,7 +462,7 @@ func (v *venue) len() int {
 // round trip. The call returns once every shard has acknowledged. A
 // NewDefaultVenueRouter refuses a named venue with ErrVenueNotReplicated.
 //
-// The context gates admission only (see Database.Ingest).
+// The context gates admission only (see Database.IngestSeq).
 func (r *Router) Ingest(ctx context.Context, venueName string, ms []Mapping) (total int, err error) {
 	if err := ctx.Err(); err != nil {
 		return 0, ctxError(err)
@@ -625,23 +608,20 @@ func (r *Router) OracleSyncSince(venueName string, haveEpoch, haveInserts uint64
 	return res, nil
 }
 
-// VenueEpochSignal returns a venue's version identity plus a channel closed
-// by the next epoch bump after it (see Database.EpochSignal for the
-// no-missed-wakeup argument). A venue that does not exist yet reports
-// version (0, 0) and a channel closed by the next venue creation, so a
-// subscription parks until the venue's first ingest. A multi-shard venue
-// merges the per-shard signals through funnel goroutines; stop bounds their
-// lifetime — pass the subscriber's cancellation so an idle venue doesn't
-// accumulate them.
+// VenueEpochSignal returns a venue's version identity — the shard sums, as
+// oracleEpoch — plus a channel closed by the next epoch bump after it on any
+// of its shards (see Database.EpochSignal for the no-missed-wakeup argument).
+// A venue that does not exist yet reports version (0, 0) and a channel closed
+// by the next venue creation, so a subscription parks until the venue's
+// first ingest. The shard signals are merged through one funnel goroutine per
+// shard; each exits when a shard fires or stop closes — pass the
+// subscriber's cancellation so an idle venue doesn't accumulate them.
 func (r *Router) VenueEpochSignal(venueName string, stop <-chan struct{}) (epoch, inserts uint64, ch <-chan struct{}) {
 	r.mu.RLock()
 	v, created := r.venues[venueName], r.created
 	r.mu.RUnlock()
 	if v == nil {
 		return 0, 0, created
-	}
-	if len(v.shards) == 1 {
-		return v.shards[0].EpochSignal()
 	}
 	merged := make(chan struct{})
 	var once sync.Once
@@ -662,7 +642,7 @@ func (r *Router) VenueEpochSignal(venueName string, stop <-chan struct{}) (epoch
 }
 
 // Stats aggregates a venue's shard stats. A venue that does not exist
-// reports zeros (consistent with Len).
+// reports zeros.
 func (r *Router) Stats(venueName string) DBStats {
 	v := r.lookup(venueName)
 	if v == nil {

@@ -11,11 +11,13 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"visualprint/internal/codec"
 	"visualprint/internal/mathx"
 	"visualprint/internal/pose"
 	"visualprint/internal/sift"
+	"visualprint/internal/testutil"
 )
 
 // routerTestConfig makes Locate a pure function of database state (no
@@ -85,7 +87,7 @@ func syntheticQuery(ms []Mapping, clusterN, queryN int, cam mathx.Vec3) ([]sift.
 func shardedFixture(t testing.TB, cfg DatabaseConfig, shards int, ms []Mapping, batch int) (*Router, string) {
 	t.Helper()
 	const venueName = "test-venue"
-	r := newTestRouter(t, cfg, map[string]VenueConfig{venueName: {Shards: shards}})
+	r := newTestRouter(t, cfg, map[string]int{venueName: shards})
 	for i := 0; i < len(ms); i += batch {
 		end := i + batch
 		if end > len(ms) {
@@ -97,11 +99,14 @@ func shardedFixture(t testing.TB, cfg DatabaseConfig, shards int, ms []Mapping, 
 			}
 		}
 	}
-	if r.Len("") != r.Len(venueName) {
-		t.Fatalf("mapping counts diverge: single %d, venue %d", r.Len(""), r.Len(venueName))
+	if venueLen(r, "") != venueLen(r, venueName) {
+		t.Fatalf("mapping counts diverge: single %d, venue %d", venueLen(r, ""), venueLen(r, venueName))
 	}
 	return r, venueName
 }
+
+// venueLen is a venue's total mapping count (0 for a venue never created).
+func venueLen(r *Router, venueName string) int { return int(r.Stats(venueName).Mappings) }
 
 // requireBitIdentical compares two locate outcomes down to the float bits:
 // the gather over several shards must reproduce the one-shard candidate
@@ -218,7 +223,7 @@ func TestVenueIsolation(t *testing.T) {
 	if _, err := r.Locate(context.Background(), "", kps, intr); !errors.Is(err, ErrEmptyDatabase) {
 		t.Fatalf("default venue query: got %v, want ErrEmptyDatabase", err)
 	}
-	if n := r.Len("venue-b"); n != 0 {
+	if n := venueLen(r, "venue-b"); n != 0 {
 		t.Fatalf("venue-b reports %d mappings", n)
 	}
 	if got := r.Venues(); len(got) != 1 || got[0] != "venue-a" {
@@ -265,7 +270,7 @@ func TestVenuePersistenceRoundTrip(t *testing.T) {
 	ms, kps, intr := syntheticCorpus(7, 160, 900, 200)
 	const venueName = "airport-t2"
 
-	r1 := newTestRouter(t, cfg, map[string]VenueConfig{venueName: {Shards: 3}})
+	r1 := newTestRouter(t, cfg, map[string]int{venueName: 3})
 	if err := r1.OpenVenues(dir); err != nil {
 		t.Fatal(err)
 	}
@@ -280,8 +285,13 @@ func TestVenuePersistenceRoundTrip(t *testing.T) {
 
 	// The on-disk layout is part of the format contract.
 	vdir := filepath.Join(dir, venuesSubdir, venueName)
-	if _, err := os.Stat(filepath.Join(vdir, venueMetaFile)); err != nil {
-		t.Fatalf("venue meta: %v", err)
+	if meta, err := os.ReadFile(filepath.Join(vdir, venueMetaFile)); err != nil || string(meta) != `{"shards":3}` {
+		t.Fatalf("venue meta = %s, %v", meta, err)
+	}
+	// Older servers also recorded the (always 4 m) spatial cell edge; such
+	// a directory opens the same.
+	if err := os.WriteFile(filepath.Join(vdir, venueMetaFile), []byte(`{"shards":3,"cell_size":4}`), 0o644); err != nil {
+		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
 		if _, err := os.Stat(filepath.Join(vdir, shardDirName(i))); err != nil {
@@ -294,7 +304,7 @@ func TestVenuePersistenceRoundTrip(t *testing.T) {
 		t.Fatalf("recovery: %v", err)
 	}
 	defer r2.Close()
-	if n := r2.Len(venueName); n != half {
+	if n := venueLen(r2, venueName); n != half {
 		t.Fatalf("recovered %d mappings, want %d", n, half)
 	}
 	after, errAfter := r2.Locate(context.Background(), venueName, kps, intr)
@@ -311,14 +321,14 @@ func TestVenuePersistenceRoundTrip(t *testing.T) {
 	if _, err := r2.Ingest(context.Background(), venueName, ms[half:]); err != nil {
 		t.Fatal(err)
 	}
-	single := newTestDB(t, cfg)
-	if err := single.Ingest(context.Background(), ms[:half]); err != nil {
+	single := newTestRouter(t, cfg, nil)
+	if _, err := single.Ingest(context.Background(), "", ms[:half]); err != nil {
 		t.Fatal(err)
 	}
-	if err := single.Ingest(context.Background(), ms[half:]); err != nil {
+	if _, err := single.Ingest(context.Background(), "", ms[half:]); err != nil {
 		t.Fatal(err)
 	}
-	rs, errS := single.Locate(context.Background(), kps, intr)
+	rs, errS := single.Locate(context.Background(), "", kps, intr)
 	rr, errR := r2.Locate(context.Background(), venueName, kps, intr)
 	requireBitIdentical(t, rs, errS, rr, errR)
 }
@@ -329,11 +339,11 @@ func TestVenuePersistenceRoundTrip(t *testing.T) {
 func TestVenueConfigRules(t *testing.T) {
 	cfg := routerTestConfig()
 	for _, bad := range []string{"", ".hidden", "UPPER", "spa ce", "a/b"} {
-		if _, err := NewRouter(cfg, map[string]VenueConfig{bad: {Shards: 2}}); err == nil {
+		if _, err := NewRouter(cfg, map[string]int{bad: 2}); err == nil {
 			t.Errorf("NewRouter accepted the invalid venue name %q", bad)
 		}
 	}
-	r := newTestRouter(t, cfg, map[string]VenueConfig{"live": {Shards: 2}})
+	r := newTestRouter(t, cfg, map[string]int{"live": 2})
 	ms, _, _ := syntheticCorpus(3, 0, 32, 0)
 	for name, want := range map[string]int{"live": 2, "other": 1} {
 		if _, err := r.Ingest(context.Background(), name, ms); err != nil {
@@ -354,7 +364,7 @@ func TestOpenVenuesRefusesTopologyMismatch(t *testing.T) {
 	dir := t.TempDir()
 	cfg := routerTestConfig()
 	ms, _, _ := syntheticCorpus(3, 0, 64, 0)
-	recorded := map[string]VenueConfig{"mall": {Shards: 1}, "wide": {Shards: 3}}
+	recorded := map[string]int{"mall": 1, "wide": 3}
 	w := newTestRouter(t, cfg, recorded)
 	if err := w.OpenVenues(dir); err != nil {
 		t.Fatal(err)
@@ -368,7 +378,7 @@ func TestOpenVenuesRefusesTopologyMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	r := newTestRouter(t, cfg, map[string]VenueConfig{"mall": {Shards: 4}})
+	r := newTestRouter(t, cfg, map[string]int{"mall": 4})
 	err := r.OpenVenues(dir)
 	r.Close()
 	if err == nil {
@@ -380,16 +390,66 @@ func TestOpenVenuesRefusesTopologyMismatch(t *testing.T) {
 		}
 	}
 
-	for _, topo := range []map[string]VenueConfig{recorded, nil} {
+	for _, topo := range []map[string]int{recorded, nil} {
 		r := newTestRouter(t, cfg, topo)
 		if err := r.OpenVenues(dir); err != nil {
 			t.Fatalf("topology %v: %v", topo, err)
 		}
-		for name, vc := range recorded {
-			if got := len(r.lookup(name).shards); got != vc.Shards || r.Len(name) != len(ms) {
-				t.Errorf("topology %v: venue %q opened with %d shard(s), %d mappings; want %d, %d", topo, name, got, r.Len(name), vc.Shards, len(ms))
+		for name, shards := range recorded {
+			if got := len(r.lookup(name).shards); got != shards || venueLen(r, name) != len(ms) {
+				t.Errorf("topology %v: venue %q opened with %d shard(s), %d mappings; want %d, %d", topo, name, got, venueLen(r, name), shards, len(ms))
 			}
 		}
 		r.Close()
+	}
+}
+
+// TestNewRouterRefusesDescriptorDimension: the LSH family hashes SIFT
+// descriptors, so a configuration whose family has another dimension is
+// refused when the engine is built — no ingest has to check it.
+func TestNewRouterRefusesDescriptorDimension(t *testing.T) {
+	cfg := routerTestConfig()
+	cfg.Oracle.LSH.Dim = sift.DescriptorSize / 2
+	if _, err := NewRouter(cfg, nil); err == nil || !strings.Contains(err.Error(), "dimension 64") {
+		t.Fatalf("NewRouter with a 64-dimensional family: %v, want a dimension error", err)
+	}
+	if _, err := NewDefaultVenueRouter(cfg); err == nil {
+		t.Fatal("NewDefaultVenueRouter accepted a 64-dimensional family")
+	}
+}
+
+// TestVenueEpochSignalFunnelExits: every venue's epoch signal, the default
+// venue's single shard included, is merged through the funnel, whose
+// goroutines end when stop closes or when any shard bumps its epoch.
+func TestVenueEpochSignalFunnelExits(t *testing.T) {
+	testutil.CheckGoroutines(t)
+	r := newTestRouter(t, routerTestConfig(), map[string]int{"wide": 3})
+	ms, _, _ := syntheticCorpus(5, 0, 40, 0)
+	ctx := context.Background()
+	for _, name := range []string{"", "wide"} {
+		if _, err := r.Ingest(ctx, name, ms); err != nil {
+			t.Fatal(err)
+		}
+		stop := make(chan struct{})
+		epoch, inserts, ch := r.VenueEpochSignal(name, stop)
+		if e, i := r.lookup(name).oracleEpoch(); epoch != e || inserts != i || inserts != uint64(len(ms)) {
+			t.Fatalf("venue %q signals version (%d, %d), want (%d, %d) with %d inserts", name, epoch, inserts, e, i, len(ms))
+		}
+		close(stop) // parked funnel goroutines exit; the signal stays open
+		select {
+		case <-ch:
+			t.Fatalf("venue %q: closing stop fired the epoch signal", name)
+		default:
+		}
+
+		_, _, ch = r.VenueEpochSignal(name, make(chan struct{})) // never stopped
+		if _, err := r.Ingest(ctx, name, ms); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case <-ch:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("venue %q: an ingest did not fire the epoch signal", name)
+		}
 	}
 }

@@ -70,8 +70,9 @@ type Server struct {
 	nreq int
 	idle chan struct{}
 	wg   sync.WaitGroup
-	// Log receives connection-level errors; Serve defaults it to the
-	// process logger (obs.Default); nil silences.
+	// Log receives connection-level errors and the router's shard warnings
+	// and venue messages; Serve defaults it to the process logger
+	// (obs.Default); nil silences.
 	Log *obs.Logger
 
 	// met is the wire-level instrument set Serve builds on the router's
@@ -172,12 +173,11 @@ func Serve(ln net.Listener, router *Router, opts ...Option) *Server {
 		s.maxQueue = DefaultQueueDepth(s.maxInFlight)
 	}
 	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())
-	// Route the default venue's own warnings (persistence, resource budgets)
-	// through the server's logger so one knob silences or redirects both —
-	// unless the owner already chose a logger. The indirection through
-	// s.logf keeps a later `s.Log = nil` effective for both.
-	router.Default().setLoggerDefault(obs.FuncLogger(s.logf))
-	router.SetLogger(s.Log)
+	// Route every venue's shard warnings (persistence, delta-ring resets)
+	// and venue messages through the server's logger, so one knob silences
+	// or redirects them all. The router reads the field itself at each
+	// message, so a later `s.Log = nil` is effective for them too.
+	router.logTo.Store(&s.Log)
 	s.met = newSrvMetrics(router.Registry())
 	if s.rs != nil {
 		s.rs.SetLogger(s.Log)

@@ -65,20 +65,11 @@ func wardriveMappings(t testing.TB) []Mapping {
 	return slices.Clone(venueWalk.ms)
 }
 
-func startServer(t testing.TB) (*Server, *Database) {
+// startServer serves a fresh default-configuration engine over TCP.
+func startServer(t testing.TB) (*Server, *Router) {
 	t.Helper()
-	db, err := NewDatabase(DefaultDatabaseConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := Serve(ln, routerFor(t, db))
-	s.Log = nil
-	t.Cleanup(func() { s.Close() })
-	return s, db
+	rt := newTestRouter(t, DefaultDatabaseConfig(), nil)
+	return serveRouter(t, rt), rt
 }
 
 func dialClient(t testing.TB, s *Server) *Client {
@@ -92,7 +83,7 @@ func dialClient(t testing.TB, s *Server) *Client {
 }
 
 func TestIngestAndStatsOverTCP(t *testing.T) {
-	s, db := startServer(t)
+	s, rt := startServer(t)
 	c := dialClient(t, s)
 	ms := make([]Mapping, 10)
 	for i := range ms {
@@ -103,8 +94,8 @@ func TestIngestAndStatsOverTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if total != 10 || db.Len() != 10 {
-		t.Errorf("total=%d dbLen=%d", total, db.Len())
+	if total != 10 || rt.Default().Len() != 10 {
+		t.Errorf("total=%d dbLen=%d", total, rt.Default().Len())
 	}
 	n, err := c.Stats(context.Background())
 	if err != nil {
@@ -119,7 +110,7 @@ func TestIngestAndStatsOverTCP(t *testing.T) {
 }
 
 func TestOracleDownloadAgrees(t *testing.T) {
-	s, db := startServer(t)
+	s, rt := startServer(t)
 	c := dialClient(t, s)
 	ms := make([]Mapping, 50)
 	for i := range ms {
@@ -140,7 +131,7 @@ func TestOracleDownloadAgrees(t *testing.T) {
 	}
 	// The downloaded oracle must agree with the server's on every inserted
 	// descriptor.
-	live := db.OracleClone()
+	live := rt.Default().OracleClone()
 	for i := range ms {
 		want, _ := live.Uniqueness(ms[i].Desc[:])
 		got, err := oracle.Uniqueness(ms[i].Desc[:])
@@ -239,11 +230,7 @@ func TestQueryOnEmptyDatabase(t *testing.T) {
 }
 
 func TestServeConnOverPipe(t *testing.T) {
-	db, err := NewDatabase(DefaultDatabaseConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := routerFor(t, db)
+	r := newTestRouter(t, DefaultDatabaseConfig(), nil)
 	s := &Server{router: r, conns: map[net.Conn]struct{}{}, met: newSrvMetrics(r.Registry())}
 	clientEnd, serverEnd := net.Pipe()
 	go s.ServeConn(serverEnd)
@@ -259,7 +246,7 @@ func TestServeConnOverPipe(t *testing.T) {
 }
 
 func TestConcurrentClients(t *testing.T) {
-	s, db := startServer(t)
+	s, rt := startServer(t)
 	const clients = 4
 	const batches = 5
 	errc := make(chan error, clients)
@@ -295,7 +282,7 @@ func TestConcurrentClients(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := db.Len(); got != clients*batches*20 {
+	if got := rt.Default().Len(); got != clients*batches*20 {
 		t.Errorf("db has %d mappings, want %d", got, clients*batches*20)
 	}
 }
@@ -370,18 +357,18 @@ func TestQueryUploadBytesMatchesWire(t *testing.T) {
 // answers the full DBStats payload, which both Client.Stats and
 // Client.StatsFull decode.
 func TestStatsWireCompat(t *testing.T) {
-	s, db := startServer(t)
+	s, rt := startServer(t)
 	ms := make([]Mapping, 7)
 	for i := range ms {
 		ms[i].Desc[0] = byte(i)
 		ms[i].Pos = mathx.Vec3{X: float64(i)}
 	}
-	if err := db.Ingest(context.Background(), ms); err != nil {
+	if _, err := rt.Ingest(context.Background(), "", ms); err != nil {
 		t.Fatal(err)
 	}
-	rt, resp := s.serveRequest(context.Background(), reqHeader{}, msgStats, nil, nil)
-	if rt != msgStatsResult {
-		t.Fatalf("msgStats response type = %d", rt)
+	typ, resp := s.serveRequest(context.Background(), reqHeader{}, msgStats, nil, nil)
+	if typ != msgStatsResult {
+		t.Fatalf("msgStats response type = %d", typ)
 	}
 	if len(resp) != dbStatsWireSize {
 		t.Fatalf("msgStats payload is %d bytes, want %d", len(resp), dbStatsWireSize)

@@ -50,27 +50,19 @@ func TestSessionQueryOverWire(t *testing.T) {
 	}
 }
 
-// TestSessionVenueScopedOverWire: a session created from a venue handle
-// carries both header options (venue and session ID) and lands its warm
-// state on that venue's keyed session, isolated from the default venue.
+// TestSessionVenueScopedOverWire: a session of a venue-scoped client carries
+// both header options (venue and session ID) and lands its warm state on
+// that venue's keyed session, isolated from the default venue.
 func TestSessionVenueScopedOverWire(t *testing.T) {
 	s := startVenueServer(t)
-	c, err := Dial(s.Addr().String(), WithLogger(nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
 	ms, kps, intr := syntheticCorpus(7, 160, 1200, 200)
 	ctx := context.Background()
 
-	va := c.Venue("venue-a")
+	va := dialVenue(t, s, "venue-a")
 	if _, err := va.Ingest(ctx, ms); err != nil {
 		t.Fatal(err)
 	}
 	sess := va.Session()
-	if sess.Venue() != "venue-a" {
-		t.Fatalf("session venue = %q, want venue-a", sess.Venue())
-	}
 	for i := 0; i < 2; i++ {
 		if _, err := sess.Query(ctx, kps, intr); err != nil {
 			t.Fatalf("venue session query %d: %v", i, err)
@@ -78,5 +70,11 @@ func TestSessionVenueScopedOverWire(t *testing.T) {
 	}
 	if got := s.router.tm.warm.Value(); got != 1 {
 		t.Fatalf("track_warm = %d, want 1", got)
+	}
+	if _, ok := s.router.trk.Predict(sessionKey("venue-a", sess.ID()), s.router.now()); !ok {
+		t.Fatal("no session state under venue-a's key")
+	}
+	if _, ok := s.router.trk.Predict(sessionKey("", sess.ID()), s.router.now()); ok {
+		t.Fatal("the venue session left state under the default venue's key")
 	}
 }

@@ -14,11 +14,10 @@ import (
 )
 
 // snapshotFuzzConfig is a small engine configuration — a three-table LSH
-// family and a tiny oracle — so a valid VPDB2 snapshot is a few kilobytes
-// and fuzzed streams stay short.
+// family, shared by the index and the oracle, and a tiny oracle — so a valid
+// VPDB2 snapshot is a few kilobytes and fuzzed streams stay short.
 func snapshotFuzzConfig() DatabaseConfig {
 	cfg := DefaultDatabaseConfig()
-	cfg.LSH = lsh.Params{L: 3, M: 4, W: 400, Dim: 128, Seed: 9}
 	cfg.Oracle = core.Params{
 		LSH: lsh.Params{L: 3, M: 4, W: 400, Dim: 128, Seed: 3},
 		K:   4, CountersPerTable: 96, CounterBits: 10,
@@ -27,8 +26,13 @@ func snapshotFuzzConfig() DatabaseConfig {
 	return cfg
 }
 
-// snapshotSeed serializes a database holding n random mappings.
-func snapshotSeed(t testing.TB, db *Database, n int) []byte {
+// snapshotSeed serializes the default venue of an engine built from cfg
+// holding n random mappings.
+func snapshotSeed(t testing.TB, cfg DatabaseConfig, n int) []byte {
+	r, err := NewRouter(cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	rng := rand.New(rand.NewSource(int64(n)))
 	ms := make([]Mapping, n)
 	for i := range ms {
@@ -36,10 +40,11 @@ func snapshotSeed(t testing.TB, db *Database, n int) []byte {
 		ms[i].Pos = mathx.Vec3{X: rng.Float64() * 10, Y: rng.Float64() * 3, Z: rng.Float64() * 8}
 	}
 	if n > 0 {
-		if err := db.Ingest(context.Background(), ms); err != nil {
+		if _, err := r.Ingest(context.Background(), "", ms); err != nil {
 			t.Fatal(err)
 		}
 	}
+	db := r.Default()
 	var buf bytes.Buffer
 	if err := db.writeState(db.cur.Load(), &buf); err != nil {
 		t.Fatal(err)
@@ -60,16 +65,13 @@ func snapshotSeed(t testing.TB, db *Database, n int) []byte {
 func FuzzSnapshot(f *testing.F) {
 	cfg := snapshotFuzzConfig()
 	for _, n := range []int{0, 1, 5, 30} {
-		db, err := NewDatabase(cfg)
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(snapshotSeed(f, db, n))
+		f.Add(snapshotSeed(f, cfg, n))
 	}
-	db, err := NewDatabase(cfg)
+	r, err := NewRouter(cfg, nil)
 	if err != nil {
 		f.Fatal(err)
 	}
+	db := r.Default()
 	// The index stream is magic, header and descriptor count, the
 	// descriptors, then one bucket count and its buckets per table; an
 	// empty index is all of that but descriptors and buckets.
@@ -77,8 +79,8 @@ func FuzzSnapshot(f *testing.F) {
 	if _, err := db.cur.Load().index.WriteTo(&empty); err != nil {
 		f.Fatal(err)
 	}
-	descsAt := len(dbSnapMagicSeq) + empty.Len() - 8*cfg.LSH.L
-	dim := cfg.LSH.Dim
+	descsAt := len(dbSnapMagicSeq) + empty.Len() - 8*cfg.Oracle.LSH.L
+	dim := cfg.Oracle.LSH.Dim
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)

@@ -65,8 +65,17 @@ func newTrackMetrics(reg *obs.Registry) trackMetrics {
 	}
 }
 
-// Locate answers a localization query against a venue. A venue that was
-// never ingested returns ErrEmptyDatabase.
+// Locate answers a localization query against a venue with the paper's
+// server-side pipeline: LSH candidate retrieval for each uploaded keypoint
+// (across a bounded worker pool on large queries), spatial clustering of the
+// candidate 3D points, largest-cluster filtering, and the Figure 12 pose
+// optimization over the surviving correspondences. Failures are the typed
+// sentinels ErrEmptyDatabase (also for a venue that was never ingested),
+// ErrTooFewMatches and ErrNoConsensus. The context is checked at every stage
+// boundary and inside the pose solve, so a canceled or expired request stops
+// burning CPU mid-pipeline and answers ErrCanceled or ErrDeadlineExceeded
+// (which also match context.Canceled and context.DeadlineExceeded under
+// errors.Is).
 func (r *Router) Locate(ctx context.Context, venueName string, kps []sift.Keypoint, intr pose.Intrinsics) (LocateResult, error) {
 	return r.LocateSession(ctx, venueName, 0, kps, intr)
 }

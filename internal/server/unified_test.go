@@ -108,16 +108,12 @@ func TestReadRPCsNeverCreateVenues(t *testing.T) {
 func TestSyncBeforeFirstIngest(t *testing.T) {
 	r := newTestRouter(t, routerTestConfig(), nil)
 	s := serveRouter(t, r)
-	c, err := Dial(s.Addr().String(), WithLogger(nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	const venueName = "late"
+	c := dialVenue(t, s, venueName)
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
-	const venueName = "late"
 
-	h := c.Venue(venueName).OracleSync()
+	h := c.OracleSync()
 	updates, err := h.Watch(ctx)
 	if err != nil {
 		t.Fatal(err)
@@ -162,9 +158,9 @@ func TestIngestLockNotHeldAcrossDurabilityWait(t *testing.T) {
 		shards int
 	}{{"", 1}, {"wide", 4}} {
 		t.Run(fmt.Sprintf("shards=%d", tc.shards), func(t *testing.T) {
-			var topo map[string]VenueConfig
+			var topo map[string]int
 			if tc.venue != "" {
-				topo = map[string]VenueConfig{tc.venue: {Shards: tc.shards}}
+				topo = map[string]int{tc.venue: tc.shards}
 			}
 			r := newTestRouter(t, routerTestConfig(), topo)
 			if err := r.OpenVenues(t.TempDir()); err != nil {
@@ -190,9 +186,9 @@ func TestIngestLockNotHeldAcrossDurabilityWait(t *testing.T) {
 				}()
 			}
 			deadline := time.Now().Add(30 * time.Second)
-			for r.Len(tc.venue) != 3*len(ms) {
+			for venueLen(r, tc.venue) != 3*len(ms) {
 				if time.Now().After(deadline) {
-					t.Fatalf("%d of %d mappings applied: the second batch is stuck behind the first one's replica wait", r.Len(tc.venue), 3*len(ms))
+					t.Fatalf("%d of %d mappings applied: the second batch is stuck behind the first one's replica wait", venueLen(r, tc.venue), 3*len(ms))
 				}
 				time.Sleep(time.Millisecond)
 			}
@@ -229,7 +225,7 @@ func TestConcurrentDurableIngestsShareGroupCommits(t *testing.T) {
 	// both linear in the oracle) short next to the fsync.
 	cfg.Oracle.CountersPerTable, cfg.Oracle.VerifyBits = 1<<10, 1<<12
 	const venueName = "wide"
-	r := newTestRouter(t, cfg, map[string]VenueConfig{venueName: {Shards: 4}})
+	r := newTestRouter(t, cfg, map[string]int{venueName: 4})
 	if err := r.OpenVenues(t.TempDir()); err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +279,7 @@ func TestRestartContinuesEverySequence(t *testing.T) {
 	half := len(ms) / 2
 	ctx := context.Background()
 	open := func(dir string) *Router {
-		r := newTestRouter(t, cfg, map[string]VenueConfig{venueName: {Shards: 3}})
+		r := newTestRouter(t, cfg, map[string]int{venueName: 3})
 		if dir != "" {
 			if err := r.OpenVenues(dir); err != nil {
 				t.Fatal(err)
@@ -387,7 +383,7 @@ func TestUntaggedOnDiskFormatRefused(t *testing.T) {
 			if !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("open failed with %q, want it to name %q", err, tc.want)
 			}
-			if n := r.Len(""); n != 0 {
+			if n := venueLen(r, ""); n != 0 {
 				t.Fatalf("refused directory left %d mappings behind", n)
 			}
 		})

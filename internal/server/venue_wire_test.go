@@ -14,8 +14,19 @@ func startVenueServer(t testing.TB) *Server {
 	return serveRouter(t, newTestRouter(t, routerTestConfig(), nil))
 }
 
+// dialVenue dials s with every request scoped to the named venue.
+func dialVenue(t testing.TB, s *Server, venue string) *Client {
+	t.Helper()
+	c, err := Dial(s.Addr().String(), WithLogger(nil), WithVenue(venue))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	return c
+}
+
 // TestVenueIsolationOverWire: the cross-venue isolation guarantee holds
-// through the full network stack — a venue handle only sees its own data,
+// through the full network stack — a venue-scoped client only sees its own data,
 // and the typed ErrEmptyDatabase crosses the wire for foreign venues. The
 // context carries a deadline, so every request's header holds both options.
 func TestVenueIsolationOverWire(t *testing.T) {
@@ -29,8 +40,8 @@ func TestVenueIsolationOverWire(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 
-	va := c.Venue("venue-a")
-	vb := c.Venue("venue-b")
+	va := dialVenue(t, s, "venue-a")
+	vb := dialVenue(t, s, "venue-b")
 	total, err := va.Ingest(ctx, ms)
 	if err != nil {
 		t.Fatalf("venue-a ingest: %v", err)

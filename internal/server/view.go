@@ -59,9 +59,10 @@ func (v *dbView) maxSeq() uint64 {
 	return v.seqs[len(v.seqs)-1]
 }
 
-// newEmptyView builds a fresh empty generation from the configuration.
+// newEmptyView builds a fresh empty generation from the configuration: the
+// index hashes with the oracle's LSH family.
 func newEmptyView(cfg DatabaseConfig) (*dbView, error) {
-	ix, err := lsh.NewIndex(cfg.LSH)
+	ix, err := lsh.NewIndex(cfg.Oracle.LSH)
 	if err != nil {
 		return nil, err
 	}

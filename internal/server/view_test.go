@@ -57,7 +57,7 @@ func TestConcurrentIngestLocateSnapshots(t *testing.T) {
 		readers   = 4
 	)
 	// One deterministic mapping stream, sliced into batches.
-	_, ms := syntheticDB(t, 11, 96, 80)
+	_, ms := syntheticRouter(t, 11, 96, 80)
 	if len(ms) < batches*batchSize {
 		t.Fatalf("need %d mappings, have %d", batches*batchSize, len(ms))
 	}
@@ -71,19 +71,16 @@ func TestConcurrentIngestLocateSnapshots(t *testing.T) {
 		bits [6]uint64
 		err  string
 	}
+	cfg := DefaultDatabaseConfig()
+	cfg.Pose.Deadline = 0
 	goldenFor := func(nBatches int) outcome {
-		cfg := DefaultDatabaseConfig()
-		cfg.Pose.Deadline = 0
-		gdb, err := NewDatabase(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		g := newTestRouter(t, cfg, nil)
 		for b := 0; b < nBatches; b++ {
-			if err := gdb.Ingest(context.Background(), ms[b*batchSize:(b+1)*batchSize]); err != nil {
+			if _, err := g.Ingest(context.Background(), "", ms[b*batchSize:(b+1)*batchSize]); err != nil {
 				t.Fatal(err)
 			}
 		}
-		res, err := gdb.Locate(context.Background(), kps, testIntrinsics())
+		res, err := g.Locate(context.Background(), "", kps, testIntrinsics())
 		if err != nil {
 			return outcome{err: err.Error()}
 		}
@@ -94,12 +91,8 @@ func TestConcurrentIngestLocateSnapshots(t *testing.T) {
 		golden[i] = goldenFor(i)
 	}
 
-	cfg := DefaultDatabaseConfig()
-	cfg.Pose.Deadline = 0
-	db, err := NewDatabase(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	one := newTestRouter(t, cfg, nil)
+	db := one.Default()
 
 	var (
 		wg       sync.WaitGroup
@@ -132,7 +125,7 @@ func TestConcurrentIngestLocateSnapshots(t *testing.T) {
 					return
 				}
 
-				res, err := db.Locate(context.Background(), kps, testIntrinsics())
+				res, err := one.Locate(context.Background(), "", kps, testIntrinsics())
 				got := outcome{}
 				if err != nil {
 					got.err = err.Error()
@@ -155,7 +148,7 @@ func TestConcurrentIngestLocateSnapshots(t *testing.T) {
 		}()
 	}
 	for b := 0; b < batches; b++ {
-		if err := db.Ingest(context.Background(), ms[b*batchSize:(b+1)*batchSize]); err != nil {
+		if _, err := one.Ingest(context.Background(), "", ms[b*batchSize:(b+1)*batchSize]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -175,7 +168,7 @@ func TestConcurrentIngestLocateSnapshots(t *testing.T) {
 
 	// The settled concurrent database must answer exactly like the full
 	// serialized run.
-	res, err := db.Locate(context.Background(), kps, testIntrinsics())
+	res, err := one.Locate(context.Background(), "", kps, testIntrinsics())
 	if err != nil {
 		t.Fatalf("final locate: %v", err)
 	}
@@ -192,7 +185,7 @@ func TestConcurrentIngestLocateSnapshots(t *testing.T) {
 	// and to the race detector — while the writer, between batches (nothing
 	// publishing), must read exactly the one-shard golden of that prefix.
 	const quad = "quad"
-	rt := newTestRouter(t, cfg, map[string]VenueConfig{quad: {Shards: 4}})
+	rt := newTestRouter(t, cfg, map[string]int{quad: 4})
 	locateQuad := func() outcome {
 		res, err := rt.Locate(context.Background(), quad, kps, testIntrinsics())
 		if err != nil {
@@ -242,32 +235,26 @@ func TestConcurrentIngestLocateSnapshots(t *testing.T) {
 // the last over the shared append-only storage, with its own oracle copy —
 // answers Float64bits-identically to one built in a single batch.
 func TestBatchedIngestMatchesSingleBatch(t *testing.T) {
-	_, ms := syntheticDB(t, 23, 64, 48)
+	_, ms := syntheticRouter(t, 23, 64, 48)
 	cfg := DefaultDatabaseConfig()
 	cfg.Pose.Deadline = 0
 
-	batched, err := NewDatabase(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	batched := newTestRouter(t, cfg, nil)
 	for i := 0; i < len(ms); i += 7 { // odd batch size: exercises uneven boundaries
 		end := min(i+7, len(ms))
-		if err := batched.Ingest(context.Background(), ms[i:end]); err != nil {
+		if _, err := batched.Ingest(context.Background(), "", ms[i:end]); err != nil {
 			t.Fatal(err)
 		}
 	}
-	single, err := NewDatabase(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := single.Ingest(context.Background(), ms); err != nil {
+	single := newTestRouter(t, cfg, nil)
+	if _, err := single.Ingest(context.Background(), "", ms); err != nil {
 		t.Fatal(err)
 	}
 
 	for _, q := range []struct{ from, n int }{{0, 40}, {20, 64}, {60, 52}} {
 		kps := queryFromMappings(ms, q.from, q.n)
-		rb, errB := batched.Locate(context.Background(), kps, testIntrinsics())
-		rs, errS := single.Locate(context.Background(), kps, testIntrinsics())
+		rb, errB := batched.Locate(context.Background(), "", kps, testIntrinsics())
+		rs, errS := single.Locate(context.Background(), "", kps, testIntrinsics())
 		if (errB == nil) != (errS == nil) || (errB != nil && errB.Error() != errS.Error()) {
 			t.Fatalf("query %+v: batched err %v, single err %v", q, errB, errS)
 		}
@@ -275,8 +262,8 @@ func TestBatchedIngestMatchesSingleBatch(t *testing.T) {
 			t.Fatalf("query %+v: batched %+v != single %+v", q, rb, rs)
 		}
 	}
-	if batched.Len() != single.Len() {
-		t.Fatalf("batched holds %d mappings, single %d", batched.Len(), single.Len())
+	if nb, ns := venueLen(batched, ""), venueLen(single, ""); nb != ns {
+		t.Fatalf("batched holds %d mappings, single %d", nb, ns)
 	}
 }
 
@@ -288,29 +275,27 @@ func TestBatchedIngestMatchesSingleBatch(t *testing.T) {
 // k batches, both while the writer runs and after it is done.
 func TestHeldViewOutlivesLaterBatches(t *testing.T) {
 	const batches, batchSize, k = 8, 22, 3
-	_, ms := syntheticDB(t, 11, 96, 80)
+	_, ms := syntheticRouter(t, 11, 96, 80)
 	ms = ms[:batches*batchSize]
 	kps := queryFromMappings(ms, 0, 20)
 	ctx := context.Background()
 	cfg := DefaultDatabaseConfig()
 	cfg.Pose.Deadline = 0
-	build := func() *Database {
-		db, err := NewDatabase(cfg)
-		if err != nil {
+	build := func() *Router {
+		r := newTestRouter(t, cfg, nil)
+		if _, err := r.Ingest(ctx, "", ms[:k*batchSize]); err != nil {
 			t.Fatal(err)
 		}
-		if err := db.Ingest(ctx, ms[:k*batchSize]); err != nil {
-			t.Fatal(err)
-		}
-		return db
+		return r
 	}
-	golden, err := build().Locate(ctx, kps, testIntrinsics())
+	golden, err := build().Locate(ctx, "", kps, testIntrinsics())
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := resultBits(golden)
 
-	db := build()
+	r := build()
+	db := r.Default()
 	v := db.cur.Load()
 	locateHeld := func() [6]uint64 {
 		cands, err := gather(ctx, []*dbView{v}, kps, neighborsPerKeypoint, maxMatchDistSq, runtime.GOMAXPROCS(0))
@@ -326,7 +311,7 @@ func TestHeldViewOutlivesLaterBatches(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
 		for b := k; b < batches; b++ {
-			if err := db.Ingest(ctx, ms[b*batchSize:(b+1)*batchSize]); err != nil {
+			if _, err := r.Ingest(ctx, "", ms[b*batchSize:(b+1)*batchSize]); err != nil {
 				done <- err
 				return
 			}
@@ -362,7 +347,8 @@ func TestHeldViewOutlivesLaterBatches(t *testing.T) {
 // it), Locate must still complete — it reads the published view and never
 // touches the mutex.
 func TestLocateLockFreeUnderWriteLock(t *testing.T) {
-	db, ms := syntheticDB(t, 7, 48, 40)
+	rt, ms := syntheticRouter(t, 7, 48, 40)
+	db := rt.Default()
 	kps := queryFromMappings(ms, 0, 32)
 
 	db.mu.Lock()
@@ -373,7 +359,7 @@ func TestLocateLockFreeUnderWriteLock(t *testing.T) {
 	}
 	ch := make(chan reply, 1)
 	go func() {
-		res, err := db.Locate(context.Background(), kps, testIntrinsics())
+		res, err := rt.Locate(context.Background(), "", kps, testIntrinsics())
 		ch <- reply{res, err}
 	}()
 	select {
@@ -395,7 +381,8 @@ func TestLocateLockFreeUnderWriteLock(t *testing.T) {
 // while the write lock is held. (Stats reads its store half under mu, so it
 // is checked once the lock is released.)
 func TestStatsAndOracleReadsUnderWriteLock(t *testing.T) {
-	db, ms := syntheticDB(t, 7, 48, 40)
+	rt, ms := syntheticRouter(t, 7, 48, 40)
+	db := rt.Default()
 
 	db.mu.Lock()
 	done := make(chan error, 1)

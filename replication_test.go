@@ -82,13 +82,18 @@ func TestReplicatedServerRefusesNamedVenues(t *testing.T) {
 	if _, err := primary.Ingest(ctx, "", testMappings(50, 2)); !errors.Is(err, ErrReplSyncTimeout) {
 		t.Fatalf("default-venue ingest with the replica closed: %v, want ErrReplSyncTimeout", err)
 	}
-	if total, err := c.Venue("x").Ingest(ctx, testMappings(50, 3)); !errors.Is(err, ErrVenueNotReplicated) {
+	cx, err := Connect(addrA, WithDialTimeout(5*time.Second), WithVenue("x"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cx.Close()
+	if total, err := cx.Ingest(ctx, testMappings(50, 3)); !errors.Is(err, ErrVenueNotReplicated) {
 		t.Fatalf("ingest into venue \"x\" with the replica closed: total %d, err %v; want ErrVenueNotReplicated", total, err)
 	}
 	if _, err := primary.Ingest(ctx, "x", testMappings(50, 3)); !errors.Is(err, ErrVenueNotReplicated) {
 		t.Fatalf("in-process ingest into venue \"x\": %v, want ErrVenueNotReplicated", err)
 	}
-	if _, err := c.Venue("x").Query(ctx, nil, Intrinsics{W: 200, H: 150, FovX: 1.1, FovY: 0.85}); !errors.Is(err, ErrVenueNotReplicated) {
+	if _, err := cx.Query(ctx, nil, Intrinsics{W: 200, H: 150, FovX: 1.1, FovY: 0.85}); !errors.Is(err, ErrVenueNotReplicated) {
 		t.Fatalf("query of venue \"x\": %v, want ErrVenueNotReplicated", err)
 	}
 	if got := primary.Venues(); len(got) != 0 {

@@ -11,7 +11,6 @@ import (
 	"slices"
 	"time"
 
-	"visualprint/internal/lsh"
 	"visualprint/internal/obs"
 	"visualprint/internal/pose"
 	"visualprint/internal/repl"
@@ -19,37 +18,28 @@ import (
 	"visualprint/internal/sift"
 )
 
-// Configuration substrate types, re-exported so ServerConfig is expressible
-// entirely in terms of this package's surface.
-type (
-	// LSHParams configures the locality-sensitive hash family indexing the
-	// keypoint-to-3D lookup table.
-	LSHParams = lsh.Params
-	// PoseOptions holds the pose solver's one setting, the wall-clock
-	// budget of its venue-wide search.
-	PoseOptions = pose.Options
-)
+// PoseOptions holds the pose solver's one setting, the wall-clock budget of
+// its venue-wide search; re-exported so ServerConfig is expressible entirely
+// in terms of this package's surface.
+type PoseOptions = pose.Options
 
-// ServerConfig configures the cloud service: index family, oracle sizing,
-// the pose solver's time budget and persistence thresholds. Candidate
+// ServerConfig configures the cloud service: the oracle's sizing and LSH
+// family — which also indexes the keypoint lookup table, one family for both
+// structures as in the paper — and the pose solver's time budget. Candidate
 // retrieval (n = 2 neighbours per keypoint, gated at a squared descriptor
-// distance of 60000), consensus clustering (2 m, 3 points) and the solver's
-// search are fixed.
+// distance of 60000), consensus clustering (2 m, 3 points), the solver's
+// search and the write-ahead-log compaction threshold (64 MB) are fixed.
 // It is owned by this package — field-for-field convertible to the internal
 // engine configuration, but no longer an alias leaking internal types.
 // Start from DefaultServerConfig and override fields as needed; the zero
 // value is not a working configuration.
 type ServerConfig struct {
-	// LSH selects the hash family of the keypoint lookup table.
-	LSH LSHParams
-	// Oracle sizes the uniqueness oracle (counting Bloom filters).
+	// Oracle sizes the uniqueness oracle (counting Bloom filters); its LSH
+	// family hashes the lookup table too, and its Dim must be the SIFT
+	// descriptor's 128.
 	Oracle OracleParams
 	// Pose bounds the pose solver's venue-wide search in wall-clock time.
 	Pose PoseOptions
-	// WALCompactBytes is the write-ahead-log size past which the
-	// background snapshotter folds the log into a fresh snapshot (0 =
-	// engine default). Only meaningful for a durable server (OpenData).
-	WALCompactBytes int64
 }
 
 // engine converts the public configuration to the internal engine's. The
@@ -85,7 +75,7 @@ type Server struct {
 // Server exists.
 type serverOptions struct {
 	net    []server.Option
-	venues map[string]server.VenueConfig
+	venues map[string]int
 	repl   *ReplicationOptions
 }
 
@@ -124,9 +114,9 @@ func WithDrainTimeout(d time.Duration) ServerOption {
 func WithVenueShards(venue string, shards int) ServerOption {
 	return func(o *serverOptions) {
 		if o.venues == nil {
-			o.venues = make(map[string]server.VenueConfig)
+			o.venues = make(map[string]int)
 		}
-		o.venues[venue] = server.VenueConfig{Shards: shards}
+		o.venues[venue] = shards
 	}
 }
 
@@ -392,7 +382,7 @@ func (s *Server) LocateSession(ctx context.Context, venue string, sid uint64, kp
 func (s *Server) EndSession(venue string, sid uint64) { s.router.EndSession(venue, sid) }
 
 // SessionHandle pins a client's queries to one continuous localization
-// session; build one with Client.Session or VenueHandle.Session.
+// session; build one with Client.Session.
 type SessionHandle = server.Session
 
 // VenueOracle returns a point-in-time copy of a venue's uniqueness oracle
@@ -421,18 +411,13 @@ type DBStats = server.DBStats
 // Client is a connection to a VisualPrint cloud service.
 type Client = server.Client
 
-// VenueHandle pins a client's requests to one named venue; build one with
-// Client.Venue. Handles are cheap values multiplexing over the client's
-// single connection.
-type VenueHandle = server.Venue
-
 // OracleSync is the oracle-distribution handle — the one API for keeping a
 // device's uniqueness oracle current. Sync pulls the cheapest sufficient
 // transfer for the version the handle holds (an unchanged ack, a
 // compressed cell-delta chain, or a full blob); Watch subscribes to the
 // server's epoch-bump pushes and resyncs on each, replacing polling. Build
-// one with Client.OracleSync or VenueHandle.OracleSync; in-process users
-// call Server.VenueOracle instead.
+// one with Client.OracleSync; in-process users call Server.VenueOracle
+// instead.
 type OracleSync = server.OracleSync
 
 // OracleUpdate is one push-driven oracle refresh delivered by
@@ -460,8 +445,9 @@ func WithDialTimeout(d time.Duration) DialOption { return server.WithDialTimeout
 // WithRetryPolicy enables client-side retries; the default is none.
 func WithRetryPolicy(p RetryPolicy) DialOption { return server.WithRetryPolicy(p) }
 
-// WithVenue scopes every request the client makes to the named venue, as if
-// each call went through Client.Venue(name).
+// WithVenue scopes every request the client makes to the named venue. It is
+// the one way to address a venue over the wire, so a caller working with
+// several venues dials a client for each.
 func WithVenue(name string) DialOption { return server.WithVenue(name) }
 
 // WithClientLogger routes the client's connection-lifecycle messages
