@@ -31,6 +31,7 @@ import (
 
 	"visualprint/internal/bloom"
 	"visualprint/internal/lsh"
+	"visualprint/internal/par"
 	"visualprint/internal/sift"
 )
 
@@ -213,13 +214,15 @@ func bucketBytes(buf []byte, coords []int32) []byte {
 	return buf
 }
 
+var errDimension = errors.New("core: descriptor dimension mismatch")
+
 // Insert records one descriptor sighting in all L tables and the
 // verification filter. Constant time and memory per call (allocation-free
 // in steady state: the descriptor is widened once and all keys and filter
 // positions go through pooled scratch buffers).
 func (o *Oracle) Insert(desc []byte) error {
 	if len(desc) != o.p.LSH.Dim {
-		return errors.New("core: descriptor dimension mismatch")
+		return errDimension
 	}
 	s := o.getScratch()
 	defer o.scratch.Put(s)
@@ -277,8 +280,13 @@ func (o *Oracle) tableEstimate(t int, s *oracleScratch) uint32 {
 // overcounts.
 func (o *Oracle) Uniqueness(desc []byte) (uint32, error) {
 	if len(desc) != o.p.LSH.Dim {
-		return 0, errors.New("core: descriptor dimension mismatch")
+		return 0, errDimension
 	}
+	return o.uniqueness(desc), nil
+}
+
+// uniqueness is Uniqueness for a descriptor of the oracle's dimension.
+func (o *Oracle) uniqueness(desc []byte) uint32 {
 	s := o.getScratch()
 	defer o.scratch.Put(s)
 	s.vec = lsh.DescriptorVec(desc, s.vec)
@@ -311,7 +319,7 @@ func (o *Oracle) Uniqueness(desc []byte) (uint32, error) {
 		s.ests = append(s.ests, est)
 	}
 	slices.Sort(s.ests)
-	return s.ests[len(s.ests)/2], nil
+	return s.ests[len(s.ests)/2]
 }
 
 // Ranked pairs a keypoint index with its uniqueness estimate.
@@ -359,20 +367,27 @@ func (o *Oracle) Rank(descs [][]byte) ([]Ranked, error) {
 
 // SelectUnique returns the n most-unique keypoints (lowest estimated global
 // count, response as tie-break), the client-side filtering step that turns
-// ~3,500 extracted keypoints into a 200-keypoint fingerprint.
+// ~3,500 extracted keypoints into a 200-keypoint fingerprint. n == 0 returns
+// an empty list; a negative n is an error.
+//
+// The keypoints are scored on GOMAXPROCS goroutines, each score written to
+// the keypoint's own slot, and the stable sort then sees the same list on
+// any core count.
 func (o *Oracle) SelectUnique(kps []sift.Keypoint, n int) ([]sift.Keypoint, error) {
+	if n < 0 {
+		return nil, fmt.Errorf("core: SelectUnique count %d is negative", n)
+	}
+	if o.p.LSH.Dim != sift.DescriptorSize {
+		return nil, errDimension
+	}
 	type scored struct {
 		kp *sift.Keypoint
 		u  uint32
 	}
 	ss := make([]scored, len(kps))
-	for i := range kps {
-		u, err := o.Uniqueness(kps[i].Desc[:])
-		if err != nil {
-			return nil, err
-		}
-		ss[i] = scored{kp: &kps[i], u: u}
-	}
+	par.For(len(kps), func(i int) {
+		ss[i] = scored{kp: &kps[i], u: o.uniqueness(kps[i].Desc[:])}
+	})
 	sort.SliceStable(ss, func(i, j int) bool {
 		ki, kj := o.selectionKey(ss[i].u), o.selectionKey(ss[j].u)
 		if ki != kj {

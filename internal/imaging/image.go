@@ -1,7 +1,7 @@
 // Package imaging provides the grayscale image substrate for VisualPrint:
-// a float32 image type, separable Gaussian filtering, resampling, image
-// gradients, and conversions to the standard library image types used by the
-// PNG/JPEG codecs. SIFT (internal/sift) and the procedural scene renderer
+// a float32 image type, separable Gaussian filtering, resampling, and
+// conversions to the standard library image types used by the PNG/JPEG
+// codecs. SIFT (internal/sift) and the procedural scene renderer
 // (internal/scene) are built on this package.
 package imaging
 
@@ -106,13 +106,22 @@ func FromImage(src image.Image) *Gray {
 	return g
 }
 
-// gaussianKernel returns a normalized 1-D Gaussian kernel with the
-// conventional radius ceil(3*sigma).
+// kernelRadius is the conventional Gaussian kernel radius, ceil(3*sigma), 0
+// for sigma <= 0.
+func kernelRadius(sigma float64) int {
+	if sigma <= 0 {
+		return 0
+	}
+	return int(math.Ceil(3 * sigma))
+}
+
+// gaussianKernel returns a normalized 1-D Gaussian kernel of radius
+// kernelRadius(sigma).
 func gaussianKernel(sigma float64) []float32 {
 	if sigma <= 0 {
 		return []float32{1}
 	}
-	radius := int(math.Ceil(3 * sigma))
+	radius := kernelRadius(sigma)
 	k := make([]float32, 2*radius+1)
 	sum := float32(0)
 	inv := -1 / (2 * sigma * sigma)
@@ -134,63 +143,88 @@ func GaussianBlur(g *Gray, sigma float64) *Gray {
 	return GaussianBlurBuf(g, sigma, nil)
 }
 
-// GaussianBlurBuf is GaussianBlur with the horizontal pass written to tmp
-// when tmp holds at least W*H pixels (otherwise it allocates one), so a
-// caller blurring many images allocates only the outputs. tmp is
-// overwritten and not retained.
+// GaussianBlurBuf is GaussianBlur with its intermediate rows in tmp: when
+// tmp holds at least BlurScratchLen(W, H, sigma) pixels nothing but the
+// output is allocated (otherwise it allocates a scratch), so a caller
+// blurring many images allocates only the outputs. tmp is overwritten and
+// not retained.
 //
-// Both passes are split into row bands over GOMAXPROCS goroutines. Every
-// output pixel is the same float32 sum as in a serial pass: the taps of one
-// pixel are added in ascending order, starting from zero, whichever band or
-// pass order computes it, so the result does not depend on the core count.
+// Both passes are split into row bands over GOMAXPROCS goroutines and run
+// tap-major: a sweep adds four taps' worth of whole rows into a zeroed output
+// row. The horizontal pass reads its taps from a copy of the source row
+// padded with radius replicated border pixels on each side, so every pixel,
+// border ones included, takes the same path. Each output pixel is still the
+// float32 sum acc += v*k over the taps in ascending order, starting from
+// zero, whichever band, sweep or pass order computes it, so the result does
+// not depend on the core count and matches a per-pixel clamped loop bit for
+// bit.
 func GaussianBlurBuf(g *Gray, sigma float64, tmp []float32) *Gray {
 	k := gaussianKernel(sigma)
-	if len(k) == 1 {
+	if len(k) == 1 || g.W == 0 {
 		return g.Clone()
 	}
 	w, h, radius := g.W, g.H, len(k)/2
-	if len(tmp) < w*h {
-		tmp = make([]float32, w*h)
+	bands := bandCount(w*h*len(k), h)
+	padW := w + 2*radius
+	if need := w*h + bands*padW; len(tmp) < need {
+		tmp = make([]float32, need)
 	}
-	tmp = tmp[:w*h]
+	mid, pads := tmp[:w*h], tmp[w*h:]
 	out := NewGray(w, h)
-	rowBands(w*h*len(k), h, func(y0, y1 int) {
+	rowBands(bands, h, func(b, y0, y1 int) {
+		pad := pads[b*padW : (b+1)*padW]
 		for y := y0; y < y1; y++ {
 			row := g.Pix[y*w : (y+1)*w]
-			dst := tmp[y*w : (y+1)*w]
-			for x := range dst {
-				var acc float32
-				if x >= radius && x < w-radius {
-					// Fast interior path: no bounds checks on neighbors.
-					base := row[x-radius : x-radius+len(k)]
-					for i, kv := range k {
-						acc += base[i] * kv
-					}
-				} else {
-					for i, kv := range k {
-						acc += g.At(x+i-radius, y) * kv
-					}
-				}
-				dst[x] = acc
+			for i := range radius {
+				pad[i], pad[radius+w+i] = row[0], row[w-1]
 			}
+			copy(pad[radius:], row)
+			dst := mid[y*w : (y+1)*w]
+			clear(dst)
+			addTaps(dst, k, func(i int) []float32 { return pad[i:] })
 		}
 	})
-	// The vertical pass runs row-wise: each tap adds one whole source row
-	// into the zeroed output row, which keeps both rows in cache and gives
-	// every pixel the same sequence of additions as a per-pixel column sum.
-	rowBands(w*h*len(k), h, func(y0, y1 int) {
+	rowBands(bands, h, func(_, y0, y1 int) {
 		for y := y0; y < y1; y++ {
-			dst := out.Pix[y*w : (y+1)*w]
-			for i, kv := range k {
+			addTaps(out.Pix[y*w:(y+1)*w], k, func(i int) []float32 {
 				sy := min(max(y+i-radius, 0), h-1)
-				src := tmp[sy*w : (sy+1)*w]
-				for x, v := range src {
-					dst[x] += v * kv
-				}
-			}
+				return mid[sy*w : (sy+1)*w]
+			})
 		}
 	})
 	return out
+}
+
+// BlurScratchLen is the scratch length with which GaussianBlurBuf allocates
+// only its output for a w x h image and any sigma up to maxSigma, at the
+// current GOMAXPROCS: the intermediate image plus one padded row per band.
+func BlurScratchLen(w, h int, maxSigma float64) int {
+	return w*h + runtime.GOMAXPROCS(0)*(w+2*kernelRadius(maxSigma))
+}
+
+// addTaps adds tap i of kernel k, row(i)[x]*k[i], into every dst[x], taps in
+// ascending order and four per sweep over dst. row(i) holds at least
+// len(dst) pixels. Go evaluates d + a*k0 + b*k1 left to right and amd64
+// (GOAMD64=v1) does not fuse the multiply-add, so each pixel gets the same
+// float32 additions as one tap per sweep.
+func addTaps(dst, k []float32, row func(i int) []float32) {
+	i := 0
+	for ; i+4 <= len(k); i += 4 {
+		s0 := row(i)[:len(dst)]
+		s1 := row(i + 1)[:len(dst)]
+		s2 := row(i + 2)[:len(dst)]
+		s3 := row(i + 3)[:len(dst)]
+		k0, k1, k2, k3 := k[i], k[i+1], k[i+2], k[i+3]
+		for x := range dst {
+			dst[x] = dst[x] + s0[x]*k0 + s1[x]*k1 + s2[x]*k2 + s3[x]*k3
+		}
+	}
+	for ; i < len(k); i++ {
+		s, kv := row(i)[:len(dst)], k[i]
+		for x := range dst {
+			dst[x] = dst[x] + s[x]*kv
+		}
+	}
 }
 
 // minBandWork is the fewest multiply-adds worth handing to another
@@ -198,13 +232,18 @@ func GaussianBlurBuf(g *Gray, sigma float64, tmp []float32) *Gray {
 // the work it takes off the caller.
 const minBandWork = 1 << 15
 
-// rowBands calls fn over [0, h) cut into contiguous row bands, one per
-// goroutine, the caller's included: GOMAXPROCS of them, fewer when the pass
-// does less than minBandWork multiply-adds per band.
-func rowBands(work, h int, fn func(y0, y1 int)) {
-	bands := min(runtime.GOMAXPROCS(0), h, work/minBandWork)
+// bandCount is the number of row bands a pass of the given multiply-adds
+// over h rows is split into: GOMAXPROCS, fewer when a band would do less
+// than minBandWork.
+func bandCount(work, h int) int {
+	return max(min(runtime.GOMAXPROCS(0), h, work/minBandWork), 1)
+}
+
+// rowBands calls fn(b, y0, y1) for each band b of [0, h) cut into bands
+// contiguous row ranges, one per goroutine, the caller's included.
+func rowBands(bands, h int, fn func(b, y0, y1 int)) {
 	if bands <= 1 {
-		fn(0, h)
+		fn(0, 0, h)
 		return
 	}
 	var wg sync.WaitGroup
@@ -212,10 +251,10 @@ func rowBands(work, h int, fn func(y0, y1 int)) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			fn(h*b/bands, h*(b+1)/bands)
+			fn(b, h*b/bands, h*(b+1)/bands)
 		}()
 	}
-	fn(0, h/bands)
+	fn(0, 0, h/bands)
 	wg.Wait()
 }
 
@@ -253,12 +292,4 @@ func Resize(g *Gray, w, h int) (*Gray, error) {
 		}
 	}
 	return out, nil
-}
-
-// Gradient computes central-difference image gradients, returning the
-// magnitude and orientation (radians, in (-pi, pi]) at (x, y).
-func Gradient(g *Gray, x, y int) (mag, theta float64) {
-	dx := float64(g.At(x+1, y) - g.At(x-1, y))
-	dy := float64(g.At(x, y+1) - g.At(x, y-1))
-	return math.Sqrt(dx*dx + dy*dy), math.Atan2(dy, dx)
 }

@@ -164,23 +164,6 @@ func TestResize(t *testing.T) {
 	}
 }
 
-func TestGradientOnRamp(t *testing.T) {
-	// Horizontal ramp: gradient points in +x with magnitude ~ slope*2/2.
-	g := NewGray(8, 8)
-	for y := 0; y < 8; y++ {
-		for x := 0; x < 8; x++ {
-			g.Set(x, y, float32(x)*0.1)
-		}
-	}
-	mag, theta := Gradient(g, 4, 4)
-	if math.Abs(mag-0.2) > 1e-5 {
-		t.Errorf("mag = %v, want 0.2", mag)
-	}
-	if math.Abs(theta) > 1e-6 {
-		t.Errorf("theta = %v, want 0", theta)
-	}
-}
-
 func TestImageRoundTrip(t *testing.T) {
 	g := NewGray(5, 4)
 	for i := range g.Pix {

@@ -16,13 +16,11 @@ package sift
 
 import (
 	"math"
-	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"visualprint/internal/dist"
 	"visualprint/internal/imaging"
+	"visualprint/internal/par"
 )
 
 // DescriptorSize is the dimensionality of a SIFT descriptor.
@@ -104,13 +102,13 @@ func Detect(img *imaging.Gray, cfg Config) []Keypoint {
 	pyr := buildPyramid(img, cfg)
 	cands := detectExtrema(pyr, cfg)
 	peaks := make([]oriPeaks, len(cands))
-	fanOut(len(cands), func(i int) { peaks[i] = orientations(pyr, cands[i]) })
+	par.For(len(cands), func(i int) { peaks[i] = orientations(pyr, cands[i]) })
 	first := make([]int, len(cands)+1) // first[i]: slot of candidate i's first keypoint
 	for i, pk := range peaks {
 		first[i+1] = first[i] + pk.n
 	}
 	out := make([]Keypoint, first[len(cands)])
-	fanOut(len(cands), func(i int) {
+	par.For(len(cands), func(i int) {
 		c := cands[i]
 		for j, ori := range peaks[i].theta[:peaks[i].n] {
 			kp := &out[first[i]+j]
@@ -129,28 +127,6 @@ func Detect(img *imaging.Gray, cfg Config) []Keypoint {
 		out = out[:cfg.MaxKeypoints]
 	}
 	return out
-}
-
-// fanOut calls fn(i) for every i in [0, n) on up to GOMAXPROCS goroutines,
-// the caller's included. Indices are claimed one at a time, so a slow
-// candidate does not hold up a fixed share of the others.
-func fanOut(n int, fn func(i int)) {
-	var next atomic.Int64
-	work := func() {
-		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
-			fn(i)
-		}
-	}
-	var wg sync.WaitGroup
-	for w := 1; w < min(runtime.GOMAXPROCS(0), n); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			work()
-		}()
-	}
-	work()
-	wg.Wait()
 }
 
 // pyramid holds the per-octave Gaussian stacks. The DoG images are not
@@ -173,20 +149,23 @@ func buildPyramid(img *imaging.Gray, cfg Config) *pyramid {
 		nOct = 1
 	}
 
+	// sigmaDelta(l) blurs level l-1 of an octave into level l. It grows
+	// with l, so the widest blur of the call is the base one or level
+	// s+2's; octaves only shrink, so scratch sized for the input and that
+	// sigma serves every blur.
+	sigmaDelta := func(l int) float64 {
+		sigmaTotal := cfg.Sigma * math.Pow(k, float64(l))
+		sigmaPrev := cfg.Sigma * math.Pow(k, float64(l-1))
+		return math.Sqrt(sigmaTotal*sigmaTotal - sigmaPrev*sigmaPrev)
+	}
 	p := &pyramid{}
-	// Every blur of the call writes its horizontal pass here; octaves only
-	// shrink, so the first image's size fits them all.
-	tmp := make([]float32, img.W*img.H)
+	tmp := make([]float32, imaging.BlurScratchLen(img.W, img.H, max(cfg.Sigma, sigmaDelta(s+2))))
 	base := imaging.GaussianBlurBuf(img, cfg.Sigma, tmp) // assume nominal input blur 0
 	for o := 0; o < nOct; o++ {
 		levels := make([]*imaging.Gray, s+3)
 		levels[0] = base
-		sigmaPrev := cfg.Sigma
 		for l := 1; l < s+3; l++ {
-			sigmaTotal := cfg.Sigma * math.Pow(k, float64(l))
-			sigmaDelta := math.Sqrt(sigmaTotal*sigmaTotal - sigmaPrev*sigmaPrev)
-			levels[l] = imaging.GaussianBlurBuf(levels[l-1], sigmaDelta, tmp)
-			sigmaPrev = sigmaTotal
+			levels[l] = imaging.GaussianBlurBuf(levels[l-1], sigmaDelta(l), tmp)
 		}
 		p.octaves = append(p.octaves, levels)
 		// Next octave starts from the level with 2x the base sigma.
@@ -341,13 +320,11 @@ func orientations(p *pyramid, c candidate) oriPeaks {
 	radius := int(math.Round(3 * sigmaW))
 	cx, cy := int(math.Round(c.x)), int(math.Round(c.y))
 	inv2s2 := -1 / (2 * sigmaW * sigmaW)
-	for dy := -radius; dy <= radius; dy++ {
-		for dx := -radius; dx <= radius; dx++ {
-			x, y := cx+dx, cy+dy
-			if x < 1 || y < 1 || x >= img.W-1 || y >= img.H-1 {
-				continue
-			}
-			mag, theta := imaging.Gradient(img, x, y)
+	// The window is clipped to the pixels whose gradient stays inside the
+	// image, visited in the same order as the full window.
+	for dy := max(-radius, 1-cy); dy <= min(radius, img.H-2-cy); dy++ {
+		for dx := max(-radius, 1-cx); dx <= min(radius, img.W-2-cx); dx++ {
+			mag, theta := gradient(img, cx+dx, cy+dy)
 			w := math.Exp(float64(dx*dx+dy*dy) * inv2s2)
 			bin := int(math.Floor((theta + math.Pi) / (2 * math.Pi) * oriBins))
 			if bin >= oriBins {
@@ -409,16 +386,12 @@ func describe(p *pyramid, c candidate, orientation float64, desc *Descriptor) {
 		radius = 1
 	}
 	cosT, sinT := math.Cos(orientation), math.Sin(orientation)
-	cx, cy := c.x, c.y
+	cx, cy := int(math.Round(c.x)), int(math.Round(c.y))
 	binCenter := float64(descGrid)/2 - 0.5
 
-	for dy := -radius; dy <= radius; dy++ {
-		for dx := -radius; dx <= radius; dx++ {
-			x := int(math.Round(cx)) + dx
-			y := int(math.Round(cy)) + dy
-			if x < 1 || y < 1 || x >= img.W-1 || y >= img.H-1 {
-				continue
-			}
+	// As in orientations, the window is clipped to the image's interior.
+	for dy := max(-radius, 1-cy); dy <= min(radius, img.H-2-cy); dy++ {
+		for dx := max(-radius, 1-cx); dx <= min(radius, img.W-2-cx); dx++ {
 			// Rotate the offset into the keypoint frame.
 			rx := (cosT*float64(dx) + sinT*float64(dy)) / histWidth
 			ry := (-sinT*float64(dx) + cosT*float64(dy)) / histWidth
@@ -427,7 +400,7 @@ func describe(p *pyramid, c candidate, orientation float64, desc *Descriptor) {
 			if bx <= -1 || bx >= descGrid || by <= -1 || by >= descGrid {
 				continue
 			}
-			mag, theta := imaging.Gradient(img, x, y)
+			mag, theta := gradient(img, cx+dx, cy+dy)
 			rot := theta - orientation
 			for rot < 0 {
 				rot += 2 * math.Pi
@@ -472,34 +445,44 @@ func describe(p *pyramid, c candidate, orientation float64, desc *Descriptor) {
 	}
 }
 
+// gradient returns the central-difference gradient of img at (x, y): its
+// magnitude and its orientation in radians, in (-pi, pi]. Callers keep
+// 1 <= x <= W-2 and 1 <= y <= H-2, so no neighbor needs clamping.
+func gradient(img *imaging.Gray, x, y int) (mag, theta float64) {
+	i := y*img.W + x
+	dx := float64(img.Pix[i+1] - img.Pix[i-1])
+	dy := float64(img.Pix[i+img.W] - img.Pix[i-img.W])
+	return math.Sqrt(dx*dx + dy*dy), math.Atan2(dy, dx)
+}
+
 // trilinearAdd distributes weight w into the 3-D histogram at fractional
-// coordinates (bx, by, bo), with wraparound on the orientation axis.
+// coordinates (bx, by, bo), with wraparound on the orientation axis. Each
+// axis splits its weight as 1-f to the lower bin and f to the upper one.
 func trilinearAdd(hist []float64, bx, by, bo, w float64) {
 	x0 := int(math.Floor(bx))
 	y0 := int(math.Floor(by))
 	o0 := int(math.Floor(bo))
-	fx := bx - float64(x0)
-	fy := by - float64(y0)
-	fo := bo - float64(o0)
+	fx := [2]float64{1 - (bx - float64(x0)), bx - float64(x0)}
+	fy := [2]float64{1 - (by - float64(y0)), by - float64(y0)}
+	fo := [2]float64{1 - (bo - float64(o0)), bo - float64(o0)}
 	for dx := 0; dx <= 1; dx++ {
 		xb := x0 + dx
 		if xb < 0 || xb >= descGrid {
 			continue
 		}
-		wx := w * ((1-fx)*(1-float64(dx)) + fx*float64(dx))
+		wx := w * fx[dx]
 		for dy := 0; dy <= 1; dy++ {
 			yb := y0 + dy
 			if yb < 0 || yb >= descGrid {
 				continue
 			}
-			wy := wx * ((1-fy)*(1-float64(dy)) + fy*float64(dy))
+			wy := wx * fy[dy]
 			for do := 0; do <= 1; do++ {
 				ob := (o0 + do) % descOri
 				if ob < 0 {
 					ob += descOri
 				}
-				wo := wy * ((1-fo)*(1-float64(do)) + fo*float64(do))
-				hist[(yb*descGrid+xb)*descOri+ob] += wo
+				hist[(yb*descGrid+xb)*descOri+ob] += wy * fo[do]
 			}
 		}
 	}

@@ -39,6 +39,15 @@ go test -race -count=1 -short -run \
 # eviction/expiry assertion depends on the goroutine schedule, so fifty runs
 # make a schedule-dependent regression name itself.
 go test -count=50 -run TestChaosTrackChurn ./internal/track/
+echo "== client same-bits (race) =="
+# The client's per-frame work (blur, SIFT, oracle select) runs in parallel
+# and must give the same bits on any core count. Its bit-identity tests:
+# the goldens, the per-pixel and per-bin reference comparisons, and the
+# worker-count and concurrent-caller checks. Already part of the full -race
+# pass above; re-run un-cached so a reordered float operation names itself.
+go test -race -count=1 -run \
+	'TestDetectGolden|TestDetectWorkerIndependent|TestGaussianBlur|TestTrilinearAdd|TestSelectUnique' \
+	./internal/sift ./internal/imaging ./internal/core
 echo "== fuzz (short) =="
 make fuzz-short
 echo "== benchmark module =="
