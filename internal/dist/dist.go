@@ -4,26 +4,39 @@
 // LSH matchers, and the SIFT descriptor type.
 //
 // The kernel computes the squared Euclidean distance (sum of squared
-// differences) over byte vectors — 128 bytes for SIFT descriptors — with an
-// 8-way unrolled main loop and explicit bounds-check elimination. The sum
-// is integer arithmetic, so any summation order produces the identical
-// result: the unrolled kernel is exactly equal to the scalar reference on
-// every input, pinned by exhaustive equivalence tests (TestSqMatchesScalar)
-// and guarded against allocation and silent regression by the pinned
-// benchmarks in dist_test.go. SqLimit is the same sum with an early exit for
-// top-n selection.
+// differences) over byte vectors — 128 bytes for SIFT descriptors. On amd64
+// it is SSE2 assembly taking 16 bytes per step (widen to 16-bit words,
+// subtract, multiply-add pairs into 32-bit lanes); elsewhere it is the
+// generic Go loop, 8-way unrolled with explicit bounds-check elimination.
+// The sum is integer arithmetic, so any summation order produces the
+// identical result: both kernels are exactly equal to the scalar reference
+// on every input, pinned by exhaustive equivalence tests
+// (TestSqMatchesScalar, TestSqMatchesGeneric) and guarded against allocation
+// and silent regression by the pinned benchmarks in dist_test.go. SqLimit is
+// the same sum with an early exit for top-n selection.
 package dist
 
 // Sq returns the squared Euclidean distance between a and b over the first
-// len(a) bytes. b must be at least as long as a (the hoisted reslice
-// panics otherwise, matching the scalar loop's bounds behavior).
-//
-// The main loop walks 8 bytes per iteration over capacity-clamped
-// subslices, which the compiler proves in-bounds once per iteration
-// instead of once per byte; the tail loop handles the final len(a)%8
-// bytes. For the 128-byte SIFT descriptors every byte is processed by the
-// unrolled loop.
-func Sq(a, b []byte) int {
+// len(a) bytes. b must be at least as long as a (the reslice panics
+// otherwise, matching the scalar loop's bounds behavior).
+func Sq(a, b []byte) int { return sq(a, b[:len(a)]) }
+
+// SqLimit is Sq for callers that only need distances below limit (a top-n
+// selection comparing against its current n-th best): it returns the exact
+// Sq(a, b) when that is < limit, and otherwise some partial sum that is
+// already >= limit. The running sum is checked after every 16 bytes, so a
+// losing candidate costs a fraction of the 128-byte walk while the check
+// stays off the per-byte path; the partial sum returned is the sum over the
+// first 16·k bytes at the first k where it reaches limit, on every GOARCH.
+// Same bounds contract as Sq.
+func SqLimit(a, b []byte, limit int) int { return sqLimit(a, b[:len(a)], limit) }
+
+// sqGeneric is Sq in portable Go: the kernel off amd64 and the reference
+// the assembly is compared against. The main loop walks 8 bytes per
+// iteration over capacity-clamped subslices, which the compiler proves
+// in-bounds once per iteration instead of once per byte; the tail loop
+// handles the final len(a)%8 bytes.
+func sqGeneric(a, b []byte) int {
 	// Hoisted bounds check: after this reslice the compiler knows
 	// len(b) == len(a) and drops the per-element checks on b; the i+8
 	// loop bound then proves every unrolled index in range on a too.
@@ -49,14 +62,9 @@ func Sq(a, b []byte) int {
 	return s
 }
 
-// SqLimit is Sq for callers that only need distances below limit (a top-n
-// selection comparing against its current n-th best): it returns the exact
-// Sq(a, b) when that is < limit, and otherwise some partial sum that is
-// already >= limit. The running sum is checked every 16 bytes — two of Sq's
-// unrolled steps, so a losing candidate costs a fraction of the 128-byte
-// walk while the check stays off the per-byte path. Same bounds contract as
-// Sq.
-func SqLimit(a, b []byte, limit int) int {
+// sqLimitGeneric is SqLimit in portable Go, the twin of sqGeneric: 16
+// bytes (two of its unrolled steps) between checks of the running sum.
+func sqLimitGeneric(a, b []byte, limit int) int {
 	b = b[:len(a)]
 	s := 0
 	i := 0
@@ -86,11 +94,11 @@ func SqLimit(a, b []byte, limit int) int {
 			return s
 		}
 	}
-	return s + Sq(a[i:], b[i:])
+	return s + sqGeneric(a[i:], b[i:])
 }
 
-// SqScalar is the one-byte-at-a-time reference implementation the unrolled
-// kernel is verified against. It is exported so bit-identity tests in other
+// SqScalar is the one-byte-at-a-time reference implementation the kernels
+// are verified against. It is exported so bit-identity tests in other
 // packages can compare against the same reference the kernel's own
 // equivalence suite uses; production paths call Sq.
 func SqScalar(a, b []byte) int {

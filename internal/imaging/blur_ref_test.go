@@ -114,13 +114,22 @@ func TestGaussianBlurBufScratchSuffices(t *testing.T) {
 }
 
 // BenchmarkGaussianBlur240x180 blurs a benchmark-sized frame at the
-// pyramid's base sigma with a reused scratch, as buildPyramid does.
+// pyramid's base sigma with a reused scratch, as buildPyramid does: asm
+// through addTaps (the SSE2 sweeps on amd64), generic through
+// addTapsGeneric.
 func BenchmarkGaussianBlur240x180(b *testing.B) {
 	img := RenderTexture(NoiseTexture{Seed: 7, Freq: 10, Octaves: 4, Gain: 1}, 240, 180, 2, 2)
 	tmp := make([]float32, BlurScratchLen(img.W, img.H, 1.6))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		GaussianBlurBuf(img, 1.6, tmp)
+	for _, generic := range []bool{false, true} {
+		name := "asm"
+		if generic {
+			name = "generic"
+		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				gaussianBlurBuf(img, 1.6, tmp, generic)
+			}
+		})
 	}
 }

@@ -159,6 +159,14 @@ func GaussianBlur(g *Gray, sigma float64) *Gray {
 // not depend on the core count and matches a per-pixel clamped loop bit for
 // bit.
 func GaussianBlurBuf(g *Gray, sigma float64, tmp []float32) *Gray {
+	return gaussianBlurBuf(g, sigma, tmp, false)
+}
+
+// gaussianBlurBuf is GaussianBlurBuf, run on addTapsGeneric instead of
+// addTaps when generic is set: the seam through which tests and benchmarks
+// compare the whole blur on the two tap sweeps. The choice is a branch at
+// each call, not a function value, so the row closures stay on the stack.
+func gaussianBlurBuf(g *Gray, sigma float64, tmp []float32, generic bool) *Gray {
 	k := gaussianKernel(sigma)
 	if len(k) == 1 || g.W == 0 {
 		return g.Clone()
@@ -173,23 +181,33 @@ func GaussianBlurBuf(g *Gray, sigma float64, tmp []float32) *Gray {
 	out := NewGray(w, h)
 	rowBands(bands, h, func(b, y0, y1 int) {
 		pad := pads[b*padW : (b+1)*padW]
+		row := func(i int) []float32 { return pad[i:] }
 		for y := y0; y < y1; y++ {
-			row := g.Pix[y*w : (y+1)*w]
+			src := g.Pix[y*w : (y+1)*w]
 			for i := range radius {
-				pad[i], pad[radius+w+i] = row[0], row[w-1]
+				pad[i], pad[radius+w+i] = src[0], src[w-1]
 			}
-			copy(pad[radius:], row)
+			copy(pad[radius:], src)
 			dst := mid[y*w : (y+1)*w]
 			clear(dst)
-			addTaps(dst, k, func(i int) []float32 { return pad[i:] })
+			if generic {
+				addTapsGeneric(dst, k, row)
+			} else {
+				addTaps(dst, k, row)
+			}
 		}
 	})
 	rowBands(bands, h, func(_, y0, y1 int) {
 		for y := y0; y < y1; y++ {
-			addTaps(out.Pix[y*w:(y+1)*w], k, func(i int) []float32 {
+			row := func(i int) []float32 {
 				sy := min(max(y+i-radius, 0), h-1)
 				return mid[sy*w : (sy+1)*w]
-			})
+			}
+			if generic {
+				addTapsGeneric(out.Pix[y*w:(y+1)*w], k, row)
+			} else {
+				addTaps(out.Pix[y*w:(y+1)*w], k, row)
+			}
 		}
 	})
 	return out
@@ -202,12 +220,12 @@ func BlurScratchLen(w, h int, maxSigma float64) int {
 	return w*h + runtime.GOMAXPROCS(0)*(w+2*kernelRadius(maxSigma))
 }
 
-// addTaps adds tap i of kernel k, row(i)[x]*k[i], into every dst[x], taps in
-// ascending order and four per sweep over dst. row(i) holds at least
-// len(dst) pixels. Go evaluates d + a*k0 + b*k1 left to right and amd64
-// (GOAMD64=v1) does not fuse the multiply-add, so each pixel gets the same
-// float32 additions as one tap per sweep.
-func addTaps(dst, k []float32, row func(i int) []float32) {
+// addTapsGeneric is addTaps in portable Go: the sweep off amd64 and the
+// reference the assembly is compared against. Go evaluates
+// d + a*k0 + b*k1 left to right and amd64 (GOAMD64=v1) does not fuse the
+// multiply-add, so each pixel gets the same float32 additions as one tap
+// per sweep.
+func addTapsGeneric(dst, k []float32, row func(i int) []float32) {
 	i := 0
 	for ; i+4 <= len(k); i += 4 {
 		s0 := row(i)[:len(dst)]

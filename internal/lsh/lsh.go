@@ -14,7 +14,8 @@
 // The read path makes one pass over each thing it reads. A query widens its
 // descriptor to float32 once, projects it once per table — the coefficients
 // are stored row-interleaved in groups of 8, so one sweep of the vector
-// advances 8 independent float32 chains, each in its own row's order — and
+// advances 8 independent float32 chains, each in its own row's order, two
+// 4-lane SSE2 vectors on amd64 (project_amd64.s) — and
 // hashes each probe's coordinate straight from the int32s
 // (hash.Sum64Int32s). ProbeKeys computes the L·(2M+1) keys once, and
 // QueryKeys answers them on any index of the same Params, so a query fanned
@@ -62,8 +63,9 @@ func DefaultParams() Params {
 const maxRows, maxCoeffs = 1 << 12, 1 << 18
 
 // lanes is the row-group width of the interleaved projection: 8 float32
-// accumulators and the vector element fit the 16 registers of amd64 and
-// arm64 with room to spare, and cover the paper's M = 7 in one group.
+// accumulators are two SSE2 registers on amd64 (and fit the 16 scalar
+// registers of the generic loop elsewhere), and cover the paper's M = 7 in
+// one group.
 const lanes = 8
 
 // groups is the number of lanes-wide row groups per table.
@@ -150,33 +152,56 @@ func (h *Hasher) Bucket(desc []byte, table int) []int32 {
 // BucketVecInto computes the M quantized projection coordinates of a
 // widened descriptor (DescriptorVec, length Dim) for the given table into
 // out (length M). One sweep of vec per group of 8 rows advances the 8 rows'
-// float32 sums together; each sum still adds its products in dimension
-// order, so the coordinates are bit for bit those of projecting row by row.
+// float32 sums together (project: on amd64 two 4-lane SSE2 accumulators,
+// so at M = 7 the padded 8th lane costs nothing); each sum still adds its
+// products in dimension order, so the coordinates are bit for bit those of
+// projecting row by row.
 func (h *Hasher) BucketVecInto(vec []float32, table int, out []int32) {
+	h.bucketVecInto(vec, table, out, false)
+}
+
+// bucketVecInto is BucketVecInto, run on projectGeneric instead of project
+// when generic is set: the seam through which tests and benchmarks compare
+// the whole bucket computation on the two kernels.
+func (h *Hasher) bucketVecInto(vec []float32, table int, out []int32, generic bool) {
 	p := h.p
 	out = out[:p.M]
 	g := p.groups()
+	var acc [lanes]float32
 	for gi := 0; gi < g; gi++ {
 		blk := h.proj[(table*g+gi)*p.Dim:][:p.Dim]
-		vec := vec[:len(blk)] // one check here, none per element below
-		var a0, a1, a2, a3, a4, a5, a6, a7 float32
-		for d := range blk {
-			c, v := &blk[d], vec[d]
-			a0 += c[0] * v
-			a1 += c[1] * v
-			a2 += c[2] * v
-			a3 += c[3] * v
-			a4 += c[4] * v
-			a5 += c[5] * v
-			a6 += c[6] * v
-			a7 += c[7] * v
+		vec := vec[:len(blk)] // a short vec panics here, before the kernel reads it
+		if generic {
+			projectGeneric(&acc, blk, vec)
+		} else {
+			project(&acc, blk, vec)
 		}
-		acc := [lanes]float32{a0, a1, a2, a3, a4, a5, a6, a7}
 		m0 := gi * lanes
 		for r, a := range acc[:min(lanes, p.M-m0)] {
 			out[m0+r] = int32(math.Floor((float64(a) + h.offs[table*p.M+m0+r]) / p.W))
 		}
 	}
+}
+
+// projectGeneric sets acc[r] to the float32 sum over d of blk[d][r]·vec[d],
+// in dimension order from zero, for the 8 rows of one group: the portable
+// kernel off amd64 and the reference the assembly is compared against.
+// len(vec) must equal len(blk).
+func projectGeneric(acc *[lanes]float32, blk [][lanes]float32, vec []float32) {
+	vec = vec[:len(blk)] // one check here, none per element below
+	var a0, a1, a2, a3, a4, a5, a6, a7 float32
+	for d := range blk {
+		c, v := &blk[d], vec[d]
+		a0 += c[0] * v
+		a1 += c[1] * v
+		a2 += c[2] * v
+		a3 += c[3] * v
+		a4 += c[4] * v
+		a5 += c[5] * v
+		a6 += c[6] * v
+		a7 += c[7] * v
+	}
+	*acc = [lanes]float32{a0, a1, a2, a3, a4, a5, a6, a7}
 }
 
 // Key collapses a bucket coordinate into a 64-bit table key using Murmur3

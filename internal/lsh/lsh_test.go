@@ -339,14 +339,24 @@ func TestBucketQuantizationMonotone(t *testing.T) {
 	}
 }
 
+// BenchmarkBucketVecInto projects one descriptor on one table: asm through
+// project (the SSE2 kernel on amd64), generic through projectGeneric.
 func BenchmarkBucketVecInto(b *testing.B) {
 	h, _ := NewHasher(DefaultParams())
 	rng := rand.New(rand.NewSource(1))
 	vec := DescriptorVec(randDesc(rng), nil)
 	out := make([]int32, h.Params().M)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		h.BucketVecInto(vec, i%h.Params().L, out)
+	for _, generic := range []bool{false, true} {
+		name := "asm"
+		if generic {
+			name = "generic"
+		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				h.bucketVecInto(vec, i%h.Params().L, out, generic)
+			}
+		})
 	}
 }
 

@@ -164,8 +164,8 @@ func (b *BruteForce) MatchFrame(descs [][]byte) (int, map[int]int, error) {
 	return voteWinner(votes), votes, nil
 }
 
-// distSq is the cluster-stage matching distance — the same unrolled kernel
-// the LSH query path uses (internal/dist), bit-identical to the scalar sum.
+// distSq is the cluster-stage matching distance — the same kernel the LSH
+// query path uses (internal/dist), bit-identical to the scalar sum.
 func distSq(a, b []byte) int { return dist.Sq(a, b) }
 
 // LSHMatcher matches via a conventional E2LSH index over the database.

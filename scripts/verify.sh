@@ -11,6 +11,11 @@ echo "== go vet =="
 go vet ./...
 echo "== go build =="
 go build ./...
+echo "== generic kernels (GOARCH=arm64 vet) =="
+# dist, lsh and imaging have SSE2 assembly on amd64 and their generic Go
+# twins everywhere else; vetting for arm64 type-checks and vets the
+# fallback files the amd64 build never compiles. Needs no network.
+GOARCH=arm64 go vet ./internal/dist ./internal/lsh ./internal/imaging
 echo "== api compatibility gate =="
 # Diff the exported surface of the root package against the checked-in
 # snapshot (testdata/api.txt). Also runs as part of the full test pass
@@ -43,11 +48,13 @@ echo "== client same-bits (race) =="
 # The client's per-frame work (blur, SIFT, oracle select) runs in parallel
 # and must give the same bits on any core count. Its bit-identity tests:
 # the goldens, the per-pixel and per-bin reference comparisons, and the
-# worker-count and concurrent-caller checks. Already part of the full -race
-# pass above; re-run un-cached so a reordered float operation names itself.
+# worker-count and concurrent-caller checks; plus the parity tests holding
+# the SSE2 kernels (blur taps, LSH projection, descriptor distance) to
+# their generic Go twins. Already part of the full -race pass above; re-run
+# un-cached so a reordered float operation names itself.
 go test -race -count=1 -run \
-	'TestDetectGolden|TestDetectWorkerIndependent|TestGaussianBlur|TestTrilinearAdd|TestSelectUnique' \
-	./internal/sift ./internal/imaging ./internal/core
+	'TestDetectGolden|TestDetectWorkerIndependent|TestGaussianBlur|TestTrilinearAdd|TestSelectUnique|TestAddTapsMatchesGeneric|TestProjectMatchesGeneric|TestSqMatchesGeneric|TestSqLimitMatchesGeneric' \
+	./internal/sift ./internal/imaging ./internal/core ./internal/lsh ./internal/dist
 echo "== fuzz (short) =="
 make fuzz-short
 echo "== benchmark module =="
