@@ -23,7 +23,7 @@ func ExampleNewPipeline() {
 	}
 	poi := world.POIsOfKind(visualprint.POIUnique)[0]
 	cam := visualprint.CameraFacing(world, poi, 3, 0.2, 0, 240, 180)
-	res, stats, err := pipeline.Localize(cam)
+	res, stats, err := pipeline.Localize(context.Background(), cam)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -40,7 +41,7 @@ func main() {
 		log.Fatal(err)
 	}
 	framePNG, _ := visualprint.EncodeFrame(fr.Image, visualprint.EncodingPNG, 0)
-	_, stats, err := pipeline.LocalizeFrame(fr)
+	_, stats, err := pipeline.LocalizeFrame(context.Background(), fr)
 	if err != nil {
 		log.Fatal(err)
 	}

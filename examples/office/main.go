@@ -57,7 +57,7 @@ func main() {
 	trials, sum := 0, 0.0
 	for i := 0; i < len(pois) && trials < 5; i++ {
 		cam := visualprint.CameraFacing(world, pois[i], 3.0, 0.25, 0, 180, 135)
-		res, _, err := pipeline.Localize(cam)
+		res, _, err := pipeline.Localize(context.Background(), cam)
 		if err != nil {
 			continue
 		}

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -39,7 +40,7 @@ func main() {
 	pois := world.POIsOfKind(visualprint.POIUnique)
 	cam := visualprint.CameraFacing(world, pois[2], 3.0, 0.3, -0.05, 200, 150)
 
-	res, stats, err := pipeline.Localize(cam)
+	res, stats, err := pipeline.Localize(context.Background(), cam)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 
 	"visualprint/internal/core"
 	"visualprint/internal/lsh"
+	"visualprint/internal/wardrive"
 )
 
 // ablationWorkload generates SIFT-like descriptors with a controlled
@@ -322,15 +323,14 @@ func AblationICP(sc Scale) (*Experiment, error) {
 	world := specFromName(specs, "office")
 	cfg := wardriveConfig(sc)
 	cfg.Drift.PosStddevPerMeter = 0.08
-	snapsOff, err := walkWorld(world, cfg)
+	snaps, err := wardrive.Walk(world, cfg)
 	if err != nil {
 		return nil, err
 	}
-	before := meanMapError(snapsOff)
-	if err := correctSnaps(snapsOff); err != nil {
+	before, after, err := wardrive.CorrectDrift(snaps)
+	if err != nil {
 		return nil, err
 	}
-	after := meanMapError(snapsOff)
 	e.Points = append(e.Points,
 		Point{Series: "map error", X: 0, Y: before},
 		Point{Series: "map error", X: 1, Y: after},

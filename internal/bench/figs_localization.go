@@ -7,8 +7,6 @@ import (
 	"sync"
 
 	"visualprint/internal/core"
-	"visualprint/internal/icp"
-	"visualprint/internal/mathx"
 	"visualprint/internal/pose"
 	"visualprint/internal/scene"
 	"visualprint/internal/server"
@@ -35,10 +33,7 @@ var (
 func wardriveConfig(sc Scale) wardrive.Config {
 	cfg := wardrive.DefaultConfig()
 	cfg.ImageW, cfg.ImageH = sc.ImgW, sc.ImgH
-	cfg.StepMeters = 3
-	cfg.RowSpacing = 5
 	cfg.MaxKeypointsPerFrame = 300
-	cfg.SweepPOIs = true
 	return cfg
 }
 
@@ -58,7 +53,7 @@ func getVenueRuns(sc Scale) ([]*venueRun, error) {
 			return nil, fmt.Errorf("bench: wardrive %s: %w", spec.Name, err)
 		}
 		// ICP drift correction, as the paper's post-processing.
-		if err := correctSnaps(snaps); err != nil {
+		if _, _, err := wardrive.CorrectDrift(snaps); err != nil {
 			return nil, err
 		}
 		router, err := server.NewRouter(server.DefaultDatabaseConfig(), nil)
@@ -82,26 +77,6 @@ func getVenueRuns(sc Scale) ([]*venueRun, error) {
 	}
 	venueCache[sc.Name] = runs
 	return runs, nil
-}
-
-// correctSnaps applies ICP sequence correction to the snapshots in place.
-func correctSnaps(snaps []wardrive.Snapshot) error {
-	clouds := make([][]mathx.Vec3, len(snaps))
-	for i := range snaps {
-		clouds[i] = snaps[i].Cloud
-	}
-	tfs, err := icp.CorrectSequence(clouds, icp.DefaultOptions())
-	if err != nil {
-		return err
-	}
-	for i := range snaps {
-		tf := tfs[i]
-		for j := range snaps[i].Obs {
-			snaps[i].Obs[j].Est = tf.Apply(snaps[i].Obs[j].Est)
-		}
-		snaps[i].Cloud = tf.ApplyAll(snaps[i].Cloud)
-	}
-	return nil
 }
 
 // localizationErrors runs query views in a venue and returns per-query 3D
@@ -221,16 +196,4 @@ func specFromName(specs []scene.VenueSpec, name string) *scene.World {
 		}
 	}
 	return scene.Build(specs[0])
-}
-
-// walkWorld wardrives a world with the given config.
-func walkWorld(w *scene.World, cfg wardrive.Config) ([]wardrive.Snapshot, error) {
-	return wardrive.Walk(w, cfg)
-}
-
-// meanMapError is the mean distance between estimated and true keypoint
-// positions across all snapshots.
-func meanMapError(snaps []wardrive.Snapshot) float64 {
-	mean, _ := wardrive.PoseError(snaps)
-	return mean
 }

@@ -130,12 +130,3 @@ func (r *Router) LocateSession(ctx context.Context, venueName string, sid uint64
 	}
 	return res, nil
 }
-
-// EndSession drops a session's tracking state (the client told us it is
-// done; the table would TTL it out anyway).
-func (r *Router) EndSession(venueName string, sid uint64) {
-	if sid == 0 {
-		return
-	}
-	r.trk.Forget(sessionKey(venueName, sid))
-}

@@ -208,31 +208,6 @@ func TestSessionVenueScoping(t *testing.T) {
 	}
 }
 
-// TestEndSessionForgets: EndSession drops the tracked state so the next
-// query of the same sid is cold again.
-func TestEndSessionForgets(t *testing.T) {
-	r, reg, _, q := trackFixture(t)
-	ctx := context.Background()
-	const sid = 12
-	if _, err := r.LocateSession(ctx, "", sid, q.kps, q.intr); err != nil {
-		t.Fatal(err)
-	}
-	if n := r.trk.Len(); n != 1 {
-		t.Fatalf("Len = %d after first session query, want 1", n)
-	}
-	r.EndSession("", sid)
-	if n := r.trk.Len(); n != 0 {
-		t.Fatalf("Len = %d after EndSession, want 0", n)
-	}
-	if _, err := r.LocateSession(ctx, "", sid, q.kps, q.intr); err != nil {
-		t.Fatal(err)
-	}
-	if got := reg.Counter("track_cold").Value(); got != 2 {
-		t.Fatalf("track_cold = %d, want 2 (both queries cold)", got)
-	}
-	r.EndSession("", 0) // no-op
-}
-
 // walkFrame is one frame of the synthetic walk: the true camera and the
 // query it captures.
 type walkFrame struct {

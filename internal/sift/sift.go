@@ -56,21 +56,23 @@ type Keypoint struct {
 	Desc        Descriptor
 }
 
-// Config holds detector parameters. The zero value is not valid; use
+// The detector's fixed shape, Lowe's values: extrema are detected at
+// scalesPerOctave scales per octave (s in Lowe's paper; s+3 Gaussian images
+// are built per octave), the first pyramid level is blurred to baseSigma,
+// and extrema whose principal-curvature ratio exceeds edgeRatio r
+// (trace^2/det > (r+1)^2/r) are rejected as edge responses.
+const (
+	scalesPerOctave = 3
+	baseSigma       = 1.6
+	edgeRatio       = 10.0
+)
+
+// Config holds the detector's settable parameters; start from
 // DefaultConfig.
 type Config struct {
-	// ScalesPerOctave is the number of scales at which extrema are
-	// detected per octave (s in Lowe's paper); s+3 Gaussian images are
-	// built per octave.
-	ScalesPerOctave int
-	// Sigma is the base blur of the first pyramid level.
-	Sigma float64
 	// ContrastThreshold rejects low-contrast extrema (applied to |DoG|
 	// with image intensities in [0, 1]).
 	ContrastThreshold float64
-	// EdgeThreshold is the principal-curvature ratio r; extrema with
-	// trace^2/det > (r+1)^2/r are rejected as edge responses.
-	EdgeThreshold float64
 	// MaxKeypoints caps the output, keeping the strongest responses.
 	// Zero means no cap.
 	MaxKeypoints int
@@ -78,13 +80,7 @@ type Config struct {
 
 // DefaultConfig returns the standard SIFT parameterization.
 func DefaultConfig() Config {
-	return Config{
-		ScalesPerOctave:   3,
-		Sigma:             1.6,
-		ContrastThreshold: 0.03,
-		EdgeThreshold:     10,
-		MaxKeypoints:      0,
-	}
+	return Config{ContrastThreshold: 0.03}
 }
 
 // Detect runs the full SIFT pipeline on img and returns described
@@ -96,10 +92,7 @@ func DefaultConfig() Config {
 // and written to a slot fixed by the serial order, so the list handed to
 // the sort, and hence the result, is the same bits on any core count.
 func Detect(img *imaging.Gray, cfg Config) []Keypoint {
-	if cfg.ScalesPerOctave <= 0 {
-		cfg = DefaultConfig()
-	}
-	pyr := buildPyramid(img, cfg)
+	pyr := buildPyramid(img)
 	cands := detectExtrema(pyr, cfg)
 	peaks := make([]oriPeaks, len(cands))
 	par.For(len(cands), func(i int) { peaks[i] = orientations(pyr, cands[i]) })
@@ -137,8 +130,8 @@ type pyramid struct {
 	octaves [][]*imaging.Gray // gaussians[octave][level], len s+3
 }
 
-func buildPyramid(img *imaging.Gray, cfg Config) *pyramid {
-	s := cfg.ScalesPerOctave
+func buildPyramid(img *imaging.Gray) *pyramid {
+	const s = scalesPerOctave
 	k := math.Pow(2, 1/float64(s))
 	nOct := 1
 	for w, h := img.W, img.H; w >= 16 && h >= 16; w, h = w/2, h/2 {
@@ -154,13 +147,13 @@ func buildPyramid(img *imaging.Gray, cfg Config) *pyramid {
 	// s+2's; octaves only shrink, so scratch sized for the input and that
 	// sigma serves every blur.
 	sigmaDelta := func(l int) float64 {
-		sigmaTotal := cfg.Sigma * math.Pow(k, float64(l))
-		sigmaPrev := cfg.Sigma * math.Pow(k, float64(l-1))
+		sigmaTotal := baseSigma * math.Pow(k, float64(l))
+		sigmaPrev := baseSigma * math.Pow(k, float64(l-1))
 		return math.Sqrt(sigmaTotal*sigmaTotal - sigmaPrev*sigmaPrev)
 	}
 	p := &pyramid{}
-	tmp := make([]float32, imaging.BlurScratchLen(img.W, img.H, max(cfg.Sigma, sigmaDelta(s+2))))
-	base := imaging.GaussianBlurBuf(img, cfg.Sigma, tmp) // assume nominal input blur 0
+	tmp := make([]float32, imaging.BlurScratchLen(img.W, img.H, max(baseSigma, sigmaDelta(s+2))))
+	base := imaging.GaussianBlurBuf(img, baseSigma, tmp) // assume nominal input blur 0
 	for o := 0; o < nOct; o++ {
 		levels := make([]*imaging.Gray, s+3)
 		levels[0] = base
@@ -189,9 +182,9 @@ type candidate struct {
 
 func detectExtrema(p *pyramid, cfg Config) []candidate {
 	var out []candidate
-	s := cfg.ScalesPerOctave
+	const s = scalesPerOctave
 	k := math.Pow(2, 1/float64(s))
-	edgeLimit := (cfg.EdgeThreshold + 1) * (cfg.EdgeThreshold + 1) / cfg.EdgeThreshold
+	edgeLimit := (edgeRatio + 1) * (edgeRatio + 1) / edgeRatio
 	for o, levels := range p.octaves {
 		octScale := math.Pow(2, float64(o))
 		// DoG level l is levels[l+1] - levels[l]; there are len(levels)-1.
@@ -225,7 +218,7 @@ func detectExtrema(p *pyramid, cfg Config) []candidate {
 						level:    l,
 						x:        float64(x) + ox,
 						y:        float64(y) + oy,
-						sigma:    cfg.Sigma * math.Pow(k, float64(l)),
+						sigma:    baseSigma * math.Pow(k, float64(l)),
 						octScale: octScale,
 						response: av,
 					})

@@ -1,7 +1,7 @@
 package track
 
 // Session-table churn under the race detector: concurrent create, locate
-// (predict), observe, forget and TTL expiry, all on one shard of the table
+// (predict), observe and TTL expiry, all on one shard of the table
 // and over more sessions than the shard holds, so capacity eviction and
 // expiry race with reads on the same shard.
 // `make chaos` runs this full-length; the normal suite (and scripts/
@@ -58,13 +58,11 @@ func TestChaosTrackChurn(t *testing.T) {
 				switch i % 7 {
 				case 0, 1, 2:
 					tb.Observe(id, mathx.Vec3{X: float64(i % 10), Y: 1.5, Z: float64(w)}, 0.01, now)
-				case 3, 4:
+				case 3, 4, 5:
 					if p, ok := tb.Predict(id, now); ok && p.Radius <= 0 {
 						t.Errorf("prediction with non-positive radius %v", p.Radius)
 						return
 					}
-				case 5:
-					tb.Forget(id)
 				case 6:
 					tb.ExpireIdle(now)
 				}

@@ -242,16 +242,6 @@ func (t *Table) Predict(id uint64, now time.Time) (Prior, bool) {
 	return p, true
 }
 
-// Forget drops id's session, if present.
-func (t *Table) Forget(id uint64) {
-	sh := t.shardFor(id)
-	sh.mu.Lock()
-	if s := sh.m[id]; s != nil {
-		t.evictLocked(sh, s)
-	}
-	sh.mu.Unlock()
-}
-
 // Len returns the number of tracked sessions.
 func (t *Table) Len() int {
 	n := 0

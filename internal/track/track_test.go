@@ -202,16 +202,3 @@ func TestHistoryRingWraps(t *testing.T) {
 		}
 	}
 }
-
-func TestForget(t *testing.T) {
-	tb := New(nil)
-	tb.Observe(6, mathx.Vec3{}, 0.01, t0)
-	tb.Forget(6)
-	if _, ok := tb.Predict(6, t0); ok {
-		t.Fatal("forgotten session still predicts")
-	}
-	tb.Forget(6) // idempotent
-	if n := tb.Len(); n != 0 {
-		t.Fatalf("Len = %d, want 0", n)
-	}
-}

@@ -13,6 +13,7 @@ import (
 	"math"
 	"math/rand"
 
+	"visualprint/internal/icp"
 	"visualprint/internal/mathx"
 	"visualprint/internal/scene"
 	"visualprint/internal/sift"
@@ -56,16 +57,23 @@ type Snapshot struct {
 	TrueCloud []mathx.Vec3
 }
 
+// The walk's fixed shape: the camera rides eyeHeight above the floor, and
+// the POI sweep captures every point of interest from each of
+// sweepDistances, the i-th at a yaw offset of sweepYawOffsets[i].
+const eyeHeight = 1.6
+
+var (
+	sweepDistances  = [...]float64{2, 3.5}
+	sweepYawOffsets = [...]float64{-0.25, 0.15}
+)
+
 // Config controls a wardriving session.
 type Config struct {
 	ImageW, ImageH int
-	Sift           sift.Config
 	// StepMeters is the distance between captures along the walk.
 	StepMeters float64
 	// RowSpacing is the spacing between lawnmower rows (meters).
 	RowSpacing float64
-	// EyeHeight is the camera height above the floor.
-	EyeHeight float64
 	// MaxKeypointsPerFrame caps SIFT output per capture (0 = no cap).
 	MaxKeypointsPerFrame int
 	// CloudStride subsamples the depth map every n pixels for the ICP
@@ -79,22 +87,14 @@ type Config struct {
 	// worth fingerprinting. It densifies scale/viewpoint coverage of the
 	// map, which the localization accuracy depends on.
 	SweepPOIs bool
-	// SweepDistances and SweepYawOffsets parameterize the POI sweep
-	// (defaults {2, 3.5} and {-0.25, 0.15} when empty).
-	SweepDistances  []float64
-	SweepYawOffsets []float64
 }
 
 // DefaultConfig returns a config suitable for the scaled evaluation worlds.
 func DefaultConfig() Config {
-	sc := sift.DefaultConfig()
-	sc.ContrastThreshold = 0.02
 	return Config{
 		ImageW: 240, ImageH: 180,
-		Sift:                 sc,
 		StepMeters:           3,
 		RowSpacing:           5,
-		EyeHeight:            1.6,
 		MaxKeypointsPerFrame: 400,
 		CloudStride:          12,
 		Drift:                DefaultDrift(),
@@ -139,7 +139,7 @@ func Walk(w *scene.World, cfg Config) ([]Snapshot, error) {
 				break
 			}
 			advanceDrift(cfg.StepMeters)
-			pos := mathx.Vec3{X: x, Y: cfg.EyeHeight, Z: z}
+			pos := mathx.Vec3{X: x, Y: eyeHeight, Z: z}
 			// Two views per step: facing +Z and -Z (left/right of the
 			// walking direction), with a touch of pitch variation.
 			for view, yaw := range []float64{0, math.Pi} {
@@ -157,18 +157,10 @@ func Walk(w *scene.World, cfg Config) ([]Snapshot, error) {
 		dir = -dir
 	}
 	if cfg.SweepPOIs {
-		dists := cfg.SweepDistances
-		if len(dists) == 0 {
-			dists = []float64{2, 3.5}
-		}
-		yaws := cfg.SweepYawOffsets
-		if len(yaws) == 0 {
-			yaws = []float64{-0.25, 0.15}
-		}
 		for _, poi := range w.POIs {
-			for i, d := range dists {
+			for i, d := range sweepDistances {
 				advanceDrift(d) // walking between capture spots drifts too
-				trueCam := scene.CameraFacing(w, poi, d, yaws[i%len(yaws)], 0, cfg.ImageW, cfg.ImageH)
+				trueCam := scene.CameraFacing(w, poi, d, sweepYawOffsets[i], 0, cfg.ImageW, cfg.ImageH)
 				snap, err := Capture(w, trueCam, cfg, posBias, yawBias)
 				if err != nil {
 					return nil, err
@@ -195,11 +187,7 @@ func Capture(w *scene.World, trueCam scene.Camera, cfg Config, posBias mathx.Vec
 	estCam.Pos = trueCam.Pos.Add(posBias)
 	estCam.Yaw = trueCam.Yaw + yawBias
 
-	sc := cfg.Sift
-	if cfg.MaxKeypointsPerFrame > 0 {
-		sc.MaxKeypoints = cfg.MaxKeypointsPerFrame
-	}
-	kps := sift.Detect(fr.Image, sc)
+	kps := sift.Detect(fr.Image, sift.Config{ContrastThreshold: 0.02, MaxKeypoints: cfg.MaxKeypointsPerFrame})
 
 	snap := &Snapshot{TrueCam: trueCam, EstCam: estCam}
 	for _, kp := range kps {
@@ -236,6 +224,31 @@ func Observations(snaps []Snapshot) []Observation {
 		out = append(out, snaps[i].Obs...)
 	}
 	return out
+}
+
+// CorrectDrift merges the snapshots' depth clouds with ICP and applies the
+// resulting corrections to every keypoint observation and cloud, mutating
+// snaps in place — the paper's drift post-processing. It returns the mean
+// keypoint position error before and after correction.
+func CorrectDrift(snaps []Snapshot) (before, after float64, err error) {
+	clouds := make([][]mathx.Vec3, len(snaps))
+	for i := range snaps {
+		clouds[i] = snaps[i].Cloud
+	}
+	tfs, err := icp.CorrectSequence(clouds, icp.DefaultOptions())
+	if err != nil {
+		return 0, 0, err
+	}
+	before, _ = PoseError(snaps)
+	for i := range snaps {
+		tf := tfs[i]
+		for j := range snaps[i].Obs {
+			snaps[i].Obs[j].Est = tf.Apply(snaps[i].Obs[j].Est)
+		}
+		snaps[i].Cloud = tf.ApplyAll(snaps[i].Cloud)
+	}
+	after, _ = PoseError(snaps)
+	return before, after, nil
 }
 
 // PoseError summarizes the drift of a wardriving session: the mean and max

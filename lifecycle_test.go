@@ -115,7 +115,7 @@ func TestLocalizeContextCancel(t *testing.T) {
 	cancel()
 	pois := w.POIsOfKind(POIUnique)
 	cam := CameraFacing(w, pois[0], 3.0, 0.2, 0, 180, 135)
-	_, _, lerr := p.LocalizeContext(ctx, cam)
+	_, _, lerr := p.Localize(ctx, cam)
 	if !errors.Is(lerr, ErrCanceled) || !errors.Is(lerr, context.Canceled) {
 		t.Fatalf("got %v, want ErrCanceled matching context.Canceled", lerr)
 	}

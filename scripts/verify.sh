@@ -50,11 +50,13 @@ echo "== client same-bits (race) =="
 # the goldens, the per-pixel and per-bin reference comparisons, and the
 # worker-count and concurrent-caller checks; plus the parity tests holding
 # the SSE2 kernels (blur taps, LSH projection, descriptor distance) to
-# their generic Go twins. Already part of the full -race pass above; re-run
-# un-cached so a reordered float operation names itself.
+# their generic Go twins; plus the root pipeline's answers digest, which
+# pins the whole client flow (wardrive, extract, select, localize) end to
+# end. Already part of the full -race pass above; re-run un-cached so a
+# reordered float operation names itself.
 go test -race -count=1 -run \
-	'TestDetectGolden|TestDetectWorkerIndependent|TestGaussianBlur|TestTrilinearAdd|TestSelectUnique|TestAddTapsMatchesGeneric|TestProjectMatchesGeneric|TestSqMatchesGeneric|TestSqLimitMatchesGeneric' \
-	./internal/sift ./internal/imaging ./internal/core ./internal/lsh ./internal/dist
+	'TestDetectGolden|TestDetectWorkerIndependent|TestGaussianBlur|TestTrilinearAdd|TestSelectUnique|TestAddTapsMatchesGeneric|TestProjectMatchesGeneric|TestSqMatchesGeneric|TestSqLimitMatchesGeneric|TestPipelineAnswersGolden' \
+	. ./internal/sift ./internal/imaging ./internal/core ./internal/lsh ./internal/dist
 echo "== fuzz (short) =="
 make fuzz-short
 echo "== benchmark module =="

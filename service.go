@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"io"
-	"math/rand"
 	"net"
 	"net/http"
 	"os"
@@ -15,7 +14,6 @@ import (
 	"visualprint/internal/pose"
 	"visualprint/internal/repl"
 	"visualprint/internal/server"
-	"visualprint/internal/sift"
 )
 
 // PoseOptions holds the pose solver's one setting, the wall-clock budget of
@@ -366,21 +364,6 @@ func (s *Server) Locate(ctx context.Context, venue string, kps []Keypoint, intr 
 	return s.router.Locate(ctx, venue, kps, intr)
 }
 
-// LocateSession is Locate within a continuous localization session: the
-// non-zero sid keys server-side tracking state, letting repeat queries
-// from the same moving device warm-start the pose solver from a motion
-// prior. Results failing the residual acceptance gate are transparently
-// re-solved cold, so a session query is never less accurate than Locate —
-// and with sid 0 it is exactly Locate, bit for bit. Sessions are soft
-// state (TTL- and capacity-evicted); callers just keep querying.
-func (s *Server) LocateSession(ctx context.Context, venue string, sid uint64, kps []Keypoint, intr Intrinsics) (LocateResult, error) {
-	return s.router.LocateSession(ctx, venue, sid, kps, intr)
-}
-
-// EndSession drops a session's tracking state eagerly (TTL eviction
-// reclaims abandoned sessions anyway). No-op for sid 0 or unknown IDs.
-func (s *Server) EndSession(venue string, sid uint64) { s.router.EndSession(venue, sid) }
-
 // SessionHandle pins a client's queries to one continuous localization
 // session; build one with Client.Session.
 type SessionHandle = server.Session
@@ -589,63 +572,18 @@ func QueryUploadBytes(n int) int64 { return server.QueryUploadBytes(n) }
 
 // Pipeline is the single-process convenience API: world, wardriving, cloud
 // database and client-side filtering in one object. It is what the examples
-// and benchmarks use when network transport is not the subject under test.
+// use when network transport is not the subject under test. It serves the
+// server's default venue; a continuous localization session is reached over
+// the wire, through Client.Session.
 type Pipeline struct {
 	World  *World
 	Server *Server
 	Oracle *Oracle
 
-	// Venue scopes the pipeline's server interactions to one named venue;
-	// empty (the default) uses the default venue. Set it before Wardrive.
-	Venue string
 	// SelectCount is how many most-unique keypoints a query uploads
 	// (the paper evaluates 200 and 500).
 	SelectCount int
-	// Sift configures client-side extraction.
-	Sift SiftConfig
-	// BlurThreshold rejects frames whose BlurScore falls below it before
-	// any extraction work (0 disables the check). The client app performs
-	// this quick check to skip motion-blurred frames.
-	BlurThreshold float64
-
-	// sessionID, when non-zero, threads every Localize call through the
-	// server's continuous-localization session keyed by it (StartSession /
-	// EndSession manage it).
-	sessionID uint64
 }
-
-// StartSession begins a continuous localization session: subsequent
-// Localize calls carry a shared session ID, so the server warm-starts
-// each pose solve from the device's tracked trajectory. Starting a new
-// session while one is active ends the old one first.
-func (p *Pipeline) StartSession() {
-	if p.sessionID != 0 {
-		p.EndSession()
-	}
-	for p.sessionID == 0 {
-		p.sessionID = rand.Uint64()
-	}
-}
-
-// EndSession ends the active session (if any): the server's tracking
-// state is dropped and subsequent Localize calls solve cold.
-func (p *Pipeline) EndSession() {
-	if p.sessionID != 0 {
-		p.Server.EndSession(p.Venue, p.sessionID)
-		p.sessionID = 0
-	}
-}
-
-// SessionID returns the active session's ID, or 0 when none is active.
-func (p *Pipeline) SessionID() uint64 { return p.sessionID }
-
-// ErrFrameBlurred is returned by LocalizeFrame for frames rejected by the
-// blur gate.
-var ErrFrameBlurred = errFrameBlurred{}
-
-type errFrameBlurred struct{}
-
-func (errFrameBlurred) Error() string { return "visualprint: frame rejected as blurred" }
 
 // NewPipeline builds a pipeline over a world with a fresh server.
 func NewPipeline(w *World, cfg ServerConfig, opts ...ServerOption) (*Pipeline, error) {
@@ -653,20 +591,13 @@ func NewPipeline(w *World, cfg ServerConfig, opts ...ServerOption) (*Pipeline, e
 	if err != nil {
 		return nil, err
 	}
-	sc := sift.DefaultConfig()
-	sc.ContrastThreshold = 0.02
-	return &Pipeline{
-		World:       w,
-		Server:      srv,
-		SelectCount: 200,
-		Sift:        sc,
-	}, nil
+	return &Pipeline{World: w, Server: srv, SelectCount: 200}, nil
 }
 
 // Wardrive walks the world, optionally corrects drift with ICP, ingests
-// the mappings into the pipeline's venue, and installs the
-// (server-identical) oracle for client-side filtering. It returns the
-// number of mappings ingested.
+// the mappings into the default venue, and installs the (server-identical)
+// oracle for client-side filtering. It returns the number of mappings
+// ingested.
 func (p *Pipeline) Wardrive(cfg WardriveConfig, correctDrift bool) (int, error) {
 	snaps, err := Wardrive(p.World, cfg)
 	if err != nil {
@@ -678,13 +609,13 @@ func (p *Pipeline) Wardrive(cfg WardriveConfig, correctDrift bool) (int, error) 
 		}
 	}
 	ms := MappingsFrom(snaps)
-	if _, err := p.Server.Ingest(context.Background(), p.Venue, ms); err != nil {
+	if _, err := p.Server.Ingest(context.Background(), "", ms); err != nil {
 		return 0, err
 	}
 	// In-process deployments get the oracle directly (a copy assembled from
 	// the venue's shards); a networked client would OracleSync().Sync
 	// instead.
-	o, err := p.Server.VenueOracle(p.Venue)
+	o, err := p.Server.VenueOracle("")
 	if err != nil {
 		return 0, err
 	}
@@ -702,36 +633,23 @@ type QueryStats struct {
 // Localize captures a frame from cam, extracts keypoints, filters them to
 // the SelectCount most unique via the oracle, and runs the server's
 // localization pipeline. It is the end-to-end client flow of the paper's
-// Figure 7 without the network in between.
-func (p *Pipeline) Localize(cam Camera) (LocateResult, QueryStats, error) {
-	return p.LocalizeContext(context.Background(), cam)
-}
-
-// LocalizeContext is Localize under a context: cancellation or an expired
-// deadline stops the localization pipeline at its next stage boundary
-// (LSH retrieval, clustering, each pose-solver generation) and returns
+// Figure 7 without the network in between. Cancellation or an expired
+// deadline stops the localization pipeline at its next stage boundary (LSH
+// retrieval, clustering, each pose-solver generation) and returns
 // ErrCanceled or ErrDeadlineExceeded.
-func (p *Pipeline) LocalizeContext(ctx context.Context, cam Camera) (LocateResult, QueryStats, error) {
+func (p *Pipeline) Localize(ctx context.Context, cam Camera) (LocateResult, QueryStats, error) {
 	fr, err := Render(p.World, cam)
 	if err != nil {
 		return LocateResult{}, QueryStats{}, err
 	}
-	return p.LocalizeFrameContext(ctx, fr)
+	return p.LocalizeFrame(ctx, fr)
 }
 
-// LocalizeFrame runs the client flow on an already-rendered frame. Frames
-// failing the blur gate return ErrFrameBlurred without any extraction work.
-func (p *Pipeline) LocalizeFrame(fr *Frame) (LocateResult, QueryStats, error) {
-	return p.LocalizeFrameContext(context.Background(), fr)
-}
-
-// LocalizeFrameContext is LocalizeFrame under a context (see
-// LocalizeContext for the cancellation semantics).
-func (p *Pipeline) LocalizeFrameContext(ctx context.Context, fr *Frame) (LocateResult, QueryStats, error) {
-	if p.BlurThreshold > 0 && BlurScore(fr.Image) < p.BlurThreshold {
-		return LocateResult{}, QueryStats{}, ErrFrameBlurred
-	}
-	kps := ExtractKeypoints(fr.Image, p.Sift)
+// LocalizeFrame runs the client flow of Localize on an already-rendered
+// frame.
+func (p *Pipeline) LocalizeFrame(ctx context.Context, fr *Frame) (LocateResult, QueryStats, error) {
+	// The contrast threshold is the one the map is wardriven with.
+	kps := ExtractKeypoints(fr.Image, SiftConfig{ContrastThreshold: 0.02})
 	sel := kps
 	if p.Oracle != nil && p.SelectCount > 0 && len(kps) > p.SelectCount {
 		var err error
@@ -745,7 +663,7 @@ func (p *Pipeline) LocalizeFrameContext(ctx context.Context, fr *Frame) (LocateR
 		UploadedKeypoints:  len(sel),
 		UploadBytes:        QueryUploadBytes(len(sel)),
 	}
-	res, err := p.Server.LocateSession(ctx, p.Venue, p.sessionID, sel, IntrinsicsOf(fr.Cam))
+	res, err := p.Server.Locate(ctx, "", sel, IntrinsicsOf(fr.Cam))
 	if err != nil {
 		return LocateResult{}, stats, err
 	}

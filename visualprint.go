@@ -22,7 +22,6 @@ package visualprint
 
 import (
 	"visualprint/internal/core"
-	"visualprint/internal/icp"
 	"visualprint/internal/imaging"
 	"visualprint/internal/mathx"
 	"visualprint/internal/pose"
@@ -152,24 +151,7 @@ func DefaultWardriveConfig() WardriveConfig { return wardrive.DefaultConfig() }
 // place — the paper's drift post-processing. It returns the mean keypoint
 // position error before and after correction.
 func CorrectDrift(snaps []Snapshot) (before, after float64, err error) {
-	clouds := make([][]Vec3, len(snaps))
-	for i := range snaps {
-		clouds[i] = snaps[i].Cloud
-	}
-	tfs, err := icp.CorrectSequence(clouds, icp.DefaultOptions())
-	if err != nil {
-		return 0, 0, err
-	}
-	before, _ = wardrive.PoseError(snaps)
-	for i := range snaps {
-		tf := tfs[i]
-		for j := range snaps[i].Obs {
-			snaps[i].Obs[j].Est = tf.Apply(snaps[i].Obs[j].Est)
-		}
-		snaps[i].Cloud = tf.ApplyAll(snaps[i].Cloud)
-	}
-	after, _ = wardrive.PoseError(snaps)
-	return before, after, nil
+	return wardrive.CorrectDrift(snaps)
 }
 
 // MappingsFrom flattens snapshots into server-ingestible mappings using the
