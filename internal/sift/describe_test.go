@@ -16,7 +16,10 @@ func TestGradientOnRamp(t *testing.T) {
 			g.Set(x, y, float32(x)*0.1)
 		}
 	}
-	mag, theta := gradient(g, 4, 4)
+	var r gradRow
+	r.add(g, 4*g.W+4)
+	r.solve()
+	mag, theta := r.mag[0], r.theta[0]
 	if math.Abs(mag-0.2) > 1e-5 {
 		t.Errorf("mag = %v, want 0.2", mag)
 	}

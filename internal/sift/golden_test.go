@@ -83,6 +83,11 @@ func fineNoise(w, h int, seed uint32) *imaging.Gray {
 // were recorded on the serial detector; any reordering of a float
 // operation in the pyramid, the orientation histogram or the descriptor
 // shows up here.
+//
+// They hold only on a host with FMA: Go's amd64 math.Exp takes a fused
+// multiply-add path when the CPU has AVX and FMA (math/exp_amd64.go), and
+// the digests were recorded on such a host. With GODEBUG=cpu.fma=off,
+// venue1 and noise160x120 come out different.
 func TestDetectGolden(t *testing.T) {
 	frames := venueFrames(t, 4)
 	capped := benchConfig()

@@ -16,7 +16,9 @@ package sift
 
 import (
 	"math"
+	"slices"
 	"sort"
+	"sync"
 
 	"visualprint/internal/dist"
 	"visualprint/internal/imaging"
@@ -86,35 +88,44 @@ func DefaultConfig() Config {
 // Detect runs the full SIFT pipeline on img and returns described
 // keypoints, strongest first.
 //
-// The pyramid's blurs and the per-candidate orientation and descriptor work
-// run on GOMAXPROCS goroutines. Each candidate's peaks and each keypoint's
-// descriptor are computed by one goroutine from read-only pyramid levels
-// and written to a slot fixed by the serial order, so the list handed to
-// the sort, and hence the result, is the same bits on any core count.
+// The pyramid is blurred on its own goroutine, which hands over each
+// Gaussian level as soon as it is built. Each DoG level gets a goroutine as
+// soon as the Gaussian level above it is in, and runs that level's extrema,
+// orientations and descriptors while later levels are still being blurred
+// and other levels described; the per-candidate orientation and descriptor
+// work runs on GOMAXPROCS goroutines. Each candidate's peaks and each
+// keypoint's descriptor are computed by one goroutine from read-only
+// pyramid levels and written to a slot fixed by the serial order, and the
+// levels' keypoints are joined in (octave, level) order, so the list handed
+// to the sort, and hence the result, is the same bits on any core count.
 func Detect(img *imaging.Gray, cfg Config) []Keypoint {
-	pyr := buildPyramid(img)
-	cands := detectExtrema(pyr, cfg)
-	peaks := make([]oriPeaks, len(cands))
-	par.For(len(cands), func(i int) { peaks[i] = orientations(pyr, cands[i]) })
-	first := make([]int, len(cands)+1) // first[i]: slot of candidate i's first keypoint
-	for i, pk := range peaks {
-		first[i+1] = first[i] + pk.n
-	}
-	out := make([]Keypoint, first[len(cands)])
-	par.For(len(cands), func(i int) {
-		c := cands[i]
-		for j, ori := range peaks[i].theta[:peaks[i].n] {
-			kp := &out[first[i]+j]
-			*kp = Keypoint{
-				X:           c.x * c.octScale,
-				Y:           c.y * c.octScale,
-				Scale:       c.sigma * c.octScale,
-				Orientation: ori,
-				Response:    c.response,
+	const s = scalesPerOctave
+	nOct := octaveCount(img.W, img.H)
+	// Room for every level: the builder never blocks, and it has returned
+	// or is returning once the loop below has taken the last one.
+	levels := make(chan *imaging.Gray, nOct*(s+3))
+	go buildPyramid(img, nOct, levels)
+	found := make([][]Keypoint, nOct*s) // per (octave, DoG level)
+	var wg sync.WaitGroup
+	for o := range nOct {
+		gauss := make([]*imaging.Gray, 0, s+3)
+		for l := 1; l <= s; l++ {
+			// DoG level l spans Gaussian levels l-1..l+2 with its neighbors.
+			for len(gauss) < l+3 {
+				gauss = append(gauss, <-levels)
 			}
-			describe(pyr, c, ori, &kp.Desc)
+			// gauss is passed by value: the loop appends to it while the
+			// level's goroutine reads its first l+3 elements, which no
+			// later append moves or writes (its capacity is s+3).
+			wg.Add(1)
+			go func(gauss []*imaging.Gray) {
+				defer wg.Done()
+				found[o*s+l-1] = detectLevel(gauss, o, l, cfg)
+			}(gauss)
 		}
-	})
+	}
+	wg.Wait()
+	out := slices.Concat(found...)
 	sort.Slice(out, func(i, j int) bool { return out[i].Response > out[j].Response })
 	if cfg.MaxKeypoints > 0 && len(out) > cfg.MaxKeypoints {
 		out = out[:cfg.MaxKeypoints]
@@ -122,26 +133,27 @@ func Detect(img *imaging.Gray, cfg Config) []Keypoint {
 	return out
 }
 
-// pyramid holds the per-octave Gaussian stacks. The DoG images are not
-// stored: detectExtrema reads each DoG pixel as the difference of the two
-// Gaussian levels it spans, the same float32 subtraction that would have
-// filled it.
-type pyramid struct {
-	octaves [][]*imaging.Gray // gaussians[octave][level], len s+3
+// octaveCount is the number of octaves the pyramid of a w×h image has: one
+// per halving that leaves both sides at least 16 pixels, at least one.
+// (Each octave's successor starts at least 8 pixels a side, so no octave
+// is cut for being too small.)
+func octaveCount(w, h int) int {
+	n := 0
+	for ; w >= 16 && h >= 16; w, h = w/2, h/2 {
+		n++
+	}
+	return max(n, 1)
 }
 
-func buildPyramid(img *imaging.Gray) *pyramid {
+// buildPyramid blurs img into nOct octaves of scalesPerOctave+3 Gaussian
+// levels and sends each level on levels as soon as it is built, octave by
+// octave and level by level. levels must have room for all of them. The
+// DoG images are not stored: the detector reads each DoG pixel as the
+// difference of the two Gaussian levels it spans, the same float32
+// subtraction that would have filled it.
+func buildPyramid(img *imaging.Gray, nOct int, levels chan<- *imaging.Gray) {
 	const s = scalesPerOctave
 	k := math.Pow(2, 1/float64(s))
-	nOct := 1
-	for w, h := img.W, img.H; w >= 16 && h >= 16; w, h = w/2, h/2 {
-		nOct++
-	}
-	nOct-- // last usable octave
-	if nOct < 1 {
-		nOct = 1
-	}
-
 	// sigmaDelta(l) blurs level l-1 of an octave into level l. It grows
 	// with l, so the widest blur of the call is the base one or level
 	// s+2's; octaves only shrink, so scratch sized for the input and that
@@ -151,79 +163,100 @@ func buildPyramid(img *imaging.Gray) *pyramid {
 		sigmaPrev := baseSigma * math.Pow(k, float64(l-1))
 		return math.Sqrt(sigmaTotal*sigmaTotal - sigmaPrev*sigmaPrev)
 	}
-	p := &pyramid{}
 	tmp := make([]float32, imaging.BlurScratchLen(img.W, img.H, max(baseSigma, sigmaDelta(s+2))))
-	base := imaging.GaussianBlurBuf(img, baseSigma, tmp) // assume nominal input blur 0
-	for o := 0; o < nOct; o++ {
-		levels := make([]*imaging.Gray, s+3)
-		levels[0] = base
+	level := imaging.GaussianBlurBuf(img, baseSigma, tmp) // assume nominal input blur 0
+	for o := range nOct {
+		levels <- level
+		var next *imaging.Gray
 		for l := 1; l < s+3; l++ {
-			levels[l] = imaging.GaussianBlurBuf(levels[l-1], sigmaDelta(l), tmp)
+			level = imaging.GaussianBlurBuf(level, sigmaDelta(l), tmp)
+			levels <- level
+			if l == s {
+				next = level
+			}
 		}
-		p.octaves = append(p.octaves, levels)
-		// Next octave starts from the level with 2x the base sigma.
-		base = imaging.Downsample(levels[s])
-		if base.W < 8 || base.H < 8 {
-			break
+		if o+1 < nOct {
+			// The next octave starts from the level with 2x the base sigma.
+			level = imaging.Downsample(next)
 		}
 	}
-	return p
 }
 
-// candidate is an extremum located in pyramid coordinates.
+// candidate is an extremum located in octave coordinates.
 type candidate struct {
-	octave   int
-	level    int     // DoG level of the extremum
 	x, y     float64 // coordinates within the octave
 	sigma    float64 // scale within the octave
-	octScale float64 // 2^octave: multiplier back to image coordinates
 	response float64
 }
 
-func detectExtrema(p *pyramid, cfg Config) []candidate {
-	var out []candidate
-	const s = scalesPerOctave
-	k := math.Pow(2, 1/float64(s))
-	edgeLimit := (edgeRatio + 1) * (edgeRatio + 1) / edgeRatio
-	for o, levels := range p.octaves {
-		octScale := math.Pow(2, float64(o))
-		// DoG level l is levels[l+1] - levels[l]; there are len(levels)-1.
-		for l := 1; l <= len(levels)-3; l++ {
-			d0, d1, d2 := dog{levels[l], levels[l-1]}, dog{levels[l+1], levels[l]}, dog{levels[l+2], levels[l+1]}
-			w, h := levels[l].W, levels[l].H
-			for y := 1; y < h-1; y++ {
-				for x := 1; x < w-1; x++ {
-					v := d1.at(x, y)
-					av := math.Abs(float64(v))
-					if av < cfg.ContrastThreshold {
-						continue
-					}
-					if !isExtremum(d0, d1, d2, x, y, v) {
-						continue
-					}
-					// Edge rejection: 2x2 Hessian of the DoG.
-					dxx := float64(d1.at(x+1, y) + d1.at(x-1, y) - 2*v)
-					dyy := float64(d1.at(x, y+1) + d1.at(x, y-1) - 2*v)
-					dxy := float64(d1.at(x+1, y+1)-d1.at(x-1, y+1)-d1.at(x+1, y-1)+d1.at(x-1, y-1)) / 4
-					tr := dxx + dyy
-					det := dxx*dyy - dxy*dxy
-					if det <= 0 || tr*tr/det > edgeLimit {
-						continue
-					}
-					// Subpixel refinement in x and y via 1-D quadratic fits.
-					ox := quadOffset(float64(d1.at(x-1, y)), float64(v), float64(d1.at(x+1, y)))
-					oy := quadOffset(float64(d1.at(x, y-1)), float64(v), float64(d1.at(x, y+1)))
-					out = append(out, candidate{
-						octave:   o,
-						level:    l,
-						x:        float64(x) + ox,
-						y:        float64(y) + oy,
-						sigma:    baseSigma * math.Pow(k, float64(l)),
-						octScale: octScale,
-						response: av,
-					})
-				}
+// detectLevel returns the described keypoints of DoG level l of octave o,
+// whose Gaussian levels 0..l+2 are gauss, in the order of their extrema.
+func detectLevel(gauss []*imaging.Gray, o, l int, cfg Config) []Keypoint {
+	cands := extrema(gauss, l, cfg)
+	img := gauss[l+1] // the Gaussian level nearest the extrema's scale
+	peaks := make([]oriPeaks, len(cands))
+	par.For(len(cands), func(i int) { peaks[i] = orientations(img, cands[i]) })
+	first := make([]int, len(cands)+1) // first[i]: slot of candidate i's first keypoint
+	for i, pk := range peaks {
+		first[i+1] = first[i] + pk.n
+	}
+	octScale := math.Pow(2, float64(o)) // back to image coordinates
+	out := make([]Keypoint, first[len(cands)])
+	par.For(len(cands), func(i int) {
+		c := cands[i]
+		for j, ori := range peaks[i].theta[:peaks[i].n] {
+			kp := &out[first[i]+j]
+			*kp = Keypoint{
+				X:           c.x * octScale,
+				Y:           c.y * octScale,
+				Scale:       c.sigma * octScale,
+				Orientation: ori,
+				Response:    c.response,
 			}
+			describe(img, c, ori, &kp.Desc)
+		}
+	})
+	return out
+}
+
+// extrema returns the extrema of DoG level l of an octave whose Gaussian
+// levels 0..l+2 are gauss, row by row.
+func extrema(gauss []*imaging.Gray, l int, cfg Config) []candidate {
+	var out []candidate
+	k := math.Pow(2, 1/float64(scalesPerOctave))
+	sigma := baseSigma * math.Pow(k, float64(l))
+	edgeLimit := (edgeRatio + 1) * (edgeRatio + 1) / edgeRatio
+	// DoG level l is gauss[l+1] - gauss[l].
+	d0, d1, d2 := dog{gauss[l], gauss[l-1]}, dog{gauss[l+1], gauss[l]}, dog{gauss[l+2], gauss[l+1]}
+	w, h := gauss[l].W, gauss[l].H
+	for y := 1; y < h-1; y++ {
+		for x := 1; x < w-1; x++ {
+			v := d1.at(x, y)
+			av := math.Abs(float64(v))
+			if av < cfg.ContrastThreshold {
+				continue
+			}
+			if !isExtremum(d0, d1, d2, x, y, v) {
+				continue
+			}
+			// Edge rejection: 2x2 Hessian of the DoG.
+			dxx := float64(d1.at(x+1, y) + d1.at(x-1, y) - 2*v)
+			dyy := float64(d1.at(x, y+1) + d1.at(x, y-1) - 2*v)
+			dxy := float64(d1.at(x+1, y+1)-d1.at(x-1, y+1)-d1.at(x+1, y-1)+d1.at(x-1, y-1)) / 4
+			tr := dxx + dyy
+			det := dxx*dyy - dxy*dxy
+			if det <= 0 || tr*tr/det > edgeLimit {
+				continue
+			}
+			// Subpixel refinement in x and y via 1-D quadratic fits.
+			ox := quadOffset(float64(d1.at(x-1, y)), float64(v), float64(d1.at(x+1, y)))
+			oy := quadOffset(float64(d1.at(x, y-1)), float64(v), float64(d1.at(x, y+1)))
+			out = append(out, candidate{
+				x:        float64(x) + ox,
+				y:        float64(y) + oy,
+				sigma:    sigma,
+				response: av,
+			})
 		}
 	}
 	return out
@@ -281,16 +314,6 @@ func isExtremum(d0, d1, d2 dog, x, y int, v float32) bool {
 	return true
 }
 
-// gaussianImage returns the Gaussian level nearest the candidate's scale.
-func (p *pyramid) gaussianImage(c candidate) *imaging.Gray {
-	levels := p.octaves[c.octave]
-	l := c.level + 1 // DoG level l sits between Gaussian levels l and l+1
-	if l >= len(levels) {
-		l = len(levels) - 1
-	}
-	return levels[l]
-}
-
 const (
 	oriBins  = 36
 	maxPeaks = 4 // orientations kept per candidate
@@ -303,21 +326,27 @@ type oriPeaks struct {
 }
 
 // orientations computes the dominant gradient orientation(s) of a candidate
-// from a Gaussian-weighted 36-bin histogram; peaks within 80% of the maximum
-// each produce a keypoint, per Lowe, in bin order up to maxPeaks. A
-// candidate without a peak gets orientation 0.
-func orientations(p *pyramid, c candidate) oriPeaks {
-	img := p.gaussianImage(c)
+// in its Gaussian level img from a Gaussian-weighted 36-bin histogram;
+// peaks within 80% of the maximum each produce a keypoint, per Lowe, in bin
+// order up to maxPeaks. A candidate without a peak gets orientation 0.
+func orientations(img *imaging.Gray, c candidate) oriPeaks {
 	var hist [oriBins]float64
 	sigmaW := 1.5 * c.sigma
 	radius := int(math.Round(3 * sigmaW))
 	cx, cy := int(math.Round(c.x)), int(math.Round(c.y))
 	inv2s2 := -1 / (2 * sigmaW * sigmaW)
 	// The window is clipped to the pixels whose gradient stays inside the
-	// image, visited in the same order as the full window.
+	// image, visited in the same order as the full window, a row at a time.
+	var g gradRow
+	x0, x1 := max(-radius, 1-cx), min(radius, img.W-2-cx)
 	for dy := max(-radius, 1-cy); dy <= min(radius, img.H-2-cy); dy++ {
-		for dx := max(-radius, 1-cx); dx <= min(radius, img.W-2-cx); dx++ {
-			mag, theta := gradient(img, cx+dx, cy+dy)
+		g.n = 0
+		for dx := x0; dx <= x1; dx++ {
+			g.add(img, (cy+dy)*img.W+cx+dx)
+		}
+		g.solve()
+		for j, theta := range g.theta[:g.n] {
+			dx := x0 + j
 			w := math.Exp(float64(dx*dx+dy*dy) * inv2s2)
 			bin := int(math.Floor((theta + math.Pi) / (2 * math.Pi) * oriBins))
 			if bin >= oriBins {
@@ -325,7 +354,7 @@ func orientations(p *pyramid, c candidate) oriPeaks {
 			} else if bin < 0 {
 				bin = 0
 			}
-			hist[bin] += w * mag
+			hist[bin] += w * g.mag[j]
 		}
 	}
 	// Smooth the histogram twice with a [1 1 1]/3 box filter.
@@ -367,10 +396,10 @@ const (
 )
 
 // describe fills desc with the 128-dimensional gradient histogram of the
-// region around c, rotated to the given orientation, then normalized,
-// clamped at 0.2, renormalized, and quantized to bytes.
-func describe(p *pyramid, c candidate, orientation float64, desc *Descriptor) {
-	img := p.gaussianImage(c)
+// region around c in its Gaussian level img, rotated to the given
+// orientation, then normalized, clamped at 0.2, renormalized, and quantized
+// to bytes.
+func describe(img *imaging.Gray, c candidate, orientation float64, desc *Descriptor) {
 	var raw [descGrid * descGrid * descOri]float64
 
 	histWidth := 3 * c.sigma // pixels per spatial bin
@@ -382,8 +411,13 @@ func describe(p *pyramid, c candidate, orientation float64, desc *Descriptor) {
 	cx, cy := int(math.Round(c.x)), int(math.Round(c.y))
 	binCenter := float64(descGrid)/2 - 0.5
 
-	// As in orientations, the window is clipped to the image's interior.
+	// As in orientations, the window is clipped to the image's interior and
+	// taken a row at a time: the pixels that land in a bin first, then their
+	// gradients together, then their histogram updates in window order.
+	var g gradRow
+	var rxs, rys [maxWindow]float64 // the kept pixels' rotated offsets
 	for dy := max(-radius, 1-cy); dy <= min(radius, img.H-2-cy); dy++ {
+		g.n = 0
 		for dx := max(-radius, 1-cx); dx <= min(radius, img.W-2-cx); dx++ {
 			// Rotate the offset into the keypoint frame.
 			rx := (cosT*float64(dx) + sinT*float64(dy)) / histWidth
@@ -393,7 +427,12 @@ func describe(p *pyramid, c candidate, orientation float64, desc *Descriptor) {
 			if bx <= -1 || bx >= descGrid || by <= -1 || by >= descGrid {
 				continue
 			}
-			mag, theta := gradient(img, cx+dx, cy+dy)
+			rxs[g.n], rys[g.n] = rx, ry
+			g.add(img, (cy+dy)*img.W+cx+dx)
+		}
+		g.solve()
+		for j, theta := range g.theta[:g.n] {
+			rx, ry := rxs[j], rys[j]
 			rot := theta - orientation
 			for rot < 0 {
 				rot += 2 * math.Pi
@@ -403,7 +442,7 @@ func describe(p *pyramid, c candidate, orientation float64, desc *Descriptor) {
 			}
 			bo := rot / (2 * math.Pi) * descOri
 			w := math.Exp(-(rx*rx + ry*ry) / (0.5 * descGrid * descGrid))
-			trilinearAdd(raw[:], bx, by, bo, w*mag)
+			trilinearAdd(raw[:], rx+binCenter, ry+binCenter, bo, w*g.mag[j])
 		}
 	}
 
@@ -438,14 +477,42 @@ func describe(p *pyramid, c candidate, orientation float64, desc *Descriptor) {
 	}
 }
 
-// gradient returns the central-difference gradient of img at (x, y): its
-// magnitude and its orientation in radians, in (-pi, pi]. Callers keep
-// 1 <= x <= W-2 and 1 <= y <= H-2, so no neighbor needs clamping.
-func gradient(img *imaging.Gray, x, y int) (mag, theta float64) {
-	i := y*img.W + x
-	dx := float64(img.Pix[i+1] - img.Pix[i-1])
-	dy := float64(img.Pix[i+img.W] - img.Pix[i-img.W])
-	return math.Sqrt(dx*dx + dy*dy), math.Atan2(dy, dx)
+// maxWindow bounds the pixels of one window row. describe's radius,
+// round(3σ·√2·(descGrid+1)/2), is 34 at the largest candidate scale,
+// σ = baseSigma·2 = 3.2; orientations' round(4.5σ) is 14.
+const maxWindow = 2*34 + 1
+
+// gradRow batches one window row's central differences, pixel by pixel in
+// the window's order, so gradients turns them into magnitudes and
+// orientations together.
+type gradRow struct {
+	n                  int
+	gx, gy, mag, theta [maxWindow]float64
+}
+
+// add appends the central differences at pixel i of img. Callers keep the
+// pixel one inside the border, so no neighbor needs clamping.
+func (r *gradRow) add(img *imaging.Gray, i int) {
+	r.gx[r.n] = float64(img.Pix[i+1] - img.Pix[i-1])
+	r.gy[r.n] = float64(img.Pix[i+img.W] - img.Pix[i-img.W])
+	r.n++
+}
+
+// solve fills mag[:n] and theta[:n]: each pixel's gradient magnitude and
+// its orientation in radians, in (-pi, pi].
+func (r *gradRow) solve() {
+	gradients(r.mag[:r.n], r.theta[:r.n], r.gx[:r.n], r.gy[:r.n])
+}
+
+// gradientsGeneric is gradients in portable Go: the kernel off amd64, the
+// fallback for the lanes the amd64 kernel leaves to Go, and the reference
+// the kernel is compared against.
+func gradientsGeneric(mag, theta, gx, gy []float64) {
+	for i, x := range gx {
+		y := gy[i]
+		mag[i] = math.Sqrt(x*x + y*y)
+		theta[i] = math.Atan2(y, x)
+	}
 }
 
 // trilinearAdd distributes weight w into the 3-D histogram at fractional

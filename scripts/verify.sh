@@ -12,10 +12,10 @@ go vet ./...
 echo "== go build =="
 go build ./...
 echo "== generic kernels (GOARCH=arm64 vet) =="
-# dist, lsh and imaging have SSE2 assembly on amd64 and their generic Go
-# twins everywhere else; vetting for arm64 type-checks and vets the
+# dist, lsh, imaging and sift have SSE2 assembly on amd64 and their generic
+# Go twins everywhere else; vetting for arm64 type-checks and vets the
 # fallback files the amd64 build never compiles. Needs no network.
-GOARCH=arm64 go vet ./internal/dist ./internal/lsh ./internal/imaging
+GOARCH=arm64 go vet ./internal/dist ./internal/lsh ./internal/imaging ./internal/sift
 echo "== api compatibility gate =="
 # Diff the exported surface of the root package against the checked-in
 # snapshot (testdata/api.txt). Also runs as part of the full test pass
@@ -49,14 +49,22 @@ echo "== client same-bits (race) =="
 # and must give the same bits on any core count. Its bit-identity tests:
 # the goldens, the per-pixel and per-bin reference comparisons, and the
 # worker-count and concurrent-caller checks; plus the parity tests holding
-# the SSE2 kernels (blur taps, LSH projection, descriptor distance) to
-# their generic Go twins; plus the root pipeline's answers digest, which
-# pins the whole client flow (wardrive, extract, select, localize) end to
-# end. Already part of the full -race pass above; re-run un-cached so a
-# reordered float operation names itself.
+# the SSE2 kernels (blur taps, LSH projection, descriptor distance, SIFT
+# gradients) to their generic Go twins; plus the root pipeline's answers
+# digest, which pins the whole client flow (wardrive, extract, select,
+# localize) end to end. Already part of the full -race pass above; re-run
+# un-cached so a reordered float operation names itself.
 go test -race -count=1 -run \
-	'TestDetectGolden|TestDetectWorkerIndependent|TestGaussianBlur|TestTrilinearAdd|TestSelectUnique|TestAddTapsMatchesGeneric|TestProjectMatchesGeneric|TestSqMatchesGeneric|TestSqLimitMatchesGeneric|TestPipelineAnswersGolden' \
+	'TestDetectGolden|TestDetectWorkerIndependent|TestGaussianBlur|TestTrilinearAdd|TestSelectUnique|TestAddTapsMatchesGeneric|TestProjectMatchesGeneric|TestSqMatchesGeneric|TestSqLimitMatchesGeneric|TestGradientsMatchGeneric|TestPipelineAnswersGolden' \
 	. ./internal/sift ./internal/imaging ./internal/core ./internal/lsh ./internal/dist
+echo "== kernel parity without FMA =="
+# Neither a kernel nor its generic twin fuses a multiply-add, so the parity
+# tests must also hold with the runtime's FMA paths switched off. The
+# detector goldens stay out of this step: math.Exp takes an FMA path on
+# hosts that have one, and the digests were recorded on such a host.
+GODEBUG=cpu.fma=off go test -count=1 -run \
+	'TestAddTapsMatchesGeneric|TestProjectMatchesGeneric|TestSqMatchesGeneric|TestSqLimitMatchesGeneric|TestGradientsMatchGeneric' \
+	./internal/sift ./internal/imaging ./internal/lsh ./internal/dist
 echo "== fuzz (short) =="
 make fuzz-short
 echo "== benchmark module =="
