@@ -82,7 +82,6 @@ func main() {
 		float64(osync.TransferBytes())/1e6, float64(oracle.MemoryBytes())/1e6)
 
 	sc := visualprint.DefaultSiftConfig()
-	sc.ContrastThreshold = 0.02
 	pois := world.POIsOfKind(visualprint.POIUnique)
 	success := 0
 	for q := 0; q < *queries && q < len(pois); q++ {

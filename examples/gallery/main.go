@@ -31,7 +31,6 @@ func main() {
 	// Photograph a unique painting and a repeated-tile floor area, and
 	// compare the oracle's uniqueness scores for their keypoints.
 	sc := visualprint.DefaultSiftConfig()
-	sc.ContrastThreshold = 0.02
 	scoreView := func(poi visualprint.POI) (median uint32, kps []visualprint.Keypoint) {
 		cam := visualprint.CameraFacing(world, poi, 2.5, 0.1, 0, 200, 150)
 		fr, err := visualprint.Render(world, cam)

@@ -157,13 +157,6 @@ func venueSpecs(sc Scale) []scene.VenueSpec {
 	return specs
 }
 
-// siftConfig is the extraction configuration shared by all experiments.
-func siftConfig() sift.Config {
-	cfg := sift.DefaultConfig()
-	cfg.ContrastThreshold = 0.02
-	return cfg
-}
-
 // QueryFrame is one query image's extracted keypoints with its true scene.
 type QueryFrame struct {
 	SceneID int
@@ -228,7 +221,7 @@ func buildCorpus(sc Scale) (*Corpus, error) {
 	// keypoints; at our render scale a lower contrast threshold keeps the
 	// per-frame keypoint budget proportionally meaningful for the
 	// 200-vs-500-vs-all comparisons.
-	cfg := siftConfig()
+	cfg := sift.DefaultConfig()
 	cfg.ContrastThreshold = 0.01
 	cfg.MaxKeypoints = 800
 

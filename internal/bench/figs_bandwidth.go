@@ -78,7 +78,7 @@ func Fig03KeypointCDF(sc Scale) (*Experiment, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg := siftConfig()
+	cfg := sift.DefaultConfig()
 	cfg.ContrastThreshold = 0.01
 	var pngCounts, jpegCounts []float64
 	n := sc.Scenes
@@ -174,7 +174,7 @@ func Fig05FeatureRatio(sc Scale) (*Experiment, error) {
 		if err != nil {
 			return nil, err
 		}
-		cfg := siftConfig()
+		cfg := sift.DefaultConfig()
 		cfg.ContrastThreshold = 0.01 // dense extraction, as high-res photos yield
 		kps := sift.Detect(fr.Image, cfg)
 		if len(kps) == 0 {

@@ -56,7 +56,11 @@ func getVenueRuns(sc Scale) ([]*venueRun, error) {
 		if _, _, err := wardrive.CorrectDrift(snaps); err != nil {
 			return nil, err
 		}
-		router, err := server.NewRouter(server.DefaultDatabaseConfig(), nil)
+		// No wall-clock pose deadline: a cut-short solve would make the
+		// figure's bits depend on the scheduler.
+		cfg := server.DefaultDatabaseConfig()
+		cfg.Pose.Deadline = 0
+		router, err := server.NewRouter(cfg, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -83,7 +87,7 @@ func getVenueRuns(sc Scale) ([]*venueRun, error) {
 // errors and per-axis absolute errors.
 func localizationErrors(run *venueRun, sc Scale) (errs []float64, axis [3][]float64, err error) {
 	pois := run.world.POIsOfKind(scene.POIUnique)
-	cfg := siftConfig()
+	cfg := sift.DefaultConfig()
 	tried := 0
 	for i := 0; i < len(pois) && tried < sc.LocalizationQueries; i++ {
 		poi := pois[(i*7)%len(pois)]

@@ -39,7 +39,7 @@ func Fig16Latency(sc Scale) (*Experiment, error) {
 			return nil, err
 		}
 	}
-	cfg := siftConfig()
+	cfg := sift.DefaultConfig()
 	var siftMs, filterMs []float64
 	frames := 0
 	for id := 0; id < sc.Scenes && frames < 30; id++ {

@@ -169,7 +169,7 @@ func TestH264FrameSizeModel(t *testing.T) {
 }
 
 func TestMarshalKeypointsRoundTrip(t *testing.T) {
-	kps := sift.Detect(testImage(8), sift.DefaultConfig())
+	kps := sift.Detect(testImage(8), sift.Config{ContrastThreshold: 0.03})
 	if len(kps) == 0 {
 		t.Skip("no keypoints")
 	}
@@ -249,7 +249,7 @@ func TestFeatureToImageSizeRatio(t *testing.T) {
 	// (typically more than) the compressed image itself.
 	img := imaging.RenderTexture(
 		imaging.NoiseTexture{Seed: 11, Freq: 12, Octaves: 4, Gain: 1}, 256, 192, 3, 2.2)
-	kps := sift.Detect(img, sift.DefaultConfig())
+	kps := sift.Detect(img, sift.Config{ContrastThreshold: 0.03})
 	if len(kps) < 50 {
 		t.Skipf("only %d keypoints", len(kps))
 	}

@@ -264,3 +264,57 @@ func BenchmarkLocalizeSeeded(b *testing.B) {
 		LocalizeCold(ctx, corr, intr, lo, hi, opt)
 	}
 }
+
+// TestObjectiveMirrorSymmetricOnPlanarScene pins a defect of the objective:
+// both residual terms are unsigned angles, so when every matched point lies
+// on one vertical plane (a painting on a wall), a camera mirrored through
+// that plane — behind the wall, 8 m from the true one — costs the same as the
+// true camera, and the solver cannot tell them apart. A signed horizontal
+// term or a cheirality check breaks the symmetry; that change must flip this
+// test to require the mirrored camera to cost strictly more.
+func TestObjectiveMirrorSymmetricOnPlanarScene(t *testing.T) {
+	cam := scene.DefaultCamera(240, 180)
+	cam.Yaw = 0.6
+	n := cam.Forward() // the wall's normal: the camera faces the wall square on
+	wall := mathx.Vec3{X: 7, Y: 1.5, Z: 9}
+	cam.Pos = wall.Sub(n.Scale(4))
+	tangent := mathx.Vec3{X: n.Z, Z: -n.X} // horizontal, in the wall plane
+
+	rng := rand.New(rand.NewSource(5))
+	var corr []Correspondence
+	for len(corr) < 60 {
+		p := wall.Add(tangent.Scale(rng.Float64()*4 - 2)).Add(mathx.Vec3{Y: rng.Float64()*2 - 1})
+		px, py, ok := cam.Project(p)
+		if !ok {
+			continue
+		}
+		// Pixel noise keeps the objective well above zero, so the relative
+		// comparison below is not one of two rounding errors.
+		corr = append(corr, Correspondence{Px: px + rng.NormFloat64(), Py: py + rng.NormFloat64(), P: p})
+	}
+	pr, _, err := newSolve(corr, testIntrinsics(cam))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dirs := make([]ptDir, len(pr.pts))
+	cost := func(c mathx.Vec3) float64 {
+		return pr.objective([3]float64{c.X, c.Y, c.Z}, dirs, math.Inf(1))
+	}
+	mirror := func(c mathx.Vec3) mathx.Vec3 { return c.Sub(n.Scale(2 * c.Sub(wall).Dot(n))) }
+
+	// The true camera and two trial positions off it: the symmetry holds
+	// for every position, not only at the optimum.
+	for _, c := range []mathx.Vec3{cam.Pos, cam.Pos.Add(mathx.Vec3{X: 0.7, Y: 0.2, Z: -0.4}), cam.Pos.Add(n.Scale(-2))} {
+		m := mirror(c)
+		if d := c.Dist(m); d < 1 {
+			t.Fatalf("mirror of %v is only %.2f m away; scenario invalid", c, d)
+		}
+		want, got := cost(c), cost(m)
+		if want <= 0 {
+			t.Fatalf("objective %v at %v: scenario invalid", want, c)
+		}
+		if rel := math.Abs(got-want) / want; rel > 1e-12 {
+			t.Errorf("camera %v costs %.17g, its mirror %v costs %.17g (relative %.3g): the objective is no longer mirror-symmetric — flip this test", c, want, m, got, rel)
+		}
+	}
+}

@@ -3,7 +3,6 @@ package repl
 import (
 	"bytes"
 	"context"
-	"sync"
 	"testing"
 	"time"
 
@@ -23,15 +22,16 @@ func oracleBytes(t testing.TB, o *core.Oracle) []byte {
 	return buf.Bytes()
 }
 
-// TestChaosOracleWatchSurvivesPrimaryKill is the oracle-distribution
-// failover scenario: a client watches a replica's oracle stream while the
-// primary feeds the fleet, then — mid-delta-stream — the client's own link
-// is severed AND the primary is killed. The sentinel promotes, writes
-// resume on the new primary, and the watch must resubscribe on its own and
-// converge to an oracle byte-equal to the new primary's, with the version
-// history intact across the failover (replicas replay the identical WAL,
-// so epochs agree fleet-wide).
-func TestChaosOracleWatchSurvivesPrimaryKill(t *testing.T) {
+// TestChaosOracleSyncSurvivesPrimaryKill is the oracle-distribution
+// failover scenario: a client keeps one OracleSync handle current against a
+// replica while the primary feeds the fleet, then the client's own link is
+// severed AND the primary is killed. The sentinel promotes, writes resume on
+// the new primary, and the same handle — its client dialed with a retry
+// policy, so a lost connection is redialed — must converge to an oracle
+// byte-equal to the new primary's at its exact (epoch, inserts): the version
+// history stays intact across the failover (replicas replay the identical
+// WAL, so epochs agree fleet-wide).
+func TestChaosOracleSyncSurvivesPrimaryKill(t *testing.T) {
 	testutil.CheckGoroutines(t)
 	ms := syntheticMappings(33, 48, 96)
 	perBatch := 9
@@ -68,49 +68,40 @@ func TestChaosOracleWatchSurvivesPrimaryKill(t *testing.T) {
 	}
 	t.Cleanup(sentinel.Close)
 
-	// The watching client reads from replica A through its own proxy, so
-	// its subscription stream can be cut independently of the fleet feed.
+	// The syncing client reads from replica A through its own proxy, so its
+	// connection can be cut independently of the fleet feed.
 	proxyC, err := netsim.NewProxy(ra.addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { proxyC.Close() })
-	cli, err := server.Dial(proxyC.Addr(), server.WithDialTimeout(2*time.Second), server.WithLogger(nil))
+	cli, err := server.Dial(proxyC.Addr(), server.WithDialTimeout(2*time.Second), server.WithLogger(nil),
+		server.WithRetryPolicy(server.DefaultRetryPolicy()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { cli.Close() })
-
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
 	h := cli.OracleSync()
-	updates, err := h.Watch(ctx)
-	if err != nil {
-		t.Fatalf("watch: %v", err)
-	}
-	// Drain updates into a latest-state cell; the watch coalesces, the
-	// test only cares about convergence.
-	var (
-		mu     sync.Mutex
-		latest server.OracleUpdate
-		done   = make(chan struct{})
-	)
-	go func() {
-		defer close(done)
-		for u := range updates {
-			mu.Lock()
-			latest = u
-			mu.Unlock()
-		}
-	}()
-	snap := func() server.OracleUpdate {
-		mu.Lock()
-		defer mu.Unlock()
-		return latest
+	// syncTo syncs the held handle until it is byte-equal to m's oracle at
+	// m's exact version. A sync may fail while the fleet is failing over;
+	// the next attempt redials.
+	syncTo := func(m *member, timeout time.Duration, what string) {
+		t.Helper()
+		waitFor(t, timeout, what, func() bool {
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel()
+			o, err := h.Sync(ctx)
+			if err != nil {
+				return false
+			}
+			wantEpoch, wantInserts := m.db.OracleEpoch()
+			he, hi, _ := h.Version()
+			return he == wantEpoch && hi == wantInserts && bytes.Equal(oracleBytes(t, o), oracleBytes(t, m.db.OracleClone()))
+		})
 	}
 
-	// Phase 1: acked ingests through the primary; the watch must track the
-	// replica's replayed epochs — this is the live delta stream.
+	// Phase 1: acked ingests through the primary, a sync after each; the
+	// handle must track the replica's replayed epochs.
 	wcli, err := server.Dial(proxyP.Addr(), server.WithDialTimeout(2*time.Second), server.WithLogger(nil))
 	if err != nil {
 		t.Fatal(err)
@@ -123,19 +114,14 @@ func TestChaosOracleWatchSurvivesPrimaryKill(t *testing.T) {
 		if err != nil {
 			t.Fatalf("acked ingest %d: %v", i, err)
 		}
+		waitFor(t, 15*time.Second, "replica A to catch up", func() bool {
+			return ra.db.StoreSeq() == primary.db.StoreSeq()
+		})
+		syncTo(ra, 15*time.Second, "the handle to reach the pre-kill state")
 	}
-	waitFor(t, 15*time.Second, "watch to reach the pre-kill state", func() bool {
-		u := snap()
-		if u.Err != nil || u.Oracle == nil {
-			return false
-		}
-		wantEpoch, _ := ra.db.OracleEpoch()
-		return u.Epoch == wantEpoch && ra.db.StoreSeq() == primary.db.StoreSeq()
-	})
 
-	// Phase 2: cut the client's stream and kill the primary at once — the
-	// subscription dies mid-delta-stream exactly as the fleet loses its
-	// writer.
+	// Phase 2: cut the client's connection and kill the primary at once —
+	// the handle loses its transport exactly as the fleet loses its writer.
 	proxyC.Sever()
 	proxyP.SetBlackhole(true)
 	primary.kill()
@@ -153,8 +139,8 @@ func TestChaosOracleWatchSurvivesPrimaryKill(t *testing.T) {
 		return false
 	})
 
-	// Phase 3: writes resume on the promoted primary; the resubscribed
-	// watch must converge byte-equal to the new primary's oracle.
+	// Phase 3: writes resume on the promoted primary; the held handle must
+	// converge byte-equal to the new primary's oracle at its version.
 	extra := ms[4*perBatch : 6*perBatch]
 	wcli2, err := server.Dial(newP.addr, server.WithDialTimeout(2*time.Second), server.WithLogger(nil))
 	if err != nil {
@@ -167,27 +153,5 @@ func TestChaosOracleWatchSurvivesPrimaryKill(t *testing.T) {
 	if err != nil {
 		t.Fatalf("post-failover ingest: %v", err)
 	}
-	live := newP.db.OracleClone()
-	want := oracleBytes(t, live)
-	waitFor(t, 30*time.Second, "watch to converge on the post-failover oracle", func() bool {
-		u := snap()
-		if u.Err != nil {
-			t.Fatalf("watch failed instead of resubscribing: %v", u.Err)
-		}
-		return u.Oracle != nil && bytes.Equal(oracleBytes(t, u.Oracle), want)
-	})
-	wantEpoch, wantInserts := newP.db.OracleEpoch()
-	u := snap()
-	if u.Epoch != wantEpoch || u.Inserts != wantInserts {
-		t.Fatalf("converged update at version (%d, %d), fleet at (%d, %d): epoch history broke across failover",
-			u.Epoch, u.Inserts, wantEpoch, wantInserts)
-	}
-
-	// Clean teardown: cancel closes the update channel.
-	cancel()
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("update channel not closed after cancel")
-	}
+	syncTo(newP, 30*time.Second, "the handle to converge on the post-failover oracle")
 }

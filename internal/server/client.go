@@ -77,7 +77,6 @@ type dialConfig struct {
 	retry   RetryPolicy
 	log     *obs.Logger
 	venue   string
-	replica string
 }
 
 // DialOption configures a client at construction.
@@ -109,16 +108,6 @@ func WithVenue(name string) DialOption {
 	return func(c *dialConfig) { c.venue = name }
 }
 
-// WithReadFromReplica routes read RPCs (query, oracle sync, stats) to the
-// replica at addr, falling back to the primary whenever the
-// replica fails or redirects (dead, mid-full-sync, past its staleness
-// bound). Writes always go to the primary. The replica connection's bytes
-// are not included in the client's BytesSent/BytesReceived accounting.
-// Only meaningful with Dial/DialContext.
-func WithReadFromReplica(addr string) DialOption {
-	return func(c *dialConfig) { c.replica = addr }
-}
-
 // Client is a VisualPrint protocol client. It is safe for concurrent use:
 // requests are multiplexed over the single connection with uint32 request
 // IDs, so concurrent calls overlap on the wire and on the server instead of
@@ -145,13 +134,6 @@ type Client struct {
 	// set by Dial/DialContext). Redirect-following on ErrNotPrimary stores
 	// the new primary here and reconnects.
 	target atomic.Value
-	// noRedirect disables redirect-following — set on the replica
-	// sub-client, which must stay pointed at its replica rather than
-	// silently becoming a second primary connection.
-	noRedirect bool
-	// replica, when non-nil, is the secondary connection read RPCs prefer
-	// (WithReadFromReplica); failures fall back to the primary.
-	replica *Client
 
 	// writeMu serializes frame writes. Reconnection swaps the conn under
 	// writeMu+mu, so a write under writeMu never races the swap.
@@ -163,12 +145,7 @@ type Client struct {
 	gen     int                       // bumped per reconnect; stale demux loops exit
 	closed  bool                      // Close called; no further reconnects
 	pending map[uint32]chan rpcResult // in-flight requests by ID
-	// subs routes server-initiated event frames (oracle subscriptions) by
-	// request ID. Unlike pending entries, a sub survives across frames and
-	// its channel is a latest-wins mailbox: epoch events are cumulative, so
-	// the demux drops the stale one rather than block on a slow watcher.
-	subs    map[uint32]chan rpcResult
-	readErr error // terminal demux error, sticky until reconnect
+	readErr error                     // terminal demux error, sticky until reconnect
 
 	sent, received atomic.Int64
 }
@@ -178,24 +155,6 @@ type rpcResult struct {
 	typ     byte
 	payload []byte
 	err     error
-}
-
-// deliverLatest puts r into a capacity-1 subscription mailbox, displacing
-// any undelivered older result: epoch events carry the full latest version,
-// so the stale one is worthless the moment a newer one exists, and the
-// demux loop must never block on a slow watcher.
-func deliverLatest(ch chan rpcResult, r rpcResult) {
-	for {
-		select {
-		case ch <- r:
-			return
-		default:
-		}
-		select {
-		case <-ch:
-		default:
-		}
-	}
 }
 
 // NewClient wraps an established connection (TCP or net.Pipe), announcing
@@ -209,7 +168,6 @@ func NewClient(conn net.Conn, opts ...DialOption) *Client {
 	}
 	c := &Client{
 		conn: conn, pending: make(map[uint32]chan rpcResult),
-		subs:  make(map[uint32]chan rpcResult),
 		retry: cfg.retry, log: cfg.log, venue: cfg.venue,
 	}
 	if err := writePreamble(conn); err != nil {
@@ -236,28 +194,9 @@ func DialContext(ctx context.Context, addr string, opts ...DialOption) (*Client,
 	for _, o := range opts {
 		o(&cfg)
 	}
-	c, err := dialTarget(ctx, addr, cfg, opts)
-	if err != nil {
-		return nil, err
-	}
-	if cfg.replica != "" {
-		rcfg := cfg
-		rcfg.replica = ""
-		r, err := dialTarget(ctx, cfg.replica, rcfg, opts)
-		if err != nil {
-			c.Close()
-			return nil, fmt.Errorf("read replica %s: %w", cfg.replica, err)
-		}
-		r.noRedirect = true
-		c.replica = r
-	}
-	return c, nil
-}
-
-// dialTarget builds one retargetable connection: the dialer reads the
-// client's current target address, so a not-primary redirect can move the
-// connection without rebuilding the client.
-func dialTarget(ctx context.Context, addr string, cfg dialConfig, opts []DialOption) (*Client, error) {
+	// The dialer reads the client's current target address, so a
+	// not-primary redirect can move the connection without rebuilding the
+	// client.
 	var c *Client
 	dialFn := func(ctx context.Context) (net.Conn, error) {
 		if cfg.timeout > 0 {
@@ -284,12 +223,9 @@ func dialTarget(ctx context.Context, addr string, cfg dialConfig, opts []DialOpt
 	return c, nil
 }
 
-// Close closes the connection (and the read-replica connection, if any);
-// in-flight calls fail and no reconnection is attempted.
+// Close closes the connection; in-flight calls fail and no reconnection is
+// attempted.
 func (c *Client) Close() error {
-	if r := c.replica; r != nil {
-		r.Close()
-	}
 	c.mu.Lock()
 	c.closed = true
 	conn := c.conn
@@ -328,16 +264,10 @@ func (c *Client) demux(conn net.Conn, gen int) {
 			c.mu.Unlock()
 			return
 		}
-		ch, sub := c.pending[id], false
-		if ch != nil {
-			delete(c.pending, id)
-		} else {
-			ch, sub = c.subs[id]
-		}
+		ch := c.pending[id]
+		delete(c.pending, id)
 		c.mu.Unlock()
 		switch {
-		case sub:
-			deliverLatest(ch, rpcResult{typ: typ, payload: payload})
 		case ch != nil:
 			ch <- rpcResult{typ: typ, payload: payload} // buffered; never blocks
 		case id == 0 && typ == msgError:
@@ -371,10 +301,6 @@ func (c *Client) failGen(err error, gen int) {
 	for id, ch := range c.pending {
 		delete(c.pending, id)
 		ch <- rpcResult{err: err}
-	}
-	for id, ch := range c.subs {
-		delete(c.subs, id)
-		deliverLatest(ch, rpcResult{err: err})
 	}
 	c.mu.Unlock()
 }
@@ -444,38 +370,11 @@ func (c *Client) retryable(err error, idempotent bool) bool {
 	return false
 }
 
-// route says where a request may go and whether it may be repeated.
-type route uint8
-
-const (
-	// routeWrite: the primary, once — the request is not idempotent, so only
-	// a shed request (the server did no work) is retried.
-	routeWrite route = iota
-	// routePrimary: the primary; idempotent, so a lost connection is redialed
-	// and the request resent.
-	routePrimary
-	// routeRead: idempotent and answerable by any node — the configured read
-	// replica first (WithReadFromReplica), the primary on any replica failure:
-	// a dead replica, one mid-full-sync, or one past its staleness bound (the
-	// redirect it answers is the fallback trigger, not followed).
-	routeRead
-)
-
-// invoke is the one request path: pick the node (see route), then call with
-// the retry loop — jittered exponential backoff on retryable errors,
-// reconnecting first when the transport died.
-func (c *Client) invoke(ctx context.Context, rte route, h reqHeader, typ byte, payload []byte) (byte, []byte, error) {
-	if r := c.replica; r != nil && rte == routeRead {
-		rt, resp, err := r.invoke(ctx, rte, h, typ, payload)
-		if err == nil {
-			return rt, resp, nil
-		}
-		if cerr := ctx.Err(); cerr != nil {
-			return 0, nil, cerr
-		}
-		c.logf("visualprint client: read replica failed (%v); falling back to primary", err)
-	}
-	idempotent := rte != routeWrite
+// invoke is the one request path: call with the retry loop — jittered
+// exponential backoff on retryable errors, reconnecting first when the
+// transport died. An idempotent request is also resent after a lost
+// connection; any other one only when the server shed it (it did no work).
+func (c *Client) invoke(ctx context.Context, idempotent bool, h reqHeader, typ byte, payload []byte) (byte, []byte, error) {
 	rt, resp, err := c.callRedirect(ctx, h, typ, payload)
 	for attempt := 1; err != nil && attempt < c.retry.MaxAttempts && c.retryable(err, idempotent); attempt++ {
 		select {
@@ -494,8 +393,8 @@ func (c *Client) invoke(ctx context.Context, rte route, h reqHeader, typ byte, p
 }
 
 // roundTrip is invoke for requests with exactly one success response type.
-func (c *Client) roundTrip(ctx context.Context, rte route, h reqHeader, typ byte, payload []byte, wantType byte) ([]byte, error) {
-	rt, resp, err := c.invoke(ctx, rte, h, typ, payload)
+func (c *Client) roundTrip(ctx context.Context, idempotent bool, h reqHeader, typ byte, payload []byte, wantType byte) ([]byte, error) {
+	rt, resp, err := c.invoke(ctx, idempotent, h, typ, payload)
 	if err != nil {
 		return nil, err
 	}
@@ -530,10 +429,9 @@ func (c *Client) callRedirect(ctx context.Context, h reqHeader, typ byte, payloa
 // retarget points the dialer at addr and swaps in a fresh connection,
 // reporting whether it did. In-flight requests on the old connection fail
 // with ErrConnectionLost (retryable where idempotent). No-op — returns
-// false — when the client has no dialer, follows no redirects, or already
-// targets addr.
+// false — when the client has no dialer or already targets addr.
 func (c *Client) retarget(ctx context.Context, addr string) bool {
-	if c.dialFn == nil || c.noRedirect {
+	if c.dialFn == nil {
 		return false
 	}
 	cur, ok := c.target.Load().(string)
@@ -571,10 +469,6 @@ func (c *Client) retarget(ctx context.Context, addr string) bool {
 		delete(c.pending, id)
 		ch <- rpcResult{err: redirErr}
 	}
-	for id, ch := range c.subs {
-		delete(c.subs, id)
-		deliverLatest(ch, rpcResult{err: redirErr})
-	}
 	c.conn = conn
 	c.gen++
 	gen := c.gen
@@ -599,11 +493,10 @@ func deadlineMillis(d time.Time) uint32 {
 	return uint32(ms)
 }
 
-// send registers a waiter under a fresh request ID — in subs for a stream,
-// whose ID keeps receiving pushed frames until unsubscribe, in pending for a
-// one-response call — and writes the request frame, header included. The
-// context deadline bounds only the blocking write here.
-func (c *Client) send(ctx context.Context, stream bool, h reqHeader, typ byte, payload []byte) (uint32, chan rpcResult, error) {
+// send registers a waiter under a fresh request ID and writes the request
+// frame, header included. The context deadline bounds only the blocking
+// write here.
+func (c *Client) send(ctx context.Context, h reqHeader, typ byte, payload []byte) (uint32, chan rpcResult, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, nil, err
 	}
@@ -620,13 +513,9 @@ func (c *Client) send(ctx context.Context, stream bool, h reqHeader, typ byte, p
 		return 0, nil, err
 	}
 	conn := c.conn
-	table := c.pending
-	if stream {
-		table = c.subs
-	}
 	c.lastID++
 	id := c.lastID
-	table[id] = ch
+	c.pending[id] = ch
 	c.mu.Unlock()
 	if d, ok := ctx.Deadline(); ok {
 		conn.SetWriteDeadline(d)
@@ -638,7 +527,7 @@ func (c *Client) send(ctx context.Context, stream bool, h reqHeader, typ byte, p
 	c.writeMu.Unlock()
 	if err != nil {
 		c.mu.Lock()
-		delete(table, id)
+		delete(c.pending, id)
 		c.mu.Unlock()
 		// A failed write is a dead transport — unless the context expired
 		// mid-write (the write deadline mirrors it), which is an answer.
@@ -659,7 +548,7 @@ func (c *Client) call(ctx context.Context, h reqHeader, typ byte, payload []byte
 	if d, ok := ctx.Deadline(); ok {
 		h.deadline = deadlineMillis(d)
 	}
-	id, ch, err := c.send(ctx, false, h, typ, payload)
+	id, ch, err := c.send(ctx, h, typ, payload)
 	if err != nil {
 		return 0, nil, err
 	}
@@ -754,7 +643,7 @@ func newSessionID() uint64 {
 // twice doubles its mappings), so the retry policy applies only to shed
 // requests — never to a connection lost with the batch in flight.
 func (c *Client) Ingest(ctx context.Context, ms []Mapping) (total int, err error) {
-	resp, err := c.roundTrip(ctx, routeWrite, reqHeader{venue: c.venue}, msgIngest, encodeMappings(ms), msgIngestAck)
+	resp, err := c.roundTrip(ctx, false, reqHeader{venue: c.venue}, msgIngest, encodeMappings(ms), msgIngestAck)
 	if err != nil {
 		return 0, err
 	}
@@ -775,7 +664,7 @@ func (c *Client) Query(ctx context.Context, kps []sift.Keypoint, intr pose.Intri
 // server warm-start the solve; the answer is equally correct without it.
 func (c *Client) query(ctx context.Context, sid uint64, kps []sift.Keypoint, intr pose.Intrinsics) (LocateResult, error) {
 	payload := encodeQuery(intr, codec.MarshalKeypoints(kps))
-	resp, err := c.roundTrip(ctx, routeRead, reqHeader{venue: c.venue, sid: sid}, msgQuery, payload, msgQueryResult)
+	resp, err := c.roundTrip(ctx, true, reqHeader{venue: c.venue, sid: sid}, msgQuery, payload, msgQueryResult)
 	if err != nil {
 		return LocateResult{}, err
 	}
@@ -792,9 +681,9 @@ func (c *Client) Stats(ctx context.Context) (mappings uint64, err error) {
 // StatsFull returns the client's venue's state report, aggregated over its
 // shards: database size, oracle insert count and persistence state
 // (snapshot coverage, WAL size, last compaction) — of the node that
-// answered, which is the read replica when one is configured.
+// answered.
 func (c *Client) StatsFull(ctx context.Context) (DBStats, error) {
-	resp, err := c.roundTrip(ctx, routeRead, reqHeader{venue: c.venue}, msgStats, nil, msgStatsResult)
+	resp, err := c.roundTrip(ctx, true, reqHeader{venue: c.venue}, msgStats, nil, msgStatsResult)
 	if err != nil {
 		return DBStats{}, err
 	}
@@ -811,7 +700,7 @@ func (c *Client) StatsFull(ctx context.Context) (DBStats, error) {
 // failures (a draining server answers ErrShuttingDown) pass through as-is.
 func (c *Client) Metrics(ctx context.Context) (obs.Report, error) {
 	// Metrics are server-wide, never venue-scoped: always send bare.
-	resp, err := c.roundTrip(ctx, routePrimary, reqHeader{}, msgGetMetrics, nil, msgMetricsResult)
+	resp, err := c.roundTrip(ctx, true, reqHeader{}, msgGetMetrics, nil, msgMetricsResult)
 	if err != nil {
 		return obs.Report{}, err
 	}

@@ -96,10 +96,6 @@ type Database struct {
 	// by mu; cleared on recovery and reset (continuity would be broken).
 	deltaRing  []*odelta.Record
 	deltaBytes int64
-	// epochCh is closed and replaced on every epoch bump — the wakeup
-	// primitive behind oracle subscriptions (see EpochSignal). Guarded by
-	// mu.
-	epochCh chan struct{}
 	// lastBlobLen caches the most recent gzip full-blob size, seeding the
 	// delta-vs-full cost comparison in OracleSyncSince so small-delta
 	// answers never pay a gzip just to prove they are cheap.
@@ -143,7 +139,7 @@ func newDatabase(cfg DatabaseConfig, m *dbMetrics, log func() *obs.Logger) (*Dat
 	if err != nil {
 		return nil, err
 	}
-	db := &Database{cfg: cfg, log: log, epochCh: make(chan struct{}), compactAt: walCompactBytes, met: m, coldSolve: pose.LocalizeCold}
+	db := &Database{cfg: cfg, log: log, compactAt: walCompactBytes, met: m, coldSolve: pose.LocalizeCold}
 	db.cur.Store(v)
 	return db, nil
 }

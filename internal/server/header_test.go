@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"math/rand"
 	"net"
@@ -205,14 +206,18 @@ func TestMalformedHeaderAnsweredTyped(t *testing.T) {
 }
 
 // TestRefusedPreambleAnsweredTyped: a peer opening with another protocol
-// version, or with no preamble at all (what a v1 client's first frame looks
-// like), gets one well-framed id-0 ErrProtocolVersion frame and a close —
-// and a Client on the receiving end fails its calls with that reason.
+// version — version 3 too, which may still open the retired oracle
+// subscription — or with no preamble at all (what a v1 client's first frame
+// looks like), gets one well-framed id-0 ErrProtocolVersion frame and a
+// close — and a Client on the receiving end fails its calls with that reason.
 func TestRefusedPreambleAnsweredTyped(t *testing.T) {
 	s, _ := startServer(t)
-	magic := binary.LittleEndian.AppendUint32(nil, protoMagic)
+	preamble := func(version byte) []byte {
+		return append(binary.LittleEndian.AppendUint32(nil, protoMagic), version)
+	}
 	for name, hello := range map[string][]byte{
-		"version 2":     append(magic, 2),
+		"version 2":     preamble(2),
+		"version 3":     preamble(3),
 		"v1 bare frame": {1, 0, 0, 0, msgStats},
 	} {
 		conn, err := net.Dial("tcp", s.Addr().String())
@@ -252,6 +257,45 @@ func TestRefusedPreambleAnsweredTyped(t *testing.T) {
 		if _, err := c.Stats(context.Background()); !errors.Is(err, ErrProtocolVersion) || errors.Is(err, ErrConnectionLost) {
 			t.Fatalf("call %d against a refusing server: %v, want ErrProtocolVersion", i, err)
 		}
+	}
+}
+
+// TestRetiredSubscriptionTypesAnsweredUnknown: types 35 and 36 carried the
+// version-3 oracle epoch subscription. Retired, they are gaps like any
+// other unassigned type: each is answered once, to its own request ID, as an
+// unknown type, and the connection keeps serving.
+func TestRetiredSubscriptionTypesAnsweredUnknown(t *testing.T) {
+	s, _ := startServer(t)
+	conn, err := net.Dial("tcp", s.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(30 * time.Second))
+	if err := writePreamble(conn); err != nil {
+		t.Fatal(err)
+	}
+	for i, typ := range []byte{35, 36} {
+		id := uint32(i + 1)
+		if _, err := writeFrame(conn, id, typ, reqHeader{}, make([]byte, 16)); err != nil {
+			t.Fatal(err)
+		}
+		gotID, rt, resp, err := readFrame(conn)
+		if err != nil || gotID != id || rt != msgError {
+			t.Fatalf("type %d: got id=%d type=%d err=%v, want msgError to id %d", typ, gotID, rt, err, id)
+		}
+		if want := fmt.Sprintf("unknown message type %d", typ); !strings.Contains(decodeErrorPayload(resp).Error(), want) {
+			t.Fatalf("type %d answered %q, want %q", typ, decodeErrorPayload(resp), want)
+		}
+	}
+	if _, err := writeFrame(conn, 3, msgStats, reqHeader{}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if id, rt, _, err := readFrame(conn); err != nil || id != 3 || rt != msgStatsResult {
+		t.Fatalf("stats after the retired types: id=%d type=%d err=%v", id, rt, err)
+	}
+	if got := s.Registry().Report().Counters["requests_unknown"]; got != 2 {
+		t.Errorf("requests_unknown = %d, want 2", got)
 	}
 }
 

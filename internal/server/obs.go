@@ -120,15 +120,12 @@ type srvMetrics struct {
 	queueDepth     *obs.Gauge
 
 	// Oracle distribution: how each versioned sync was answered and the
-	// payload bytes it cost, plus the live subscriber count and the epoch
-	// events pushed to them. bytes-per-client-per-update is
+	// payload bytes it cost. bytes-per-client-per-update is
 	// oracle_sync_bytes / (oracle_syncs_delta + oracle_syncs_full).
 	syncUnchanged *obs.Counter
 	syncDelta     *obs.Counter
 	syncFull      *obs.Counter
 	syncBytes     *obs.Counter
-	subscribers   *obs.Gauge
-	epochPushes   *obs.Counter
 }
 
 // requestTypeNames maps request message types to metric name suffixes.
@@ -145,8 +142,7 @@ var requestTypeNames = map[byte]string{
 	msgReplFollow:   "repl_follow",
 	msgReplPromote:  "repl_promote",
 
-	msgOracleSync:      "oracle_sync",
-	msgSubscribeOracle: "subscribe_oracle",
+	msgOracleSync: "oracle_sync",
 }
 
 // errCodeNames maps wire error codes to metric name suffixes. Keyed by
@@ -184,8 +180,6 @@ func newSrvMetrics(r *obs.Registry) *srvMetrics {
 		syncDelta:     r.Counter("oracle_syncs_delta"),
 		syncFull:      r.Counter("oracle_syncs_full"),
 		syncBytes:     r.Counter("oracle_sync_bytes"),
-		subscribers:   r.Gauge("oracle_subscribers"),
-		epochPushes:   r.Counter("oracle_epoch_pushes"),
 	}
 	for typ, name := range requestTypeNames {
 		m.reqCount[typ] = r.Counter("requests_" + name)

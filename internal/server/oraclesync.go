@@ -10,8 +10,7 @@ import (
 // retains the per-epoch cell-wise odelta records so a client within the
 // window is carried forward by a compressed delta chain while older clients
 // (or clients of a freshly restarted server, whose ring starts empty) fall
-// back to a full blob. Epoch bumps additionally wake the subscription
-// streams (see server.go) through a closed-and-replaced signal channel.
+// back to a full blob.
 
 // oracleDeltaWindow bounds the per-epoch delta ring: with one epoch per
 // wardrive upload, 64 epochs of history lets a client poll-free for a long
@@ -69,33 +68,12 @@ func (db *Database) recordDeltaLocked(cur, next *dbView) {
 	}
 }
 
-// bumpEpochLocked wakes every oracle subscriber by closing and replacing
-// the epoch signal channel. Callers hold db.mu.
-func (db *Database) bumpEpochLocked() {
-	if db.epochCh != nil {
-		close(db.epochCh)
-		db.epochCh = make(chan struct{})
-	}
-}
-
 // OracleEpoch returns the live oracle's version identity — the epoch the
 // engine stamped on the last ingest batch and the matching insert count —
 // from the published view.
 func (db *Database) OracleEpoch() (epoch, inserts uint64) {
 	v := db.cur.Load()
 	return v.epoch, v.oracle.Inserts()
-}
-
-// EpochSignal returns the current version identity together with a channel
-// that is closed by the next epoch bump after it. Reading the channel
-// before comparing epochs gives a subscription loop that can never miss a
-// wakeup: the channel returned alongside epoch e is exactly the one the
-// bump to e+1 closes.
-func (db *Database) EpochSignal() (epoch, inserts uint64, ch <-chan struct{}) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	v := db.cur.Load()
-	return v.epoch, v.oracle.Inserts(), db.epochCh
 }
 
 // OracleSyncSince answers a versioned sync request: given the version the

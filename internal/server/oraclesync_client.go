@@ -3,10 +3,7 @@ package server
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
-	"errors"
 	"sync"
-	"time"
 
 	"visualprint/internal/codec"
 	"visualprint/internal/core"
@@ -17,9 +14,8 @@ import (
 // the one API for keeping a device's uniqueness oracle current. One Sync
 // call fetches or refreshes as needed — answered by the server with
 // nothing, a compressed cell-delta chain, or a full blob, whichever is
-// cheapest for the version the handle holds — and Watch turns the same
-// handle push-driven, resyncing on the server's epoch-bump notifications
-// instead of polling.
+// cheapest for the version the handle holds. The app syncs at its own
+// cadence; an unchanged answer costs 16 bytes.
 
 // noVersion is the impossible version identity a handle without an oracle
 // cites: it matches no server epoch and no delta-ring entry, so the server
@@ -92,7 +88,7 @@ func (h *OracleSync) syncLocked(ctx context.Context, retried bool) (*core.Oracle
 	if h.oracle != nil {
 		haveEpoch, haveInserts = h.epoch, h.inserts
 	}
-	rt, resp, err := h.c.invoke(ctx, routeRead, reqHeader{venue: h.c.venue}, msgOracleSync, encodeOracleVersion(haveEpoch, haveInserts))
+	rt, resp, err := h.c.invoke(ctx, true, reqHeader{venue: h.c.venue}, msgOracleSync, encodeOracleVersion(haveEpoch, haveInserts))
 	if err != nil {
 		return nil, err
 	}
@@ -144,186 +140,4 @@ func (h *OracleSync) syncLocked(ctx context.Context, retried bool) (*core.Oracle
 	default:
 		return nil, errRemote{msg: "unexpected response type"}
 	}
-}
-
-// OracleUpdate is one push-driven refresh delivered by Watch: the handle's
-// oracle after syncing to the pushed epoch. A non-nil Err is the watch's
-// terminal failure; the channel closes after delivering it.
-type OracleUpdate struct {
-	Oracle  *core.Oracle
-	Epoch   uint64
-	Inserts uint64
-	Err     error
-}
-
-// Watch subscribes the handle to the server's epoch-bump notifications and
-// returns a channel of updates: whenever the server's oracle advances past
-// the held version, the handle syncs (delta where possible) and delivers
-// the result. The server pushes the current version immediately on
-// subscribing, so a stale handle updates without waiting for the next
-// ingest. Bursts coalesce — a slow consumer sees the latest version, not
-// every intermediate one. The subscription survives connection loss by
-// resubscribing after reconnect; it ends when ctx is canceled (the channel
-// closes) or on a terminal failure (delivered as OracleUpdate.Err, then
-// closed).
-func (h *OracleSync) Watch(ctx context.Context) (<-chan OracleUpdate, error) {
-	epoch, _, _ := h.Version()
-	id, ch, err := h.c.subscribe(ctx, epoch)
-	if err != nil {
-		return nil, err
-	}
-	// The server acks a subscription by pushing the current version
-	// immediately — wait for that first frame here so a refused
-	// subscription fails synchronously instead of inside the stream.
-	var first rpcResult
-	select {
-	case <-ctx.Done():
-		h.c.unsubscribe(id)
-		h.c.sendCancel(id)
-		return nil, ctx.Err()
-	case first = <-ch:
-	}
-	switch {
-	case first.err != nil:
-		h.c.unsubscribe(id)
-		return nil, first.err
-	case first.typ == msgError:
-		h.c.unsubscribe(id)
-		return nil, decodeErrorPayload(first.payload)
-	case first.typ != msgOracleEpoch:
-		h.c.unsubscribe(id)
-		return nil, errRemote{msg: "unexpected response type"}
-	}
-	out := make(chan OracleUpdate, 1)
-	go h.watchLoop(ctx, id, ch, first, out)
-	return out, nil
-}
-
-// watchLoop is Watch's stream driver: one epoch event in, one synced
-// update out, resubscribing across connection loss. first is the
-// subscription ack Watch already consumed.
-func (h *OracleSync) watchLoop(ctx context.Context, id uint32, ch chan rpcResult, first rpcResult, out chan<- OracleUpdate) {
-	defer close(out)
-	fail := func(err error) {
-		select {
-		case out <- OracleUpdate{Err: err}:
-		case <-ctx.Done():
-		}
-	}
-	r := first
-	for {
-		switch {
-		case r.err != nil:
-			// Transport death. The version identity survives in the handle,
-			// so the catch-up sync after resubscribing is usually a small
-			// delta chain covering the missed epochs.
-			nid, nch, err := h.resubscribe(ctx)
-			if err != nil {
-				if ctx.Err() == nil {
-					fail(err)
-				}
-				return
-			}
-			id, ch = nid, nch
-		case r.typ == msgError:
-			if err := decodeErrorPayload(r.payload); ctx.Err() == nil {
-				fail(err)
-			}
-			return
-		case r.typ == msgOracleEpoch:
-			epoch, inserts, err := decodeOracleVersion(r.payload)
-			if err != nil {
-				fail(errRemote{msg: "bad epoch event"})
-				return
-			}
-			he, hi, ok := h.Version()
-			if !ok || he != epoch || hi != inserts {
-				o, err := h.Sync(ctx)
-				if err != nil {
-					if ctx.Err() == nil {
-						fail(err)
-					}
-					return
-				}
-				// Deliver a snapshot: the handle patches its held oracle in
-				// place on the next delta sync, which must not race with a
-				// consumer still reading this update.
-				snap := o.Clone()
-				e2, i2, _ := h.Version()
-				select {
-				case out <- OracleUpdate{Oracle: snap, Epoch: e2, Inserts: i2}:
-				case <-ctx.Done():
-					h.c.unsubscribe(id)
-					h.c.sendCancel(id)
-					return
-				}
-			}
-		default:
-			fail(errRemote{msg: "unexpected response type"})
-			return
-		}
-		select {
-		case <-ctx.Done():
-			h.c.unsubscribe(id)
-			h.c.sendCancel(id)
-			return
-		case r = <-ch:
-		}
-	}
-}
-
-// resubscribe re-establishes a watch stream after connection loss:
-// reconnect, subscribe, jittered-free exponential backoff between
-// attempts. Transport errors retry (the server may be restarting); any
-// other failure is terminal for the watch.
-func (h *OracleSync) resubscribe(ctx context.Context) (uint32, chan rpcResult, error) {
-	delay := 50 * time.Millisecond
-	for {
-		if err := ctx.Err(); err != nil {
-			return 0, nil, err
-		}
-		rerr := h.c.reconnect(ctx)
-		if rerr == nil {
-			epoch, _, _ := h.Version()
-			id, ch, err := h.c.subscribe(ctx, epoch)
-			if err == nil {
-				return id, ch, nil
-			}
-			if !errors.Is(err, ErrConnectionLost) {
-				return 0, nil, err
-			}
-		} else if h.c.dialFn == nil {
-			// No dialer: the connection cannot come back.
-			return 0, nil, rerr
-		}
-		select {
-		case <-time.After(delay):
-			delay *= 2
-			if delay > 2*time.Second {
-				delay = 2 * time.Second
-			}
-		case <-ctx.Done():
-			return 0, nil, ctx.Err()
-		}
-	}
-}
-
-// subscribe opens an oracle-epoch subscription stream: one
-// msgSubscribeOracle frame whose request ID stays live in subs — not
-// pending — so every pushed msgOracleEpoch event keeps routing to the
-// returned mailbox until unsubscribe. The mailbox is latest-wins (see
-// deliverLatest). Only the frame write is deadline-bounded; the stream
-// itself is long-lived and carries no header deadline.
-func (c *Client) subscribe(ctx context.Context, haveEpoch uint64) (uint32, chan rpcResult, error) {
-	payload := make([]byte, 8)
-	binary.LittleEndian.PutUint64(payload, haveEpoch)
-	return c.send(ctx, true, reqHeader{venue: c.venue}, msgSubscribeOracle, payload)
-}
-
-// unsubscribe retires a subscription stream's demux route; late frames for
-// the ID are dropped.
-func (c *Client) unsubscribe(id uint32) {
-	c.mu.Lock()
-	delete(c.subs, id)
-	c.mu.Unlock()
 }

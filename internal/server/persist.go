@@ -105,7 +105,6 @@ func (db *Database) open(dir string, install func(*store.Store) error) error {
 	// syncs, and replicas replaying the same records serve the same epochs.
 	rv.epoch = st.Seq()
 	db.cur.Store(rv)
-	db.bumpEpochLocked()
 	// The delta ring restarts empty: syncs citing pre-crash versions fall
 	// back to a full download.
 	db.deltaRing, db.deltaBytes = nil, 0
@@ -182,7 +181,6 @@ func (db *Database) resetLocked() error {
 		return err
 	}
 	db.cur.Store(v)
-	db.bumpEpochLocked()
 	db.deltaRing, db.deltaBytes = nil, 0
 	db.met.mappings.Set(0)
 	return nil

@@ -31,7 +31,7 @@ import (
 // reads of a venue that was never ingested answer empty (Locate returns
 // ErrEmptyDatabase, which is the cross-venue isolation guarantee the tests
 // pin; an oracle sync answers the configuration's empty oracle at version
-// (0, 0); a subscription parks until the first ingest).
+// (0, 0)).
 //
 // Locate has one route and one body: venue → published shard views → gather →
 // solve (locateShards). Every keypoint asks every view for its top n and the
@@ -54,9 +54,6 @@ type Router struct {
 	// venues holds every live venue, the default one under the empty name.
 	venues map[string]*venue
 	dir    string // data directory; "" while in-memory
-	// created is closed and replaced whenever a venue is created — the wakeup
-	// for oracle subscriptions parked on a venue that does not exist yet.
-	created chan struct{}
 
 	// Observability, built by NewRouter: met is the engine instrument set
 	// the default venue's shard records into, shardMet its gauge-less copy
@@ -150,7 +147,6 @@ func NewRouter(cfg DatabaseConfig, topo map[string]int) (*Router, error) {
 		cfg:       cfg,
 		pre:       pre,
 		venues:    make(map[string]*venue),
-		created:   make(chan struct{}),
 		met:       met,
 		shardMet:  met.withoutGauges(),
 		venueGage: reg.Gauge("venues"),
@@ -386,8 +382,6 @@ func (r *Router) getOrCreate(name string) (*venue, error) {
 		return nil, err
 	}
 	r.venues[name] = v
-	close(r.created)
-	r.created = make(chan struct{})
 	r.venueGage.Set(int64(len(r.venues) - 1))
 	if p := r.logTo.Load(); p != nil {
 		(*p).Infof("server: venue %q created (%d shard(s))", name, shards)
@@ -606,39 +600,6 @@ func (r *Router) OracleSyncSince(venueName string, haveEpoch, haveInserts uint64
 	}
 	res.Blob = blob
 	return res, nil
-}
-
-// VenueEpochSignal returns a venue's version identity — the shard sums, as
-// oracleEpoch — plus a channel closed by the next epoch bump after it on any
-// of its shards (see Database.EpochSignal for the no-missed-wakeup argument).
-// A venue that does not exist yet reports version (0, 0) and a channel closed
-// by the next venue creation, so a subscription parks until the venue's
-// first ingest. The shard signals are merged through one funnel goroutine per
-// shard; each exits when a shard fires or stop closes — pass the
-// subscriber's cancellation so an idle venue doesn't accumulate them.
-func (r *Router) VenueEpochSignal(venueName string, stop <-chan struct{}) (epoch, inserts uint64, ch <-chan struct{}) {
-	r.mu.RLock()
-	v, created := r.venues[venueName], r.created
-	r.mu.RUnlock()
-	if v == nil {
-		return 0, 0, created
-	}
-	merged := make(chan struct{})
-	var once sync.Once
-	for _, sh := range v.shards {
-		e, i, c := sh.EpochSignal()
-		epoch += e
-		inserts += i
-		go func(c <-chan struct{}) {
-			select {
-			case <-c:
-				once.Do(func() { close(merged) })
-			case <-stop:
-			case <-merged: // another shard fired; don't park on a quiet one
-			}
-		}(c)
-	}
-	return epoch, inserts, merged
 }
 
 // Stats aggregates a venue's shard stats. A venue that does not exist

@@ -11,13 +11,11 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 
 	"visualprint/internal/codec"
 	"visualprint/internal/mathx"
 	"visualprint/internal/pose"
 	"visualprint/internal/sift"
-	"visualprint/internal/testutil"
 )
 
 // routerTestConfig makes Locate a pure function of database state (no
@@ -415,41 +413,5 @@ func TestNewRouterRefusesDescriptorDimension(t *testing.T) {
 	}
 	if _, err := NewDefaultVenueRouter(cfg); err == nil {
 		t.Fatal("NewDefaultVenueRouter accepted a 64-dimensional family")
-	}
-}
-
-// TestVenueEpochSignalFunnelExits: every venue's epoch signal, the default
-// venue's single shard included, is merged through the funnel, whose
-// goroutines end when stop closes or when any shard bumps its epoch.
-func TestVenueEpochSignalFunnelExits(t *testing.T) {
-	testutil.CheckGoroutines(t)
-	r := newTestRouter(t, routerTestConfig(), map[string]int{"wide": 3})
-	ms, _, _ := syntheticCorpus(5, 0, 40, 0)
-	ctx := context.Background()
-	for _, name := range []string{"", "wide"} {
-		if _, err := r.Ingest(ctx, name, ms); err != nil {
-			t.Fatal(err)
-		}
-		stop := make(chan struct{})
-		epoch, inserts, ch := r.VenueEpochSignal(name, stop)
-		if e, i := r.lookup(name).oracleEpoch(); epoch != e || inserts != i || inserts != uint64(len(ms)) {
-			t.Fatalf("venue %q signals version (%d, %d), want (%d, %d) with %d inserts", name, epoch, inserts, e, i, len(ms))
-		}
-		close(stop) // parked funnel goroutines exit; the signal stays open
-		select {
-		case <-ch:
-			t.Fatalf("venue %q: closing stop fired the epoch signal", name)
-		default:
-		}
-
-		_, _, ch = r.VenueEpochSignal(name, make(chan struct{})) // never stopped
-		if _, err := r.Ingest(ctx, name, ms); err != nil {
-			t.Fatal(err)
-		}
-		select {
-		case <-ch:
-		case <-time.After(10 * time.Second):
-			t.Fatalf("venue %q: an ingest did not fire the epoch signal", name)
-		}
 	}
 }

@@ -542,21 +542,7 @@ func (s *Server) serve(conn net.Conn) {
 		go func(ctx context.Context, id uint32, typ byte, payload []byte) {
 			defer handlers.Done()
 			defer inflight.remove(id)
-			// push delivers a server-initiated event frame tagged with this
-			// request's ID (oracle subscriptions). Blocking on the bounded out
-			// channel is the per-subscriber queue: a slow connection stalls
-			// its own stream while newer epochs coalesce behind it. A dead
-			// connection never wedges a handler — the writer drains out after
-			// a write error and ctx is canceled when the read loop exits.
-			push := func(t byte, p []byte) bool {
-				select {
-				case out <- response{id: id, typ: t, payload: p}:
-					return true
-				case <-ctx.Done():
-					return false
-				}
-			}
-			rt, resp := s.serveRequest(ctx, h, typ, payload, push)
+			rt, resp := s.serveRequest(ctx, h, typ, payload)
 			out <- response{id: id, typ: rt, payload: resp}
 		}(reqCtx, id, typ, payload)
 	}
@@ -569,17 +555,8 @@ func (s *Server) serve(conn net.Conn) {
 // serveRequest runs one request end to end: drain gate, instrumentation,
 // admission, dispatch. Framing, request IDs and the header belong to the
 // caller; serveRequest never fails — request errors become msgError
-// responses. push delivers server-initiated event frames for the streaming
-// requests (oracle subscriptions); the returned pair is still the terminal
-// response.
-func (s *Server) serveRequest(ctx context.Context, h reqHeader, typ byte, payload []byte, push func(byte, []byte) bool) (byte, []byte) {
-	if typ == msgSubscribeOracle {
-		// Long-lived stream: it skips admission (it holds no execution slot
-		// while parked on the epoch signal) and the drain barrier (Shutdown
-		// would otherwise wait forever on it; instead it ends when the
-		// connection contexts cancel).
-		return s.serveSubscription(ctx, h.venue, payload, push)
-	}
+// responses.
+func (s *Server) serveRequest(ctx context.Context, h reqHeader, typ byte, payload []byte) (byte, []byte) {
 	if !s.beginRequest() {
 		rt, resp := errorResponse(ErrShuttingDown)
 		s.met.record(typ, time.Now(), rt, resp)
@@ -587,46 +564,6 @@ func (s *Server) serveRequest(ctx context.Context, h reqHeader, typ byte, payloa
 	}
 	defer s.endRequest()
 	return s.handle(ctx, h, typ, payload)
-}
-
-// serveSubscription runs one oracle subscription stream until the request
-// context cancels (msgCancel, connection loss, server close/shutdown). It
-// pushes the current version as msgOracleEpoch immediately — the
-// subscription ack a client can wait on — then one event per epoch bump,
-// re-reading the latest version after each wakeup so bursts coalesce into
-// a single event carrying the newest epoch. The return value is the
-// stream's terminal response.
-func (s *Server) serveSubscription(ctx context.Context, venue string, payload []byte, push func(byte, []byte) bool) (byte, []byte) {
-	if len(payload) != 8 {
-		return errorResponse(errors.New("bad subscribe request"))
-	}
-	s.mu.Lock()
-	draining := s.draining
-	s.mu.Unlock()
-	if draining {
-		return errorResponse(ErrShuttingDown)
-	}
-	s.met.subscribers.Add(1)
-	defer s.met.subscribers.Add(-1)
-	last := uint64(0)
-	first := true
-	for {
-		epoch, inserts, ch := s.router.VenueEpochSignal(venue, ctx.Done())
-		// The channel was read alongside the version, so a bump past `epoch`
-		// closes exactly `ch` — sleeping below can never miss it.
-		if first || epoch != last {
-			if !push(msgOracleEpoch, encodeOracleVersion(epoch, inserts)) {
-				return errorResponse(ctxError(ctx.Err()))
-			}
-			s.met.epochPushes.Inc()
-			last, first = epoch, false
-		}
-		select {
-		case <-ctx.Done():
-			return errorResponse(ctxError(ctx.Err()))
-		case <-ch:
-		}
-	}
 }
 
 // handle wraps dispatch with the wire-level instrumentation: request

@@ -366,7 +366,7 @@ func TestStatsWireCompat(t *testing.T) {
 	if _, err := rt.Ingest(context.Background(), "", ms); err != nil {
 		t.Fatal(err)
 	}
-	typ, resp := s.serveRequest(context.Background(), reqHeader{}, msgStats, nil, nil)
+	typ, resp := s.serveRequest(context.Background(), reqHeader{}, msgStats, nil)
 	if typ != msgStatsResult {
 		t.Fatalf("msgStats response type = %d", typ)
 	}

@@ -35,10 +35,10 @@ func serveRouter(t testing.TB, r *Router) *Server {
 	return s
 }
 
-// TestReadRPCsNeverCreateVenues: oracle syncs and subscriptions naming
-// venues that do not exist answer (empty oracle at version (0, 0), an ack at
-// epoch 0) without building an engine, registering a venue or touching the
-// data directory — only Ingest creates a venue.
+// TestReadRPCsNeverCreateVenues: oracle syncs naming venues that do not
+// exist answer (the empty oracle at version (0, 0)) without building an
+// engine, registering a venue or touching the data directory — only Ingest
+// creates a venue.
 func TestReadRPCsNeverCreateVenues(t *testing.T) {
 	cfg := routerTestConfig()
 	// A small oracle keeps 1,000 empty-blob gzips cheap.
@@ -65,33 +65,18 @@ func TestReadRPCsNeverCreateVenues(t *testing.T) {
 	nothing := encodeOracleVersion(^uint64(0), ^uint64(0))
 	for i := 0; i < names; i++ {
 		h := reqHeader{venue: fmt.Sprintf("ghost-%d", i)}
-		if _, err := writeFrame(conn, uint32(2*i), msgOracleSync, h, nothing); err != nil {
+		if _, err := writeFrame(conn, uint32(i+1), msgOracleSync, h, nothing); err != nil {
 			t.Fatal(err)
 		}
 		if _, typ, resp, err := readFrame(conn); err != nil || typ != msgOracleSyncFull || binary.LittleEndian.Uint64(resp) != 0 {
 			t.Fatalf("sync %d: type %d, err %v, want a full blob at epoch 0", i, typ, err)
 		}
-		// The subscription stays parked; its ack is the only frame it sends.
-		if _, err := writeFrame(conn, uint32(2*i+1), msgSubscribeOracle, h, make([]byte, 8)); err != nil {
-			t.Fatal(err)
-		}
-		_, typ, resp, err := readFrame(conn)
-		if err != nil || typ != msgOracleEpoch {
-			t.Fatalf("subscribe %d: type %d, err %v, want an epoch ack", i, typ, err)
-		}
-		if e, ins, err := decodeOracleVersion(resp); err != nil || e != 0 || ins != 0 {
-			t.Fatalf("subscribe %d acked version (%d, %d), %v; want (0, 0)", i, e, ins, err)
-		}
 	}
 	if got := r.Venues(); len(got) != 0 {
 		t.Fatalf("read RPCs created %d venue(s): %v", len(got), got)
 	}
-	rep := s.Registry().Report()
-	if g := rep.Gauges["venues"]; g != 0 {
+	if g := s.Registry().Report().Gauges["venues"]; g != 0 {
 		t.Fatalf("venues gauge = %d, want 0", g)
-	}
-	if g := rep.Gauges["oracle_subscribers"]; g != names {
-		t.Fatalf("oracle_subscribers = %d, want %d parked streams", g, names)
 	}
 	if _, err := os.Stat(filepath.Join(dir, venuesSubdir)); !os.IsNotExist(err) {
 		t.Fatalf("read RPCs left a venues directory behind (stat err %v)", err)
@@ -101,10 +86,10 @@ func TestReadRPCsNeverCreateVenues(t *testing.T) {
 	}
 }
 
-// TestSyncBeforeFirstIngest: a client may download a venue's oracle and
-// subscribe to it before the venue exists. It holds the empty oracle at
-// version (0, 0); the venue's first ingest wakes the parked subscription, and
-// the delta chain from (0, 0) lands byte-equal to the server's oracle.
+// TestSyncBeforeFirstIngest: a client may download a venue's oracle before
+// the venue exists. It holds the empty oracle at version (0, 0) and the venue
+// is not created; after the venue's first ingest, the delta chain from
+// (0, 0) lands byte-equal to the server's oracle.
 func TestSyncBeforeFirstIngest(t *testing.T) {
 	r := newTestRouter(t, routerTestConfig(), nil)
 	s := serveRouter(t, r)
@@ -114,31 +99,33 @@ func TestSyncBeforeFirstIngest(t *testing.T) {
 	defer cancel()
 
 	h := c.OracleSync()
-	updates, err := h.Watch(ctx)
+	o, err := h.Sync(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	first := <-updates
-	if first.Err != nil || first.Epoch != 0 || first.Oracle.Inserts() != 0 {
-		t.Fatalf("pre-ingest update = (epoch %d, err %v), want the empty oracle at epoch 0", first.Epoch, first.Err)
+	if epoch, inserts, ok := h.Version(); !ok || epoch != 0 || inserts != 0 || o.Inserts() != 0 {
+		t.Fatalf("pre-ingest sync holds version (%d, %d) with %d inserts, want the empty oracle at (0, 0)", epoch, inserts, o.Inserts())
 	}
 	if len(r.Venues()) != 0 {
-		t.Fatalf("watching created the venue: %v", r.Venues())
+		t.Fatalf("syncing created the venue: %v", r.Venues())
 	}
 
 	ms, _, _ := syntheticCorpus(5, 0, 40, 0)
 	if _, err := r.Ingest(ctx, venueName, ms); err != nil {
 		t.Fatal(err)
 	}
-	second := <-updates
-	if second.Err != nil || second.Epoch != 1 || second.Inserts != uint64(len(ms)) {
-		t.Fatalf("post-ingest update = (epoch %d, inserts %d, err %v), want (1, %d)", second.Epoch, second.Inserts, second.Err, len(ms))
+	o, err = h.Sync(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if epoch, inserts, _ := h.Version(); epoch != 1 || inserts != uint64(len(ms)) {
+		t.Fatalf("post-ingest sync holds version (%d, %d), want (1, %d)", epoch, inserts, len(ms))
 	}
 	want, err := r.Oracle(venueName)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(oracleBytes(t, second.Oracle), oracleBytes(t, want)) {
+	if !bytes.Equal(oracleBytes(t, o), oracleBytes(t, want)) {
 		t.Fatal("oracle synced from (0, 0) differs from the server's")
 	}
 	if rep := s.Registry().Report(); rep.Counters["oracle_syncs_delta"] != 1 || rep.Counters["oracle_syncs_full"] != 1 {

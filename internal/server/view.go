@@ -133,6 +133,5 @@ func (db *Database) applyPublishLocked(ms []Mapping, seqs []uint64) error {
 	// cell-wise delta is computed against.
 	db.recordDeltaLocked(cur, next)
 	db.cur.Store(next)
-	db.bumpEpochLocked()
 	return nil
 }

@@ -12,7 +12,7 @@ import (
 	"visualprint/internal/sift"
 )
 
-// Message types of the VisualPrint wire protocol (version 3, see DESIGN.md
+// Message types of the VisualPrint wire protocol (version 4, see DESIGN.md
 // "Wire protocol"). A frame is [uint32 length][uint32 requestID][uint8
 // type][payload]; the length covers everything after itself. Request IDs
 // let one connection carry many in-flight requests; responses carry the ID
@@ -46,8 +46,7 @@ const (
 	msgOracleSyncFull  byte = 32 // [u64 epoch][gzip oracle blob]
 	msgOracleSyncDelta byte = 33 // odelta.EncodeChain payload (self-describing epochs)
 	msgOracleSyncNone  byte = 34 // [u64 epoch][u64 inserts] — client already current
-	msgSubscribeOracle byte = 35 // [u64 haveEpoch] — long-lived epoch subscription
-	msgOracleEpoch     byte = 36 // event [u64 epoch][u64 inserts]; first one acks the subscription
+	// 35 and 36 are retired: the version-3 oracle epoch subscription.
 
 	msgError byte = 0x7f
 )
@@ -194,17 +193,11 @@ func validVenueName(name string) bool {
 // transfer that makes the client current: msgOracleSyncNone (already
 // current, both coordinates matched), msgOracleSyncDelta (an odelta chain
 // from the retained per-epoch ring), or msgOracleSyncFull (full blob, for
-// clients outside the delta window). msgSubscribeOracle opens a long-lived
-// subscription on the multiplexed connection: the server pushes a
-// msgOracleEpoch event under the subscription's request ID on every epoch
-// bump (coalescing intermediate epochs — events are cumulative version
-// announcements, not increments), starting with an immediate event that
-// doubles as the subscription ack. The subscription ends with a terminal
-// msgError when the connection drains or the client cancels it (msgCancel
-// on the subscription ID).
+// clients outside the delta window). Every request, this one included, has
+// exactly one answer; a client refreshes by syncing again at its own cadence.
 
 // encodeOracleVersion packs a (epoch, inserts) version identity — the
-// msgOracleSync request and msgOracleSyncNone / msgOracleEpoch payloads.
+// msgOracleSync request and msgOracleSyncNone payloads.
 func encodeOracleVersion(epoch, inserts uint64) []byte {
 	buf := make([]byte, 16)
 	binary.LittleEndian.PutUint64(buf, epoch)
@@ -246,7 +239,7 @@ const maxFrameSize = 1 << 30
 // ErrProtocolVersion frame and a close. A wire change bumps the byte.
 const (
 	protoMagic   uint32 = 0xfe325056 // "VP2\xfe" when read little-endian
-	protoVersion byte   = 3
+	protoVersion byte   = 4
 )
 
 // preambleSize is the on-wire size of the connection preamble.

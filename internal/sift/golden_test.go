@@ -92,6 +92,7 @@ func TestDetectGolden(t *testing.T) {
 	frames := venueFrames(t, 4)
 	capped := benchConfig()
 	capped.MaxKeypoints = 40
+	lowe := Config{ContrastThreshold: 0.03}
 	cases := []struct {
 		name string
 		img  *imaging.Gray
@@ -100,12 +101,12 @@ func TestDetectGolden(t *testing.T) {
 	}{
 		{"venue0", frames[0], benchConfig(), "30391eac238bef8a745590a0129ac3cdf6a50ba77802623b794c95d4a83c4540"},
 		{"venue1", frames[1], benchConfig(), "026f56198dc5a5801078ca1c6a15b7bd7c83c538460d8a6399cea880f7071267"},
-		{"venue2", frames[2], DefaultConfig(), "3d374eba7b7e2974459bd2ff5feb5af54701e130104f6969f0edf06db687ca47"},
+		{"venue2", frames[2], lowe, "3d374eba7b7e2974459bd2ff5feb5af54701e130104f6969f0edf06db687ca47"},
 		{"venue3-capped", frames[3], capped, "623931bdc1a777aec54d9c28ec5a9ec7591f4e2a0813d0909c0cbb6d0a120578"},
-		{"noise97x61", noiseImage(97, 61, 11), DefaultConfig(), "80801fb4c3a6f06c471f3e80adf37e64b220db2344ac84c632328eed20ff61d0"},
+		{"noise97x61", noiseImage(97, 61, 11), lowe, "80801fb4c3a6f06c471f3e80adf37e64b220db2344ac84c632328eed20ff61d0"},
 		{"noise45x31", fineNoise(45, 31, 13), benchConfig(), "a2b06ae98f6f1cdbef911e88fe9173062df679d35040ecf09ac1c14f2e01ef30"},
 		{"noise17x13", fineNoise(17, 13, 13), benchConfig(), "ff316ba05401ae89e8216912fac858d4c1b3bfb3a9732ee0ebb5daaffd6f0695"},
-		{"noise160x120", noiseImage(160, 120, 4), DefaultConfig(), "9995f4fe73aca3eae5040740d5c872ee8893bf94d615280e6bb5f841e9b2f156"},
+		{"noise160x120", noiseImage(160, 120, 4), lowe, "9995f4fe73aca3eae5040740d5c872ee8893bf94d615280e6bb5f841e9b2f156"},
 	}
 	for _, c := range cases {
 		kps := Detect(c.img, c.cfg)

@@ -80,9 +80,12 @@ type Config struct {
 	MaxKeypoints int
 }
 
-// DefaultConfig returns the standard SIFT parameterization.
+// DefaultConfig returns the parameterization the map and the queries are
+// both extracted with: contrast threshold 0.02, below Lowe's 0.03, and no
+// keypoint cap. A map and its queries must extract with the same threshold,
+// so every client starts here.
 func DefaultConfig() Config {
-	return Config{ContrastThreshold: 0.03}
+	return Config{ContrastThreshold: 0.02}
 }
 
 // Detect runs the full SIFT pipeline on img and returns described

@@ -187,7 +187,9 @@ func Capture(w *scene.World, trueCam scene.Camera, cfg Config, posBias mathx.Vec
 	estCam.Pos = trueCam.Pos.Add(posBias)
 	estCam.Yaw = trueCam.Yaw + yawBias
 
-	kps := sift.Detect(fr.Image, sift.Config{ContrastThreshold: 0.02, MaxKeypoints: cfg.MaxKeypointsPerFrame})
+	sc := sift.DefaultConfig()
+	sc.MaxKeypoints = cfg.MaxKeypointsPerFrame
+	kps := sift.Detect(fr.Image, sc)
 
 	snap := &Snapshot{TrueCam: trueCam, EstCam: estCam}
 	for _, kp := range kps {

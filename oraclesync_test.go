@@ -30,8 +30,9 @@ func oracleWireBytes(t *testing.T, o *Oracle) []byte {
 }
 
 // TestOracleSyncOverPublicAPI: the README quick-start shape — Connect,
-// OracleSync, Watch — works end to end through the exported surface, and
-// the pushed oracle agrees with the server's own.
+// OracleSync, Sync after each ingest — works end to end through the
+// exported surface: the first Sync downloads the server's oracle, a later
+// one rides the delta window, and each agrees with the server's own.
 func TestOracleSyncOverPublicAPI(t *testing.T) {
 	srv, err := NewServer(DefaultServerConfig())
 	if err != nil {
@@ -42,36 +43,39 @@ func TestOracleSyncOverPublicAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := srv.Ingest(context.Background(), "", randomMappings(9, 25)); err != nil {
-		t.Fatal(err)
-	}
 	c, err := Connect(addr.String(), WithClientLogger(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { c.Close() })
-	ctx, cancel := context.WithCancel(context.Background())
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
 
 	h := c.OracleSync()
-	updates, err := h.Watch(ctx)
+	for i, seed := range []int64{9, 10} {
+		if _, err := srv.Ingest(ctx, "", randomMappings(seed, 25)); err != nil {
+			t.Fatal(err)
+		}
+		got, err := h.Sync(ctx)
+		if err != nil {
+			t.Fatalf("sync %d: %v", i, err)
+		}
+		want, err := srv.VenueOracle("")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(oracleWireBytes(t, got), oracleWireBytes(t, want)) {
+			t.Fatalf("sync %d: synced oracle disagrees with the server's", i)
+		}
+		if epoch, _, ok := h.Version(); !ok || epoch != uint64(i+1) {
+			t.Fatalf("sync %d: held epoch %d (ok %v), want %d", i, epoch, ok, i+1)
+		}
+	}
+	rep, err := c.Metrics(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var got OracleUpdate
-	select {
-	case got = <-updates:
-	case <-time.After(20 * time.Second):
-		t.Fatal("no initial update")
-	}
-	if got.Err != nil || got.Oracle == nil {
-		t.Fatalf("initial update = %+v", got)
-	}
-	want, err := srv.VenueOracle("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(oracleWireBytes(t, got.Oracle), oracleWireBytes(t, want)) {
-		t.Fatal("watched oracle disagrees with the server's")
+	if full, delta := rep.Counters["oracle_syncs_full"], rep.Counters["oracle_syncs_delta"]; full != 1 || delta != 1 {
+		t.Fatalf("answered %d full and %d delta syncs, want 1 and 1", full, delta)
 	}
 }

@@ -34,11 +34,14 @@ echo "== chaos / fault-injection (race) =="
 # preserving acked ingests, full-sync surviving feed loss), and the
 # session-table churn/expiry hammer — plus the three tests that are the whole
 # proof of the lock-free read path (readers racing ingest see only complete
-# views, a held view outlives later batches, Locate never takes db.mu).
-# Already part of the full -race pass above; re-run un-cached and
-# verbose-on-failure so a flake names itself.
+# views, a held view outlives later batches, Locate never takes db.mu) —
+# and the oracle-sync tests, the whole proof that a held OracleSync handle
+# stays byte-equal to the server's oracle (delta chains, catch-up across
+# epochs, syncs of a venue before it exists). Already part of the full
+# -race pass above; re-run un-cached and verbose-on-failure so a flake
+# names itself.
 go test -race -count=1 -short -run \
-	'TestChaos|TestShutdown|TestShedUnderBurst|TestCancelFreesServerSlot|TestDeadlineEnforcedServerSide|TestProxy|TestConcurrentIngestLocateSnapshots|TestHeldViewOutlivesLaterBatches|TestLocateLockFreeUnderWriteLock' \
+	'TestChaos|TestShutdown|TestShedUnderBurst|TestCancelFreesServerSlot|TestDeadlineEnforcedServerSide|TestProxy|TestConcurrentIngestLocateSnapshots|TestHeldViewOutlivesLaterBatches|TestLocateLockFreeUnderWriteLock|TestOracleSync|TestSyncBeforeFirstIngest|TestReadRPCsNeverCreateVenues' \
 	./internal/server/ ./internal/netsim/ ./internal/repl/ ./internal/track/
 # The session-table churn again, full length and without -race (~2 s): its
 # eviction/expiry assertion depends on the goroutine schedule, so fifty runs

@@ -397,16 +397,10 @@ type Client = server.Client
 // OracleSync is the oracle-distribution handle — the one API for keeping a
 // device's uniqueness oracle current. Sync pulls the cheapest sufficient
 // transfer for the version the handle holds (an unchanged ack, a
-// compressed cell-delta chain, or a full blob); Watch subscribes to the
-// server's epoch-bump pushes and resyncs on each, replacing polling. Build
-// one with Client.OracleSync; in-process users call Server.VenueOracle
-// instead.
+// compressed cell-delta chain, or a full blob); the app calls it at its own
+// cadence. Build one with Client.OracleSync; in-process users call
+// Server.VenueOracle instead.
 type OracleSync = server.OracleSync
-
-// OracleUpdate is one push-driven oracle refresh delivered by
-// OracleSync.Watch. A non-nil Err is the watch's terminal failure; the
-// channel closes after delivering it.
-type OracleUpdate = server.OracleUpdate
 
 // DialOption configures a client built by Connect.
 type DialOption = server.DialOption
@@ -547,11 +541,6 @@ var (
 	ErrVenueNotReplicated = server.ErrVenueNotReplicated
 )
 
-// WithReadFromReplica routes the client's read RPCs (Query, OracleSync,
-// Stats) to a replica, falling back to the primary when the
-// replica is unreachable or too stale. Writes always go to the primary.
-func WithReadFromReplica(addr string) DialOption { return server.WithReadFromReplica(addr) }
-
 // SetLogLevel replaces the process-wide default logger (used by servers,
 // databases and stores whose owner never installed one) with one writing
 // level-tagged lines to stderr at the given minimum level: "debug",
@@ -648,8 +637,7 @@ func (p *Pipeline) Localize(ctx context.Context, cam Camera) (LocateResult, Quer
 // LocalizeFrame runs the client flow of Localize on an already-rendered
 // frame.
 func (p *Pipeline) LocalizeFrame(ctx context.Context, fr *Frame) (LocateResult, QueryStats, error) {
-	// The contrast threshold is the one the map is wardriven with.
-	kps := ExtractKeypoints(fr.Image, SiftConfig{ContrastThreshold: 0.02})
+	kps := ExtractKeypoints(fr.Image, DefaultSiftConfig())
 	sel := kps
 	if p.Oracle != nil && p.SelectCount > 0 && len(kps) > p.SelectCount {
 		var err error
