@@ -14,12 +14,10 @@
 package main
 
 import (
-	"encoding/csv"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 
 	"visualprint/internal/bench"
@@ -180,29 +178,29 @@ func atY(pts []bench.Point, y float64) float64 {
 	return 0
 }
 
+// writeCSV writes e to dir/<id>.csv when -csv names a directory; a failed
+// write ends the run with status 1.
 func writeCSV(dir string, e *bench.Experiment) {
 	if dir == "" {
 		return
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	if err := writeCSVFile(dir, e); err != nil {
 		fmt.Fprintf(os.Stderr, "csv: %v\n", err)
-		return
+		os.Exit(1)
+	}
+}
+
+func writeCSVFile(dir string, e *bench.Experiment) error {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
 	}
 	f, err := os.Create(filepath.Join(dir, e.ID+".csv"))
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "csv: %v\n", err)
-		return
+		return err
 	}
-	defer f.Close()
-	w := csv.NewWriter(f)
-	w.Write([]string{"series", e.XLabel, e.YLabel})
-	for _, p := range e.Points {
-		w.Write([]string{p.Series,
-			strconv.FormatFloat(p.X, 'g', -1, 64),
-			strconv.FormatFloat(p.Y, 'g', -1, 64)})
+	if err := e.WriteCSV(f); err != nil {
+		f.Close()
+		return err
 	}
-	w.Flush()
-	if err := w.Error(); err != nil {
-		fmt.Fprintf(os.Stderr, "csv: %v\n", err)
-	}
+	return f.Close()
 }

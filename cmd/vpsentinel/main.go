@@ -21,7 +21,6 @@ import (
 	"time"
 
 	"visualprint"
-	"visualprint/internal/obs"
 	"visualprint/internal/repl"
 )
 
@@ -50,7 +49,6 @@ func main() {
 		Interval:    *interval,
 		DownAfter:   *downAfter,
 		DialTimeout: *dialTimeout,
-		Log:         obs.Default(),
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -12,9 +12,12 @@
 package bench
 
 import (
+	"encoding/csv"
 	"fmt"
+	"io"
 	"math/rand"
 	"sort"
+	"strconv"
 	"sync"
 
 	"visualprint/internal/mathx"
@@ -125,6 +128,21 @@ func (e *Experiment) MedianOf(series string) float64 {
 		return pts[len(pts)-1].X
 	}
 	return 0
+}
+
+// WriteCSV writes the experiment as CSV: a header row naming the series
+// and both axes, then one row per point with the shortest decimal that
+// round-trips each value — the files under results/.
+func (e *Experiment) WriteCSV(w io.Writer) error {
+	cw := csv.NewWriter(w)
+	cw.Write([]string{"series", e.XLabel, e.YLabel})
+	for _, p := range e.Points {
+		cw.Write([]string{p.Series,
+			strconv.FormatFloat(p.X, 'g', -1, 64),
+			strconv.FormatFloat(p.Y, 'g', -1, 64)})
+	}
+	cw.Flush()
+	return cw.Error()
 }
 
 // venueSpecs returns the three evaluation venues, shrunk by the scale

@@ -1,6 +1,9 @@
 package bench
 
 import (
+	"bytes"
+	"os"
+	"path/filepath"
 	"testing"
 )
 
@@ -197,14 +200,40 @@ func TestFormatHelpers(t *testing.T) {
 	}
 }
 
+// requireCommittedCSV fails unless e's CSV is byte-equal to the committed
+// results/<id>.csv that `vpbench -csv` writes at the default (quick) scale.
+func requireCommittedCSV(t *testing.T, e *Experiment) {
+	t.Helper()
+	var got bytes.Buffer
+	if err := e.WriteCSV(&got); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join("..", "..", "results", e.ID+".csv")
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(got.Bytes(), want) {
+		return
+	}
+	gl, wl := bytes.Split(got.Bytes(), []byte("\n")), bytes.Split(want, []byte("\n"))
+	for i := 0; i < len(gl) && i < len(wl); i++ {
+		if !bytes.Equal(gl[i], wl[i]) {
+			t.Fatalf("%s row %d: code writes %q, committed %q (regenerate with go run ./cmd/vpbench -exp %s -csv results)", path, i+1, gl[i], wl[i], e.ID)
+		}
+	}
+	t.Fatalf("%s: code writes %d rows, committed %d", path, len(gl), len(wl))
+}
+
 func TestFig14UploadTraceShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("corpus build is slow")
 	}
-	e, err := Fig14UploadTrace(microScale())
+	e, err := Fig14UploadTrace(Quick())
 	if err != nil {
 		t.Fatal(err)
 	}
+	requireCommittedCSV(t, e)
 	vp := e.SeriesPoints("VisualPrint")
 	fu := e.SeriesPoints("Frame Upload")
 	if len(vp) == 0 || len(fu) == 0 {
@@ -223,10 +252,11 @@ func TestFig14UploadTraceShape(t *testing.T) {
 }
 
 func TestExtraLatencyTailShape(t *testing.T) {
-	e, err := ExtraLatencyTail(microScale())
+	e, err := ExtraLatencyTail(Quick())
 	if err != nil {
 		t.Fatal(err)
 	}
+	requireCommittedCSV(t, e)
 	fp := e.MedianOf("VisualPrint (200 kp)")
 	fu := e.MedianOf("Frame Upload (PNG)")
 	if fu < 3*fp {

@@ -53,22 +53,16 @@ func ParseLevel(s string) (Level, error) {
 	}
 }
 
-// Logger is a leveled logger. It exists to give the server, the database
-// and the store ONE logging seam: each held a private
-// `func(format string, args ...any)` defaulting to log.Printf, so a
-// process had to configure (or a test silence) three loggers separately.
-// Now they all default to the process logger (Default/SetDefault), and
-// vpserver configures logging exactly once.
-//
-// A nil *Logger drops everything, so plumbing code can log
-// unconditionally through an optional logger field.
+// Logger is a leveled logger. The process has exactly one (SetDefault):
+// every component logs through the package-level Debugf, Infof, Warnf and
+// Errorf, so vpserver and vpsentinel configure logging once, and a test
+// silences or captures everything by swapping the one logger.
 type Logger struct {
 	min  Level
 	sink func(lv Level, format string, args ...any)
 }
 
-// Discard drops every message — the explicit "silence this component"
-// logger tests use.
+// Discard drops every message.
 var Discard = &Logger{min: levelOff}
 
 // New returns a logger writing level-tagged, timestamped lines to w,
@@ -80,55 +74,41 @@ func New(w io.Writer, min Level) *Logger {
 	}}
 }
 
-// FuncLogger adapts a Printf-shaped function into a Logger that forwards
-// every level. It is the bridge for tests that capture log output
-// (obs.FuncLogger(t.Logf)) and for pre-existing Printf-style plumbing.
-func FuncLogger(f func(format string, args ...any)) *Logger {
-	return &Logger{min: LevelDebug, sink: func(_ Level, format string, args ...any) {
-		f(format, args...)
-	}}
-}
-
-// logf is the single filtered emission path.
-func (l *Logger) logf(lv Level, format string, args ...any) {
-	if l == nil || l.sink == nil || lv < l.min {
-		return
-	}
-	l.sink(lv, format, args...)
-}
-
-// Debugf logs at debug level.
-func (l *Logger) Debugf(format string, args ...any) { l.logf(LevelDebug, format, args...) }
-
-// Infof logs at info level.
-func (l *Logger) Infof(format string, args ...any) { l.logf(LevelInfo, format, args...) }
-
-// Warnf logs at warn level.
-func (l *Logger) Warnf(format string, args ...any) { l.logf(LevelWarn, format, args...) }
-
-// Errorf logs at error level.
-func (l *Logger) Errorf(format string, args ...any) { l.logf(LevelError, format, args...) }
-
-// defaultLogger is the process-wide default, routed through the standard
-// log package so it composes with log.SetOutput / log.SetFlags.
-var defaultLogger atomic.Pointer[Logger]
+// process is the process-wide logger, routed by default through the
+// standard log package so it composes with log.SetOutput / log.SetFlags.
+var process atomic.Pointer[Logger]
 
 func init() {
-	defaultLogger.Store(&Logger{min: LevelInfo, sink: func(lv Level, format string, args ...any) {
+	process.Store(&Logger{min: LevelInfo, sink: func(lv Level, format string, args ...any) {
 		log.Printf(lv.Tag()+" "+format, args...)
 	}})
 }
 
-// Default returns the process-wide logger that every component falls back
-// to when its owner never configured one.
-func Default() *Logger { return defaultLogger.Load() }
-
-// SetDefault replaces the process-wide logger (nil restores silence-free
-// behavior is NOT provided: pass Discard to silence). vpserver calls this
-// once at startup with the level chosen on its command line.
-func SetDefault(l *Logger) {
+// SetDefault replaces the process-wide logger and returns the one it
+// replaced; nil installs Discard. SetLogLevel calls it once at startup with
+// the level chosen on the command line.
+func SetDefault(l *Logger) (prev *Logger) {
 	if l == nil {
 		l = Discard
 	}
-	defaultLogger.Store(l)
+	return process.Swap(l)
 }
+
+// logf is the single filtered emission path.
+func logf(lv Level, format string, args ...any) {
+	if l := process.Load(); lv >= l.min {
+		l.sink(lv, format, args...)
+	}
+}
+
+// Debugf logs at debug level.
+func Debugf(format string, args ...any) { logf(LevelDebug, format, args...) }
+
+// Infof logs at info level.
+func Infof(format string, args ...any) { logf(LevelInfo, format, args...) }
+
+// Warnf logs at warn level.
+func Warnf(format string, args ...any) { logf(LevelWarn, format, args...) }
+
+// Errorf logs at error level.
+func Errorf(format string, args ...any) { logf(LevelError, format, args...) }

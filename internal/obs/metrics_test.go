@@ -9,8 +9,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"visualprint/internal/testutil"
 )
 
 func TestCounterGaugeBasics(t *testing.T) {
@@ -216,11 +214,12 @@ func TestTracerThresholdFiltersFastRequests(t *testing.T) {
 
 func TestLoggerLevelsAndCapture(t *testing.T) {
 	var buf bytes.Buffer
-	l := New(&buf, LevelWarn)
-	l.Debugf("nope %d", 1)
-	l.Infof("nope %d", 2)
-	l.Warnf("yes %d", 3)
-	l.Errorf("yes %d", 4)
+	prev := SetDefault(New(&buf, LevelWarn))
+	defer SetDefault(prev)
+	Debugf("nope %d", 1)
+	Infof("nope %d", 2)
+	Warnf("yes %d", 3)
+	Errorf("yes %d", 4)
 	out := buf.String()
 	if strings.Contains(out, "nope") {
 		t.Errorf("below-threshold lines emitted: %q", out)
@@ -229,18 +228,14 @@ func TestLoggerLevelsAndCapture(t *testing.T) {
 		t.Errorf("missing lines: %q", out)
 	}
 
-	var got []string
-	fl := FuncLogger(func(format string, args ...any) {
-		got = append(got, format)
-	})
-	fl.Debugf("captured")
-	if len(got) != 1 || got[0] != "captured" {
-		t.Errorf("FuncLogger capture: %v", got)
+	buf.Reset()
+	SetDefault(Discard)
+	Errorf("dropped")
+	SetDefault(nil)
+	Errorf("dropped too")
+	if buf.Len() != 0 {
+		t.Errorf("silenced logger emitted %q", buf.String())
 	}
-
-	Discard.Errorf("dropped")
-	var nilLogger *Logger
-	nilLogger.Warnf("dropped too")
 
 	if _, err := ParseLevel("warn"); err != nil {
 		t.Error(err)
@@ -283,7 +278,7 @@ func TestDebugMuxServesMetricsJSON(t *testing.T) {
 // at zero steady-state heap allocations, the contract that lets these
 // instruments sit inside Locate without disturbing it.
 func TestRecordPathZeroAllocs(t *testing.T) {
-	if testutil.RaceEnabled {
+	if raceEnabled {
 		t.Skip("race detector instrumentation allocates; see testutil.RaceEnabled")
 	}
 	r := NewRegistry()
@@ -316,7 +311,7 @@ func TestRecordPathZeroAllocs(t *testing.T) {
 // TestSlowPathZeroAllocs: even a request that lands in the slow ring must
 // not allocate — the ring is fixed storage, copied into, never grown.
 func TestSlowPathZeroAllocs(t *testing.T) {
-	if testutil.RaceEnabled {
+	if raceEnabled {
 		t.Skip("race detector instrumentation allocates; see testutil.RaceEnabled")
 	}
 	r := NewRegistry()

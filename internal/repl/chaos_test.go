@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"os"
 	"reflect"
 	"testing"
 	"time"
@@ -28,6 +29,13 @@ import (
 	"visualprint/internal/sift"
 	"visualprint/internal/testutil"
 )
+
+// TestMain runs the package silent: fleet members, nodes and sentinels log
+// every role change, redial and redirect through the process logger.
+func TestMain(m *testing.M) {
+	obs.SetDefault(obs.Discard)
+	os.Exit(m.Run())
+}
 
 // testConfig returns a deterministic engine configuration: no pose
 // wall-clock budget — so two databases holding the same mappings in the
@@ -113,20 +121,14 @@ func startMember(t *testing.T, advertise, primary string, minSync int, ln net.Li
 	}
 	db := router.Default()
 	rs := server.NewReplState(db, server.ReplConfig{
-		Self:            advertise,
+		Advertise:       advertise,
 		Primary:         primary,
 		MinSyncReplicas: minSync,
 		SyncTimeout:     10 * time.Second,
 		MaxStaleness:    time.Minute, // replicas answer in-test reads even while partitioned
 	})
 	srv := server.Serve(ln, router, server.WithReplState(rs))
-	srv.Log = nil             // silences the router's shards too
-	rs.SetLogger(obs.Discard) // after Serve, which wires the server's logger
-	node, err := StartNode(NodeConfig{
-		DB: db, State: rs, Log: obs.Discard,
-		FetchWait: 200 * time.Millisecond,
-		Backoff:   50 * time.Millisecond,
-	})
+	node, err := StartNode(NodeConfig{DB: db, State: rs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +213,6 @@ func TestChaosFailoverPreservesAckedIngests(t *testing.T) {
 		Interval:    100 * time.Millisecond,
 		DownAfter:   3,
 		DialTimeout: 500 * time.Millisecond,
-		Log:         obs.Discard,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -220,7 +221,7 @@ func TestChaosFailoverPreservesAckedIngests(t *testing.T) {
 
 	// Phase 1: acknowledged ingests through the proxy. Semi-sync means each
 	// ack proves the batch is durable on at least one replica.
-	cli, err := server.Dial(proxy.Addr(), server.WithDialTimeout(2*time.Second), server.WithLogger(nil))
+	cli, err := server.Dial(proxy.Addr(), server.WithDialTimeout(2*time.Second))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +283,7 @@ func TestChaosFailoverPreservesAckedIngests(t *testing.T) {
 	// A client writing to the wrong member must be redirected to the new
 	// primary and succeed there (semi-sync: the other replica acks it).
 	extra := ms[(batches+1)*perBatch : (batches+2)*perBatch]
-	cli2, err := server.Dial(other.addr, server.WithDialTimeout(2*time.Second), server.WithLogger(nil))
+	cli2, err := server.Dial(other.addr, server.WithDialTimeout(2*time.Second))
 	if err != nil {
 		t.Fatal(err)
 	}

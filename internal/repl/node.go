@@ -34,20 +34,20 @@ type NodeConfig struct {
 	// State is the node's replication control block, shared with the
 	// serving layer (which gates writes and reads on its role).
 	State *server.ReplState
-	// Log receives role transitions and sync progress. Defaults to the
-	// process logger.
-	Log *obs.Logger
-
-	// FetchMax bounds records per fetch batch. Default 512.
-	FetchMax int
-	// FetchWait is the long-poll window when caught up. Default 500ms.
-	FetchWait time.Duration
-	// DialTimeout bounds connecting to the primary. Default 2s.
-	DialTimeout time.Duration
-	// Backoff is the pause after a failed dial or broken stream before
-	// retrying. Default 200ms.
-	Backoff time.Duration
 }
+
+// The replication loop's timings.
+const (
+	// fetchMax bounds records per fetch batch.
+	fetchMax = 512
+	// fetchWait is the long-poll window when caught up.
+	fetchWait = 500 * time.Millisecond
+	// dialTimeout bounds connecting to the primary.
+	dialTimeout = 2 * time.Second
+	// backoff is the pause after a failed dial or broken stream before
+	// retrying.
+	backoff = 200 * time.Millisecond
+)
 
 // Node is the per-process replication runner. While the node's role is
 // replica it tails the primary; while primary (or unconfigured) it idles
@@ -65,21 +65,6 @@ type Node struct {
 func StartNode(cfg NodeConfig) (*Node, error) {
 	if cfg.DB == nil || cfg.State == nil {
 		return nil, errors.New("repl: NodeConfig requires DB and State")
-	}
-	if cfg.Log == nil {
-		cfg.Log = obs.Default()
-	}
-	if cfg.FetchMax <= 0 {
-		cfg.FetchMax = 512
-	}
-	if cfg.FetchWait <= 0 {
-		cfg.FetchWait = 500 * time.Millisecond
-	}
-	if cfg.DialTimeout <= 0 {
-		cfg.DialTimeout = 2 * time.Second
-	}
-	if cfg.Backoff <= 0 {
-		cfg.Backoff = 200 * time.Millisecond
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	n := &Node{cfg: cfg, ctx: ctx, cancel: cancel, done: make(chan struct{})}
@@ -116,14 +101,13 @@ func (n *Node) run() {
 // follow tails one primary until the stream breaks, the role changes, or
 // the node is told to follow someone else.
 func (n *Node) follow(primary string) {
-	st, db, lg := n.cfg.State, n.cfg.DB, n.cfg.Log
+	st, db := n.cfg.State, n.cfg.DB
 	ch := st.Changed()
-	dialCtx, cancel := context.WithTimeout(n.ctx, n.cfg.DialTimeout)
-	cli, err := server.DialContext(dialCtx, primary,
-		server.WithDialTimeout(n.cfg.DialTimeout), server.WithLogger(obs.Discard))
+	dialCtx, cancel := context.WithTimeout(n.ctx, dialTimeout)
+	cli, err := server.DialContext(dialCtx, primary, server.WithDialTimeout(dialTimeout))
 	cancel()
 	if err != nil {
-		lg.Warnf("repl: node %s: dialing primary %s: %v", st.Self(), primary, err)
+		obs.Warnf("repl: node %s: dialing primary %s: %v", st.Self(), primary, err)
 		n.pause()
 		return
 	}
@@ -145,7 +129,7 @@ func (n *Node) follow(primary string) {
 			// demoted from primary); tailing from the local offset would
 			// interleave histories. Restart from a snapshot.
 			if err := n.fullSync(cli); err != nil {
-				lg.Warnf("repl: node %s: full-sync from %s: %v", st.Self(), primary, err)
+				obs.Warnf("repl: node %s: full-sync from %s: %v", st.Self(), primary, err)
 				n.pause()
 				return
 			}
@@ -153,8 +137,8 @@ func (n *Node) follow(primary string) {
 		}
 
 		from := db.StoreSeq()
-		fetchCtx, cancel := context.WithTimeout(n.ctx, n.cfg.FetchWait+5*time.Second)
-		batch, err := cli.ReplFetch(fetchCtx, from, n.cfg.FetchMax, n.cfg.FetchWait, st.Self())
+		fetchCtx, cancel := context.WithTimeout(n.ctx, fetchWait+5*time.Second)
+		batch, err := cli.ReplFetch(fetchCtx, from, fetchMax, fetchWait, st.Self())
 		cancel()
 		if err != nil {
 			var npe *server.NotPrimaryError
@@ -170,7 +154,7 @@ func (n *Node) follow(primary string) {
 				// Our position predates the primary's earliest retained
 				// record. Full-sync and continue on the same connection.
 				if err := n.fullSync(cli); err != nil {
-					lg.Warnf("repl: node %s: full-sync from %s: %v", st.Self(), primary, err)
+					obs.Warnf("repl: node %s: full-sync from %s: %v", st.Self(), primary, err)
 					n.pause()
 					return
 				}
@@ -178,7 +162,7 @@ func (n *Node) follow(primary string) {
 			case n.ctx.Err() != nil:
 				return
 			default:
-				lg.Warnf("repl: node %s: fetch from %s at %d: %v", st.Self(), primary, from, err)
+				obs.Warnf("repl: node %s: fetch from %s at %d: %v", st.Self(), primary, from, err)
 				n.pause()
 				return
 			}
@@ -187,7 +171,7 @@ func (n *Node) follow(primary string) {
 		if batch.FirstSeq != from {
 			// Defensive: the primary answered a different position than
 			// asked. Treat like divergence and resync.
-			lg.Warnf("repl: node %s: primary %s answered position %d for request %d; resyncing", st.Self(), primary, batch.FirstSeq, from)
+			obs.Warnf("repl: node %s: primary %s answered position %d for request %d; resyncing", st.Self(), primary, batch.FirstSeq, from)
 			if err := n.fullSync(cli); err != nil {
 				n.pause()
 				return
@@ -196,7 +180,7 @@ func (n *Node) follow(primary string) {
 		}
 		if len(batch.Records) > 0 {
 			if err := db.ApplyReplRecords(n.ctx, batch.Records); err != nil {
-				lg.Errorf("repl: node %s: applying batch at %d: %v", st.Self(), from, err)
+				obs.Errorf("repl: node %s: applying batch at %d: %v", st.Self(), from, err)
 				// An apply failure means local state disagrees with the
 				// stream (e.g. seq collision after divergence); rebuilding
 				// from a snapshot is the only safe recovery.
@@ -215,7 +199,7 @@ func (n *Node) follow(primary string) {
 // node stays marked for full-sync, so a killed primary mid-transfer just
 // means a clean restart of the transfer against its successor.
 func (n *Node) fullSync(cli *server.Client) error {
-	st, db, lg := n.cfg.State, n.cfg.DB, n.cfg.Log
+	st, db := n.cfg.State, n.cfg.DB
 	st.BeginSync()
 	t0 := time.Now()
 	snapCtx, cancel := context.WithTimeout(n.ctx, 10*time.Minute)
@@ -229,14 +213,14 @@ func (n *Node) fullSync(cli *server.Client) error {
 	}
 	st.EndSync()
 	st.Touch()
-	lg.Infof("repl: node %s: full-sync complete at offset %d (%d bytes in %v)",
+	obs.Infof("repl: node %s: full-sync complete at offset %d (%d bytes in %v)",
 		st.Self(), seq, len(blob), time.Since(t0).Round(time.Millisecond))
 	return nil
 }
 
 // pause sleeps the backoff, returning early on shutdown.
 func (n *Node) pause() {
-	t := time.NewTimer(n.cfg.Backoff)
+	t := time.NewTimer(backoff)
 	defer t.Stop()
 	select {
 	case <-n.ctx.Done():

@@ -8,7 +8,6 @@ import (
 
 	"visualprint/internal/core"
 	"visualprint/internal/netsim"
-	"visualprint/internal/obs"
 	"visualprint/internal/server"
 	"visualprint/internal/testutil"
 )
@@ -61,7 +60,6 @@ func TestChaosOracleSyncSurvivesPrimaryKill(t *testing.T) {
 		Interval:    100 * time.Millisecond,
 		DownAfter:   3,
 		DialTimeout: 500 * time.Millisecond,
-		Log:         obs.Discard,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -75,7 +73,7 @@ func TestChaosOracleSyncSurvivesPrimaryKill(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { proxyC.Close() })
-	cli, err := server.Dial(proxyC.Addr(), server.WithDialTimeout(2*time.Second), server.WithLogger(nil),
+	cli, err := server.Dial(proxyC.Addr(), server.WithDialTimeout(2*time.Second),
 		server.WithRetryPolicy(server.DefaultRetryPolicy()))
 	if err != nil {
 		t.Fatal(err)
@@ -102,7 +100,7 @@ func TestChaosOracleSyncSurvivesPrimaryKill(t *testing.T) {
 
 	// Phase 1: acked ingests through the primary, a sync after each; the
 	// handle must track the replica's replayed epochs.
-	wcli, err := server.Dial(proxyP.Addr(), server.WithDialTimeout(2*time.Second), server.WithLogger(nil))
+	wcli, err := server.Dial(proxyP.Addr(), server.WithDialTimeout(2*time.Second))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +140,7 @@ func TestChaosOracleSyncSurvivesPrimaryKill(t *testing.T) {
 	// Phase 3: writes resume on the promoted primary; the held handle must
 	// converge byte-equal to the new primary's oracle at its version.
 	extra := ms[4*perBatch : 6*perBatch]
-	wcli2, err := server.Dial(newP.addr, server.WithDialTimeout(2*time.Second), server.WithLogger(nil))
+	wcli2, err := server.Dial(newP.addr, server.WithDialTimeout(2*time.Second))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,7 +14,7 @@ import (
 // connection — the server's own account of what it was asked to do.
 func counters(t *testing.T, m *member) map[string]uint64 {
 	t.Helper()
-	cli, err := server.Dial(m.addr, server.WithDialTimeout(2*time.Second), server.WithLogger(nil))
+	cli, err := server.Dial(m.addr, server.WithDialTimeout(2*time.Second))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func TestReplicaDialServesReads(t *testing.T) {
 	t.Cleanup(replica.kill)
 
 	dial := func(m *member) *server.Client {
-		cli, err := server.Dial(m.addr, server.WithDialTimeout(2*time.Second), server.WithLogger(nil))
+		cli, err := server.Dial(m.addr, server.WithDialTimeout(2*time.Second))
 		if err != nil {
 			t.Fatal(err)
 		}

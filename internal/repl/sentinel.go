@@ -34,9 +34,6 @@ type SentinelConfig struct {
 	DownAfter int
 	// DialTimeout bounds each probe's dial+RPC. Default 1s.
 	DialTimeout time.Duration
-	// Log receives probe failures and failover decisions. Defaults to the
-	// process logger.
-	Log *obs.Logger
 }
 
 // Sentinel is the fleet watcher. Start with StartSentinel, stop with Close.
@@ -65,9 +62,6 @@ func StartSentinel(cfg SentinelConfig) (*Sentinel, error) {
 	}
 	if cfg.DialTimeout <= 0 {
 		cfg.DialTimeout = time.Second
-	}
-	if cfg.Log == nil {
-		cfg.Log = obs.Default()
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Sentinel{cfg: cfg, ctx: ctx, cancel: cancel, done: make(chan struct{})}
@@ -144,7 +138,7 @@ func (s *Sentinel) round() {
 		s.lastSeen = lead.addr
 		s.mu.Unlock()
 		for _, p := range primaries[1:] {
-			s.cfg.Log.Warnf("repl: sentinel: demoting stale primary %s (epoch %d) under %s (epoch %d)",
+			obs.Warnf("repl: sentinel: demoting stale primary %s (epoch %d) under %s (epoch %d)",
 				p.addr, p.st.Epoch, lead.addr, lead.st.Epoch)
 			s.follow(p.addr, lead.st.Epoch, lead.addr)
 		}
@@ -165,7 +159,7 @@ func (s *Sentinel) round() {
 	s.mu.Unlock()
 	if misses < s.cfg.DownAfter || len(replicas) == 0 {
 		if len(replicas) == 0 && misses >= s.cfg.DownAfter {
-			s.cfg.Log.Warnf("repl: sentinel: primary %s down %d rounds but no reachable replica to promote", last, misses)
+			obs.Warnf("repl: sentinel: primary %s down %d rounds but no reachable replica to promote", last, misses)
 		}
 		return
 	}
@@ -181,10 +175,10 @@ func (s *Sentinel) round() {
 	})
 	winner := replicas[0]
 	newEpoch := maxEpoch + 1
-	s.cfg.Log.Warnf("repl: sentinel: primary %s unreachable for %d rounds; promoting %s (applied %d) at epoch %d",
+	obs.Warnf("repl: sentinel: primary %s unreachable for %d rounds; promoting %s (applied %d) at epoch %d",
 		last, misses, winner.addr, winner.st.Applied, newEpoch)
 	if err := s.promote(winner.addr, newEpoch); err != nil {
-		s.cfg.Log.Errorf("repl: sentinel: promoting %s: %v", winner.addr, err)
+		obs.Errorf("repl: sentinel: promoting %s: %v", winner.addr, err)
 		return // keep counting misses; retry next round
 	}
 	s.mu.Lock()
@@ -235,7 +229,7 @@ func (s *Sentinel) follow(addr string, epoch uint64, primary string) {
 		return struct{}{}, c.ReplFollow(ctx, epoch, primary)
 	})
 	if err != nil {
-		s.cfg.Log.Warnf("repl: sentinel: pointing %s at %s: %v", addr, primary, err)
+		obs.Warnf("repl: sentinel: pointing %s at %s: %v", addr, primary, err)
 	}
 }
 
@@ -246,8 +240,7 @@ func withClient[T any](s *Sentinel, addr string, fn func(context.Context, *serve
 	var zero T
 	ctx, cancel := context.WithTimeout(s.ctx, s.cfg.DialTimeout)
 	defer cancel()
-	c, err := server.DialContext(ctx, addr,
-		server.WithDialTimeout(s.cfg.DialTimeout), server.WithLogger(obs.Discard))
+	c, err := server.DialContext(ctx, addr, server.WithDialTimeout(s.cfg.DialTimeout))
 	if err != nil {
 		return zero, err
 	}

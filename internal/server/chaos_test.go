@@ -33,13 +33,13 @@ import (
 // concurrency that makes latent data races reachable.
 func TestChaosClientsSurviveFaultInjection(t *testing.T) {
 	testutil.CheckGoroutines(t)
+	testutil.SilenceLog(t)
 	rt, ms := lifecycleRouter(t, 30*time.Millisecond) // fast solves: chaos targets the transport
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := Serve(ln, rt)
-	s.Log = nil
 	t.Cleanup(func() { s.Close() })
 
 	proxy, err := netsim.NewProxy(s.Addr().String())
@@ -91,8 +91,7 @@ func TestChaosClientsSurviveFaultInjection(t *testing.T) {
 	for i := range cs {
 		c, err := Dial(proxy.Addr(),
 			WithRetryPolicy(policy),
-			WithDialTimeout(2*time.Second),
-			WithLogger(nil))
+			WithDialTimeout(2*time.Second))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -75,7 +75,6 @@ func (p RetryPolicy) delay(n int) time.Duration {
 type dialConfig struct {
 	timeout time.Duration
 	retry   RetryPolicy
-	log     *obs.Logger
 	venue   string
 }
 
@@ -92,12 +91,6 @@ func WithDialTimeout(d time.Duration) DialOption {
 // default) disables them: every error surfaces on the first attempt.
 func WithRetryPolicy(p RetryPolicy) DialOption {
 	return func(c *dialConfig) { c.retry = p }
-}
-
-// WithLogger routes the client's connection-lifecycle messages (redials,
-// retry exhaustion) to l; the default is the process logger. Nil silences.
-func WithLogger(l *obs.Logger) DialOption {
-	return func(c *dialConfig) { c.log = l }
 }
 
 // WithVenue pins every request the client sends to the named venue; it is
@@ -124,7 +117,6 @@ type Client struct {
 	// over an existing conn) disables automatic reconnection.
 	dialFn func(context.Context) (net.Conn, error)
 	retry  RetryPolicy
-	log    *obs.Logger
 
 	// venue addresses every venue-scoped call (WithVenue; empty = the
 	// default venue).
@@ -159,16 +151,16 @@ type rpcResult struct {
 
 // NewClient wraps an established connection (TCP or net.Pipe), announcing
 // the protocol version and starting the response demux loop. Options configure
-// retries and logging; without a dialer (use Dial for that) a lost
+// retries and the venue; without a dialer (use Dial for that) a lost
 // connection is not reconnectable.
 func NewClient(conn net.Conn, opts ...DialOption) *Client {
-	cfg := dialConfig{log: obs.Default()}
+	var cfg dialConfig
 	for _, o := range opts {
 		o(&cfg)
 	}
 	c := &Client{
 		conn: conn, pending: make(map[uint32]chan rpcResult),
-		retry: cfg.retry, log: cfg.log, venue: cfg.venue,
+		retry: cfg.retry, venue: cfg.venue,
 	}
 	if err := writePreamble(conn); err != nil {
 		// Surface the broken transport through the demux path so every
@@ -190,7 +182,7 @@ func Dial(addr string, opts ...DialOption) (*Client, error) {
 
 // DialContext is Dial honoring ctx for the initial connection.
 func DialContext(ctx context.Context, addr string, opts ...DialOption) (*Client, error) {
-	cfg := dialConfig{log: obs.Default()}
+	var cfg dialConfig
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -240,10 +232,6 @@ func (c *Client) BytesSent() int64 { return c.sent.Load() }
 // BytesReceived returns the total payload bytes downloaded.
 func (c *Client) BytesReceived() int64 { return c.received.Load() }
 
-func (c *Client) logf(format string, args ...any) {
-	c.log.Warnf(format, args...)
-}
-
 // demux reads response frames from conn and routes each to its waiting
 // caller by request ID. A read error is terminal for this connection
 // generation: it fails every in-flight call and, absent a reconnect, every
@@ -283,6 +271,9 @@ func (c *Client) demux(conn net.Conn, gen int) {
 // the underlying read error; match with errors.Is.
 var ErrConnectionLost = errors.New("visualprint client: connection lost")
 
+// errClientClosed is the reconnect refusal after Close.
+var errClientClosed = fmt.Errorf("%w: client closed", ErrConnectionLost)
+
 // failGen marks connection generation gen broken and unblocks every
 // waiter. A stale generation (already replaced by a reconnect) is a no-op.
 func (c *Client) failGen(err error, gen int) {
@@ -305,30 +296,37 @@ func (c *Client) failGen(err error, gen int) {
 	c.mu.Unlock()
 }
 
-// reconnect replaces a dead connection with a freshly dialed one, bumping
-// the generation so late frames from the old connection are discarded. It
-// is a no-op when the connection is healthy (another caller already
+// reconnect replaces a dead connection with a freshly dialed one. It is a
+// no-op when the connection is healthy (another caller already
 // reconnected) and an error when the client was closed or has no dialer.
 func (c *Client) reconnect(ctx context.Context) error {
 	c.writeMu.Lock()
 	defer c.writeMu.Unlock()
 	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return fmt.Errorf("%w: client closed", ErrConnectionLost)
-	}
-	if c.readErr == nil {
-		c.mu.Unlock()
+	err, closed := c.readErr, c.closed
+	c.mu.Unlock()
+	switch {
+	case closed:
+		return errClientClosed
+	case err == nil:
 		return nil
-	}
-	if c.dialFn == nil {
-		err := c.readErr
-		c.mu.Unlock()
+	case c.dialFn == nil:
 		return err
 	}
-	old := c.conn
-	c.mu.Unlock()
+	if err := c.swapConn(ctx, ErrConnectionLost); err != nil {
+		return err
+	}
+	obs.Warnf("visualprint client: reconnected")
+	return nil
+}
 
+// swapConn dials the current target, announces the protocol version and
+// swaps the new connection in under a new generation, so late frames from
+// the old one are discarded. Calls still pending on the old connection fail
+// with lost: its demux loop's eventual read error targets a stale
+// generation and would otherwise leave them hanging. The caller holds
+// writeMu. On error the old connection stays in place.
+func (c *Client) swapConn(ctx context.Context, lost error) error {
 	conn, err := c.dialFn(ctx)
 	if err != nil {
 		return fmt.Errorf("%w: redial: %w", ErrConnectionLost, err)
@@ -343,15 +341,19 @@ func (c *Client) reconnect(ctx context.Context) error {
 	if c.closed {
 		c.mu.Unlock()
 		conn.Close()
-		return fmt.Errorf("%w: client closed", ErrConnectionLost)
+		return errClientClosed
 	}
-	old.Close()
+	old := c.conn
+	for id, ch := range c.pending {
+		delete(c.pending, id)
+		ch <- rpcResult{err: lost}
+	}
 	c.conn = conn
 	c.gen++
 	gen := c.gen
 	c.readErr = nil
 	c.mu.Unlock()
-	c.logf("visualprint client: reconnected")
+	old.Close()
 	go c.demux(conn, gen)
 	return nil
 }
@@ -420,7 +422,7 @@ func (c *Client) callRedirect(ctx context.Context, h reqHeader, typ byte, payloa
 		if err == nil || !errors.As(err, &npe) || npe.Primary == "" || !c.retarget(ctx, npe.Primary) {
 			return rt, resp, err
 		}
-		c.logf("visualprint client: redirected to primary %s", npe.Primary)
+		obs.Warnf("visualprint client: redirected to primary %s", npe.Primary)
 		rt, resp, err = c.call(ctx, h, typ, payload)
 	}
 	return rt, resp, err
@@ -429,7 +431,9 @@ func (c *Client) callRedirect(ctx context.Context, h reqHeader, typ byte, payloa
 // retarget points the dialer at addr and swaps in a fresh connection,
 // reporting whether it did. In-flight requests on the old connection fail
 // with ErrConnectionLost (retryable where idempotent). No-op — returns
-// false — when the client has no dialer or already targets addr.
+// false — when the client has no dialer or already targets addr. A failed
+// dial leaves the old connection in place; the caller's error stands and a
+// later attempt redials at the stored target.
 func (c *Client) retarget(ctx context.Context, addr string) bool {
 	if c.dialFn == nil {
 		return false
@@ -442,41 +446,7 @@ func (c *Client) retarget(ctx context.Context, addr string) bool {
 
 	c.writeMu.Lock()
 	defer c.writeMu.Unlock()
-	conn, err := c.dialFn(ctx)
-	if err != nil {
-		// Leave the old connection in place; the caller's error stands and
-		// a later attempt redials at the stored target.
-		return false
-	}
-	if err := writePreamble(conn); err != nil {
-		conn.Close()
-		return false
-	}
-	c.sent.Add(preambleSize)
-
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		conn.Close()
-		return false
-	}
-	old := c.conn
-	// Drain requests still in flight on the old connection — its demux
-	// loop's eventual read error targets a stale generation and would
-	// otherwise leave them hanging.
-	redirErr := fmt.Errorf("%w: redirected to %s", ErrConnectionLost, addr)
-	for id, ch := range c.pending {
-		delete(c.pending, id)
-		ch <- rpcResult{err: redirErr}
-	}
-	c.conn = conn
-	c.gen++
-	gen := c.gen
-	c.readErr = nil
-	c.mu.Unlock()
-	old.Close()
-	go c.demux(conn, gen)
-	return true
+	return c.swapConn(ctx, fmt.Errorf("%w: redirected to %s", ErrConnectionLost, addr)) == nil
 }
 
 // deadlineMillis converts a context deadline to the wire's relative-millis

@@ -19,6 +19,7 @@ import (
 	"visualprint/internal/mathx"
 	"visualprint/internal/pose"
 	"visualprint/internal/sift"
+	"visualprint/internal/testutil"
 )
 
 // syntheticRouter builds an engine whose default venue has deterministic
@@ -148,13 +149,13 @@ func TestSmallQueryStaysDeterministic(t *testing.T) {
 // distinct queries with distinct precomputed answers are fired interleaved
 // from many goroutines; any routing mixup surfaces as a wrong result.
 func TestPipelinedResponseRouting(t *testing.T) {
+	testutil.SilenceLog(t)
 	rt, ms := syntheticRouter(t, 21, 48, 40)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := Serve(ln, rt)
-	s.Log = nil
 	defer s.Close()
 
 	queries := [][]sift.Keypoint{
@@ -202,6 +203,7 @@ func TestPipelinedResponseRouting(t *testing.T) {
 // queries, stats, ingests and oracle fetches racing on shared and separate
 // connections — asserting per-request response-type routing throughout.
 func TestConcurrentMixedWorkload(t *testing.T) {
+	testutil.SilenceLog(t)
 	rt, ms := syntheticRouter(t, 33, 48, 20)
 	base := rt.Default().Len()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -209,7 +211,6 @@ func TestConcurrentMixedWorkload(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := Serve(ln, rt)
-	s.Log = nil
 	defer s.Close()
 
 	const clients = 4

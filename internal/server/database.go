@@ -87,9 +87,6 @@ type Database struct {
 	// delta ring) and the store fields. The query-side state moved
 	// into cur; no read RPC takes this lock anymore.
 	mu sync.RWMutex
-	// log is the owning Router's logger (Router.logger), read at each
-	// warning so Serve's later wiring reaches shards opened before it.
-	log func() *obs.Logger
 	// deltaRing retains the per-epoch odelta records (consecutive epochs,
 	// oldest first) serving versioned OracleSync requests; deltaBytes
 	// accounts their payload total against oracleDeltaBudget. Guarded
@@ -127,19 +124,14 @@ type Database struct {
 	coldSolve func(ctx context.Context, corr []pose.Correspondence, intr pose.Intrinsics, lo, hi mathx.Vec3, opt pose.Options) (pose.Result, error)
 }
 
-// logf logs one warning through the Router's logger.
-func (db *Database) logf(format string, args ...any) {
-	db.log().Warnf(format, args...)
-}
-
-// newDatabase creates an empty shard engine recording into m and logging
-// through log. Only the Router builds shards (buildVenueLocked).
-func newDatabase(cfg DatabaseConfig, m *dbMetrics, log func() *obs.Logger) (*Database, error) {
+// newDatabase creates an empty shard engine recording into m. Only the
+// Router builds shards (buildVenueLocked).
+func newDatabase(cfg DatabaseConfig, m *dbMetrics) (*Database, error) {
 	v, err := newEmptyView(cfg)
 	if err != nil {
 		return nil, err
 	}
-	db := &Database{cfg: cfg, log: log, compactAt: walCompactBytes, met: m, coldSolve: pose.LocalizeCold}
+	db := &Database{cfg: cfg, compactAt: walCompactBytes, met: m, coldSolve: pose.LocalizeCold}
 	db.cur.Store(v)
 	return db, nil
 }

@@ -251,7 +251,7 @@ func TestRefusedPreambleAnsweredTyped(t *testing.T) {
 		writeFrame(serverEnd, 0, msgError, reqHeader{}, encodeErrorPayload(ErrProtocolVersion))
 		io.Copy(io.Discard, serverEnd)
 	}()
-	c := NewClient(clientEnd, WithLogger(nil))
+	c := NewClient(clientEnd)
 	defer c.Close()
 	for i := 0; i < 2; i++ {
 		if _, err := c.Stats(context.Background()); !errors.Is(err, ErrProtocolVersion) || errors.Is(err, ErrConnectionLost) {

@@ -80,13 +80,13 @@ func TestLocateDeadlineMidSolve(t *testing.T) {
 // would never have finished on its own.
 func TestCancelFreesServerSlot(t *testing.T) {
 	testutil.CheckGoroutines(t)
+	testutil.SilenceLog(t)
 	rt, ms := lifecycleRouter(t, endless)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := Serve(ln, rt, WithMaxInFlight(1))
-	s.Log = nil
 	t.Cleanup(func() { s.Close() })
 	c := dialClient(t, s)
 
@@ -134,13 +134,13 @@ func TestCancelFreesServerSlot(t *testing.T) {
 // context never expires).
 func TestDeadlineEnforcedServerSide(t *testing.T) {
 	testutil.CheckGoroutines(t)
+	testutil.SilenceLog(t)
 	rt, ms := lifecycleRouter(t, endless)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := Serve(ln, rt)
-	s.Log = nil
 	t.Cleanup(func() { s.Close() })
 
 	conn, err := net.Dial("tcp", s.Addr().String())
@@ -178,13 +178,13 @@ func TestDeadlineEnforcedServerSide(t *testing.T) {
 // starvation.
 func TestShedUnderBurst(t *testing.T) {
 	testutil.CheckGoroutines(t)
+	testutil.SilenceLog(t)
 	rt, ms := lifecycleRouter(t, 200*time.Millisecond)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := Serve(ln, rt, WithMaxInFlight(1), WithQueueDepth(0))
-	s.Log = nil
 	t.Cleanup(func() { s.Close() })
 	c := dialClient(t, s)
 
@@ -215,13 +215,13 @@ func TestShedUnderBurst(t *testing.T) {
 // (ErrTooFewMatches) is never retried.
 func TestRetryRecoversFromOverload(t *testing.T) {
 	testutil.CheckGoroutines(t)
+	testutil.SilenceLog(t)
 	rt, ms := lifecycleRouter(t, endless)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := Serve(ln, rt, WithMaxInFlight(1), WithQueueDepth(0))
-	s.Log = nil
 	t.Cleanup(func() { s.Close() })
 
 	c, err := Dial(s.Addr().String(), WithRetryPolicy(RetryPolicy{
@@ -230,7 +230,7 @@ func TestRetryRecoversFromOverload(t *testing.T) {
 		MaxDelay:    100 * time.Millisecond,
 		Multiplier:  2,
 		Jitter:      0.5,
-	}), WithLogger(nil))
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,6 +267,7 @@ func TestRetryRecoversFromOverload(t *testing.T) {
 // returns nil on the clean drain.
 func TestShutdownDrains(t *testing.T) {
 	testutil.CheckGoroutines(t)
+	testutil.SilenceLog(t)
 	rt, ms := lifecycleRouter(t, 200*time.Millisecond)
 	want, wantErr := rt.Locate(context.Background(), "", queryFromMappings(ms, 0, 48), testIntrinsics())
 	if wantErr != nil {
@@ -278,7 +279,6 @@ func TestShutdownDrains(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := Serve(ln, rt)
-	s.Log = nil
 	t.Cleanup(func() { s.Close() })
 	c := dialClient(t, s)
 
@@ -341,13 +341,13 @@ func TestShutdownDrains(t *testing.T) {
 // reports the forced drain via ctx.Err().
 func TestShutdownForcedCancelsInFlight(t *testing.T) {
 	testutil.CheckGoroutines(t)
+	testutil.SilenceLog(t)
 	rt, ms := lifecycleRouter(t, endless)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := Serve(ln, rt)
-	s.Log = nil
 	t.Cleanup(func() { s.Close() })
 	c := dialClient(t, s)
 
@@ -386,13 +386,13 @@ func TestShutdownForcedCancelsInFlight(t *testing.T) {
 // the same way an expiring context does.
 func TestDrainTimeoutOption(t *testing.T) {
 	testutil.CheckGoroutines(t)
+	testutil.SilenceLog(t)
 	rt, ms := lifecycleRouter(t, endless)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := Serve(ln, rt, WithDrainTimeout(200*time.Millisecond))
-	s.Log = nil
 	t.Cleanup(func() { s.Close() })
 	c := dialClient(t, s)
 

@@ -2,6 +2,7 @@ package server
 
 import (
 	"visualprint/internal/bloom"
+	"visualprint/internal/obs"
 	"visualprint/internal/odelta"
 )
 
@@ -53,7 +54,7 @@ func (db *Database) recordDeltaLocked(cur, next *dbView) {
 	rec, err := odelta.Diff(cur.oracle, next.oracle, cur.epoch, next.epoch, 0)
 	if err != nil {
 		db.deltaRing, db.deltaBytes = nil, 0
-		db.logf("server: oracle delta for epoch %d failed (%v); delta ring reset", next.epoch, err)
+		obs.Warnf("server: oracle delta for epoch %d failed (%v); delta ring reset", next.epoch, err)
 		return
 	}
 	if n := len(db.deltaRing); n > 0 && db.deltaRing[n-1].ToEpoch != rec.FromEpoch {

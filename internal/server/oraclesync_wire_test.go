@@ -57,7 +57,7 @@ func randomBatch(rng *rand.Rand, n int) []Mapping {
 // fresh full fetch sees, with Version tracking the server's epoch.
 func TestOracleSyncLifecycleOverWire(t *testing.T) {
 	s := startVenueServer(t)
-	c, err := Dial(s.Addr().String(), WithLogger(nil))
+	c, err := Dial(s.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestOracleSyncByteEqualEveryEpoch(t *testing.T) {
 	for _, seed := range []int64{3, 17, 99} {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			s := startVenueServer(t)
-			c, err := Dial(s.Addr().String(), WithLogger(nil))
+			c, err := Dial(s.Addr().String())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -191,12 +191,12 @@ func TestOracleSyncCountCollisionRegression(t *testing.T) {
 	sA, sB := startVenueServer(t), startVenueServer(t)
 	msA := randomBatch(rand.New(rand.NewSource(1)), 12)
 	msB := randomBatch(rand.New(rand.NewSource(2)), 12)
-	cA, err := Dial(sA.Addr().String(), WithLogger(nil))
+	cA, err := Dial(sA.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cA.Close()
-	cB, err := Dial(sB.Addr().String(), WithLogger(nil))
+	cB, err := Dial(sB.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}

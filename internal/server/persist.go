@@ -57,7 +57,7 @@ func (db *Database) open(dir string, install func(*store.Store) error) error {
 	if len(db.cur.Load().positions) != 0 {
 		return errors.New("server: Open requires an empty database")
 	}
-	st, err := store.Open(dir, store.Options{Log: obs.FuncLogger(db.logf), Metrics: db.met.store})
+	st, err := store.Open(dir, store.Options{Metrics: db.met.store})
 	if err != nil {
 		return err
 	}
@@ -243,7 +243,7 @@ func (db *Database) snapshotter() {
 				err = db.compactLockedR(st)
 			}
 			if err != nil {
-				db.logf("server: background wal compaction: %v", err)
+				obs.Warnf("server: background wal compaction: %v", err)
 			}
 			db.mu.RUnlock()
 		}

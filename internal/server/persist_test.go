@@ -2,19 +2,18 @@ package server
 
 import (
 	"context"
-	"fmt"
 	"net"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
-	"sync"
 	"testing"
+	"time"
 
-	"visualprint/internal/obs"
 	"visualprint/internal/pose"
 	"visualprint/internal/scene"
 	"visualprint/internal/sift"
+	"visualprint/internal/testutil"
 )
 
 // persistTestConfig is the default configuration with a deterministic pose
@@ -38,22 +37,13 @@ func persistTestShard(r *Router) *Database {
 	return db
 }
 
-// newTestRouter builds an engine whose shards log through t until a Serve
-// rewires them.
+// newTestRouter builds an engine over cfg and the venue topology topo.
 func newTestRouter(t testing.TB, cfg DatabaseConfig, topo map[string]int) *Router {
-	t.Helper()
-	return newLoggingRouter(t, cfg, topo, obs.FuncLogger(t.Logf))
-}
-
-// newLoggingRouter builds an engine whose shards log through l, as Serve
-// would wire them to its Server.Log.
-func newLoggingRouter(t testing.TB, cfg DatabaseConfig, topo map[string]int, l *obs.Logger) *Router {
 	t.Helper()
 	r, err := NewRouter(cfg, topo)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.logTo.Store(&l)
 	return r
 }
 
@@ -239,13 +229,8 @@ func TestCorruptWALTailTruncatedNotFatal(t *testing.T) {
 
 	tearWALTail(t, dir)
 
-	var mu sync.Mutex
-	var warnings []string
-	db2 := newLoggingRouter(t, cfg, nil, obs.FuncLogger(func(format string, args ...any) {
-		mu.Lock()
-		warnings = append(warnings, fmt.Sprintf(format, args...))
-		mu.Unlock()
-	})).Default()
+	logged := testutil.CaptureLog(t)
+	db2 := newTestRouter(t, cfg, nil).Default()
 	if err := db2.Open(dir); err != nil {
 		t.Fatalf("recovery after tail corruption: %v", err)
 	}
@@ -253,16 +238,8 @@ func TestCorruptWALTailTruncatedNotFatal(t *testing.T) {
 	if db2.Len() != len(ms) {
 		t.Fatalf("recovered %d mappings, want %d", db2.Len(), len(ms))
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	found := false
-	for _, w := range warnings {
-		if strings.Contains(w, "truncating wal") {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("no truncation warning; got %v", warnings)
+	if !strings.Contains(logged(), "WARN store: truncating wal") {
+		t.Fatalf("no truncation warning; got %q", logged())
 	}
 }
 
@@ -284,11 +261,11 @@ func tearWALTail(t *testing.T, dir string) {
 	}
 }
 
-// TestNamedVenueWarningsReachServerLog: every shard logs through its
-// Router's logger, which Serve points at Server.Log — a named venue's shards
-// as well as the default venue's. A venue created after Serve over a shard
-// directory whose WAL ends in a torn record recovers it, and the store's
-// truncation warning lands in Server.Log.
+// TestNamedVenueWarningsReachServerLog: every shard logs through the
+// process logger — a named venue's shards as well as the default venue's. A
+// venue created on a serving router over a shard directory whose WAL ends
+// in a torn record recovers it, and the store's truncation warning lands in
+// the process log beside the venue's creation.
 func TestNamedVenueWarningsReachServerLog(t *testing.T) {
 	cfg := persistTestConfig()
 	ctx := context.Background()
@@ -318,14 +295,8 @@ func TestNamedVenueWarningsReachServerLog(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	s := serveRouter(t, r)
-	var mu sync.Mutex
-	var warnings []string
-	s.Log = obs.FuncLogger(func(format string, args ...any) {
-		mu.Lock()
-		warnings = append(warnings, fmt.Sprintf(format, args...))
-		mu.Unlock()
-	})
+	serveRouter(t, r)
+	logged := testutil.CaptureLog(t)
 	// No meta.json records the venue, so the next ingest creates it over
 	// the torn shard directory.
 	if err := os.MkdirAll(filepath.Join(dir, venuesSubdir, "mall"), 0o755); err != nil {
@@ -337,14 +308,65 @@ func TestNamedVenueWarningsReachServerLog(t *testing.T) {
 	if total, err := r.Ingest(ctx, "mall", ms); err != nil || total != 2*len(ms) {
 		t.Fatalf("ingest into the recovered venue: total %d, %v; want %d", total, err, 2*len(ms))
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	for _, msg := range warnings {
-		if strings.Contains(msg, "truncating wal") {
-			return
+	for _, want := range []string{"WARN store: truncating wal", `INFO server: venue "mall" created (1 shard(s))`} {
+		if !strings.Contains(logged(), want) {
+			t.Errorf("process log lacks %q; got %q", want, logged())
 		}
 	}
-	t.Fatalf("Server.Log got no truncation warning; got %q", warnings)
+}
+
+// TestBackgroundCompactionFailureWarns: a background snapshot that cannot
+// be written is not fatal, and the process log says why.
+func TestBackgroundCompactionFailureWarns(t *testing.T) {
+	logged := testutil.CaptureLog(t)
+	dir := t.TempDir()
+	r := newTestRouter(t, persistTestConfig(), nil)
+	db := r.Default()
+	if err := db.Open(dir); err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if _, err := r.Ingest(context.Background(), "", []Mapping{{}}); err != nil {
+		t.Fatal(err)
+	}
+	// The snapshot's temp file goes in the data directory; without one the
+	// write fails.
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	db.snapKick <- struct{}{}
+	const want = "WARN server: background wal compaction: "
+	for deadline := time.Now().Add(5 * time.Second); !strings.Contains(logged(), want); time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("process log lacks %q; got %q", want, logged())
+		}
+	}
+}
+
+// TestDeltaRingResetWarns: an epoch step the delta encoder refuses clears
+// the oracle delta ring (clients fall back to full syncs) and says so in
+// the process log.
+func TestDeltaRingResetWarns(t *testing.T) {
+	logged := testutil.CaptureLog(t)
+	r := newTestRouter(t, persistTestConfig(), nil)
+	db := r.Default()
+	empty := db.cur.Load()
+	if _, err := r.Ingest(context.Background(), "", []Mapping{{}}); err != nil {
+		t.Fatal(err)
+	}
+	full := db.cur.Load()
+	db.mu.Lock()
+	ring := len(db.deltaRing)
+	// A step backwards in inserts is not a delta odelta can encode.
+	db.recordDeltaLocked(full, empty)
+	after := len(db.deltaRing)
+	db.mu.Unlock()
+	if ring == 0 || after != 0 {
+		t.Errorf("delta ring %d records before the failed step, %d after; want some, then none", ring, after)
+	}
+	if want := "WARN server: oracle delta for epoch 0 failed"; !strings.Contains(logged(), want) || !strings.Contains(logged(), "delta ring reset") {
+		t.Errorf("process log lacks %q ... delta ring reset; got %q", want, logged())
+	}
 }
 
 func TestOpenRequiresEmptyDatabase(t *testing.T) {
@@ -421,6 +443,7 @@ func TestBackgroundCompaction(t *testing.T) {
 // TestStatsRPCExtendedFields checks the satellite: database size, oracle
 // inserts and persistence state travel through the Stats RPC.
 func TestStatsRPCExtendedFields(t *testing.T) {
+	testutil.SilenceLog(t)
 	dir := t.TempDir()
 	r := newTestRouter(t, persistTestConfig(), nil)
 	if err := r.OpenVenues(dir); err != nil {
@@ -432,7 +455,6 @@ func TestStatsRPCExtendedFields(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := Serve(ln, r)
-	s.Log = nil
 	defer s.Close()
 	c, err := Dial(s.Addr().String())
 	if err != nil {

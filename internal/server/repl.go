@@ -82,23 +82,29 @@ const (
 // re-read) before retrying.
 var ErrReplSyncTimeout = errors.New("server: replication sync timeout (ingest durable locally, not yet acknowledged by replicas)")
 
-// ReplConfig seeds a ReplState.
+// ReplConfig seeds a ReplState; the root package exports it as
+// ReplicationOptions.
 type ReplConfig struct {
-	// Self is the address this node advertises to the fleet (redirects,
-	// fetch identity). Required.
-	Self string
+	// Advertise is the address fleet peers and redirected clients reach
+	// this node at (the bind address is often ":0" or a wildcard, so it
+	// cannot be inferred); it is also the node's fetch identity. Required.
+	Advertise string
 	// Primary, when non-empty, starts the node as a replica of that
 	// address; empty starts it as the primary.
 	Primary string
-	// MinSyncReplicas > 0 makes primary ingests semi-synchronous: the ack
-	// is withheld until that many replicas have durably applied the batch.
-	// 0 acknowledges on local durability alone.
+	// MinSyncReplicas, when > 0, makes the primary semi-synchronous: an
+	// ingest is acknowledged only once that many replicas confirmed it
+	// durable — the failover guarantee that a promoted replica holds every
+	// acknowledged write as long as fewer than MinSyncReplicas replicas die
+	// with the primary. 0 acknowledges on local durability alone.
 	MinSyncReplicas int
-	// SyncTimeout bounds the semi-sync wait (default DefaultSyncTimeout).
+	// SyncTimeout bounds the semi-sync wait (default DefaultSyncTimeout,
+	// 5s); expiry fails the ingest with ErrReplSyncTimeout (the write is
+	// locally durable but under-replicated).
 	SyncTimeout time.Duration
-	// MaxStaleness bounds replica-served reads (default
-	// DefaultMaxStaleness): a replica that hasn't heard from the primary
-	// for longer redirects queries instead of serving them.
+	// MaxStaleness is how long a replica serves reads after losing contact
+	// with its primary before redirecting clients to it (default
+	// DefaultMaxStaleness, 3s).
 	MaxStaleness time.Duration
 }
 
@@ -106,7 +112,6 @@ type ReplConfig struct {
 // are safe for concurrent use.
 type ReplState struct {
 	db *Database
-	lg *obs.Logger
 
 	minSync      int
 	syncTimeout  time.Duration
@@ -158,13 +163,12 @@ func NewReplState(db *Database, cfg ReplConfig) *ReplState {
 	reg := db.met.reg
 	rs := &ReplState{
 		db:           db,
-		lg:           obs.Default(),
 		minSync:      cfg.MinSyncReplicas,
 		syncTimeout:  cfg.SyncTimeout,
 		maxStaleness: cfg.MaxStaleness,
-		self:         cfg.Self,
+		self:         cfg.Advertise,
 		role:         RolePrimary,
-		primaryAddr:  cfg.Self,
+		primaryAddr:  cfg.Advertise,
 		acks:         map[string]uint64{},
 		readers:      map[string]*store.WALReader{},
 		change:       make(chan struct{}),
@@ -191,16 +195,6 @@ func NewReplState(db *Database, cfg ReplConfig) *ReplState {
 	}
 	db.SetRepl(rs)
 	return rs
-}
-
-// SetLogger routes the control block's warnings through l (nil silences).
-func (rs *ReplState) SetLogger(l *obs.Logger) {
-	if l == nil {
-		l = obs.Discard
-	}
-	rs.mu.Lock()
-	rs.lg = l
-	rs.mu.Unlock()
 }
 
 // Role returns the node's current role.
@@ -326,7 +320,7 @@ func (rs *ReplState) Follow(epoch uint64, addr string) error {
 		// resuming the tail at the local offset would interleave two
 		// histories. Force a snapshot restart.
 		rs.syncNeeded = true
-		rs.lg.Warnf("repl: demoted to replica of %s at epoch %d", addr, epoch)
+		obs.Warnf("repl: demoted to replica of %s at epoch %d", addr, epoch)
 	}
 	return nil
 }
@@ -343,7 +337,7 @@ func (rs *ReplState) Promote(epoch uint64) error {
 	rs.setRoleLocked(RolePrimary, epoch, rs.self)
 	if promoted {
 		rs.failovers.Inc()
-		rs.lg.Warnf("repl: promoted to primary at epoch %d (applied %d)", epoch, rs.db.StoreSeq())
+		obs.Warnf("repl: promoted to primary at epoch %d (applied %d)", epoch, rs.db.StoreSeq())
 	}
 	return nil
 }

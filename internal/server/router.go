@@ -11,7 +11,6 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"visualprint/internal/bloom"
@@ -70,12 +69,6 @@ type Router struct {
 	// now is the session clock the motion model reads: time.Now, swapped
 	// only by tests.
 	now func() time.Time
-
-	// logTo is the logger every shard warning and venue message goes
-	// through: Serve points it at its Server.Log field, read at each message
-	// so a later assignment takes effect. Unset, warnings go to the process
-	// logger (see logger).
-	logTo atomic.Pointer[*obs.Logger]
 
 	// defaultOnly marks a replicated server's router, fixed by
 	// NewDefaultVenueRouter: replication covers only the default venue, so
@@ -187,15 +180,6 @@ func (r *Router) admit(venueName string) error {
 		return ErrVenueNotReplicated
 	}
 	return nil
-}
-
-// logger returns the logger shard warnings go through: what Serve wired
-// (see logTo), or the process logger before any Serve.
-func (r *Router) logger() *obs.Logger {
-	if p := r.logTo.Load(); p != nil {
-		return *p
-	}
-	return obs.Default()
 }
 
 // Default returns the default venue's single shard — what the replication
@@ -322,7 +306,7 @@ func (r *Router) buildVenueLocked(name string, shards int) (*venue, error) {
 		ingests: m.reg.Counter("venue_" + name + "_ingests"),
 	}
 	for i := 0; i < shards; i++ {
-		sh, err := newDatabase(r.cfg, m, r.logger)
+		sh, err := newDatabase(r.cfg, m)
 		if err == nil && r.dir != "" {
 			err = sh.Open(r.shardDir(name, i))
 		}
@@ -383,9 +367,7 @@ func (r *Router) getOrCreate(name string) (*venue, error) {
 	}
 	r.venues[name] = v
 	r.venueGage.Set(int64(len(r.venues) - 1))
-	if p := r.logTo.Load(); p != nil {
-		(*p).Infof("server: venue %q created (%d shard(s))", name, shards)
-	}
+	obs.Infof("server: venue %q created (%d shard(s))", name, shards)
 	return v, nil
 }
 

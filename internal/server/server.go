@@ -70,10 +70,6 @@ type Server struct {
 	nreq int
 	idle chan struct{}
 	wg   sync.WaitGroup
-	// Log receives connection-level errors and the router's shard warnings
-	// and venue messages; Serve defaults it to the process logger
-	// (obs.Default); nil silences.
-	Log *obs.Logger
 
 	// met is the wire-level instrument set Serve builds on the router's
 	// registry.
@@ -159,7 +155,7 @@ func DefaultQueueDepth(maxInFlight int) int {
 // gracefully first.
 func Serve(ln net.Listener, router *Router, opts ...Option) *Server {
 	s := &Server{
-		router: router, ln: ln, conns: make(map[net.Conn]struct{}), Log: obs.Default(),
+		router: router, ln: ln, conns: make(map[net.Conn]struct{}),
 		maxInFlight: DefaultMaxInFlight(),
 		maxQueue:    -1,
 	}
@@ -173,15 +169,7 @@ func Serve(ln net.Listener, router *Router, opts ...Option) *Server {
 		s.maxQueue = DefaultQueueDepth(s.maxInFlight)
 	}
 	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())
-	// Route every venue's shard warnings (persistence, delta-ring resets)
-	// and venue messages through the server's logger, so one knob silences
-	// or redirects them all. The router reads the field itself at each
-	// message, so a later `s.Log = nil` is effective for them too.
-	router.logTo.Store(&s.Log)
 	s.met = newSrvMetrics(router.Registry())
-	if s.rs != nil {
-		s.rs.SetLogger(s.Log)
-	}
 	s.wg.Add(1)
 	go s.acceptLoop()
 	return s
@@ -359,10 +347,6 @@ func (s *Server) acceptLoop() {
 	}
 }
 
-func (s *Server) logf(format string, args ...any) {
-	s.Log.Warnf(format, args...)
-}
-
 // admit applies admission control: it takes an execution slot, waits in
 // the bounded dispatch queue when none is free, and sheds with the typed
 // ErrOverloaded the moment the queue is full — a saturated server answers
@@ -502,7 +486,7 @@ func (s *Server) serve(conn net.Conn) {
 				continue // drain so handlers never block on a dead writer
 			}
 			if _, err := writeFrame(conn, r.id, r.typ, reqHeader{}, r.payload); err != nil {
-				s.logf("visualprint server: %v", err)
+				obs.Warnf("visualprint server: %v", err)
 				failed = true
 				conn.Close() // unblocks the read loop below
 			}

@@ -13,7 +13,7 @@ import (
 // one warm solve for the session.
 func TestSessionQueryOverWire(t *testing.T) {
 	s := startVenueServer(t)
-	c, err := Dial(s.Addr().String(), WithLogger(nil))
+	c, err := Dial(s.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}

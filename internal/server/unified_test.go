@@ -15,8 +15,8 @@ import (
 	"time"
 
 	"visualprint/internal/mathx"
-	"visualprint/internal/obs"
 	"visualprint/internal/store"
+	"visualprint/internal/testutil"
 )
 
 // Tests of the unified engine: one route per operation whatever the venue,
@@ -24,13 +24,13 @@ import (
 
 // serveRouter serves r on a loopback listener for the test's duration.
 func serveRouter(t testing.TB, r *Router) *Server {
+	testutil.SilenceLog(t)
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := Serve(ln, r)
-	s.Log = nil
 	t.Cleanup(func() { s.Close() })
 	return s
 }
@@ -161,8 +161,7 @@ func TestIngestLockNotHeldAcrossDurabilityWait(t *testing.T) {
 			}
 			var blocks []*ReplState
 			for _, sh := range r.lookup(tc.venue).shards {
-				rs := NewReplState(sh, ReplConfig{Self: "primary", MinSyncReplicas: 1, SyncTimeout: time.Minute})
-				rs.SetLogger(obs.Discard)
+				rs := NewReplState(sh, ReplConfig{Advertise: "primary", MinSyncReplicas: 1, SyncTimeout: time.Minute})
 				blocks = append(blocks, rs)
 			}
 			errc := make(chan error, 2)

@@ -17,7 +17,7 @@ func startVenueServer(t testing.TB) *Server {
 // dialVenue dials s with every request scoped to the named venue.
 func dialVenue(t testing.TB, s *Server, venue string) *Client {
 	t.Helper()
-	c, err := Dial(s.Addr().String(), WithLogger(nil), WithVenue(venue))
+	c, err := Dial(s.Addr().String(), WithVenue(venue))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +31,7 @@ func dialVenue(t testing.TB, s *Server, venue string) *Client {
 // context carries a deadline, so every request's header holds both options.
 func TestVenueIsolationOverWire(t *testing.T) {
 	s := startVenueServer(t)
-	c, err := Dial(s.Addr().String(), WithLogger(nil))
+	c, err := Dial(s.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,6 +9,8 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+
+	"visualprint/internal/obs"
 )
 
 // Streaming WAL reader: the replication primary's record source. A
@@ -202,7 +204,7 @@ func (r *WALReader) nextRecord() (payload []byte, seq uint64, err error) {
 		// corruption recovery itself will refuse; warn once per position.)
 		if r.warnedAt != r.next {
 			r.warnedAt = r.next
-			r.s.log.Warnf("store: reader: checksum mismatch at record %d (%s+%d); retrying as torn tail", r.next, segmentName(r.segFirst), r.off)
+			obs.Warnf("store: reader: checksum mismatch at record %d (%s+%d); retrying as torn tail", r.next, segmentName(r.segFirst), r.off)
 		}
 		return nil, 0, io.EOF
 	}

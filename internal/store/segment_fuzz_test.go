@@ -10,7 +10,7 @@ import (
 	"strings"
 	"testing"
 
-	"visualprint/internal/obs"
+	"visualprint/internal/testutil"
 )
 
 // allocated returns the bytes f allocates on the heap.
@@ -35,6 +35,7 @@ func hostileHeader() []byte {
 // the recovered records and the bytes Recover allocated.
 func recoverSegment(t *testing.T, body []byte) (*Store, [][]byte, uint64) {
 	t.Helper()
+	testutil.SilenceLog(t)
 	dir := t.TempDir()
 	f, _, err := createSegment(dir, 0, true)
 	if err != nil {
@@ -46,7 +47,7 @@ func recoverSegment(t *testing.T, body []byte) (*Store, [][]byte, uint64) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	s, err := Open(dir, Options{NoSync: true, Log: obs.Discard})
+	s, err := Open(dir, Options{NoSync: true})
 	if err != nil {
 		t.Fatal(err)
 	}

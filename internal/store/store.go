@@ -47,10 +47,6 @@ import (
 
 // Options configures a Store.
 type Options struct {
-	// Log receives recovery warnings (torn-tail truncation, discarded
-	// temp files, invalid snapshots). Defaults to the process logger
-	// (obs.Default); pass obs.Discard to silence.
-	Log *obs.Logger
 	// NoSync skips every fsync. Only for benchmarks and tests that model a
 	// lossy disk; a NoSync store offers no durability past the OS cache.
 	NoSync bool
@@ -86,7 +82,6 @@ type Metrics struct {
 // concurrent Appends (the server holds its database lock for both).
 type Store struct {
 	dir    string
-	log    *obs.Logger
 	noSync bool
 
 	wal     *wal
@@ -115,10 +110,6 @@ type Store struct {
 // discarding leftovers of a crashed snapshot. Recover must be called before
 // Append.
 func Open(dir string, opt Options) (*Store, error) {
-	lg := opt.Log
-	if lg == nil {
-		lg = obs.Default()
-	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
@@ -126,13 +117,13 @@ func Open(dir string, opt Options) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Store{dir: dir, log: lg, noSync: opt.NoSync, met: opt.Metrics}
+	s := &Store{dir: dir, noSync: opt.NoSync, met: opt.Metrics}
 	for _, e := range entries {
 		name := e.Name()
 		switch {
 		case filepath.Ext(name) == ".tmp":
 			// A snapshot that was being written when the process died.
-			lg.Warnf("store: removing incomplete temp file %s", name)
+			obs.Warnf("store: removing incomplete temp file %s", name)
 			if err := os.Remove(filepath.Join(dir, name)); err != nil {
 				return nil, err
 			}
@@ -146,7 +137,7 @@ func Open(dir string, opt Options) (*Store, error) {
 	}
 	sort.Slice(s.recoverSnaps, func(i, j int) bool { return s.recoverSnaps[i] > s.recoverSnaps[j] })
 	sort.Slice(s.recoverSegs, func(i, j int) bool { return s.recoverSegs[i] < s.recoverSegs[j] })
-	s.wal = newWAL(dir, opt.NoSync, lg, opt.Metrics)
+	s.wal = newWAL(dir, opt.NoSync, opt.Metrics)
 	return s, nil
 }
 
@@ -166,7 +157,7 @@ func (s *Store) Recover(load func(r io.Reader) error, replay func(payload []byte
 	for _, seq := range s.recoverSnaps {
 		path := filepath.Join(s.dir, snapshotName(seq))
 		if err := validateSnapshot(path, seq); err != nil {
-			s.log.Warnf("store: ignoring invalid snapshot %s: %v", snapshotName(seq), err)
+			obs.Warnf("store: ignoring invalid snapshot %s: %v", snapshotName(seq), err)
 			continue
 		}
 		if err := loadSnapshot(path, load); err != nil {
@@ -194,7 +185,7 @@ func (s *Store) Recover(load func(r io.Reader) error, replay func(payload []byte
 		if i > 0 && firstSeq != nextSeq {
 			return fmt.Errorf("store: wal segment gap: %s follows record %d", segmentName(firstSeq), nextSeq)
 		}
-		segNext, err := replaySegment(path, firstSeq, isLast, base, s.noSync, replay, s.log)
+		segNext, err := replaySegment(path, firstSeq, isLast, base, s.noSync, replay)
 		if err != nil {
 			return err
 		}
@@ -297,7 +288,7 @@ func (s *Store) Snapshot(write func(w io.Writer) error) error {
 func (s *Store) removeObsolete(seq uint64) {
 	entries, err := os.ReadDir(s.dir)
 	if err != nil {
-		s.log.Warnf("store: compaction cleanup: %v", err)
+		obs.Warnf("store: compaction cleanup: %v", err)
 		return
 	}
 	for _, e := range entries {
@@ -312,7 +303,7 @@ func (s *Store) removeObsolete(seq uint64) {
 		}
 		if stale {
 			if err := os.Remove(filepath.Join(s.dir, name)); err != nil {
-				s.log.Warnf("store: compaction cleanup %s: %v", name, err)
+				obs.Warnf("store: compaction cleanup %s: %v", name, err)
 			}
 		}
 	}

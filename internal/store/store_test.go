@@ -12,36 +12,22 @@ import (
 	"time"
 
 	"visualprint/internal/obs"
+	"visualprint/internal/testutil"
 )
 
-// logCapture collects warnings so tests can assert on recovery behavior.
-type logCapture struct {
-	mu    sync.Mutex
-	lines []string
-}
+// logCapture reads the process log captured for one test, so tests can
+// assert on recovery warnings.
+type logCapture func() string
 
-func (l *logCapture) logf(format string, args ...any) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.lines = append(l.lines, fmt.Sprintf(format, args...))
-}
+func captureLog(t *testing.T) logCapture { return logCapture(testutil.CaptureLog(t)) }
 
-func (l *logCapture) contains(sub string) bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	for _, s := range l.lines {
-		if strings.Contains(s, sub) {
-			return true
-		}
-	}
-	return false
-}
+func (l logCapture) contains(sub string) bool { return strings.Contains(l(), sub) }
 
 // openAndRecover opens dir and replays it into a slice of record payloads,
 // also returning any snapshot payload seen.
-func openAndRecover(t *testing.T, dir string, logf func(string, ...any)) (*Store, []byte, [][]byte) {
+func openAndRecover(t *testing.T, dir string) (*Store, []byte, [][]byte) {
 	t.Helper()
-	s, err := Open(dir, Options{Log: obs.FuncLogger(logf)})
+	s, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,8 +73,7 @@ func recordStrings(recs [][]byte) []string {
 
 func TestEmptyDirStartsEmpty(t *testing.T) {
 	dir := t.TempDir()
-	var lc logCapture
-	s, snap, recs := openAndRecover(t, dir, lc.logf)
+	s, snap, recs := openAndRecover(t, dir)
 	if snap != nil || len(recs) != 0 {
 		t.Fatalf("fresh dir recovered snap=%v recs=%v", snap, recs)
 	}
@@ -103,7 +88,7 @@ func TestEmptyDirStartsEmpty(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s2, snap, recs := openAndRecover(t, dir, lc.logf)
+	s2, snap, recs := openAndRecover(t, dir)
 	defer s2.Close()
 	if snap != nil {
 		t.Fatalf("unexpected snapshot")
@@ -118,8 +103,7 @@ func TestEmptyDirStartsEmpty(t *testing.T) {
 
 func TestSnapshotWithNoWALTail(t *testing.T) {
 	dir := t.TempDir()
-	var lc logCapture
-	s, _, _ := openAndRecover(t, dir, lc.logf)
+	s, _, _ := openAndRecover(t, dir)
 	appendAll(t, s, "a", "b")
 	if err := s.Snapshot(func(w io.Writer) error {
 		_, err := w.Write([]byte("STATE-AB"))
@@ -134,7 +118,7 @@ func TestSnapshotWithNoWALTail(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s2, snap, recs := openAndRecover(t, dir, lc.logf)
+	s2, snap, recs := openAndRecover(t, dir)
 	defer s2.Close()
 	if string(snap) != "STATE-AB" {
 		t.Fatalf("snapshot payload %q", snap)
@@ -152,8 +136,7 @@ func TestSnapshotWithNoWALTail(t *testing.T) {
 
 func TestSnapshotPlusTailReplay(t *testing.T) {
 	dir := t.TempDir()
-	var lc logCapture
-	s, _, _ := openAndRecover(t, dir, lc.logf)
+	s, _, _ := openAndRecover(t, dir)
 	appendAll(t, s, "a", "b")
 	if err := s.Snapshot(func(w io.Writer) error {
 		_, err := w.Write([]byte("STATE-AB"))
@@ -164,7 +147,7 @@ func TestSnapshotPlusTailReplay(t *testing.T) {
 	appendAll(t, s, "c", "d", "e")
 	s.Close()
 
-	s2, snap, recs := openAndRecover(t, dir, lc.logf)
+	s2, snap, recs := openAndRecover(t, dir)
 	defer s2.Close()
 	if string(snap) != "STATE-AB" {
 		t.Fatalf("snapshot payload %q", snap)
@@ -199,8 +182,8 @@ func activeSegment(t *testing.T, dir string) string {
 
 func TestTornTailRecordIsTruncated(t *testing.T) {
 	dir := t.TempDir()
-	var lc logCapture
-	s, _, _ := openAndRecover(t, dir, lc.logf)
+	lc := captureLog(t)
+	s, _, _ := openAndRecover(t, dir)
 	appendAll(t, s, "aaaa", "bbbb", "cccc")
 	s.Close()
 
@@ -214,12 +197,12 @@ func TestTornTailRecordIsTruncated(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s2, _, recs := openAndRecover(t, dir, lc.logf)
+	s2, _, recs := openAndRecover(t, dir)
 	if got := recordStrings(recs); len(got) != 2 || got[0] != "aaaa" || got[1] != "bbbb" {
 		t.Fatalf("recovered %v, want [aaaa bbbb]", got)
 	}
 	if !lc.contains("truncating wal") {
-		t.Fatalf("no truncation warning logged: %v", lc.lines)
+		t.Fatalf("no truncation warning logged: %v", lc())
 	}
 	if s2.Seq() != 2 {
 		t.Fatalf("seq = %d, want 2", s2.Seq())
@@ -228,7 +211,7 @@ func TestTornTailRecordIsTruncated(t *testing.T) {
 	// must survive another cycle.
 	appendAll(t, s2, "dddd")
 	s2.Close()
-	s3, _, recs := openAndRecover(t, dir, lc.logf)
+	s3, _, recs := openAndRecover(t, dir)
 	defer s3.Close()
 	if got := recordStrings(recs); len(got) != 3 || got[2] != "dddd" {
 		t.Fatalf("after repair: %v", got)
@@ -237,8 +220,8 @@ func TestTornTailRecordIsTruncated(t *testing.T) {
 
 func TestCorruptTailChecksumIsTruncated(t *testing.T) {
 	dir := t.TempDir()
-	var lc logCapture
-	s, _, _ := openAndRecover(t, dir, lc.logf)
+	lc := captureLog(t)
+	s, _, _ := openAndRecover(t, dir)
 	appendAll(t, s, "aaaa", "bbbb", "cccc")
 	s.Close()
 
@@ -253,20 +236,20 @@ func TestCorruptTailChecksumIsTruncated(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s2, _, recs := openAndRecover(t, dir, lc.logf)
+	s2, _, recs := openAndRecover(t, dir)
 	defer s2.Close()
 	if got := recordStrings(recs); len(got) != 2 || got[1] != "bbbb" {
 		t.Fatalf("recovered %v, want [aaaa bbbb]", got)
 	}
 	if !lc.contains("checksum mismatch") {
-		t.Fatalf("no checksum warning logged: %v", lc.lines)
+		t.Fatalf("no checksum warning logged: %v", lc())
 	}
 }
 
 func TestCrashMidSnapshotLeavesTempIgnored(t *testing.T) {
 	dir := t.TempDir()
-	var lc logCapture
-	s, _, _ := openAndRecover(t, dir, lc.logf)
+	lc := captureLog(t)
+	s, _, _ := openAndRecover(t, dir)
 	appendAll(t, s, "a", "b")
 	s.Close()
 
@@ -276,7 +259,7 @@ func TestCrashMidSnapshotLeavesTempIgnored(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s2, snap, recs := openAndRecover(t, dir, lc.logf)
+	s2, snap, recs := openAndRecover(t, dir)
 	defer s2.Close()
 	if snap != nil {
 		t.Fatalf("loaded a snapshot from garbage: %q", snap)
@@ -288,14 +271,14 @@ func TestCrashMidSnapshotLeavesTempIgnored(t *testing.T) {
 		t.Fatalf("temp file not removed: %v", err)
 	}
 	if !lc.contains("incomplete temp file") {
-		t.Fatalf("no temp-file warning: %v", lc.lines)
+		t.Fatalf("no temp-file warning: %v", lc())
 	}
 }
 
 func TestCorruptSnapshotWithRotatedWALIsUnrecoverable(t *testing.T) {
 	dir := t.TempDir()
-	var lc logCapture
-	s, _, _ := openAndRecover(t, dir, lc.logf)
+	lc := captureLog(t)
+	s, _, _ := openAndRecover(t, dir)
 	appendAll(t, s, "a", "b")
 	if err := s.Snapshot(func(w io.Writer) error {
 		_, err := w.Write(bytes.Repeat([]byte("x"), 256))
@@ -318,7 +301,7 @@ func TestCorruptSnapshotWithRotatedWALIsUnrecoverable(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s2, err := Open(dir, Options{Log: obs.FuncLogger(lc.logf)})
+	s2, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,14 +310,13 @@ func TestCorruptSnapshotWithRotatedWALIsUnrecoverable(t *testing.T) {
 		t.Fatalf("Recover = %v, want unrecoverable-gap error", err)
 	}
 	if !lc.contains("ignoring invalid snapshot") {
-		t.Fatalf("no invalid-snapshot warning: %v", lc.lines)
+		t.Fatalf("no invalid-snapshot warning: %v", lc())
 	}
 }
 
 func TestCompactionDeletesObsoleteFiles(t *testing.T) {
 	dir := t.TempDir()
-	var lc logCapture
-	s, _, _ := openAndRecover(t, dir, lc.logf)
+	s, _, _ := openAndRecover(t, dir)
 	appendAll(t, s, "a", "b", "c")
 	snapFn := func(w io.Writer) error { _, err := w.Write([]byte("S")); return err }
 	if err := s.Snapshot(snapFn); err != nil {
@@ -366,8 +348,7 @@ func TestCompactionDeletesObsoleteFiles(t *testing.T) {
 
 func TestSnapshotNoNewRecordsIsNoop(t *testing.T) {
 	dir := t.TempDir()
-	var lc logCapture
-	s, _, _ := openAndRecover(t, dir, lc.logf)
+	s, _, _ := openAndRecover(t, dir)
 	defer s.Close()
 	appendAll(t, s, "a")
 	calls := 0
@@ -388,8 +369,7 @@ func TestSnapshotNoNewRecordsIsNoop(t *testing.T) {
 // must survive — rotating it onto itself was once an error.
 func TestSnapshotOnFreshStore(t *testing.T) {
 	dir := t.TempDir()
-	var lc logCapture
-	s, _, _ := openAndRecover(t, dir, lc.logf)
+	s, _, _ := openAndRecover(t, dir)
 	fn := func(w io.Writer) error { _, err := w.Write([]byte("EMPTY")); return err }
 	if err := s.Snapshot(fn); err != nil {
 		t.Fatal(err)
@@ -399,7 +379,7 @@ func TestSnapshotOnFreshStore(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	s2, loaded, replayed := openAndRecover(t, dir, lc.logf)
+	s2, loaded, replayed := openAndRecover(t, dir)
 	defer s2.Close()
 	if string(loaded) != "EMPTY" {
 		t.Fatalf("loaded %q", loaded)
@@ -411,8 +391,7 @@ func TestSnapshotOnFreshStore(t *testing.T) {
 
 func TestGroupCommitSharesFsyncs(t *testing.T) {
 	dir := t.TempDir()
-	var lc logCapture
-	s, _, _ := openAndRecover(t, dir, lc.logf)
+	s, _, _ := openAndRecover(t, dir)
 	defer s.Close()
 
 	// Stretch each commit so that appends issued while one batch is being
@@ -443,7 +422,7 @@ func TestGroupCommitSharesFsyncs(t *testing.T) {
 }
 
 func TestAppendBeforeRecoverFails(t *testing.T) {
-	s, err := Open(t.TempDir(), Options{Log: obs.Discard})
+	s, err := Open(t.TempDir(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -454,8 +433,7 @@ func TestAppendBeforeRecoverFails(t *testing.T) {
 
 func TestAppendOrderIsReplayOrder(t *testing.T) {
 	dir := t.TempDir()
-	var lc logCapture
-	s, _, _ := openAndRecover(t, dir, lc.logf)
+	s, _, _ := openAndRecover(t, dir)
 	var mu sync.Mutex
 	var order []string
 	var wg sync.WaitGroup
@@ -479,7 +457,7 @@ func TestAppendOrderIsReplayOrder(t *testing.T) {
 	wg.Wait()
 	s.Close()
 
-	s2, _, recs := openAndRecover(t, dir, lc.logf)
+	s2, _, recs := openAndRecover(t, dir)
 	defer s2.Close()
 	got := recordStrings(recs)
 	if len(got) != len(order) {
@@ -500,8 +478,8 @@ func TestAppendOrderIsReplayOrder(t *testing.T) {
 // must land and recovery must reproduce the state without warnings.
 func TestConcurrentSnapshots(t *testing.T) {
 	dir := t.TempDir()
-	var lc logCapture
-	s, _, _ := openAndRecover(t, dir, lc.logf)
+	lc := captureLog(t)
+	s, _, _ := openAndRecover(t, dir)
 	appendAll(t, s, "a", "b", "c")
 
 	state := []byte("state-after-abc")
@@ -534,7 +512,7 @@ func TestConcurrentSnapshots(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s2, snap, recs := openAndRecover(t, dir, lc.logf)
+	s2, snap, recs := openAndRecover(t, dir)
 	defer s2.Close()
 	if !bytes.Equal(snap, state) {
 		t.Fatalf("recovered snapshot %q, want %q", snap, state)
@@ -543,7 +521,7 @@ func TestConcurrentSnapshots(t *testing.T) {
 		t.Fatalf("unexpected replayed records %v", recordStrings(recs))
 	}
 	if lc.contains("invalid snapshot") {
-		t.Fatalf("recovery skipped a corrupt snapshot: %v", lc.lines)
+		t.Fatalf("recovery skipped a corrupt snapshot: %v", lc())
 	}
 }
 
@@ -551,13 +529,13 @@ func TestConcurrentSnapshots(t *testing.T) {
 // reports the recovered active segment before the first new append.
 func TestWALBytesGaugeAfterRecovery(t *testing.T) {
 	dir := t.TempDir()
-	s, _, _ := openAndRecover(t, dir, t.Logf)
+	s, _, _ := openAndRecover(t, dir)
 	appendAll(t, s, "alpha", "beta")
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
 	walBytes := obs.NewRegistry().Gauge("wal_bytes")
-	s, err := Open(dir, Options{Log: obs.FuncLogger(t.Logf), Metrics: Metrics{WALBytes: walBytes}})
+	s, err := Open(dir, Options{Metrics: Metrics{WALBytes: walBytes}})
 	if err != nil {
 		t.Fatal(err)
 	}

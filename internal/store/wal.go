@@ -67,7 +67,6 @@ func failedCommit(err error) *Commit {
 type wal struct {
 	dir    string
 	noSync bool
-	log    *obs.Logger
 
 	// Instruments, fixed at construction; nil instruments are no-ops.
 	fsyncNs      *obs.Histogram
@@ -94,9 +93,9 @@ type wal struct {
 	testSyncDelay time.Duration
 }
 
-func newWAL(dir string, noSync bool, lg *obs.Logger, m Metrics) *wal {
+func newWAL(dir string, noSync bool, m Metrics) *wal {
 	w := &wal{
-		dir: dir, noSync: noSync, log: lg, done: make(chan struct{}),
+		dir: dir, noSync: noSync, done: make(chan struct{}),
 		fsyncNs: m.FsyncNs, batchRecords: m.BatchRecords, walBytes: m.WALBytes,
 	}
 	w.cond = sync.NewCond(&w.mu)
@@ -340,7 +339,7 @@ func (w *wal) syncCount() int64 {
 // would silently drop records that later segments build on).
 //
 // It returns the sequence after the last intact record.
-func replaySegment(path string, firstSeq uint64, isLast bool, base uint64, noSync bool, replay func(payload []byte) error, lg *obs.Logger) (nextSeq uint64, err error) {
+func replaySegment(path string, firstSeq uint64, isLast bool, base uint64, noSync bool, replay func(payload []byte) error) (nextSeq uint64, err error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return 0, err
@@ -371,7 +370,7 @@ func replaySegment(path string, firstSeq uint64, isLast bool, base uint64, noSyn
 		if !isLast {
 			return fmt.Errorf("store: wal segment %s corrupt at offset %d (%s) with later segments present", filepath.Base(path), offset, reason)
 		}
-		lg.Warnf("store: truncating wal %s at offset %d (%s): dropping %d trailing bytes",
+		obs.Warnf("store: truncating wal %s at offset %d (%s): dropping %d trailing bytes",
 			filepath.Base(path), offset, reason, fileSize-offset)
 		f.Close()
 		if err := os.Truncate(path, offset); err != nil {

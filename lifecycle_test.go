@@ -188,7 +188,7 @@ func TestMetricNamesFixedAtConstruction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := Connect(addr.String(), WithClientLogger(nil))
+	c, err := Connect(addr.String())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,7 +43,7 @@ func TestOracleSyncOverPublicAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := Connect(addr.String(), WithClientLogger(nil))
+	c, err := Connect(addr.String())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,6 @@ package visualprint
 import (
 	"context"
 	"errors"
-	"io"
 	"net"
 	"net/http"
 	"os"
@@ -126,28 +125,7 @@ func WithVenueShards(venue string, shards int) ServerOption {
 // the server's default venue, and a replicated server serves nothing else:
 // an ingest into or a query of a named venue answers ErrVenueNotReplicated.
 // It requires a durable server (OpenData before Listen).
-type ReplicationOptions struct {
-	// Advertise is the address fleet peers and redirected clients reach
-	// this node at (the bind address is often ":0" or a wildcard, so it
-	// cannot be inferred). Required.
-	Advertise string
-	// Primary, when non-empty, starts the node as a replica of that
-	// address. Empty starts it as the primary.
-	Primary string
-	// MinSyncReplicas, when > 0, makes the primary semi-synchronous: an
-	// ingest is acknowledged only once that many replicas confirmed it
-	// durable — the failover guarantee that a promoted replica holds every
-	// acknowledged write as long as fewer than MinSyncReplicas replicas die
-	// with the primary. 0 acknowledges on local durability alone.
-	MinSyncReplicas int
-	// SyncTimeout bounds the semi-sync wait (default 5s); expiry fails the
-	// ingest with ErrReplSyncTimeout (the write is locally durable but
-	// under-replicated).
-	SyncTimeout time.Duration
-	// MaxStaleness is how long a replica serves reads after losing contact
-	// with its primary before redirecting clients to it (default 3s).
-	MaxStaleness time.Duration
-}
+type ReplicationOptions = server.ReplConfig
 
 // WithReplication enrolls the server in a replication fleet. Replication
 // covers only the default venue, so a replicated server is a default-venue
@@ -188,13 +166,7 @@ func NewServer(cfg ServerConfig, opts ...ServerOption) (*Server, error) {
 	}
 	s := &Server{router: router, netOpts: so.net}
 	if so.repl != nil {
-		s.rs = server.NewReplState(router.Default(), server.ReplConfig{
-			Self:            so.repl.Advertise,
-			Primary:         so.repl.Primary,
-			MinSyncReplicas: so.repl.MinSyncReplicas,
-			SyncTimeout:     so.repl.SyncTimeout,
-			MaxStaleness:    so.repl.MaxStaleness,
-		})
+		s.rs = server.NewReplState(router.Default(), *so.repl)
 	}
 	return s, nil
 }
@@ -259,7 +231,7 @@ func (s *Server) ServeDebug(addr string) (net.Addr, error) {
 	}
 	go func(srv *http.Server) {
 		if err := srv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
-			obs.Default().Warnf("visualprint debug listener: %v", err)
+			obs.Warnf("visualprint debug listener: %v", err)
 		}
 	}(s.debug)
 	return ln.Addr(), nil
@@ -427,26 +399,8 @@ func WithRetryPolicy(p RetryPolicy) DialOption { return server.WithRetryPolicy(p
 // several venues dials a client for each.
 func WithVenue(name string) DialOption { return server.WithVenue(name) }
 
-// WithClientLogger routes the client's connection-lifecycle messages
-// (redials, redirects) to l; nil silences them.
-func WithClientLogger(l *Logger) DialOption { return server.WithLogger(l) }
-
-// Logger is the level-tagged logger used across the library; build one
-// with NewLogger or install a process-wide default with SetLogLevel.
-type Logger = obs.Logger
-
-// NewLogger builds a Logger writing level-tagged lines to w at the given
-// minimum level: "debug", "info", "warn" or "error".
-func NewLogger(w io.Writer, level string) (*Logger, error) {
-	lv, err := obs.ParseLevel(level)
-	if err != nil {
-		return nil, err
-	}
-	return obs.New(w, lv), nil
-}
-
 // Connect dials a VisualPrint server. It is the one client constructor: the
-// full options set (dial timeout, retry policy, venue scoping, logging) is
+// full options set (dial timeout, retry policy, venue scoping) is
 // expressed as DialOptions, and the returned Client multiplexes requests
 // over a single connection, reconnecting transparently when the transport
 // drops between requests.
@@ -541,10 +495,10 @@ var (
 	ErrVenueNotReplicated = server.ErrVenueNotReplicated
 )
 
-// SetLogLevel replaces the process-wide default logger (used by servers,
-// databases and stores whose owner never installed one) with one writing
-// level-tagged lines to stderr at the given minimum level: "debug",
-// "info", "warn" or "error".
+// SetLogLevel replaces the process logger — the one logger every server,
+// store, client, replication node and sentinel in the process writes to —
+// with one writing level-tagged lines to stderr at the given minimum level:
+// "debug", "info", "warn" or "error".
 func SetLogLevel(level string) error {
 	lv, err := obs.ParseLevel(level)
 	if err != nil {
