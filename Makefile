@@ -26,7 +26,8 @@ verify:
 # plus the replication stream's WALReader on one segment (FuzzWALSegment,
 # store); and the VPDB2 database snapshot a shard recovers from and a replica
 # full-syncs from (FuzzSnapshot, server); and the SSE2 descriptor-distance
-# kernel against its scalar reference (FuzzSqLimit, dist). New inputs go to the Go build cache; a crasher is written under
+# kernel against its scalar reference (FuzzSqLimit, dist) and the pose
+# objective's pair-sum kernel against its Go loop (FuzzPairSum, pose). New inputs go to the Go build cache; a crasher is written under
 # the package's testdata/fuzz and should be committed with its fix. Minimizing each new corpus entry is capped at 1 s:
 # the default (60 s) can spend a whole 10 s budget shrinking one input.
 fuzz-short:

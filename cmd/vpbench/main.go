@@ -83,7 +83,7 @@ func main() {
 		writeCSV(*csvDir, er)
 	}
 	run("fig14", bench.Fig14UploadTrace)
-	run("extra-latency", bench.ExtraLatencyTail)
+	run("extra-latency", func(bench.Scale) (*bench.Experiment, error) { return bench.ExtraLatencyTail() })
 	run("fig15", bench.Fig15Memory)
 	run("fig16", bench.Fig16Latency)
 	run("fig18", bench.Fig18Energy)

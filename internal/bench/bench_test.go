@@ -252,7 +252,7 @@ func TestFig14UploadTraceShape(t *testing.T) {
 }
 
 func TestExtraLatencyTailShape(t *testing.T) {
-	e, err := ExtraLatencyTail(Quick())
+	e, err := ExtraLatencyTail()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -257,7 +257,7 @@ func Fig14UploadTrace(sc Scale) (*Experiment, error) {
 // frame offload far more than fingerprint offload. Both payloads ride the
 // same Gilbert-Elliott variable channel; the CDFs of per-query upload
 // completion time show the frame upload's heavy tail.
-func ExtraLatencyTail(sc Scale) (*Experiment, error) {
+func ExtraLatencyTail() (*Experiment, error) {
 	e := &Experiment{
 		ID: "extra-latency", Title: "Per-query upload latency CDF on a variable channel",
 		XLabel: "latency (s)", YLabel: "CDF",
@@ -291,6 +291,5 @@ func ExtraLatencyTail(sc Scale) (*Experiment, error) {
 	e.AddCDF("Frame Upload (PNG)", toSecs(frame))
 	e.Notef("medians: fingerprint %.2f s, frame %.2f s; tails diverge much further",
 		e.MedianOf("VisualPrint (200 kp)"), e.MedianOf("Frame Upload (PNG)"))
-	_ = sc
 	return e, nil
 }

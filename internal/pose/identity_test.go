@@ -60,18 +60,28 @@ func referenceResidual(rp *refPair, x, y, z float64) float64 {
 	return e
 }
 
-// pairResidual evaluates one pair through the production objective.
-func pairResidual(rp refPair, x, y, z float64) float64 {
-	pr := problem{
-		pts:   []mathx.Vec3{rp.pi, rp.pj},
-		pairs: []pairGeometry{{ia: 0, ib: 1, g3: rp.g3, gx: rp.gx}},
+// pairResidual evaluates one pair through the production objective, in
+// lane 0 or lane 1 of its two-pair kernel beside a pair whose residual is
+// exactly 0, so the objective is the pair's residual. The zero pair joins a
+// point three metres off to itself: its observed angles are those its own
+// directions give, so both of its terms vanish.
+func pairResidual(rp refPair, lane int, x, y, z float64) float64 {
+	far := mathx.Vec3{X: x + 3, Y: y + 1, Z: z + 2}
+	var d ptDir
+	d.direction(far, x, y, z)
+	zero := pairGeometry{ia: 2, ib: 2, g3: acos(d.ux*d.ux + d.uy*d.uy + d.uz*d.uz), gx: acos(d.hx*d.hx + d.hz*d.hz)}
+	pairs := []pairGeometry{{ia: 0, ib: 1, g3: rp.g3, gx: rp.gx}, zero}
+	if lane == 1 {
+		pairs[0], pairs[1] = pairs[1], pairs[0]
 	}
-	return pr.objective([3]float64{x, y, z}, make([]ptDir, 2), math.Inf(1))
+	pr := problem{pts: []mathx.Vec3{rp.pi, rp.pj, far}, pairs: pairs}
+	return pr.objective([3]float64{x, y, z}, make([]ptDir, 3), math.Inf(1))
 }
 
-// TestResidualMatchesReference: production vs reference residual, compared
-// by exact float64 bits over a broad random sweep including degenerate
-// (camera-on-point and camera-above-point) positions.
+// TestResidualMatchesReference: production vs reference residual, in each
+// lane of the objective's kernel, compared by exact float64 bits over a
+// broad random sweep including degenerate (camera-on-point and
+// camera-above-point) positions.
 func TestResidualMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(52))
 	for trial := 0; trial < 5000; trial++ {
@@ -90,11 +100,13 @@ func TestResidualMatchesReference(t *testing.T) {
 		default:
 			x, y, z = rng.Float64()*24-12, rng.Float64()*4, rng.Float64()*24-12
 		}
-		got := pairResidual(rp, x, y, z)
-		want := referenceResidual(&rp, x, y, z)
-		if math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("trial %d: residual %x (%v) != reference %x (%v)",
-				trial, math.Float64bits(got), got, math.Float64bits(want), want)
+		for lane := 0; lane < 2; lane++ {
+			got := pairResidual(rp, lane, x, y, z)
+			want := referenceResidual(&rp, x, y, z)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("trial %d: residual %x (%v) != reference %x (%v)",
+					trial, math.Float64bits(got), got, math.Float64bits(want), want)
+			}
 		}
 	}
 }
@@ -342,38 +354,35 @@ func TestLocalizeDeadlineStillBounds(t *testing.T) {
 
 // generationFixture sets up one generation's worth of state the way
 // LocalizeContext does — an 80-correspondence problem capped at 300 pairs, a
-// 48-member population and a trial per member — and returns the one-worker
-// batch evaluator over it. The correspondences are consistent and the trials
-// sit within half a metre of the true camera, the regime a solve spends most
-// generations in: nearly every pair runs both arccos terms, as 98 % do in a
-// benchmark query.
-func generationFixture() (evaluate func(), trialCost []float64) {
+// 48-member population and a trial per member — and returns the problem, its
+// direction scratch and the trials. The correspondences are consistent and
+// the trials sit within half a metre of the true camera, the regime a solve
+// spends most generations in: nearly every pair runs both arccos terms, as
+// 98 % do in a benchmark query.
+func generationFixture() (*problem, []ptDir, [][3]float64) {
 	corr, intr, _, _, cam := warmScenario(80)
 	rng := rand.New(rand.NewSource(17))
 	pr := newProblem(corr, intr, 300, rng)
-	dirs := make([]ptDir, len(pr.pts))
-	const popSize = 48
-	sample := func() [3]float64 {
-		return [3]float64{
+	trials := make([][3]float64, 48)
+	for i := range trials {
+		trials[i] = [3]float64{
 			cam.X + rng.Float64() - 0.5,
 			cam.Y + rng.Float64() - 0.5,
 			cam.Z + rng.Float64() - 0.5,
 		}
 	}
-	cost := make([]float64, popSize)
-	trials := make([][3]float64, popSize)
-	for i := range trials {
-		cost[i] = math.Inf(1) // every trial is summed in full
-		trials[i] = sample()
-	}
-	trialCost = make([]float64, popSize)
-	return newBatchEvaluator(1, &pr, dirs, trials, trialCost, cost), trialCost
+	return &pr, make([]ptDir, len(pr.pts)), trials
 }
 
 // TestEvaluateZeroAllocs: the direction scratch is allocated once per solve,
 // so evaluating a generation allocates nothing.
 func TestEvaluateZeroAllocs(t *testing.T) {
-	evaluate, _ := generationFixture()
+	pr, dirs, trials := generationFixture()
+	cost := make([]float64, len(trials))
+	for i := range cost {
+		cost[i] = math.Inf(1)
+	}
+	evaluate := newBatchEvaluator(1, pr, dirs, trials, make([]float64, len(trials)), cost)
 	if n := testing.AllocsPerRun(20, evaluate); n != 0 {
 		t.Fatalf("one generation's evaluate() allocates %v times, want 0", n)
 	}
@@ -381,15 +390,33 @@ func TestEvaluateZeroAllocs(t *testing.T) {
 
 // BenchmarkObjective300Pairs times one generation with no early abort: 48
 // trials x (80 directions + 300 residuals), the loop a cold solve runs ~44
-// times.
+// times. asm sums the pairs as the objective does, through the kernel on
+// amd64; generic sums them in the Go loop.
 func BenchmarkObjective300Pairs(b *testing.B) {
-	evaluate, trialCost := generationFixture()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		evaluate()
-	}
-	if trialCost[0] <= 0 {
-		b.Fatal("evaluate produced no cost")
+	pr, dirs, trials := generationFixture()
+	for _, bc := range []struct {
+		name string
+		sum  func(pairs []pairGeometry, dirs []ptDir, limit float64) float64
+	}{
+		{"asm", pairSum},
+		{"generic", func(pairs []pairGeometry, dirs []ptDir, limit float64) float64 {
+			return pairSumGeneric(pairs, dirs, 0, limit)
+		}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var cost float64
+			for i := 0; i < b.N; i++ {
+				for _, v := range trials {
+					for j, p := range pr.pts {
+						dirs[j].direction(p, v[0], v[1], v[2])
+					}
+					cost = bc.sum(pr.pairs, dirs, math.Inf(1))
+				}
+			}
+			if cost <= 0 {
+				b.Fatal("evaluate produced no cost")
+			}
+		})
 	}
 }

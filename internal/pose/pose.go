@@ -84,13 +84,19 @@ type pairGeometry struct {
 // ptDir is one point's direction from a trial camera position: the unit 3D
 // vector and the unit vector of its X/Z-plane projection. A pair's two
 // cosines are then plain dot products — no square root, no division. ok3/okx
-// are false when the camera sits (numerically) on the point or directly
-// above or below it, where the direction is undefined.
+// are all ones (dirOK) when the direction is defined and zero when the camera
+// sits (numerically) on the point or directly above or below it. As masks,
+// a pair's two endpoints AND into the pair's flag, in residual and in each
+// lane of pairSum2 alike. pairSum2 loads (ux, uy), (uz, hx) and (ok3, okx)
+// as 16-byte pairs, so the field order is part of the kernel's contract.
 type ptDir struct {
 	ux, uy, uz float64
 	hx, hz     float64
-	ok3, okx   bool
+	ok3, okx   uint64
 }
+
+// dirOK is ptDir's flag of a defined direction.
+const dirOK = ^uint64(0)
 
 // minRangeSq is the squared camera-to-point range at or below which a
 // direction counts as degenerate; the term it enters is then pi, the worst
@@ -105,11 +111,11 @@ func (d *ptDir) direction(p mathx.Vec3, x, y, z float64) {
 	*d = ptDir{}
 	if r3 > minRangeSq {
 		inv := 1 / math.Sqrt(r3)
-		d.ux, d.uy, d.uz, d.ok3 = dx*inv, dy*inv, dz*inv, true
+		d.ux, d.uy, d.uz, d.ok3 = dx*inv, dy*inv, dz*inv, dirOK
 	}
 	if rx > minRangeSq {
 		inv := 1 / math.Sqrt(rx)
-		d.hx, d.hz, d.okx = dx*inv, dz*inv, true
+		d.hx, d.hz, d.okx = dx*inv, dz*inv, dirOK
 	}
 }
 
@@ -119,9 +125,13 @@ func (d *ptDir) direction(p mathx.Vec3, x, y, z float64) {
 // The absolute error is at most 2.2e-8 rad (at x = 0, where the two branches
 // meet with a 4.4e-8 step down — the function stays non-increasing), five
 // orders of magnitude below the 4e-3 rad one pixel subtends at 240 px / 60
-// degrees. acos(1) is exactly 0 and acos(-1) exactly math.Pi. It costs one
-// square root and seven multiply-adds — a fraction of math.Acos, which is
-// pure Go on amd64 — and the objective calls it twice per pair per trial.
+// degrees. acos(1) is exactly 0 and acos(-1) exactly math.Pi; a NaN passes
+// the clamp and comes out NaN. It costs one square root and seven
+// multiply-adds — a fraction of math.Acos, which is pure Go on amd64 — and
+// the objective calls it twice per pair per trial. The ACOS macro of
+// residual_amd64.s is this function two lanes at a time, step for step: the
+// clamp a MINPD, the reflection a select on x < 0. An edit here is an edit
+// there; TestPairSumMatchesGeneric holds the two together.
 func acos(x float64) float64 {
 	ax := math.Abs(x)
 	if ax > 1 {
@@ -149,17 +159,21 @@ const residualCap = 0.5
 // residual returns the pair's truncated angular error given its endpoints'
 // directions from the trial position: the full-3D-angle term plus half the
 // paper's azimuthal (X/Z plane) term. Both terms are non-negative, so once
-// the 3D term alone reaches the cap the azimuthal one is skipped.
+// the 3D term alone reaches the cap the azimuthal one is skipped. This is
+// the generic twin of pairSum2's lanes (residual_amd64.s), which compute
+// both terms always and turn each branch here into a mask select: the
+// degenerate flags, the early return at the cap (so a NaN in the skipped
+// term cannot leak) and the final cap, which is a MINPD.
 func (pg *pairGeometry) residual(a, b *ptDir) float64 {
 	e3 := math.Pi // worst case when degenerate
-	if a.ok3 && b.ok3 {
+	if a.ok3&b.ok3 != 0 {
 		e3 = math.Abs(acos(a.ux*b.ux+a.uy*b.uy+a.uz*b.uz) - pg.g3)
 	}
 	if e3 >= residualCap {
 		return residualCap
 	}
 	ex := math.Pi
-	if a.okx && b.okx {
+	if a.okx&b.okx != 0 {
 		ex = math.Abs(acos(a.hx*b.hx+a.hz*b.hz) - pg.gx)
 	}
 	e := e3 + 0.5*ex
@@ -285,13 +299,22 @@ func (r Result) Generations() int { return r.Evals / dePopSize }
 // typical late-generation losing trial costs a fraction of a full
 // evaluation. Winning trials (sum stays below limit throughout) are summed
 // in full, in pair order — bit-identical to the unconditional evaluation.
+// A dirs shorter than pr.pts panics in the direction loop, before any pair
+// is read.
 func (pr *problem) objective(v [3]float64, dirs []ptDir, limit float64) float64 {
 	for i, p := range pr.pts {
 		dirs[i].direction(p, v[0], v[1], v[2])
 	}
-	var s float64
-	for k := range pr.pairs {
-		pg := &pr.pairs[k]
+	return pairSum(pr.pairs, dirs, limit)
+}
+
+// pairSumGeneric adds the residuals of pairs to s in pair order and returns
+// the sum as soon as it reaches limit, or after the last pair. It is the
+// generic twin of the amd64 kernel pairSum2: it runs an odd last pair there
+// and every pair elsewhere, and it is the kernel's parity reference.
+func pairSumGeneric(pairs []pairGeometry, dirs []ptDir, s, limit float64) float64 {
+	for k := range pairs {
+		pg := &pairs[k]
 		s += pg.residual(&dirs[pg.ia], &dirs[pg.ib])
 		if s >= limit {
 			return s

@@ -81,7 +81,7 @@ func TestResidualZeroAtTruePosition(t *testing.T) {
 		ai := math.Atan2(pi.X-cam.X, pi.Z-cam.Z)
 		aj := math.Atan2(pj.X-cam.X, pj.Z-cam.Z)
 		gx := math.Abs(math.Mod(ai-aj+3*math.Pi, 2*math.Pi) - math.Pi)
-		if r := pairResidual(refPair{pi: pi, pj: pj, g3: g3, gx: gx}, cam.X, cam.Y, cam.Z); r > 2*acosErrBound {
+		if r := pairResidual(refPair{pi: pi, pj: pj, g3: g3, gx: gx}, 0, cam.X, cam.Y, cam.Z); r > 2*acosErrBound {
 			t.Fatalf("trial %d: residual %g at the true position", trial, r)
 		}
 	}
@@ -96,7 +96,7 @@ func TestResidualNonNegativeAndCapped(t *testing.T) {
 		g3: 0.3, gx: 0.2,
 	}
 	f := func(x, y, z float64) bool {
-		r := pairResidual(rp, math.Mod(x, 50), math.Mod(y, 5), math.Mod(z, 50))
+		r := pairResidual(rp, 0, math.Mod(x, 50), math.Mod(y, 5), math.Mod(z, 50))
 		return r >= 0 && r <= residualCap
 	}
 	if err := quick.Check(f, nil); err != nil {

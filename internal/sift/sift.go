@@ -197,8 +197,9 @@ type candidate struct {
 func detectLevel(gauss []*imaging.Gray, o, l int, cfg Config) []Keypoint {
 	cands := extrema(gauss, l, cfg)
 	img := gauss[l+1] // the Gaussian level nearest the extrema's scale
+	weights := oriWeights(levelSigma(l))
 	peaks := make([]oriPeaks, len(cands))
-	par.For(len(cands), func(i int) { peaks[i] = orientations(img, cands[i]) })
+	par.For(len(cands), func(i int) { peaks[i] = orientations(img, cands[i], weights) })
 	first := make([]int, len(cands)+1) // first[i]: slot of candidate i's first keypoint
 	for i, pk := range peaks {
 		first[i+1] = first[i] + pk.n
@@ -226,8 +227,7 @@ func detectLevel(gauss []*imaging.Gray, o, l int, cfg Config) []Keypoint {
 // levels 0..l+2 are gauss, row by row.
 func extrema(gauss []*imaging.Gray, l int, cfg Config) []candidate {
 	var out []candidate
-	k := math.Pow(2, 1/float64(scalesPerOctave))
-	sigma := baseSigma * math.Pow(k, float64(l))
+	sigma := levelSigma(l)
 	edgeLimit := (edgeRatio + 1) * (edgeRatio + 1) / edgeRatio
 	// DoG level l is gauss[l+1] - gauss[l].
 	d0, d1, d2 := dog{gauss[l], gauss[l-1]}, dog{gauss[l+1], gauss[l]}, dog{gauss[l+2], gauss[l+1]}
@@ -263,6 +263,12 @@ func extrema(gauss []*imaging.Gray, l int, cfg Config) []candidate {
 		}
 	}
 	return out
+}
+
+// levelSigma is the scale, within its octave, of DoG level l's extrema.
+func levelSigma(l int) float64 {
+	k := math.Pow(2, 1/float64(scalesPerOctave))
+	return baseSigma * math.Pow(k, float64(l))
 }
 
 // dog is one difference-of-Gaussian image, hi - lo, read pixel by pixel.
@@ -328,16 +334,38 @@ type oriPeaks struct {
 	n     int
 }
 
+// oriRadius is the half-width of the orientation window at scale sigma:
+// three times the window's Gaussian sigma, 1.5·sigma.
+func oriRadius(sigma float64) int {
+	sigmaW := 1.5 * sigma
+	return int(math.Round(3 * sigmaW))
+}
+
+// oriWeights returns the orientation window's Gaussian weights at scale
+// sigma, indexed by a pixel's squared offset dx²+dy² from the centre. A
+// weight depends only on that integer and on sigma, which every candidate
+// of a DoG level shares, so one table of 2·radius²+1 math.Exp calls per
+// level stands in for one call per window pixel, with the same bits.
+func oriWeights(sigma float64) []float64 {
+	sigmaW := 1.5 * sigma
+	radius := oriRadius(sigma)
+	inv2s2 := -1 / (2 * sigmaW * sigmaW)
+	w := make([]float64, 2*radius*radius+1)
+	for q := range w {
+		w[q] = math.Exp(float64(q) * inv2s2)
+	}
+	return w
+}
+
 // orientations computes the dominant gradient orientation(s) of a candidate
 // in its Gaussian level img from a Gaussian-weighted 36-bin histogram;
 // peaks within 80% of the maximum each produce a keypoint, per Lowe, in bin
 // order up to maxPeaks. A candidate without a peak gets orientation 0.
-func orientations(img *imaging.Gray, c candidate) oriPeaks {
+// weights is oriWeights(c.sigma).
+func orientations(img *imaging.Gray, c candidate, weights []float64) oriPeaks {
 	var hist [oriBins]float64
-	sigmaW := 1.5 * c.sigma
-	radius := int(math.Round(3 * sigmaW))
+	radius := oriRadius(c.sigma)
 	cx, cy := int(math.Round(c.x)), int(math.Round(c.y))
-	inv2s2 := -1 / (2 * sigmaW * sigmaW)
 	// The window is clipped to the pixels whose gradient stays inside the
 	// image, visited in the same order as the full window, a row at a time.
 	var g gradRow
@@ -350,7 +378,7 @@ func orientations(img *imaging.Gray, c candidate) oriPeaks {
 		g.solve()
 		for j, theta := range g.theta[:g.n] {
 			dx := x0 + j
-			w := math.Exp(float64(dx*dx+dy*dy) * inv2s2)
+			w := weights[dx*dx+dy*dy]
 			bin := int(math.Floor((theta + math.Pi) / (2 * math.Pi) * oriBins))
 			if bin >= oriBins {
 				bin = oriBins - 1

@@ -12,10 +12,10 @@ go vet ./...
 echo "== go build =="
 go build ./...
 echo "== generic kernels (GOARCH=arm64 vet) =="
-# dist, lsh, imaging and sift have SSE2 assembly on amd64 and their generic
-# Go twins everywhere else; vetting for arm64 type-checks and vets the
-# fallback files the amd64 build never compiles. Needs no network.
-GOARCH=arm64 go vet ./internal/dist ./internal/lsh ./internal/imaging ./internal/sift
+# dist, lsh, imaging, sift and pose have SSE2 assembly on amd64 and their
+# generic Go twins everywhere else; vetting for arm64 type-checks and vets
+# the fallback files the amd64 build never compiles. Needs no network.
+GOARCH=arm64 go vet ./internal/dist ./internal/lsh ./internal/imaging ./internal/sift ./internal/pose
 echo "== api compatibility gate =="
 # Diff the exported surface of the root package against the checked-in
 # snapshot (testdata/api.txt). Also runs as part of the full test pass
@@ -60,14 +60,23 @@ echo "== client same-bits (race) =="
 go test -race -count=1 -run \
 	'TestDetectGolden|TestDetectWorkerIndependent|TestGaussianBlur|TestTrilinearAdd|TestSelectUnique|TestAddTapsMatchesGeneric|TestProjectMatchesGeneric|TestSqMatchesGeneric|TestSqLimitMatchesGeneric|TestGradientsMatchGeneric|TestPipelineAnswersGolden' \
 	. ./internal/sift ./internal/imaging ./internal/core ./internal/lsh ./internal/dist
+echo "== pose same-bits (race) =="
+# The pose objective's pair sum runs in an SSE2 kernel on amd64: its parity
+# test against the Go loop, the per-pair residual against the plain
+# reference in both kernel lanes, and the whole venue-wide solve against a
+# reference solver. Already part of the full -race pass above; re-run
+# un-cached so a reordered float operation names itself.
+go test -race -count=1 -run \
+	'TestPairSumMatchesGeneric|TestResidualMatchesReference|TestLocalizeMatchesReferenceSolver' \
+	./internal/pose
 echo "== kernel parity without FMA =="
 # Neither a kernel nor its generic twin fuses a multiply-add, so the parity
 # tests must also hold with the runtime's FMA paths switched off. The
 # detector goldens stay out of this step: math.Exp takes an FMA path on
 # hosts that have one, and the digests were recorded on such a host.
 GODEBUG=cpu.fma=off go test -count=1 -run \
-	'TestAddTapsMatchesGeneric|TestProjectMatchesGeneric|TestSqMatchesGeneric|TestSqLimitMatchesGeneric|TestGradientsMatchGeneric' \
-	./internal/sift ./internal/imaging ./internal/lsh ./internal/dist
+	'TestAddTapsMatchesGeneric|TestProjectMatchesGeneric|TestSqMatchesGeneric|TestSqLimitMatchesGeneric|TestGradientsMatchGeneric|TestPairSumMatchesGeneric' \
+	./internal/sift ./internal/imaging ./internal/lsh ./internal/dist ./internal/pose
 echo "== fuzz (short) =="
 make fuzz-short
 echo "== benchmark module =="
